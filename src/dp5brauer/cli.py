@@ -245,7 +245,7 @@ def build_parser():
         "--jobs",
         type=int,
         default=None,
-        help="worker count for the mod-11 census (default: all cores)",
+        help="accepted and echoed as workers; the mod-11 census runs in-process",
     )
     p.set_defaults(func=_cmd_census)
 

@@ -182,12 +182,29 @@ class DelPezzoModel:
 
     @classmethod
     def from_json_dict(cls, doc):
+        """Inverse of ``to_json_dict``; a malformed document is an UnknownModelError."""
+        if not isinstance(doc, dict) or not isinstance(doc.get("source"), str):
+            raise UnknownModelError("model JSON must be an object with a string 'source'")
+        shapes = dict(minpoly=(6,), quadrics=(5, len(U_QUADRIC_MONOMIALS)), l1=(6,), l2=(6,))
+        for key, shape in shapes.items():
+            if not _is_int_array(doc.get(key), shape):
+                raise UnknownModelError(f"model JSON needs {key!r} as integers of shape {shape}")
         spec = QuinticFieldSpec(doc["minpoly"])
         quadrics = [
             MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
             for vec in doc["quadrics"]
         ]
         return cls(doc["source"], spec, quadrics, doc["l1"], doc["l2"])
+
+
+def _is_int_array(value, shape):
+    if not shape:
+        return isinstance(value, int) and not isinstance(value, bool)
+    return (
+        isinstance(value, list)
+        and len(value) == shape[0]
+        and all(_is_int_array(v, shape[1:]) for v in value)
+    )
 
 
 def build_model(spec):

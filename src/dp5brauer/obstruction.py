@@ -22,7 +22,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from concurrent.futures import ProcessPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -437,12 +436,7 @@ def tangent_surjectivity_check(model):
             rows.append([0, 1, 0, 2 * y % 5, z, 3 * y * y % 5])
             rows.append([0, 0, 1, 0, y, 2 * z % 5])
     pairing = np.array(rows, dtype=np.int64)
-    digits = np.arange(5 ** 6, dtype=np.int64)
-    forms = np.empty((6, 5 ** 6), dtype=np.int64)
-    tmp = digits.copy()
-    for i in range(6):
-        forms[i] = tmp % 5
-        tmp //= 5
+    forms = _digit_columns(np.arange(5 ** 6, dtype=np.int64), 5, 6)
     proportional = np.all(forms[1:] == 0, axis=0)
     candidates = ~proportional & np.any(forms != 0, axis=0)
     hit = np.any(pairing @ forms % 5 != 0, axis=0)
@@ -649,7 +643,6 @@ def verdict(model, h):
 # census modulo 11
 
 CENSUS_11_TOTAL = 11 ** 6 - 1
-_U5FREE_COUNT = 11 ** 5
 
 
 def _chart_monomials_11():
@@ -671,46 +664,113 @@ def _digit_columns(indices, base, length):
     return cols
 
 
-def _census11_value_range(lo, hi):
-    """Indices in [lo, hi) of u5-free forms whose chart values avoid {1, 10}."""
-    mon = _chart_monomials_11()[:, :5]
-    idx = np.arange(lo, hi, dtype=np.int64)
-    forms = _digit_columns(idx, 11, 5)
-    vals = mon @ forms % 11
-    hit = ((vals == 1) | (vals == 10)).any(axis=0)
-    return [int(i) for i in idx[~hit] if i != 0]
+_FULL_MASK = 0b11111
+_POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
+_CENSUS_CHUNK = 100_000
 
 
-def _census11_surjectivity_range(lo, hi):
-    """Check that forms with index in [lo, hi) and u5 != 0 attain every coset."""
+def _class_bits_11(invert):
+    """Bit ``1 << i`` for the coset i of u (of 1/u if ``invert``); 0 at u = 0."""
     group = fifth_power_classes(11)
     bits = np.zeros(11, dtype=np.int32)
     for u in range(1, 11):
-        bits[u] = 1 << group.class_index(u)
-    mon = _chart_monomials_11()
-    idx = np.arange(lo, hi, dtype=np.int64)
-    forms = _digit_columns(idx, 11, 6)
-    live = forms[5] != 0
-    vals = mon @ forms % 11
-    masks = np.bitwise_or.reduce(bits[vals], axis=0)
-    bad = live & (masks != 31)
-    return [int(i) for i in idx[bad]]
+        bits[u] = 1 << group.class_index(pow(u, -1, 11) if invert else u)
+    return bits
 
 
-def _classify_obstructing_11(index):
-    digits = []
-    n = index
-    for _ in range(5):
-        digits.append(n % 11)
-        n //= 11
-    h0, h1, h2, h3, h4 = digits
+def _route_points_11(model, route):
+    """(value points scaled to l1 = 1, trigger points) of one route, as rows."""
+    if route == "chart":
+        _require_fixture_chart(model, 11)
+        return _chart_monomials_11(), np.array([[0, 0, 0, 0, 0, 1]], dtype=np.int32)
+    if model.modulus != 11:
+        raise DomainError("this invariant computation needs a modulus-11 model")
+    _, points, smooth, l1_values = _ramified_fiber_data(model)
+    pts = np.array(points, dtype=np.int32)
+    l1v = np.array(l1_values, dtype=np.int32)
+    ok = np.array(smooth, dtype=bool)
+    units = ok & (l1v != 0)
+    l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[units]], dtype=np.int32)
+    return pts[units] * l1_inv[:, None] % 11, pts[ok & (l1v == 0)]
+
+
+def _image_masks_11(model, forms, route, shortcut=True):
+    """Invariant-image bit masks of the columns of ``forms`` along one route.
+
+    ``forms`` is a (6, n) array of residues mod 11 and ``route`` is
+    ``"chart"`` or ``"smooth"``.  Bit i of a mask is set when the image holds
+    the coset ``fifth_power_classes(11).classes[i]``; a full image is 31.
+
+    A route is a list of value points P, each scaled so that l1(P) = 1, and
+    a list of trigger points.  The mask is the set of cosets of 1/h(P) over
+    the value points where h(P) is a unit, and it is full as soon as h is a
+    unit at a trigger point.  The chart route reads the 121 chart points
+    and triggers on e5 = (0, ..., 0, 1), whose h-value is the u5
+    coefficient, exactly as ``inv_image_11`` does.  The smooth-point route
+    reads the smooth fiber points off {l1 = 0}, rescaled by 1/l1, and
+    triggers on the smooth points of {l1 = 0}, exactly as
+    ``inv_image_11_smoothpath`` does.  ``shortcut=False`` skips the trigger
+    and returns the evaluated mask alone.
+
+    Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
+    (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
+    trigger points as h, and its unit values are lam times those of h.
+    Hence mask(lam*h) = pi_lam(mask(h)), where pi_lam sends the coset C
+    to lam^-1 * C; in particular a full mask stays full.  The image of
+    lam*h holds the identity coset exactly when 1 lies in lam^-1 * C for
+    some coset C of the image of h, that is, when the coset of lam lies in
+    mask(h).  The fifth powers mod 11 are {1, 10}, so every coset has two
+    elements, and exactly 2 * (5 - |image(h)|) = 10 - 2 * |image(h)| of
+    the ten multiples of h omit the identity; none does when the image is
+    full.
+    """
+    values, triggers = _route_points_11(model, route)
+    inverse_bits = _class_bits_11(invert=True)
+    masks = np.empty(forms.shape[1], dtype=np.int32)
+    for lo in range(0, forms.shape[1], _CENSUS_CHUNK):
+        part = forms[:, lo : lo + _CENSUS_CHUNK]
+        chunk = np.bitwise_or.reduce(inverse_bits[values @ part % 11], axis=0)
+        if shortcut:
+            chunk[(triggers @ part % 11 != 0).any(axis=0)] = _FULL_MASK
+        masks[lo : lo + _CENSUS_CHUNK] = chunk
+    return masks
+
+
+def _representatives_11(tops=range(6)):
+    """Projective representatives of the nonzero forms mod 11, as columns.
+
+    A representative is a form whose last nonzero coefficient is 1.  In
+    the base-11 numbering with u0 as the lowest digit, those whose 1 sits
+    at index k are the forms numbered 11^k + j for 0 <= j < 11^k.  Every
+    nonzero form is lam*r for exactly one representative r and one unit
+    lam (lam is its last nonzero coefficient), so the 177,156
+    representatives times the ten units cover the 11^6 - 1 forms once
+    each.  ``tops`` restricts the index of the final 1.
+    """
+    idx = [np.arange(11 ** k, 2 * 11 ** k, dtype=np.int64) for k in tops]
+    return _digit_columns(np.concatenate(idx), 11, 6)
+
+
+def _scalings_11(forms):
+    """(6, 10, n) array whose entry [:, lam - 1, j] is lam times column j, mod 11."""
+    return forms[:, None, :] * np.arange(1, 11, dtype=np.int32)[:, None] % 11
+
+
+def _obstructing_scalings(masks):
+    """(10, n) flags: row lam - 1 marks the columns h where lam*h omits the
+    identity, i.e. where the coset of lam is missing from the mask of h."""
+    return (masks & _class_bits_11(invert=False)[1:, None]) == 0
+
+
+def _classify_obstructing_11(h):
+    h0, h1, h2, h3, h4, _ = h
     if h2 or h4:
-        return "other", digits
+        return "other"
     if h1 == 0 and h3 == 0:
-        return "constant", digits
+        return "constant"
     if h3 != 0 and (h1 * h1 - 4 * h0 * h3) % 11 != 0:
-        return "separable_quadratic", digits
-    return "other", digits
+        return "separable_quadratic"
+    return "other"
 
 
 def _census_11_formula():
@@ -734,11 +794,17 @@ def _census_11_formula():
 def census_11(model=None, jobs=1, validate_surjectivity=False):
     """Count the residues h mod 11 whose invariant image omits the identity.
 
-    Forms with nonzero u5 coefficient have full image and never obstruct;
-    the u5-free forms are scanned exhaustively through their chart values.
-    ``validate_surjectivity`` additionally verifies the fullness claim for
-    every u5-dependent form.  The obstructing classes are re-derived from
-    the shape classification as an independent check.
+    Forms with nonzero u5 coefficient have full image and never obstruct.
+    The u5-free forms are counted through the chart masks of their
+    projective representatives: a representative r stands for the
+    multiples lam*r with the coset of lam missing from its mask (see
+    ``_image_masks_11``).  ``validate_surjectivity`` additionally evaluates
+    the chart values of every representative with u5 = 1; fullness is
+    invariant under scaling, so this verifies the fullness claim for all
+    11^6 - 11^5 u5-dependent forms.  The obstructing classes are
+    re-derived from the shape classification as an independent check.
+    ``jobs`` is accepted and echoed as ``workers``; the count runs
+    in-process, since it takes less time than starting a worker.
     """
     start = time.monotonic()
     if model is None:
@@ -748,41 +814,17 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
 
-    chunk = 100_000
-    ranges = [
-        (lo, min(lo + chunk, _U5FREE_COUNT)) for lo in range(0, _U5FREE_COUNT, chunk)
-    ]
-    if jobs == 1:
-        parts = [_census11_value_range(lo, hi) for lo, hi in ranges]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census11_value_range, *zip(*ranges)))
-    obstructing_indices = [i for part in parts for i in part]
-
+    reps = _representatives_11(range(5))
+    flags = _obstructing_scalings(_image_masks_11(model, reps, "chart"))
+    classes = sorted(tuple(int(c) for c in h) for h in _scalings_11(reps)[:, flags].T)
     breakdown = {"constant": 0, "separable_quadratic": 0}
-    classes = []
-    for index in obstructing_indices:
-        kind, digits = _classify_obstructing_11(index)
-        if kind == "other":
-            breakdown["other"] = breakdown.get("other", 0) + 1
-        else:
-            breakdown[kind] += 1
-        classes.append(tuple(digits) + (0,))
+    for h in classes:
+        kind = _classify_obstructing_11(h)
+        breakdown[kind] = breakdown.get(kind, 0) + 1
 
-    surjectivity_failures = None
     if validate_surjectivity:
-        full_ranges = [
-            (lo, min(lo + chunk, 11 ** 6)) for lo in range(0, 11 ** 6, chunk)
-        ]
-        if jobs == 1:
-            failures = [_census11_surjectivity_range(lo, hi) for lo, hi in full_ranges]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                failures = list(
-                    pool.map(_census11_surjectivity_range, *zip(*full_ranges))
-                )
-        surjectivity_failures = [i for part in failures for i in part]
-        if surjectivity_failures:
+        masks = _image_masks_11(model, _representatives_11((5,)), "chart", shortcut=False)
+        if (masks != _FULL_MASK).any():
             raise FiberInconsistencyError(
                 "a u5-dependent form failed the fullness claim; the census "
                 "shortcut would be unsound"
@@ -792,15 +834,15 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
         "model": model.name,
         "modulus": 11,
         "total": CENSUS_11_TOTAL,
-        "obstructing": len(obstructing_indices),
+        "obstructing": len(classes),
         "breakdown": breakdown,
         "formula_breakdown": _census_11_formula(),
-        "obstructing_classes": tuple(sorted(classes)),
+        "obstructing_classes": tuple(classes),
         "wall_time_ms": int((time.monotonic() - start) * 1000),
         "workers": jobs,
     }
     if validate_surjectivity:
-        result["surjectivity_checked"] = 11 ** 6 - _U5FREE_COUNT
+        result["surjectivity_checked"] = 10 * masks.size
     return result
 
 
@@ -902,57 +944,34 @@ def path_agreement_check(model, sample=None, seed=0):
     Recomputes both invariant images for every nonzero form mod 11 (or for
     a random sample of the given size) with the same data the two public
     functions use: chart polynomial values on one side, values over the
-    enumerated fiber on the other.  Returns the number of disagreements,
-    which must be zero.
+    enumerated fiber on the other.  ``checked`` counts the forms covered and
+    ``disagreements`` lists the indices of the forms where the routes
+    differ, which must be none.
+
+    The exhaustive mode compares the masks of the 177,156 projective
+    representatives only, and reports all ten multiples of a disagreeing
+    representative.  This is equivalent to comparing all 11^6 - 1 forms:
+    by the scaling law in ``_image_masks_11`` both routes map the masks of
+    r to those of lam*r by the same permutation pi_lam, so the routes agree
+    on lam*r exactly when they agree on r, and every form is lam*r for one
+    representative r.  The disagreeing forms are therefore exactly the
+    multiples of the disagreeing representatives.
     """
-    _require_fixture_chart(model, 11)
-    group = fifth_power_classes(11)
-    bits = np.zeros(11, dtype=np.int32)
-    inverse_bits = np.zeros(11, dtype=np.int32)
-    for u in range(1, 11):
-        bits[u] = 1 << group.class_index(u)
-        inverse_bits[u] = 1 << group.class_index(pow(u, -1, 11))
-
-    p, points, smooth, l1_values = _ramified_fiber_data(model)
-    pts = np.array(points, dtype=np.int32)
-    l1v = np.array(l1_values, dtype=np.int32)
-    ok = np.array(smooth, dtype=bool)
-    unit_rows = ok & (l1v != 0)
-    line_rows = ok & (l1v == 0)
-    l1_inv = np.array(
-        [pow(int(v), -1, 11) if v else 0 for v in l1v], dtype=np.int32
-    )
-    mon = _chart_monomials_11()
-
     if sample is None:
-        all_indices = np.arange(1, 11 ** 6, dtype=np.int64)
+        forms = _representatives_11()
     else:
         rng = np.random.default_rng(seed)
-        all_indices = rng.integers(1, 11 ** 6, size=int(sample), dtype=np.int64)
-
-    disagreements = []
-    checked = 0
-    chunk = 100_000
-    for lo in range(0, all_indices.size, chunk):
-        idx = all_indices[lo : lo + chunk]
-        forms = _digit_columns(idx, 11, 6)
-        chart_vals = mon @ forms % 11
-        chart_masks = np.bitwise_or.reduce(inverse_bits[chart_vals], axis=0)
-        chart_masks = np.where(forms[5] != 0, 31, chart_masks)
-
-        fiber_vals = pts @ forms % 11
-        ratios = (fiber_vals[unit_rows] * l1_inv[unit_rows, None]) % 11
-        smooth_masks = np.bitwise_or.reduce(inverse_bits[ratios], axis=0)
-        triggers = (fiber_vals[line_rows] != 0).any(axis=0)
-        smooth_masks = np.where(triggers, 31, smooth_masks)
-
-        bad = chart_masks != smooth_masks
-        disagreements.extend(int(i) for i in idx[bad])
-        checked += int(idx.size)
+        indices = rng.integers(1, 11 ** 6, size=int(sample), dtype=np.int64)
+        forms = _digit_columns(indices, 11, 6)
+    differ = _image_masks_11(model, forms, "chart") != _image_masks_11(model, forms, "smooth")
+    if sample is None:
+        bad = np.sort(_POWERS_11 @ _scalings_11(forms[:, differ]).reshape(6, -1))
+    else:
+        bad = _POWERS_11 @ forms[:, differ]
     return {
-        "checked": checked,
+        "checked": 10 * forms.shape[1] if sample is None else forms.shape[1],
         "mode": "exhaustive" if sample is None else "sampled",
-        "disagreements": tuple(disagreements),
+        "disagreements": tuple(int(i) for i in bad),
     }
 
 
@@ -960,60 +979,22 @@ def census_11_smoothpath(model):
     """Obstruction count over all h mod 11 using only the smooth-point route.
 
     Works for any modulus-11 model, including coordinate-changed ones, since
-    it never assumes the chart shape of l1.
+    it never assumes the chart shape of l1.  Only the 177,156 projective
+    representatives are scanned.  By the scaling law in ``_image_masks_11``
+    exactly 10 - 2 * |image(r)| of the ten multiples of a representative r
+    omit the identity, and none does when its image is full or a point of
+    {l1 = 0} triggers; every nonzero form is one multiple of one
+    representative, so these weights sum to the count over all 11^6 - 1
+    forms.
     """
-    if model.modulus != 11:
-        raise DomainError("this census needs a modulus-11 model")
-    group = fifth_power_classes(11)
-    identity_bit = 1
-    inverse_bits = np.zeros(11, dtype=np.int32)
-    for u in range(1, 11):
-        inverse_bits[u] = 1 << group.class_index(pow(u, -1, 11))
-
-    p, points, smooth, l1_values = _ramified_fiber_data(model)
-    pts = np.array(points, dtype=np.int32)
-    l1v = np.array(l1_values, dtype=np.int32)
-    ok = np.array(smooth, dtype=bool)
-    unit_rows = ok & (l1v != 0)
-    line_rows = ok & (l1v == 0)
-    l1_inv = np.array(
-        [pow(int(v), -1, 11) if v else 0 for v in l1v], dtype=np.int32
-    )
-
-    obstructing = 0
-    chunk = 100_000
-    for lo in range(1, 11 ** 6, chunk):
-        idx = np.arange(lo, min(lo + chunk, 11 ** 6), dtype=np.int64)
-        forms = _digit_columns(idx, 11, 6)
-        fiber_vals = pts @ forms % 11
-        ratios = (fiber_vals[unit_rows] * l1_inv[unit_rows, None]) % 11
-        masks = np.bitwise_or.reduce(inverse_bits[ratios], axis=0)
-        triggers = (fiber_vals[line_rows] != 0).any(axis=0)
-        contains_zero = triggers | ((masks & identity_bit) != 0)
-        obstructing += int((~contains_zero).sum())
-    return {"model": model.name, "total": CENSUS_11_TOTAL, "obstructing": obstructing}
+    flags = _obstructing_scalings(_image_masks_11(model, _representatives_11(), "smooth"))
+    return {"model": model.name, "total": CENSUS_11_TOTAL, "obstructing": int(flags.sum())}
 
 
 def _random_invertible_mod11(rng):
     while True:
         rows = [[rng.randrange(11) for _ in range(6)] for _ in range(6)]
-        mat = [row[:] for row in rows]
-        det = 1
-        singular = False
-        for c in range(6):
-            pivot = next((r for r in range(c, 6) if mat[r][c] % 11), None)
-            if pivot is None:
-                singular = True
-                break
-            if pivot != c:
-                mat[c], mat[pivot] = mat[pivot], mat[c]
-            det = (det * mat[c][c]) % 11
-            inv = pow(mat[c][c], -1, 11)
-            for r in range(c + 1, 6):
-                f = (mat[r][c] * inv) % 11
-                for j in range(c, 6):
-                    mat[r][j] = (mat[r][j] - f * mat[c][j]) % 11
-        if not singular and det % 11:
+        if rank_mod_p(rows, 11) == 6:
             return rows
 
 

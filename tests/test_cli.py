@@ -185,6 +185,24 @@ def test_unknown_fixture_is_a_domain_error(capsys):
     assert "zeta99" in err
 
 
+def test_malformed_model_file_is_a_domain_error(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, ["construct", "--minpoly", "1,1,-4,-3,3,1"])
+    doc = json.loads(out)
+    del doc["minpoly"]
+    missing = tmp_path / "missing.json"
+    missing.write_text(json.dumps(doc), encoding="utf-8")
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([1, 2, 3]), encoding="utf-8")
+    for path, key in ((missing, "minpoly"), (listed, "source")):
+        code, out, err = run_cli(
+            capsys, ["verdict", "--model", str(path), "--h", "0,1,0,-6,0,0"]
+        )
+        assert code == 3
+        assert out == ""
+        assert key in err
+        assert "Traceback" not in err
+
+
 def test_usage_errors_exit_with_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fiber", "--model", "fixture:zeta11plus"])

@@ -8,10 +8,13 @@ correctness evidence.
 
 import random
 
+import numpy as np
 import pytest
 
+from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.obstruction import (
+    _POWERS_11,
     CENSUS_11_TOTAL,
     CENSUS_25_TOTAL,
     census_11,
@@ -29,6 +32,12 @@ from dp5brauer.obstruction import (
     transformed_model_mod11,
     unramified_invariant_check,
     verdict,
+)
+from dp5brauer.obstruction import (
+    _image_masks_11,
+    _random_invertible_mod11,
+    _representatives_11,
+    _scalings_11,
 )
 
 HEADLINE_H = (0, 1, 0, -6, 0, 0)
@@ -342,12 +351,98 @@ def test_tangent_surjectivity(m25):
 
 def test_census_is_coordinate_free(m11):
     rng = random.Random(77)
-    from dp5brauer.obstruction import _random_invertible_mod11
-
     matrix = _random_invertible_mod11(rng)
     moved = transformed_model_mod11(m11, matrix)
     assert moved.name == "zeta11plus+gl6"
     assert census_11_smoothpath(moved)["obstructing"] == 228
+
+
+def _permuted_mask(group, mask, lam):
+    # the coset C goes to lam^-1 * C
+    out = 0
+    for i, cls in enumerate(group.classes):
+        if mask >> i & 1:
+            out |= 1 << group.class_index(pow(lam, -1, 11) * cls[0] % 11)
+    return out
+
+
+def test_mask_kernel_is_scaling_equivariant(m11):
+    group = fifth_power_classes(11)
+    rng = random.Random(511)
+    matrix = _random_invertible_mod11(rng)
+    moved = transformed_model_mod11(m11, matrix)
+    pairs = []
+    while len(pairs) < 300:
+        h = [rng.randrange(11) for _ in range(6)]
+        if rng.random() < 0.5:
+            h[2] = h[4] = h[5] = 0  # z-free forms have partial images
+        if any(h):
+            pairs.append((h, rng.randrange(1, 11)))
+    forms = np.array([h for h, _ in pairs], dtype=np.int32).T
+    lams = np.array([lam for _, lam in pairs], dtype=np.int32)
+    # the form h reads h * matrix in the moved coordinates
+    moved_forms = np.array(matrix, dtype=np.int32).T @ forms % 11
+    for model, route, cols in (
+        (m11, "chart", forms),
+        (m11, "smooth", forms),
+        (moved, "smooth", moved_forms),
+    ):
+        base = _image_masks_11(model, cols, route)
+        scaled = _image_masks_11(model, cols * lams % 11, route)
+        assert 0 < (base != 31).sum() < len(pairs)
+        for (h, lam), b, s in zip(pairs, base, scaled):
+            assert s == _permuted_mask(group, int(b), lam), (route, h, lam)
+
+
+def test_representatives_times_units_cover_every_form_once():
+    reps = _representatives_11()
+    assert reps.shape == (6, 177156)
+    last_nonzero = 5 - np.argmax(reps[::-1] != 0, axis=0)
+    assert (reps[last_nonzero, np.arange(reps.shape[1])] == 1).all()
+    covered = np.sort(_POWERS_11 @ _scalings_11(reps).reshape(6, -1))
+    assert np.array_equal(covered, np.arange(1, 11 ** 6))
+
+
+def test_representative_weights_count_obstructing_scalings(m11):
+    rng = random.Random(512)
+    reps = _representatives_11()
+    picks = [rng.randrange(reps.shape[1]) for _ in range(20)]
+    # the u5-free, z-free representatives include every partial image
+    picks += list(np.flatnonzero(~reps[[2, 4, 5]].any(axis=0))[::15])
+    masks = _image_masks_11(m11, reps[:, picks], "smooth")
+    weights = set()
+    for j, mask in zip(picks, masks):
+        r = tuple(int(c) for c in reps[:, j])
+        size = bin(int(mask)).count("1")
+        assert size == inv_image_11_smoothpath(m11, r).size
+        omitted = sum(
+            not inv_image_11_smoothpath(m11, tuple(lam * c for c in r)).contains_zero
+            for lam in range(1, 11)
+        )
+        assert omitted == 10 - 2 * size, r
+        weights.add(omitted)
+    assert {0, 2, 8} <= weights
+
+
+def test_exhaustive_agreement_reports_every_scaling(m11, monkeypatch):
+    # a smooth route cut down to 40 value points disagrees with the chart on
+    # some forms; the sampled mode, which scans forms directly, is the oracle
+    route_points = obstruction._route_points_11
+
+    def drop_points(model, route):
+        values, triggers = route_points(model, route)
+        return (values[:40], triggers) if route == "smooth" else (values, triggers)
+
+    monkeypatch.setattr(obstruction, "_route_points_11", drop_points)
+    exhaustive = path_agreement_check(m11)
+    sampled = path_agreement_check(m11, sample=20000, seed=3)
+    bad = set(exhaustive["disagreements"])
+    assert exhaustive["checked"] == CENSUS_11_TOTAL
+    assert 0 < len(bad) < CENSUS_11_TOTAL and len(bad) % 10 == 0
+    assert list(exhaustive["disagreements"]) == sorted(bad)
+    indices = np.random.default_rng(3).integers(1, 11 ** 6, size=20000, dtype=np.int64)
+    assert [int(i) for i in indices if int(i) in bad] == list(sampled["disagreements"])
+    assert sampled["disagreements"]
 
 
 def test_unramified_invariants(m11):
