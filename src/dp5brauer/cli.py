@@ -3,7 +3,8 @@
 Every subcommand emits one JSON document, sorted keys, either to standard
 output or to --output.  Exit codes: 0 success, 1 verify-paper found a real
 mismatch, 2 usage error (argparse), 3 domain error (bad model, bad prime,
-degenerate construction).
+degenerate construction), 4 internal contradiction (the package's own
+results disagree: FiberInconsistencyError or ChartError).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import sys
 
 from . import fibers, model, obstruction, picard, verify
-from .errors import DomainError
+from .errors import ChartError, DomainError, FiberInconsistencyError
 from .numberfield import QuinticFieldSpec
 
 FIXTURE_PREFIX = "fixture:"
@@ -124,11 +125,7 @@ def _cmd_verdict(args):
 
 def _cmd_census(args):
     if args.model is None:
-        args.model = (
-            f"{FIXTURE_PREFIX}zeta11plus"
-            if args.modulus == 11
-            else f"{FIXTURE_PREFIX}zeta25"
-        )
+        args.model = FIXTURE_PREFIX + ("zeta11plus" if args.modulus == 11 else "zeta25")
     m = _load_model(args.model)
     if args.modulus == 11:
         result = obstruction.census_11(m, jobs=args.jobs)
@@ -277,7 +274,7 @@ def main(argv=None):
         doc = args.func(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3
     _emit(doc, args.output)
     if args.command == "verify-paper" and verify.has_failures(doc):
         return 1

@@ -2,7 +2,10 @@
 
 DomainError covers every failure of a mathematical precondition (bad input,
 unattainable construction, inconsistent data).  The command line maps it to
-exit code 3; usage errors stay with argparse and exit code 2.
+exit code 3; usage errors stay with argparse and exit code 2.  Its two
+subclasses ChartError and FiberInconsistencyError mean that the package's
+own results contradict each other, not that the input was bad; they map to
+exit code 4.
 """
 
 

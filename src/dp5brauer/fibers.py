@@ -1,15 +1,48 @@
 """Mod-p fibers of a model: point enumeration, singular locus, lines, and
 the splitting-type classification.
 
-Point counting runs on numpy over the six standard charts of P^5, chunked
-so the largest grid stays near p^4 cells.  All arithmetic is mod p in
-int64, which is safe here: a quadric has 21 terms and every factor is
-below the enumeration bound, so no intermediate value approaches 2^63.
+Everything mod p starts from one (5, 6, 6) array per (model, p), built from
+the pair table ``U_QUADRIC_PAIRS``: the upper-triangular Gram matrices G_k
+with q_k(x) = x^T G_k x.  The polar matrices B_k = G_k + G_k^T give the
+polar form x^T B_k y = q_k(x + y) - q_k(x) - q_k(y) and the Jacobian rows
+B_k x in every characteristic, 2 included.
+
+Enumeration solves the fiber when the model has the solver shape
+(``model._has_solver_shape``, checked on the integer coefficients, so it
+holds mod every p): quadrics 4-5 are linear in (u1, u2) for fixed t =
+(u3, u4, u5), and quadrics 1-3 are linear in u0.  Both fixtures and every
+``build_model`` output have it.  For each t in P^2 with first nonzero entry
+1 the solver lists every solution (u1, u2) of the 2x2 system of quadrics
+4-5 (Cramer's rule where its determinant, u3 u5 - u4^2 on the fixtures,
+is nonzero; ``solve_mod_p`` where it vanishes).  It takes u0 from the
+first quadric among 1-3 with a nonzero u0 coefficient there, or tries all
+p values if there is none.  The plane t = 0 is checked point by point, and
+a candidate is kept only when all five quadrics vanish on it.
+
+Completeness: scale a fiber point x with t(x) != 0 so that t(x) has first
+nonzero entry 1.  Quadrics 4-5 vanish at x, so (x1, x2) is a listed
+solution for t(x); quadrics 1-3 vanish at x, so x0 is the root of the
+chosen one or a tried value.  So x is a candidate, and it passes the final
+check; a fiber point with t(x) = 0 lies in the checked plane.  Distinct
+candidates are distinct projective points, so the result is exactly the
+fiber, from O(p^2) candidates instead of O(p^5) cells.
+
+Other models, such as ``obstruction.transformed_model_mod11``, fall back to
+a scan of the six standard charts of P^5 in grids of at most 2^23 cells:
+the sparsest quadric is evaluated on the grid, all five on its zeros.  The
+scan is also the test oracle of the solver.
+
+Integer safety at p <= ENUMERATION_BOUND = 100: entries are reduced mod p
+before any product, so the largest unreduced sum, a quadric value over 36
+Gram entries, stays below 36 * 100^3 < 2^26; the scan's int32 grid sums 21
+terms below 100^3, so below 2^25.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -19,146 +52,207 @@ from .errors import (
     EnumerationBoundError,
     FiberInconsistencyError,
 )
-from .model import U_QUADRIC_MONOMIALS, U_VARS, chart_substitution
+from .model import U_QUADRIC_PAIRS, _has_solver_shape, _quadric_gram, chart_substitution
 from .numberfield import (
     _fp_normalize,
     _fp_poly_gcd,
     _fpq_pow,
+    _is_irreducible_mod_p,
+    _is_prime,
     _poly_deriv,
     _poly_sub,
 )
 
-ENUMERATION_BOUND = 50
+ENUMERATION_BOUND = 100
 _CHUNK_CELLS = 1 << 23
+_LINE_BLOCK_CELLS = 1 << 20
 
 
-def _quadric_terms_mod_p(model, p):
-    """Per quadric: list of (coeff, i, j) with explicit squares, coeff in
-    [1, p)."""
-    out = []
-    for vec in model.quadric_vectors():
-        terms = []
-        for exps, coeff in zip(U_QUADRIC_MONOMIALS, vec):
-            c = coeff % p
-            if not c:
-                continue
-            pair = []
-            for i, e in enumerate(exps):
-                pair.extend([i] * e)
-            terms.append((c, pair[0], pair[1]))
-        out.append(terms)
-    return out
+def _gram_mod_p(vectors, p):
+    """(5, 6, 6) int64 array of the Gram matrices G_k mod p."""
+    gram = _quadric_gram(vectors)
+    return np.array([[[c % p for c in row] for row in g] for g in gram], dtype=np.int64)
+
+
+def _polar_mod_p(model, p):
+    """(5, 6, 6) int64 array of polar matrices B_k = G_k + G_k^T mod p."""
+    gram = _gram_mod_p(model.quadric_vectors(), p)
+    return (gram + gram.transpose(0, 2, 1)) % p
+
+
+@lru_cache(maxsize=8)
+def _inverses(p):
+    """Inverse of every residue mod p, with 0 at 0."""
+    return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
+
+
+def _on_fiber(gram, x, p):
+    """Mask of the rows of x (n, 6) on which all five quadrics vanish mod p."""
+    return ~(((x @ gram) * x).sum(axis=-1) % p).any(axis=0)
+
+
+def _projective_plane(p):
+    """The p^2 + p + 1 points of P^2(F_p) with first nonzero entry 1, as rows."""
+    rows = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)]
+    return np.array(rows + [(0, 0, 1)], dtype=np.int64)
 
 
 def enumerate_fiber(model, p, bound=ENUMERATION_BOUND):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
-    Normalization: the first nonzero coordinate is 1, which the chart
-    decomposition produces directly.
+    Normalization: the first nonzero coordinate is 1.  Models with the
+    solver shape are solved, all others scanned (module docstring).
     """
     if p > bound:
         raise EnumerationBoundError(f"prime {p} exceeds enumeration bound {bound}")
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    terms = _quadric_terms_mod_p(model, p)
-    points = []
+    vectors = model.quadric_vectors()
+    gram = _gram_mod_p(vectors, p)
+    x = _solve_fiber(gram, p) if _has_solver_shape(vectors) else _scan_fiber(gram, p)
+    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
+    x = x * _inverses(p)[lead][:, None] % p
+    return sorted(map(tuple, x.tolist()))
+
+
+def _solve_fiber(gram, p):
+    """Fiber points, unnormalized, by back-solving (module docstring)."""
+    inv = _inverses(p)
+    t = _projective_plane(p)
+    # at t, quadrics 4-5 read a[k] . (u1, u2) + c[k] = 0
+    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
+    c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
+    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
+    ok = det != 0
+    an, cn, d = a[ok], c[ok], inv[det[ok]]
+    u1 = (an[:, 0, 1] * cn[:, 1] - an[:, 1, 1] * cn[:, 0]) % p * d % p
+    u2 = (an[:, 1, 0] * cn[:, 0] - an[:, 0, 0] * cn[:, 1]) % p * d % p
+    ys = [np.column_stack([u1, u2, t[ok]])]
+    for n in np.nonzero(~ok)[0]:
+        _, part, kernel = solve_mod_p(a[n].tolist(), p, (-c[n]).tolist())
+        if part is not None:
+            steps = np.array(list(product(range(p), repeat=len(kernel))), dtype=np.int64)
+            u = (part + steps @ np.array(kernel, dtype=np.int64).reshape(-1, 2)) % p
+            ys.append(np.column_stack([u, np.broadcast_to(t[n], (len(u), 3))]))
+    y = np.concatenate(ys)
+    # quadrics 1-3 read lin[k] * u0 + rest[k] = 0
+    lin = y @ gram[:3, 0, 1:].T % p
+    rest = ((y @ gram[:3, 1:, 1:]) * y).sum(axis=-1).T % p
+    has = lin != 0
+    some = has.any(axis=1)
+    k = has.argmax(axis=1)[some]
+    rows = np.nonzero(some)[0]
+    u0 = -rest[rows, k] * inv[lin[rows, k]] % p
+    stuck = y[~some]
+    x = np.concatenate([
+        np.column_stack([u0, y[some]]),
+        np.column_stack([np.tile(np.arange(p), len(stuck)), np.repeat(stuck, p, axis=0)]),
+        np.column_stack([t, np.zeros_like(t)]),
+    ])
+    return x[_on_fiber(gram, x, p)]
+
+
+def _scan_fiber(gram, p):
+    """Fiber points by scanning the six standard charts of P^5."""
+    k = min(range(5), key=lambda k: (not gram[k].any(), np.count_nonzero(gram[k])))
+    terms = [(int(gram[k, i, j]), i, j) for i, j in U_QUADRIC_PAIRS if gram[k, i, j]]
+    found = []
     for chart in range(6):
         free = 5 - chart
-        prefix = (0,) * chart + (1,)
-        if free == 0:
-            if all(_eval_terms_scalar(t, prefix, p) == 0 for t in terms):
-                points.append(prefix)
-            continue
         # leading free coordinates loop in python, the rest form one grid
         lead = 0
         while free - lead > 1 and p ** (free - lead) > _CHUNK_CELLS:
             lead += 1
-        grid_dims = free - lead
-        shape = (p,) * grid_dims
-        axes = []
-        for d in range(grid_dims):
-            shape_d = [1] * grid_dims
-            shape_d[d] = p
-            axes.append(np.arange(p, dtype=np.int64).reshape(shape_d))
+        dims = free - lead
+        axes = [
+            np.arange(p, dtype=np.int32).reshape([p if e == d else 1 for e in range(dims)])
+            for d in range(dims)
+        ]
         for head in np.ndindex(*((p,) * lead)):
-            coords = list(prefix) + list(head) + axes
-            acc = None
-            for t in terms:
-                vals = _eval_terms_grid(t, coords, p)
-                mask = vals == 0
-                acc = mask if acc is None else (acc & mask)
-            hits = np.argwhere(np.broadcast_to(acc, shape))
-            for hit in hits:
-                points.append(prefix + tuple(head) + tuple(int(x) for x in hit))
-    points.sort()
-    return points
-
-
-def _eval_terms_scalar(terms, coords, p):
-    total = 0
-    for c, i, j in terms:
-        total += c * coords[i] * coords[j]
-    return total % p
-
-
-def _eval_terms_grid(terms, coords, p):
-    total = None
-    for c, i, j in terms:
-        a, b = coords[i], coords[j]
-        if isinstance(a, int) and isinstance(b, int):
-            term = c * a * b
-        else:
-            term = c * (a * b)
-        total = term if total is None else total + term
-    if isinstance(total, int):
-        return np.array(total % p, dtype=np.int64)
-    return total % p
+            fixed = (0,) * chart + (1,) + head
+            coords = list(fixed) + axes
+            values = sum(c * (coords[i] * coords[j]) for c, i, j in terms) % p
+            zero = np.broadcast_to(np.asarray(values) == 0, (p,) * dims)
+            hits = np.flatnonzero(zero)[:, None] // p ** np.arange(dims - 1, -1, -1) % p
+            x = np.column_stack([np.broadcast_to(fixed, (len(hits), len(fixed))), hits])
+            found.append(x[_on_fiber(gram, x, p)])
+    return np.concatenate(found)
 
 
 def jacobian_matrix_mod_p(model, p, point):
     """5x6 matrix of quadric partials at a point, entries mod p."""
-    rows = []
-    for vec in model.quadric_vectors():
-        partials = [0] * 6
-        for exps, coeff in zip(U_QUADRIC_MONOMIALS, vec):
-            pair = []
-            for i, e in enumerate(exps):
-                pair.extend([i] * e)
-            i, j = pair
-            partials[i] += coeff * point[j]
-            partials[j] += coeff * point[i]
-        rows.append([x % p for x in partials])
-    return rows
+    x = np.array([int(c) % p for c in point], dtype=np.int64)
+    return (_polar_mod_p(model, p) @ x % p).tolist()
+
+
+def _row_reduce_mod_p(mats, p):
+    """Gauss-Jordan elimination mod p of a stack of matrices, shape (n, r, c).
+
+    Returns the reduced stack and an (n, c) boolean array of pivot columns;
+    the pivot rows come first, in column order.
+    """
+    m = np.array(mats, dtype=np.int64) % p
+    n, r, c = m.shape
+    inv = _inverses(p)
+    rank = np.zeros(n, dtype=np.int64)
+    pivots = np.zeros((n, c), dtype=bool)
+    for col in range(c):
+        open_rows = (m[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
+        sel = np.nonzero(open_rows.any(axis=1))[0]
+        if not len(sel):
+            continue
+        src, dst = open_rows[sel].argmax(axis=1), rank[sel]
+        row = m[sel, src] * inv[m[sel, src, col]][:, None] % p
+        m[sel, src] = m[sel, dst]
+        m[sel] = (m[sel] - m[sel, :, col, None] * row[:, None, :]) % p
+        m[sel, dst] = row
+        pivots[sel, col] = True
+        rank[sel] += 1
+    return m, pivots
+
+
+def solve_mod_p(rows, p, rhs=None):
+    """(rank, particular, kernel) for rows . w = rhs over F_p; rhs defaults to 0.
+
+    The particular solution sets every free variable to 0 and is None when
+    the system is inconsistent; the kernel basis has one vector per free
+    column, in column order, with a 1 in that column.
+    """
+    cols = len(rows[0])
+    rhs = [0] * len(rows) if rhs is None else rhs
+    reduced, pivots = _row_reduce_mod_p([[[*r, b] for r, b in zip(rows, rhs)]], p)
+    reduced, pivots = reduced[0].tolist(), pivots[0].tolist()
+    # pivot column -> its row of the reduced matrix
+    where = {j: i for i, j in enumerate(j for j in range(cols) if pivots[j])}
+    particular = None
+    if not pivots[cols]:
+        particular = tuple(reduced[where[j]][cols] if j in where else 0 for j in range(cols))
+    kernel = tuple(
+        tuple(-reduced[where[j]][f] % p if j in where else int(j == f) for j in range(cols))
+        for f in range(cols)
+        if f not in where
+    )
+    return len(where), particular, kernel
 
 
 def rank_mod_p(rows, p):
-    mat = [list(r) for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] % p), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][c], -1, p)
-        mat[rank] = [x * inv % p for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] % p:
-                f = mat[r][c]
-                mat[r] = [(x - f * y) % p for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+    return solve_mod_p(rows, p)[0]
 
 
 def singular_points(model, p, fiber=None):
-    """Fiber points where the Jacobian drops below rank 3."""
+    """Fiber points where the Jacobian drops below rank 3.
+
+    The Jacobians of all points are one product B x, and their ranks come
+    from one stacked row reduction.
+    """
     if fiber is None:
         fiber = enumerate_fiber(model, p)
-    return [
-        pt
-        for pt in fiber
-        if rank_mod_p(jacobian_matrix_mod_p(model, p, pt), p) < 3
-    ]
+    if not fiber:
+        return []
+    x = np.array(fiber, dtype=np.int64)
+    jacobians = (_polar_mod_p(model, p) @ x.T % p).transpose(2, 0, 1)
+    ranks = _row_reduce_mod_p(jacobians, p)[1].sum(axis=1)
+    return [pt for pt, rank in zip(fiber, ranks) if rank < 3]
 
 
 @dataclass(frozen=True)
@@ -171,46 +265,49 @@ class LineOnFiber:
 
 
 def find_lines(model, p, fiber=None):
-    """Lines contained in the mod-p fiber.
+    """Lines contained in the mod-p fiber (``fiber`` must be all of it).
 
-    A point pair spans a line on the surface iff the polar value
-    q(P + Q) - q(P) - q(Q) vanishes for all five quadrics; this is
-    characteristic-safe.  Lines are deduplicated by their point sets.
+    Two fiber points P, Q span a line on the surface iff the polar values
+    P^T B_k Q vanish for all five quadrics, since q(aP + bQ) = a^2 q(P) +
+    b^2 q(Q) + ab P^T B Q; this is characteristic-safe.  A line meets the
+    hyperplane u0 = 0 in one point or lies in it, so every line holds a
+    pair (P, Q) with Q in the fiber's section by u0 = 0, and only those
+    pairs are tested: about p^3 exact int64 polar values instead of p^4,
+    in blocks of at most _LINE_BLOCK_CELLS.  Two points determine one line,
+    so a pair already on a found line is skipped; the line of every other
+    polar pair is listed point by point, and one that leaves ``fiber``
+    raises: the enumeration missed a point of it.
     """
     if fiber is None:
         fiber = enumerate_fiber(model, p)
-    n = len(fiber)
-    if n == 0:
+    if not fiber:
         return []
-    pts = np.array(fiber, dtype=np.int64)
-    polar_all = np.ones((n, n), dtype=bool)
-    for vec in model.quadric_vectors():
-        bilinear = np.zeros((6, 6), dtype=np.int64)
-        for exps, coeff in zip(U_QUADRIC_MONOMIALS, vec):
-            pair = []
-            for i, e in enumerate(exps):
-                pair.extend([i] * e)
-            i, j = pair
-            bilinear[i, j] += coeff
-            bilinear[j, i] += coeff
-        w = (pts @ (bilinear % p)) % p
-        polar_all &= (w @ pts.T) % p == 0
-    fiber_set = set(fiber)
-    lines = {}
-    for i in range(n):
-        row = np.nonzero(polar_all[i, i + 1 :])[0]
-        for off in row:
-            j = i + 1 + int(off)
-            key_points = _line_points(fiber[i], fiber[j], p)
-            if not key_points <= fiber_set:
+    x = np.array(fiber, dtype=np.int64)
+    section = np.nonzero(x[:, 0] == 0)[0]
+    w, xs = x @ _polar_mod_p(model, p) % p, x[section].T
+    index = {pt: i for i, pt in enumerate(fiber)}
+    on_line = [set() for _ in fiber]
+    lines = []
+    block = max(1, _LINE_BLOCK_CELLS // max(1, len(section)))
+    for start in range(0, len(x), block):
+        polar = np.ones((len(x[start : start + block]), len(section)), dtype=bool)
+        for wk in w[:, start : start + block]:
+            polar &= wk @ xs % p == 0
+        rows, cols = np.nonzero(polar)
+        for i, j in zip((rows + start).tolist(), section[cols].tolist()):
+            if i == j or j in on_line[i]:
+                continue
+            points = _line_points(fiber[i], fiber[j], p)
+            if not all(pt in index for pt in points):
                 raise FiberInconsistencyError(
                     "line through two fiber points leaves the fiber"
                 )
-            key = frozenset(key_points)
-            if key not in lines:
-                ordered = tuple(sorted(key_points))
-                lines[key] = LineOnFiber((ordered[0], ordered[1]), ordered)
-    return [lines[k] for k in sorted(lines, key=lambda k: sorted(k))]
+            members = {index[pt] for pt in points}
+            for m in members:
+                on_line[m] |= members
+            ordered = tuple(sorted(points))
+            lines.append(LineOnFiber((ordered[0], ordered[1]), ordered))
+    return sorted(lines, key=lambda line: line.points)
 
 
 def _normalize_point(coords, p):
@@ -235,19 +332,11 @@ def minpoly_splitting_mod_p(spec, p):
     m = _fp_normalize(spec.ascending(), p)
     if len(m) != 6:
         raise DomainError("leading coefficient vanished; not a valid reduction")
-    deriv = _fp_normalize(_poly_deriv(m), p)
-    if len(_fp_poly_gcd(m, deriv, p)) != 1:
+    if len(_fp_poly_gcd(m, _fp_normalize(_poly_deriv(m), p), p)) != 1:
         return "inseparable"
-    s = [0, 1]
-    frob1 = _fpq_pow(s, p, m, p)
-    if _fp_normalize(_poly_sub(frob1, s), p) == []:
+    if _fp_normalize(_poly_sub(_fpq_pow([0, 1], p, m, p), [0, 1]), p) == []:
         return "separable-split"
-    frob2 = _fpq_pow(s, p * p, m, p)
-    g1 = _fp_poly_gcd(m, _fp_normalize(_poly_sub(frob1, s), p), p)
-    g2 = _fp_poly_gcd(m, _fp_normalize(_poly_sub(frob2, s), p), p)
-    if len(g1) == 1 and len(g2) == 1:
-        return "separable-irreducible"
-    return "separable-partial"
+    return "separable-irreducible" if _is_irreducible_mod_p(m, p) else "separable-partial"
 
 
 @dataclass(frozen=True)
@@ -356,10 +445,11 @@ def verify_chart(model, p=None):
             if pt in chart_points:
                 raise ChartError("chart map collides")
             chart_points[pt] = (y, z)
-    fiber = set(enumerate_fiber(model, p))
+    points = enumerate_fiber(model, p)
+    fiber = set(points)
     if not set(chart_points) <= fiber:
         raise ChartError("chart image leaves the fiber")
-    lines = find_lines(model, p)
+    lines = find_lines(model, p, fiber=points)
     if len(lines) != 1:
         raise ChartError(f"expected a unique line mod {p}, found {len(lines)}")
     off = fiber - set(chart_points)

@@ -43,6 +43,10 @@ U_VARS = ("u0", "u1", "u2", "u3", "u4", "u5")
 DEG5_MONOMIALS = tuple(monomials_of_degree(XYZ_VARS, 5))
 DEG10_MONOMIALS = tuple(monomials_of_degree(XYZ_VARS, 10))
 U_QUADRIC_MONOMIALS = tuple(monomials_of_degree(U_VARS, 2))
+# the index pair (i, j), i <= j, of each monomial u_i u_j above
+U_QUADRIC_PAIRS = tuple(
+    tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in U_QUADRIC_MONOMIALS
+)
 
 
 def double_vanishing_matrix(spec):
@@ -172,10 +176,7 @@ class DelPezzoModel:
         return {
             "source": self.source,
             "minpoly": list(self.spec.coefficients),
-            "quadrics": [
-                [int(c) for c in q.coefficient_vector(U_QUADRIC_MONOMIALS)]
-                for q in self.quadrics
-            ],
+            "quadrics": [[int(c) for c in vec] for vec in self.quadric_vectors()],
             "l1": list(self.l1),
             "l2": list(self.l2),
         }
@@ -221,11 +222,8 @@ def build_model(spec):
     quintics = system.polynomials()
 
     sub_rows = {e: [0] * len(U_QUADRIC_MONOMIALS) for e in DEG10_MONOMIALS}
-    for col, exps in enumerate(U_QUADRIC_MONOMIALS):
-        pair = []
-        for i, e in enumerate(exps):
-            pair.extend([i] * e)
-        product = quintics[pair[0]] * quintics[pair[1]]
+    for col, (i, j) in enumerate(U_QUADRIC_PAIRS):
+        product = quintics[i] * quintics[j]
         for mono, coeff in product.terms.items():
             sub_rows[mono][col] = coeff
     substitution = IntMatrix([sub_rows[e] for e in DEG10_MONOMIALS])
@@ -369,13 +367,8 @@ def chart_substitution():
 
 
 def _pairs_to_poly(pairs):
-    terms = {}
-    for (i, j), coeff in pairs.items():
-        exps = [0] * 6
-        exps[i] += 1
-        exps[j] += 1
-        terms[tuple(exps)] = coeff
-    return MultiPoly(U_VARS, terms)
+    vec = [pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS]
+    return MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
 
 
 _ZETA11PLUS_QUADRICS = (
@@ -495,96 +488,64 @@ def fixture(name):
     raise UnknownModelError(f"unknown fixture {name!r}")
 
 
+def _quadric_gram(vectors):
+    """Upper-triangular Gram matrices G[k][i][j], q_k(u) = sum G[k][i][j] u_i u_j."""
+    gram = [[[0] * 6 for _ in range(6)] for _ in vectors]
+    for g, vec in zip(gram, vectors):
+        for (i, j), c in zip(U_QUADRIC_PAIRS, vec):
+            g[i][j] = int(c)
+    return gram
+
+
+def _has_solver_shape(vectors):
+    """True when quadrics 1-3 have no u0^2 term and quadrics 4-5 no u0, u1^2,
+    u1 u2 or u2^2 term: then 4-5 are linear in (u1, u2) for fixed (u3, u4, u5)
+    and 1-3 are linear in u0 (see ``fibers``)."""
+    for k, vec in enumerate(vectors):
+        for (i, j), c in zip(U_QUADRIC_PAIRS, vec):
+            if c and ((i, j) == (0, 0) or (k >= 3 and (i == 0 or j <= 2))):
+                return False
+    return True
+
+
 def search_integral_points(model, window=9):
     """Primitive integral points found by back-solving from (u3, u4, u5).
 
-    For these models the last two quadrics are linear in (u1, u2) once
-    (u3, u4, u5) are fixed, with determinant u3 u5 - u4^2, and some quadric
-    is linear in u0 with nonzero coefficient; solving and clearing
-    denominators yields rational points that are kept when all five
-    quadrics vanish exactly.  Returns distinct primitive points sorted by
-    size.
+    For models with the solver shape (``_has_solver_shape``) the last two
+    quadrics are linear in (u1, u2) once (u3, u4, u5) are fixed, with
+    determinant u3 u5 - u4^2 on the fixtures, and the first three are
+    linear in u0; solving over Q where the determinant and some u0
+    coefficient are nonzero and clearing denominators yields rational
+    points that are kept when all five quadrics vanish exactly.  Returns
+    distinct primitive points sorted by size.
     """
     found = {tuple(1 if i == 0 else 0 for i in range(6))}
-    quad_polys = model.quadrics
-    span = range(-window, window + 1)
-    for a in span:
-        for b in span:
-            for c in span:
-                point = _backsolve(quad_polys, a, b, c)
-                if point is not None:
-                    found.add(point)
+    vectors = model.quadric_vectors()
+    if _has_solver_shape(vectors):
+        gram = _quadric_gram(vectors)
+        span = range(-window, window + 1)
+        for t in ((a, b, c) for a in span for b in span for c in span):
+            point = _backsolve(gram, t)
+            if point is not None and model.check_point(point):
+                found.add(point)
     return sorted(found, key=lambda p: (max(abs(x) for x in p), p))
 
 
-def _backsolve(quadrics, a, b, c):
-    tail = {"u3": Fraction(a), "u4": Fraction(b), "u5": Fraction(c)}
-    det = Fraction(a) * c - Fraction(b) * b
+def _backsolve(gram, t):
+    # quadrics 4-5 read a[k] . (u1, u2) + c[k] = 0, quadrics 1-3 lin * u0 + rest = 0
+    u = [0, 0, 0, *t]
+    a = [[sum(g[v][j] * u[j] for j in range(3, 6)) for v in (1, 2)] for g in gram[3:]]
+    c = [sum(g[i][j] * u[i] * u[j] for i in range(3, 6) for j in range(3, 6)) for g in gram[3:]]
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     if det == 0:
         return None
-    # rows: coefficients of u1, u2 and the constant, from the last two quadrics
-    rows = []
-    for q in quadrics[3:]:
-        coeff1 = coeff2 = const = Fraction(0)
-        for exps, coeff in q.terms.items():
-            if exps[0]:
-                return None
-            rest = Fraction(coeff)
-            for var_idx in (3, 4, 5):
-                e = exps[var_idx]
-                base = tail[f"u{var_idx}"]
-                for _ in range(e):
-                    rest *= base
-            if exps[1] == 1 and exps[2] == 0:
-                coeff1 += rest
-            elif exps[2] == 1 and exps[1] == 0:
-                coeff2 += rest
-            elif exps[1] == 0 and exps[2] == 0:
-                const += rest
-            else:
-                return None
-        rows.append((coeff1, coeff2, const))
-    (a1, b1, c1), (a2, b2, c2) = rows
-    denom = a1 * b2 - a2 * b1
-    if denom == 0:
-        return None
-    u1 = (-c1 * b2 + c2 * b1) / denom
-    u2 = (-a1 * c2 + a2 * c1) / denom
-    values = {
-        "u1": u1, "u2": u2,
-        "u3": tail["u3"], "u4": tail["u4"], "u5": tail["u5"],
-    }
-    # find a quadric linear in u0 (none has a u0^2 term)
-    u0 = None
-    for q in quadrics[:3]:
-        lin = Fraction(0)
-        const = Fraction(0)
-        for exps, coeff in q.terms.items():
-            if exps[0] > 1:
-                return None
-            term = Fraction(coeff)
-            for var_idx in (1, 2, 3, 4, 5):
-                e = exps[var_idx]
-                base = values[f"u{var_idx}"]
-                for _ in range(e):
-                    term *= base
-            if exps[0] == 1:
-                lin += term
-            else:
-                const += term
-        if lin != 0:
-            u0 = -const / lin
-            break
-    if u0 is None:
-        return None
-    coords = (u0, u1, u2, values["u3"], values["u4"], values["u5"])
-    scale = lcm(*(f.denominator for f in coords))
-    ints = [int(f * scale) for f in coords]
-    if not any(ints):
-        return None
-    point = primitive_part(ints)
-    values_full = dict(zip(U_VARS, point))
-    for q in quadrics:
-        if q.evaluate(values_full):
-            return None
-    return point
+    u[1] = Fraction(a[0][1] * c[1] - a[1][1] * c[0], det)
+    u[2] = Fraction(a[1][0] * c[0] - a[0][0] * c[1], det)
+    for g in gram[:3]:
+        lin = sum(g[0][j] * u[j] for j in range(1, 6))
+        if lin:
+            rest = sum(g[i][j] * u[i] * u[j] for i in range(1, 6) for j in range(1, 6))
+            u[0] = -rest / lin
+            scale = lcm(*(Fraction(f).denominator for f in u))
+            return primitive_part([int(f * scale) for f in u])
+    return None

@@ -21,6 +21,7 @@ import math
 import os
 import random
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,22 +34,13 @@ from .fibers import (
     minpoly_splitting_mod_p,
     rank_mod_p,
     singular_points,
+    solve_mod_p,
 )
 from .model import U_VARS, DelPezzoModel, fixture
 from .multipoly import MultiPoly
+from .numberfield import _is_prime
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)
@@ -202,7 +194,22 @@ def inv_image_11(model, hbar):
     )
 
 
-_FIBER_CACHE = {}
+class _BoundedCache(OrderedDict):
+    """Mapping that keeps only the ``size`` most recently stored entries."""
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        if len(self) > self.size:
+            self.popitem(last=False)
+
+
+# coordinate-changed models add one key each, so both caches are bounded
+CACHE_SIZE = 8
+_FIBER_CACHE = _BoundedCache(CACHE_SIZE)
 
 
 def _model_cache_key(model, p):
@@ -216,15 +223,13 @@ def _ramified_fiber_data(model):
     if p is None:
         raise DomainError("model carries no ramified-prime metadata")
     key = _model_cache_key(model, p)
-    data = _FIBER_CACHE.get(key)
-    if data is None:
+    if key not in _FIBER_CACHE:
         points = enumerate_fiber(model, p)
         singular = set(singular_points(model, p, points))
         smooth = tuple(pt not in singular for pt in points)
         l1_values = tuple(model.hyperplane_value(model.l1, pt) % p for pt in points)
-        data = (p, points, smooth, l1_values)
-        _FIBER_CACHE[key] = data
-    return data
+        _FIBER_CACHE[key] = (p, points, smooth, l1_values)
+    return _FIBER_CACHE[key]
 
 
 def inv_image_11_smoothpath(model, hbar):
@@ -323,42 +328,7 @@ def inv_image_25(model, h):
     )
 
 
-def _solve_lift_space(jac_rows, rhs):
-    """Solutions w in F5^5 of J w = rhs, as (particular, kernel basis)."""
-    rows = [[jac_rows[i][j] % 5 for j in range(1, 6)] + [rhs[i] % 5] for i in range(5)]
-    pivots = []
-    r = 0
-    for c in range(5):
-        pivot = next((i for i in range(r, 5) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = pow(rows[r][c], -1, 5)
-        rows[r] = [(x * inv) % 5 for x in rows[r]]
-        for i in range(5):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % 5 for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, 5):
-        if rows[i][5]:
-            return None
-    particular = [0] * 5
-    for i, c in enumerate(pivots):
-        particular[c] = rows[i][5]
-    free = [c for c in range(5) if c not in pivots]
-    basis = []
-    for c in free:
-        vec = [0] * 5
-        vec[c] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = (-rows[i][c]) % 5
-        basis.append(tuple(vec))
-    return tuple(particular), tuple(basis)
-
-
-_LIFT_CACHE = {}
+_LIFT_CACHE = _BoundedCache(CACHE_SIZE)
 
 
 def _chart_lift_points(model):
@@ -376,20 +346,14 @@ def _chart_lift_points(model):
             if any(q % 5 for q in qv):
                 raise FiberInconsistencyError("chart point leaves the fiber mod 5")
             jac = jacobian_matrix_mod_p(model, 5, x)
-            solved = _solve_lift_space(jac, rhs)
-            if solved is None:
+            _, part, basis = solve_mod_p([row[1:] for row in jac], 5, rhs)
+            if part is None:
                 raise FiberInconsistencyError("chart point admits no lift mod 25")
-            part, basis = solved
             if len(basis) != 2:
                 raise FiberInconsistencyError("lift space at a smooth chart point must be a plane")
-            for a in range(5):
-                for b in range(5):
-                    w = [
-                        (part[i] + a * basis[0][i] + b * basis[1][i]) % 5
-                        for i in range(5)
-                    ]
-                    pt = (1,) + tuple((x[i + 1] + 5 * w[i]) % 25 for i in range(5))
-                    lifts.append(pt)
+            for a, b in product(range(5), repeat=2):
+                w = [part[i] + a * basis[0][i] + b * basis[1][i] for i in range(5)]
+                lifts.append((1,) + tuple((x[i + 1] + 5 * w[i]) % 25 for i in range(5)))
     for pt in lifts:
         if any(v % 25 for v in model.evaluate_quadrics(pt)):
             raise FiberInconsistencyError("constructed lift leaves the fiber mod 25")
@@ -1009,11 +973,9 @@ def transformed_model_mod11(model, matrix):
                 poly = poly + MultiPoly.variable(U_VARS, target) * c
         mapping[name] = poly
     quadrics = tuple(q.substitute(mapping).reduce_mod(11) for q in model.quadrics)
-    l1 = tuple(
-        sum(matrix[i][j] * model.l1[i] for i in range(6)) % 11 for j in range(6)
-    )
-    l2 = tuple(
-        sum(matrix[i][j] * model.l2[i] for i in range(6)) % 11 for j in range(6)
+    l1, l2 = (
+        tuple(sum(matrix[i][j] * form[i] for i in range(6)) % 11 for j in range(6))
+        for form in (model.l1, model.l2)
     )
     return DelPezzoModel(
         "transformed",

@@ -44,28 +44,15 @@ class _Recorder:
     def add(self, claim_id, expected, compute, status=None):
         """Run one claim; exceptions become failed rows, not crashes."""
         try:
-            computed = compute()
+            computed = result = compute()
         except Exception as exc:
-            self.rows.append(
-                {
-                    "id": claim_id,
-                    "expected": expected,
-                    "computed": f"{type(exc).__name__}: {exc}",
-                    "status": "fail",
-                }
-            )
-            return None
+            computed, result, status = f"{type(exc).__name__}: {exc}", None, "fail"
         if status is None:
             status = "ok" if computed == expected else "fail"
         self.rows.append(
-            {
-                "id": claim_id,
-                "expected": expected,
-                "computed": computed,
-                "status": status,
-            }
+            {"id": claim_id, "expected": expected, "computed": computed, "status": status}
         )
-        return computed
+        return result
 
 
 def _lattice_claims(rec):

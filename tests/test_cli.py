@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from dp5brauer import fibers
 from dp5brauer.cli import main
+from dp5brauer.errors import ChartError, FiberInconsistencyError
 
 
 def run_cli(capsys, argv):
@@ -239,3 +241,16 @@ def test_json_output_is_sorted_and_stable(capsys):
     assert first == second
     doc = json.loads(first)
     assert list(doc) == sorted(doc)
+
+
+@pytest.mark.parametrize("error", [FiberInconsistencyError, ChartError])
+def test_internal_contradictions_exit_with_four(capsys, monkeypatch, error):
+    def contradiction(*args, **kwargs):
+        raise error("forced contradiction")
+
+    monkeypatch.setattr(fibers, "classify_fiber", contradiction)
+    code, out, err = run_cli(capsys, ["fiber", "--model", "fixture:zeta11plus", "--prime", "7"])
+    assert code == 4
+    assert out == ""
+    assert "forced contradiction" in err
+    assert "Traceback" not in err

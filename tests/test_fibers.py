@@ -5,8 +5,13 @@ regression anchors; the cross-cutting checks (Weil counts, line
 containment, Jacobian ranks) are the independent part.
 """
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dp5brauer import fibers
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.fibers import (
     classify_fiber,
@@ -16,8 +21,20 @@ from dp5brauer.fibers import (
     minpoly_splitting_mod_p,
     rank_mod_p,
     singular_points,
+    solve_mod_p,
     verify_chart,
 )
+from dp5brauer.model import (
+    U_QUADRIC_MONOMIALS,
+    U_QUADRIC_PAIRS,
+    U_VARS,
+    DelPezzoModel,
+    _has_solver_shape,
+)
+from dp5brauer.multipoly import MultiPoly
+from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
+
+PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
 def test_five_points_over_f2(m11, m25):
@@ -149,7 +166,7 @@ def test_chart_needs_a_fixture(m11):
 
 def test_enumeration_bound_is_enforced(m11):
     with pytest.raises(DomainError):
-        enumerate_fiber(m11, 53)
+        enumerate_fiber(m11, 101)
 
 
 def test_point_normalization_is_canonical(m11):
@@ -159,3 +176,120 @@ def test_point_normalization_is_canonical(m11):
         lead = next(c for c in point if c)
         assert lead == 1
         assert all(0 <= c < 3 for c in point)
+
+
+def scanned(m, p):
+    """The chart scan, kept as the oracle of the solver."""
+    gram = fibers._gram_mod_p(m.quadric_vectors(), p)
+    return sorted(map(tuple, fibers._scan_fiber(gram, p).tolist()))
+
+
+def test_solver_equals_scan_up_to_31(m11, m25, built11):
+    for m in (m11, m25, built11):
+        assert _has_solver_shape(m.quadric_vectors())
+        for p in PRIMES_TO_31:
+            assert enumerate_fiber(m, p) == scanned(m, p), (m.source, p)
+
+
+def test_structureless_model_goes_through_the_scan(m11):
+    # a random GL6 change of coordinates destroys the solver shape; its
+    # fiber is the coordinate change of the fixture's fiber
+    g = _random_invertible_mod11(random.Random(3))
+    moved = transformed_model_mod11(m11, g)
+    assert not _has_solver_shape(moved.quadric_vectors())
+    fiber = enumerate_fiber(moved, 11)
+    assert fiber == scanned(moved, 11)
+    images = {
+        fibers._normalize_point([sum(g[i][j] * v[j] for j in range(6)) for i in range(6)], 11)
+        for v in fiber
+    }
+    assert len(fiber) == 133
+    assert images == set(enumerate_fiber(m11, 11))
+
+
+def _block_triangular(data, p):
+    """Random g with u0 -> a u0 + L, (u1, u2) -> M (u1, u2) + N, t -> G t."""
+
+    def row(size):
+        return data.draw(st.lists(st.integers(0, p - 1), min_size=size, max_size=size))
+
+    g = [[data.draw(st.integers(1, p - 1))] + row(5)] + [[0] * 6 for _ in range(5)]
+    for lo, hi in ((1, 3), (3, 6)):
+        block = [row(hi - lo) for _ in range(lo, hi)]
+        if rank_mod_p(block, p) < hi - lo:
+            # keep the strictly lower part under a unit diagonal
+            rows = enumerate(block)
+            block = [[x if j < i else int(i == j) for j, x in enumerate(r)] for i, r in rows]
+        for i in range(lo, hi):
+            g[i][lo:] = block[i - lo] + row(6 - hi)
+    return g
+
+
+def _substituted(m, g):
+    mapping = {
+        name: sum(
+            (MultiPoly.variable(U_VARS, U_VARS[j]) * g[i][j] for j in range(6) if g[i][j]),
+            MultiPoly.zero(U_VARS),
+        )
+        for i, name in enumerate(U_VARS)
+    }
+    quadrics = [q.substitute(mapping) for q in m.quadrics]
+    return DelPezzoModel("substituted", m.spec, quadrics, m.l1, m.l2)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 13)), data=st.data())
+def test_solver_equals_scan_after_block_triangular_changes(m11, p, data):
+    moved = _substituted(m11, _block_triangular(data, p))
+    assert _has_solver_shape(moved.quadric_vectors())
+    assert enumerate_fiber(moved, p) == scanned(moved, p)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+def test_solver_equals_scan_on_random_shaped_quadrics(m11, p, data):
+    # random quadrics with the solver shape reach every branch: vanishing
+    # determinants of every rank and points where no u0 coefficient survives
+    allowed = [
+        [(i, j) != (0, 0) and (k < 3 or (i > 0 and j > 2)) for i, j in U_QUADRIC_PAIRS]
+        for k in range(5)
+    ]
+    coefficients = st.lists(st.integers(-2, 2), min_size=21, max_size=21)
+    vectors = [[c * ok for c, ok in zip(data.draw(coefficients), row)] for row in allowed]
+    quadrics = [MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, v) for v in vectors]
+    shaped = DelPezzoModel("random", m11.spec, quadrics, m11.l1, m11.l2)
+    assert enumerate_fiber(shaped, p) == scanned(shaped, p)
+
+
+def test_weil_counts_at_89_and_97(m11):
+    split = classify_fiber(m11, 89)
+    assert minpoly_splitting_mod_p(m11.spec, 89) == "separable-split"
+    assert split.classification == "split"
+    assert split.point_count == 8367 == 89 * 89 + 5 * 89 + 1
+    assert len(split.lines) == 10
+    assert all(len(line.points) == 90 for line in split.lines)
+    inert = classify_fiber(m11, 97)
+    assert inert.classification == "interesting"
+    assert inert.point_count == 9410 == 97 * 97 + 1
+
+
+def test_solve_mod_p_returns_rank_particular_and_kernel():
+    rows = [[1, 2, 3], [2, 4, 6]]
+    rank, part, kernel = solve_mod_p(rows, 7, [1, 2])
+    assert rank == 1
+    assert part == (1, 0, 0)
+    assert kernel == ((5, 1, 0), (4, 0, 1))
+    for vec in kernel:
+        assert all(sum(a * b for a, b in zip(row, vec)) % 7 == 0 for row in rows)
+    assert solve_mod_p(rows, 7, [1, 3])[1] is None
+    assert rank_mod_p([[1, 1], [1, 1]], 2) == 1
+    assert rank_mod_p([[1, 1], [1, 0]], 2) == 2
+
+
+def test_find_lines_raises_when_a_line_leaves_the_fiber(m11):
+    # drop a point of a line off u0 = 0: the line's other points still span it
+    fiber = enumerate_fiber(m11, 23)
+    line = find_lines(m11, 23, fiber=fiber)[0]
+    dropped = next(pt for pt in line.points if pt[0])
+    with pytest.raises(FiberInconsistencyError):
+        find_lines(m11, 23, fiber=[pt for pt in fiber if pt != dropped])

@@ -455,3 +455,21 @@ def test_unramified_invariants(m11):
     assert split["invariant_trivial"]
     with pytest.raises(DomainError):
         unramified_invariant_check(m11, 11)
+
+
+def test_caches_stay_bounded_across_invariance_checks(m11):
+    # fill the fiber cache with coordinate-changed models first, so the two
+    # checks below push it past its cap
+    rng = random.Random(1234)
+    for _ in range(obstruction.CACHE_SIZE):
+        moved = transformed_model_mod11(m11, _random_invertible_mod11(rng))
+        obstruction._ramified_fiber_data(moved)
+        assert len(obstruction._FIBER_CACHE) <= obstruction.CACHE_SIZE
+    for seed in (5, 6):
+        report = obstruction.census_invariance_check(m11, transforms=1, seed=seed)
+        assert report["base_count"] == 228
+        assert report["transform_counts"] == (228,)
+        assert len(obstruction._FIBER_CACHE) == obstruction.CACHE_SIZE
+    obstruction._LIFT_CACHE.clear()
+    obstruction._FIBER_CACHE.clear()
+    assert len(obstruction._FIBER_CACHE) == 0
