@@ -52,7 +52,13 @@ from .errors import (
     EnumerationBoundError,
     FiberInconsistencyError,
 )
-from .model import U_QUADRIC_PAIRS, _has_solver_shape, _quadric_gram, chart_substitution
+from .model import (
+    U_QUADRIC_PAIRS,
+    _has_solver_shape,
+    _quadric_gram,
+    chart_point,
+    chart_substitution,
+)
 from .numberfield import (
     _fp_normalize,
     _fp_poly_gcd,
@@ -441,7 +447,7 @@ def verify_chart(model, p=None):
     chart_points = {}
     for y in range(p):
         for z in range(p):
-            pt = (1, y, z, y * y % p, y * z % p, (y ** 3 + z * z) % p)
+            pt = chart_point(y, z, p)
             if pt in chart_points:
                 raise ChartError("chart map collides")
             chart_points[pt] = (y, z)

@@ -366,6 +366,11 @@ def chart_substitution():
     }
 
 
+def chart_point(y, z, p):
+    """The point of the chart above over (y, z), coordinates reduced mod p."""
+    return (1, y % p, z % p, y * y % p, y * z % p, (y ** 3 + z * z) % p)
+
+
 def _pairs_to_poly(pairs):
     vec = [pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS]
     return MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)

@@ -5,6 +5,12 @@ coordinates.  Conjugates of the generator are certified, not assumed: they
 are found by Frobenius lifting at an inert prime, reconstructed over Q, and
 then verified exactly, so a wrong input polynomial cannot produce a silently
 wrong Galois action.
+
+All polynomial division is one routine, ``_poly_divmod``: division by a
+monic polynomial over Z, Q or Z/m.  Every divisor here is monic or made so
+(the extended Euclid scales each remainder).  Inverses in F_{p^5} at the
+inert prime p are taken by Fermat, d^(p^5 - 2), and the discriminant of a
+monic f is the norm (-1)^(n(n-1)/2) N(f'(a)), a determinant.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import DomainError, NotCyclicError
+from .intlinalg import IntMatrix, det
 
 DEGREE = 5
 
@@ -49,39 +56,23 @@ def _poly_mul(a, b):
     return _trim(out)
 
 
-def _poly_divmod(a, b):
-    """Division with remainder; requires an invertible leading coefficient."""
-    a = list(a)
-    lead = b[-1]
-    db = len(b) - 1
-    quo = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        factor = a[-1] / lead if isinstance(a[-1], Fraction) or isinstance(lead, Fraction) else None
-        if factor is None:
-            q, r = divmod(a[-1], lead)
-            if r:
-                raise ValueError("inexact integer polynomial division")
-            factor = q
+def _poly_divmod(a, f, modulus=None):
+    """Quotient and remainder of a by the monic f, over Z or Q, or over
+    Z/modulus when a modulus is given (both results then reduced)."""
+    rem = list(a)
+    df = len(f) - 1
+    quo = [0] * max(0, len(rem) - df)
+    for shift in reversed(range(len(quo))):
+        factor = rem.pop()
+        if modulus:
+            factor %= modulus
         quo[shift] = factor
-        for i in range(db + 1):
-            a[shift + i] -= factor * b[i]
-        a.pop()
-    return _trim(quo), _trim(a)
-
-
-def _poly_mod(a, b):
-    return _poly_divmod(a, b)[1]
-
-
-def _poly_eval(poly, x):
-    total = 0
-    for c in reversed(poly):
-        total = total * x + c
-    return total
+        if factor:
+            for i in range(df):
+                rem[shift + i] -= factor * f[i]
+    if modulus:
+        rem = [c % modulus for c in rem]
+    return _trim(quo), _trim(rem)
 
 
 def _poly_deriv(poly):
@@ -96,25 +87,7 @@ def _fp_normalize(poly, modulus):
     return _trim([c % modulus for c in poly])
 
 def _fpq_mul(a, b, minpoly, modulus):
-    prod = _poly_mul(a, b)
-    _, rem = _poly_divmod_monic_mod(prod, minpoly, modulus)
-    return rem
-
-
-def _poly_divmod_monic_mod(a, b, modulus):
-    """Division by a monic polynomial with all arithmetic mod ``modulus``."""
-    a = [c % modulus for c in a]
-    db = len(b) - 1
-    while len(a) > db:
-        if not a[-1]:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        factor = a[-1]
-        for i in range(db + 1):
-            a[shift + i] = (a[shift + i] - factor * b[i]) % modulus
-        a.pop()
-    return None, _trim(a)
+    return _poly_divmod(_poly_mul(a, b), minpoly, modulus)[1]
 
 
 def _fpq_pow(base, exponent, minpoly, modulus):
@@ -134,8 +107,7 @@ def _fp_poly_gcd(a, b, p):
     while b:
         inv = pow(b[-1], -1, p)
         b_monic = [c * inv % p for c in b]
-        _, r = _poly_divmod_monic_mod(a, b_monic, p)
-        a, b = b_monic, r
+        a, b = b_monic, _poly_divmod(a, b_monic, p)[1]
     return a
 
 
@@ -149,33 +121,22 @@ def _is_square(n):
     return r * r == n
 
 
-def _resultant(a, b):
-    """Resultant of integer polynomials via the Euclidean chain over Q."""
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    res = Fraction(1)
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        if db < 0:
-            return 0
-        if db == 0:
-            return res * b[0] ** da
-        _, r = _poly_divmod(a, b)
-        dr = len(r) - 1
-        res *= (-1) ** (da * db) * b[-1] ** (da - dr)
-        a, b = b, r
-
-
 def discriminant(coeffs_desc):
-    """Discriminant of a monic integer polynomial, leading coefficient first."""
-    poly = list(reversed(coeffs_desc))
+    """Discriminant of a monic integer polynomial, leading coefficient first.
+
+    For monic f of degree n with a root a, disc(f) = (-1)^(n(n-1)/2) N(f'(a)),
+    and the norm is the determinant of multiplication by f'(a) on the power
+    basis 1, a, .., a^(n-1): row j holds the coordinates of a^j f'(a).
+    """
+    poly = [int(c) for c in reversed(coeffs_desc)]
+    if poly[-1] != 1:
+        raise ValueError("discriminant needs a monic polynomial")
     n = len(poly) - 1
-    res = _resultant(poly, _poly_deriv(poly))
-    sign = (-1) ** (n * (n - 1) // 2)
-    value = sign * res
-    if value.denominator != 1:
-        raise ValueError("discriminant of a monic polynomial must be integral")
-    return int(value)
+    rows = []
+    for j in range(n):
+        row = _poly_divmod([0] * j + _poly_deriv(poly), poly)[1]
+        rows.append(row + [0] * (n - len(row)))
+    return (-1) ** (n * (n - 1) // 2) * det(IntMatrix(rows))
 
 
 class QuinticFieldSpec:
@@ -201,16 +162,13 @@ class QuinticFieldSpec:
         asc = list(reversed(coeffs))
         for d in _divisors(abs(coeffs[-1])):
             for root in (d, -d):
-                if _poly_eval(asc, root) == 0:
+                if not _poly_divmod(asc, [-root, 1])[1]:
                     raise DomainError(f"reducible: integer root {root}")
         bound = 2 * (1 + max(abs(c) for c in coeffs))
         for c in _divisors(abs(coeffs[-1])):
             for cc in (c, -c):
                 for b in range(-bound, bound + 1):
-                    _, rem = _poly_divmod(
-                        [Fraction(x) for x in asc], [Fraction(cc), Fraction(b), Fraction(1)]
-                    )
-                    if not rem:
+                    if not _poly_divmod(asc, [cc, b, 1])[1]:
                         raise DomainError(
                             f"reducible: quadratic factor s^2 + {b} s + {cc}"
                         )
@@ -250,15 +208,10 @@ class QuinticFieldSpec:
         introduces denominators.
         """
         m_asc = self.ascending()
-        rows = [[1, 0, 0, 0, 0]]
-        current = [1, 0, 0, 0, 0]
-        for _ in range(top):
-            shifted = [0] + current[:]
-            overflow = shifted[DEGREE] if len(shifted) > DEGREE else 0
-            current = [
-                shifted[i] - overflow * m_asc[i] for i in range(DEGREE)
-            ]
-            rows.append(current[:])
+        rows = []
+        for k in range(top + 1):
+            row = _poly_divmod([0] * k + [1], m_asc)[1]
+            rows.append(row + [0] * (DEGREE - len(row)))
         return rows
 
 
@@ -317,33 +270,33 @@ class NumberFieldElement:
             other = self._coerce(other)
         elif other.spec != self.spec:
             raise ValueError("elements of different fields")
-        prod = _poly_mul(list(self.coords), list(other.coords))
-        m_asc = [Fraction(c) for c in self.spec.ascending()]
-        rem = _poly_mod([Fraction(c) for c in prod], m_asc)
-        rem = rem + [Fraction(0)] * (DEGREE - len(rem))
-        return NumberFieldElement(self.spec, tuple(rem[:DEGREE]))
+        prod = _poly_mul(self.coords, other.coords)
+        rem = _poly_divmod(prod, self.spec.ascending())[1]
+        return NumberFieldElement(self.spec, rem + [0] * (DEGREE - len(rem)))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the minimal polynomial."""
+        """Extended Euclid against the minimal polynomial m.
+
+        Each remainder is scaled to be monic, together with its cofactor, so
+        the invariant r = t * self (mod m) holds throughout.  The last nonzero
+        remainder is then 1 and its cofactor, of degree below 5, the inverse.
+        """
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        m = [Fraction(c) for c in self.spec.ascending()]
-        g = [Fraction(c) for c in self.coords]
-        r0, r1 = m, _trim(list(g))
+        r0, r1 = self.spec.ascending(), _trim(list(self.coords))
         t0, t1 = [], [Fraction(1)]
         while r1:
+            lead = r1[-1]
+            r1 = [c / lead for c in r1]
+            t1 = [c / lead for c in t1]
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
         if len(r0) != 1:
             raise DomainError("minimal polynomial is not irreducible")
-        scale = r0[0]
-        inv = [c / scale for c in t0]
-        inv = _poly_mod(inv, m)
-        inv = inv + [Fraction(0)] * (DEGREE - len(inv))
-        return NumberFieldElement(self.spec, tuple(inv[:DEGREE]))
+        return NumberFieldElement(self.spec, t0 + [0] * (DEGREE - len(t0)))
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -404,57 +357,27 @@ def apply_embedding(element, generator_image):
 
 
 # ---------------------------------------------------------------------------
-# minimal polynomial of 2 cos(2 pi / ell), built inside the cyclotomic ring
+# minimal polynomial of 2 cos(2 pi / ell)
 
 
 def real_cyclotomic_minpoly(ell):
-    """Minimal polynomial of t + 1/t for a primitive ell-th root of unity t.
+    """Minimal polynomial of s = t + 1/t for a primitive ell-th root of unity t.
 
-    Expanded symbolically in Z[t]/(1 + t + ... + t^(ell-1)) for an odd prime
-    ell, so the integer coefficients are derived rather than copied in.
-    Returns descending coefficients, length (ell-1)/2 + 1.
+    With T_k(s) = t^k + t^-k (so T_0 = 2, T_1 = s, T_k = s T_(k-1) - T_(k-2)),
+    the relation 1 + t + .. + t^(ell-1) = 0 for an odd prime ell reads
+    P(s) = 1 + T_1 + .. + T_n = 0 with n = (ell-1)/2.  P is monic of degree
+    n = [Q(s):Q], hence the minimal polynomial; the integer coefficients are
+    derived rather than copied in.  Returns descending coefficients, length
+    n + 1.
     """
-    if ell < 3 or any(ell % d == 0 for d in range(2, isqrt(ell) + 1)) or ell % 2 == 0:
+    if ell < 3 or not _is_prime(ell):
         raise DomainError("need an odd prime")
-    dim = ell - 1
-
-    def ring_mul(a, b):
-        # cyclic convolution mod t^ell = 1, then eliminate the t^(ell-1) slot
-        conv = [0] * ell
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    conv[(i + j) % ell] += x * y
-        top = conv[dim]
-        return [conv[i] - top for i in range(dim)]
-
-    def ring_basis(exp):
-        vec = [0] * dim
-        exp %= ell
-        if exp == dim:
-            return [-1] * dim
-        vec[exp] = 1
-        return vec
-
-    one = [1] + [0] * (dim - 1)
-    # product over j of (s - (t^j + t^(ell-j))), coefficients in the ring
-    poly = [one]
-    for j in range(1, (ell - 1) // 2 + 1):
-        root = [x + y for x, y in zip(ring_basis(j), ring_basis(ell - j))]
-        new = [[0] * dim for _ in range(len(poly) + 1)]
-        for k, coeff in enumerate(poly):
-            new[k + 1] = [a + b for a, b in zip(new[k + 1], coeff)]
-            prod = ring_mul(coeff, root)
-            new[k] = [a - b for a, b in zip(new[k], prod)]
-        poly = new
-    out = []
-    for coeff in reversed(poly):
-        if any(coeff[1:]):
-            raise DomainError("coefficient failed to be rational")
-        out.append(coeff[0])
-    return out
+    prev, cur = [2], [0, 1]
+    total = _poly_add([1], cur)
+    for _ in range((ell - 1) // 2 - 1):
+        prev, cur = cur, _poly_sub(_poly_mul([0, 1], cur), prev)
+        total = _poly_add(total, cur)
+    return total[::-1]
 
 
 def zeta11_plus_field():
@@ -516,7 +439,11 @@ def _newton_lift(root_mod_p, m_asc, p, k):
             total = _fp_normalize(_poly_add(total, [c]), modulus)
         return total
 
-    inv = _fpq_inverse(eval_mod(mprime, beta, p), m_asc, p)
+    # p is inert, so (Z/p)[s]/(m) is the field F_{p^5}: invert by Fermat
+    d = eval_mod(mprime, beta, p)
+    inv = _fpq_pow(d, p ** DEGREE - 2, m_asc, p)
+    if _fpq_mul(d, inv, m_asc, p) != [1]:
+        raise NotCyclicError("derivative not invertible at the chosen prime")
     while e < k:
         e = min(2 * e, k)
         modulus = p ** e
@@ -528,24 +455,6 @@ def _newton_lift(root_mod_p, m_asc, p, k):
         step = _fpq_mul(value, inv, m_asc, modulus)
         beta = _fp_normalize(_poly_sub(beta, step), modulus)
     return beta
-
-
-def _fpq_inverse(elem, m_asc, p):
-    a = _fp_normalize(m_asc, p)
-    b = _fp_normalize(elem, p)
-    r0, r1 = a, b
-    t0, t1 = [], [1]
-    while r1:
-        inv_lead = pow(r1[-1], -1, p)
-        r1_monic = [c * inv_lead % p for c in r1]
-        q, r = _poly_divmod([c % p for c in r0], r1_monic)
-        q = _fp_normalize(_poly_mul(q, [inv_lead]), p)
-        r0, r1 = r1, _fp_normalize(r, p)
-        t0, t1 = t1, _fp_normalize(_poly_sub(t0, _poly_mul(q, t1)), p)
-    if len(r0) != 1:
-        raise NotCyclicError("derivative not invertible at the chosen prime")
-    scale = pow(r0[0], -1, p)
-    return _fp_normalize(_poly_mul(t0, [scale]), p)
 
 
 def _rational_reconstruct(value, modulus):

@@ -36,7 +36,7 @@ from .fibers import (
     singular_points,
     solve_mod_p,
 )
-from .model import U_VARS, DelPezzoModel, fixture
+from .model import U_VARS, DelPezzoModel, chart_point, fixture
 from .multipoly import MultiPoly
 from .numberfield import _is_prime
 
@@ -271,8 +271,8 @@ def inv_image_11_smoothpath(model, hbar):
 # conductor-25 model: invariants modulo 25
 
 
-def _chart_point_mod5(y, z):
-    return (1, y, z, (y * y) % 5, (y * z) % 5, (y ** 3 + z * z) % 5)
+# the 25 points of the chart modulo 5, in (y, z) order
+_CHART_POINTS_5 = tuple(chart_point(y, z, 5) for y, z in product(range(5), repeat=2))
 
 
 def _tangent_gradient(h, y, z):
@@ -288,7 +288,7 @@ def _tangent_certificate(h25):
             gy, gz = _tangent_gradient(h25, y, z)
             if gy or gz:
                 return {
-                    "point": list(_chart_point_mod5(y, z)),
+                    "point": list(chart_point(y, z, 5)),
                     "tangent_pairing": [gy, gz],
                 }
     raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
@@ -317,12 +317,7 @@ def inv_image_25(model, h):
         )
     lam = h25[0]
     coeffs = tuple(h25[i] // 5 for i in range(1, 6))
-    kappas = set()
-    for y in range(5):
-        for z in range(5):
-            pt = _chart_point_mod5(y, z)
-            kappas.add(sum(c * x for c, x in zip(coeffs, pt[1:])) % 5)
-    values = tuple(sorted((lam + 5 * k) % 25 for k in kappas))
+    values = tuple(sorted((lam + 5 * k) % 25 for k in _kappa_image(coeffs)))
     return InvariantImage(
         5, 25, _inverted_value_classes(group, values), values, "values determined by the residue"
     )
@@ -338,22 +333,20 @@ def _chart_lift_points(model):
     if cached is not None:
         return cached
     lifts = []
-    for y in range(5):
-        for z in range(5):
-            x = _chart_point_mod5(y, z)
-            qv = model.evaluate_quadrics(x)
-            rhs = tuple((-(q % 25) // 5) % 5 for q in qv)
-            if any(q % 5 for q in qv):
-                raise FiberInconsistencyError("chart point leaves the fiber mod 5")
-            jac = jacobian_matrix_mod_p(model, 5, x)
-            _, part, basis = solve_mod_p([row[1:] for row in jac], 5, rhs)
-            if part is None:
-                raise FiberInconsistencyError("chart point admits no lift mod 25")
-            if len(basis) != 2:
-                raise FiberInconsistencyError("lift space at a smooth chart point must be a plane")
-            for a, b in product(range(5), repeat=2):
-                w = [part[i] + a * basis[0][i] + b * basis[1][i] for i in range(5)]
-                lifts.append((1,) + tuple((x[i + 1] + 5 * w[i]) % 25 for i in range(5)))
+    for x in _CHART_POINTS_5:
+        qv = model.evaluate_quadrics(x)
+        rhs = tuple((-(q % 25) // 5) % 5 for q in qv)
+        if any(q % 5 for q in qv):
+            raise FiberInconsistencyError("chart point leaves the fiber mod 5")
+        jac = jacobian_matrix_mod_p(model, 5, x)
+        _, part, basis = solve_mod_p([row[1:] for row in jac], 5, rhs)
+        if part is None:
+            raise FiberInconsistencyError("chart point admits no lift mod 25")
+        if len(basis) != 2:
+            raise FiberInconsistencyError("lift space at a smooth chart point must be a plane")
+        for a, b in product(range(5), repeat=2):
+            w = [part[i] + a * basis[0][i] + b * basis[1][i] for i in range(5)]
+            lifts.append((1,) + tuple((x[i + 1] + 5 * w[i]) % 25 for i in range(5)))
     for pt in lifts:
         if any(v % 25 for v in model.evaluate_quadrics(pt)):
             raise FiberInconsistencyError("constructed lift leaves the fiber mod 25")
@@ -609,16 +602,6 @@ def verdict(model, h):
 CENSUS_11_TOTAL = 11 ** 6 - 1
 
 
-def _chart_monomials_11():
-    rows = []
-    for y in range(11):
-        for z in range(11):
-            rows.append(
-                [1, y, z, (y * y) % 11, (y * z) % 11, (y ** 3 + z * z) % 11]
-            )
-    return np.array(rows, dtype=np.int32)
-
-
 def _digit_columns(indices, base, length):
     cols = np.empty((length, indices.size), dtype=np.int32)
     tmp = indices.copy()
@@ -646,7 +629,8 @@ def _route_points_11(model, route):
     """(value points scaled to l1 = 1, trigger points) of one route, as rows."""
     if route == "chart":
         _require_fixture_chart(model, 11)
-        return _chart_monomials_11(), np.array([[0, 0, 0, 0, 0, 1]], dtype=np.int32)
+        chart = [chart_point(y, z, 11) for y, z in product(range(11), repeat=2)]
+        return np.array(chart, dtype=np.int32), np.array([[0, 0, 0, 0, 0, 1]], dtype=np.int32)
     if model.modulus != 11:
         raise DomainError("this invariant computation needs a modulus-11 model")
     _, points, smooth, l1_values = _ramified_fiber_data(model)
@@ -818,10 +802,8 @@ CENSUS_25_TOTAL = 25 ** 6 - 5 ** 6
 
 def _kappa_image(coeffs):
     image = set()
-    for y in range(5):
-        for z in range(5):
-            pt = _chart_point_mod5(y, z)
-            image.add(sum(c * x for c, x in zip(coeffs, pt[1:])) % 5)
+    for pt in _CHART_POINTS_5:
+        image.add(sum(c * x for c, x in zip(coeffs, pt[1:])) % 5)
     return image
 
 

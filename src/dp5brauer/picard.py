@@ -105,7 +105,9 @@ def petersen_graph(classes=None):
 
     autos = _graph_automorphisms(adjacency)
     extensions_ok = all(
-        _extend_to_lattice(classes, perm) is not None for perm in autos
+        _lattice_map({v: classes[perm[i]] for i, v in enumerate(classes)})
+        is not None
+        for perm in autos
     )
     return PetersenReport(tuple(classes), edges, len(autos), labels, extensions_ok)
 
@@ -139,33 +141,26 @@ def _graph_automorphisms(adjacency):
     return result
 
 
-def _extend_to_lattice(classes, perm):
-    """5x5 integer matrix M with M . class_i = class_perm(i), preserving the
-    pairing and K, or None."""
-    # basis: L1..L4 and one conic class; its image determines column 0
-    basis_names = []
-    for i, v in enumerate(classes):
-        if v[0] == 0:
-            basis_names.append(i)
-    conic = next(i for i, v in enumerate(classes) if v[0] == 1)
+def _lattice_map(image_of):
+    """5x5 integer matrix M with M . v = image_of[v] for every (-1)-class v,
+    preserving the pairing and K, or None when there is none.
+
+    The e-classes L1..L4 are the unit vectors e1..e4, so their images are
+    columns 1..4; one conic class e0 - Li - Lj then determines column 0.
+    """
     cols = [None] * RANK
-    for i in basis_names:
-        v = classes[i]
-        pos = next(k for k in range(1, RANK) if v[k])
-        cols[pos] = list(classes[perm[i]])
-    cv = classes[conic]
-    img = list(classes[perm[conic]])
-    # cv = e0 + sum of negative unit parts; solve for column 0
-    col0 = list(img)
     for k in range(1, RANK):
-        if cv[k]:
+        cols[k] = image_of[tuple(1 if t == k else 0 for t in range(RANK))]
+    conic = next(v for v in image_of if v[0] == 1)
+    col0 = list(image_of[conic])
+    for k in range(1, RANK):
+        if conic[k]:
             for t in range(RANK):
-                col0[t] -= cv[k] * cols[k][t]
+                col0[t] -= conic[k] * cols[k][t]
     cols[0] = col0
     m = IntMatrix([[cols[j][i] for j in range(RANK)] for i in range(RANK)])
-    for i, v in enumerate(classes):
-        if m.apply(v) != classes[perm[i]]:
-            return None
+    if any(m.apply(v) != w for v, w in image_of.items()):
+        return None
     if not preserves_pairing(m) or m.apply(CANONICAL_CLASS) != CANONICAL_CLASS:
         return None
     return m
@@ -206,24 +201,10 @@ def interesting_sigma():
     for orbit in _SIGMA_ORBITS:
         for a, b in zip(orbit, orbit[1:] + orbit[:1]):
             perm[by_label[a]] = by_label[b]
-    cols = [None] * RANK
-    for i in range(1, RANK):
-        e = tuple(1 if k == i else 0 for k in range(RANK))
-        cols[i] = list(perm[e])
-    l12 = by_label["L0-L1-L2"]
-    img = list(perm[l12])
-    col0 = [img[t] + cols[1][t] + cols[2][t] for t in range(RANK)]
-    cols[0] = col0
-    m = IntMatrix([[cols[j][i] for j in range(RANK)] for i in range(RANK)])
-    for src, dst in perm.items():
-        if m.apply(src) != dst:
-            raise DomainError("orbit data is not linear")
-    if not preserves_pairing(m) or m.apply(CANONICAL_CLASS) != CANONICAL_CLASS:
-        raise DomainError("symmetry must preserve the pairing and K")
-    power = m
-    for _ in range(4):
-        power = power @ m
-    if power != IntMatrix.identity(RANK):
+    m = _lattice_map(perm)
+    if m is None:
+        raise DomainError("orbit data is not a lattice map preserving the pairing and K")
+    if matrix_order(m) != 5:
         raise DomainError("symmetry must have order 5")
     return GaloisAction(m, 5)
 
@@ -258,16 +239,16 @@ def pic_u_action(action):
     return IntMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
 
 
+def _one_minus(matrix):
+    n = matrix.rows
+    return IntMatrix(
+        [[(1 if i == j else 0) - matrix[i, j] for j in range(n)] for i in range(n)]
+    )
+
+
 def image_lattice_hnf(matrix):
     """Hermite basis of the column span of (I - M)."""
-    n = matrix.rows
-    one_minus = IntMatrix(
-        [
-            [(1 if i == j else 0) - matrix[i, j] for j in range(n)]
-            for i in range(n)
-        ]
-    )
-    h, _ = hnf(one_minus.transpose())
+    h, _ = hnf(_one_minus(matrix).transpose())
     rows = [h.row(i) for i in range(h.rows) if any(h.row(i))]
     return IntMatrix(rows) if rows else None
 
@@ -299,9 +280,7 @@ def h1_cyclic(matrix, order=None):
     kernel = saturated_kernel(norm)
     if kernel is None:
         return ()
-    one_minus = IntMatrix(
-        [[(1 if i == j else 0) - matrix[i, j] for j in range(n)] for i in range(n)]
-    )
+    one_minus = _one_minus(matrix)
     coeff_rows = []
     for j in range(n):
         col = one_minus.column(j)

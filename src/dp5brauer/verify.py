@@ -42,15 +42,21 @@ class _Recorder:
         self.rows = []
 
     def add(self, claim_id, expected, compute, status=None):
-        """Run one claim; exceptions become failed rows, not crashes."""
+        """Run one claim; exceptions become failed rows, not crashes.
+
+        ``status`` maps the computed value to the row status; by default the
+        row is "ok" when the computed value equals the expected one.
+        """
         try:
             computed = result = compute()
+            if status is None:
+                row_status = "ok" if computed == expected else "fail"
+            else:
+                row_status = status(computed)
         except Exception as exc:
-            computed, result, status = f"{type(exc).__name__}: {exc}", None, "fail"
-        if status is None:
-            status = "ok" if computed == expected else "fail"
+            computed, result, row_status = f"{type(exc).__name__}: {exc}", None, "fail"
         self.rows.append(
-            {"id": claim_id, "expected": expected, "computed": computed, "status": status}
+            {"id": claim_id, "expected": expected, "computed": computed, "status": row_status}
         )
         return result
 
@@ -394,6 +400,8 @@ def _census_claims(rec, m11, m25, fast):
 
 
 def _flagged_claims(rec, m11, census25_result):
+    published = "obstruction_order_5"
+
     def headline():
         report = obstruction.verdict(m11, HEADLINE_H)
         cmp = report.claim_comparison
@@ -401,7 +409,7 @@ def _flagged_claims(rec, m11, census25_result):
             raise obstruction.FiberInconsistencyError(
                 "headline form lost its published-verdict registration"
             )
-        return cmp, {
+        return {
             "computed_verdict": report.verdict,
             "chart_route_contains_zero": cmp["chart_route_contains_zero"],
             "smooth_route_contains_zero": cmp["smooth_route_contains_zero"],
@@ -409,53 +417,28 @@ def _flagged_claims(rec, m11, census25_result):
             == cmp["smooth_route_contains_zero"],
         }
 
-    try:
-        cmp, computed = headline()
-    except Exception as exc:
-        rec.rows.append(
-            {
-                "id": "headline-verdict-u1-minus-6u3",
-                "expected": "obstruction_order_5",
-                "computed": f"{type(exc).__name__}: {exc}",
-                "status": "fail",
-            }
-        )
-    else:
-        status = "ok" if cmp["status"] == "ok" else "flagged"
-        rec.rows.append(
-            {
-                "id": "headline-verdict-u1-minus-6u3",
-                "expected": "obstruction_order_5",
-                "computed": computed,
-                "status": status,
-            }
-        )
+    rec.add(
+        "headline-verdict-u1-minus-6u3",
+        published,
+        headline,
+        status=lambda c: "ok" if c["computed_verdict"] == published else "flagged",
+    )
 
-    sizes = census25_result.get("kappa_image_sizes")
-    obstructing = census25_result.get("obstructing")
-    if sizes is None:
-        rec.rows.append(
-            {
-                "id": "mod25-image-size-condition",
-                "expected": PRINTED_CONDITION_25,
-                "computed": "census mod 25 did not run",
-                "status": "fail",
-            }
-        )
-        return
-    computed = {
-        "resolved_condition": RESOLVED_CONDITION_25,
-        "kappa_image_sizes": {str(k): v for k, v in sorted(sizes.items())},
-        "census_obstructing": obstructing,
-    }
-    status = "flagged" if obstructing == 176 else "fail"
-    rec.rows.append(
-        {
-            "id": "mod25-image-size-condition",
-            "expected": PRINTED_CONDITION_25,
-            "computed": computed,
-            "status": status,
+    def condition25():
+        sizes = census25_result.get("kappa_image_sizes")
+        if sizes is None:
+            raise RuntimeError("census mod 25 did not run")
+        return {
+            "resolved_condition": RESOLVED_CONDITION_25,
+            "kappa_image_sizes": {str(k): v for k, v in sorted(sizes.items())},
+            "census_obstructing": census25_result.get("obstructing"),
         }
+
+    rec.add(
+        "mod25-image-size-condition",
+        PRINTED_CONDITION_25,
+        condition25,
+        status=lambda c: "flagged" if c["census_obstructing"] == 176 else "fail",
     )
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from dp5brauer import fibers
+from dp5brauer import fibers, obstruction, verify
 from dp5brauer.cli import main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
 
@@ -229,6 +229,26 @@ def test_verify_paper_fast_mode(capsys):
     assert statuses["mod25-image-size-condition"] == "flagged"
     assert statuses["census-11"] == "ok"
     assert statuses["census-25"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "target, failed_rows",
+    [
+        ("verdict", ["headline-verdict-u1-minus-6u3"]),
+        ("census_25", ["census-25", "mod25-image-size-condition"]),
+    ],
+    ids=["verdict", "census_25"],
+)
+def test_verify_paper_records_a_raising_claim_as_failed(monkeypatch, target, failed_rows):
+    def broken(*args, **kwargs):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setattr(obstruction, target, broken)
+    report = verify.run_claims(fast=True)
+    statuses = {row["id"]: row["status"] for row in report["claims"]}
+    for claim_id in failed_rows:
+        assert statuses[claim_id] == "fail"
+    assert verify.has_failures(report)
 
 
 def test_json_output_is_sorted_and_stable(capsys):

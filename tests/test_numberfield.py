@@ -18,16 +18,55 @@ from dp5brauer.numberfield import (
 
 ZETA25_MINPOLY = (1, -20, 100, -125, 50, -5)
 
+REAL_CYCLOTOMIC_MINPOLYS = {
+    3: (1, 1),
+    5: (1, 1, -1),
+    7: (1, 1, -2, -1),
+    11: (1, 1, -4, -3, 3, 1),
+    13: (1, 1, -5, -4, 6, 3, -1),
+    17: (1, 1, -7, -6, 15, 10, -10, -4, 1),
+}
 
-def test_real_cyclotomic_minpoly_for_eleven():
-    assert tuple(real_cyclotomic_minpoly(11)) == (1, 1, -4, -3, 3, 1)
-    assert zeta11_plus_field().coefficients == (1, 1, -4, -3, 3, 1)
+
+def lehmer_quintic(n):
+    """E. Lehmer's simplest quintic, leading coefficient first; n = -1 is zeta11plus."""
+    return (
+        1,
+        n * n,
+        -(2 * n ** 3 + 6 * n * n + 10 * n + 10),
+        n ** 4 + 5 * n ** 3 + 11 * n * n + 15 * n + 5,
+        n ** 3 + 4 * n * n + 10 * n + 10,
+        1,
+    )
 
 
-def test_discriminant_of_the_cyclotomic_quintic_is_a_square():
-    d = discriminant((1, 1, -4, -3, 3, 1))
-    assert d == 14641
-    assert 121 * 121 == d
+CYCLIC_QUINTICS = {"zeta25": ZETA25_MINPOLY}
+CYCLIC_QUINTICS.update({f"lehmer{n}": lehmer_quintic(n) for n in range(-4, 6)})
+
+
+@pytest.mark.parametrize("ell", sorted(REAL_CYCLOTOMIC_MINPOLYS))
+def test_real_cyclotomic_minpoly(ell):
+    assert tuple(real_cyclotomic_minpoly(ell)) == REAL_CYCLOTOMIC_MINPOLYS[ell]
+
+
+@pytest.mark.parametrize("ell", [1, 2, 9, 15])
+def test_real_cyclotomic_minpoly_needs_an_odd_prime(ell):
+    with pytest.raises(DomainError):
+        real_cyclotomic_minpoly(ell)
+
+
+@pytest.mark.parametrize("n", range(-10, 11))
+def test_discriminant_of_lehmer_quintic(n):
+    # n = -1 is the zeta11plus polynomial, discriminant 11^4 = 121^2
+    closed_form = (n ** 3 + 5 * n ** 2 + 10 * n + 7) ** 2 * (
+        n ** 4 + 5 * n ** 3 + 15 * n ** 2 + 25 * n + 25
+    ) ** 4
+    assert discriminant(lehmer_quintic(n)) == closed_form
+
+
+def test_discriminant_needs_a_monic_polynomial():
+    with pytest.raises(ValueError):
+        discriminant((2, 0, 1))
 
 
 def test_spec_rejects_bad_polynomials():
@@ -50,10 +89,21 @@ def test_field_element_arithmetic():
     assert third * 3 == spec.rational(1)
     with pytest.raises(ZeroDivisionError):
         spec.rational(0).inverse()
+    rng = random.Random(41)
+    for field in (spec, QuinticFieldSpec(ZETA25_MINPOLY)):
+        checked = 0
+        while checked < 25:
+            x = field.element(
+                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)]
+            )
+            if x:
+                assert x * x.inverse() == field.rational(1)
+                checked += 1
 
 
 def test_conjugates_of_the_cyclotomic_quintic():
     spec = zeta11_plus_field()
+    assert spec.coefficients == (1, 1, -4, -3, 3, 1)
     conjugates = galois_conjugates(spec)
     assert len(conjugates) == 4
     alpha = spec.generator()
@@ -73,15 +123,22 @@ def test_conjugation_by_alpha_squared_minus_two_has_order_five():
     assert element == alpha
 
 
-def test_conjugates_of_the_second_fixture_field():
-    spec = QuinticFieldSpec(ZETA25_MINPOLY)
+@pytest.mark.parametrize("name", list(CYCLIC_QUINTICS))
+def test_conjugates_are_four_distinct_roots_of_an_order_five_map(name):
+    spec = QuinticFieldSpec(CYCLIC_QUINTICS[name])
     conjugates = galois_conjugates(spec)
     assert len(conjugates) == 4
     asc = spec.ascending()
     for image in conjugates:
         assert evaluate_poly(asc, image) == 0
     assert len(set(conjugates)) == 4
-    assert spec.generator() not in conjugates
+    alpha = spec.generator()
+    assert alpha not in conjugates
+    # sigma: alpha -> conjugates[0] walks the list, then returns to alpha
+    element = alpha
+    for expected in conjugates + (alpha,):
+        element = apply_embedding(element, conjugates[0])
+        assert element == expected
 
 
 def test_non_cyclic_field_is_rejected():

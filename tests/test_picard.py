@@ -6,6 +6,7 @@ from dp5brauer.errors import DomainError
 from dp5brauer.intlinalg import IntMatrix
 from dp5brauer.picard import (
     CANONICAL_CLASS,
+    _lattice_map,
     class_label,
     h1_cyclic,
     image_lattice_hnf,
@@ -55,6 +56,17 @@ def test_petersen_graph_structure():
     # Kneser labeling: adjacency is exactly label disjointness
     for i, j in report.edges:
         assert not (report.pair_labels[i] & report.pair_labels[j])
+
+
+def test_a_class_permutation_that_is_not_linear_does_not_extend():
+    classes = minus_one_classes()
+    image_of = dict(zip(classes, classes))
+    # L1..L4 and the first conic class stay fixed, so the map built from them
+    # is the identity; only the check of the other images can refuse it
+    a, b = classes[-2], classes[-1]
+    image_of[a], image_of[b] = b, a
+    assert _lattice_map(image_of) is None
+    assert _lattice_map(dict(zip(classes, classes))) == IntMatrix.identity(5)
 
 
 def test_sigma_is_an_order_five_lattice_symmetry():
