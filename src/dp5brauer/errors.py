@@ -22,7 +22,7 @@ class DegenerateOrbitError(DomainError):
 
 
 class RationalityFailureError(DomainError):
-    """The number of rational line products differs from two."""
+    """A Galois-stable line product (pentagon or pentagram) is not rational."""
 
 
 class EnumerationBoundError(DomainError):
@@ -34,7 +34,8 @@ class ChartError(DomainError):
 
 
 class FiberInconsistencyError(DomainError):
-    """Fiber evidence contradicts the splitting-based prediction."""
+    """Fiber evidence contradicts the splitting-based prediction, or a census
+    self-check fails."""
 
 
 class UnknownModelError(DomainError):

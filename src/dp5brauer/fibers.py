@@ -103,14 +103,14 @@ def _projective_plane(p):
     return np.array(rows + [(0, 0, 1)], dtype=np.int64)
 
 
-def enumerate_fiber(model, p, bound=ENUMERATION_BOUND):
+def enumerate_fiber(model, p):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
     Normalization: the first nonzero coordinate is 1.  Models with the
     solver shape are solved, all others scanned (module docstring).
     """
-    if p > bound:
-        raise EnumerationBoundError(f"prime {p} exceeds enumeration bound {bound}")
+    if p > ENUMERATION_BOUND:
+        raise EnumerationBoundError(f"prime {p} exceeds enumeration bound {ENUMERATION_BOUND}")
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
     vectors = model.quadric_vectors()
@@ -365,7 +365,7 @@ class FiberReport:
         }
 
 
-def classify_fiber(model, p, bound=ENUMERATION_BOUND):
+def classify_fiber(model, p):
     """Splitting-type prediction checked against enumerated evidence.
 
     Splitting of the quintic mod p predicts the fiber: inert means a smooth
@@ -374,7 +374,7 @@ def classify_fiber(model, p, bound=ENUMERATION_BOUND):
     so a wrong model cannot slip through as an interesting one.
     """
     splitting = minpoly_splitting_mod_p(model.spec, p)
-    fiber = enumerate_fiber(model, p, bound=bound)
+    fiber = enumerate_fiber(model, p)
     lines = find_lines(model, p, fiber=fiber)
     singular = singular_points(model, p, fiber=fiber)
     count = len(fiber)

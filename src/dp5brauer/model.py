@@ -7,8 +7,10 @@ from a cyclic quintic field spec, or one of the two stored fixtures.
 
 Construction pipeline: quintics through the conjugate point orbit with
 double vanishing (a rank-6 kernel), the quadric relations among them (a
-rank-5 kernel), and the two Galois-stable 5-cycles of lines whose products
-descend to Q.
+rank-5 kernel), and l1, l2 as the products of the lines in the two Galois
+orbits of lines through the conjugate points, the pentagon and the
+pentagram of the Galois walk, which descend to Q
+(``find_line_products``).
 """
 
 from __future__ import annotations
@@ -98,13 +100,6 @@ class QuinticSystem(NamedTuple):
         return True
 
 
-class LineProducts(NamedTuple):
-    l1: tuple
-    l2: tuple
-    pentagon: tuple
-    pentagram: tuple
-
-
 class DelPezzoModel:
     """Five integral quadrics plus the forms l1, l2; optionally the fixture
     data needed for solubility and invariant work."""
@@ -191,10 +186,7 @@ class DelPezzoModel:
             if not _is_int_array(doc.get(key), shape):
                 raise UnknownModelError(f"model JSON needs {key!r} as integers of shape {shape}")
         spec = QuinticFieldSpec(doc["minpoly"])
-        quadrics = [
-            MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
-            for vec in doc["quadrics"]
-        ]
+        quadrics = [_quadric(vec) for vec in doc["quadrics"]]
         return cls(doc["source"], spec, quadrics, doc["l1"], doc["l2"])
 
 
@@ -233,106 +225,54 @@ def build_model(spec):
             "degenerate orbit: quadric relation space has rank "
             f"{0 if quad_basis is None else quad_basis.rows}, expected 5"
         )
-    quadrics = []
-    for i in range(5):
-        vec = primitive_part(quad_basis.row(i))
-        quadrics.append(
-            MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
-        )
-    lines = find_line_products(spec, system, conjugates)
-    return DelPezzoModel(
-        "constructed",
-        spec,
-        quadrics,
-        lines.l1,
-        lines.l2,
-        system=system,
-    )
-
-
-def _five_cycles():
-    """The 12 cyclic orderings of five vertices, up to rotation and flip."""
-    from itertools import permutations
-
-    seen = set()
-    cycles = []
-    for tail in permutations((1, 2, 3, 4)):
-        cycle = (0,) + tail
-        reversed_cycle = (0,) + tail[::-1]
-        if reversed_cycle in seen:
-            continue
-        seen.add(cycle)
-        cycles.append(cycle)
-    return cycles
-
-
-def _cycle_edges(cycle):
-    return frozenset(
-        frozenset((cycle[i], cycle[(i + 1) % len(cycle)])) for i in range(len(cycle))
-    )
+    quadrics = [_quadric(primitive_part(quad_basis.row(i))) for i in range(5)]
+    l1, l2 = find_line_products(spec, system, conjugates)
+    return DelPezzoModel("constructed", spec, quadrics, l1, l2, system=system)
 
 
 def find_line_products(spec, system, conjugates=None):
-    """Products of the lines along the two Galois-stable 5-cycles.
+    """Products (l1, l2) of the lines along the two Galois-stable 5-cycles.
 
-    The five conjugate points sit on a conic, so the complete graph on them
-    has exactly 12 five-cycles of lines; the two whose edge sets are stable
-    under the cyclic shift have products with rational coefficients.  Both
-    products are returned as primitive coordinate vectors in the quintic
-    basis, pentagon first.
+    Write g_k = s^k(alpha) for the generator alpha and a generator s of the
+    Galois group; ``galois_conjugates`` returns g_1..g_4 in this order and
+    certifies that the g_k are distinct.  The line through (a^2, a, 1) and
+    (b^2, b, 1) is L(a, b) = x - (a + b) y + ab z, their cross product
+    divided by a - b.  Of the twelve 5-cycles on the five points only two
+    have rational products, so only those two are multiplied out:
+
+    - s maps L(g_i, g_j) to L(g_{i+1}, g_{j+1}), indices mod 5;
+    - the ten lines are irreducible and pairwise distinct, as the g_k are;
+    - K[x, y, z] has unique factorization, so a cycle's product is fixed by
+      s, i.e. rational, exactly when the shift k -> k + 1 permutes its edges;
+    - the shift has two edge orbits, {k, k+1} and {k, k+2}: the pentagon,
+      whose product is l1, and the pentagram, whose product is l2.
+
+    Both are returned as primitive coordinate vectors in the quintic basis.
+    ``conjugates`` out of walk order break the first premise and end in a
+    RationalityFailureError.
     """
     if conjugates is None:
         conjugates = galois_conjugates(spec)
-    alpha = spec.generator()
-    generators = (alpha,) + tuple(conjugates)
-    one = spec.rational(1)
-    points = [(g * g, g, one) for g in generators]
+    g = (spec.generator(),) + tuple(conjugates)
+    if len({c.coords for c in g}) != 5:
+        raise DegenerateOrbitError("degenerate orbit: repeated points")
+    zero, one = spec.rational(0), spec.rational(1)
 
-    def cross(p, q):
-        return (
-            p[1] * q[2] - p[2] * q[1],
-            p[2] * q[0] - p[0] * q[2],
-            p[0] * q[1] - p[1] * q[0],
-        )
-
-    lines = {}
-    for i in range(5):
-        for j in range(i + 1, 5):
-            c = cross(points[i], points[j])
-            if not any(c):
-                raise DegenerateOrbitError("degenerate orbit: repeated points")
-            lines[frozenset((i, j))] = MultiPoly(
-                XYZ_VARS,
-                {(1, 0, 0): c[0], (0, 1, 0): c[1], (0, 0, 1): c[2]},
-            )
-
-    pentagon_edges = _cycle_edges(tuple(range(5)))
-    pentagram_edges = _cycle_edges((0, 2, 4, 1, 3))
-    rational = {}
-    for cycle in _five_cycles():
-        edges = _cycle_edges(cycle)
+    def orbit_product(step):
         product = MultiPoly.constant(XYZ_VARS, one)
-        for edge in edges:
-            product = product * lines[edge]
-        if all(c.is_rational() for c in product.terms.values()):
-            rational[edges] = product
-    if len(rational) != 2:
-        raise RationalityFailureError(
-            f"rationality failure: {len(rational)} rational line products, expected 2"
-        )
-    if set(rational) != {pentagon_edges, pentagram_edges}:
-        raise RationalityFailureError(
-            "rationality failure: rational products not on the shift-stable cycles"
-        )
-
-    def descend(product):
-        fractions = [Fraction(0)] * len(DEG5_MONOMIALS)
-        index = {e: i for i, e in enumerate(DEG5_MONOMIALS)}
-        for mono, coeff in product.terms.items():
-            fractions[index[mono]] = coeff.rational_value()
-        scale = lcm(*(f.denominator for f in fractions)) if fractions else 1
-        ints = [int(f * scale) for f in fractions]
-        vec = primitive_part(ints)
+        for k in range(5):
+            a, b = g[k], g[(k + step) % 5]
+            product = product * MultiPoly(
+                XYZ_VARS, {(1, 0, 0): one, (0, 1, 0): -(a + b), (0, 0, 1): a * b}
+            )
+        coeffs = [product.terms.get(e, zero) for e in DEG5_MONOMIALS]
+        if not all(c.is_rational() for c in coeffs):
+            raise RationalityFailureError(
+                "rationality failure: a shift-stable line product is not rational"
+            )
+        fractions = [Fraction(c.rational_value()) for c in coeffs]
+        scale = lcm(*(f.denominator for f in fractions))
+        vec = primitive_part([int(f * scale) for f in fractions])
         coords = solve_in_lattice(system.basis, vec)
         if coords is None:
             raise DegenerateOrbitError(
@@ -342,12 +282,7 @@ def find_line_products(spec, system, conjugates=None):
             raise DegenerateOrbitError("line product coordinates are imprimitive")
         return primitive_part(coords)
 
-    return LineProducts(
-        descend(rational[pentagon_edges]),
-        descend(rational[pentagram_edges]),
-        tuple(range(5)),
-        (0, 2, 4, 1, 3),
-    )
+    return orbit_product(1), orbit_product(2)
 
 
 def chart_substitution():
@@ -371,9 +306,13 @@ def chart_point(y, z, p):
     return (1, y % p, z % p, y * y % p, y * z % p, (y ** 3 + z * z) % p)
 
 
-def _pairs_to_poly(pairs):
-    vec = [pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS]
+def _quadric(vec):
+    """The quadric with coefficient vector ``vec`` along U_QUADRIC_MONOMIALS."""
     return MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
+
+
+def _pairs_to_poly(pairs):
+    return _quadric([pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS])
 
 
 _ZETA11PLUS_QUADRICS = (

@@ -36,8 +36,7 @@ from .fibers import (
     singular_points,
     solve_mod_p,
 )
-from .model import U_VARS, DelPezzoModel, chart_point, fixture
-from .multipoly import MultiPoly
+from .model import U_QUADRIC_PAIRS, DelPezzoModel, _quadric, _quadric_gram, chart_point, fixture
 from .numberfield import _is_prime
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
@@ -63,7 +62,7 @@ class ResidueClassGroup:
         for cls in self.classes:
             if r in cls:
                 return cls
-        raise AssertionError("unit missed every coset")
+        raise FiberInconsistencyError("unit missed every coset")
 
     def class_index(self, value):
         return self.classes.index(self.class_of(value))
@@ -274,23 +273,22 @@ def inv_image_11_smoothpath(model, hbar):
 # the 25 points of the chart modulo 5, in (y, z) order
 _CHART_POINTS_5 = tuple(chart_point(y, z, 5) for y, z in product(range(5), repeat=2))
 
-
-def _tangent_gradient(h, y, z):
-    # pairings of h with the two chart tangent directions at (y, z)
-    gy = (h[1] + 2 * y * h[3] + z * h[4] + 3 * y * y * h[5]) % 5
-    gz = (h[2] + y * h[4] + 2 * z * h[5]) % 5
-    return gy, gz
+# the two chart tangent directions d/dy, d/dz at each point above, so that
+# their pairings with h are h1 + 2y h3 + z h4 + 3y^2 h5 and h2 + y h4 + 2z h5
+_TANGENT_ROWS_5 = np.array(
+    [
+        [(0, 1, 0, 2 * y, z, 3 * y * y), (0, 0, 1, 0, y, 2 * z)]
+        for y, z in product(range(5), repeat=2)
+    ],
+    dtype=np.int64,
+) % 5
 
 
 def _tangent_certificate(h25):
-    for y in range(5):
-        for z in range(5):
-            gy, gz = _tangent_gradient(h25, y, z)
-            if gy or gz:
-                return {
-                    "point": list(chart_point(y, z, 5)),
-                    "tangent_pairing": [gy, gz],
-                }
+    pairings = _TANGENT_ROWS_5 @ np.array(h25, dtype=np.int64) % 5
+    for point, (gy, gz) in zip(_CHART_POINTS_5, pairings):
+        if gy or gz:
+            return {"point": list(point), "tangent_pairing": [int(gy), int(gz)]}
     raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
 
 
@@ -387,12 +385,7 @@ def tangent_surjectivity_check(model):
     Vectorized exhaustive check; returns the counts and any failures.
     """
     _require_fixture_chart(model, 25)
-    rows = []
-    for y in range(5):
-        for z in range(5):
-            rows.append([0, 1, 0, 2 * y % 5, z, 3 * y * y % 5])
-            rows.append([0, 0, 1, 0, y, 2 * z % 5])
-    pairing = np.array(rows, dtype=np.int64)
+    pairing = _TANGENT_ROWS_5.reshape(-1, 6)
     forms = _digit_columns(np.arange(5 ** 6, dtype=np.int64), 5, 6)
     proportional = np.all(forms[1:] == 0, axis=0)
     candidates = ~proportional & np.any(forms != 0, axis=0)
@@ -831,7 +824,8 @@ def census_25(model=None, sample_check=0, seed=2026):
     for coeffs in product(range(5), repeat=5):
         image = _kappa_image(coeffs)
         size = len(image)
-        assert size in (1, 3, 5), (coeffs, sorted(image))
+        if size not in (1, 3, 5):
+            raise FiberInconsistencyError(str((coeffs, sorted(image))))
         kappa_sizes[size] += 1
         misses = []
         for lam in group.units:
@@ -841,9 +835,9 @@ def census_25(model=None, sample_check=0, seed=2026):
                 misses.append(lam)
         if not misses:
             continue
-        assert size < 5, coeffs
         # only forms constant in z obstruct: the shape check mirrors the count
-        assert coeffs[1] == coeffs[3] == coeffs[4] == 0, coeffs
+        if size == 5 or coeffs[1] or coeffs[3] or coeffs[4]:
+            raise FiberInconsistencyError(str(coeffs))
         obstructing += len(misses)
         if size == 1:
             breakdown["constant"] += len(misses)
@@ -945,16 +939,19 @@ def _random_invertible_mod11(rng):
 
 
 def transformed_model_mod11(model, matrix):
-    """The model in new coordinates u = g v, everything reduced mod 11."""
-    mapping = {}
-    for i, name in enumerate(U_VARS):
-        poly = MultiPoly.zero(U_VARS)
-        for j, target in enumerate(U_VARS):
-            c = matrix[i][j] % 11
-            if c:
-                poly = poly + MultiPoly.variable(U_VARS, target) * c
-        mapping[name] = poly
-    quadrics = tuple(q.substitute(mapping).reduce_mod(11) for q in model.quadrics)
+    """The model in new coordinates u = g v, everything reduced mod 11.
+
+    With q_k(u) = u^T G_k u for the upper-triangular Gram matrix G_k, the new
+    quadric is v^T S v with S = g^T G_k g; folding S onto its upper triangle
+    (S_ii on the diagonal, S_ij + S_ji above it) gives its coefficients.
+    """
+    g = np.array(matrix, dtype=np.int64) % 11
+    gram = np.array(_quadric_gram(model.quadric_vectors()), dtype=np.int64) % 11
+    s = np.einsum("ai,kab,bj->kij", g, gram, g)
+    folded = (np.triu(s) + np.tril(s, -1).transpose(0, 2, 1)) % 11
+    quadrics = tuple(
+        _quadric([int(f[i, j]) for i, j in U_QUADRIC_PAIRS]) for f in folded
+    )
     l1, l2 = (
         tuple(sum(matrix[i][j] * form[i] for i in range(6)) % 11 for j in range(6))
         for form in (model.l1, model.l2)

@@ -274,3 +274,15 @@ def test_internal_contradictions_exit_with_four(capsys, monkeypatch, error):
     assert out == ""
     assert "forced contradiction" in err
     assert "Traceback" not in err
+
+
+def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch, m25):
+    # kappa images have 1, 3 or 5 values; a two-value image must not pass silently
+    monkeypatch.setattr(obstruction, "_kappa_image", lambda coeffs: {0, 1})
+    with pytest.raises(FiberInconsistencyError):
+        obstruction.census_25(m25)
+    code, out, err = run_cli(capsys, ["census", "--modulus", "25"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

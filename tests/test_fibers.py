@@ -293,3 +293,12 @@ def test_find_lines_raises_when_a_line_leaves_the_fiber(m11):
     dropped = next(pt for pt in line.points if pt[0])
     with pytest.raises(FiberInconsistencyError):
         find_lines(m11, 23, fiber=[pt for pt in fiber if pt != dropped])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_transformed_model_matches_the_substitution(m11, seed):
+    # the Gram congruence g^T G g against substituting u = g v into each quadric
+    g = _random_invertible_mod11(random.Random(seed))
+    moved = transformed_model_mod11(m11, g)
+    reference = _substituted(m11, g)
+    assert moved.quadrics == tuple(q.reduce_mod(11) for q in reference.quadrics)

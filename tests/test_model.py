@@ -2,18 +2,22 @@
 
 import pytest
 
-from dp5brauer.errors import DomainError, NotCyclicError
+from dp5brauer.errors import (
+    DegenerateOrbitError,
+    DomainError,
+    NotCyclicError,
+    RationalityFailureError,
+)
 from dp5brauer.intlinalg import lattice_index, saturated_kernel
 from dp5brauer.model import (
     DelPezzoModel,
-    _cycle_edges,
-    _five_cycles,
     build_model,
     double_vanishing_matrix,
+    find_line_products,
     fixture,
     search_integral_points,
 )
-from dp5brauer.numberfield import QuinticFieldSpec
+from dp5brauer.numberfield import QuinticFieldSpec, galois_conjugates
 
 L1_STORED = (1, 22, -363, 165, -1859, 484)
 L2_STORED = (1, 22, -352, 143, -1595, 363)
@@ -62,12 +66,6 @@ def test_line_products_share_a_reduction_at_the_ramified_prime(m11):
     assert tuple(c % 11 for c in m11.l2) == (1, 0, 0, 0, 0, 0)
 
 
-def test_twelve_candidate_two_factors():
-    cycles = _five_cycles()
-    assert len(cycles) == 12
-    assert len({_cycle_edges(c) for c in cycles}) == 12
-
-
 def test_double_vanishing_kernel_has_rank_six(m11):
     kernel = saturated_kernel(double_vanishing_matrix(m11.spec))
     assert kernel is not None
@@ -87,6 +85,51 @@ def test_built_line_products_are_distinct_but_congruent(built11):
     r1 = tuple(c % 11 for c in built11.l1)
     r2 = tuple(c % 11 for c in built11.l2)
     assert r1 == r2 != (0, 0, 0, 0, 0, 0)
+
+
+def test_built_line_products_are_pinned(built11):
+    assert built11.l1 == (1, -2, -12, -5, 27, 13)
+    assert built11.l2 == (1, -2, -1, -5, -17, 2)
+
+
+@pytest.mark.parametrize(
+    "minpoly, l1, l2",
+    [
+        # Lehmer's simplest quintics for n = 0 and n = 3
+        ((1, 0, -10, 5, 10, 1), (1, -5, 20, -30, -115, 25), (1, -5, -5, -5, 85, 25)),
+        (
+            (1, 9, -148, 365, 103, 1),
+            (1, -74, 107, -2049, -30157, 1822),
+            (1, -74, -344, -245, 5923, 469),
+        ),
+    ],
+    ids=["lehmer0", "lehmer3"],
+)
+def test_built_line_products_of_lehmer_quintics(minpoly, l1, l2):
+    built = build_model(QuinticFieldSpec(minpoly))
+    assert (built.l1, built.l2) == (l1, l2)
+
+
+def test_conjugates_out_of_walk_order_are_not_rational(built11):
+    c = galois_conjugates(built11.spec)
+    with pytest.raises(RationalityFailureError):
+        find_line_products(built11.spec, built11.system, (c[1], c[0], c[2], c[3]))
+
+
+def test_the_square_walk_swaps_pentagon_and_pentagram(built11):
+    # s^2 generates the same group; its pentagon is the pentagram of s
+    c = galois_conjugates(built11.spec)
+    square_walk = (c[1], c[3], c[0], c[2])
+    assert find_line_products(built11.spec, built11.system, square_walk) == (
+        built11.l2,
+        built11.l1,
+    )
+
+
+def test_repeated_conjugates_are_degenerate(built11):
+    c = galois_conjugates(built11.spec)
+    with pytest.raises(DegenerateOrbitError):
+        find_line_products(built11.spec, built11.system, (c[0], c[0], c[2], c[3]))
 
 
 def test_build_model_rejects_non_cyclic_fields():
