@@ -1,11 +1,11 @@
 """Integral Brauer-Manin machinery for quintic del Pezzo surfaces split by
 cyclic quintic fields.
 
-The package is organized in layers: exact integer linear algebra and sparse
-polynomials at the bottom, number-field arithmetic and model construction
-above them, then fiber enumeration, the obstruction engine, and the Picard
-lattice side.  `dp5brauer.cli` exposes the whole stack as a command line
-tool; `dp5brauer.verify` replays every published quantity the package can
+The package is organized in layers: exact integer linear algebra at the
+bottom, number-field arithmetic and model construction above it, then fiber
+enumeration, the obstruction engine, and the Picard lattice side.
+`dp5brauer.cli` exposes the whole stack as a command line tool;
+`dp5brauer.verify` replays every published quantity the package can
 recompute.
 """
 
@@ -16,7 +16,6 @@ from .errors import (
     NotCyclicError,
 )
 from .intlinalg import IntMatrix, hnf, snf, saturated_kernel, lattice_index
-from .multipoly import MultiPoly
 from .numberfield import QuinticFieldSpec, galois_conjugates, zeta11_plus_field
 from .model import DelPezzoModel, build_model, fixture
 from .fibers import classify_fiber, enumerate_fiber, find_lines, verify_chart
@@ -50,7 +49,6 @@ __all__ = [
     "FiberInconsistencyError",
     "IntMatrix",
     "InvariantImage",
-    "MultiPoly",
     "NotCyclicError",
     "ObstructionReport",
     "QuinticFieldSpec",

@@ -1,9 +1,9 @@
 """Mod-p fibers of a model: point enumeration, singular locus, lines, and
 the splitting-type classification.
 
-Everything mod p starts from one (5, 6, 6) array per (model, p), built from
-the pair table ``U_QUADRIC_PAIRS``: the upper-triangular Gram matrices G_k
-with q_k(x) = x^T G_k x.  The polar matrices B_k = G_k + G_k^T give the
+Everything mod p starts from one (5, 6, 6) array per (model, p), built by
+``model._quadric_gram``: the upper-triangular Gram matrices G_k with
+q_k(x) = x^T G_k x.  The polar matrices B_k = G_k + G_k^T give the
 polar form x^T B_k y = q_k(x + y) - q_k(x) - q_k(y) and the Jacobian rows
 B_k x in every characteristic, 2 included.
 
@@ -28,9 +28,9 @@ candidates are distinct projective points, so the result is exactly the
 fiber, from O(p^2) candidates instead of O(p^5) cells.
 
 Other models, such as ``obstruction.transformed_model_mod11``, fall back to
-a scan of the six standard charts of P^5 in grids of at most 2^23 cells:
-the sparsest quadric is evaluated on the grid, all five on its zeros.  The
-scan is also the test oracle of the solver.
+a scan of the six standard charts of P^5, at p <= SCAN_BOUND only, in grids
+of at most 2^23 cells: the sparsest quadric is evaluated on the grid, all
+five on its zeros.  The scan is also the test oracle of the solver.
 
 Integer safety at p <= ENUMERATION_BOUND = 100: entries are reduced mod p
 before any product, so the largest unreduced sum, a quadric value over 36
@@ -53,11 +53,10 @@ from .errors import (
     FiberInconsistencyError,
 )
 from .model import (
-    U_QUADRIC_PAIRS,
     _has_solver_shape,
     _quadric_gram,
+    _yz_product,
     chart_point,
-    chart_substitution,
 )
 from .numberfield import (
     _fp_normalize,
@@ -70,6 +69,8 @@ from .numberfield import (
 )
 
 ENUMERATION_BOUND = 100
+# the chart scan of a model without the solver shape takes about 1 s at 31
+SCAN_BOUND = 31
 _CHUNK_CELLS = 1 << 23
 _LINE_BLOCK_CELLS = 1 << 20
 
@@ -82,7 +83,7 @@ def _gram_mod_p(vectors, p):
 
 def _polar_mod_p(model, p):
     """(5, 6, 6) int64 array of polar matrices B_k = G_k + G_k^T mod p."""
-    gram = _gram_mod_p(model.quadric_vectors(), p)
+    gram = _gram_mod_p(model.quadrics, p)
     return (gram + gram.transpose(0, 2, 1)) % p
 
 
@@ -109,16 +110,28 @@ def enumerate_fiber(model, p):
     Normalization: the first nonzero coordinate is 1.  Models with the
     solver shape are solved, all others scanned (module docstring).
     """
+    _require_prime(p)
+    gram = _gram_mod_p(model.quadrics, p)
+    if _has_solver_shape(model.quadrics):
+        x = _solve_fiber(gram, p)
+    elif p > SCAN_BOUND:
+        raise EnumerationBoundError(
+            f"prime {p} exceeds the scan bound {SCAN_BOUND} of a model without the solver "
+            "shape (quadrics 1-3 free of u0^2, quadrics 4-5 free of u0, u1^2, u1 u2, u2^2)"
+        )
+    else:
+        x = _scan_fiber(gram, p)
+    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
+    x = x * _inverses(p)[lead][:, None] % p
+    return sorted(map(tuple, x.tolist()))
+
+
+def _require_prime(p):
+    """Refuse p unless it is a prime in [2, ENUMERATION_BOUND]."""
     if p > ENUMERATION_BOUND:
         raise EnumerationBoundError(f"prime {p} exceeds enumeration bound {ENUMERATION_BOUND}")
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    vectors = model.quadric_vectors()
-    gram = _gram_mod_p(vectors, p)
-    x = _solve_fiber(gram, p) if _has_solver_shape(vectors) else _scan_fiber(gram, p)
-    lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
-    x = x * _inverses(p)[lead][:, None] % p
-    return sorted(map(tuple, x.tolist()))
 
 
 def _solve_fiber(gram, p):
@@ -161,7 +174,7 @@ def _solve_fiber(gram, p):
 def _scan_fiber(gram, p):
     """Fiber points by scanning the six standard charts of P^5."""
     k = min(range(5), key=lambda k: (not gram[k].any(), np.count_nonzero(gram[k])))
-    terms = [(int(gram[k, i, j]), i, j) for i, j in U_QUADRIC_PAIRS if gram[k, i, j]]
+    terms = [(int(gram[k, i, j]), i, j) for i, j in zip(*np.nonzero(gram[k]))]
     found = []
     for chart in range(6):
         free = 5 - chart
@@ -373,6 +386,7 @@ def classify_fiber(model, p):
     points and ten lines.  A mismatch raises instead of classifying,
     so a wrong model cannot slip through as an interesting one.
     """
+    _require_prime(p)
     splitting = minpoly_splitting_mod_p(model.spec, p)
     fiber = enumerate_fiber(model, p)
     lines = find_lines(model, p, fiber=fiber)
@@ -425,13 +439,41 @@ class ChartCertificate:
         }
 
 
+# the chart (1, y, z, y^2, y z, y^3 + z^2) of ``chart_point``: the
+# exponents (b, c) of the monomials y^b z^c of each coordinate
+_CHART_TERMS = (((0, 0),), ((1, 0),), ((0, 1),), ((2, 0),), ((1, 1),), ((3, 0), (0, 2)))
+
+
+def _on_chart(gram):
+    """The quadrics q_k = x^T G_k x restricted to the chart, as (5, 7, 5)
+    arrays of (y, z) coefficients (exact for integer Gram arrays)."""
+    chart = np.zeros((6, 4, 3), dtype=np.int64)
+    for coord, terms in zip(chart, _CHART_TERMS):
+        for b, c in terms:
+            coord[b, c] = 1
+    products = np.array([[_yz_product(a, b) for b in chart] for a in chart], dtype=np.int64)
+    return np.einsum("kij,ijbc->kbc", gram, products)
+
+
+def _monomial_text(residue):
+    """A (y, z) coefficient array as a sum of terms, highest degree first."""
+    terms = sorted(zip(*np.nonzero(residue)), key=lambda e: (-e[0] - e[1], -e[0]))
+    parts = []
+    for b, c in terms:
+        mono = "*".join(f"{v}^{e}" if e > 1 else v for v, e in (("y", b), ("z", c)) if e)
+        parts.append(f"({residue[b, c]})" + (f"*{mono}" if mono else ""))
+    return " + ".join(parts)
+
+
 def verify_chart(model, p=None):
     """Certify the affine chart of a fixture at its ramified prime.
 
     Three checks: every quadric vanishes identically on the substitution
-    (as polynomials in y, z mod p), the chart map is injective on affine
-    space, and together with the points of the unique line it covers the
-    fiber exactly.  Any failure raises ChartError.
+    (as polynomials in y, z mod p; at p = 5 the restriction has degree 6 >= p,
+    so vanishing at the p^2 points of the chart would not prove it), the
+    chart map is injective on affine space, and together with the points of
+    the unique line it covers the fiber exactly.  Any failure raises
+    ChartError.
     """
     if model.ramified_prime is None:
         raise DomainError("chart verification needs a fixture model")
@@ -439,11 +481,11 @@ def verify_chart(model, p=None):
         p = model.ramified_prime
     if p != model.ramified_prime:
         raise DomainError(f"chart lives at {model.ramified_prime}, not {p}")
-    sub = chart_substitution()
-    for q in model.quadrics:
-        image = q.substitute(sub).reduce_mod(p)
-        if not image.is_zero():
-            raise ChartError(f"chart identity fails mod {p}: residue {image!r}")
+    for residue in _on_chart(_gram_mod_p(model.quadrics, p)) % p:
+        if residue.any():
+            raise ChartError(
+                f"chart identity fails mod {p}: residue {_monomial_text(residue)}"
+            )
     chart_points = {}
     for y in range(p):
         for z in range(p):

@@ -2,7 +2,10 @@
 
 A model is five integral quadrics in u0..u5 cutting out the surface, plus
 the two distinguished hyperplane forms l1, l2 that arise as rational
-products of conjugate lines.  Models come from two sources: constructed
+products of conjugate lines.  A quadric is stored as the tuple of its 21
+integer coefficients along ``U_QUADRIC_PAIRS``, which is also the model
+file format; ``_quadric_gram`` turns them into Gram matrices and
+``_form_vectors`` back.  Models come from two sources: constructed
 from a cyclic quintic field spec, or one of the two stored fixtures.
 
 Construction pipeline: quintics through the conjugate point orbit with
@@ -16,8 +19,11 @@ pentagram of the Galois walk, which descend to Q
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     DegenerateOrbitError,
@@ -32,23 +38,47 @@ from .intlinalg import (
     saturated_kernel,
     solve_in_lattice,
 )
-from .multipoly import MultiPoly, monomials_of_degree
 from .numberfield import (
     QuinticFieldSpec,
     galois_conjugates,
     zeta11_plus_field,
 )
 
-XYZ_VARS = ("x", "y", "z")
-U_VARS = ("u0", "u1", "u2", "u3", "u4", "u5")
 
-DEG5_MONOMIALS = tuple(monomials_of_degree(XYZ_VARS, 5))
-DEG10_MONOMIALS = tuple(monomials_of_degree(XYZ_VARS, 10))
-U_QUADRIC_MONOMIALS = tuple(monomials_of_degree(U_VARS, 2))
-# the index pair (i, j), i <= j, of each monomial u_i u_j above
-U_QUADRIC_PAIRS = tuple(
-    tuple(i for i, e in enumerate(exps) for _ in range(e)) for exps in U_QUADRIC_MONOMIALS
-)
+def _exponents(count, degree):
+    """Exponent tuples of the degree-d monomials in ``count`` variables, in
+    descending lexicographic order: x^5, x^4 y, x^4 z, x^3 y^2, ..."""
+    return tuple(
+        tuple(combo.count(v) for v in range(count))
+        for combo in combinations_with_replacement(range(count), degree)
+    )
+
+
+DEG5_MONOMIALS = _exponents(3, 5)
+DEG10_MONOMIALS = _exponents(3, 10)
+# a quadric is the tuple of its 21 coefficients, the one of u_i u_j at the
+# position of (i, j), i <= j, in this table (also the model file format)
+U_QUADRIC_PAIRS = tuple(combinations_with_replacement(range(6), 2))
+
+
+def _yz_array(vec, monomials):
+    """A form in x, y, z listed along ``monomials`` as a dense array over the
+    (y, z) exponents: entry [b, c] is the coefficient of x^a y^b z^c."""
+    degree = sum(monomials[0])
+    arr = np.zeros((degree + 1, degree + 1), dtype=object)
+    for (_, b, c), v in zip(monomials, vec):
+        arr[b, c] = v
+    return arr
+
+
+def _yz_product(f, g):
+    """Product of two forms stored as dense (y, z) arrays; exact on object
+    arrays of Python ints."""
+    out = np.zeros((f.shape[0] + g.shape[0] - 1, f.shape[1] + g.shape[1] - 1), dtype=object)
+    for (b, c), v in np.ndenumerate(f):
+        if v:
+            out[b : b + g.shape[0], c : c + g.shape[1]] += g * v
+    return out
 
 
 def double_vanishing_matrix(spec):
@@ -84,20 +114,10 @@ class QuinticSystem(NamedTuple):
     spec: QuinticFieldSpec
     basis: IntMatrix
 
-    def polynomials(self):
-        return tuple(
-            MultiPoly.from_coefficient_vector(XYZ_VARS, DEG5_MONOMIALS, self.basis.row(i))
-            for i in range(self.basis.rows)
-        )
-
     def double_vanishing_holds(self):
-        alpha = self.spec.generator()
-        point = {"x": alpha * alpha, "y": alpha, "z": self.spec.rational(1)}
-        for poly in self.polynomials():
-            for probe in (poly, poly.derivative("x"), poly.derivative("y")):
-                if probe.evaluate(point):
-                    return False
-        return True
+        """Every basis row lies in the kernel of ``double_vanishing_matrix``."""
+        product = double_vanishing_matrix(self.spec) @ self.basis.transpose()
+        return not any(any(row) for row in product.entries)
 
 
 class DelPezzoModel:
@@ -134,9 +154,9 @@ class DelPezzoModel:
     ):
         self.source = source
         self.spec = spec
-        self.quadrics = tuple(quadrics)
-        if len(self.quadrics) != 5:
-            raise DomainError("a model needs exactly five quadrics")
+        self.quadrics = tuple(tuple(int(c) for c in q) for q in quadrics)
+        if len(self.quadrics) != 5 or {len(q) for q in self.quadrics} != {21}:
+            raise DomainError("a model needs five quadrics of 21 coefficients each")
         self.l1 = tuple(int(c) for c in l1)
         self.l2 = tuple(int(c) for c in l2)
         self.system = system
@@ -155,11 +175,11 @@ class DelPezzoModel:
         )
 
     def quadric_vectors(self):
-        return [q.coefficient_vector(U_QUADRIC_MONOMIALS) for q in self.quadrics]
+        return [list(q) for q in self.quadrics]
 
     def evaluate_quadrics(self, point):
-        values = dict(zip(U_VARS, point))
-        return tuple(q.evaluate(values) for q in self.quadrics)
+        products = [point[i] * point[j] for i, j in U_QUADRIC_PAIRS]
+        return tuple(sum(c * x for c, x in zip(q, products)) for q in self.quadrics)
 
     def check_point(self, point):
         return not any(self.evaluate_quadrics(point))
@@ -171,7 +191,7 @@ class DelPezzoModel:
         return {
             "source": self.source,
             "minpoly": list(self.spec.coefficients),
-            "quadrics": [[int(c) for c in vec] for vec in self.quadric_vectors()],
+            "quadrics": self.quadric_vectors(),
             "l1": list(self.l1),
             "l2": list(self.l2),
         }
@@ -181,13 +201,12 @@ class DelPezzoModel:
         """Inverse of ``to_json_dict``; a malformed document is an UnknownModelError."""
         if not isinstance(doc, dict) or not isinstance(doc.get("source"), str):
             raise UnknownModelError("model JSON must be an object with a string 'source'")
-        shapes = dict(minpoly=(6,), quadrics=(5, len(U_QUADRIC_MONOMIALS)), l1=(6,), l2=(6,))
+        shapes = dict(minpoly=(6,), quadrics=(5, len(U_QUADRIC_PAIRS)), l1=(6,), l2=(6,))
         for key, shape in shapes.items():
             if not _is_int_array(doc.get(key), shape):
                 raise UnknownModelError(f"model JSON needs {key!r} as integers of shape {shape}")
         spec = QuinticFieldSpec(doc["minpoly"])
-        quadrics = [_quadric(vec) for vec in doc["quadrics"]]
-        return cls(doc["source"], spec, quadrics, doc["l1"], doc["l2"])
+        return cls(doc["source"], spec, doc["quadrics"], doc["l1"], doc["l2"])
 
 
 def _is_int_array(value, shape):
@@ -211,21 +230,19 @@ def build_model(spec):
             f"{0 if quintic_basis is None else quintic_basis.rows}, expected 6"
         )
     system = QuinticSystem(spec, quintic_basis)
-    quintics = system.polynomials()
-
-    sub_rows = {e: [0] * len(U_QUADRIC_MONOMIALS) for e in DEG10_MONOMIALS}
-    for col, (i, j) in enumerate(U_QUADRIC_PAIRS):
-        product = quintics[i] * quintics[j]
-        for mono, coeff in product.terms.items():
-            sub_rows[mono][col] = coeff
-    substitution = IntMatrix([sub_rows[e] for e in DEG10_MONOMIALS])
-    quad_basis = saturated_kernel(substitution)
+    quintics = [_yz_array(row, DEG5_MONOMIALS) for row in quintic_basis.entries]
+    # column (i, j) holds the degree-10 coefficients of quintic_i * quintic_j
+    columns = []
+    for i, j in U_QUADRIC_PAIRS:
+        product = _yz_product(quintics[i], quintics[j])
+        columns.append([product[b, c] for _, b, c in DEG10_MONOMIALS])
+    quad_basis = saturated_kernel(IntMatrix(columns).transpose())
     if quad_basis is None or quad_basis.rows != 5:
         raise DegenerateOrbitError(
             "degenerate orbit: quadric relation space has rank "
             f"{0 if quad_basis is None else quad_basis.rows}, expected 5"
         )
-    quadrics = [_quadric(primitive_part(quad_basis.row(i))) for i in range(5)]
+    quadrics = [primitive_part(quad_basis.row(i)) for i in range(5)]
     l1, l2 = find_line_products(spec, system, conjugates)
     return DelPezzoModel("constructed", spec, quadrics, l1, l2, system=system)
 
@@ -256,16 +273,24 @@ def find_line_products(spec, system, conjugates=None):
     g = (spec.generator(),) + tuple(conjugates)
     if len({c.coords for c in g}) != 5:
         raise DegenerateOrbitError("degenerate orbit: repeated points")
-    zero, one = spec.rational(0), spec.rational(1)
+    zero = spec.rational(0)
 
     def orbit_product(step):
-        product = MultiPoly.constant(XYZ_VARS, one)
+        # dense (y, z) array of field elements, times one monic line
+        # x + s y + t z at a time; y and z raise the exponents b and c
+        product = np.full((6, 6), zero, dtype=object)
+        product[0, 0] = spec.rational(1)
         for k in range(5):
             a, b = g[k], g[(k + step) % 5]
-            product = product * MultiPoly(
-                XYZ_VARS, {(1, 0, 0): one, (0, 1, 0): -(a + b), (0, 0, 1): a * b}
-            )
-        coeffs = [product.terms.get(e, zero) for e in DEG5_MONOMIALS]
+            s, t = -(a + b), a * b
+            grown = np.full((6, 6), zero, dtype=object)
+            for (i, j), v in np.ndenumerate(product):
+                if v:
+                    grown[i, j] += v
+                    grown[i + 1, j] += v * s
+                    grown[i, j + 1] += v * t
+            product = grown
+        coeffs = [product[b, c] for _, b, c in DEG5_MONOMIALS]
         if not all(c.is_rational() for c in coeffs):
             raise RationalityFailureError(
                 "rationality failure: a shift-stable line product is not rational"
@@ -285,34 +310,13 @@ def find_line_products(spec, system, conjugates=None):
     return orbit_product(1), orbit_product(2)
 
 
-def chart_substitution():
-    """The standard affine chart of both fixtures at their ramified prime:
-    (y, z) -> (1, y, z, y^2, y z, y^3 + z^2)."""
-    yz = ("y", "z")
-    y = MultiPoly.variable(yz, "y")
-    z = MultiPoly.variable(yz, "z")
-    return {
-        "u0": MultiPoly.constant(yz, 1),
-        "u1": y,
-        "u2": z,
-        "u3": y * y,
-        "u4": y * z,
-        "u5": y * y * y + z * z,
-    }
-
-
 def chart_point(y, z, p):
     """The point of the chart above over (y, z), coordinates reduced mod p."""
     return (1, y % p, z % p, y * y % p, y * z % p, (y ** 3 + z * z) % p)
 
 
-def _quadric(vec):
-    """The quadric with coefficient vector ``vec`` along U_QUADRIC_MONOMIALS."""
-    return MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, vec)
-
-
-def _pairs_to_poly(pairs):
-    return _quadric([pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS])
+def _pairs_vector(pairs):
+    return [pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS]
 
 
 _ZETA11PLUS_QUADRICS = (
@@ -407,7 +411,7 @@ def fixture(name):
         return DelPezzoModel(
             "fixture:zeta11plus",
             zeta11_plus_field(),
-            tuple(_pairs_to_poly(p) for p in _ZETA11PLUS_QUADRICS),
+            [_pairs_vector(p) for p in _ZETA11PLUS_QUADRICS],
             _ZETA11PLUS_L1,
             _ZETA11PLUS_L2,
             name="zeta11plus",
@@ -420,7 +424,7 @@ def fixture(name):
         return DelPezzoModel(
             "fixture:zeta25",
             QuinticFieldSpec(_ZETA25_MINPOLY),
-            tuple(_pairs_to_poly(p) for p in _ZETA25_QUADRICS),
+            [_pairs_vector(p) for p in _ZETA25_QUADRICS],
             _ZETA25_L1,
             _ZETA25_L2,
             name="zeta25",
@@ -439,6 +443,12 @@ def _quadric_gram(vectors):
         for (i, j), c in zip(U_QUADRIC_PAIRS, vec):
             g[i][j] = int(c)
     return gram
+
+
+def _form_vectors(mats):
+    """Coefficient vectors of the quadrics x^T S_k x for square matrices S_k,
+    the inverse of ``_quadric_gram`` on upper-triangular ones."""
+    return [[s[i][j] + s[j][i] if i < j else s[i][i] for i, j in U_QUADRIC_PAIRS] for s in mats]
 
 
 def _has_solver_shape(vectors):
@@ -464,9 +474,8 @@ def search_integral_points(model, window=9):
     distinct primitive points sorted by size.
     """
     found = {tuple(1 if i == 0 else 0 for i in range(6))}
-    vectors = model.quadric_vectors()
-    if _has_solver_shape(vectors):
-        gram = _quadric_gram(vectors)
+    if _has_solver_shape(model.quadrics):
+        gram = _quadric_gram(model.quadrics)
         span = range(-window, window + 1)
         for t in ((a, b, c) for a in span for b in span for c in span):
             point = _backsolve(gram, t)

@@ -36,7 +36,7 @@ from .fibers import (
     singular_points,
     solve_mod_p,
 )
-from .model import U_QUADRIC_PAIRS, DelPezzoModel, _quadric, _quadric_gram, chart_point, fixture
+from .model import DelPezzoModel, _form_vectors, _quadric_gram, chart_point, fixture
 from .numberfield import _is_prime
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
@@ -212,8 +212,7 @@ _FIBER_CACHE = _BoundedCache(CACHE_SIZE)
 
 
 def _model_cache_key(model, p):
-    quad = tuple(tuple(int(c) for c in vec) for vec in model.quadric_vectors())
-    return (p, quad, tuple(model.l1))
+    return (p, model.quadrics, model.l1)
 
 
 def _ramified_fiber_data(model):
@@ -825,7 +824,9 @@ def census_25(model=None, sample_check=0, seed=2026):
         image = _kappa_image(coeffs)
         size = len(image)
         if size not in (1, 3, 5):
-            raise FiberInconsistencyError(str((coeffs, sorted(image))))
+            raise FiberInconsistencyError(
+                f"kappa image size not in {{1, 3, 5}}: {coeffs} -> {sorted(image)}"
+            )
         kappa_sizes[size] += 1
         misses = []
         for lam in group.units:
@@ -837,7 +838,7 @@ def census_25(model=None, sample_check=0, seed=2026):
             continue
         # only forms constant in z obstruct: the shape check mirrors the count
         if size == 5 or coeffs[1] or coeffs[3] or coeffs[4]:
-            raise FiberInconsistencyError(str(coeffs))
+            raise FiberInconsistencyError(f"obstructing k not constant in z: {coeffs}")
         obstructing += len(misses)
         if size == 1:
             breakdown["constant"] += len(misses)
@@ -942,16 +943,12 @@ def transformed_model_mod11(model, matrix):
     """The model in new coordinates u = g v, everything reduced mod 11.
 
     With q_k(u) = u^T G_k u for the upper-triangular Gram matrix G_k, the new
-    quadric is v^T S v with S = g^T G_k g; folding S onto its upper triangle
-    (S_ii on the diagonal, S_ij + S_ji above it) gives its coefficients.
+    quadric is v^T S v with S = g^T G_k g.
     """
     g = np.array(matrix, dtype=np.int64) % 11
-    gram = np.array(_quadric_gram(model.quadric_vectors()), dtype=np.int64) % 11
-    s = np.einsum("ai,kab,bj->kij", g, gram, g)
-    folded = (np.triu(s) + np.tril(s, -1).transpose(0, 2, 1)) % 11
-    quadrics = tuple(
-        _quadric([int(f[i, j]) for i, j in U_QUADRIC_PAIRS]) for f in folded
-    )
+    gram = np.array(_quadric_gram(model.quadrics), dtype=np.int64) % 11
+    s = np.einsum("ai,kab,bj->kij", g, gram, g).tolist()
+    quadrics = [[c % 11 for c in vec] for vec in _form_vectors(s)]
     l1, l2 = (
         tuple(sum(matrix[i][j] * form[i] for i in range(6)) % 11 for j in range(6))
         for form in (model.l1, model.l2)

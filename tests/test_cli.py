@@ -1,12 +1,20 @@
 """Command line behavior, exercised in process through main()."""
 
+import contextlib
+import io
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dp5brauer import fibers, obstruction, verify
+from dp5brauer import fibers, model, obstruction, verify
 from dp5brauer.cli import main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
+
+# the zeta11plus model file (JSON drops the fixture extras)
+FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
 
 
 def run_cli(capsys, argv):
@@ -279,10 +287,77 @@ def test_internal_contradictions_exit_with_four(capsys, monkeypatch, error):
 def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch, m25):
     # kappa images have 1, 3 or 5 values; a two-value image must not pass silently
     monkeypatch.setattr(obstruction, "_kappa_image", lambda coeffs: {0, 1})
-    with pytest.raises(FiberInconsistencyError):
+    with pytest.raises(FiberInconsistencyError, match=r"kappa image size not in \{1, 3, 5\}"):
         obstruction.census_25(m25)
     code, out, err = run_cli(capsys, ["census", "--modulus", "25"])
     assert code == 4
     assert out == ""
-    assert err.startswith("error: ")
+    assert err.startswith("error: kappa image size not in {1, 3, 5}")
     assert "Traceback" not in err
+    # only forms constant in z obstruct; a three-value image for every form
+    # makes forms with a z term obstruct too
+    monkeypatch.setattr(obstruction, "_kappa_image", lambda coeffs: {0, 1, 2})
+    with pytest.raises(FiberInconsistencyError, match="obstructing k not constant in z"):
+        obstruction.census_25(m25)
+
+
+def _mutated_model(base, data):
+    """The JSON of ``base`` with one key dropped or one entry replaced by a
+    bool, float, string or huge integer."""
+    doc = json.loads(json.dumps(base))
+    kind = data.draw(st.sampled_from(["drop", "replace", "keep"]))
+    if kind == "keep":
+        return doc
+    key = data.draw(st.sampled_from(sorted(doc)))
+    if kind == "drop":
+        del doc[key]
+        return doc
+    bad = data.draw(
+        st.sampled_from([True, 2.5, "1", 10 ** 30, -(10 ** 30), None, [], {}])
+    )
+    if isinstance(doc[key], list):
+        holder, index = doc[key], data.draw(st.integers(0, len(doc[key]) - 1))
+        if isinstance(holder[index], list):
+            holder, index = holder[index], data.draw(st.integers(0, len(holder[index]) - 1))
+        holder[index] = bad
+    else:
+        doc[key] = bad
+    return doc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    prime=st.one_of(st.integers(-(10 ** 40), 10 ** 40), st.sampled_from((2, 3, 5, 7, 11, 13))),
+    data=st.data(),
+)
+def test_fiber_keeps_the_exit_code_contract(tmp_path_factory, prime, data):
+    selector = data.draw(st.sampled_from(["fixture:zeta11plus", "fixture:zeta25", "file"]))
+    if selector == "file":
+        path = tmp_path_factory.mktemp("fuzz") / "model.json"
+        path.write_text(json.dumps(_mutated_model(FUZZ_BASE, data)), encoding="utf-8")
+        selector = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(["fiber", "--model", selector, f"--prime={prime}"])
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize("prime", [0, 1, 4, -3, -11, 10 ** 40])
+def test_fiber_refuses_a_prime_outside_the_enumeration_range(capsys, prime):
+    code, out, err = run_cli(
+        capsys, ["fiber", "--model", "fixture:zeta11plus", f"--prime={prime}"]
+    )
+    assert code == 3
+    assert out == ""
+    assert "prime" in err
+
+
+def test_construct_certifies_irreducibility_quickly(capsys):
+    start = time.perf_counter()
+    code, _, _ = run_cli(capsys, ["construct", "--minpoly", "1,0,0,0,3,100000"])
+    assert code in (0, 3)
+    assert time.perf_counter() - start < 2

@@ -7,12 +7,18 @@ containment, Jacobian ranks) are the independent part.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp5brauer import fibers
-from dp5brauer.errors import DomainError, FiberInconsistencyError
+from dp5brauer.errors import (
+    ChartError,
+    DomainError,
+    EnumerationBoundError,
+    FiberInconsistencyError,
+)
 from dp5brauer.fibers import (
     classify_fiber,
     enumerate_fiber,
@@ -25,13 +31,12 @@ from dp5brauer.fibers import (
     verify_chart,
 )
 from dp5brauer.model import (
-    U_QUADRIC_MONOMIALS,
     U_QUADRIC_PAIRS,
-    U_VARS,
     DelPezzoModel,
     _has_solver_shape,
+    _pairs_vector,
+    _quadric_gram,
 )
-from dp5brauer.multipoly import MultiPoly
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
@@ -155,6 +160,49 @@ def test_chart_certificate_zeta25(m25):
     assert set(cert.off_chart_points) == set(cert.line_points)
 
 
+def test_chart_identity_is_a_polynomial_identity(m25):
+    # u3 u5 - u4^2 - u0 u1 restricts to y^5 - y on the chart: zero at every
+    # F_5-point, yet not the zero polynomial mod 5
+    quadrics = [list(q) for q in m25.quadrics]
+    for pair, c in (((3, 5), 1), ((4, 4), -1), ((0, 1), -1)):
+        quadrics[0][U_QUADRIC_PAIRS.index(pair)] += c
+    perturbed = DelPezzoModel(
+        m25.source, m25.spec, quadrics, m25.l1, m25.l2, ramified_prime=5, modulus=25
+    )
+    assert _has_solver_shape(perturbed.quadrics)
+    with pytest.raises(ChartError, match="chart identity") as excinfo:
+        verify_chart(perturbed)
+    assert str(excinfo.value) == "chart identity fails mod 5: residue (1)*y^5 + (4)*y"
+
+
+def test_chart_restriction_kills_a_quadric_combination():
+    # u1 u5 - u2 u4 - 11 u2 u5 - u3^2 + 11 u3 u4 - 44 u4^2 restricted to the
+    # chart collapses to -11 z^3 - 44 y^2 z^2, i.e. vanishes mod 11
+    q = _pairs_vector(
+        {(1, 5): 1, (2, 4): -1, (2, 5): -11, (3, 3): -1, (3, 4): 11, (4, 4): -44}
+    )
+    (restricted,) = fibers._on_chart(np.array(_quadric_gram([q])))
+    expected = np.zeros_like(restricted)
+    expected[0, 3], expected[2, 2] = -11, -44
+    assert (restricted == expected).all()
+    assert not (restricted % 11).any()
+
+
+def test_chart_restriction_commutes_with_evaluation(m11):
+    rng = random.Random(17)
+    vectors = [[rng.randint(-9, 9) for _ in U_QUADRIC_PAIRS] for _ in range(5)]
+    m = DelPezzoModel("random", m11.spec, vectors, m11.l1, m11.l2)
+    restricted = fibers._on_chart(np.array(_quadric_gram(m.quadrics)))
+    for _ in range(20):
+        y, z = rng.randint(-5, 5), rng.randint(-5, 5)
+        point = (1, y, z, y * y, y * z, y ** 3 + z * z)
+        values = tuple(
+            sum(int(r[b, c]) * y ** b * z ** c for (b, c), _ in np.ndenumerate(r))
+            for r in restricted
+        )
+        assert values == m.evaluate_quadrics(point)
+
+
 def test_chart_needs_a_fixture(m11):
     doc = m11.to_json_dict()
     from dp5brauer.model import DelPezzoModel
@@ -180,13 +228,13 @@ def test_point_normalization_is_canonical(m11):
 
 def scanned(m, p):
     """The chart scan, kept as the oracle of the solver."""
-    gram = fibers._gram_mod_p(m.quadric_vectors(), p)
+    gram = fibers._gram_mod_p(m.quadrics, p)
     return sorted(map(tuple, fibers._scan_fiber(gram, p).tolist()))
 
 
 def test_solver_equals_scan_up_to_31(m11, m25, built11):
     for m in (m11, m25, built11):
-        assert _has_solver_shape(m.quadric_vectors())
+        assert _has_solver_shape(m.quadrics)
         for p in PRIMES_TO_31:
             assert enumerate_fiber(m, p) == scanned(m, p), (m.source, p)
 
@@ -196,7 +244,7 @@ def test_structureless_model_goes_through_the_scan(m11):
     # fiber is the coordinate change of the fixture's fiber
     g = _random_invertible_mod11(random.Random(3))
     moved = transformed_model_mod11(m11, g)
-    assert not _has_solver_shape(moved.quadric_vectors())
+    assert not _has_solver_shape(moved.quadrics)
     fiber = enumerate_fiber(moved, 11)
     assert fiber == scanned(moved, 11)
     images = {
@@ -205,6 +253,9 @@ def test_structureless_model_goes_through_the_scan(m11):
     }
     assert len(fiber) == 133
     assert images == set(enumerate_fiber(m11, 11))
+    # the scan is refused above SCAN_BOUND, where it would take seconds
+    with pytest.raises(EnumerationBoundError, match="solver shape"):
+        enumerate_fiber(moved, 37)
 
 
 def _block_triangular(data, p):
@@ -226,22 +277,28 @@ def _block_triangular(data, p):
 
 
 def _substituted(m, g):
-    mapping = {
-        name: sum(
-            (MultiPoly.variable(U_VARS, U_VARS[j]) * g[i][j] for j in range(6) if g[i][j]),
-            MultiPoly.zero(U_VARS),
-        )
-        for i, name in enumerate(U_VARS)
-    }
-    quadrics = [q.substitute(mapping) for q in m.quadrics]
-    return DelPezzoModel("substituted", m.spec, quadrics, m.l1, m.l2)
+    """The quadrics of m in coordinates u = g v, read off pointwise.
+
+    Polarization holds in every characteristic: the coefficient of v_i^2 is
+    q(g e_i) and that of v_i v_j is q(g (e_i + e_j)) - q(g e_i) - q(g e_j).
+    The values come from ``evaluate_quadrics`` of m, not from a Gram array.
+    """
+
+    def q(*cols):
+        return m.evaluate_quadrics([sum(g[r][c] for c in cols) for r in range(6)])
+
+    coeffs = [
+        q(i) if i == j else [a - b - c for a, b, c in zip(q(i, j), q(i), q(j))]
+        for i, j in U_QUADRIC_PAIRS
+    ]
+    return DelPezzoModel("substituted", m.spec, list(zip(*coeffs)), m.l1, m.l2)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(p=st.sampled_from((2, 3, 5, 7, 11, 13)), data=st.data())
 def test_solver_equals_scan_after_block_triangular_changes(m11, p, data):
     moved = _substituted(m11, _block_triangular(data, p))
-    assert _has_solver_shape(moved.quadric_vectors())
+    assert _has_solver_shape(moved.quadrics)
     assert enumerate_fiber(moved, p) == scanned(moved, p)
 
 
@@ -256,8 +313,7 @@ def test_solver_equals_scan_on_random_shaped_quadrics(m11, p, data):
     ]
     coefficients = st.lists(st.integers(-2, 2), min_size=21, max_size=21)
     vectors = [[c * ok for c, ok in zip(data.draw(coefficients), row)] for row in allowed]
-    quadrics = [MultiPoly.from_coefficient_vector(U_VARS, U_QUADRIC_MONOMIALS, v) for v in vectors]
-    shaped = DelPezzoModel("random", m11.spec, quadrics, m11.l1, m11.l2)
+    shaped = DelPezzoModel("random", m11.spec, vectors, m11.l1, m11.l2)
     assert enumerate_fiber(shaped, p) == scanned(shaped, p)
 
 
@@ -301,4 +357,4 @@ def test_transformed_model_matches_the_substitution(m11, seed):
     g = _random_invertible_mod11(random.Random(seed))
     moved = transformed_model_mod11(m11, g)
     reference = _substituted(m11, g)
-    assert moved.quadrics == tuple(q.reduce_mod(11) for q in reference.quadrics)
+    assert moved.quadrics == tuple(tuple(c % 11 for c in q) for q in reference.quadrics)

@@ -1,5 +1,8 @@
 """Model fixtures and the construction pipeline."""
 
+import random
+
+import numpy as np
 import pytest
 
 from dp5brauer.errors import (
@@ -8,9 +11,15 @@ from dp5brauer.errors import (
     NotCyclicError,
     RationalityFailureError,
 )
-from dp5brauer.intlinalg import lattice_index, saturated_kernel
+from dp5brauer.intlinalg import IntMatrix, lattice_index, saturated_kernel
 from dp5brauer.model import (
+    DEG5_MONOMIALS,
+    DEG10_MONOMIALS,
+    U_QUADRIC_PAIRS,
     DelPezzoModel,
+    QuinticSystem,
+    _exponents,
+    _yz_product,
     build_model,
     double_vanishing_matrix,
     find_line_products,
@@ -70,6 +79,48 @@ def test_double_vanishing_kernel_has_rank_six(m11):
     kernel = saturated_kernel(double_vanishing_matrix(m11.spec))
     assert kernel is not None
     assert kernel.rows == 6
+
+
+def test_monomial_orders_are_pinned():
+    # descending lex within one degree: the model file and every vector rely on it
+    assert DEG5_MONOMIALS[:7] == (
+        (5, 0, 0), (4, 1, 0), (4, 0, 1), (3, 2, 0), (3, 1, 1), (3, 0, 2), (2, 3, 0)
+    )
+    assert DEG5_MONOMIALS[-1] == (0, 0, 5)
+    assert (len(DEG5_MONOMIALS), len(DEG10_MONOMIALS)) == (21, 66)
+    assert DEG10_MONOMIALS[:3] == ((10, 0, 0), (9, 1, 0), (9, 0, 1))
+    assert U_QUADRIC_PAIRS[:7] == ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 1))
+    assert U_QUADRIC_PAIRS[-3:] == ((4, 4), (4, 5), (5, 5))
+    assert len(U_QUADRIC_PAIRS) == 21
+    assert _exponents(1, 0) == ((0,),)
+
+
+def _random_yz(rng, shape):
+    return np.array(
+        [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])], dtype=object
+    )
+
+
+def _yz_value(f, y, z):
+    return sum(v * y ** b * z ** c for (b, c), v in np.ndenumerate(f))
+
+
+def test_dense_products_follow_the_ring_laws():
+    rng = random.Random(11)
+    for _ in range(30):
+        a, b = (_random_yz(rng, (rng.randint(1, 4), rng.randint(1, 4))) for _ in range(2))
+        c = _random_yz(rng, b.shape)
+        assert (_yz_product(a, b) == _yz_product(b, a)).all()
+        assert (_yz_product(a, b + c) == _yz_product(a, b) + _yz_product(a, c)).all()
+        y, z = rng.randint(-5, 5), rng.randint(-5, 5)
+        assert _yz_value(_yz_product(a, b), y, z) == _yz_value(a, y, z) * _yz_value(b, y, z)
+
+
+def test_double_vanishing_rejects_a_quintic_off_the_orbit(built11):
+    rows = [list(r) for r in built11.system.basis.entries]
+    rows[0][DEG5_MONOMIALS.index((5, 0, 0))] += 1
+    moved = QuinticSystem(built11.spec, IntMatrix(rows))
+    assert not moved.double_vanishing_holds()
 
 
 def test_build_model_reproduces_the_quintic_system(built11):

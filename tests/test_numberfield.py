@@ -76,6 +76,12 @@ def test_spec_rejects_bad_polynomials():
         QuinticFieldSpec((2, 0, 0, 0, 0, -2))
     with pytest.raises(DomainError):
         QuinticFieldSpec((1, 0, 0, 0, -1, 0))  # rational root 0
+    for reducible in (
+        (1, 0, 2, 1, 1, 1),  # (s^2 + 1)(s^3 + s + 1)
+        (1, -2, 0, 1, -1, -2),  # (s - 2)(s^4 + s + 1)
+    ):
+        with pytest.raises(DomainError, match="no prime below 500 certifies irreducibility"):
+            QuinticFieldSpec(reducible)
 
 
 def test_field_element_arithmetic():
