@@ -34,6 +34,7 @@ from .errors import (
 from .intlinalg import (
     IntMatrix,
     content,
+    hnf,
     primitive_part,
     saturated_kernel,
     solve_in_lattice,
@@ -205,6 +206,14 @@ class DelPezzoModel:
         for key, shape in shapes.items():
             if not _is_int_array(doc.get(key), shape):
                 raise UnknownModelError(f"model JSON needs {key!r} as integers of shape {shape}")
+        # fewer than five independent quadrics cut out more than a surface,
+        # whose fibers the solver and the line search would list point by point
+        echelon, _ = hnf(IntMatrix(doc["quadrics"]))
+        rank = sum(1 for row in echelon.entries if any(row))
+        if rank < 5:
+            raise UnknownModelError(
+                f"model quadrics have rank {rank} over Q, expected 5 independent quadrics"
+            )
         spec = QuinticFieldSpec(doc["minpoly"])
         return cls(doc["source"], spec, doc["quadrics"], doc["l1"], doc["l2"])
 

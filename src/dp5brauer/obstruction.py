@@ -605,7 +605,10 @@ def _digit_columns(indices, base, length):
 
 _FULL_MASK = 0b11111
 _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
-_CENSUS_CHUNK = 100_000
+# forms per block of the mask kernel; a block gathers two (block, points) uint32 arrays
+_CENSUS_CHUNK = 2_048
+# the 1,331 digit triples mod 11 as columns, triple t numbered t0 + 11*t1 + 121*t2
+_TRIPLES_11 = _digit_columns(np.arange(11 ** 3, dtype=np.int64), 11, 3)
 
 
 def _class_bits_11(invert):
@@ -634,6 +637,27 @@ def _route_points_11(model, route):
     return pts[units] * l1_inv[:, None] % 11, pts[ok & (l1v == 0)]
 
 
+def _one_hot_tables(points):
+    """The (1331, m) uint32 tables ``1 << (t . P mod 11)`` of the two digit halves.
+
+    Row t of the first table holds the one-hot value of t0*P0 + t1*P1 + t2*P2
+    at each row P of ``points``, row t of the second that of t0*P3 + t1*P4 +
+    t2*P5.
+    """
+    return tuple(
+        np.left_shift(np.uint32(1), (_TRIPLES_11.T @ points[:, half].T % 11).astype(np.uint32))
+        for half in (slice(0, 3), slice(3, 6))
+    )
+
+
+def _value_sets(tables, lo, hi):
+    """Bit v is set when h(P) = v mod 11 at some point, for the forms whose
+    digit halves are numbered ``lo`` and ``hi``."""
+    low, high = tables
+    sets = np.bitwise_or.reduce(low[lo] * high[hi], axis=1)
+    return (sets | sets >> 11) & 0x7FF
+
+
 def _image_masks_11(model, forms, route, shortcut=True):
     """Invariant-image bit masks of the columns of ``forms`` along one route.
 
@@ -652,6 +676,23 @@ def _image_masks_11(model, forms, route, shortcut=True):
     ``inv_image_11_smoothpath`` does.  ``shortcut=False`` skips the trigger
     and returns the evaluated mask alone.
 
+    Evaluation.  Write h(P) = a + b with a = h0*P0 + h1*P1 + h2*P2 and
+    b = h3*P3 + h4*P4 + h5*P5, both reduced mod 11.  Each half of a form is
+    one of 11^3 = 1,331 digit triples, so two (1331, m) tables hold the
+    one-hot values 1 << a and 1 << b at every point (``_one_hot_tables``).
+    For a block of forms the kernel gathers one row of each table per form
+    and multiplies: (1 << a) * (1 << b) = 2^(a + b), and a + b <= 20, so
+    the product is exact in uint32 and has the single bit a + b.  OR-ing
+    over the points gives the set of sums a + b, and the fold
+    (s | s >> 11) & 0x7FF moves bit a + b >= 11 down to a + b - 11, so bit
+    v of the folded set says that h(P) = v at some point.  A 2,048-entry
+    table maps each such set to the OR of the coset bits of 1/v over its
+    units v.  The trigger points go through the same tables: a trigger
+    fires when its folded set has a bit other than bit 0.  Every step is
+    an integer gather, product, OR or shift: a float product, as a BLAS
+    matrix product would use, could round a value and so a verdict, and no
+    (points, forms) array of values h(P) is ever formed.
+
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
     trigger points as h, and its unit values are lam times those of h.
@@ -665,14 +706,23 @@ def _image_masks_11(model, forms, route, shortcut=True):
     full.
     """
     values, triggers = _route_points_11(model, route)
-    inverse_bits = _class_bits_11(invert=True)
+    value_tables, trigger_tables = _one_hot_tables(values), _one_hot_tables(triggers)
+    # entry s: the coset bits of 1/v over the units v in the value set s
+    members = np.arange(1 << 11)[:, None] >> np.arange(11) & 1
+    coset_masks = np.bitwise_or.reduce(
+        np.where(members, _class_bits_11(invert=True), 0), axis=1
+    )
+    lo = forms[0] + 11 * forms[1] + 121 * forms[2]
+    hi = forms[3] + 11 * forms[4] + 121 * forms[5]
     masks = np.empty(forms.shape[1], dtype=np.int32)
-    for lo in range(0, forms.shape[1], _CENSUS_CHUNK):
-        part = forms[:, lo : lo + _CENSUS_CHUNK]
-        chunk = np.bitwise_or.reduce(inverse_bits[values @ part % 11], axis=0)
+    for start in range(0, forms.shape[1], _CENSUS_CHUNK):
+        block = slice(start, start + _CENSUS_CHUNK)
+        chunk = coset_masks[_value_sets(value_tables, lo[block], hi[block])]
         if shortcut:
-            chunk[(triggers @ part % 11 != 0).any(axis=0)] = _FULL_MASK
-        masks[lo : lo + _CENSUS_CHUNK] = chunk
+            # bits 1..10 of a value set are the unit values
+            fired = _value_sets(trigger_tables, lo[block], hi[block]) & 0x7FE
+            chunk[fired != 0] = _FULL_MASK
+        masks[block] = chunk
     return masks
 
 

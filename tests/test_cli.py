@@ -301,13 +301,26 @@ def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch,
         obstruction.census_25(m25)
 
 
-def _mutated_model(base, data):
-    """The JSON of ``base`` with one key dropped or one entry replaced by a
-    bool, float, string or huge integer."""
+def _dependent_quadrics(base, kind):
+    """The JSON of ``base`` with all five quadrics zero, or with its first
+    quadric in place of its second: quadrics of rank below 5."""
     doc = json.loads(json.dumps(base))
-    kind = data.draw(st.sampled_from(["drop", "replace", "keep"]))
+    if kind == "zero":
+        doc["quadrics"] = [[0] * 21 for _ in range(5)]
+    else:
+        doc["quadrics"][1] = list(doc["quadrics"][0])
+    return doc
+
+
+def _mutated_model(base, data):
+    """The JSON of ``base`` with one key dropped, one entry replaced by a
+    bool, float, string or huge integer, or dependent quadrics."""
+    doc = json.loads(json.dumps(base))
+    kind = data.draw(st.sampled_from(["drop", "replace", "keep", "zero", "repeat"]))
     if kind == "keep":
         return doc
+    if kind in ("zero", "repeat"):
+        return _dependent_quadrics(base, kind)
     key = data.draw(st.sampled_from(sorted(doc)))
     if kind == "drop":
         del doc[key]
@@ -331,19 +344,68 @@ def _mutated_model(base, data):
     data=st.data(),
 )
 def test_fiber_keeps_the_exit_code_contract(tmp_path_factory, prime, data):
+    selector = _fuzzed_model(tmp_path_factory, data)
+    _assert_exit_code_contract(["fiber", "--model", selector, f"--prime={prime}"])
+
+
+def _fuzzed_model(tmp_path_factory, data):
+    """A fixture selector or the path of a mutated zeta11plus model file."""
     selector = data.draw(st.sampled_from(["fixture:zeta11plus", "fixture:zeta25", "file"]))
     if selector == "file":
         path = tmp_path_factory.mktemp("fuzz") / "model.json"
         path.write_text(json.dumps(_mutated_model(FUZZ_BASE, data)), encoding="utf-8")
         selector = str(path)
+    return selector
+
+
+def _assert_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = main(["fiber", "--model", selector, f"--prime={prime}"])
+            code = main(argv)
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# --h values: six small or huge integers most of the time, else a list of
+# any length or any text
+H_TEXTS = st.one_of(
+    st.lists(st.integers(-12, 12), min_size=6, max_size=6),
+    st.lists(st.integers(-(10 ** 30), 10 ** 30), min_size=6, max_size=6),
+    st.lists(st.integers(-12, 12), max_size=9),
+).map(lambda cs: ",".join(map(str, cs))) | st.text(max_size=24)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from(["verdict", "invariants"]),
+    h=H_TEXTS,
+    modulus=st.one_of(st.none(), st.sampled_from((11, 25)), st.integers(-(10 ** 6), 10 ** 6)),
+    data=st.data(),
+)
+def test_verdict_and_invariants_keep_the_exit_code_contract(
+    tmp_path_factory, command, h, modulus, data
+):
+    argv = [command, "--model", _fuzzed_model(tmp_path_factory, data), f"--h={h}"]
+    if command == "invariants" and modulus is not None:
+        argv.append(f"--modulus={modulus}")
+    _assert_exit_code_contract(argv)
+
+
+@pytest.mark.parametrize("kind", ["zero", "repeat"])
+def test_dependent_quadrics_are_refused(capsys, tmp_path, kind):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_dependent_quadrics(FUZZ_BASE, kind)), encoding="utf-8")
+    for prime in (3, 5):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["fiber", "--model", str(path), "--prime", str(prime)])
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: model quadrics have rank {0 if kind == 'zero' else 4} over Q")
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("prime", [0, 1, 4, -3, -11, 10 ** 40])

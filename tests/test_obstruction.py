@@ -6,6 +6,7 @@ lifts mod 25); the agreement tests here are the package's strongest
 correctness evidence.
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -37,10 +38,15 @@ from dp5brauer.obstruction import (
     _image_masks_11,
     _random_invertible_mod11,
     _representatives_11,
+    _route_points_11,
     _scalings_11,
 )
 
 HEADLINE_H = (0, 1, 0, -6, 0, 0)
+# SHA-256 of the uint8 masks of the 177,156 projective representatives on
+# zeta11plus, recorded from the kernel that formed every value h(P) as an
+# int32 product; the two routes agree, so both hashes are this one
+REPRESENTATIVE_MASKS_SHA256 = "dd0e55f3e8df662473ff90bde0f53e250ecba02b700d43e3689fe29a95fca569"
 OBSTRUCTED_25_H = (2, -15, 0, 10, 0, 0)
 
 
@@ -392,6 +398,79 @@ def test_mask_kernel_is_scaling_equivariant(m11):
         assert 0 < (base != 31).sum() < len(pairs)
         for (h, lam), b, s in zip(pairs, base, scaled):
             assert s == _permuted_mask(group, int(b), lam), (route, h, lam)
+
+
+def _direct_mask(points, triggers, h, shortcut):
+    """The image mask of one form, point by point: full when h is a unit at
+    a trigger point, else the coset bits of 1/h(P) over the unit values."""
+    group = fifth_power_classes(11)
+    if shortcut and any(sum(c * x for c, x in zip(h, t)) % 11 for t in triggers):
+        return 31
+    mask = 0
+    for pt in points:
+        v = sum(c * x for c, x in zip(h, pt)) % 11
+        if v:
+            mask |= 1 << group.class_index(pow(v, -1, 11))
+    return mask
+
+
+def _folds_high(points, h):
+    # some unit value of h is reached only through a digit sum a + b >= 11
+    low, high = set(), set()
+    for pt in points:
+        a = sum(c * x for c, x in zip(h[:3], pt[:3])) % 11
+        b = sum(c * x for c, x in zip(h[3:], pt[3:])) % 11
+        (high if a + b >= 11 else low).add((a + b) % 11)
+    return bool(high - low - {0})
+
+
+def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
+    rng = random.Random(513)
+    matrix = _random_invertible_mod11(rng)
+    moved = transformed_model_mod11(m11, matrix)
+    forms = []
+    while len(forms) < 320:
+        h = [rng.randrange(11) for _ in range(6)]
+        if len(forms) % 2:
+            h[2] = h[4] = h[5] = 0  # z-free forms have partial images
+        if any(h):
+            forms.append(h)
+    assert sum(h[5] != 0 for h in forms) > 100
+    # the form h reads h * matrix in the moved coordinates
+    moved_forms = (np.array(forms) @ np.array(matrix) % 11).tolist()
+    route_points = obstruction._route_points_11
+
+    def cut_chart(model, route):
+        # with 12 value points the trigger decides masks that evaluation leaves partial
+        values, triggers = route_points(model, route)
+        return values[:12], triggers
+
+    for model, route, forms in (
+        (m11, "chart", forms),
+        (m11, "smooth", forms),
+        (moved, "smooth", moved_forms),
+        (m11, "cut chart", forms),
+    ):
+        if route == "cut chart":
+            route = "chart"
+            monkeypatch.setattr(obstruction, "_route_points_11", cut_chart)
+        cols = np.array(forms, dtype=np.int32).T
+        values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
+        assert sum(_folds_high(values, h) for h in forms) > 20
+        masks = {}
+        for shortcut in (True, False):
+            masks[shortcut] = _image_masks_11(model, cols, route, shortcut=shortcut).tolist()
+            expected = [_direct_mask(values, triggers, h, shortcut) for h in forms]
+            assert masks[shortcut] == expected, (route, shortcut)
+            assert 0 < expected.count(31) < len(forms)
+        assert (masks[True] != masks[False]) == (len(values) == 12)
+
+
+def test_representative_masks_are_pinned(m11):
+    reps = _representatives_11()
+    for route in ("chart", "smooth"):
+        masks = _image_masks_11(m11, reps, route).astype(np.uint8)
+        assert hashlib.sha256(masks.tobytes()).hexdigest() == REPRESENTATIVE_MASKS_SHA256, route
 
 
 def test_representatives_times_units_cover_every_form_once():
