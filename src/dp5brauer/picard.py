@@ -9,6 +9,7 @@ data, not written down by hand.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -27,21 +28,14 @@ def minus_one_classes(bound=3):
     """All classes D with D.D = D.K = -1 and coordinates in [-bound, bound].
 
     The default window is known to be exhaustive; widening it is a test,
-    not a runtime need.
+    not a runtime need.  D.K = -3a - b - c - d - e for D = (a, b, c, d, e),
+    so D.K = -1 fixes e = 1 - 3a - b - c - d and only the first four
+    coordinates are searched; ``product`` walks them in lexicographic order,
+    so the list comes out sorted.
     """
-    found = []
     box = range(-bound, bound + 1)
-    stack = [()]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == RANK:
-            if pairing(prefix, prefix) == -1 and pairing(prefix, CANONICAL_CLASS) == -1:
-                found.append(tuple(prefix))
-            continue
-        for c in box:
-            stack.append(prefix + (c,))
-    found.sort()
-    return found
+    candidates = ((a, b, c, d, 1 - 3 * a - b - c - d) for a, b, c, d in product(box, repeat=4))
+    return [v for v in candidates if abs(v[4]) <= bound and pairing(v, v) == -1]
 
 
 def class_label(vector):

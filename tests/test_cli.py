@@ -394,6 +394,26 @@ def test_verdict_and_invariants_keep_the_exit_code_contract(
     _assert_exit_code_contract(argv)
 
 
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    modulus=st.sampled_from((11, 25)),
+    jobs=st.one_of(st.none(), st.integers(-3, 3)),
+    data=st.data(),
+)
+def test_census_keeps_the_exit_code_contract(tmp_path_factory, modulus, jobs, data):
+    argv = ["census", "--model", _fuzzed_model(tmp_path_factory, data), f"--modulus={modulus}"]
+    if jobs is not None:
+        argv.append(f"--jobs={jobs}")
+    _assert_exit_code_contract(argv)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=H_TEXTS, data=st.data())
+def test_solubility_keeps_the_exit_code_contract(tmp_path_factory, h, data):
+    argv = ["solubility", "--model", _fuzzed_model(tmp_path_factory, data), f"--h={h}"]
+    _assert_exit_code_contract(argv)
+
+
 @pytest.mark.parametrize("kind", ["zero", "repeat"])
 def test_dependent_quadrics_are_refused(capsys, tmp_path, kind):
     path = tmp_path / "model.json"

@@ -8,6 +8,7 @@ correctness evidence.
 
 import hashlib
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -192,6 +193,49 @@ def test_liftpath_agrees_on_full_images(m25):
         assert formula.full and lifted.full, h
 
 
+def _python_lift_values(points, h):
+    # the pre-array definition: one Python sum per lift
+    values = set()
+    for pt in points:
+        hv = sum(c * x for c, x in zip(h, pt)) % 25
+        if hv % 5:
+            values.add(hv)
+    return values
+
+
+def test_lift_array_values_match_a_python_sum(m25):
+    lifts = obstruction._chart_lift_points(m25)
+    assert lifts.shape == (625, 6) and lifts.dtype == np.int64
+    assert not lifts.flags.writeable
+    points = [tuple(int(c) for c in pt) for pt in lifts]
+    assert len(set(points)) == 625
+    for k, pt in enumerate(points):
+        assert tuple(c % 5 for c in pt) == obstruction._CHART_POINTS_5[k // 25]
+        assert not any(v % 25 for v in m25.evaluate_quadrics(pt))
+    group = fifth_power_classes(25)
+    rng = random.Random(300)
+    checked = 0
+    while checked < 300:
+        h = tuple(rng.randrange(-40, 40) for _ in range(6))
+        if checked % 2:
+            h = (h[0],) + tuple(5 * c for c in h[1:])  # proportional to u0 mod 5
+        if not any(c % 5 for c in h):
+            continue
+        checked += 1
+        values = _python_lift_values(points, tuple(c % 25 for c in h))
+        image = inv_image_25_liftpath(m25, h)
+        assert image.values == tuple(sorted(values)), h
+        assert set(image.classes) == {group.class_of(pow(v, -1, 25)) for v in values}, h
+
+
+def test_kappa_image_matches_a_python_sum():
+    for coeffs in product(range(5), repeat=5):
+        expected = {
+            sum(c * x for c, x in zip(coeffs, pt[1:])) % 5 for pt in obstruction._CHART_POINTS_5
+        }
+        assert obstruction._kappa_image(coeffs) == expected, coeffs
+
+
 def test_image_size_law_mod_25(m25):
     # sizes are 1, 3, or 5; full exactly off the u0-proportional locus
     rng = random.Random(2507)
@@ -348,6 +392,22 @@ def test_census_25_sampled_brute_force_agrees(m25):
     assert result["obstructing"] == 176
 
 
+def test_census_25_with_the_audit_sample_is_pinned(m25):
+    # the claim table's call; recorded before the lift values became one array product
+    result = census_25(m25, sample_check=200, seed=2026)
+    del result["wall_time_ms"]
+    assert result == {
+        "model": "zeta25",
+        "modulus": 25,
+        "total": 244125000,
+        "obstructing": 176,
+        "breakdown": {"constant": 16, "image_size_3": 160},
+        "kappa_image_sizes": {1: 1, 3: 20, 5: 3104},
+        "sampled_full_agreement": 200,
+        "workers": 1,
+    }
+
+
 def test_tangent_surjectivity(m25):
     result = tangent_surjectivity_check(m25)
     assert result["directions"] == 15620
@@ -464,6 +524,20 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
             assert masks[shortcut] == expected, (route, shortcut)
             assert 0 < expected.count(31) < len(forms)
         assert (masks[True] != masks[False]) == (len(values) == 12)
+
+
+def test_triggers_decide_before_values(m11):
+    # a fired trigger gives the full mask whatever the values, so evaluating
+    # only the unfired forms must change no mask
+    reps = _representatives_11()
+    moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(8)))
+    for model, route in ((m11, "chart"), (m11, "smooth"), (moved, "smooth")):
+        triggers = _route_points_11(model, route)[1]
+        fired = (reps.T @ triggers.T % 11 != 0).any(axis=1)
+        assert 0 < fired.sum() < reps.shape[1]
+        evaluated = _image_masks_11(model, reps, route, shortcut=False)
+        masks = _image_masks_11(model, reps, route)
+        assert np.array_equal(masks, np.where(fired, 31, evaluated)), route
 
 
 def test_representative_masks_are_pinned(m11):

@@ -1,5 +1,7 @@
 """The lattice side: ten classes, their graph, the order-5 action, H^1."""
 
+from itertools import product
+
 import pytest
 
 from dp5brauer.errors import DomainError
@@ -33,6 +35,17 @@ def test_exactly_ten_minus_one_classes():
         assert pairing(v, CANONICAL_CLASS) == -1
     # widening the search window finds nothing new
     assert minus_one_classes(bound=5) == classes
+
+
+def test_minus_one_classes_match_a_search_of_the_whole_box():
+    for bound in (2, 3):
+        box = range(-bound, bound + 1)
+        expected = sorted(
+            v
+            for v in product(box, repeat=5)
+            if pairing(v, v) == -1 and pairing(v, CANONICAL_CLASS) == -1
+        )
+        assert minus_one_classes(bound) == expected
 
 
 def test_class_labels():
