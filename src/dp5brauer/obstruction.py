@@ -602,11 +602,11 @@ CENSUS_11_TOTAL = 11 ** 6 - 1
 
 
 def _digit_columns(indices, base, length):
+    # every caller numbers at most 11^6 forms, so the indices fit in int32
     cols = np.empty((length, indices.size), dtype=np.int32)
-    tmp = indices.copy()
+    tmp = indices.astype(np.int32)
     for i in range(length):
-        cols[i] = tmp % base
-        tmp //= base
+        np.divmod(tmp, base, out=(tmp, cols[i]))
     return cols
 
 
@@ -1045,23 +1045,18 @@ def census_invariance_check(model=None, transforms=3, seed=11):
     """The obstruction count must survive random changes of coordinates.
 
     Applies invertible mod-11 substitutions to the quadrics and both split
-    forms simultaneously and recounts with the smooth-point census of
-    ``census_11_smoothpath``, which never looks at the chart, over one set
-    of representatives.  All counts must agree with the base count.
+    forms simultaneously and recounts with the smooth-point census, which
+    never looks at the chart.  All counts must agree with the base count.
     """
     if model is None:
         model = fixture("zeta11plus")
-    reps = _representatives_11()
-
-    def count(m):
-        return int(_obstructing_scalings(_image_masks_11(m, reps, "smooth")).sum())
-
-    base = count(model)
+    base = census_11_smoothpath(model)["obstructing"]
     rng = random.Random(seed)
     counts = []
     for _ in range(transforms):
         matrix = _random_invertible_mod11(rng)
-        counts.append(count(transformed_model_mod11(model, matrix)))
+        moved = transformed_model_mod11(model, matrix)
+        counts.append(census_11_smoothpath(moved)["obstructing"])
     return {
         "base_count": base,
         "transform_counts": tuple(counts),

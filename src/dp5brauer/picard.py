@@ -28,14 +28,19 @@ def minus_one_classes(bound=3):
     """All classes D with D.D = D.K = -1 and coordinates in [-bound, bound].
 
     The default window is known to be exhaustive; widening it is a test,
-    not a runtime need.  D.K = -3a - b - c - d - e for D = (a, b, c, d, e),
-    so D.K = -1 fixes e = 1 - 3a - b - c - d and only the first four
-    coordinates are searched; ``product`` walks them in lexicographic order,
-    so the list comes out sorted.
+    not a runtime need.  D.K is affine in the last coordinate e, with slope
+    FORM[-1] * K[-1], so D.K = -1 fixes e from the first four coordinates
+    and only those are searched; ``product`` walks them in lexicographic
+    order, so the list comes out sorted.
     """
-    box = range(-bound, bound + 1)
-    candidates = ((a, b, c, d, 1 - 3 * a - b - c - d) for a, b, c, d in product(box, repeat=4))
-    return [v for v in candidates if abs(v[4]) <= bound and pairing(v, v) == -1]
+    slope = FORM[-1] * CANONICAL_CLASS[-1]
+    found = []
+    for head in product(range(-bound, bound + 1), repeat=RANK - 1):
+        e, rest = divmod(-1 - pairing(head, CANONICAL_CLASS), slope)
+        vector = head + (e,)
+        if not rest and abs(e) <= bound and pairing(vector, vector) == -1:
+            found.append(vector)
+    return found
 
 
 def class_label(vector):

@@ -378,9 +378,9 @@ H_TEXTS = st.one_of(
 ).map(lambda cs: ",".join(map(str, cs))) | st.text(max_size=24)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=90, deadline=None, derandomize=True)
 @given(
-    command=st.sampled_from(["verdict", "invariants"]),
+    command=st.sampled_from(["verdict", "invariants", "solubility"]),
     h=H_TEXTS,
     modulus=st.one_of(st.none(), st.sampled_from((11, 25)), st.integers(-(10 ** 6), 10 ** 6)),
     data=st.data(),
@@ -404,13 +404,6 @@ def test_census_keeps_the_exit_code_contract(tmp_path_factory, modulus, jobs, da
     argv = ["census", "--model", _fuzzed_model(tmp_path_factory, data), f"--modulus={modulus}"]
     if jobs is not None:
         argv.append(f"--jobs={jobs}")
-    _assert_exit_code_contract(argv)
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(h=H_TEXTS, data=st.data())
-def test_solubility_keeps_the_exit_code_contract(tmp_path_factory, h, data):
-    argv = ["solubility", "--model", _fuzzed_model(tmp_path_factory, data), f"--h={h}"]
     _assert_exit_code_contract(argv)
 
 
