@@ -1,10 +1,13 @@
 """Cyclic quintic number fields given by an explicit monic minimal polynomial.
 
-Elements are stored on the power basis 1, a, a^2, a^3, a^4 with Fraction
-coordinates.  Conjugates of the generator are certified, not assumed: they
-are found by Frobenius lifting at an inert prime, reconstructed over Q, and
-then verified exactly, so a wrong input polynomial cannot produce a silently
-wrong Galois action.
+Elements are stored on the power basis 1, a, a^2, a^3, a^4 as five integer
+numerators over one positive common denominator, in lowest terms
+(gcd(den, *num) == 1), so element arithmetic is integer arithmetic.
+Conjugates of the generator are certified, not assumed: they are found by
+Frobenius lifting at an inert prime, reconstructed over Q, and then verified
+exactly, so a wrong input polynomial cannot produce a silently wrong Galois
+action.  A non-cyclic field whose discriminant is a square is refuted by a
+Frobenius whose cycle type C_5 does not contain.
 
 All polynomial division is one routine, ``_poly_divmod``: division by a
 monic polynomial over Z, Q or Z/m.  Every divisor here is monic or made so
@@ -16,7 +19,7 @@ monic f is the norm (-1)^(n(n-1)/2) N(f'(a)), a determinant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import DomainError, NotCyclicError
 from .intlinalg import IntMatrix, det
@@ -205,36 +208,52 @@ class QuinticFieldSpec:
 
 
 class NumberFieldElement:
-    """Element of Q(a) on the power basis, coordinates as Fractions."""
+    """Element of Q(a) on the power basis 1, a, .., a^4.
 
-    __slots__ = ("spec", "coords")
+    Stored as five integer numerators ``num`` over one common denominator
+    ``den``, kept canonical: den > 0 and gcd(den, *num) == 1, with zero as
+    0/1.  Equal elements therefore have equal (num, den), so equality and
+    hashing read the pair directly.  Sums cross-multiply the denominators,
+    products multiply the numerators and reduce them by the monic minimal
+    polynomial, which keeps them integral; each result is brought to lowest
+    terms by one gcd.  ``coords`` gives the same element as five Fractions.
+    """
+
+    __slots__ = ("spec", "num", "den")
 
     def __init__(self, spec, coords):
         if len(coords) != DEGREE:
             raise ValueError("need 5 coordinates")
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "coords", tuple(Fraction(c) for c in coords))
+        fractions = [Fraction(c) for c in coords]
+        den = lcm(*(f.denominator for f in fractions))
+        _set_reduced(self, spec, [f.numerator * (den // f.denominator) for f in fractions], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("NumberFieldElement is immutable")
+
+    @property
+    def coords(self):
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     def _coerce(self, other):
         if isinstance(other, NumberFieldElement):
             if other.spec != self.spec:
                 raise ValueError("elements of different fields")
             return other
-        return NumberFieldElement(self.spec, (Fraction(other), 0, 0, 0, 0))
+        value = Fraction(other)
+        return _element(self.spec, [value.numerator, 0, 0, 0, 0], value.denominator)
 
     def __add__(self, other):
         other = self._coerce(other)
-        return NumberFieldElement(
-            self.spec, tuple(a + b for a, b in zip(self.coords, other.coords))
+        da, db = self.den, other.den
+        return _element(
+            self.spec, [a * db + b * da for a, b in zip(self.num, other.num)], da * db
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberFieldElement(self.spec, tuple(-a for a in self.coords))
+        return _element(self.spec, [-a for a in self.num], self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -243,18 +262,14 @@ class NumberFieldElement:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if not isinstance(other, NumberFieldElement):
-            other = self._coerce(other)
-        elif other.spec != self.spec:
-            raise ValueError("elements of different fields")
-        prod = _poly_mul(self.coords, other.coords)
-        rem = _poly_divmod(prod, self.spec.ascending())[1]
-        return NumberFieldElement(self.spec, rem + [0] * (DEGREE - len(rem)))
+        other = self._coerce(other)
+        rem = _poly_divmod(_poly_mul(self.num, other.num), self.spec.ascending())[1]
+        return _element(self.spec, rem + [0] * (DEGREE - len(rem)), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Extended Euclid against the minimal polynomial m.
+        """Extended Euclid against the minimal polynomial m, over Q.
 
         Each remainder is scaled to be monic, together with its cofactor, so
         the invariant r = t * self (mod m) holds throughout.  The last nonzero
@@ -294,29 +309,45 @@ class NumberFieldElement:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, NumberFieldElement):
-            return self.spec == other.spec and self.coords == other.coords
         try:
-            return self.coords == self._coerce(other).coords
+            other = self._coerce(other)
         except (TypeError, ValueError):
             return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.spec, self.coords))
+        return hash((self.spec, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def is_rational(self):
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def rational_value(self):
         if not self.is_rational():
             raise DomainError("element is not rational")
-        return self.coords[0]
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"NumberFieldElement({[str(c) for c in self.coords]})"
+
+
+def _set_reduced(element, spec, num, den):
+    """Fill the slots of ``element`` with num/den in lowest terms (den > 0)."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [c // g for c in num]
+        den //= g
+    object.__setattr__(element, "spec", spec)
+    object.__setattr__(element, "num", tuple(num))
+    object.__setattr__(element, "den", den)
+
+
+def _element(spec, num, den):
+    element = object.__new__(NumberFieldElement)
+    _set_reduced(element, spec, num, den)
+    return element
 
 
 def evaluate_poly(coeffs_asc, element):
@@ -360,6 +391,19 @@ def real_cyclotomic_minpoly(ell):
 def zeta11_plus_field():
     """Quintic field of the real subfield at conductor 11, derived on the spot."""
     return QuinticFieldSpec(real_cyclotomic_minpoly(11))
+
+
+def lehmer_quintic(n):
+    """E. Lehmer's simplest quintic for the integer n, leading coefficient
+    first; cyclic for every n, and n = -1 gives the zeta11plus polynomial."""
+    return (
+        1,
+        n * n,
+        -(2 * n ** 3 + 6 * n * n + 10 * n + 10),
+        n ** 4 + 5 * n ** 3 + 11 * n * n + 15 * n + 5,
+        n ** 3 + 4 * n * n + 10 * n + 10,
+        1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +502,12 @@ def galois_conjugates(spec):
 
     Ordering is by composition: with s the returned first conjugate map,
     entry j is s applied j+1 times to the generator.  Raises NotCyclicError
-    when the field cannot be cyclic (non-square discriminant) or when no
+    when the field cannot be cyclic (non-square discriminant, or a Frobenius
+    outside C_5 once the first precision fails to certify) or when no
     conjugate survives exact verification below the precision cap.
     """
-    m_desc = list(spec.coefficients)
-    if not _is_square(discriminant(m_desc)):
+    disc = discriminant(list(spec.coefficients))
+    if not _is_square(disc):
         # cyclic implies Galois group inside the alternating group
         raise NotCyclicError("discriminant is not a square")
     m_asc = spec.ascending()
@@ -497,20 +542,46 @@ def galois_conjugates(spec):
             verified = _verify_conjugates(spec, candidates)
             if verified is not None:
                 return verified
+        if k == 32:
+            # every cyclic field tried (zeta25, Lehmer n = -10..10) certifies
+            # at the first precision; the walk costs about a whole build, so
+            # it runs only before the precision doubles
+            _refute_by_frobenius(m_asc, disc)
         k *= 2
     raise NotCyclicError("no rational conjugates found below the precision cap")
+
+
+def _refute_by_frobenius(m_asc, disc, stop=500):
+    """Raise NotCyclicError at a prime p <= stop whose Frobenius is not in C_5.
+
+    At a prime p not dividing disc, m is squarefree mod p and the degrees of
+    its irreducible factors are the cycle lengths of Frobenius on the roots.
+    Every element of the cyclic group C_5 has cycle type 1^5 or 5, so m must
+    either split into five distinct linear factors mod p, i.e. m divides
+    s^p - s, or be irreducible mod p.  A D_5 or A_5 field fails this at a
+    small prime; a cyclic field never fails it, so the check can only
+    refute, never certify.
+    """
+    s = [0, 1]
+    for p in range(2, stop + 1):
+        if not _is_prime(p) or disc % p == 0:
+            continue
+        mp = _fp_normalize(m_asc, p)
+        if _fpq_pow(s, p, mp, p) == s or _is_irreducible_mod_p(mp, p):
+            continue
+        raise NotCyclicError(
+            f"not cyclic: Frobenius at p = {p} is neither the identity nor a 5-cycle"
+        )
 
 
 def _verify_conjugates(spec, candidates):
     m_asc = spec.ascending()
     alpha = spec.generator()
-    seen = {alpha.coords}
+    seen = {alpha}
     for beta in candidates:
-        if evaluate_poly(m_asc, beta):
+        if evaluate_poly(m_asc, beta) or beta in seen:
             return None
-        if beta.coords in seen:
-            return None
-        seen.add(beta.coords)
+        seen.add(beta)
     # composition consistency: iterating the first map must walk the list
     sigma_alpha = candidates[0]
     walk = alpha

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dp5brauer import fibers, model, obstruction, verify
 from dp5brauer.cli import main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
+from dp5brauer.numberfield import lehmer_quintic
 
 # the zeta11plus model file (JSON drops the fixture extras)
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
@@ -367,6 +368,7 @@ def _assert_exit_code_contract(argv):
             code = exc.code
     assert code in (0, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    return code
 
 
 # --h values: six small or huge integers most of the time, else a list of
@@ -436,3 +438,38 @@ def test_construct_certifies_irreducibility_quickly(capsys):
     code, _, _ = run_cli(capsys, ["construct", "--minpoly", "1,0,0,0,3,100000"])
     assert code in (0, 3)
     assert time.perf_counter() - start < 2
+
+
+# D_5 and A_5 quintics whose discriminants are squares
+SQUARE_DISCRIMINANT_NON_CYCLIC = ["1,0,0,0,-5,12", "1,0,0,0,20,16"]
+
+
+@pytest.mark.parametrize("minpoly", SQUARE_DISCRIMINANT_NON_CYCLIC)
+def test_construct_refutes_a_square_discriminant_non_cyclic_input_quickly(capsys, minpoly):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["construct", f"--minpoly={minpoly}"])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (3, "")
+    assert "not cyclic: Frobenius at p = " in err
+
+
+# --minpoly values: six coefficients, monic or not, Lehmer's cyclic quintics,
+# the two square-discriminant non-cyclic ones, or a list of the wrong length
+def _csv(coefficients):
+    return ",".join(map(str, coefficients))
+
+
+MINPOLY_TEXTS = st.one_of(
+    st.lists(st.integers(-40, 40), min_size=6, max_size=6).map(_csv),
+    st.lists(st.integers(-40, 40), min_size=5, max_size=5).map(lambda cs: _csv([1] + cs)),
+    st.integers(-6, 6).map(lambda n: _csv(lehmer_quintic(n))),
+    st.sampled_from(SQUARE_DISCRIMINANT_NON_CYCLIC),
+    st.lists(st.integers(-40, 40), max_size=9).filter(lambda cs: len(cs) != 6).map(_csv),
+    st.text(max_size=24),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(minpoly=MINPOLY_TEXTS)
+def test_construct_keeps_the_exit_code_contract(minpoly):
+    assert _assert_exit_code_contract(["construct", f"--minpoly={minpoly}"]) != 4

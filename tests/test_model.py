@@ -1,5 +1,7 @@
 """Model fixtures and the construction pipeline."""
 
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -26,7 +28,12 @@ from dp5brauer.model import (
     fixture,
     search_integral_points,
 )
-from dp5brauer.numberfield import QuinticFieldSpec, galois_conjugates
+from dp5brauer.numberfield import (
+    QuinticFieldSpec,
+    galois_conjugates,
+    lehmer_quintic,
+    zeta11_plus_field,
+)
 
 L1_STORED = (1, 22, -363, 165, -1859, 484)
 L2_STORED = (1, 22, -352, 143, -1595, 363)
@@ -159,6 +166,24 @@ def test_built_line_products_are_pinned(built11):
 def test_built_line_products_of_lehmer_quintics(minpoly, l1, l2):
     built = build_model(QuinticFieldSpec(minpoly))
     assert (built.l1, built.l2) == (l1, l2)
+
+
+# SHA-256 over the model document and the str of every conjugate coordinate
+# of zeta11plus and Lehmer's quintics n = -4..5, recorded with the earlier
+# Fraction-coordinate field arithmetic: a change of element representation
+# must leave every built model and conjugate as it was
+CONSTRUCTION_SHA256 = "83795d6d1ff99af4c0a22088d08126f6fdc6713478b316471840f17bd962b768"
+
+
+def test_construction_is_pinned():
+    assert lehmer_quintic(-1) == zeta11_plus_field().coefficients
+    digest = hashlib.sha256()
+    for minpoly in [zeta11_plus_field().coefficients] + [lehmer_quintic(n) for n in range(-4, 6)]:
+        spec = QuinticFieldSpec(minpoly)
+        doc = build_model(spec).to_json_dict()
+        conjugates = [[str(c) for c in beta.coords] for beta in galois_conjugates(spec)]
+        digest.update(json.dumps({"model": doc, "conjugates": conjugates}, sort_keys=True).encode())
+    assert digest.hexdigest() == CONSTRUCTION_SHA256
 
 
 def test_conjugates_out_of_walk_order_are_not_rational(built11):

@@ -1,17 +1,21 @@
 """Quintic field arithmetic and the cyclic-Galois certificate."""
 
 import random
+import time
 from fractions import Fraction
+from math import gcd, isqrt
 
 import pytest
 
 from dp5brauer.errors import DomainError, NotCyclicError
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
+    _refute_by_frobenius,
     apply_embedding,
     discriminant,
     evaluate_poly,
     galois_conjugates,
+    lehmer_quintic,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
@@ -26,18 +30,6 @@ REAL_CYCLOTOMIC_MINPOLYS = {
     13: (1, 1, -5, -4, 6, 3, -1),
     17: (1, 1, -7, -6, 15, 10, -10, -4, 1),
 }
-
-
-def lehmer_quintic(n):
-    """E. Lehmer's simplest quintic, leading coefficient first; n = -1 is zeta11plus."""
-    return (
-        1,
-        n * n,
-        -(2 * n ** 3 + 6 * n * n + 10 * n + 10),
-        n ** 4 + 5 * n ** 3 + 11 * n * n + 15 * n + 5,
-        n ** 3 + 4 * n * n + 10 * n + 10,
-        1,
-    )
 
 
 CYCLIC_QUINTICS = {"zeta25": ZETA25_MINPOLY}
@@ -132,6 +124,8 @@ def test_conjugation_by_alpha_squared_minus_two_has_order_five():
 @pytest.mark.parametrize("name", list(CYCLIC_QUINTICS))
 def test_conjugates_are_four_distinct_roots_of_an_order_five_map(name):
     spec = QuinticFieldSpec(CYCLIC_QUINTICS[name])
+    # every Frobenius of a cyclic field is the identity or a 5-cycle
+    _refute_by_frobenius(spec.ascending(), discriminant(spec.coefficients))
     conjugates = galois_conjugates(spec)
     assert len(conjugates) == 4
     asc = spec.ascending()
@@ -152,6 +146,23 @@ def test_non_cyclic_field_is_rejected():
         galois_conjugates(QuinticFieldSpec((1, 0, 0, 0, 0, -2)))
 
 
+# Galois groups D_5 and A_5: square discriminants, so only a Frobenius of
+# the wrong cycle type tells them from a cyclic field
+SQUARE_DISCRIMINANT_NON_CYCLIC = {"D5": (1, 0, 0, 0, -5, 12), "A5": (1, 0, 0, 0, 20, 16)}
+
+
+@pytest.mark.parametrize("name", list(SQUARE_DISCRIMINANT_NON_CYCLIC))
+def test_square_discriminant_non_cyclic_fields_are_refuted(name):
+    minpoly = SQUARE_DISCRIMINANT_NON_CYCLIC[name]
+    disc = discriminant(minpoly)
+    assert isqrt(disc) ** 2 == disc
+    spec = QuinticFieldSpec(minpoly)
+    start = time.perf_counter()
+    with pytest.raises(NotCyclicError, match="Frobenius at p = "):
+        galois_conjugates(spec)
+    assert time.perf_counter() - start < 1
+
+
 def test_embeddings_respect_arithmetic():
     spec = zeta11_plus_field()
     alpha = spec.generator()
@@ -166,3 +177,70 @@ def test_embeddings_respect_arithmetic():
         assert apply_embedding(a + b, sigma_alpha) == apply_embedding(
             a, sigma_alpha
         ) + apply_embedding(b, sigma_alpha)
+
+
+def _oracle_mul(spec, x, y):
+    """The former tuple-of-Fractions product: schoolbook, then reduce top-down
+    by the monic minimal polynomial."""
+    prod = [Fraction(0)] * 9
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    m_asc = spec.ascending()
+    for top in range(8, 4, -1):
+        lead, prod[top] = prod[top], Fraction(0)
+        for i in range(5):
+            prod[top - 5 + i] -= lead * m_asc[i]
+    return tuple(prod[:5])
+
+
+ORACLE_FIELDS = {
+    "zeta11plus": (1, 1, -4, -3, 3, 1),
+    "zeta25": ZETA25_MINPOLY,
+    "lehmer5": lehmer_quintic(5),
+}
+
+
+def _assert_lowest_terms(x):
+    assert len(x.num) == 5 and all(isinstance(c, int) for c in x.num)
+    assert isinstance(x.den, int) and x.den > 0
+    assert gcd(x.den, *x.num) == 1
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_integer_arithmetic_matches_the_fraction_oracle(name):
+    spec = QuinticFieldSpec(ORACLE_FIELDS[name])
+    rng = random.Random(2026)
+    pool = [
+        [Fraction(rng.randint(-60, 60), rng.randint(1, 30)) for _ in range(5)]
+        for _ in range(24)
+    ]
+    # the conjugates bring their own denominators (307 for lehmer5)
+    pool += [list(c.coords) for c in galois_conjugates(spec)]
+    pool.append([Fraction(0)] * 5)
+    for x in pool:
+        for y in rng.sample(pool, 6):
+            a, b = spec.element(x), spec.element(y)
+            for got, want in (
+                (a + b, tuple(u + v for u, v in zip(x, y))),
+                (a - b, tuple(u - v for u, v in zip(x, y))),
+                (a * b, _oracle_mul(spec, x, y)),
+            ):
+                _assert_lowest_terms(got)
+                assert got.coords == want
+                oracle = spec.element(want)
+                assert got == oracle and hash(got) == hash(oracle)
+            assert (a == b) == (tuple(x) == tuple(y))
+
+
+def test_equal_values_have_one_form():
+    spec = zeta11_plus_field()
+    half = spec.element([Fraction(2, 4), 0, 0, 0, 0])
+    assert half == spec.rational(Fraction(1, 2))
+    assert hash(half) == hash(spec.rational(Fraction(1, 2)))
+    assert (half.num, half.den) == ((1, 0, 0, 0, 0), 2)
+    zero = spec.element([Fraction(3, 7)] * 5) - spec.element([Fraction(6, 14)] * 5)
+    assert (zero.num, zero.den) == ((0, 0, 0, 0, 0), 1)
+    assert not zero and zero == 0 and hash(zero) == hash(spec.rational(0))
+    assert half.is_rational() and half.rational_value() == Fraction(1, 2)
+    assert half * 2 == 1 and (half * 2).rational_value() == 1
