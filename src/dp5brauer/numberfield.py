@@ -393,32 +393,24 @@ def zeta11_plus_field():
     return QuinticFieldSpec(real_cyclotomic_minpoly(11))
 
 
-def lehmer_quintic(n):
-    """E. Lehmer's simplest quintic for the integer n, leading coefficient
-    first; cyclic for every n, and n = -1 gives the zeta11plus polynomial."""
-    return (
-        1,
-        n * n,
-        -(2 * n ** 3 + 6 * n * n + 10 * n + 10),
-        n ** 4 + 5 * n ** 3 + 11 * n * n + 15 * n + 5,
-        n ** 3 + 4 * n * n + 10 * n + 10,
-        1,
-    )
-
-
 # ---------------------------------------------------------------------------
 # conjugates of the generator
 
 
-def _find_inert_prime(m_asc, start=3, stop=500):
-    p = start
-    while p <= stop:
+# primes up to this bound are tried for an inert prime and for a refuting
+# Frobenius
+PRIME_BOUND = 500
+
+
+def _find_inert_prime(m_asc):
+    p = 3
+    while p <= PRIME_BOUND:
         if _is_prime(p):
             mp = _fp_normalize(m_asc, p)
             if len(mp) == DEGREE + 1 and _is_irreducible_mod_p(mp, p):
                 return p
         p += 1 if p == 2 else 2
-    raise DomainError(f"no prime below {stop} certifies irreducibility")
+    raise DomainError(f"no prime below {PRIME_BOUND} certifies irreducibility")
 
 
 def _is_prime(n):
@@ -494,6 +486,7 @@ def _rational_reconstruct(value, modulus):
     return Fraction(r1, t1)
 
 
+FIRST_LIFT_EXPONENT = 32
 MAX_LIFT_BITS = 2 ** 20
 
 
@@ -520,7 +513,7 @@ def galois_conjugates(spec):
         current = _fpq_pow(current, p, m_asc, p)
         frobs.append(current)
 
-    k = 32
+    k = FIRST_LIFT_EXPONENT
     while k * p.bit_length() <= MAX_LIFT_BITS:
         modulus = p ** k
         candidates = []
@@ -542,7 +535,7 @@ def galois_conjugates(spec):
             verified = _verify_conjugates(spec, candidates)
             if verified is not None:
                 return verified
-        if k == 32:
+        if k == FIRST_LIFT_EXPONENT:
             # every cyclic field tried (zeta25, Lehmer n = -10..10) certifies
             # at the first precision; the walk costs about a whole build, so
             # it runs only before the precision doubles
@@ -551,8 +544,8 @@ def galois_conjugates(spec):
     raise NotCyclicError("no rational conjugates found below the precision cap")
 
 
-def _refute_by_frobenius(m_asc, disc, stop=500):
-    """Raise NotCyclicError at a prime p <= stop whose Frobenius is not in C_5.
+def _refute_by_frobenius(m_asc, disc):
+    """Raise NotCyclicError at a prime p <= 500 whose Frobenius is not in C_5.
 
     At a prime p not dividing disc, m is squarefree mod p and the degrees of
     its irreducible factors are the cycle lengths of Frobenius on the roots.
@@ -563,7 +556,7 @@ def _refute_by_frobenius(m_asc, disc, stop=500):
     refute, never certify.
     """
     s = [0, 1]
-    for p in range(2, stop + 1):
+    for p in range(2, PRIME_BOUND + 1):
         if not _is_prime(p) or disc % p == 0:
             continue
         mp = _fp_normalize(m_asc, p)

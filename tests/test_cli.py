@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from dp5brauer import fibers, model, obstruction, verify
 from dp5brauer.cli import main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
-from dp5brauer.numberfield import lehmer_quintic
+
+from quintics import lehmer_quintic
 
 # the zeta11plus model file (JSON drops the fixture extras)
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()

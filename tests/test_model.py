@@ -31,9 +31,10 @@ from dp5brauer.model import (
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
     galois_conjugates,
-    lehmer_quintic,
     zeta11_plus_field,
 )
+
+from quintics import lehmer_quintic
 
 L1_STORED = (1, 22, -363, 165, -1859, 484)
 L2_STORED = (1, 22, -352, 143, -1595, 363)

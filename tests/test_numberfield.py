@@ -15,10 +15,11 @@ from dp5brauer.numberfield import (
     discriminant,
     evaluate_poly,
     galois_conjugates,
-    lehmer_quintic,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
+
+from quintics import lehmer_quintic
 
 ZETA25_MINPOLY = (1, -20, 100, -125, 50, -5)
 
