@@ -3,8 +3,9 @@
 Every subcommand emits one JSON document, sorted keys, either to standard
 output or to --output.  Exit codes: 0 success, 1 verify-paper found a real
 mismatch, 2 usage error (argparse), 3 domain error (bad model, bad prime,
-degenerate construction), 4 internal contradiction (the package's own
-results disagree: FiberInconsistencyError or ChartError).
+degenerate construction, a model file whose fibers contradict its minimal
+polynomial, an unwritable --output), 4 internal contradiction (the
+package's own results disagree: FiberInconsistencyError or ChartError).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import fibers, model, obstruction, picard, verify
-from .errors import ChartError, DomainError, FiberInconsistencyError
+from .errors import ChartError, DomainError, FiberInconsistencyError, UnknownModelError
 from .numberfield import QuinticFieldSpec
 
 FIXTURE_PREFIX = "fixture:"
@@ -49,8 +50,12 @@ def _load_model(selector):
 def _emit(doc, output):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except (OSError, ValueError) as exc:
+            # ValueError: a path with a NUL byte, possible only in process
+            raise DomainError(f"cannot write {output!r}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -64,7 +69,16 @@ def _cmd_construct(args):
 
 def _cmd_fiber(args):
     m = _load_model(args.model)
-    report = fibers.classify_fiber(m, args.prime)
+    try:
+        report = fibers.classify_fiber(m, args.prime)
+    except FiberInconsistencyError as exc:
+        if args.model.startswith(FIXTURE_PREFIX):
+            raise
+        # a file's minimal polynomial and quadrics are both input, so a
+        # fiber contradicting the prediction is bad input, not a package fault
+        raise UnknownModelError(
+            f"model file {args.model!r} contradicts its minimal polynomial: {exc}"
+        ) from exc
     doc = {
         "prime": report.prime,
         "classification": report.classification,
@@ -272,10 +286,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
+        _emit(doc, args.output)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3
-    _emit(doc, args.output)
     if args.command == "verify-paper" and verify.has_failures(doc):
         return 1
     return 0

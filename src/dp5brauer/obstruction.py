@@ -72,7 +72,14 @@ class ResidueClassGroup:
 
 
 def fifth_power_classes(q):
-    """Coset decomposition of the units mod q by fifth powers, q prime or 25."""
+    """Coset decomposition of the units mod q by fifth powers, q prime or 25.
+
+    The group is immutable, so one is built per modulus and shared by every
+    caller; an unsupported modulus is never stored and raises on every call.
+    """
+    cached = _GROUP_CACHE.get(q)
+    if cached is not None:
+        return cached
     if q != 25 and not _is_prime(q):
         raise DomainError(f"unsupported modulus {q}: need a prime or 25")
     units = tuple(a for a in range(1, q) if math.gcd(a, q) == 1)
@@ -87,7 +94,8 @@ def fifth_power_classes(q):
         seen.update(cls)
         classes.append(cls)
     classes.sort(key=lambda cls: (1 not in cls, cls[0]))
-    return ResidueClassGroup(q, units, fifth, tuple(classes))
+    _GROUP_CACHE[q] = ResidueClassGroup(q, units, fifth, tuple(classes))
+    return _GROUP_CACHE[q]
 
 
 @dataclass(frozen=True)
@@ -206,9 +214,10 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
-# coordinate-changed models add one key each, so both caches are bounded
+# each coordinate-changed model or modulus adds one key, so the caches are bounded
 CACHE_SIZE = 8
 _FIBER_CACHE = _BoundedCache(CACHE_SIZE)
+_GROUP_CACHE = _BoundedCache(CACHE_SIZE)
 
 
 def _model_cache_key(model, p):
@@ -709,11 +718,12 @@ def _image_masks_11(model, forms, route, shortcut=True):
     gathered: only the unfired forms go through the value tables, and a
     2,048-entry table maps each of their value sets to the OR of the coset
     bits of 1/v over its units v.  Every mask is therefore the one that
-    evaluating all forms and then overwriting the fired ones gives.  On
-    zeta11plus 1,464 of the 177,156 projective representatives are unfired
-    on the smooth route and 16,105 on the chart route; a model where no
-    trigger fires costs one trigger pass more than evaluation alone.
-    ``shortcut=False`` evaluates every form.
+    evaluating all forms and then overwriting the fired ones gives.
+    ``shortcut=False`` evaluates every form.  The unfired forms are the
+    kernel of the trigger matrix mod 11, so the exhaustive sweeps take
+    their forms from ``_unfired_representatives_11`` instead of scanning
+    all 177,156 representatives: 1,464 on the smooth route of zeta11plus
+    and 16,105 on the chart route.
 
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
@@ -760,6 +770,33 @@ def _representatives_11(tops=range(6)):
     return _digit_columns(np.concatenate(idx), 11, 6)
 
 
+def _unfired_representatives_11(triggers):
+    """The representatives of the forms that fire no trigger, as columns.
+
+    A form h fires no trigger exactly when h(P) = 0 mod 11 at every row P
+    of ``triggers``, so the unfired forms are the kernel of the trigger
+    matrix, of some dimension d.  Its projective lines are the combinations
+    of the ``solve_mod_p`` kernel basis whose last nonzero coordinate is 1,
+    the columns of ``_representatives_11`` restricted to d digits; the basis
+    is independent, so distinct lines give distinct forms.  No rescaling is
+    needed: the basis vector of the free column f has its 1 at f and its
+    other nonzero entries at pivot columns left of f (a reduced row is zero
+    left of its pivot), and the free columns increase, so the last nonzero
+    coefficient of each form is 1.  The result is, in no particular order,
+    the (11^d - 1) / 10 columns r of ``_representatives_11()`` with
+    r . P = 0 at every trigger point.  Without triggers d = 6; triggers
+    spanning F_11^6 leave a (6, 0) array.
+    """
+    if len(triggers):
+        kernel = np.array(solve_mod_p(triggers.tolist(), 11)[2], dtype=np.int32)
+    else:
+        kernel = np.eye(6, dtype=np.int32)
+    d = len(kernel)
+    if d == 0:
+        return np.zeros((6, 0), dtype=np.int32)
+    return kernel.T @ _representatives_11(range(d))[:d] % 11
+
+
 def _scalings_11(forms):
     """(6, 10, n) array whose entry [:, lam - 1, j] is lam times column j, mod 11."""
     return forms[:, None, :] * np.arange(1, 11, dtype=np.int32)[:, None] % 11
@@ -804,8 +841,9 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     """Count the residues h mod 11 whose invariant image omits the identity.
 
     Forms with nonzero u5 coefficient have full image and never obstruct.
-    The u5-free forms are counted through the chart masks of their
-    projective representatives: a representative r stands for the
+    The u5-free forms, the forms that fire no chart trigger e5, are
+    counted through the chart masks of their projective representatives
+    (``_unfired_representatives_11``): a representative r stands for the
     multiples lam*r with the coset of lam missing from its mask (see
     ``_image_masks_11``).  ``validate_surjectivity`` additionally evaluates
     the chart values of every representative with u5 = 1; fullness is
@@ -823,7 +861,7 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
 
-    reps = _representatives_11(range(5))
+    reps = _unfired_representatives_11(_route_points_11(model, "chart")[1])
     flags = _obstructing_scalings(_image_masks_11(model, reps, "chart"))
     classes = sorted(tuple(int(c) for c in h) for h in _scalings_11(reps)[:, flags].T)
     breakdown = {"constant": 0, "separable_quadratic": 0}
@@ -965,17 +1003,24 @@ def path_agreement_check(model, sample=None, seed=0):
     ``disagreements`` lists the indices of the forms where the routes
     differ, which must be none.
 
-    The exhaustive mode compares the masks of the 177,156 projective
-    representatives only, and reports all ten multiples of a disagreeing
-    representative.  This is equivalent to comparing all 11^6 - 1 forms:
-    by the scaling law in ``_image_masks_11`` both routes map the masks of
+    The exhaustive mode compares the masks of projective representatives
+    only, and reports all ten multiples of a disagreeing representative.
+    By the scaling law in ``_image_masks_11`` both routes map the masks of
     r to those of lam*r by the same permutation pi_lam, so the routes agree
     on lam*r exactly when they agree on r, and every form is lam*r for one
-    representative r.  The disagreeing forms are therefore exactly the
-    multiples of the disagreeing representatives.
+    representative r.  A representative that fires a trigger on both
+    routes has the full mask 31 on both and cannot disagree, so only the
+    union of the two routes' unfired representatives is compared (the
+    kernels of their trigger matrices, ``_unfired_representatives_11``).
+    This is equivalent to comparing all 11^6 - 1 forms: the disagreeing
+    forms are exactly the multiples of the disagreeing representatives.
     """
     if sample is None:
-        forms = _representatives_11()
+        numbers = [
+            _POWERS_11 @ _unfired_representatives_11(_route_points_11(model, route)[1])
+            for route in ("chart", "smooth")
+        ]
+        forms = _digit_columns(np.union1d(*numbers), 11, 6)
     else:
         rng = np.random.default_rng(seed)
         indices = rng.integers(1, 11 ** 6, size=int(sample), dtype=np.int64)
@@ -986,7 +1031,7 @@ def path_agreement_check(model, sample=None, seed=0):
     else:
         bad = _POWERS_11 @ forms[:, differ]
     return {
-        "checked": 10 * forms.shape[1] if sample is None else forms.shape[1],
+        "checked": CENSUS_11_TOTAL if sample is None else forms.shape[1],
         "mode": "exhaustive" if sample is None else "sampled",
         "disagreements": tuple(int(i) for i in bad),
     }
@@ -996,15 +1041,19 @@ def census_11_smoothpath(model):
     """Obstruction count over all h mod 11 using only the smooth-point route.
 
     Works for any modulus-11 model, including coordinate-changed ones, since
-    it never assumes the chart shape of l1.  Only the 177,156 projective
-    representatives are scanned.  By the scaling law in ``_image_masks_11``
-    exactly 10 - 2 * |image(r)| of the ten multiples of a representative r
-    omit the identity, and none does when its image is full or a point of
-    {l1 = 0} triggers; every nonzero form is one multiple of one
-    representative, so these weights sum to the count over all 11^6 - 1
-    forms.
+    it never assumes the chart shape of l1.  By the scaling law in
+    ``_image_masks_11`` exactly 10 - 2 * |image(r)| of the ten multiples of
+    a projective representative r omit the identity, and none does when
+    its image is full or a point of {l1 = 0} triggers; every nonzero form
+    is one multiple of one representative, so these weights sum to the
+    count over all 11^6 - 1 forms.  The representatives that fire no
+    trigger are the kernel of the trigger matrix mod 11, and only they are
+    scanned (``_unfired_representatives_11``: 1,464 on zeta11plus); every
+    other representative has weight 0.
     """
-    flags = _obstructing_scalings(_image_masks_11(model, _representatives_11(), "smooth"))
+    triggers = _route_points_11(model, "smooth")[1]
+    masks = _image_masks_11(model, _unfired_representatives_11(triggers), "smooth")
+    flags = _obstructing_scalings(masks)
     return {"model": model.name, "total": CENSUS_11_TOTAL, "obstructing": int(flags.sum())}
 
 

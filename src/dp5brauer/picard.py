@@ -18,6 +18,8 @@ from .intlinalg import IntMatrix, hnf, saturated_kernel, snf, solve_in_lattice
 RANK = 5
 FORM = (1, -1, -1, -1, -1)
 CANONICAL_CLASS = (-3, 1, 1, 1, 1)
+# the Gram matrix diag(FORM) of the pairing
+GRAM = IntMatrix([[FORM[i] * (i == j) for j in range(RANK)] for i in range(RANK)])
 
 
 def pairing(u, v):
@@ -166,13 +168,8 @@ def _lattice_map(image_of):
 
 
 def preserves_pairing(matrix):
-    for i in range(RANK):
-        for j in range(RANK):
-            ei = tuple(1 if k == i else 0 for k in range(RANK))
-            ej = tuple(1 if k == j else 0 for k in range(RANK))
-            if pairing(matrix.apply(ei), matrix.apply(ej)) != pairing(ei, ej):
-                return False
-    return True
+    """M^T G M == G: entry (i, j) of M^T G M is the pairing of M e_i with M e_j."""
+    return matrix.transpose() @ GRAM @ matrix == GRAM
 
 
 class GaloisAction(NamedTuple):

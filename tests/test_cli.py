@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dp5brauer import fibers, model, obstruction, verify
-from dp5brauer.cli import main
+from dp5brauer.cli import build_parser, main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
 
 from quintics import lehmer_quintic
@@ -316,10 +316,14 @@ def _dependent_quadrics(base, kind):
 
 def _mutated_model(base, data):
     """The JSON of ``base`` with one key dropped, one entry replaced by a
-    bool, float, string or huge integer, or dependent quadrics."""
+    bool, float, string or huge integer, dependent quadrics, or a Lehmer
+    minimal polynomial in place of its own."""
     doc = json.loads(json.dumps(base))
-    kind = data.draw(st.sampled_from(["drop", "replace", "keep", "zero", "repeat"]))
+    kind = data.draw(st.sampled_from(["drop", "replace", "keep", "zero", "repeat", "minpoly"]))
     if kind == "keep":
+        return doc
+    if kind == "minpoly":
+        doc["minpoly"] = list(lehmer_quintic(data.draw(st.integers(-6, 6))))
         return doc
     if kind in ("zero", "repeat"):
         return _dependent_quadrics(base, kind)
@@ -347,7 +351,29 @@ def _mutated_model(base, data):
 )
 def test_fiber_keeps_the_exit_code_contract(tmp_path_factory, prime, data):
     selector = _fuzzed_model(tmp_path_factory, data)
-    _assert_exit_code_contract(["fiber", "--model", selector, f"--prime={prime}"])
+    code = _assert_exit_code_contract(["fiber", "--model", selector, f"--prime={prime}"])
+    # a model file that contradicts itself is bad input, never a package fault
+    assert code != 4 or selector.startswith("fixture:")
+
+
+def test_fiber_refuses_a_model_file_whose_minpoly_disagrees(capsys, tmp_path):
+    # zeta11plus's quadrics over Lehmer's n = 0 field: 11 is inert there,
+    # but the fiber has the 133 points of the ramified one
+    doc = dict(FUZZ_BASE, minpoly=list(lehmer_quintic(0)))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["fiber", "--model", str(path), "--prime=11"])
+    assert (code, out) == (3, "")
+    assert "inert prediction violated at 11: 133 points (expected 122)" in err
+    assert "Traceback" not in err
+
+
+def test_an_unwritable_output_exits_with_three(capsys, tmp_path):
+    target = tmp_path / "missing" / "cohomology.json"
+    code, out, err = run_cli(capsys, ["cohomology", f"--output={target}"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
 
 
 def _fuzzed_model(tmp_path_factory, data):
@@ -367,8 +393,17 @@ def _assert_exit_code_contract(argv):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in (0, 2, 3, 4), err.getvalue()
+    assert code in (0, 1, 2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if code == 1:
+        # only a verify-paper claim table with a failing row exits 1
+        args = build_parser().parse_args(argv)
+        if args.output:
+            with open(args.output, encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = out.getvalue()
+        assert args.command == "verify-paper" and verify.has_failures(json.loads(text))
     return code
 
 
@@ -474,3 +509,50 @@ MINPOLY_TEXTS = st.one_of(
 @given(minpoly=MINPOLY_TEXTS)
 def test_construct_keeps_the_exit_code_contract(minpoly):
     assert _assert_exit_code_contract(["construct", f"--minpoly={minpoly}"]) != 4
+
+
+def _broken(*args, **kwargs):
+    raise RuntimeError("forced failure")
+
+
+# extra verify-paper arguments: its own flags, flags and values of other
+# subcommands, and any text
+VERIFY_EXTRAS = st.lists(
+    st.sampled_from(
+        [
+            ["--fast"],
+            ["--output"],
+            ["--fast=1"],
+            ["--model", "fixture:zeta11plus"],
+            ["--h", "0,1,0,-6,0,0"],
+            ["--modulus", "11"],
+            ["--jobs=2"],
+            ["--help"],
+            ["--"],
+        ]
+    )
+    | st.text(max_size=12).map(lambda text: [text]),
+    max_size=2,
+).map(lambda groups: [arg for group in groups for arg in group])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    fast=st.booleans(),
+    output=st.sampled_from([None, "table.json", "missing/table.json"]),
+    extras=VERIFY_EXTRAS,
+    broken=st.booleans(),
+)
+def test_verify_paper_keeps_the_exit_code_contract(
+    tmp_path_factory, fast, output, extras, broken
+):
+    argv = ["verify-paper"] + ["--fast"] * fast + ["--output", output] * bool(output) + extras
+    with pytest.MonkeyPatch.context() as patch:
+        # relative output paths land in a fresh directory
+        patch.chdir(tmp_path_factory.mktemp("verify"))
+        if broken:
+            patch.setattr(obstruction, "census_25", _broken)
+        code = _assert_exit_code_contract(argv)
+    # 3 only for an --output that cannot be written
+    assert code != 3 or build_parser().parse_args(argv).output
+    assert code != 4

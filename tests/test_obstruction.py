@@ -41,6 +41,7 @@ from dp5brauer.obstruction import (
     _representatives_11,
     _route_points_11,
     _scalings_11,
+    _unfired_representatives_11,
 )
 
 HEADLINE_H = (0, 1, 0, -6, 0, 0)
@@ -78,6 +79,15 @@ def test_fifth_power_classes_degenerate_modulus():
         fifth_power_classes(10)
     with pytest.raises(DomainError):
         fifth_power_classes(4)
+
+
+def test_fifth_power_classes_are_built_once_per_modulus():
+    for q in (11, 25):
+        assert fifth_power_classes(q) is fifth_power_classes(q)
+    # a refused modulus is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(DomainError, match="unsupported modulus 10"):
+            fifth_power_classes(10)
 
 
 def test_constant_images_mod_11(m11):
@@ -573,16 +583,21 @@ def test_representative_weights_count_obstructing_scalings(m11):
     assert {0, 2, 8} <= weights
 
 
-def test_exhaustive_agreement_reports_every_scaling(m11, monkeypatch):
-    # a smooth route cut down to 40 value points disagrees with the chart on
-    # some forms; the sampled mode, which scans forms directly, is the oracle
+def _cut_smooth_route(monkeypatch, values=None, triggers=None):
+    """Keep only the first ``values`` value points and ``triggers`` trigger
+    points of the smooth route (None keeps them all)."""
     route_points = obstruction._route_points_11
 
-    def drop_points(model, route):
-        values, triggers = route_points(model, route)
-        return (values[:40], triggers) if route == "smooth" else (values, triggers)
+    def cut(model, route):
+        points = route_points(model, route)
+        if route == "smooth":
+            points = (points[0][:values], points[1][:triggers])
+        return points
 
-    monkeypatch.setattr(obstruction, "_route_points_11", drop_points)
+    monkeypatch.setattr(obstruction, "_route_points_11", cut)
+
+
+def _assert_exhaustive_matches_sampled(m11):
     exhaustive = path_agreement_check(m11)
     sampled = path_agreement_check(m11, sample=20000, seed=3)
     bad = set(exhaustive["disagreements"])
@@ -592,6 +607,71 @@ def test_exhaustive_agreement_reports_every_scaling(m11, monkeypatch):
     indices = np.random.default_rng(3).integers(1, 11 ** 6, size=20000, dtype=np.int64)
     assert [int(i) for i in indices if int(i) in bad] == list(sampled["disagreements"])
     assert sampled["disagreements"]
+    return bad
+
+
+def test_exhaustive_agreement_reports_every_scaling(m11, monkeypatch):
+    # a smooth route cut down to 40 value points disagrees with the chart on
+    # some forms; the sampled mode, which scans forms directly, is the oracle
+    _cut_smooth_route(monkeypatch, values=40)
+    _assert_exhaustive_matches_sampled(m11)
+
+
+def test_exhaustive_agreement_covers_both_unfired_sets(m11, monkeypatch):
+    # with one trigger point the smooth route leaves 16,105 representatives
+    # unfired, not the chart's u5-free ones, so the union of the two sets
+    # holds forms that fire on one route only; 40 value points make some of
+    # those disagree
+    _cut_smooth_route(monkeypatch, values=40, triggers=1)
+    chart, smooth = (
+        set(_POWERS_11 @ _unfired_representatives_11(obstruction._route_points_11(m11, r)[1]))
+        for r in ("chart", "smooth")
+    )
+    assert len(chart) == len(smooth) == 16105 and chart != smooth
+    bad = _assert_exhaustive_matches_sampled(m11)
+    # forms with a u5 term fire on the chart route only
+    assert any(i >= 11 ** 5 for i in bad)
+
+
+def _kernel_oracle(triggers):
+    """Base-11 numbers of the representatives vanishing at every trigger."""
+    reps = _representatives_11()
+    return _POWERS_11 @ reps[:, ~(reps.T @ triggers.T % 11).any(axis=1)]
+
+
+def test_unfired_representatives_are_the_trigger_kernel(m11):
+    rng = random.Random(10)
+    moved = [transformed_model_mod11(m11, _random_invertible_mod11(rng)) for _ in range(2)]
+    cases = [(m11, "chart"), (m11, "smooth")] + [(m, "smooth") for m in moved]
+    for model, route in cases:
+        triggers = _route_points_11(model, route)[1]
+        reps = _unfired_representatives_11(triggers)
+        last_nonzero = 5 - np.argmax(reps[::-1] != 0, axis=0)
+        assert (reps[last_nonzero, np.arange(reps.shape[1])] == 1).all(), route
+        numbers = _POWERS_11 @ reps
+        assert len(set(numbers.tolist())) == reps.shape[1]
+        assert np.array_equal(np.sort(numbers), np.sort(_kernel_oracle(triggers))), route
+    assert _unfired_representatives_11(_route_points_11(m11, "smooth")[1]).shape == (6, 1464)
+
+
+@pytest.mark.parametrize("triggers", ["none", "spanning"])
+def test_smooth_census_scans_the_kernel_at_its_extremes(m11, monkeypatch, triggers):
+    # no trigger points leave every representative unfired (the values
+    # alone still give 228); triggers that span F_11^6 fire on every form,
+    # so every weight is 0
+    route_points = obstruction._route_points_11
+    rows = np.eye(6, dtype=np.int32)[: 0 if triggers == "none" else 6]
+
+    def replace_triggers(model, route):
+        return route_points(model, route)[0], rows
+
+    monkeypatch.setattr(obstruction, "_route_points_11", replace_triggers)
+    unfired = _unfired_representatives_11(rows)
+    assert unfired.shape == ((6, 177156) if triggers == "none" else (6, 0))
+    masks = _image_masks_11(m11, _representatives_11(), "smooth")
+    full_scan = int(obstruction._obstructing_scalings(masks).sum())
+    assert census_11_smoothpath(m11)["obstructing"] == full_scan
+    assert full_scan == (228 if triggers == "none" else 0)
 
 
 def test_unramified_invariants(m11):

@@ -1,5 +1,6 @@
 """The lattice side: ten classes, their graph, the order-5 action, H^1."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,7 @@ from dp5brauer.errors import DomainError
 from dp5brauer.intlinalg import IntMatrix
 from dp5brauer.picard import (
     CANONICAL_CLASS,
+    _graph_automorphisms,
     _lattice_map,
     class_label,
     h1_cyclic,
@@ -175,3 +177,39 @@ def test_h1_rejects_wrong_order_declarations():
         h1_cyclic(IntMatrix(QUOTIENT_MATRIX), order=3)
     with pytest.raises(DomainError):
         matrix_order(IntMatrix([[1, 1], [0, 1]]))
+
+
+def _preserves_pairing_by_unit_vectors(matrix):
+    # the pairing of M e_i with M e_j against that of e_i with e_j
+    units = [tuple(int(k == i) for k in range(5)) for i in range(5)]
+    return all(
+        pairing(matrix.apply(ei), matrix.apply(ej)) == pairing(ei, ej)
+        for ei in units
+        for ej in units
+    )
+
+
+def test_gram_identity_matches_the_unit_vector_pairings():
+    classes = minus_one_classes()
+    adjacency = [
+        frozenset(j for j, w in enumerate(classes) if pairing(v, w) == 1) for v in classes
+    ]
+    extensions = [
+        _lattice_map({v: classes[perm[i]] for i, v in enumerate(classes)})
+        for perm in _graph_automorphisms(adjacency)
+    ]
+    assert len(extensions) == 120
+    rng = random.Random(5)
+    matrices = []
+    for _ in range(20):
+        matrices.append(IntMatrix([[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]))
+        # I + v w^T fixes K when w . K = 0, as a plain dot product
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        w = (a, 3 * a + b, c - b, d - c, -d)
+        v = [rng.randint(-2, 2) for _ in range(5)]
+        matrices.append(IntMatrix([[int(i == j) + v[i] * w[j] for j in range(5)] for i in range(5)]))
+    assert any(
+        m.apply(CANONICAL_CLASS) == CANONICAL_CLASS and not preserves_pairing(m) for m in matrices
+    )
+    for m in extensions + matrices:
+        assert preserves_pairing(m) == _preserves_pairing_by_unit_vectors(m)
