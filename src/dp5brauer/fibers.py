@@ -12,12 +12,18 @@ Enumeration solves the fiber when the model has the solver shape
 holds mod every p): quadrics 4-5 are linear in (u1, u2) for fixed t =
 (u3, u4, u5), and quadrics 1-3 are linear in u0.  Both fixtures and every
 ``build_model`` output have it.  For each t in P^2 with first nonzero entry
-1 the solver lists every solution (u1, u2) of the 2x2 system of quadrics
-4-5 (Cramer's rule where its determinant, u3 u5 - u4^2 on the fixtures,
-is nonzero; ``solve_mod_p`` where it vanishes).  It takes u0 from the
-first quadric among 1-3 with a nonzero u0 coefficient there, or tries all
-p values if there is none.  The plane t = 0 is checked point by point, and
-a candidate is kept only when all five quadrics vanish on it.
+1 the solver lists every solution (u1, u2) of the 2x2 system
+a(t) (u1, u2) + c(t) = 0 of quadrics 4-5.  Where det a(t) != 0 (u3 u5 -
+u4^2 on the fixtures) Cramer's rule gives the one solution.  The planes
+with det a(t) = 0 are solved together in one array step: each contributes
+the p points of the line of its first equation with a nonzero coefficient,
+or all p^2 pairs if both equations are constant, and a candidate is kept
+when both equations vanish on it.  Every solution satisfies the first
+equation, so it lies on that line, or anywhere when both rows of a(t) are
+0; so the kept candidates are all the solutions.  Then u0 comes from the
+first quadric among 1-3 with a nonzero u0 coefficient there, or all p
+values are tried if there is none.  The plane t = 0 is checked point by
+point, and a candidate is kept only when all five quadrics vanish on it.
 
 Completeness: scale a fiber point x with t(x) != 0 so that t(x) has first
 nonzero entry 1.  Quadrics 4-5 vanish at x, so (x1, x2) is a listed
@@ -25,7 +31,19 @@ solution for t(x); quadrics 1-3 vanish at x, so x0 is the root of the
 chosen one or a tried value.  So x is a candidate, and it passes the final
 check; a fiber point with t(x) = 0 lies in the checked plane.  Distinct
 candidates are distinct projective points, so the result is exactly the
-fiber, from O(p^2) candidates instead of O(p^5) cells.
+fiber, from O(p^2) candidates instead of O(p^5) cells.  Nothing here
+divides by 2, so p = 2 is no exception.
+
+Smooth points, certified by a minor.  The Jacobian row of q_k at x is
+B_k x, whose entry j is the partial derivative of q_k by u_j (the diagonal
+2 G_k[j, j] vanishes at p = 2, as the derivative of u_j^2 does).  On the
+solver shape, quadrics 4-5 have no u0, u1^2, u1 u2 or u2^2 term, so their
+rows read (0, a(t)) on the columns (u0, u1, u2), and quadrics 1-3 have no
+u0^2 term, so their u0 entry is lin_k(x), the coefficient of u0 in q_k, a
+linear form in u1..u5.  The minor on rows (k, 4, 5) and columns (u0, u1,
+u2) is then lin_k * det a(t), in every characteristic.  Where both factors
+are nonzero the Jacobian has rank at least 3 and the point is smooth;
+``singular_points`` row-reduces only the other points.
 
 Other models, such as ``obstruction.transformed_model_mod11``, fall back to
 a scan of the six standard charts of P^5, at p <= SCAN_BOUND only, in grids
@@ -42,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -146,14 +163,10 @@ def _solve_fiber(gram, p):
     an, cn, d = a[ok], c[ok], inv[det[ok]]
     u1 = (an[:, 0, 1] * cn[:, 1] - an[:, 1, 1] * cn[:, 0]) % p * d % p
     u2 = (an[:, 1, 0] * cn[:, 0] - an[:, 0, 0] * cn[:, 1]) % p * d % p
-    ys = [np.column_stack([u1, u2, t[ok]])]
-    for n in np.nonzero(~ok)[0]:
-        _, part, kernel = solve_mod_p(a[n].tolist(), p, (-c[n]).tolist())
-        if part is not None:
-            steps = np.array(list(product(range(p), repeat=len(kernel))), dtype=np.int64)
-            u = (part + steps @ np.array(kernel, dtype=np.int64).reshape(-1, 2)) % p
-            ys.append(np.column_stack([u, np.broadcast_to(t[n], (len(u), 3))]))
-    y = np.concatenate(ys)
+    y = np.concatenate([
+        np.column_stack([u1, u2, t[ok]]),
+        _degenerate_candidates(a[~ok], c[~ok], t[~ok], p),
+    ])
     # quadrics 1-3 read lin[k] * u0 + rest[k] = 0
     lin = y @ gram[:3, 0, 1:].T % p
     rest = ((y @ gram[:3, 1:, 1:]) * y).sum(axis=-1).T % p
@@ -169,6 +182,32 @@ def _solve_fiber(gram, p):
         np.column_stack([t, np.zeros_like(t)]),
     ])
     return x[_on_fiber(gram, x, p)]
+
+
+def _degenerate_candidates(a, c, t, p):
+    """Rows (u1, u2, t) on which quadrics 4-5 vanish, over planes t with
+    det a(t) = 0: the p points of the line of the first equation with a
+    nonzero coefficient, or all p^2 pairs when both equations are constant,
+    filtered by both equations (module docstring)."""
+    nonzero = a.any(axis=2)
+    lined = nonzero.any(axis=1)
+    planes = np.nonzero(lined)[0]
+    first = nonzero.argmax(axis=1)[planes]
+    coef, const = a[planes, first], c[planes, first]
+    # the line b1 u1 + b2 u2 = -const, (b1, b2) = coef: the point with
+    # -const / b_j at the first j where b_j != 0, plus multiples of (-b2, b1)
+    rows = np.arange(len(planes))
+    j = (coef != 0).argmax(axis=1)
+    point = np.zeros_like(coef)
+    point[rows, j] = -const * _inverses(p)[coef[rows, j]] % p
+    direction = np.column_stack([-coef[:, 1], coef[:, 0]])
+    lines = (point[:, None] + np.arange(p)[:, None] * direction[:, None]) % p
+    flat = np.nonzero(~lined)[0]
+    grid = np.indices((p, p)).reshape(2, -1).T
+    u = np.concatenate([lines.reshape(-1, 2), np.tile(grid, (len(flat), 1))])
+    plane = np.concatenate([np.repeat(planes, p), np.repeat(flat, p * p)])
+    keep = ~((np.einsum("nkv,nv->nk", a[plane], u) + c[plane]) % p).any(axis=1)
+    return np.column_stack([u[keep], t[plane[keep]]])
 
 
 def _scan_fiber(gram, p):
@@ -261,8 +300,10 @@ def rank_mod_p(rows, p):
 def singular_points(model, p, fiber=None):
     """Fiber points where the Jacobian drops below rank 3.
 
-    The Jacobians of all points are one product B x, and their ranks come
-    from one stacked row reduction.
+    The Jacobians of all points are one product B x.  On a model with the
+    solver shape, a point with det a(t) != 0 and some lin_k != 0 has a
+    nonzero 3x3 minor and is smooth (module docstring); the ranks of the
+    other points come from one stacked row reduction.
     """
     if fiber is None:
         fiber = enumerate_fiber(model, p)
@@ -270,8 +311,14 @@ def singular_points(model, p, fiber=None):
         return []
     x = np.array(fiber, dtype=np.int64)
     jacobians = (_polar_mod_p(model, p) @ x.T % p).transpose(2, 0, 1)
-    ranks = _row_reduce_mod_p(jacobians, p)[1].sum(axis=1)
-    return [pt for pt, rank in zip(fiber, ranks) if rank < 3]
+    ranks = np.full(len(x), 3)
+    todo = slice(None)
+    if _has_solver_shape(model.quadrics):
+        a = jacobians[:, 3:, 1:3]
+        det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
+        todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
+    ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)
+    return [pt for pt, rank in zip(fiber, ranks.tolist()) if rank < 3]
 
 
 @dataclass(frozen=True)

@@ -494,7 +494,12 @@ def galois_conjugates(spec):
     """The four nontrivial conjugates of the generator, certified exactly.
 
     Ordering is by composition: with s the returned first conjugate map,
-    entry j is s applied j+1 times to the generator.  Raises NotCyclicError
+    entry j is s applied j+1 times to the generator.  Only s(alpha) is
+    lifted: at an inert prime p, Newton's method lifts alpha^p, the
+    Frobenius image of alpha in the residue field, to precision p^k, and
+    rational reconstruction reads off its coordinates.  The other three are
+    s(alpha) composed with itself by ``apply_embedding``, and
+    ``_verify_conjugates`` certifies all four.  Raises NotCyclicError
     when the field cannot be cyclic (non-square discriminant, or a Frobenius
     outside C_5 once the first precision fails to certify) or when no
     conjugate survives exact verification below the precision cap.
@@ -505,33 +510,21 @@ def galois_conjugates(spec):
         raise NotCyclicError("discriminant is not a square")
     m_asc = spec.ascending()
     p = _find_inert_prime(m_asc)
-    # Frobenius orbit of the generator in the residue field
-    s = [0, 1]
-    frobs = []
-    current = s
-    for _ in range(4):
-        current = _fpq_pow(current, p, m_asc, p)
-        frobs.append(current)
+    # Frobenius image s^p of the generator in the residue field
+    frob = _fpq_pow([0, 1], p, m_asc, p)
 
     k = FIRST_LIFT_EXPONENT
     while k * p.bit_length() <= MAX_LIFT_BITS:
         modulus = p ** k
-        candidates = []
-        ok = True
-        for root in frobs:
-            lifted = _newton_lift(root, m_asc, p, k)
-            lifted = lifted + [0] * (DEGREE - len(lifted))
-            coords = []
-            for c in lifted[:DEGREE]:
-                rec = _rational_reconstruct(c % modulus, modulus)
-                if rec is None:
-                    ok = False
-                    break
-                coords.append(rec)
-            if not ok:
-                break
-            candidates.append(spec.element(coords))
-        if ok:
+        lifted = _newton_lift(frob, m_asc, p, k)
+        coords = [
+            _rational_reconstruct(c % modulus, modulus)
+            for c in lifted + [0] * (DEGREE - len(lifted))
+        ]
+        if None not in coords:
+            candidates = [spec.element(coords)]
+            for _ in range(3):
+                candidates.append(apply_embedding(candidates[-1], candidates[0]))
             verified = _verify_conjugates(spec, candidates)
             if verified is not None:
                 return verified
@@ -568,20 +561,24 @@ def _refute_by_frobenius(m_asc, disc):
 
 
 def _verify_conjugates(spec, candidates):
+    """The candidates as a tuple if they certify the Galois orbit, else None.
+
+    ``candidates`` are sigma(alpha) .. sigma^4(alpha), formed by composition
+    with ``apply_embedding`` from the first.  Checks: every candidate is a
+    root of m; the candidates and alpha are distinct; and sigma^5(alpha),
+    the image of the last under sigma, is alpha.  A root sigma(alpha) of m
+    makes alpha -> sigma(alpha) a field map of K = Q[s]/(m) into itself,
+    onto as it is Q-linear and injective, so the candidates are the images
+    of alpha under the powers of one automorphism sigma; five distinct ones
+    and sigma^5 = 1 make sigma of order 5 = [K : Q], so K is cyclic with
+    Galois group generated by sigma.
+    """
     m_asc = spec.ascending()
     alpha = spec.generator()
-    seen = {alpha}
-    for beta in candidates:
-        if evaluate_poly(m_asc, beta) or beta in seen:
-            return None
-        seen.add(beta)
-    # composition consistency: iterating the first map must walk the list
-    sigma_alpha = candidates[0]
-    walk = alpha
-    for expected in candidates:
-        walk = apply_embedding(walk, sigma_alpha)
-        if walk != expected:
-            return None
-    if apply_embedding(walk, sigma_alpha) != alpha:
+    if any(evaluate_poly(m_asc, beta) for beta in candidates):
+        return None
+    if len({alpha, *candidates}) != DEGREE:
+        return None
+    if apply_embedding(candidates[-1], candidates[0]) != alpha:
         return None
     return tuple(candidates)

@@ -862,8 +862,9 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     jobs = max(1, int(jobs))
 
     reps = _unfired_representatives_11(_route_points_11(model, "chart")[1])
-    flags = _obstructing_scalings(_image_masks_11(model, reps, "chart"))
-    classes = sorted(tuple(int(c) for c in h) for h in _scalings_11(reps)[:, flags].T)
+    # only the flagged multiples lam*r are formed, not all ten of every r
+    lam, col = np.nonzero(_obstructing_scalings(_image_masks_11(model, reps, "chart")))
+    classes = sorted(map(tuple, (reps[:, col] * (lam + 1) % 11).T.tolist()))
     breakdown = {"constant": 0, "separable_quadratic": 0}
     for h in classes:
         kind = _classify_obstructing_11(h)

@@ -302,19 +302,85 @@ def test_solver_equals_scan_after_block_triangular_changes(m11, p, data):
     assert enumerate_fiber(moved, p) == scanned(moved, p)
 
 
+# the (i, j) pairs that a quadric k of the solver shape may use
+SHAPED_PAIRS = [
+    [(i, j) != (0, 0) and (k < 3 or (i > 0 and j > 2)) for i, j in U_QUADRIC_PAIRS]
+    for k in range(5)
+]
+
+
+def _random_shaped(m11, data):
+    coefficients = st.lists(st.integers(-2, 2), min_size=21, max_size=21)
+    vectors = [[c * ok for c, ok in zip(data.draw(coefficients), row)] for row in SHAPED_PAIRS]
+    return DelPezzoModel("random", m11.spec, vectors, m11.l1, m11.l2)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
 def test_solver_equals_scan_on_random_shaped_quadrics(m11, p, data):
     # random quadrics with the solver shape reach every branch: vanishing
     # determinants of every rank and points where no u0 coefficient survives
-    allowed = [
-        [(i, j) != (0, 0) and (k < 3 or (i > 0 and j > 2)) for i, j in U_QUADRIC_PAIRS]
-        for k in range(5)
-    ]
-    coefficients = st.lists(st.integers(-2, 2), min_size=21, max_size=21)
-    vectors = [[c * ok for c, ok in zip(data.draw(coefficients), row)] for row in allowed]
-    shaped = DelPezzoModel("random", m11.spec, vectors, m11.l1, m11.l2)
+    shaped = _random_shaped(m11, data)
     assert enumerate_fiber(shaped, p) == scanned(shaped, p)
+
+
+def _degenerate_model(m11, rank):
+    """Quadrics 1-3 seeded at random with the solver shape, and quadrics 4-5
+    u3 u4 and u4 u5 plus, at rank 1, multiples 1 and 3 of one (u1, u2) part:
+    the 2x2 system a(t) of quadrics 4-5 has rank at most ``rank`` at every t."""
+    rng = random.Random(5)
+    vectors = [[rng.randint(-3, 3) * ok for ok in row] for row in SHAPED_PAIRS]
+    for k, pair in ((3, (3, 4)), (4, (4, 5))):
+        vectors[k] = [int(q == pair) for q in U_QUADRIC_PAIRS]
+    if rank:
+        # both rows of a(t) are multiples of (u3 + u5, 2 u4 - u3)
+        for k, scale in ((3, 1), (4, 3)):
+            for pair, c in (((1, 3), 1), ((1, 5), 1), ((2, 3), -1), ((2, 4), 2)):
+                vectors[k][U_QUADRIC_PAIRS.index(pair)] = scale * c
+    return DelPezzoModel("degenerate", m11.spec, vectors, m11.l1, m11.l2)
+
+
+@pytest.mark.parametrize("rank", (0, 1))
+def test_solver_equals_scan_when_every_plane_is_degenerate(m11, rank):
+    # rank 0: both equations are constant on every plane, so each plane
+    # lists all p^2 pairs (u1, u2); rank 1: the line of the first equation,
+    # except on the plane u3 + u5 = 2 u4 - u3 = 0, where a(t) = 0
+    m = _degenerate_model(m11, rank)
+    assert _has_solver_shape(m.quadrics)
+    a = np.array(_quadric_gram(m.quadrics))[3:, 1:3, 3:]
+    assert np.linalg.matrix_rank(a.reshape(2, 6)) == rank
+    for p in range(2, 14):
+        if fibers._is_prime(p):
+            fiber = enumerate_fiber(m, p)
+            assert fiber and fiber == scanned(m, p), (rank, p)
+
+
+def _full_rank_test(m, p, fiber):
+    """Fiber points whose Jacobian has rank below 3, by one row reduction
+    of every Jacobian."""
+    x = np.array(fiber, dtype=np.int64)
+    jacobians = (fibers._polar_mod_p(m, p) @ x.T % p).transpose(2, 0, 1)
+    ranks = fibers._row_reduce_mod_p(jacobians, p)[1].sum(axis=1)
+    return [pt for pt, rank in zip(fiber, ranks) if rank < 3]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+def test_minor_shortcut_equals_the_full_rank_test_on_random_shaped_quadrics(m11, p, data):
+    shaped = _random_shaped(m11, data)
+    fiber = enumerate_fiber(shaped, p)
+    assert singular_points(shaped, p, fiber=fiber) == _full_rank_test(shaped, p, fiber)
+
+
+def test_minor_shortcut_equals_the_full_rank_test_up_to_31(m11, m25, built11):
+    singular = 0
+    for m in (m11, m25, built11):
+        for p in PRIMES_TO_31:
+            fiber = enumerate_fiber(m, p)
+            expected = _full_rank_test(m, p, fiber)
+            assert singular_points(m, p, fiber=fiber) == expected, (m.source, p)
+            singular += len(expected)
+    assert singular >= 4
 
 
 def test_weil_counts_at_89_and_97(m11):

@@ -11,6 +11,7 @@ from dp5brauer.errors import DomainError, NotCyclicError
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
     _refute_by_frobenius,
+    _verify_conjugates,
     apply_embedding,
     discriminant,
     evaluate_poly,
@@ -140,6 +141,24 @@ def test_conjugates_are_four_distinct_roots_of_an_order_five_map(name):
     for expected in conjugates + (alpha,):
         element = apply_embedding(element, conjugates[0])
         assert element == expected
+
+
+@pytest.mark.parametrize("name", list(CYCLIC_QUINTICS))
+def test_verify_conjugates_refuses_each_broken_premise(name):
+    # each bad list breaks exactly one premise, so each check is needed
+    spec = QuinticFieldSpec(CYCLIC_QUINTICS[name])
+    s1, s2, s3, s4 = galois_conjugates(spec)
+    alpha = spec.generator()
+    assert _verify_conjugates(spec, [s1, s2, s3, s4]) == (s1, s2, s3, s4)
+    # alpha + 1 is no root of m, yet alpha - 1 maps back to alpha under it
+    assert evaluate_poly(spec.ascending(), alpha + 1)
+    assert apply_embedding(alpha - 1, alpha + 1) == alpha
+    assert _verify_conjugates(spec, [alpha + 1, s2, s3, alpha - 1]) is None
+    # roots whose last maps back to alpha, but one is listed twice
+    assert _verify_conjugates(spec, [s1, s2, s2, s4]) is None
+    # distinct roots, but the walk from the last does not return to alpha
+    assert apply_embedding(s3, s1) == s4 != alpha
+    assert _verify_conjugates(spec, [s1, s2, s4, s3]) is None
 
 
 def test_non_cyclic_field_is_rejected():
