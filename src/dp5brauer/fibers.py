@@ -2,17 +2,18 @@
 the splitting-type classification.
 
 Everything mod p starts from one (5, 6, 6) array per (model, p), built by
-``model._quadric_gram``: the upper-triangular Gram matrices G_k with
-q_k(x) = x^T G_k x.  The polar matrices B_k = G_k + G_k^T give the
-polar form x^T B_k y = q_k(x + y) - q_k(x) - q_k(y) and the Jacobian rows
-B_k x in every characteristic, 2 included.
+``model._quadric_gram`` and shared by every step (``_gram_mod_p``): the
+upper-triangular Gram matrices G_k with q_k(x) = x^T G_k x.  The polar
+matrices B_k = G_k + G_k^T give the polar form x^T B_k y = q_k(x + y) -
+q_k(x) - q_k(y) and the Jacobian rows B_k x in every characteristic, 2
+included.
 
 Enumeration solves the fiber when the model has the solver shape
-(``model._has_solver_shape``, checked on the integer coefficients, so it
-holds mod every p): quadrics 4-5 are linear in (u1, u2) for fixed t =
-(u3, u4, u5), and quadrics 1-3 are linear in u0.  Both fixtures and every
-``build_model`` output have it.  For each t in P^2 with first nonzero entry
-1 the solver lists every solution (u1, u2) of the 2x2 system
+(``model._solver_shaped``): quadrics 4-5 are linear in (u1, u2) for fixed
+t = (u3, u4, u5), and quadrics 1-3 are linear in u0.  Both fixtures and
+every ``build_model`` output have it on their integer coefficients
+(``model._has_solver_shape``), so mod every p.  For each t in P^2 with first
+nonzero entry 1 the solver lists every solution (u1, u2) of the 2x2 system
 a(t) (u1, u2) + c(t) = 0 of quadrics 4-5.  Where det a(t) != 0 (u3 u5 -
 u4^2 on the fixtures) Cramer's rule gives the one solution.  The planes
 with det a(t) = 0 are solved together in one array step: each contributes
@@ -32,7 +33,57 @@ chosen one or a tried value.  So x is a candidate, and it passes the final
 check; a fiber point with t(x) = 0 lies in the checked plane.  Distinct
 candidates are distinct projective points, so the result is exactly the
 fiber, from O(p^2) candidates instead of O(p^5) cells.  Nothing here
-divides by 2, so p = 2 is no exception.
+divides by 2, so p = 2 is no exception.  The proof uses nothing but the
+shape of the Gram array mod p it is given.
+
+Any other model is moved into the solver shape mod p first:
+
+1. A smooth point P0, where the Jacobian J has rank exactly 3, is searched
+   on P^3 slices of P^5, at most SLICE_BOUND of them, spanned by four
+   vectors drawn from a generator seeded with p, so the search is the same
+   on every run.  A general P^3 meets the quintic surface in five geometric
+   points, about one F_p-point per slice on average.  On a slice, the first
+   quadric that does not vanish there is evaluated, as a 4x4 Gram matrix,
+   on all p^3 + p^2 + p + 1 slice points, and the other four only on its
+   zeros.  A slice on which all five vanish is skipped: it lies in the
+   fiber, so every point of it has a tangent space of dimension at least 4
+   and J of rank at most 2.  Dependent slice vectors only repeat points or
+   give x = 0, whose Jacobian is 0.
+2. One row reduction of [J(P0) | I_5] gives both changes of basis.  Its
+   first six columns are the reduced J(P0), with pivot columns C and free
+   columns F; the kernel vector k_f of a free column f has 1 at f, 0 at
+   the other free columns, and minus the reduced entries at C.  P0 lies in
+   ker J(P0), because P0^T B_k P0 = 2 q_k(P0) = 0, so P0 = sum_f P0[f] k_f
+   with some P0[f*] != 0.  The k_f and the unit vectors at C form a basis
+   of F_p^6 (with the rows in the order (F, C) their matrix is block
+   unitriangular), and putting P0 in place of k_f* keeps a basis.  So g =
+   (P0, the other two k_f, the unit vectors at C), as columns e0..e5, is
+   invertible, and e0, e1, e2 span ker J(P0).  Pivots are sought in the
+   first six columns only, so the last five end as the invertible E with
+   E J(P0) the reduced matrix; its rows 4-5 are 0, so the quadrics E_4 q
+   and E_5 q have sum_k c_k B_k P0 = 0: they are singular at P0.
+3. The moved quadrics are (E q)(g v), with Gram matrices g^T (E G)_k g
+   folded to upper-triangular form.  Their zero set is g^{-1} of the fiber,
+   because E and g are invertible mod p.  The shape predicate shared with
+   ``_has_solver_shape`` gates them; the solver runs unchanged, and its
+   points map back by u = g v.  A rank-3 point that fails the gate is
+   passed over; if none passes within SLICE_BOUND slices, DomainError names
+   the prime (a fiber with no smooth F_p-point, such as quadrics that all
+   vanish mod p or a finite set of transversal points, is refused so).
+
+Soundness rests only on the gate, since the completeness proof above needs
+nothing else.  Why the gate passes on a del Pezzo fiber: quadrics 1-3 vanish
+at P0 = g e0, so they have no v0^2 term.  A quadric q with B P0 = 0 and
+q(P0) = 0 has q(x + s P0) = q(x) + s x^T B P0 + s^2 q(P0) = q(x), a cone with
+vertex P0 in every characteristic, 2 included (there B P0 = 0 alone would
+not give q(P0) = 0, but P0 is on the fiber); so quadrics 4-5 have no v0
+term.  Projection from a smooth point P0 sends a quintic del Pezzo surface
+X birationally onto a quartic del Pezzo surface Y in P^4, the intersection
+of two quadrics, and the cones over those two are the quadrics through X
+singular at P0.  The tangent plane T = P(ker J(P0)), spanned by e0, e1,
+e2, projects to the line of Y that the blow-up of P0 puts there, so both
+cones contain T, and quadrics 4-5 have no v1^2, v1 v2 or v2^2 term.
+Nothing in this divides by 2.
 
 Smooth points, certified by a minor.  The Jacobian row of q_k at x is
 B_k x, whose entry j is the partial derivative of q_k by u_j (the diagonal
@@ -45,19 +96,14 @@ u2) is then lin_k * det a(t), in every characteristic.  Where both factors
 are nonzero the Jacobian has rank at least 3 and the point is smooth;
 ``singular_points`` row-reduces only the other points.
 
-Other models, such as ``obstruction.transformed_model_mod11``, fall back to
-a scan of the six standard charts of P^5, at p <= SCAN_BOUND only, in grids
-of at most 2^23 cells: the sparsest quadric is evaluated on the grid, all
-five on its zeros.  The scan is also the test oracle of the solver.
-
 Integer safety at p <= ENUMERATION_BOUND = 100: entries are reduced mod p
 before any product, so the largest unreduced sum, a quadric value over 36
-Gram entries, stays below 36 * 100^3 < 2^26; the scan's int32 grid sums 21
-terms below 100^3, so below 2^25.
+Gram entries or an entry of g^T G g, stays below 36 * 100^3 < 2^26.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -72,6 +118,7 @@ from .errors import (
 from .model import (
     _has_solver_shape,
     _quadric_gram,
+    _solver_shaped,
     _yz_product,
     chart_point,
 )
@@ -86,22 +133,34 @@ from .numberfield import (
 )
 
 ENUMERATION_BOUND = 100
-# the chart scan of a model without the solver shape takes about 1 s at 31
-SCAN_BOUND = 31
-_CHUNK_CELLS = 1 << 23
+# P^3 slices searched for a smooth point that moves a model into the solver
+# shape; on 510 coordinate changes of the two fixtures at primes <= 97 the
+# search took 1.6 slices on average and 9 at most
+SLICE_BOUND = 64
 _LINE_BLOCK_CELLS = 1 << 20
 
 
+@lru_cache(maxsize=16)
 def _gram_mod_p(vectors, p):
-    """(5, 6, 6) int64 array of the Gram matrices G_k mod p."""
-    gram = _quadric_gram(vectors)
-    return np.array([[[c % p for c in row] for row in g] for g in gram], dtype=np.int64)
+    """(5, 6, 6) int64 array of the Gram matrices G_k mod p, built once per
+    (quadrics, p) and shared, so it is read-only."""
+    gram = np.array(
+        [[[c % p for c in row] for row in g] for g in _quadric_gram(vectors)], dtype=np.int64
+    )
+    gram.flags.writeable = False
+    return gram
 
 
 def _polar_mod_p(model, p):
     """(5, 6, 6) int64 array of polar matrices B_k = G_k + G_k^T mod p."""
     gram = _gram_mod_p(model.quadrics, p)
     return (gram + gram.transpose(0, 2, 1)) % p
+
+
+def _upper(s, p):
+    """The upper-triangular Gram array mod p of the forms x^T s_k x."""
+    n = s.shape[-1]
+    return (np.triu(s + s.transpose(0, 2, 1), 1) + s * np.eye(n, dtype=np.int64)) % p
 
 
 @lru_cache(maxsize=8)
@@ -111,33 +170,35 @@ def _inverses(p):
 
 
 def _on_fiber(gram, x, p):
-    """Mask of the rows of x (n, 6) on which all five quadrics vanish mod p."""
+    """Mask of the rows of x (n, d) on which all forms x^T G_k x vanish mod p."""
     return ~(((x @ gram) * x).sum(axis=-1) % p).any(axis=0)
 
 
+@lru_cache(maxsize=8)
 def _projective_plane(p):
-    """The p^2 + p + 1 points of P^2(F_p) with first nonzero entry 1, as rows."""
+    """The p^2 + p + 1 points of P^2(F_p) with first nonzero entry 1, as rows
+    (read-only, shared)."""
     rows = [(1, a, b) for a in range(p) for b in range(p)] + [(0, 1, b) for b in range(p)]
-    return np.array(rows + [(0, 0, 1)], dtype=np.int64)
+    plane = np.array(rows + [(0, 0, 1)], dtype=np.int64)
+    plane.flags.writeable = False
+    return plane
 
 
 def enumerate_fiber(model, p):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
     Normalization: the first nonzero coordinate is 1.  Models with the
-    solver shape are solved, all others scanned (module docstring).
+    solver shape are solved as they stand, all others after a change of
+    coordinates at a smooth point; a fiber without a smooth point that gives
+    the shape raises DomainError (module docstring).
     """
     _require_prime(p)
     gram = _gram_mod_p(model.quadrics, p)
     if _has_solver_shape(model.quadrics):
         x = _solve_fiber(gram, p)
-    elif p > SCAN_BOUND:
-        raise EnumerationBoundError(
-            f"prime {p} exceeds the scan bound {SCAN_BOUND} of a model without the solver "
-            "shape (quadrics 1-3 free of u0^2, quadrics 4-5 free of u0, u1^2, u1 u2, u2^2)"
-        )
     else:
-        x = _scan_fiber(gram, p)
+        g, moved = _shaped_coordinates(gram, p)
+        x = _solve_fiber(moved, p) @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
     x = x * _inverses(p)[lead][:, None] % p
     return sorted(map(tuple, x.tolist()))
@@ -149,6 +210,72 @@ def _require_prime(p):
         raise EnumerationBoundError(f"prime {p} exceeds enumeration bound {ENUMERATION_BOUND}")
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
+
+
+def _shaped_coordinates(gram, p):
+    """(g, moved): an invertible g mod p and the Gram array of the quadrics
+    (E q)(g v), which has the solver shape (module docstring, steps 1-3)."""
+    polar = (gram + gram.transpose(0, 2, 1)) % p
+    rng = random.Random(p)
+    for _ in range(SLICE_BOUND):
+        s = np.array([[rng.randrange(p) for _ in range(6)] for _ in range(4)], dtype=np.int64)
+        x = _slice_points(gram, s, p)
+        if not len(x):
+            continue
+        jacobians = (polar @ x.T % p).transpose(2, 0, 1)
+        eye = np.broadcast_to(np.eye(5, dtype=np.int64), (len(x), 5, 5))
+        reduced, pivots = _row_reduce_mod_p(np.concatenate([jacobians, eye], axis=2), p, 6)
+        for point, r, pivot in zip(x, reduced, pivots[:, :6]):
+            if pivot.sum() != 3:
+                continue
+            g = _tangent_basis(point, r[:3, :6], pivot, p)
+            moved = _upper(g.T @ (np.einsum("kl,lab->kab", r[:, 6:], gram) % p) @ g, p)
+            if _solver_shaped(moved):
+                return g, moved
+    raise DomainError(
+        f"no smooth point of the fiber mod {p} moves the model into the solver shape "
+        f"(searched {SLICE_BOUND} slices of P^3)"
+    )
+
+
+def _slice_points(gram, s, p):
+    """Fiber points on the P^3 spanned by the rows of s (4, 6), in P^5."""
+    h = _upper(s @ gram @ s.T, p)
+    nonzero = np.flatnonzero(h.reshape(5, -1).any(axis=1))
+    if not len(nonzero):
+        return np.zeros((0, 6), dtype=np.int64)
+    y = _slice_zeros(h[nonzero[0]], p)
+    return y[_on_fiber(h, y, p)] @ s % p
+
+
+def _slice_zeros(h, p):
+    """The p^3 + p^2 + p + 1 points y of P^3(F_p), first nonzero entry 1, with
+    y^T h y = 0 mod p, for an upper-triangular h (4, 4).  On y = (1, a, b, c)
+    the value is f(a, b) + c (h33 c + l(a, b)), with f and l on the (a, b)
+    grid, so one (p, p, p) grid holds it; the plane y0 = 0 is a P^2."""
+    r = np.arange(p)
+    a, b = r[:, None], r[None, :]
+    f = h[0, 0] + (h[0, 1] + h[1, 1] * a + h[1, 2] * b) * a + (h[0, 2] + h[2, 2] * b) * b
+    line = h[0, 3] + h[1, 3] * a + h[2, 3] * b
+    affine = np.argwhere((f[..., None] % p + r * (h[3, 3] * r + line[..., None])) % p == 0)
+    plane = _projective_plane(p)
+    plane = plane[_on_fiber(h[None, 1:, 1:], plane, p)]
+    return np.concatenate([
+        np.column_stack([np.ones(len(affine), dtype=np.int64), affine]),
+        np.column_stack([np.zeros(len(plane), dtype=np.int64), plane]),
+    ])
+
+
+def _tangent_basis(point, reduced, pivot, p):
+    """Columns P0, two kernel vectors of the reduced Jacobian (3, 6) that
+    complete P0 to a basis of its kernel, and the unit vectors at its pivot
+    columns (module docstring, step 2)."""
+    free, pivots = np.flatnonzero(~pivot), np.flatnonzero(pivot)
+    kernel = np.zeros((3, 6), dtype=np.int64)
+    kernel[:, free] = np.eye(3, dtype=np.int64)
+    kernel[:, pivots] = -reduced[:, free].T % p
+    keep = np.arange(3) != (point[free] != 0).argmax()
+    return np.concatenate([point[None], kernel[keep], np.eye(6, dtype=np.int64)[pivots]]).T
 
 
 def _solve_fiber(gram, p):
@@ -210,51 +337,27 @@ def _degenerate_candidates(a, c, t, p):
     return np.column_stack([u[keep], t[plane[keep]]])
 
 
-def _scan_fiber(gram, p):
-    """Fiber points by scanning the six standard charts of P^5."""
-    k = min(range(5), key=lambda k: (not gram[k].any(), np.count_nonzero(gram[k])))
-    terms = [(int(gram[k, i, j]), i, j) for i, j in zip(*np.nonzero(gram[k]))]
-    found = []
-    for chart in range(6):
-        free = 5 - chart
-        # leading free coordinates loop in python, the rest form one grid
-        lead = 0
-        while free - lead > 1 and p ** (free - lead) > _CHUNK_CELLS:
-            lead += 1
-        dims = free - lead
-        axes = [
-            np.arange(p, dtype=np.int32).reshape([p if e == d else 1 for e in range(dims)])
-            for d in range(dims)
-        ]
-        for head in np.ndindex(*((p,) * lead)):
-            fixed = (0,) * chart + (1,) + head
-            coords = list(fixed) + axes
-            values = sum(c * (coords[i] * coords[j]) for c, i, j in terms) % p
-            zero = np.broadcast_to(np.asarray(values) == 0, (p,) * dims)
-            hits = np.flatnonzero(zero)[:, None] // p ** np.arange(dims - 1, -1, -1) % p
-            x = np.column_stack([np.broadcast_to(fixed, (len(hits), len(fixed))), hits])
-            found.append(x[_on_fiber(gram, x, p)])
-    return np.concatenate(found)
-
-
 def jacobian_matrix_mod_p(model, p, point):
     """5x6 matrix of quadric partials at a point, entries mod p."""
     x = np.array([int(c) % p for c in point], dtype=np.int64)
     return (_polar_mod_p(model, p) @ x % p).tolist()
 
 
-def _row_reduce_mod_p(mats, p):
+def _row_reduce_mod_p(mats, p, width=None):
     """Gauss-Jordan elimination mod p of a stack of matrices, shape (n, r, c).
 
     Returns the reduced stack and an (n, c) boolean array of pivot columns;
-    the pivot rows come first, in column order.
+    the pivot rows come first, in column order.  Pivots are sought in the
+    first ``width`` columns only (all by default); the row operations act
+    on whole rows, so on [A | I] the last columns end as the invertible E
+    with E A reduced.
     """
     m = np.array(mats, dtype=np.int64) % p
     n, r, c = m.shape
     inv = _inverses(p)
     rank = np.zeros(n, dtype=np.int64)
     pivots = np.zeros((n, c), dtype=bool)
-    for col in range(c):
+    for col in range(c if width is None else width):
         open_rows = (m[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
         sel = np.nonzero(open_rows.any(axis=1))[0]
         if not len(sel):

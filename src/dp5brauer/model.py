@@ -19,6 +19,7 @@ pentagram of the Galois walk, which descend to Q
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
 from typing import NamedTuple
@@ -460,15 +461,20 @@ def _form_vectors(mats):
     return [[s[i][j] + s[j][i] if i < j else s[i][i] for i, j in U_QUADRIC_PAIRS] for s in mats]
 
 
+def _solver_shaped(gram):
+    """True when the upper-triangular Gram array (5, 6, 6) has no u0^2 term in
+    quadrics 1-3 and no u0, u1^2, u1 u2 or u2^2 term in quadrics 4-5: then 4-5
+    are linear in (u1, u2) for fixed (u3, u4, u5) and 1-3 are linear in u0
+    (see ``fibers``)."""
+    g = np.asarray(gram)
+    return not (g[:3, 0, 0].any() or g[3:, 0].any() or g[3:, 1:3, 1:3].any())
+
+
+@lru_cache(maxsize=16)
 def _has_solver_shape(vectors):
-    """True when quadrics 1-3 have no u0^2 term and quadrics 4-5 no u0, u1^2,
-    u1 u2 or u2^2 term: then 4-5 are linear in (u1, u2) for fixed (u3, u4, u5)
-    and 1-3 are linear in u0 (see ``fibers``)."""
-    for k, vec in enumerate(vectors):
-        for (i, j), c in zip(U_QUADRIC_PAIRS, vec):
-            if c and ((i, j) == (0, 0) or (k >= 3 and (i == 0 or j <= 2))):
-                return False
-    return True
+    """``_solver_shaped`` on the integer coefficients, so it holds mod every p;
+    cached per quadrics, as enumeration asks it at every prime."""
+    return _solver_shaped(_quadric_gram(vectors))
 
 
 def search_integral_points(model, window=9):

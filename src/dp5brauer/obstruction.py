@@ -234,7 +234,8 @@ def _ramified_fiber_data(model):
         points = enumerate_fiber(model, p)
         singular = set(singular_points(model, p, points))
         smooth = tuple(pt not in singular for pt in points)
-        l1_values = tuple(model.hyperplane_value(model.l1, pt) % p for pt in points)
+        l1 = np.array([c % p for c in model.l1], dtype=np.int64)
+        l1_values = tuple((np.array(points, dtype=np.int64).reshape(-1, 6) @ l1 % p).tolist())
         _FIBER_CACHE[key] = (p, points, smooth, l1_values)
     return _FIBER_CACHE[key]
 
@@ -623,8 +624,8 @@ _FULL_MASK = 0b11111
 _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
 # forms per block of the mask kernel; a block gathers two (block, points) uint32 arrays
 _CENSUS_CHUNK = 2_048
-# the 1,331 digit triples mod 11 as columns, triple t numbered t0 + 11*t1 + 121*t2
-_TRIPLES_11 = _digit_columns(np.arange(11 ** 3, dtype=np.int64), 11, 3)
+# 1 << (s mod 11) for every sum s of three residues mod 11
+_ONE_HOT_33 = np.array([1 << (s % 11) for s in range(33)], dtype=np.uint32)
 
 
 def _class_bits_11(invert):
@@ -656,13 +657,22 @@ def _route_points_11(model, route):
 def _one_hot_tables(points):
     """The (1331, m) uint32 tables ``1 << (t . P mod 11)`` of the two digit halves.
 
-    Row t of the first table holds the one-hot value of t0*P0 + t1*P1 + t2*P2
-    at each row P of ``points``, row t of the second that of t0*P3 + t1*P4 +
-    t2*P5.
+    Row t = t0 + 11*t1 + 121*t2 of the first table holds the one-hot value
+    of t0*P0 + t1*P1 + t2*P2 at each row P of ``points``, row t of the
+    second that of t0*P3 + t1*P4 + t2*P5.  Each term c*P_i is reduced mod
+    11 for the eleven digits c on its own, so a sum of three is below 33
+    and indexes ``_ONE_HOT_33``; the three digit axes (t2, t1, t0) of the
+    sums, broadcast against each other, are the rows in that order.
     """
+    digits = (np.arange(11)[:, None, None] * points.T % 11).astype(np.uint8)
     return tuple(
-        np.left_shift(np.uint32(1), (_TRIPLES_11.T @ points[:, half].T % 11).astype(np.uint32))
-        for half in (slice(0, 3), slice(3, 6))
+        np.take(
+            _ONE_HOT_33,
+            (
+                digits[:, h + 2, None, None] + digits[None, :, h + 1, None] + digits[None, None, :, h]
+            ).reshape(11 ** 3, -1),
+        )
+        for h in (0, 3)
     )
 
 

@@ -9,8 +9,9 @@ data, not written down by hand.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 from .intlinalg import IntMatrix, hnf, saturated_kernel, snf, solve_in_lattice
@@ -32,17 +33,16 @@ def minus_one_classes(bound=3):
     The default window is known to be exhaustive; widening it is a test,
     not a runtime need.  D.K is affine in the last coordinate e, with slope
     FORM[-1] * K[-1], so D.K = -1 fixes e from the first four coordinates
-    and only those are searched; ``product`` walks them in lexicographic
+    and only those are searched, as one integer array in lexicographic
     order, so the list comes out sorted.
     """
-    slope = FORM[-1] * CANONICAL_CLASS[-1]
-    found = []
-    for head in product(range(-bound, bound + 1), repeat=RANK - 1):
-        e, rest = divmod(-1 - pairing(head, CANONICAL_CLASS), slope)
-        vector = head + (e,)
-        if not rest and abs(e) <= bound and pairing(vector, vector) == -1:
-            found.append(vector)
-    return found
+    form, canonical = np.array(FORM), np.array(CANONICAL_CLASS)
+    side = 2 * bound + 1
+    head = np.indices((side,) * (RANK - 1)).reshape(RANK - 1, -1).T - bound
+    e, rest = np.divmod(-1 - head @ (form * canonical)[:-1], form[-1] * canonical[-1])
+    vectors = np.column_stack([head, e])
+    keep = (rest == 0) & (abs(e) <= bound) & ((vectors * vectors) @ form == -1)
+    return [tuple(v) for v in vectors[keep].tolist()]
 
 
 def class_label(vector):
@@ -105,66 +105,52 @@ def petersen_graph(classes=None):
                 raise DomainError("labeling fails disjointness off an edge")
 
     autos = _graph_automorphisms(adjacency)
-    extensions_ok = all(
-        _lattice_map({v: classes[perm[i]] for i, v in enumerate(classes)})
-        is not None
-        for perm in autos
-    )
+    images = np.array(classes)[np.array(autos)]
+    extensions_ok = bool(_lattice_map(classes, images)[1].all())
     return PetersenReport(tuple(classes), edges, len(autos), labels, extensions_ok)
 
 
 def _graph_automorphisms(adjacency):
+    """Every automorphism of the graph, as the tuple of vertex images, in
+    lexicographic order: the partial maps of vertices 0..v-1 are extended by
+    every image of v at once, and an extension is kept when the image is
+    unused, of the same degree, and adjacent to the earlier images exactly
+    where v is adjacent to the earlier vertices."""
     n = len(adjacency)
-    result = []
-    image = [None] * n
-    used = [False] * n
-
-    def backtrack(v):
-        if v == n:
-            result.append(tuple(image))
-            return
-        for w in range(n):
-            if used[w] or len(adjacency[w]) != len(adjacency[v]):
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adjacency[v]) != (image[u] in adjacency[w]):
-                    ok = False
-                    break
-            if ok:
-                image[v] = w
-                used[w] = True
-                backtrack(v + 1)
-                used[w] = False
-                image[v] = None
-
-    backtrack(0)
-    return result
+    adjacent = np.array([[j in adjacency[i] for j in range(n)] for i in range(n)])
+    degree = adjacent.sum(axis=1)
+    maps = np.zeros((1, 0), dtype=np.int64)
+    for v in range(n):
+        # keep[m, w]: may partial map m send v to w
+        keep = (degree == degree[v]) & (adjacent[maps] == adjacent[:v, v, None]).all(axis=1)
+        keep[np.arange(len(maps))[:, None], maps] = False
+        rows, images = np.nonzero(keep)
+        maps = np.column_stack([maps[rows], images])
+    return [tuple(m) for m in maps.tolist()]
 
 
-def _lattice_map(image_of):
-    """5x5 integer matrix M with M . v = image_of[v] for every (-1)-class v,
-    preserving the pairing and K, or None when there is none.
+def _lattice_map(classes, images):
+    """(matrices, ok) for a stack ``images`` (m, n, 5), each row the images of
+    the (-1)-classes ``classes`` in order: matrices[s] is the only 5x5
+    integer matrix M that can send every class v to its image, and ok[s]
+    says that it does, preserving the pairing and K.
 
     The e-classes L1..L4 are the unit vectors e1..e4, so their images are
     columns 1..4; one conic class e0 - Li - Lj then determines column 0.
+    The columns and the three checks M v = image, M^T G M = G and M K = K
+    are one integer array step over the whole stack.
     """
-    cols = [None] * RANK
-    for k in range(1, RANK):
-        cols[k] = image_of[tuple(1 if t == k else 0 for t in range(RANK))]
-    conic = next(v for v in image_of if v[0] == 1)
-    col0 = list(image_of[conic])
-    for k in range(1, RANK):
-        if conic[k]:
-            for t in range(RANK):
-                col0[t] -= conic[k] * cols[k][t]
-    cols[0] = col0
-    m = IntMatrix([[cols[j][i] for j in range(RANK)] for i in range(RANK)])
-    if any(m.apply(v) != w for v, w in image_of.items()):
-        return None
-    if not preserves_pairing(m) or m.apply(CANONICAL_CLASS) != CANONICAL_CLASS:
-        return None
-    return m
+    v, w = np.array(classes), np.array(images)
+    units = [classes.index(tuple(int(t == k) for t in range(RANK))) for k in range(1, RANK)]
+    conic = next(i for i, c in enumerate(classes) if c[0] == 1)
+    cols = w[:, units]
+    col0 = w[:, conic] - np.einsum("k,mkt->mt", v[conic, 1:], cols)
+    m = np.concatenate([col0[:, None], cols], axis=1).transpose(0, 2, 1)
+    gram, canonical = np.diag(FORM), np.array(CANONICAL_CLASS)
+    ok = (m @ v.T == w.transpose(0, 2, 1)).all(axis=(1, 2))
+    ok &= (m.transpose(0, 2, 1) @ gram @ m == gram).all(axis=(1, 2))
+    ok &= (m @ canonical == canonical).all(axis=1)
+    return m, ok
 
 
 def preserves_pairing(matrix):
@@ -197,9 +183,10 @@ def interesting_sigma():
     for orbit in _SIGMA_ORBITS:
         for a, b in zip(orbit, orbit[1:] + orbit[:1]):
             perm[by_label[a]] = by_label[b]
-    m = _lattice_map(perm)
-    if m is None:
+    (m,), (ok,) = _lattice_map(classes, [[perm[v] for v in classes]])
+    if not ok:
         raise DomainError("orbit data is not a lattice map preserving the pairing and K")
+    m = IntMatrix(m.tolist())
     if matrix_order(m) != 5:
         raise DomainError("symmetry must have order 5")
     return GaloisAction(m, 5)

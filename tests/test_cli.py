@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import random
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from dp5brauer.cli import build_parser, main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
 
 from quintics import lehmer_quintic
+from test_fibers import _no_smooth_point_models, _substituted, _unimodular
 
 # the zeta11plus model file (JSON drops the fixture extras)
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
@@ -366,6 +368,31 @@ def test_fiber_refuses_a_model_file_whose_minpoly_disagrees(capsys, tmp_path):
     assert (code, out) == (3, "")
     assert "inert prediction violated at 11: 133 points (expected 122)" in err
     assert "Traceback" not in err
+
+
+def _model_file(tmp_path, m):
+    path = tmp_path / f"{m.source}.json"
+    path.write_text(json.dumps(m.to_json_dict()), encoding="utf-8")
+    return str(path)
+
+
+def test_fiber_of_a_model_file_in_other_coordinates_at_37(capsys, tmp_path, m11):
+    # once refused above the chart scan's bound, now solved after a change
+    # of coordinates: the document is the fixture's
+    moved = _substituted(m11, _unimodular(random.Random(0)))
+    argv = ["fiber", "--model", _model_file(tmp_path, moved), "--prime=37"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    _, expected, _ = run_cli(capsys, ["fiber", "--model", "fixture:zeta11plus", "--prime=37"])
+    assert json.loads(out) == json.loads(expected)
+
+
+def test_fiber_refuses_a_model_file_without_a_smooth_point(capsys, tmp_path, m11):
+    for m in _no_smooth_point_models(m11):
+        code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=7"])
+        assert (code, out) == (3, "")
+        assert "no smooth point of the fiber mod 7" in err
+        assert "Traceback" not in err
 
 
 def test_an_unwritable_output_exits_with_three(capsys, tmp_path):

@@ -6,6 +6,7 @@ containment, Jacobian ranks) are the independent part.
 """
 
 import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -227,9 +228,33 @@ def test_point_normalization_is_canonical(m11):
 
 
 def scanned(m, p):
-    """The chart scan, kept as the oracle of the solver."""
+    """The chart scan of P^5, kept as the oracle of the solver: on each of the
+    six standard charts the sparsest quadric is evaluated on a grid of at
+    most 2^23 cells, and all five on its zeros."""
     gram = fibers._gram_mod_p(m.quadrics, p)
-    return sorted(map(tuple, fibers._scan_fiber(gram, p).tolist()))
+    k = min(range(5), key=lambda k: (not gram[k].any(), np.count_nonzero(gram[k])))
+    terms = [(int(gram[k, i, j]), i, j) for i, j in zip(*np.nonzero(gram[k]))]
+    found = []
+    for chart in range(6):
+        free = 5 - chart
+        # leading free coordinates loop in python, the rest form one grid
+        lead = 0
+        while free - lead > 1 and p ** (free - lead) > 1 << 23:
+            lead += 1
+        dims = free - lead
+        axes = [
+            np.arange(p, dtype=np.int32).reshape([p if e == d else 1 for e in range(dims)])
+            for d in range(dims)
+        ]
+        for head in np.ndindex(*((p,) * lead)):
+            fixed = (0,) * chart + (1,) + head
+            coords = list(fixed) + axes
+            values = sum(c * (coords[i] * coords[j]) for c, i, j in terms) % p
+            zero = np.broadcast_to(np.asarray(values) == 0, (p,) * dims)
+            hits = np.flatnonzero(zero)[:, None] // p ** np.arange(dims - 1, -1, -1) % p
+            x = np.column_stack([np.broadcast_to(fixed, (len(hits), len(fixed))), hits])
+            found.append(x[fibers._on_fiber(gram, x, p)])
+    return sorted(map(tuple, np.concatenate(found).tolist()))
 
 
 def test_solver_equals_scan_up_to_31(m11, m25, built11):
@@ -239,23 +264,116 @@ def test_solver_equals_scan_up_to_31(m11, m25, built11):
             assert enumerate_fiber(m, p) == scanned(m, p), (m.source, p)
 
 
-def test_structureless_model_goes_through_the_scan(m11):
-    # a random GL6 change of coordinates destroys the solver shape; its
-    # fiber is the coordinate change of the fixture's fiber
+def _unimodular(rng):
+    """A random integer matrix of determinant 1: unit lower times unit upper."""
+    lower = np.array([[rng.randint(-2, 2) if j < i else int(i == j) for j in range(6)] for i in range(6)])
+    upper = np.array([[rng.randint(-2, 2) if j > i else int(i == j) for j in range(6)] for i in range(6)])
+    return (lower @ upper).tolist()
+
+
+def _image(g, fiber, p):
+    """The normalized points g v mod p of the points v of ``fiber``."""
+    x = np.array(fiber, dtype=np.int64).reshape(-1, 6) @ np.array(g, dtype=np.int64).T % p
+    return sorted(fibers._normalize_point(v, p) for v in x.tolist())
+
+
+def test_moved_model_fibers_are_the_coordinate_image_up_to_97(m11):
+    # an integer change of coordinates u = g v with det g = 1 destroys the
+    # solver shape; at every prime the moved fiber is g^-1 of the fixture's
+    g = _unimodular(random.Random(0))
+    moved = _substituted(m11, g)
+    assert not _has_solver_shape(moved.quadrics)
+    counts = {}
+    for p in range(2, 98):
+        if fibers._is_prime(p):
+            fiber = enumerate_fiber(moved, p)
+            assert _image(g, fiber, p) == enumerate_fiber(m11, p), p
+            if p <= 13:
+                assert fiber == scanned(moved, p), p
+            counts[p] = len(fiber)
+    assert [counts[p] for p in (23, 31, 47, 97)] == [645, 962, 2210, 9410]
+
+
+def test_moved_model_keeps_lines_singular_points_and_classification(m11):
+    g = _unimodular(random.Random(1))
+    moved = _substituted(m11, g)
+    assert not _has_solver_shape(moved.quadrics)
+    for p in (2, 7, 11, 23):
+        report, reference = classify_fiber(moved, p), classify_fiber(m11, p)
+        assert report.classification == reference.classification, p
+        assert _image(g, report.singular, p) == list(reference.singular), p
+        lines = sorted(_image(g, line.points, p) for line in report.lines)
+        assert lines == [list(line.points) for line in reference.lines], p
+
+
+def test_transformed_models_mod_11_are_solved(m11):
+    # a random GL6 change of coordinates mod 11 destroys the solver shape;
+    # its fiber is the coordinate change of the fixture's fiber
     g = _random_invertible_mod11(random.Random(3))
     moved = transformed_model_mod11(m11, g)
     assert not _has_solver_shape(moved.quadrics)
     fiber = enumerate_fiber(moved, 11)
     assert fiber == scanned(moved, 11)
-    images = {
-        fibers._normalize_point([sum(g[i][j] * v[j] for j in range(6)) for i in range(6)], 11)
-        for v in fiber
-    }
     assert len(fiber) == 133
-    assert images == set(enumerate_fiber(m11, 11))
-    # the scan is refused above SCAN_BOUND, where it would take seconds
-    with pytest.raises(EnumerationBoundError, match="solver shape"):
-        enumerate_fiber(moved, 37)
+    assert _image(g, fiber, 11) == enumerate_fiber(m11, 11)
+
+
+def _invertible(data, p):
+    """A matrix of GL6(F_p) as P L U: a permutation, a unit lower triangular
+    and an upper triangular matrix with a unit diagonal, so every element
+    of GL6(F_p) can be drawn."""
+    entry = st.integers(0, p - 1)
+    perm = data.draw(st.permutations(range(6)))
+    lower = [[data.draw(entry) if j < i else int(i == j) for j in range(6)] for i in range(6)]
+    upper = [
+        [data.draw(entry) if j > i else data.draw(st.integers(1, p - 1)) if i == j else 0
+         for j in range(6)]
+        for i in range(6)
+    ]
+    g = np.array(lower)[perm] @ np.array(upper) % p
+    return g.tolist()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7, 11, 13)), data=st.data())
+def test_solver_equals_scan_after_changes_in_gl6(m11, p, data):
+    moved = _substituted(m11, _invertible(data, p))
+    assert enumerate_fiber(moved, p) == scanned(moved, p)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
+def test_slice_zeros_are_the_zeros_of_the_restricted_quadric(p, data):
+    entries = data.draw(st.lists(st.integers(0, p - 1), min_size=16, max_size=16))
+    h = np.triu(np.array(entries, dtype=np.int64).reshape(4, 4))
+    expected = sorted(
+        y
+        for y in product(range(p), repeat=4)
+        if any(y) and y[next(i for i, c in enumerate(y) if c)] == 1 and int(y @ h @ y) % p == 0
+    )
+    assert sorted(map(tuple, fibers._slice_zeros(h, p).tolist())) == expected
+
+
+def _no_smooth_point_models(m11):
+    """Two models without the solver shape whose fiber mod 7 has no point of
+    Jacobian rank 3: quadrics that all vanish mod 7, and five random
+    quadrics meeting in finitely many transversal points."""
+    zero = _substituted(m11, _unimodular(random.Random(0)))
+    zero = DelPezzoModel("zero", m11.spec, [[7 * c for c in q] for q in zero.quadrics], m11.l1, m11.l2)
+    rng = random.Random(2)
+    generic = DelPezzoModel(
+        "generic", m11.spec, [[rng.randint(-3, 3) for _ in range(21)] for _ in range(5)], m11.l1, m11.l2
+    )
+    return zero, generic
+
+
+def test_a_fiber_without_a_smooth_point_is_refused(m11):
+    for m in _no_smooth_point_models(m11):
+        assert not _has_solver_shape(m.quadrics)
+        fiber = scanned(m, 7)
+        assert fiber and 3 not in _jacobian_ranks(m, 7, fiber), m.source
+        with pytest.raises(DomainError, match="no smooth point of the fiber mod 7"):
+            enumerate_fiber(m, 7)
 
 
 def _block_triangular(data, p):
@@ -355,13 +473,16 @@ def test_solver_equals_scan_when_every_plane_is_degenerate(m11, rank):
             assert fiber and fiber == scanned(m, p), (rank, p)
 
 
-def _full_rank_test(m, p, fiber):
-    """Fiber points whose Jacobian has rank below 3, by one row reduction
-    of every Jacobian."""
+def _jacobian_ranks(m, p, fiber):
+    """The Jacobian rank at every fiber point, by one row reduction."""
     x = np.array(fiber, dtype=np.int64)
     jacobians = (fibers._polar_mod_p(m, p) @ x.T % p).transpose(2, 0, 1)
-    ranks = fibers._row_reduce_mod_p(jacobians, p)[1].sum(axis=1)
-    return [pt for pt, rank in zip(fiber, ranks) if rank < 3]
+    return fibers._row_reduce_mod_p(jacobians, p)[1].sum(axis=1).tolist()
+
+
+def _full_rank_test(m, p, fiber):
+    """Fiber points whose Jacobian has rank below 3."""
+    return [pt for pt, rank in zip(fiber, _jacobian_ranks(m, p, fiber)) if rank < 3]
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

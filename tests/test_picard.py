@@ -80,8 +80,42 @@ def test_a_class_permutation_that_is_not_linear_does_not_extend():
     # is the identity; only the check of the other images can refuse it
     a, b = classes[-2], classes[-1]
     image_of[a], image_of[b] = b, a
-    assert _lattice_map(image_of) is None
-    assert _lattice_map(dict(zip(classes, classes))) == IntMatrix.identity(5)
+    matrices, ok = _lattice_map(classes, [[image_of[v] for v in classes], classes])
+    assert ok.tolist() == [False, True]
+    assert IntMatrix(matrices[1].tolist()) == IntMatrix.identity(5)
+
+
+def _automorphisms_by_backtracking(adjacency):
+    """Every automorphism, vertex by vertex with a check against the earlier
+    ones; the reference of the array search."""
+    n, found = len(adjacency), []
+
+    def extend(image):
+        v = len(image)
+        if v == n:
+            found.append(tuple(image))
+            return
+        for w in range(n):
+            if w not in image and len(adjacency[w]) == len(adjacency[v]) and all(
+                (u in adjacency[v]) == (image[u] in adjacency[w]) for u in range(v)
+            ):
+                extend(image + [w])
+
+    extend([])
+    return found
+
+
+def test_graph_automorphisms_match_a_backtracking_search():
+    classes = minus_one_classes()
+    graphs = [
+        [frozenset(j for j, w in enumerate(classes) if pairing(v, w) == 1) for v in classes]
+    ]
+    rng = random.Random(3)
+    for n in (1, 4, 6, 7):
+        edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5}
+        graphs.append([frozenset(j for j in range(n) if (i, j) in edges or (j, i) in edges) for i in range(n)])
+    for adjacency in graphs:
+        assert _graph_automorphisms(adjacency) == _automorphisms_by_backtracking(adjacency)
 
 
 def test_sigma_is_an_order_five_lattice_symmetry():
@@ -194,10 +228,10 @@ def test_gram_identity_matches_the_unit_vector_pairings():
     adjacency = [
         frozenset(j for j, w in enumerate(classes) if pairing(v, w) == 1) for v in classes
     ]
-    extensions = [
-        _lattice_map({v: classes[perm[i]] for i, v in enumerate(classes)})
-        for perm in _graph_automorphisms(adjacency)
-    ]
+    autos = _graph_automorphisms(adjacency)
+    matrices, ok = _lattice_map(classes, [[classes[i] for i in perm] for perm in autos])
+    assert ok.all()
+    extensions = [IntMatrix(m) for m in matrices.tolist()]
     assert len(extensions) == 120
     rng = random.Random(5)
     matrices = []
