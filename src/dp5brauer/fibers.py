@@ -58,18 +58,30 @@ Any other model is moved into the solver shape mod p first:
    of F_p^6 (with the rows in the order (F, C) their matrix is block
    unitriangular), and putting P0 in place of k_f* keeps a basis.  So g =
    (P0, the other two k_f, the unit vectors at C), as columns e0..e5, is
-   invertible, and e0, e1, e2 span ker J(P0).  Pivots are sought in the
-   first six columns only, so the last five end as the invertible E with
-   E J(P0) the reduced matrix; its rows 4-5 are 0, so the quadrics E_4 q
-   and E_5 q have sum_k c_k B_k P0 = 0: they are singular at P0.
+   invertible, and e0, e1, e2 span ker J(P0).  The row operations act on
+   whole rows, so the last five columns end as an invertible E with E J(P0)
+   the first six.  Rows 4-5 of E J(P0) are 0 (pivots found in the last
+   five columns lie in rows 4-5 and leave the first six columns as they
+   are), so the quadrics E_4 q and E_5 q have sum_k c_k B_k P0 = 0: they
+   are singular at P0.
 3. The moved quadrics are (E q)(g v), with Gram matrices g^T (E G)_k g
    folded to upper-triangular form.  Their zero set is g^{-1} of the fiber,
    because E and g are invertible mod p.  The shape predicate shared with
    ``_has_solver_shape`` gates them; the solver runs unchanged, and its
-   points map back by u = g v.  A rank-3 point that fails the gate is
-   passed over; if none passes within SLICE_BOUND slices, DomainError names
-   the prime (a fiber with no smooth F_p-point, such as quadrics that all
-   vanish mod p or a finite set of transversal points, is refused so).
+   points map back by u = g v.  The first rank-3 point of each slice is
+   tried.  Its move is passed over if it fails the gate, or if det a(t) =
+   0 at every t, which would make every plane degenerate: p^3 candidates,
+   or p^4 where a(t) = 0 at every t.  On a del Pezzo fiber det a(t) is a
+   nonzero conic (below); a quadratic form in t is 0 at every t iff it is
+   0 at the e_i and the e_i + e_j, which gives its coefficients, in every
+   characteristic.  So at most SLICE_BOUND moves are tried, and the
+   candidates stay O(p^2) but for planes on which a(t) = 0 (fewer than
+   p + 2 of them, with p^2 candidates each).  If no move passes within
+   SLICE_BOUND slices, DomainError names the prime.  A fiber with no
+   smooth F_p-point (quadrics that all vanish mod p, or a finite set of
+   transversal points) is refused so, and so is one whose quadrics span
+   at most four dimensions mod p: at a rank-3 point one of quadrics 4-5
+   is then 0.
 
 Soundness rests only on the gate, since the completeness proof above needs
 nothing else.  Why the gate passes on a del Pezzo fiber: quadrics 1-3 vanish
@@ -82,8 +94,11 @@ X birationally onto a quartic del Pezzo surface Y in P^4, the intersection
 of two quadrics, and the cones over those two are the quadrics through X
 singular at P0.  The tangent plane T = P(ker J(P0)), spanned by e0, e1,
 e2, projects to the line of Y that the blow-up of P0 puts there, so both
-cones contain T, and quadrics 4-5 have no v1^2, v1 v2 or v2^2 term.
-Nothing in this divides by 2.
+cones contain T, and quadrics 4-5 have no v1^2, v1 v2 or v2^2 term.  On
+the plane spanned by that line and a point t they read lambda a(t) (v1,
+v2) + lambda^2 c(t); a general such plane meets Y in the line and one
+more point, so det a(t) is not 0 at every t.  Nothing in this divides by
+2.
 
 Smooth points, certified by a minor.  The Jacobian row of q_k at x is
 B_k x, whose entry j is the partial derivative of q_k by u_j (the diagonal
@@ -138,6 +153,8 @@ ENUMERATION_BOUND = 100
 # search took 1.6 slices on average and 9 at most
 SLICE_BOUND = 64
 _LINE_BLOCK_CELLS = 1 << 20
+# a quadratic form in t vanishes at every t iff it vanishes at these six
+_CONIC_POINTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
 
 @lru_cache(maxsize=16)
@@ -224,14 +241,15 @@ def _shaped_coordinates(gram, p):
             continue
         jacobians = (polar @ x.T % p).transpose(2, 0, 1)
         eye = np.broadcast_to(np.eye(5, dtype=np.int64), (len(x), 5, 5))
-        reduced, pivots = _row_reduce_mod_p(np.concatenate([jacobians, eye], axis=2), p, 6)
-        for point, r, pivot in zip(x, reduced, pivots[:, :6]):
-            if pivot.sum() != 3:
-                continue
-            g = _tangent_basis(point, r[:3, :6], pivot, p)
-            moved = _upper(g.T @ (np.einsum("kl,lab->kab", r[:, 6:], gram) % p) @ g, p)
-            if _solver_shaped(moved):
-                return g, moved
+        reduced, pivots = _row_reduce_mod_p(np.concatenate([jacobians, eye], axis=2), p)
+        smooth = np.flatnonzero(pivots[:, :6].sum(axis=1) == 3)
+        if not len(smooth):
+            continue
+        r = reduced[smooth[0]]
+        g = _tangent_basis(x[smooth[0]], r[:3, :6], pivots[smooth[0], :6], p)
+        moved = _upper(g.T @ (np.einsum("kl,lab->kab", r[:, 6:], gram) % p) @ g, p)
+        if _solver_shaped(moved) and _pencil(moved, _CONIC_POINTS, p)[1].any():
+            return g, moved
     raise DomainError(
         f"no smooth point of the fiber mod {p} moves the model into the solver shape "
         f"(searched {SLICE_BOUND} slices of P^3)"
@@ -282,10 +300,8 @@ def _solve_fiber(gram, p):
     """Fiber points, unnormalized, by back-solving (module docstring)."""
     inv = _inverses(p)
     t = _projective_plane(p)
-    # at t, quadrics 4-5 read a[k] . (u1, u2) + c[k] = 0
-    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
+    a, det = _pencil(gram, t, p)
     c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
-    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     ok = det != 0
     an, cn, d = a[ok], c[ok], inv[det[ok]]
     u1 = (an[:, 0, 1] * cn[:, 1] - an[:, 1, 1] * cn[:, 0]) % p * d % p
@@ -309,6 +325,13 @@ def _solve_fiber(gram, p):
         np.column_stack([t, np.zeros_like(t)]),
     ])
     return x[_on_fiber(gram, x, p)]
+
+
+def _pencil(gram, t, p):
+    """(a, det a) at the rows t: there quadrics 4-5 read a[k] . (u1, u2) +
+    c[k] = 0."""
+    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
+    return a, (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
 
 
 def _degenerate_candidates(a, c, t, p):
@@ -343,21 +366,18 @@ def jacobian_matrix_mod_p(model, p, point):
     return (_polar_mod_p(model, p) @ x % p).tolist()
 
 
-def _row_reduce_mod_p(mats, p, width=None):
+def _row_reduce_mod_p(mats, p):
     """Gauss-Jordan elimination mod p of a stack of matrices, shape (n, r, c).
 
     Returns the reduced stack and an (n, c) boolean array of pivot columns;
-    the pivot rows come first, in column order.  Pivots are sought in the
-    first ``width`` columns only (all by default); the row operations act
-    on whole rows, so on [A | I] the last columns end as the invertible E
-    with E A reduced.
+    the pivot rows come first, in column order.
     """
     m = np.array(mats, dtype=np.int64) % p
     n, r, c = m.shape
     inv = _inverses(p)
     rank = np.zeros(n, dtype=np.int64)
     pivots = np.zeros((n, c), dtype=bool)
-    for col in range(c if width is None else width):
+    for col in range(c):
         open_rows = (m[:, :, col] != 0) & (np.arange(r) >= rank[:, None])
         sel = np.nonzero(open_rows.any(axis=1))[0]
         if not len(sel):

@@ -15,7 +15,12 @@ from dp5brauer.cli import build_parser, main
 from dp5brauer.errors import ChartError, FiberInconsistencyError
 
 from quintics import lehmer_quintic
-from test_fibers import _no_smooth_point_models, _substituted, _unimodular
+from test_fibers import (
+    _no_smooth_point_models,
+    _rank_deficient_models,
+    _substituted,
+    _unimodular,
+)
 
 # the zeta11plus model file (JSON drops the fixture extras)
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
@@ -392,6 +397,14 @@ def test_fiber_refuses_a_model_file_without_a_smooth_point(capsys, tmp_path, m11
         code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=7"])
         assert (code, out) == (3, "")
         assert "no smooth point of the fiber mod 7" in err
+        assert "Traceback" not in err
+
+
+def test_fiber_refuses_a_model_file_cut_by_fewer_than_five_quadrics(capsys, tmp_path, m11):
+    for m in _rank_deficient_models(m11, 37):
+        code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=37"])
+        assert (code, out) == (3, ""), m.source
+        assert "no smooth point of the fiber mod 37" in err
         assert "Traceback" not in err
 
 

@@ -376,6 +376,31 @@ def test_a_fiber_without_a_smooth_point_is_refused(m11):
             enumerate_fiber(m, 7)
 
 
+def _rank_deficient_models(m11, p):
+    """A unimodular change of zeta11plus with two quadrics, or one,
+    multiplied by p: mod p its quadrics span three or four dimensions, so at
+    a smooth point one or both of quadrics 4-5 of the move vanish, and
+    det a(t) = 0 at every t."""
+    q = _substituted(m11, _unimodular(random.Random(0))).quadrics
+    return [
+        DelPezzoModel(
+            f"rank-{5 - n}", m11.spec, [[p * c for c in v] if k >= 5 - n else v for k, v in enumerate(q)],
+            m11.l1, m11.l2,
+        )
+        for n in (2, 1)
+    ]
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_a_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
+    # such a fiber has smooth points, but solving after any move would list
+    # p^3 or p^4 candidates (p^4 rows at 97 need tens of GB)
+    for m in _rank_deficient_models(m11, p):
+        assert 3 in _jacobian_ranks(m, p, scanned(m, p)), m.source
+        with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
+            enumerate_fiber(m, p)
+
+
 def _block_triangular(data, p):
     """Random g with u0 -> a u0 + L, (u1, u2) -> M (u1, u2) + N, t -> G t."""
 
