@@ -1,7 +1,9 @@
 """Exact linear algebra over the integers.
 
-Everything here works with arbitrary-precision Python ints; there is no
-floating point and no modular shortcut.  The normal form conventions are
+Everything here works with arbitrary-precision Python ints, which the
+eliminations hold in numpy object arrays so that one row operation is one
+array step; there is no floating point and no modular shortcut.  The
+normal form conventions are
 fixed once and used by every caller:
 
   * Hermite form is row-style: ``H = U A`` with ``U`` unimodular, pivots
@@ -17,6 +19,8 @@ lattices always produce identical bases.
 from __future__ import annotations
 
 from math import gcd, prod
+
+import numpy as np
 
 
 class IntMatrix:
@@ -111,6 +115,39 @@ def det(matrix):
     return sign * a[n - 1][n - 1]
 
 
+def _echelon(a):
+    """Row echelon form of an (m, n) object array of Python ints by gcd
+    elimination.
+
+    Returns ``(t, pivots)``: ``t`` is ``[H | U]`` with ``H = U A`` and ``U``
+    unimodular, and row k of ``H`` leads at column ``pivots[k]``; the rows
+    below ``len(pivots)`` are zero.  Pivots may be negative and the entries
+    above them are not reduced; ``hnf`` does both.
+    """
+    m, n = a.shape
+    t = np.concatenate([a, np.identity(m, dtype=object)], axis=1)
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        # gcd elimination below row r in column c
+        while True:
+            col = t[r:, c]
+            nz = np.flatnonzero(col)
+            if not nz.size:
+                break
+            k = r + min(nz, key=lambda i: abs(col[i]))
+            if k != r:
+                t[[r, k]] = t[[k, r]]
+            if nz.size == 1:
+                break
+            t[r + 1 :] -= (t[r + 1 :, c] // t[r, c])[:, None] * t[r]
+        if t[r, c]:
+            pivots.append(c)
+    return t, pivots
+
+
 def hnf(matrix):
     """Row Hermite normal form.
 
@@ -118,47 +155,13 @@ def hnf(matrix):
     entries above each pivot in ``[0, pivot)``, and zero rows collected at
     the bottom.
     """
-    m, n = matrix.rows, matrix.cols
-    h = [list(r) for r in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def addmul(dst, src, q):
-        hd, hs = h[dst], h[src]
-        for j in range(n):
-            hd[j] += q * hs[j]
-        ud, us = u[dst], u[src]
-        for j in range(m):
-            ud[j] += q * us[j]
-
-    r = 0
-    for c in range(n):
-        # gcd elimination below row r in column c
-        while True:
-            nz = [i for i in range(r, m) if h[i][c] != 0]
-            if not nz:
-                break
-            pivot_row = min(nz, key=lambda i: abs(h[i][c]))
-            if pivot_row != r:
-                h[r], h[pivot_row] = h[pivot_row], h[r]
-                u[r], u[pivot_row] = u[pivot_row], u[r]
-            if len(nz) == 1:
-                break
-            for i in range(r + 1, m):
-                if h[i][c] != 0:
-                    addmul(i, r, -(h[i][c] // h[r][c]))
-        if not any(h[i][c] for i in range(r, m)):
-            continue
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
-        for i in range(r):
-            q = h[i][c] // h[r][c]
-            if q:
-                addmul(i, r, -q)
-        r += 1
-        if r == m:
-            break
-    return IntMatrix(h), IntMatrix(u)
+    n = matrix.cols
+    t, pivots = _echelon(np.array(matrix.entries, dtype=object))
+    for r, c in enumerate(pivots):
+        if t[r, c] < 0:
+            t[r] = -t[r]
+        t[:r] -= (t[:r, c] // t[r, c])[:, None] * t[r]
+    return IntMatrix(t[:, :n]), IntMatrix(t[:, n:])
 
 
 def snf(matrix):
@@ -295,17 +298,27 @@ def elementary_divisors(matrix):
 def saturated_kernel(matrix):
     """Basis of the right kernel lattice {v : A v = 0}, in Hermite form.
 
-    The lattice returned is saturated in Z^cols: any integer vector with a
-    rational multiple in the kernel already lies in the row span of the
-    basis.  Rows of the result are primitive.  Returns a matrix with zero
-    rows count when the kernel is trivial, namely None.
+    ``matrix`` is an IntMatrix or a 2-D array of Python ints.  The lattice
+    returned is saturated in Z^cols: any integer vector with a rational
+    multiple in the kernel already lies in the row span of the basis.  Rows
+    of the result are primitive.  Returns None when the kernel is trivial.
+
+    The kernel is read off any echelon form ``H = U A^T`` (``_echelon``),
+    without reducing above its pivots.  Say H has r nonzero rows, which are
+    independent, and the rest zero.  Rows r.. of U lie in the kernel, as
+    their rows of H are zero.  Conversely, let v be an integer vector with
+    a rational multiple in the kernel, so v A^T = 0.  U is unimodular, so
+    w = v U^-1 is integral, and 0 = v A^T = w H forces w_i = 0 for i < r.
+    So v is an integer combination of rows r.. of U, and these rows are a
+    basis of the saturated kernel for every such U.  ``hnf`` of that basis
+    is the unique Hermite basis of the lattice, so the result does not
+    depend on which echelon form was taken.
     """
-    h, u = hnf(matrix.transpose())
-    rank = sum(1 for i in range(h.rows) if any(h.row(i)))
-    if rank == u.rows:
+    a = np.array(matrix.entries if isinstance(matrix, IntMatrix) else matrix, dtype=object)
+    t, pivots = _echelon(a.T)
+    if len(pivots) == a.shape[1]:
         return None
-    kernel_rows = [u.row(i) for i in range(rank, u.rows)]
-    canonical, _ = hnf(IntMatrix(kernel_rows))
+    canonical, _ = hnf(IntMatrix(t[len(pivots) :, a.shape[0] :]))
     return canonical
 
 

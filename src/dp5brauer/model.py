@@ -74,12 +74,13 @@ def _yz_array(vec, monomials):
 
 
 def _yz_product(f, g):
-    """Product of two forms stored as dense (y, z) arrays; exact on object
-    arrays of Python ints."""
-    out = np.zeros((f.shape[0] + g.shape[0] - 1, f.shape[1] + g.shape[1] - 1), dtype=object)
-    for (b, c), v in np.ndenumerate(f):
-        if v:
-            out[b : b + g.shape[0], c : c + g.shape[1]] += g * v
+    """Products of forms stored as dense (y, z) arrays, over any leading axes
+    that f and g share; exact on object arrays of Python ints.  One slice
+    step per (y, z) position at which some form of f is nonzero."""
+    (bf, cf), (bg, cg) = f.shape[-2:], g.shape[-2:]
+    out = np.zeros((*f.shape[:-2], bf + bg - 1, cf + cg - 1), dtype=object)
+    for b, c in zip(*np.nonzero((f != 0).reshape(-1, bf, cf).any(axis=0))):
+        out[..., b : b + bg, c : c + cg] += f[..., b, c, None, None] * g
     return out
 
 
@@ -240,13 +241,12 @@ def build_model(spec):
             f"{0 if quintic_basis is None else quintic_basis.rows}, expected 6"
         )
     system = QuinticSystem(spec, quintic_basis)
-    quintics = [_yz_array(row, DEG5_MONOMIALS) for row in quintic_basis.entries]
-    # column (i, j) holds the degree-10 coefficients of quintic_i * quintic_j
-    columns = []
-    for i, j in U_QUADRIC_PAIRS:
-        product = _yz_product(quintics[i], quintics[j])
-        columns.append([product[b, c] for _, b, c in DEG10_MONOMIALS])
-    quad_basis = saturated_kernel(IntMatrix(columns).transpose())
+    quintics = np.array([_yz_array(row, DEG5_MONOMIALS) for row in quintic_basis.entries])
+    first, second = (quintics[list(k)] for k in zip(*U_QUADRIC_PAIRS))
+    # the (66, 21) relation matrix: column (i, j) holds the degree-10
+    # coefficients of quintic_i * quintic_j
+    _, b, c = zip(*DEG10_MONOMIALS)
+    quad_basis = saturated_kernel(_yz_product(first, second)[:, b, c].T)
     if quad_basis is None or quad_basis.rows != 5:
         raise DegenerateOrbitError(
             "degenerate orbit: quadric relation space has rank "
@@ -274,40 +274,52 @@ def find_line_products(spec, system, conjugates=None):
     - the shift has two edge orbits, {k, k+1} and {k, k+2}: the pentagon,
       whose product is l1, and the pentagram, whose product is l2.
 
-    Both are returned as primitive coordinate vectors in the quintic basis.
-    ``conjugates`` out of walk order break the first premise and end in a
-    RationalityFailureError.
+    The product is a dense (y, z) grid of field elements, each stored as
+    five integer numerators over one denominator shared by the whole grid.
+    Multiplication by an element with numerators n is the integer matrix
+    sum_i n_i C^i, C the companion matrix of the minimal polynomial, whose
+    column j of C^i is the coordinate vector of a^(i+j) in
+    ``generator_power_table(8)``.  With e = den(a) den(b), the line
+    e L(a, b) = e x + s y + t z has s = -e (a + b) and t = e ab with integer
+    coordinates, so each factor multiplies the numerators by e, by the
+    matrix of s (shifted in y) and by that of t (shifted in z), and the
+    denominator by e.  Denominators stay positive, so a rational product is
+    its constant numerators over a positive integer and has the same
+    primitive part.
+    Both products are returned as primitive coordinate vectors in the
+    quintic basis.  ``conjugates`` out of walk order break the first premise
+    and end in a RationalityFailureError.
     """
     if conjugates is None:
         conjugates = galois_conjugates(spec)
     g = (spec.generator(),) + tuple(conjugates)
-    if len({c.coords for c in g}) != 5:
+    if len(set(g)) != 5:
         raise DegenerateOrbitError("degenerate orbit: repeated points")
-    zero = spec.rational(0)
+    table = spec.generator_power_table(8)
+    # powers[i] is C^i, flattened: entry 5k + j is coordinate k of a^(i+j)
+    powers = np.array(
+        [[table[i + j][k] for k in range(5) for j in range(5)] for i in range(5)], dtype=object
+    )
+
+    def matrix_of(num):
+        return np.dot(np.array(num, dtype=object), powers).reshape(5, 5)
 
     def orbit_product(step):
-        # dense (y, z) array of field elements, times one monic line
-        # x + s y + t z at a time; y and z raise the exponents b and c
-        product = np.full((6, 6), zero, dtype=object)
-        product[0, 0] = spec.rational(1)
+        grid = np.zeros((6, 6, 5), dtype=object)
+        grid[0, 0, 0] = 1
         for k in range(5):
             a, b = g[k], g[(k + step) % 5]
-            s, t = -(a + b), a * b
-            grown = np.full((6, 6), zero, dtype=object)
-            for (i, j), v in np.ndenumerate(product):
-                if v:
-                    grown[i, j] += v
-                    grown[i + 1, j] += v * s
-                    grown[i, j + 1] += v * t
-            product = grown
-        coeffs = [product[b, c] for _, b, c in DEG5_MONOMIALS]
-        if not all(c.is_rational() for c in coeffs):
+            s = [-(x * b.den + y * a.den) for x, y in zip(a.num, b.num)]
+            t = matrix_of(a.num) @ np.array(b.num, dtype=object)
+            grown = grid * (a.den * b.den)
+            grown[1:] += grid[:-1] @ matrix_of(s).T
+            grown[:, 1:] += grid[:, :-1] @ matrix_of(t).T
+            grid = grown
+        if grid[..., 1:].any():
             raise RationalityFailureError(
                 "rationality failure: a shift-stable line product is not rational"
             )
-        fractions = [Fraction(c.rational_value()) for c in coeffs]
-        scale = lcm(*(f.denominator for f in fractions))
-        vec = primitive_part([int(f * scale) for f in fractions])
+        vec = primitive_part([grid[b, c, 0] for _, b, c in DEG5_MONOMIALS])
         coords = solve_in_lattice(system.basis, vec)
         if coords is None:
             raise DegenerateOrbitError(

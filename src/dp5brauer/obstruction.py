@@ -401,8 +401,9 @@ def tangent_surjectivity_check(model):
     Vectorized exhaustive check; returns the counts and any failures.
     """
     _require_fixture_chart(model, 25)
-    pairing = _TANGENT_ROWS_5.reshape(-1, 6)
-    forms = _digit_columns(np.arange(5 ** 6, dtype=np.int64), 5, 6)
+    # entries are residues mod 5, so a pairing is at most 6 * 4 * 4 = 96: int16
+    pairing = _TANGENT_ROWS_5.reshape(-1, 6).astype(np.int16)
+    forms = _digit_columns(np.arange(5 ** 6), 5, 6).astype(np.int16)
     proportional = np.all(forms[1:] == 0, axis=0)
     candidates = ~proportional & np.any(forms != 0, axis=0)
     hit = np.any(pairing @ forms % 5 != 0, axis=0)

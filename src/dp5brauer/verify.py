@@ -119,8 +119,6 @@ def _galois_claims(rec, m11, m25):
 
 
 def _construction_claims(rec, m11, fast):
-    from .intlinalg import saturated_kernel
-
     spec = m11.spec
     rec.add(
         "construct-minpoly",
@@ -130,11 +128,9 @@ def _construction_claims(rec, m11, fast):
     built = {}
 
     def ranks():
-        dv = model.double_vanishing_matrix(spec)
-        quintic = saturated_kernel(dv)
         built["model"] = model.build_model(spec)
         return {
-            "quintic": quintic.rows,
+            "quintic": built["model"].system.basis.rows,
             "quadric": len(built["model"].quadrics),
         }
 

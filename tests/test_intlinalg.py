@@ -7,6 +7,7 @@ instead of outputs.
 
 import random
 
+import numpy as np
 import pytest
 
 from dp5brauer.intlinalg import (
@@ -144,3 +145,90 @@ def test_lattice_index_matches_determinant():
         if d == 0:
             continue
         assert lattice_index([a.row(i) for i in range(n)]) == abs(d)
+
+
+def _list_hnf(rows):
+    """Row Hermite form on lists of Python ints, reducing above each pivot as
+    soon as it is found; the transform U is returned as well.  Shares no code
+    with ``intlinalg``."""
+    m, n = len(rows), len(rows[0])
+    h = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def addmul(dst, src, q):
+        h[dst] = [x + q * y for x, y in zip(h[dst], h[src])]
+        u[dst] = [x + q * y for x, y in zip(u[dst], u[src])]
+
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [i for i in range(r, m) if h[i][c]]
+            if not nz:
+                break
+            k = min(nz, key=lambda i: abs(h[i][c]))
+            h[r], h[k], u[r], u[k] = h[k], h[r], u[k], u[r]
+            if len(nz) == 1:
+                break
+            for i in range(r + 1, m):
+                if h[i][c]:
+                    addmul(i, r, -(h[i][c] // h[r][c]))
+        if not any(h[i][c] for i in range(r, m)):
+            continue
+        if h[r][c] < 0:
+            h[r], u[r] = [-x for x in h[r]], [-x for x in u[r]]
+        for i in range(r):
+            if h[i][c] // h[r][c]:
+                addmul(i, r, -(h[i][c] // h[r][c]))
+        r += 1
+        if r == m:
+            break
+    return h, u
+
+
+def _hnf_transform_kernel(rows):
+    """The kernel from the reduced Hermite transform of A^T, then its Hermite
+    basis: a second route to ``saturated_kernel``."""
+    h, u = _list_hnf([list(col) for col in zip(*rows)])
+    rank = sum(1 for row in h if any(row))
+    if rank == len(u):
+        return None
+    return _list_hnf(u[rank:])[0]
+
+
+def _oracle_matrix(rng):
+    rows, cols = rng.randint(1, 6), rng.randint(1, 7)
+    a = [
+        [rng.choice((0, rng.randint(-9, 9), rng.randint(-10 ** 6, 10 ** 6))) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+    if rows > 1 and rng.random() < 0.4:
+        # rank-deficient: the last row is a combination of the first two
+        a[-1] = [3 * x - y for x, y in zip(a[0], a[1])]
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in a:
+            row[j] = 0
+    return a
+
+
+def test_echelon_kernel_equals_the_hermite_transform_kernel():
+    rng = random.Random(405)
+    trivial = 0
+    for _ in range(150):
+        a = _oracle_matrix(rng)
+        expected = _hnf_transform_kernel(a)
+        kernel = saturated_kernel(IntMatrix(a))
+        trivial += expected is None
+        assert (kernel is None) == (expected is None)
+        if kernel is not None:
+            assert kernel.to_lists() == expected
+            assert saturated_kernel(np.array(a, dtype=object)) == kernel
+    assert 20 < trivial < 130
+
+
+def test_hnf_and_its_transform_equal_the_list_route():
+    rng = random.Random(406)
+    for _ in range(150):
+        a = _oracle_matrix(rng)
+        h, u = hnf(IntMatrix(a))
+        assert (h.to_lists(), u.to_lists()) == _list_hnf(a)

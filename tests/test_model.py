@@ -3,6 +3,8 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -13,7 +15,13 @@ from dp5brauer.errors import (
     NotCyclicError,
     RationalityFailureError,
 )
-from dp5brauer.intlinalg import IntMatrix, lattice_index, saturated_kernel
+from dp5brauer.intlinalg import (
+    IntMatrix,
+    lattice_index,
+    primitive_part,
+    saturated_kernel,
+    solve_in_lattice,
+)
 from dp5brauer.model import (
     DEG5_MONOMIALS,
     DEG10_MONOMIALS,
@@ -120,6 +128,8 @@ def test_dense_products_follow_the_ring_laws():
         c = _random_yz(rng, b.shape)
         assert (_yz_product(a, b) == _yz_product(b, a)).all()
         assert (_yz_product(a, b + c) == _yz_product(a, b) + _yz_product(a, c)).all()
+        stacked = _yz_product(np.array([a, a]), np.array([b, c]))
+        assert (stacked == np.array([_yz_product(a, b), _yz_product(a, c)])).all()
         y, z = rng.randint(-5, 5), rng.randint(-5, 5)
         assert _yz_value(_yz_product(a, b), y, z) == _yz_value(a, y, z) * _yz_value(b, y, z)
 
@@ -174,17 +184,64 @@ def test_built_line_products_of_lehmer_quintics(minpoly, l1, l2):
 # Fraction-coordinate field arithmetic: a change of element representation
 # must leave every built model and conjugate as it was
 CONSTRUCTION_SHA256 = "83795d6d1ff99af4c0a22088d08126f6fdc6713478b316471840f17bd962b768"
+# the same digest over Lehmer's quintics n = -10..-5 and 6..10 and the zeta25
+# minimal polynomial, recorded with the object-by-object kernels and line
+# products that the integer-array ones replaced
+WIDER_CONSTRUCTION_SHA256 = "41f6d4bef8358af45f2821fa1e1589a47b79b15148334cb78cc544dc4334a202"
 
 
-def test_construction_is_pinned():
-    assert lehmer_quintic(-1) == zeta11_plus_field().coefficients
+def _construction_digest(minpolys):
     digest = hashlib.sha256()
-    for minpoly in [zeta11_plus_field().coefficients] + [lehmer_quintic(n) for n in range(-4, 6)]:
+    for minpoly in minpolys:
         spec = QuinticFieldSpec(minpoly)
         doc = build_model(spec).to_json_dict()
         conjugates = [[str(c) for c in beta.coords] for beta in galois_conjugates(spec)]
         digest.update(json.dumps({"model": doc, "conjugates": conjugates}, sort_keys=True).encode())
-    assert digest.hexdigest() == CONSTRUCTION_SHA256
+    return digest.hexdigest()
+
+
+def test_construction_is_pinned():
+    assert lehmer_quintic(-1) == zeta11_plus_field().coefficients
+    minpolys = [zeta11_plus_field().coefficients] + [lehmer_quintic(n) for n in range(-4, 6)]
+    assert _construction_digest(minpolys) == CONSTRUCTION_SHA256
+
+
+def test_wider_construction_is_pinned(m25):
+    minpolys = [lehmer_quintic(n) for n in [*range(-10, -4), *range(6, 11)]]
+    assert _construction_digest(minpolys + [m25.spec.coefficients]) == WIDER_CONSTRUCTION_SHA256
+
+
+def _field_orbit_product(spec, system, g, step):
+    """The product of the lines L(g_k, g_{k+step}) with ``NumberFieldElement``
+    coefficients on a dense (y, z) grid, one line x + s y + t z at a time, as
+    a primitive vector in the quintic basis; shares no code with the
+    multiplication matrices of ``find_line_products``."""
+    product = {(0, 0): spec.rational(1)}
+    for k in range(5):
+        a, b = g[k], g[(k + step) % 5]
+        s, t = -(a + b), a * b
+        grown = {}
+        for (i, j), v in product.items():
+            for key, w in (((i, j), v), ((i + 1, j), v * s), ((i, j + 1), v * t)):
+                grown[key] = grown.get(key, spec.rational(0)) + w
+        product = grown
+    coeffs = [product[b, c] for _, b, c in DEG5_MONOMIALS]
+    assert all(c.is_rational() for c in coeffs)
+    fractions = [Fraction(c.rational_value()) for c in coeffs]
+    scale = lcm(*(f.denominator for f in fractions))
+    vec = primitive_part([int(f * scale) for f in fractions])
+    return primitive_part(solve_in_lattice(system.basis, vec))
+
+
+@pytest.mark.parametrize("n", range(-10, 11))
+def test_line_products_equal_the_field_element_products(n):
+    spec = QuinticFieldSpec(lehmer_quintic(n))
+    system = QuinticSystem(spec, saturated_kernel(double_vanishing_matrix(spec)))
+    c = galois_conjugates(spec)
+    for walk in (tuple(c), (c[1], c[3], c[0], c[2])):
+        g = (spec.generator(),) + walk
+        oracle = tuple(_field_orbit_product(spec, system, g, step) for step in (1, 2))
+        assert find_line_products(spec, system, walk) == oracle
 
 
 def test_conjugates_out_of_walk_order_are_not_rational(built11):
