@@ -36,7 +36,16 @@ fiber, from O(p^2) candidates instead of O(p^5) cells.  Nothing here
 divides by 2, so p = 2 is no exception.  The proof uses nothing but the
 shape of the Gram array mod p it is given.
 
-Any other model is moved into the solver shape mod p first:
+Any other model is moved into the solver shape mod p first, and so is a
+model with the shape on which det a(t) = 0 at every t (say, one whose
+quadrics 4-5 vanish mod p) once its degenerate planes would list more
+than DEGENERATE_BOUND candidates: p^2 on each plane with a(t) = 0 and p on
+each other plane, so p^3 to p^4 in all, tens of GB at p = 97.  det a(t) is
+a quadratic form in t, so it is 0 at every t iff it is 0 at the six points
+of step 3, which P^2(F_p) as listed contains: the det array the solver
+computes anyway decides it.  Below the bound the model is solved as given,
+which is exact and cheap.  The fixtures and the Lehmer models have
+det a(t) != 0 somewhere at every prime up to 97, so none is moved for this.
 
 1. A smooth point P0, where the Jacobian J has rank exactly 3, is searched
    on P^3 slices of P^5, at most SLICE_BOUND of them, spanned by four
@@ -152,6 +161,9 @@ ENUMERATION_BOUND = 100
 # shape; on 510 coordinate changes of the two fixtures at primes <= 97 the
 # search took 1.6 slices on average and 9 at most
 SLICE_BOUND = 64
+# a model with the solver shape on which det a(t) = 0 at every t is solved as
+# given only while its degenerate planes list at most this many candidates
+DEGENERATE_BOUND = 1 << 16
 _LINE_BLOCK_CELLS = 1 << 20
 # a quadratic form in t vanishes at every t iff it vanishes at these six
 _CONIC_POINTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
@@ -205,15 +217,15 @@ def enumerate_fiber(model, p):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
     Normalization: the first nonzero coordinate is 1.  Models with the
-    solver shape are solved as they stand, all others after a change of
-    coordinates at a smooth point; a fiber without a smooth point that gives
-    the shape raises DomainError (module docstring).
+    solver shape are solved as they stand, unless det a(t) = 0 at every t
+    and that would list more than DEGENERATE_BOUND candidates; all others
+    after a change of coordinates at a smooth point.  A fiber without a
+    smooth point that gives the shape raises DomainError (module docstring).
     """
     _require_prime(p)
     gram = _gram_mod_p(model.quadrics, p)
-    if _has_solver_shape(model.quadrics):
-        x = _solve_fiber(gram, p)
-    else:
+    x = _solve_fiber(gram, p) if _has_solver_shape(model.quadrics) else None
+    if x is None:
         g, moved = _shaped_coordinates(gram, p)
         x = _solve_fiber(moved, p) @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
@@ -297,10 +309,16 @@ def _tangent_basis(point, reduced, pivot, p):
 
 
 def _solve_fiber(gram, p):
-    """Fiber points, unnormalized, by back-solving (module docstring)."""
+    """Fiber points, unnormalized, by back-solving (module docstring); None
+    when det a(t) = 0 at every t and the degenerate planes would list more
+    than DEGENERATE_BOUND candidates."""
     inv = _inverses(p)
     t = _projective_plane(p)
     a, det = _pencil(gram, t, p)
+    if not det.any():
+        flat = int((~a.any(axis=(1, 2))).sum())
+        if p * p * flat + p * (len(t) - flat) > DEGENERATE_BOUND:
+            return None
     c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
     ok = det != 0
     an, cn, d = a[ok], c[ok], inv[det[ok]]

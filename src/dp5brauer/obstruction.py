@@ -29,6 +29,9 @@ import numpy as np
 
 from .errors import DomainError, FiberInconsistencyError
 from .fibers import (
+    _gram_mod_p,
+    _polar_mod_p,
+    _row_reduce_mod_p,
     enumerate_fiber,
     jacobian_matrix_mod_p,
     minpoly_splitting_mod_p,
@@ -96,6 +99,16 @@ def fifth_power_classes(q):
     classes.sort(key=lambda cls: (1 not in cls, cls[0]))
     _GROUP_CACHE[q] = ResidueClassGroup(q, units, fifth, tuple(classes))
     return _GROUP_CACHE[q]
+
+
+def _coset_bits(q, invert):
+    """uint8 table over the residues mod q: bit ``1 << i`` for the coset i
+    of u (of 1/u if ``invert``) at a unit u, 0 at a non-unit."""
+    group = fifth_power_classes(q)
+    bits = np.zeros(q, dtype=np.uint8)
+    for u in group.units:
+        bits[u] = 1 << group.class_index(pow(u, -1, q) if invert else u)
+    return bits
 
 
 @dataclass(frozen=True)
@@ -333,36 +346,72 @@ def inv_image_25(model, h):
 _LIFT_CACHE = _BoundedCache(CACHE_SIZE)
 
 
+def _quadric_values_25(gram, x):
+    """(n, 5) values mod 25 of the quadrics at the rows of x (n, 6), entries
+    of both below 25: each sum has six terms of at most 24^2 before its
+    reduction."""
+    return ((x @ gram % 25) * x).sum(axis=-1).T % 25
+
+
 def _chart_lift_points(model):
     """All points of the model over Z/25 lying above the mod-5 chart, u0 = 1.
 
     A read-only (625, 6) int64 array: the 25 lifts of each point of
     ``_CHART_POINTS_5`` in turn, the lift along a*w1 + b*w2 for the kernel
     basis (w1, w2) with (a, b) in ``product`` order.
+
+    All 25 chart points x go through each step at once.  The lift x + 5w
+    (w0 = 0, keeping u0 = 1) lies on the fiber mod 25 exactly when
+    J(x) w = -q(x)/5 mod 5, so the quadric values q(x) mod 25 come from the
+    Gram array mod 25, the Jacobians from the polar matrices mod 5, and the
+    25 systems [J(x)[:, 1:] | -q(x)/5] from one stacked
+    ``_row_reduce_mod_p``.  Each point's particular solution and kernel
+    basis are read off its reduced rows as ``solve_mod_p`` reads them: the
+    i-th reduced row belongs to the i-th pivot column, free variables are
+    0 in the particular solution, and the kernel vector of a free column f
+    has 1 at f and minus the reduced entries of column f at the pivots.  A
+    point off the fiber mod 5, a system without a solution, a lift space
+    that is not a plane, or a lift that leaves the fiber mod 25 raises, the
+    first point in order deciding.  Every entry is a residue below 25 and
+    is reduced before the next product, so no sum exceeds 6 * 24^2: int64
+    is exact.
     """
     key = _model_cache_key(model, 25)
     cached = _LIFT_CACHE.get(key)
     if cached is not None:
         return cached
+    x = np.array(_CHART_POINTS_5, dtype=np.int64)
+    gram = _gram_mod_p(model.quadrics, 25)
+    values = _quadric_values_25(gram, x)
+    jac = (_polar_mod_p(model, 5) @ x.T % 5).transpose(2, 0, 1)
+    reduced, pivots = _row_reduce_mod_p(
+        np.concatenate([jac[:, :, 1:], (-(values // 5) % 5)[:, :, None]], axis=2), 5
+    )
+    free = ~pivots[:, :5]
+    checks = (
+        ((values % 5).any(axis=1), "chart point leaves the fiber mod 5"),
+        (pivots[:, 5], "chart point admits no lift mod 25"),
+        (free.sum(axis=1) != 2, "lift space at a smooth chart point must be a plane"),
+    )
+    bad = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
+    if len(bad):
+        raise FiberInconsistencyError(next(msg for failed, msg in checks if failed[bad[0]]))
+    # rows[n, j]: the reduced row of pivot column j of point n
+    rows = np.take_along_axis(reduced, (np.cumsum(~free, axis=1) - 1)[:, :, None].clip(0), axis=1)
+    part = np.where(free, 0, rows[:, :, 5])
+    cols = np.nonzero(free)[1].reshape(-1, 1, 2)
+    basis = np.where(
+        free[:, :, None],
+        np.arange(5)[:, None] == cols,
+        -np.take_along_axis(rows, cols, axis=2) % 5,
+    )
     steps = np.array(list(product(range(5), repeat=2)), dtype=np.int64)
-    blocks = []
-    for x in _CHART_POINTS_5:
-        qv = model.evaluate_quadrics(x)
-        rhs = tuple((-(q % 25) // 5) % 5 for q in qv)
-        if any(q % 5 for q in qv):
-            raise FiberInconsistencyError("chart point leaves the fiber mod 5")
-        jac = jacobian_matrix_mod_p(model, 5, x)
-        _, part, basis = solve_mod_p([row[1:] for row in jac], 5, rhs)
-        if part is None:
-            raise FiberInconsistencyError("chart point admits no lift mod 25")
-        if len(basis) != 2:
-            raise FiberInconsistencyError("lift space at a smooth chart point must be a plane")
-        block = np.ones((25, 6), dtype=np.int64)
-        block[:, 1:] = (np.array(x[1:]) + 5 * (np.array(part) + steps @ np.array(basis))) % 25
-        blocks.append(block)
-    lifts = np.concatenate(blocks)
-    gram = np.array(_quadric_gram([[c % 25 for c in q] for q in model.quadrics]), dtype=np.int64)
-    if (np.einsum("pi,kij,pj->pk", lifts, gram, lifts) % 25).any():
+    # w[n, s]: the solution part + a*w1 + b*w2 of point n for the s-th (a, b)
+    w = part[:, None] + np.einsum("sa,nja->nsj", steps, basis)
+    lifts = np.ones((25, 25, 6), dtype=np.int64)
+    lifts[:, :, 1:] = (x[:, None, 1:] + 5 * w) % 25
+    lifts = lifts.reshape(625, 6)
+    if _quadric_values_25(gram, lifts).any():
         raise FiberInconsistencyError("constructed lift leaves the fiber mod 25")
     lifts.setflags(write=False)
     _LIFT_CACHE[key] = lifts
@@ -376,7 +425,7 @@ def inv_image_25_liftpath(model, h):
     mod-5 chart and collects the unit values of h there (l1 = u0 = 1 on the
     chart).  The values are one integer product, the (625, 6) int64 array
     of ``_chart_lift_points`` times the column h mod 25, reduced mod 25;
-    every sum is below 6 * 24^2, so the product is exact.  For forms
+    every sum is at most 6 * 24^2, so the product is exact.  For forms
     proportional to u0 modulo 5 every unit point lives above the chart, so
     this reproduces the image exactly; otherwise it still certifies
     fullness honestly.
@@ -629,15 +678,6 @@ _CENSUS_CHUNK = 2_048
 _ONE_HOT_33 = np.array([1 << (s % 11) for s in range(33)], dtype=np.uint32)
 
 
-def _class_bits_11(invert):
-    """Bit ``1 << i`` for the coset i of u (of 1/u if ``invert``); 0 at u = 0."""
-    group = fifth_power_classes(11)
-    bits = np.zeros(11, dtype=np.uint8)
-    for u in range(1, 11):
-        bits[u] = 1 << group.class_index(pow(u, -1, 11) if invert else u)
-    return bits
-
-
 def _route_points_11(model, route):
     """(value points scaled to l1 = 1, trigger points) of one route, as rows."""
     if route == "chart":
@@ -752,7 +792,7 @@ def _image_masks_11(model, forms, route, shortcut=True):
     # entry s: the coset bits of 1/v over the units v in the value set s
     members = np.arange(1 << 11)[:, None] >> np.arange(11) & 1
     coset_masks = np.bitwise_or.reduce(
-        np.where(members, _class_bits_11(invert=True), 0), axis=1
+        np.where(members, _coset_bits(11, invert=True), 0), axis=1
     )
     lo = forms[0] + 11 * forms[1] + 121 * forms[2]
     hi = forms[3] + 11 * forms[4] + 121 * forms[5]
@@ -816,7 +856,7 @@ def _scalings_11(forms):
 def _obstructing_scalings(masks):
     """(10, n) flags: row lam - 1 marks the columns h where lam*h omits the
     identity, i.e. where the coset of lam is missing from the mask of h."""
-    return (masks & _class_bits_11(invert=False)[1:, None]) == 0
+    return (masks & _coset_bits(11, invert=False)[1:, None]) == 0
 
 
 def _classify_obstructing_11(h):
@@ -911,13 +951,19 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
 CENSUS_25_TOTAL = 25 ** 6 - 5 ** 6
 
 
-# row k: the values mod 5 of k1*u1 + ... + k5*u5 at the 25 chart points, for
-# the 3,125 tuples k numbered in ``product`` order (k5 the lowest base-5 digit)
-_KAPPA_VALUES_5 = (
-    _digit_columns(np.arange(5 ** 5), 5, 5)[::-1].T
-    @ np.array(_CHART_POINTS_5, dtype=np.int32)[:, 1:].T
-    % 5
-).astype(np.int8)
+# the 3,125 linear forms k = (k1, ..., k5) over F5 in u1..u5 as rows, in
+# ``product`` order (k5 the lowest base-5 digit)
+_KAPPA_COEFFS_5 = _digit_columns(np.arange(5 ** 5), 5, 5)[::-1].T.astype(np.uint8)
+# entry k: the kappa image of k, the values mod 5 of k1*u1 + ... + k5*u5 at
+# the 25 chart points, as a 5-bit mask with bit v set when v is a value; a
+# value is a sum of five products of residues mod 5, at most 80, so uint8
+_KAPPA_MASKS_5 = np.bitwise_or.reduce(
+    np.uint8(1) << _KAPPA_COEFFS_5 @ np.array(_CHART_POINTS_5, dtype=np.uint8)[:, 1:].T % 5,
+    axis=1,
+)
+_KAPPA_MASKS_5.setflags(write=False)
+# entry m: the number of bits set in the 5-bit mask m
+_POPCOUNT_5 = np.array([bin(m).count("1") for m in range(32)], dtype=np.int64)
 
 
 def _kappa_image(coeffs):
@@ -925,7 +971,25 @@ def _kappa_image(coeffs):
     row = 0
     for c in coeffs:
         row = 5 * row + c % 5
-    return set(_KAPPA_VALUES_5[row].tolist())
+    mask = int(_KAPPA_MASKS_5[row])
+    return {v for v in range(5) if mask >> v & 1}
+
+
+def _kappa_misses_25():
+    """(sizes, misses) over every k of ``_KAPPA_MASKS_5`` at once.
+
+    ``sizes`` (3,125,) holds the kappa image sizes, read off a popcount
+    table.  ``misses`` (3,125, 20) is True at (k, j) when the pair (lam, k)
+    obstructs, lam the j-th unit mod 25 in ascending order: the unique
+    fifth power lam + 5*k* in lam's residue class mod 5 is not attained by
+    lam + 5*kappa, that is, bit k* of the mask of k is clear.
+    """
+    group = fifth_power_classes(25)
+    kstar = np.array(
+        [next(k for k in range(5) if group.is_fifth_power(lam + 5 * k)) for lam in group.units],
+        dtype=np.uint8,
+    )
+    return _POPCOUNT_5[_KAPPA_MASKS_5], (_KAPPA_MASKS_5[:, None] >> kstar & 1) == 0
 
 
 def census_25(model=None, sample_check=0, seed=2026):
@@ -935,67 +999,74 @@ def census_25(model=None, sample_check=0, seed=2026):
     correspond bijectively to pairs (lam, k) with lam a unit mod 25 and k a
     linear form over F5 in u1..u5; each pair is one residue class mod 25.
     A pair obstructs exactly when the unique fifth power in lam's mod-5
-    residue class is missed by the attained values lam + 5*kappa.  With
-    ``sample_check > 0`` that many random non-proportional forms are
-    verified to have full image along both the tangent and the lift route.
+    residue class is missed by the attained values lam + 5*kappa.
+
+    All 3,125 k are counted at once from their kappa images as 5-bit masks
+    (``_kappa_misses_25``).  Two self-checks run as array predicates, and
+    the first failing k in ``product`` order raises: every image has 1, 3
+    or 5 values, and only forms constant in z (k2 = k4 = k5 = 0, image not
+    full) obstruct, mirroring the breakdown.
+
+    With ``sample_check > 0`` that many random non-proportional forms,
+    drawn from ``random.Random(seed)``, are verified to have full image
+    along both routes, each one integer product over the (6, n) array H of
+    all of them; the first failing sample in draw order raises.  Tangent
+    route: some chart point pairs non-trivially with h on its tangent
+    plane, a nonzero entry in the column of h of ``_TANGENT_ROWS_5`` (50, 6)
+    @ H mod 5.  Lift route: the values h(P) in ``_chart_lift_points``
+    (625, 6) @ H mod 25, mapped to the coset bits of 1/h(P) (0 at a
+    non-unit) and OR-ed over the lifts, make the full mask 31.  Every entry
+    is a residue below 25, so no sum exceeds 6 * 24^2 and int64 is exact.
     """
     start = time.monotonic()
     if model is None:
         model = fixture("zeta25")
     _require_fixture_chart(model, 25)
-    group = fifth_power_classes(25)
-    fifth_by_residue = {f % 5: f for f in group.fifth_powers}
-    # (lam, k*): lam + 5*k* is the fifth power in lam's residue class mod 5
-    targets = [(lam, ((fifth_by_residue[lam % 5] - lam) % 25) // 5) for lam in group.units]
-
-    kappa_sizes = {1: 0, 3: 0, 5: 0}
-    obstructing = 0
-    breakdown = {"constant": 0, "image_size_3": 0}
-    for coeffs in product(range(5), repeat=5):
-        image = _kappa_image(coeffs)
-        size = len(image)
-        if size not in (1, 3, 5):
+    sizes, misses = _kappa_misses_25()
+    shape_broken = misses.any(axis=1) & ((sizes == 5) | _KAPPA_COEFFS_5[:, [1, 3, 4]].any(axis=1))
+    size_broken = ~np.isin(sizes, (1, 3, 5))
+    broken = np.flatnonzero(size_broken | shape_broken)
+    if len(broken):
+        coeffs = tuple(_KAPPA_COEFFS_5[broken[0]].tolist())
+        if size_broken[broken[0]]:
             raise FiberInconsistencyError(
-                f"kappa image size not in {{1, 3, 5}}: {coeffs} -> {sorted(image)}"
+                f"kappa image size not in {{1, 3, 5}}: {coeffs} -> {sorted(_kappa_image(coeffs))}"
             )
-        kappa_sizes[size] += 1
-        misses = [lam for lam, kstar in targets if kstar not in image]
-        if not misses:
-            continue
-        # only forms constant in z obstruct: the shape check mirrors the count
-        if size == 5 or coeffs[1] or coeffs[3] or coeffs[4]:
-            raise FiberInconsistencyError(f"obstructing k not constant in z: {coeffs}")
-        obstructing += len(misses)
-        if size == 1:
-            breakdown["constant"] += len(misses)
-        else:
-            breakdown["image_size_3"] += len(misses)
+        raise FiberInconsistencyError(f"obstructing k not constant in z: {coeffs}")
+    per_k = misses.sum(axis=1)
 
-    samples = 0
+    samples = []
     if sample_check:
         rng = random.Random(seed)
-        while samples < sample_check:
+        while len(samples) < sample_check:
             h = tuple(rng.randrange(25) for _ in range(6))
-            if all(c % 5 == 0 for c in h):
-                continue
-            if all(h[i] % 5 == 0 for i in range(1, 6)):
-                continue
-            fast = inv_image_25(model, h)
-            brute = inv_image_25_liftpath(model, h)
-            if not (fast.full and brute.full):
-                raise FiberInconsistencyError(
-                    f"sampled form {h} breaks the fullness agreement"
-                )
-            samples += 1
+            # skip forms proportional to u0 mod 5, the imprimitive ones included
+            if any(c % 5 for c in h[1:]):
+                samples.append(h)
+    if samples:
+        forms = np.array(samples, dtype=np.int64).T
+        tangent = (_TANGENT_ROWS_5.reshape(-1, 6) @ forms % 5).any(axis=0)
+        values = _chart_lift_points(model) @ forms % 25
+        lifted = np.bitwise_or.reduce(_coset_bits(25, invert=True)[values], axis=0) == _FULL_MASK
+        failed = np.flatnonzero(~(tangent & lifted))
+        if len(failed):
+            if not tangent[failed[0]]:
+                raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
+            raise FiberInconsistencyError(
+                f"sampled form {samples[failed[0]]} breaks the fullness agreement"
+            )
 
     return {
         "model": model.name,
         "modulus": 25,
         "total": CENSUS_25_TOTAL,
-        "obstructing": obstructing,
-        "breakdown": breakdown,
-        "kappa_image_sizes": kappa_sizes,
-        "sampled_full_agreement": samples,
+        "obstructing": int(per_k.sum()),
+        "breakdown": {
+            "constant": int(per_k[sizes == 1].sum()),
+            "image_size_3": int(per_k[sizes == 3].sum()),
+        },
+        "kappa_image_sizes": {size: int((sizes == size).sum()) for size in (1, 3, 5)},
+        "sampled_full_agreement": len(samples),
         "wall_time_ms": int((time.monotonic() - start) * 1000),
         "workers": 1,
     }

@@ -6,6 +6,7 @@ import json
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,9 +295,11 @@ def test_internal_contradictions_exit_with_four(capsys, monkeypatch, error):
 
 
 def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch, m25):
-    # kappa images have 1, 3 or 5 values; a two-value image must not pass silently
-    monkeypatch.setattr(obstruction, "_kappa_image", lambda coeffs: {0, 1})
-    with pytest.raises(FiberInconsistencyError, match=r"kappa image size not in \{1, 3, 5\}"):
+    # kappa images have 1, 3 or 5 values; a two-value image must not pass
+    # silently (the seam is the mask table, bit v for the value v)
+    monkeypatch.setattr(obstruction, "_KAPPA_MASKS_5", np.full(5 ** 5, 0b11, dtype=np.uint8))
+    first = r"kappa image size not in \{1, 3, 5\}: \(0, 0, 0, 0, 0\) -> \[0, 1\]$"
+    with pytest.raises(FiberInconsistencyError, match=first):
         obstruction.census_25(m25)
     code, out, err = run_cli(capsys, ["census", "--modulus", "25"])
     assert code == 4
@@ -305,8 +308,9 @@ def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch,
     assert "Traceback" not in err
     # only forms constant in z obstruct; a three-value image for every form
     # makes forms with a z term obstruct too
-    monkeypatch.setattr(obstruction, "_kappa_image", lambda coeffs: {0, 1, 2})
-    with pytest.raises(FiberInconsistencyError, match="obstructing k not constant in z"):
+    monkeypatch.setattr(obstruction, "_KAPPA_MASKS_5", np.full(5 ** 5, 0b111, dtype=np.uint8))
+    # the first such k in product order is named
+    with pytest.raises(FiberInconsistencyError, match=r"not constant in z: \(0, 0, 0, 0, 1\)$"):
         obstruction.census_25(m25)
 
 
@@ -406,6 +410,17 @@ def test_fiber_refuses_a_model_file_cut_by_fewer_than_five_quadrics(capsys, tmp_
         assert (code, out) == (3, ""), m.source
         assert "no smooth point of the fiber mod 37" in err
         assert "Traceback" not in err
+
+
+def test_fiber_refuses_a_solver_shaped_model_file_cut_by_fewer_than_five_quadrics(
+    capsys, tmp_path, m11
+):
+    # solved as given, every plane would be degenerate: p^4 candidates at 97
+    m = _rank_deficient_models(m11, 97, moved=False)[0]
+    code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=97"])
+    assert (code, out) == (3, "")
+    assert "no smooth point of the fiber mod 97" in err
+    assert "Traceback" not in err
 
 
 def test_an_unwritable_output_exits_with_three(capsys, tmp_path):

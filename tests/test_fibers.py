@@ -37,8 +37,11 @@ from dp5brauer.model import (
     _has_solver_shape,
     _pairs_vector,
     _quadric_gram,
+    build_model,
 )
+from dp5brauer.numberfield import QuinticFieldSpec
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
+from quintics import lehmer_quintic
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -376,12 +379,12 @@ def test_a_fiber_without_a_smooth_point_is_refused(m11):
             enumerate_fiber(m, 7)
 
 
-def _rank_deficient_models(m11, p):
-    """A unimodular change of zeta11plus with two quadrics, or one,
-    multiplied by p: mod p its quadrics span three or four dimensions, so at
-    a smooth point one or both of quadrics 4-5 of the move vanish, and
-    det a(t) = 0 at every t."""
-    q = _substituted(m11, _unimodular(random.Random(0))).quadrics
+def _rank_deficient_models(m11, p, moved=True):
+    """A unimodular change of zeta11plus (or zeta11plus as given, with the
+    solver shape) with two quadrics, or one, multiplied by p: mod p its
+    quadrics span three or four dimensions, so at a smooth point one or both
+    of quadrics 4-5 of the move vanish, and det a(t) = 0 at every t."""
+    q = (_substituted(m11, _unimodular(random.Random(0))) if moved else m11).quadrics
     return [
         DelPezzoModel(
             f"rank-{5 - n}", m11.spec, [[p * c for c in v] if k >= 5 - n else v for k, v in enumerate(q)],
@@ -397,6 +400,42 @@ def test_a_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
     # p^3 or p^4 candidates (p^4 rows at 97 need tens of GB)
     for m in _rank_deficient_models(m11, p):
         assert 3 in _jacobian_ranks(m, p, scanned(m, p)), m.source
+        with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
+            enumerate_fiber(m, p)
+
+
+def _every_plane_degenerate(m, p):
+    gram = fibers._gram_mod_p(m.quadrics, p)
+    det = fibers._pencil(gram, fibers._projective_plane(p), p)[1]
+    return _has_solver_shape(m.quadrics) and not det.any()
+
+
+def test_del_pezzo_models_are_solved_as_given_up_to_97(m11, m25):
+    # det a(t) != 0 somewhere on every fiber of the fixtures and the Lehmer
+    # models, so none of them is moved for degenerate planes
+    models = [m11, m25] + [build_model(QuinticFieldSpec(lehmer_quintic(n))) for n in range(-4, 6)]
+    for m in models:
+        for p in range(2, 98):
+            if fibers._is_prime(p):
+                assert not _every_plane_degenerate(m, p), (m.source, p)
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_a_small_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, p):
+    # det a(t) = 0 at every t, but at most DEGENERATE_BOUND candidates: the
+    # model is solved as given, exactly
+    for m in _rank_deficient_models(m11, p, moved=False):
+        assert _every_plane_degenerate(m, p), m.source
+        assert enumerate_fiber(m, p) == scanned(m, p), m.source
+
+
+@pytest.mark.parametrize("p", (41, 43))
+def test_a_large_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
+    # solved as given, the degenerate planes would list more than
+    # DEGENERATE_BOUND candidates (p^4 at 97 needs tens of GB): the model is
+    # moved first, and no move passes
+    for m in _rank_deficient_models(m11, p, moved=False):
+        assert _every_plane_degenerate(m, p), m.source
         with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
             enumerate_fiber(m, p)
 

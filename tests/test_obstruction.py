@@ -8,6 +8,7 @@ correctness evidence.
 
 import hashlib
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 
 from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
+from dp5brauer.fibers import jacobian_matrix_mod_p, solve_mod_p
+from dp5brauer.model import chart_point
 from dp5brauer.obstruction import (
     _POWERS_11,
     CENSUS_11_TOTAL,
@@ -244,6 +247,82 @@ def test_kappa_image_matches_a_python_sum():
             sum(c * x for c, x in zip(coeffs, pt[1:])) % 5 for pt in obstruction._CHART_POINTS_5
         }
         assert obstruction._kappa_image(coeffs) == expected, coeffs
+
+
+def _kappa_census_oracle():
+    """The per-k loop on Python sets: the kappa image sizes, the misses of
+    every (k, lam) for the units lam mod 25 in ascending order (no value
+    lam + 5*kappa is a fifth power), and the breakdown by image size."""
+    points = [chart_point(y, z, 5)[1:] for y, z in product(range(5), repeat=2)]
+    units = [lam for lam in range(1, 25) if lam % 5]
+    fifth = {pow(a, 5, 25) for a in units}
+    sizes, misses, breakdown = [], [], {"constant": 0, "image_size_3": 0}
+    for k in product(range(5), repeat=5):
+        image = {sum(c * x for c, x in zip(k, pt)) % 5 for pt in points}
+        row = [not any((lam + 5 * v) % 25 in fifth for v in image) for lam in units]
+        sizes.append(len(image))
+        misses.append(row)
+        if len(image) == 1:
+            breakdown["constant"] += sum(row)
+        elif len(image) == 3:
+            breakdown["image_size_3"] += sum(row)
+    return sizes, misses, breakdown
+
+
+def test_kappa_census_equals_the_per_k_set_loop(m25):
+    sizes, misses, breakdown = _kappa_census_oracle()
+    got_sizes, got_misses = obstruction._kappa_misses_25()
+    assert got_sizes.tolist() == sizes
+    assert got_misses.tolist() == misses
+    result = census_25(m25)
+    assert result["kappa_image_sizes"] == {size: sizes.count(size) for size in (1, 3, 5)}
+    assert result["breakdown"] == breakdown
+    assert result["obstructing"] == sum(map(sum, misses)) == 176
+
+
+def _solved_lift_points(model):
+    """The per-point lift construction: one ``solve_mod_p`` per chart point,
+    its 25 lifts along a*w1 + b*w2 in ``product`` order."""
+    lifts = []
+    for y, z in product(range(5), repeat=2):
+        x = chart_point(y, z, 5)
+        qv = model.evaluate_quadrics(x)
+        assert not any(q % 5 for q in qv)
+        rhs = [(-(q % 25) // 5) % 5 for q in qv]
+        jac = [row[1:] for row in jacobian_matrix_mod_p(model, 5, x)]
+        _, part, (w1, w2) = solve_mod_p(jac, 5, rhs)
+        for a, b in product(range(5), repeat=2):
+            lift = [(c + 5 * (d + a * e + b * f)) % 25 for c, d, e, f in zip(x[1:], part, w1, w2)]
+            lifts.append([1] + lift)
+    return lifts
+
+
+def test_chart_lifts_equal_the_per_point_solves(m25):
+    obstruction._LIFT_CACHE.clear()
+    assert obstruction._chart_lift_points(m25).tolist() == _solved_lift_points(m25)
+
+
+def test_a_sample_that_is_not_full_is_named(m25, monkeypatch):
+    # only the 25 lifts above the chart point (y, z) = (0, 0), repeated: a
+    # form is full there only when h0 is a unit and (h1, h2) != 0 mod 5
+    lifts = np.tile(obstruction._chart_lift_points(m25)[:25], (25, 1))
+    monkeypatch.setattr(obstruction, "_chart_lift_points", lambda model: lifts)
+    group = fifth_power_classes(25)
+    rng = random.Random(9)
+    drawn = 0
+    while True:
+        h = tuple(rng.randrange(25) for _ in range(6))
+        if not any(c % 5 for c in h[1:]):
+            continue
+        drawn += 1
+        values = {int(pt @ h) % 25 for pt in lifts[:25]} - {0, 5, 10, 15, 20}
+        if len({group.class_of(pow(v, -1, 25)) for v in values}) != 5:
+            break
+    assert drawn > 1
+    assert census_25(m25, sample_check=drawn - 1, seed=9)["sampled_full_agreement"] == drawn - 1
+    message = re.escape(f"sampled form {h} breaks the fullness agreement")
+    with pytest.raises(FiberInconsistencyError, match=message):
+        census_25(m25, sample_check=drawn + 20, seed=9)
 
 
 def test_image_size_law_mod_25(m25):
