@@ -16,36 +16,33 @@ every ``build_model`` output have it on their integer coefficients
 nonzero entry 1 the solver lists every solution (u1, u2) of the 2x2 system
 a(t) (u1, u2) + c(t) = 0 of quadrics 4-5.  Where det a(t) != 0 (u3 u5 -
 u4^2 on the fixtures) Cramer's rule gives the one solution.  The planes
-with det a(t) = 0 are solved together in one array step: each contributes
-the p points of the line of its first equation with a nonzero coefficient,
-or all p^2 pairs if both equations are constant, and a candidate is kept
+with det a(t) = 0 are solved in array steps: each contributes the p
+points of the line of its first equation with a nonzero coefficient, or
+all p^2 pairs if both equations are constant, and a candidate is kept
 when both equations vanish on it.  Every solution satisfies the first
-equation, so it lies on that line, or anywhere when both rows of a(t) are
-0; so the kept candidates are all the solutions.  Then u0 comes from the
-first quadric among 1-3 with a nonzero u0 coefficient there, or all p
-values are tried if there is none.  The plane t = 0 is checked point by
-point, and a candidate is kept only when all five quadrics vanish on it.
+equation, so it lies on that line, or anywhere when both rows of a(t)
+are 0; so the kept candidates are all the solutions.  Then u0 comes
+from the first quadric among 1-3 with a nonzero u0 coefficient there; if
+there is none, quadrics 1-3 do not depend on u0, and all p values are
+taken where they vanish and none elsewhere.  The plane t = 0 is checked
+point by point, and a candidate is kept only when all five quadrics
+vanish on it.  Candidates go through these steps in blocks of whole
+planes, a new block every _CANDIDATE_BLOCK candidates, so the memory
+stays bounded where every plane is degenerate: quadrics 4-5 that vanish
+mod p list p^2 pairs on every plane, p^4 candidates in all.
 
 Completeness: scale a fiber point x with t(x) != 0 so that t(x) has first
 nonzero entry 1.  Quadrics 4-5 vanish at x, so (x1, x2) is a listed
 solution for t(x); quadrics 1-3 vanish at x, so x0 is the root of the
-chosen one or a tried value.  So x is a candidate, and it passes the final
+chosen one or a taken value.  So x is a candidate, and it passes the final
 check; a fiber point with t(x) = 0 lies in the checked plane.  Distinct
 candidates are distinct projective points, so the result is exactly the
-fiber, from O(p^2) candidates instead of O(p^5) cells.  Nothing here
+fiber, from O(p^2) candidates instead of O(p^5) cells when few planes are
+degenerate, as on every del Pezzo fiber (below).  Nothing here
 divides by 2, so p = 2 is no exception.  The proof uses nothing but the
 shape of the Gram array mod p it is given.
 
-Any other model is moved into the solver shape mod p first, and so is a
-model with the shape on which det a(t) = 0 at every t (say, one whose
-quadrics 4-5 vanish mod p) once its degenerate planes would list more
-than DEGENERATE_BOUND candidates: p^2 on each plane with a(t) = 0 and p on
-each other plane, so p^3 to p^4 in all, tens of GB at p = 97.  det a(t) is
-a quadratic form in t, so it is 0 at every t iff it is 0 at the six points
-of step 3, which P^2(F_p) as listed contains: the det array the solver
-computes anyway decides it.  Below the bound the model is solved as given,
-which is exact and cheap.  The fixtures and the Lehmer models have
-det a(t) != 0 somewhere at every prime up to 97, so none is moved for this.
+Any other model is moved into the solver shape mod p first:
 
 1. A smooth point P0, where the Jacobian J has rank exactly 3, is searched
    on P^3 slices of P^5, at most SLICE_BOUND of them, spanned by four
@@ -130,6 +127,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -161,10 +159,10 @@ ENUMERATION_BOUND = 100
 # shape; on 510 coordinate changes of the two fixtures at primes <= 97 the
 # search took 1.6 slices on average and 9 at most
 SLICE_BOUND = 64
-# a model with the solver shape on which det a(t) = 0 at every t is solved as
-# given only while its degenerate planes list at most this many candidates
-DEGENERATE_BOUND = 1 << 16
 _LINE_BLOCK_CELLS = 1 << 20
+# candidates (u1, u2, t) taken through the u0 step and the final check at
+# once, a few hundred bytes of int64 temporaries each
+_CANDIDATE_BLOCK = 1 << 16
 # a quadratic form in t vanishes at every t iff it vanishes at these six
 _CONIC_POINTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
@@ -199,8 +197,11 @@ def _inverses(p):
 
 
 def _on_fiber(gram, x, p):
-    """Mask of the rows of x (n, d) on which all forms x^T G_k x vanish mod p."""
-    return ~(((x @ gram) * x).sum(axis=-1) % p).any(axis=0)
+    """Mask of the rows of x (n, d) on which all forms x^T G_k x vanish mod p;
+    the rows x^T G_k of all k come from one (n, d) @ (d, k d) product."""
+    k, d = gram.shape[:2]
+    xg = (x @ gram.transpose(1, 0, 2).reshape(d, k * d)).reshape(-1, k, d)
+    return ~(np.einsum("nkj,nj->nk", xg, x) % p).any(axis=1)
 
 
 @lru_cache(maxsize=8)
@@ -217,15 +218,15 @@ def enumerate_fiber(model, p):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
     Normalization: the first nonzero coordinate is 1.  Models with the
-    solver shape are solved as they stand, unless det a(t) = 0 at every t
-    and that would list more than DEGENERATE_BOUND candidates; all others
-    after a change of coordinates at a smooth point.  A fiber without a
-    smooth point that gives the shape raises DomainError (module docstring).
+    solver shape are solved as they stand, all others after a change of
+    coordinates at a smooth point; a fiber without a smooth point that gives
+    the shape raises DomainError (module docstring).
     """
     _require_prime(p)
     gram = _gram_mod_p(model.quadrics, p)
-    x = _solve_fiber(gram, p) if _has_solver_shape(model.quadrics) else None
-    if x is None:
+    if _has_solver_shape(model.quadrics):
+        x = _solve_fiber(gram, p)
+    else:
         g, moved = _shaped_coordinates(gram, p)
         x = _solve_fiber(moved, p) @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
@@ -309,25 +310,29 @@ def _tangent_basis(point, reduced, pivot, p):
 
 
 def _solve_fiber(gram, p):
-    """Fiber points, unnormalized, by back-solving (module docstring); None
-    when det a(t) = 0 at every t and the degenerate planes would list more
-    than DEGENERATE_BOUND candidates."""
-    inv = _inverses(p)
+    """Fiber points, unnormalized, by back-solving (module docstring), the
+    planes t in blocks that start every _CANDIDATE_BLOCK candidates: one
+    on a plane with det a(t) != 0, p or p^2 on the others."""
     t = _projective_plane(p)
     a, det = _pencil(gram, t, p)
-    if not det.any():
-        flat = int((~a.any(axis=(1, 2))).sum())
-        if p * p * flat + p * (len(t) - flat) > DEGENERATE_BOUND:
-            return None
     c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
-    ok = det != 0
-    an, cn, d = a[ok], c[ok], inv[det[ok]]
-    u1 = (an[:, 0, 1] * cn[:, 1] - an[:, 1, 1] * cn[:, 0]) % p * d % p
-    u2 = (an[:, 1, 0] * cn[:, 0] - an[:, 0, 0] * cn[:, 1]) % p * d % p
-    y = np.concatenate([
-        np.column_stack([u1, u2, t[ok]]),
-        _degenerate_candidates(a[~ok], c[~ok], t[~ok], p),
-    ])
+    size = np.where(det != 0, 1, p)
+    size[(a[:, 0, 0] | a[:, 0, 1] | a[:, 1, 0] | a[:, 1, 1]) == 0] = p * p
+    block = (np.cumsum(size) - size) // _CANDIDATE_BLOCK
+    edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(t)]
+    blocks = (
+        _lift_u0(gram, _plane_solutions(a[lo:hi], c[lo:hi], t[lo:hi], det[lo:hi], p), p)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    # the plane t = 0 is checked point by point, with the first block
+    first = np.concatenate([np.column_stack([t, np.zeros_like(t)]), next(blocks)])
+    return np.concatenate([x[_on_fiber(gram, x, p)] for x in chain([first], blocks)])
+
+
+def _lift_u0(gram, y, p):
+    """Candidates (u0, y) above the rows y = (u1, u2, t): u0 from the first
+    of quadrics 1-3 with a nonzero u0 coefficient, or every u0 where there
+    is none and quadrics 1-3 vanish (module docstring)."""
     # quadrics 1-3 read lin[k] * u0 + rest[k] = 0
     lin = y @ gram[:3, 0, 1:].T % p
     rest = ((y @ gram[:3, 1:, 1:]) * y).sum(axis=-1).T % p
@@ -335,14 +340,12 @@ def _solve_fiber(gram, p):
     some = has.any(axis=1)
     k = has.argmax(axis=1)[some]
     rows = np.nonzero(some)[0]
-    u0 = -rest[rows, k] * inv[lin[rows, k]] % p
-    stuck = y[~some]
-    x = np.concatenate([
+    u0 = -rest[rows, k] * _inverses(p)[lin[rows, k]] % p
+    stuck = y[~some & ~rest.any(axis=1)]
+    return np.concatenate([
         np.column_stack([u0, y[some]]),
         np.column_stack([np.tile(np.arange(p), len(stuck)), np.repeat(stuck, p, axis=0)]),
-        np.column_stack([t, np.zeros_like(t)]),
     ])
-    return x[_on_fiber(gram, x, p)]
 
 
 def _pencil(gram, t, p):
@@ -352,11 +355,19 @@ def _pencil(gram, t, p):
     return a, (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
 
 
-def _degenerate_candidates(a, c, t, p):
-    """Rows (u1, u2, t) on which quadrics 4-5 vanish, over planes t with
-    det a(t) = 0: the p points of the line of the first equation with a
-    nonzero coefficient, or all p^2 pairs when both equations are constant,
-    filtered by both equations (module docstring)."""
+def _plane_solutions(a, c, t, det, p):
+    """Rows (u1, u2, t) on which quadrics 4-5 vanish, over the planes t
+    (module docstring): Cramer's rule where det a(t) != 0; elsewhere the p
+    points of the line of the first equation with a nonzero coefficient,
+    or all p^2 pairs when both equations are constant, filtered by both
+    equations."""
+    inv = _inverses(p)
+    ok = det != 0
+    an, cn, d = a[ok], c[ok], inv[det[ok]]
+    u1 = (an[:, 0, 1] * cn[:, 1] - an[:, 1, 1] * cn[:, 0]) % p * d % p
+    u2 = (an[:, 1, 0] * cn[:, 0] - an[:, 0, 0] * cn[:, 1]) % p * d % p
+    solved = np.column_stack([u1, u2, t[ok]])
+    a, c, t = a[~ok], c[~ok], t[~ok]
     nonzero = a.any(axis=2)
     lined = nonzero.any(axis=1)
     planes = np.nonzero(lined)[0]
@@ -367,7 +378,7 @@ def _degenerate_candidates(a, c, t, p):
     rows = np.arange(len(planes))
     j = (coef != 0).argmax(axis=1)
     point = np.zeros_like(coef)
-    point[rows, j] = -const * _inverses(p)[coef[rows, j]] % p
+    point[rows, j] = -const * inv[coef[rows, j]] % p
     direction = np.column_stack([-coef[:, 1], coef[:, 0]])
     lines = (point[:, None] + np.arange(p)[:, None] * direction[:, None]) % p
     flat = np.nonzero(~lined)[0]
@@ -375,7 +386,7 @@ def _degenerate_candidates(a, c, t, p):
     u = np.concatenate([lines.reshape(-1, 2), np.tile(grid, (len(flat), 1))])
     plane = np.concatenate([np.repeat(planes, p), np.repeat(flat, p * p)])
     keep = ~((np.einsum("nkv,nv->nk", a[plane], u) + c[plane]) % p).any(axis=1)
-    return np.column_stack([u[keep], t[plane[keep]]])
+    return np.concatenate([solved, np.column_stack([u[keep], t[plane[keep]]])])
 
 
 def jacobian_matrix_mod_p(model, p, point):

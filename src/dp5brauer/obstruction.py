@@ -23,6 +23,7 @@ import random
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -101,13 +102,15 @@ def fifth_power_classes(q):
     return _GROUP_CACHE[q]
 
 
+@lru_cache(maxsize=4)
 def _coset_bits(q, invert):
-    """uint8 table over the residues mod q: bit ``1 << i`` for the coset i
-    of u (of 1/u if ``invert``) at a unit u, 0 at a non-unit."""
+    """Read-only uint8 table over the residues mod q: bit ``1 << i`` for the
+    coset i of u (of 1/u if ``invert``) at a unit u, 0 at a non-unit."""
     group = fifth_power_classes(q)
     bits = np.zeros(q, dtype=np.uint8)
     for u in group.units:
         bits[u] = 1 << group.class_index(pow(u, -1, q) if invert else u)
+    bits.setflags(write=False)
     return bits
 
 
@@ -296,18 +299,28 @@ def inv_image_11_smoothpath(model, hbar):
 _CHART_POINTS_5 = tuple(chart_point(y, z, 5) for y, z in product(range(5), repeat=2))
 
 # the two chart tangent directions d/dy, d/dz at each point above, so that
-# their pairings with h are h1 + 2y h3 + z h4 + 3y^2 h5 and h2 + y h4 + 2z h5
+# their pairings with h are h1 + 2y h3 + z h4 + 3y^2 h5 and h2 + y h4 + 2z h5;
+# rows 2i and 2i + 1 belong to the i-th point
 _TANGENT_ROWS_5 = np.array(
     [
-        [(0, 1, 0, 2 * y, z, 3 * y * y), (0, 0, 1, 0, y, 2 * z)]
+        row
         for y, z in product(range(5), repeat=2)
+        for row in ((0, 1, 0, 2 * y, z, 3 * y * y), (0, 0, 1, 0, y, 2 * z))
     ],
-    dtype=np.int64,
+    dtype=np.int16,
 ) % 5
 
 
+def _tangent_pairings_5(forms):
+    """(50, n) pairings mod 5 of the columns h of ``forms`` (6, n), residues
+    below 25, with ``_TANGENT_ROWS_5``; the image of h is full when some
+    pairing is nonzero (``inv_image_25``).  A sum is at most 6 * 4 * 24 =
+    576, so int16 is exact."""
+    return _TANGENT_ROWS_5 @ forms.astype(np.int16) % 5
+
+
 def _tangent_certificate(h25):
-    pairings = _TANGENT_ROWS_5 @ np.array(h25, dtype=np.int64) % 5
+    pairings = _tangent_pairings_5(np.array(h25)[:, None]).reshape(25, 2)
     for point, (gy, gz) in zip(_CHART_POINTS_5, pairings):
         if gy or gz:
             return {"point": list(point), "tangent_pairing": [int(gy), int(gz)]}
@@ -418,14 +431,24 @@ def _chart_lift_points(model):
     return lifts
 
 
+def _lift_masks_25(model, forms):
+    """(values, masks) of the columns h of ``forms`` (6, n) along the lift
+    route: ``values`` (625, n) holds h(P) mod 25 at the points P of
+    ``_chart_lift_points`` (l1 = u0 = 1 there), and ``masks`` (n,) the OR
+    over P of the coset bit of 1/h(P) (``_coset_bits``, 0 at a non-unit),
+    so bit i is set when the i-th coset is attained and 31 means full.
+    Entries of both factors are residues below 25, so no sum exceeds
+    6 * 24^2 and int64 is exact."""
+    values = _chart_lift_points(model) @ forms % 25
+    return values, np.bitwise_or.reduce(_coset_bits(25, invert=True)[values], axis=0)
+
+
 def inv_image_25_liftpath(model, h):
     """Brute-force cross-check: values of h/l1 over all chart lifts mod 25.
 
     Enumerates the 625 points of the model over Z/25 sitting above the
     mod-5 chart and collects the unit values of h there (l1 = u0 = 1 on the
-    chart).  The values are one integer product, the (625, 6) int64 array
-    of ``_chart_lift_points`` times the column h mod 25, reduced mod 25;
-    every sum is at most 6 * 24^2, so the product is exact.  For forms
+    chart), with their cosets, through ``_lift_masks_25``.  For forms
     proportional to u0 modulo 5 every unit point lives above the chart, so
     this reproduces the image exactly; otherwise it still certifies
     fullness honestly.
@@ -435,11 +458,11 @@ def inv_image_25_liftpath(model, h):
     h25 = tuple(int(c) % 25 for c in h)
     if all(c % 5 == 0 for c in h25):
         raise DomainError("form must be primitive modulo 5")
-    hv = _chart_lift_points(model) @ np.array(h25, dtype=np.int64) % 25
-    values = tuple(sorted(set(hv[hv % 5 != 0].tolist())))
-    return InvariantImage(
-        5, 25, _inverted_value_classes(group, values), values, "chart lift values"
-    )
+    values, masks = _lift_masks_25(model, np.array(h25, dtype=np.int64)[:, None])
+    hv, mask = values[:, 0], int(masks[0])
+    units = tuple(sorted(set(hv[hv % 5 != 0].tolist())))
+    classes = tuple(cls for i, cls in enumerate(group.classes) if mask >> i & 1)
+    return InvariantImage(5, 25, classes, units, "chart lift values")
 
 
 def tangent_surjectivity_check(model):
@@ -450,12 +473,10 @@ def tangent_surjectivity_check(model):
     Vectorized exhaustive check; returns the counts and any failures.
     """
     _require_fixture_chart(model, 25)
-    # entries are residues mod 5, so a pairing is at most 6 * 4 * 4 = 96: int16
-    pairing = _TANGENT_ROWS_5.reshape(-1, 6).astype(np.int16)
-    forms = _digit_columns(np.arange(5 ** 6), 5, 6).astype(np.int16)
+    forms = _digit_columns(np.arange(5 ** 6), 5, 6)
     proportional = np.all(forms[1:] == 0, axis=0)
     candidates = ~proportional & np.any(forms != 0, axis=0)
-    hit = np.any(pairing @ forms % 5 != 0, axis=0)
+    hit = _tangent_pairings_5(forms).any(axis=0)
     failures = np.flatnonzero(candidates & ~hit)
     return {
         "directions": int(candidates.sum()),
@@ -1010,13 +1031,13 @@ def census_25(model=None, sample_check=0, seed=2026):
     With ``sample_check > 0`` that many random non-proportional forms,
     drawn from ``random.Random(seed)``, are verified to have full image
     along both routes, each one integer product over the (6, n) array H of
-    all of them; the first failing sample in draw order raises.  Tangent
-    route: some chart point pairs non-trivially with h on its tangent
-    plane, a nonzero entry in the column of h of ``_TANGENT_ROWS_5`` (50, 6)
-    @ H mod 5.  Lift route: the values h(P) in ``_chart_lift_points``
-    (625, 6) @ H mod 25, mapped to the coset bits of 1/h(P) (0 at a
-    non-unit) and OR-ed over the lifts, make the full mask 31.  Every entry
-    is a residue below 25, so no sum exceeds 6 * 24^2 and int64 is exact.
+    all of them, through the helpers ``inv_image_25`` and
+    ``inv_image_25_liftpath`` use; the first failing sample in draw order
+    raises.  Tangent route: some pairing in ``_tangent_pairings_5(H)`` is
+    nonzero.  Lift route: the coset mask of ``_lift_masks_25(model, H)``
+    is the full mask 31.  Every entry of H is a residue below 25, so both
+    products are exact: no sum exceeds 6 * 4 * 24 in the tangent product
+    (int16) or 6 * 24^2 in the lift product (int64).
     """
     start = time.monotonic()
     if model is None:
@@ -1045,9 +1066,8 @@ def census_25(model=None, sample_check=0, seed=2026):
                 samples.append(h)
     if samples:
         forms = np.array(samples, dtype=np.int64).T
-        tangent = (_TANGENT_ROWS_5.reshape(-1, 6) @ forms % 5).any(axis=0)
-        values = _chart_lift_points(model) @ forms % 25
-        lifted = np.bitwise_or.reduce(_coset_bits(25, invert=True)[values], axis=0) == _FULL_MASK
+        tangent = _tangent_pairings_5(forms).any(axis=0)
+        lifted = _lift_masks_25(model, forms)[1] == _FULL_MASK
         failed = np.flatnonzero(~(tangent & lifted))
         if len(failed):
             if not tangent[failed[0]]:

@@ -412,14 +412,15 @@ def test_fiber_refuses_a_model_file_cut_by_fewer_than_five_quadrics(capsys, tmp_
         assert "Traceback" not in err
 
 
-def test_fiber_refuses_a_solver_shaped_model_file_cut_by_fewer_than_five_quadrics(
+def test_fiber_answers_a_solver_shaped_model_file_cut_by_fewer_than_five_quadrics(
     capsys, tmp_path, m11
 ):
-    # solved as given, every plane would be degenerate: p^4 candidates at 97
-    m = _rank_deficient_models(m11, 97, moved=False)[0]
-    code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=97"])
+    # every plane is degenerate; the fiber is solved exactly, in blocks, and
+    # contradicts the split prediction at 23: bad input, no traceback
+    m = _rank_deficient_models(m11, 23, moved=False)[0]
+    code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=23"])
     assert (code, out) == (3, "")
-    assert "no smooth point of the fiber mod 97" in err
+    assert "contradicts its minimal polynomial: split prediction violated at 23" in err
     assert "Traceback" not in err
 
 

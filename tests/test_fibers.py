@@ -37,11 +37,8 @@ from dp5brauer.model import (
     _has_solver_shape,
     _pairs_vector,
     _quadric_gram,
-    build_model,
 )
-from dp5brauer.numberfield import QuinticFieldSpec
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
-from quintics import lehmer_quintic
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -397,7 +394,7 @@ def _rank_deficient_models(m11, p, moved=True):
 @pytest.mark.parametrize("p", (7, 13))
 def test_a_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
     # such a fiber has smooth points, but solving after any move would list
-    # p^3 or p^4 candidates (p^4 rows at 97 need tens of GB)
+    # p^3 or p^4 candidates
     for m in _rank_deficient_models(m11, p):
         assert 3 in _jacobian_ranks(m, p, scanned(m, p)), m.source
         with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
@@ -410,34 +407,29 @@ def _every_plane_degenerate(m, p):
     return _has_solver_shape(m.quadrics) and not det.any()
 
 
-def test_del_pezzo_models_are_solved_as_given_up_to_97(m11, m25):
-    # det a(t) != 0 somewhere on every fiber of the fixtures and the Lehmer
-    # models, so none of them is moved for degenerate planes
-    models = [m11, m25] + [build_model(QuinticFieldSpec(lehmer_quintic(n))) for n in range(-4, 6)]
-    for m in models:
-        for p in range(2, 98):
-            if fibers._is_prime(p):
-                assert not _every_plane_degenerate(m, p), (m.source, p)
-
-
 @pytest.mark.parametrize("p", (7, 13))
-def test_a_small_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, p):
-    # det a(t) = 0 at every t, but at most DEGENERATE_BOUND candidates: the
-    # model is solved as given, exactly
+@pytest.mark.parametrize("block", (1, 500, fibers._CANDIDATE_BLOCK))
+def test_a_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, monkeypatch, p, block):
+    # det a(t) = 0 at every t: the model is solved as given, exactly, with
+    # the candidates in blocks of one plane, of a few planes, or in one block
+    monkeypatch.setattr(fibers, "_CANDIDATE_BLOCK", block)
     for m in _rank_deficient_models(m11, p, moved=False):
         assert _every_plane_degenerate(m, p), m.source
         assert enumerate_fiber(m, p) == scanned(m, p), m.source
 
 
-@pytest.mark.parametrize("p", (41, 43))
-def test_a_large_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
-    # solved as given, the degenerate planes would list more than
-    # DEGENERATE_BOUND candidates (p^4 at 97 needs tens of GB): the model is
-    # moved first, and no move passes
-    for m in _rank_deficient_models(m11, p, moved=False):
-        assert _every_plane_degenerate(m, p), m.source
-        with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
-            enumerate_fiber(m, p)
+def test_degenerate_candidates_come_in_blocks_of_whole_planes(m11, monkeypatch):
+    # quadrics 4-5 times p: every plane lists all p^2 pairs, p^2 (p^2 + p +
+    # 1) candidates, and no block reaches _CANDIDATE_BLOCK + p^2 of them
+    p = 23
+    m = _rank_deficient_models(m11, p, moved=False)[0]
+    sizes, lift = [], fibers._lift_u0
+    monkeypatch.setattr(fibers, "_lift_u0", lambda gram, y, p: sizes.append(len(y)) or lift(gram, y, p))
+    fiber = enumerate_fiber(m, p)
+    assert sum(sizes) == p * p * (p * p + p + 1)
+    assert len(sizes) > 2 and max(sizes) < fibers._CANDIDATE_BLOCK + p * p
+    monkeypatch.setattr(fibers, "_CANDIDATE_BLOCK", 1)
+    assert enumerate_fiber(m, p) == fiber
 
 
 def _block_triangular(data, p):

@@ -249,6 +249,26 @@ def test_kappa_image_matches_a_python_sum():
         assert obstruction._kappa_image(coeffs) == expected, coeffs
 
 
+def test_tangent_pairings_are_the_chart_derivatives(m25):
+    # h paired with d/dy and d/dz of (1, y, z, y^2, y z, y^3 + z^2) at every
+    # chart point mod 5; the certificate names the first nonzero pair
+    rng = random.Random(14)
+    forms = [tuple(rng.randrange(25) for _ in range(6)) for _ in range(40)]
+    got = obstruction._tangent_pairings_5(np.array(forms).T)
+    for n, h in enumerate(forms):
+        expected = [
+            ((h[1] + 2 * y * h[3] + z * h[4] + 3 * y * y * h[5]) % 5, (h[2] + y * h[4] + 2 * z * h[5]) % 5)
+            for y, z in product(range(5), repeat=2)
+        ]
+        assert got[:, n].reshape(25, 2).tolist() == [list(pair) for pair in expected], h
+        if any(c % 5 for c in h[1:]):
+            i = next(i for i, pair in enumerate(expected) if any(pair))
+            certificate = inv_image_25(m25, h).certificate
+            assert certificate == {
+                "point": list(obstruction._CHART_POINTS_5[i]), "tangent_pairing": list(expected[i])
+            }, h
+
+
 def _kappa_census_oracle():
     """The per-k loop on Python sets: the kappa image sizes, the misses of
     every (k, lam) for the units lam mod 25 in ascending order (no value
