@@ -25,6 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -468,21 +469,23 @@ def inv_image_25_liftpath(model, h):
 def tangent_surjectivity_check(model):
     """Verify the fullness criterion against every non-u0 direction mod 5.
 
-    For each of the 5^6 - 1 - 4 directions h mod 5 not proportional to u0,
+    For each of the 5^6 - 5 directions h mod 5 not proportional to u0,
     some chart point must pair non-trivially with h on the tangent plane.
     Vectorized exhaustive check; returns the counts and any failures.
+
+    The u0 column of ``_TANGENT_ROWS_5`` is zero, so the pairings of h do
+    not depend on h0: the 3,124 nonzero tails (h1, ..., h5) are paired
+    once each and every result counts for the five h0.  The failures are
+    listed in the base-5 order of h with h0 the lowest digit.
     """
     _require_fixture_chart(model, 25)
-    forms = _digit_columns(np.arange(5 ** 6), 5, 6)
-    proportional = np.all(forms[1:] == 0, axis=0)
-    candidates = ~proportional & np.any(forms != 0, axis=0)
-    hit = _tangent_pairings_5(forms).any(axis=0)
-    failures = np.flatnonzero(candidates & ~hit)
+    tails = _digit_columns(np.arange(1, 5 ** 5), 5, 5)
+    hit = _tangent_pairings_5(np.vstack([np.zeros_like(tails[:1]), tails])).any(axis=0)
     return {
-        "directions": int(candidates.sum()),
-        "surjective": int((candidates & hit).sum()),
+        "directions": 5 * tails.shape[1],
+        "surjective": 5 * int(hit.sum()),
         "failures": tuple(
-            tuple(int(forms[i, j]) for i in range(6)) for j in failures
+            (h0, *map(int, tails[:, j])) for j in np.flatnonzero(~hit) for h0 in range(5)
         ),
     }
 
@@ -699,6 +702,31 @@ _CENSUS_CHUNK = 2_048
 _ONE_HOT_33 = np.array([1 << (s % 11) for s in range(33)], dtype=np.uint32)
 
 
+def _translated_coset_masks_11():
+    """Read-only (11, 2048) uint8 table: entry [c, s] is the coset mask of
+    the 11-bit value set s rotated left by c, the set {v + c : v in s}, that
+    is the OR of the coset bits of 1/u over its units u."""
+    sets = np.arange(1 << 11)
+    members = sets[:, None] >> np.arange(11) & 1
+    masks = np.bitwise_or.reduce(np.where(members, _coset_bits(11, invert=True), 0), axis=1)
+    shifts = np.arange(11)[:, None]
+    table = masks[(sets << shifts | sets >> (11 - shifts)) & 0x7FF]
+    table.setflags(write=False)
+    return table
+
+
+_TRANSLATED_MASKS_11 = _translated_coset_masks_11()
+
+
+class _Route11(NamedTuple):
+    """One route of ``_image_masks_11``, its points split by l1."""
+
+    l1: np.ndarray  # the six coefficients of l1 mod 11
+    values: np.ndarray  # value points, each with l1(P) = 1
+    fixed: np.ndarray  # trigger points with l1(T) = 0
+    rotating: np.ndarray  # the other trigger points, scaled to l1(T) = 1
+
+
 def _route_points_11(model, route):
     """(value points scaled to l1 = 1, trigger points) of one route, as rows."""
     if route == "chart":
@@ -714,6 +742,28 @@ def _route_points_11(model, route):
     units = ok & (l1v != 0)
     l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[units]], dtype=np.int32)
     return pts[units] * l1_inv[:, None] % 11, pts[ok & (l1v == 0)]
+
+
+def _route_11(model, route):
+    """The points of one route split for the translation law.
+
+    A value point P with l1(P) != 1 mod 11 raises, naming the point: the
+    masks of the translates would be shifted.  A trigger point T is fixed
+    when l1(T) = 0 and is otherwise scaled by 1/l1(T), which keeps the
+    forms that are units at it.
+    """
+    values, triggers = _route_points_11(model, route)
+    l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
+    off = np.flatnonzero(values @ l1 % 11 != 1)
+    if len(off):
+        point = values[off[0]]
+        raise FiberInconsistencyError(
+            f"value point {point.tolist()} of the {route} route has l1 = "
+            f"{int(point @ l1 % 11)}, not 1, modulo 11"
+        )
+    at = triggers @ l1 % 11
+    scale = np.array([pow(int(v), -1, 11) for v in at[at != 0]], dtype=np.int32)
+    return _Route11(l1, values, triggers[at == 0], triggers[at != 0] * scale[:, None] % 11)
 
 
 def _one_hot_tables(points):
@@ -738,17 +788,40 @@ def _one_hot_tables(points):
     )
 
 
-def _value_sets(tables, lo, hi):
-    """Bit v is set when h(P) = v mod 11 at some point, for the forms whose
-    digit halves are numbered ``lo`` and ``hi``; one block of
-    ``_CENSUS_CHUNK`` forms at a time."""
-    low, high = tables
+def _value_sets(points, forms):
+    """Bit v is set when h(P) = v mod 11 at some row P of ``points``, for
+    each column h of ``forms``; one block of ``_CENSUS_CHUNK`` forms at a
+    time."""
+    low, high = _one_hot_tables(points)
+    lo = forms[0] + 11 * forms[1] + 121 * forms[2]
+    hi = forms[3] + 11 * forms[4] + 121 * forms[5]
     sets = np.empty(lo.size, dtype=np.uint16)
     for start in range(0, lo.size, _CENSUS_CHUNK):
         block = slice(start, start + _CENSUS_CHUNK)
         spread = np.bitwise_or.reduce(low[lo[block]] * high[hi[block]], axis=1)
         sets[block] = (spread | spread >> 11) & 0x7FF
     return sets
+
+
+def _translated_masks_11(values, rotating, bases):
+    """(11, n) masks, entry [c, j] that of bases[:, j] + c*l1, for bases
+    that fire no fixed trigger: the value sets rotated by c, full where the
+    rotated set of the ``rotating`` triggers holds a unit."""
+    masks = _TRANSLATED_MASKS_11[:, _value_sets(values, bases)]
+    if len(rotating):
+        # a rotated set holds a unit exactly when its coset mask is nonzero
+        masks[_TRANSLATED_MASKS_11[:, _value_sets(rotating, bases)] != 0] = _FULL_MASK
+    return masks
+
+
+def _orbit_masks_11(route, bases):
+    """(11, n) masks along a ``_route_11``: entry [c, j] is the mask of
+    bases[:, j] + c*l1."""
+    masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
+    # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
+    todo = np.flatnonzero((_value_sets(route.fixed, bases) & 0x7FE) == 0)
+    masks[:, todo] = _translated_masks_11(route.values, route.rotating, bases[:, todo])
+    return masks
 
 
 def _image_masks_11(model, forms, route, shortcut=True):
@@ -766,8 +839,8 @@ def _image_masks_11(model, forms, route, shortcut=True):
     coefficient, exactly as ``inv_image_11`` does.  The smooth-point route
     reads the smooth fiber points off {l1 = 0}, rescaled by 1/l1, and
     triggers on the smooth points of {l1 = 0}, exactly as
-    ``inv_image_11_smoothpath`` does.  ``shortcut=False`` skips the trigger
-    and returns the evaluated mask alone.
+    ``inv_image_11_smoothpath`` does.  ``shortcut=False`` drops the
+    triggers and returns the evaluated mask alone.
 
     Evaluation.  Write h(P) = a + b with a = h0*P0 + h1*P1 + h2*P2 and
     b = h3*P3 + h4*P4 + h5*P5, both reduced mod 11.  Each half of a form is
@@ -783,19 +856,37 @@ def _image_masks_11(model, forms, route, shortcut=True):
     as a BLAS matrix product would use, could round a value and so a
     verdict, and no (points, forms) array of values h(P) is ever formed.
 
-    Triggers first.  With the shortcut, the trigger points go through
-    their own tables for every form, and a trigger fires when its folded
-    set has a bit other than bit 0.  A form with a fired trigger gets the
-    full mask 31 whatever its values are, so its value set is never
-    gathered: only the unfired forms go through the value tables, and a
-    2,048-entry table maps each of their value sets to the OR of the coset
-    bits of 1/v over its units v.  Every mask is therefore the one that
-    evaluating all forms and then overwriting the fired ones gives.
-    ``shortcut=False`` evaluates every form.  The unfired forms are the
-    kernel of the trigger matrix mod 11, so the exhaustive sweeps take
-    their forms from ``_unfired_representatives_11`` instead of scanning
-    all 177,156 representatives: 1,464 on the smooth route of zeta11plus
-    and 16,105 on the chart route.
+    Translation law.  Let c be a residue mod 11.  At a value point l1(P) =
+    1, so (h + c*l1)(P) = h(P) + c: the value set of h + c*l1 is that of h
+    with every value moved up by c, the 11-bit set rotated left by c.  At a
+    trigger point with l1(T) = 0, (h + c*l1)(T) = h(T), so h + c*l1 fires
+    such a fixed trigger exactly when h does.  On both real routes every
+    trigger is fixed: the chart trigger e5 because l1 = u0 there, and the
+    smooth route's triggers because they are the points of {l1 = 0}; so l1
+    lies in the kernel of their trigger matrices.  A trigger off {l1 = 0}
+    is scaled to l1(T) = 1, which keeps the forms that are units at it, and
+    then (h + c*l1)(T) = h(T) + c rotates with c like a value.  Hence the
+    masks of all eleven translates h + c*l1 come from the value sets of h
+    alone: entry [c, s] of ``_TRANSLATED_MASKS_11`` is the coset mask of s
+    rotated by c, and a translate whose rotated trigger set holds a unit is
+    full (``_translated_masks_11``).  The law needs l1(P) = 1 at every value
+    point; ``_route_11`` raises, naming the point, where one breaks it.
+    So the value set of a form h, gathered once, gives the masks of its
+    whole orbit h + c*l1 (``_orbit_masks_11``), the mask of h in row 0.
+    The exhaustive sweeps split every form as b + c*l1 with b_i = 0 at the
+    first index i where l1_i != 0, and gather one value set per base b
+    (``_unfired_bases_11``).
+
+    Triggers first.  The fixed triggers go through their own tables for
+    every form, and fire when the folded set has a bit other than bit 0.
+    A form with a fired fixed trigger gets the full mask 31, and so does
+    its whole orbit, so no value set of it is ever gathered
+    (``_orbit_masks_11``).  Every mask is therefore the one that
+    evaluating all forms and then overwriting the fired ones gives.  The
+    forms that fire no fixed trigger are the kernel of the fixed trigger
+    matrix mod 11, so the exhaustive sweeps enumerate them as orbits
+    (``_unfired_class_masks_11``) and skip the fixed trigger pass: 1,465
+    bases on the chart route of zeta11plus and 134 on its smooth route.
 
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
@@ -809,22 +900,10 @@ def _image_masks_11(model, forms, route, shortcut=True):
     the ten multiples of h omit the identity; none does when the image is
     full.
     """
-    values, triggers = _route_points_11(model, route)
-    # entry s: the coset bits of 1/v over the units v in the value set s
-    members = np.arange(1 << 11)[:, None] >> np.arange(11) & 1
-    coset_masks = np.bitwise_or.reduce(
-        np.where(members, _coset_bits(11, invert=True), 0), axis=1
-    )
-    lo = forms[0] + 11 * forms[1] + 121 * forms[2]
-    hi = forms[3] + 11 * forms[4] + 121 * forms[5]
-    masks = np.full(forms.shape[1], _FULL_MASK, dtype=np.uint8)
-    todo = slice(None)
-    if shortcut:
-        # bits 1..10 of a value set are the unit values
-        fired = _value_sets(_one_hot_tables(triggers), lo, hi) & 0x7FE
-        todo = np.flatnonzero(fired == 0)
-    masks[todo] = coset_masks[_value_sets(_one_hot_tables(values), lo[todo], hi[todo])]
-    return masks
+    r = _route_11(model, route)
+    if not shortcut:
+        r = r._replace(fixed=r.fixed[:0], rotating=r.rotating[:0])
+    return _orbit_masks_11(r, forms)[0]
 
 
 def _representatives_11(tops=range(6)):
@@ -867,6 +946,42 @@ def _unfired_representatives_11(triggers):
     if d == 0:
         return np.zeros((6, 0), dtype=np.int32)
     return kernel.T @ _representatives_11(range(d))[:d] % 11
+
+
+def _orbit_classes_11(n):
+    """(shifts, columns) of the classes over n bases with the zero base
+    first: the eleven translates b + c*l1 of every other base b, and l1
+    itself (c = 1) for the zero base."""
+    return np.nonzero((np.arange(11)[:, None] == 1) | (np.arange(n) > 0))
+
+
+def _unfired_bases_11(route):
+    """The bases of the classes that fire no fixed trigger of a ``_route_11``.
+
+    The forms that fire no fixed trigger are the kernel K of the fixed
+    trigger matrix, of dimension d, and l1 lies in K.  With i the first
+    index where l1_i != 0, every nonzero h in K is b + c*l1 for exactly one b in K with
+    b_i = 0 and one residue c, and b = 0 only on the multiples of l1.
+    Scaling by a unit scales both b and c, so the projective classes of K
+    are those of b + c*l1 for the representatives b of the lines of K with
+    b_i = 0, which are ``_unfired_representatives_11`` of the fixed
+    triggers with the row e_i appended, and the eleven c, and the class of
+    l1 itself: 11 * (11^(d-1) - 1) / 10 + 1 = (11^d - 1) / 10 classes, each
+    once (``_orbit_classes_11``).  The zero base comes first.
+    """
+    pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0)]
+    reps = _unfired_representatives_11(np.vstack([route.fixed, pivot_row]))
+    return np.hstack([np.zeros((6, 1), dtype=np.int32), reps])
+
+
+def _unfired_class_masks_11(route):
+    """(bases, shifts, columns, masks) of the classes that fire no fixed
+    trigger: class k is bases[:, columns[k]] + shifts[k]*l1, with mask
+    masks[k]; no fixed trigger pass runs, as none fires."""
+    bases = _unfired_bases_11(route)
+    shifts, columns = _orbit_classes_11(bases.shape[1])
+    masks = _translated_masks_11(route.values, route.rotating, bases)[shifts, columns]
+    return bases, shifts, columns, masks
 
 
 def _scalings_11(forms):
@@ -914,16 +1029,18 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
 
     Forms with nonzero u5 coefficient have full image and never obstruct.
     The u5-free forms, the forms that fire no chart trigger e5, are
-    counted through the chart masks of their projective representatives
-    (``_unfired_representatives_11``): a representative r stands for the
-    multiples lam*r with the coset of lam missing from its mask (see
-    ``_image_masks_11``).  ``validate_surjectivity`` additionally evaluates
-    the chart values of every representative with u5 = 1; fullness is
-    invariant under scaling, so this verifies the fullness claim for all
-    11^6 - 11^5 u5-dependent forms.  The obstructing classes are
-    re-derived from the shape classification as an independent check.
-    ``jobs`` is accepted and echoed as ``workers``; the count runs
-    in-process, since it takes less time than starting a worker.
+    counted through the chart masks of their projective classes, read as
+    the eleven translates of 1,465 bases (``_unfired_bases_11``): a class
+    h stands for the multiples lam*h with the coset of lam missing from its
+    mask (see ``_image_masks_11``).  ``validate_surjectivity`` additionally
+    evaluates the chart values of every form with u5 = 1, which are the
+    translates b + c*u0 of the 14,641 bases b = (0, b1, ..., b4, 1): 14,641
+    value sets read at 11 shifts.  Fullness is invariant under scaling, so
+    this verifies the fullness claim for all 11^6 - 11^5 = 1,610,510
+    u5-dependent forms, and the first form found partial is named.  The
+    obstructing classes are re-derived from the shape classification as an
+    independent check.  ``jobs`` is accepted and echoed as ``workers``; the
+    count runs in-process, since it takes less time than starting a worker.
     """
     start = time.monotonic()
     if model is None:
@@ -933,21 +1050,28 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
 
-    reps = _unfired_representatives_11(_route_points_11(model, "chart")[1])
-    # only the flagged multiples lam*r are formed, not all ten of every r
-    lam, col = np.nonzero(_obstructing_scalings(_image_masks_11(model, reps, "chart")))
-    classes = sorted(map(tuple, (reps[:, col] * (lam + 1) % 11).T.tolist()))
+    route = _route_11(model, "chart")
+    bases, shifts, columns, masks = _unfired_class_masks_11(route)
+    # only the flagged multiples lam*h are formed, not all ten of every class h
+    lam, k = np.nonzero(_obstructing_scalings(masks))
+    forms = bases[:, columns[k]] + shifts[k] * route.l1[:, None]
+    classes = sorted(map(tuple, (forms * (lam + 1) % 11).T.tolist()))
     breakdown = {"constant": 0, "separable_quadratic": 0}
     for h in classes:
         kind = _classify_obstructing_11(h)
         breakdown[kind] = breakdown.get(kind, 0) + 1
 
     if validate_surjectivity:
-        masks = _image_masks_11(model, _representatives_11((5,)), "chart", shortcut=False)
-        if (masks != _FULL_MASK).any():
+        # l1 = u0 on the chart, so the u5 = 1 forms are b + c*u0 for these bases
+        bases = _digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
+        masks = _translated_masks_11(route.values, (), bases)
+        partial = np.flatnonzero(masks != _FULL_MASK)
+        if len(partial):
+            c, j = divmod(int(partial[0]), bases.shape[1])
+            form = tuple(((bases[:, j] + c * route.l1) % 11).tolist())
             raise FiberInconsistencyError(
-                "a u5-dependent form failed the fullness claim; the census "
-                "shortcut would be unsound"
+                f"the u5-dependent form {form} failed the fullness claim; the "
+                "census shortcut would be unsound"
             )
 
     result = {
@@ -1106,35 +1230,37 @@ def path_agreement_check(model, sample=None, seed=0):
     ``disagreements`` lists the indices of the forms where the routes
     differ, which must be none.
 
-    The exhaustive mode compares the masks of projective representatives
-    only, and reports all ten multiples of a disagreeing representative.
-    By the scaling law in ``_image_masks_11`` both routes map the masks of
-    r to those of lam*r by the same permutation pi_lam, so the routes agree
-    on lam*r exactly when they agree on r, and every form is lam*r for one
-    representative r.  A representative that fires a trigger on both
+    The exhaustive mode compares one form of each projective class only,
+    and reports all ten multiples of a disagreeing one.  By the scaling law
+    in ``_image_masks_11`` both routes map the masks of h to those of lam*h
+    by the same permutation pi_lam, so the routes agree on lam*h exactly
+    when they agree on h.  A class that fires a fixed trigger on both
     routes has the full mask 31 on both and cannot disagree, so only the
-    union of the two routes' unfired representatives is compared (the
-    kernels of their trigger matrices, ``_unfired_representatives_11``).
-    This is equivalent to comparing all 11^6 - 1 forms: the disagreeing
-    forms are exactly the multiples of the disagreeing representatives.
+    classes over the union of the two routes' unfired bases are compared
+    (``_unfired_bases_11``; the routes share l1, so a base means the same
+    orbit on both).  This is equivalent to comparing all 11^6 - 1 forms:
+    the disagreeing forms are exactly the multiples of the disagreeing
+    classes.
     """
     if sample is None:
-        numbers = [
-            _POWERS_11 @ _unfired_representatives_11(_route_points_11(model, route)[1])
-            for route in ("chart", "smooth")
-        ]
-        forms = _digit_columns(np.union1d(*numbers), 11, 6)
+        chart, smooth = (_route_11(model, route) for route in ("chart", "smooth"))
+        numbers = [_POWERS_11 @ _unfired_bases_11(r) for r in (chart, smooth)]
+        # both start with the zero base, number 0, and so does their union
+        bases = _digit_columns(np.union1d(*numbers), 11, 6)
+        shifts, columns = _orbit_classes_11(bases.shape[1])
+        differ = (_orbit_masks_11(chart, bases) != _orbit_masks_11(smooth, bases))[shifts, columns]
+        forms = bases[:, columns[differ]] + shifts[differ] * chart.l1[:, None]
+        bad = np.sort(_POWERS_11 @ _scalings_11(forms).reshape(6, -1))
+        checked = CENSUS_11_TOTAL
     else:
         rng = np.random.default_rng(seed)
         indices = rng.integers(1, 11 ** 6, size=int(sample), dtype=np.int64)
         forms = _digit_columns(indices, 11, 6)
-    differ = _image_masks_11(model, forms, "chart") != _image_masks_11(model, forms, "smooth")
-    if sample is None:
-        bad = np.sort(_POWERS_11 @ _scalings_11(forms[:, differ]).reshape(6, -1))
-    else:
+        differ = _image_masks_11(model, forms, "chart") != _image_masks_11(model, forms, "smooth")
         bad = _POWERS_11 @ forms[:, differ]
+        checked = forms.shape[1]
     return {
-        "checked": CENSUS_11_TOTAL if sample is None else forms.shape[1],
+        "checked": checked,
         "mode": "exhaustive" if sample is None else "sampled",
         "disagreements": tuple(int(i) for i in bad),
     }
@@ -1149,14 +1275,12 @@ def census_11_smoothpath(model):
     a projective representative r omit the identity, and none does when
     its image is full or a point of {l1 = 0} triggers; every nonzero form
     is one multiple of one representative, so these weights sum to the
-    count over all 11^6 - 1 forms.  The representatives that fire no
-    trigger are the kernel of the trigger matrix mod 11, and only they are
-    scanned (``_unfired_representatives_11``: 1,464 on zeta11plus); every
-    other representative has weight 0.
+    count over all 11^6 - 1 forms.  The classes that fire no fixed trigger
+    are the kernel of the fixed trigger matrix mod 11, and only they are
+    scanned, as the eleven translates of each of 134 bases on zeta11plus
+    (``_unfired_bases_11``); every other class has weight 0.
     """
-    triggers = _route_points_11(model, "smooth")[1]
-    masks = _image_masks_11(model, _unfired_representatives_11(triggers), "smooth")
-    flags = _obstructing_scalings(masks)
+    flags = _obstructing_scalings(_unfired_class_masks_11(_route_11(model, "smooth"))[3])
     return {"model": model.name, "total": CENSUS_11_TOTAL, "obstructing": int(flags.sum())}
 
 

@@ -631,6 +631,133 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
         assert (masks[True] != masks[False]) == (len(values) == 12)
 
 
+def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypatch):
+    # row c of the orbit masks of a base b is the mask of b + c*l1, read
+    # through one value set of b; the oracle evaluates every translate alone
+    rng = random.Random(514)
+    matrix = _random_invertible_mod11(rng)
+    moved = transformed_model_mod11(m11, matrix)
+    forms = []
+    while len(forms) < 40:
+        h = [rng.randrange(11) for _ in range(6)]
+        if len(forms) % 2:
+            h[2] = h[4] = h[5] = 0  # z-free forms have partial images
+        if any(h):
+            forms.append(h)
+    route_points = obstruction._route_points_11
+    off_line = np.array([[3, 1, 4, 1, 5, 9], [2, 7, 1, 8, 2, 8]], dtype=np.int32)
+
+    def cut_chart(model, route):
+        values, triggers = route_points(model, route)
+        return values[:12], triggers
+
+    def extra_triggers(model, route):
+        # two trigger points with l1(T) = 3 and 2, off {l1 = 0}
+        values, triggers = route_points(model, route)
+        return values, np.vstack([triggers, off_line])
+
+    cases = (
+        (m11, "chart", None),
+        (m11, "smooth", None),
+        (moved, "smooth", None),
+        (m11, "chart", cut_chart),
+        (m11, "chart", extra_triggers),
+    )
+    for model, route, patch in cases:
+        if patch is not None:
+            monkeypatch.setattr(obstruction, "_route_points_11", patch)
+        values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
+        l1 = np.array([c % 11 for c in model.l1])
+        pivot = int(np.flatnonzero(l1)[0])
+        cols = np.array(forms).T
+        if model is moved:
+            # the form h reads h * matrix in the moved coordinates
+            cols = np.array(matrix).T @ cols % 11
+        bases = (cols - cols[pivot] * pow(int(l1[pivot]), -1, 11) * l1[:, None]) % 11
+        assert not bases[pivot].any()
+        masks = obstruction._orbit_masks_11(obstruction._route_11(model, route), bases)
+        translates = [(bases + c * l1[:, None]) % 11 for c in range(11)]
+        expected = [
+            [_direct_mask(values, triggers, h, True) for h in t.T.tolist()] for t in translates
+        ]
+        assert masks.tolist() == expected, (route, patch)
+        # the per-form masks read the same rows
+        per_form = _image_masks_11(model, np.hstack(translates), route).reshape(11, -1)
+        assert per_form.tolist() == expected, (route, patch)
+        assert 0 < (masks == 31).sum() < masks.size
+        # the rows of an orbit differ, so the shift is read, not ignored
+        assert any(len(set(masks[:, j].tolist())) > 1 for j in range(masks.shape[1]))
+        monkeypatch.undo()
+
+
+def test_a_value_point_off_l1_equal_one_is_refused(m11, monkeypatch):
+    # the translation law needs l1(P) = 1 at every value point: doubled
+    # points would shift every translate, so the route raises instead
+    route_points = obstruction._route_points_11
+
+    def doubled(model, route):
+        values, triggers = route_points(model, route)
+        return values * 2 % 11, triggers
+
+    monkeypatch.setattr(obstruction, "_route_points_11", doubled)
+    for route in ("chart", "smooth"):
+        first = route_points(m11, route)[0][0] * 2 % 11
+        message = rf"value point {re.escape(str(first.tolist()))} of the {route} route has l1 = 2"
+        with pytest.raises(FiberInconsistencyError, match=message):
+            _image_masks_11(m11, _representatives_11((1,)), route)
+    with pytest.raises(FiberInconsistencyError, match="value point"):
+        census_11(m11)
+    with pytest.raises(FiberInconsistencyError, match="value point"):
+        census_11_smoothpath(m11)
+    with pytest.raises(FiberInconsistencyError, match="value point"):
+        path_agreement_check(m11)
+
+
+def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
+    # on 12 chart points some u5 = 1 form has a partial image; the check
+    # over the 14,641 bases and their eleven translates must name one
+    route_points = obstruction._route_points_11
+
+    def cut_chart(model, route):
+        values, triggers = route_points(model, route)
+        return values[:12], triggers
+
+    monkeypatch.setattr(obstruction, "_route_points_11", cut_chart)
+    assert census_11(m11)["obstructing"] > 0  # the census itself does not check
+    with pytest.raises(FiberInconsistencyError, match="failed the fullness claim") as err:
+        census_11(m11, validate_surjectivity=True)
+    form = tuple(int(c) for c in re.search(r"form \(([^)]*)\)", str(err.value)).group(1).split(","))
+    assert form[5] == 1
+    values = route_points(m11, "chart")[0][:12].tolist()
+    assert _direct_mask(values, [], form, False) != 31
+
+
+@pytest.mark.parametrize("rows", [2, 6])
+def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
+    # with the tangent rows of one or three chart points some directions
+    # fail; the check over the 3,124 tails must give the counts and the
+    # failures, in index order, of the pairing of all 15,625 forms
+    tangent_rows = obstruction._TANGENT_ROWS_5[:rows]
+    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", tangent_rows)
+    directions = surjective = 0
+    failures = []
+    for j in range(5 ** 6):
+        h = tuple(j // 5 ** i % 5 for i in range(6))
+        if not any(h[1:]):
+            continue
+        directions += 1
+        if any(sum(int(a) * b for a, b in zip(row, h)) % 5 for row in tangent_rows):
+            surjective += 1
+        else:
+            failures.append(h)
+    assert failures
+    assert tangent_surjectivity_check(m25) == {
+        "directions": directions,
+        "surjective": surjective,
+        "failures": tuple(failures),
+    }
+
+
 def test_triggers_decide_before_values(m11):
     # a fired trigger gives the full mask whatever the values, so evaluating
     # only the unfired forms must change no mask
