@@ -8,28 +8,34 @@ matrices B_k = G_k + G_k^T give the polar form x^T B_k y = q_k(x + y) -
 q_k(x) - q_k(y) and the Jacobian rows B_k x in every characteristic, 2
 included.
 
-Enumeration solves the fiber when the model has the solver shape
-(``model._solver_shaped``): quadrics 4-5 are linear in (u1, u2) for fixed
-t = (u3, u4, u5), and quadrics 1-3 are linear in u0.  Both fixtures and
-every ``build_model`` output have it on their integer coefficients
-(``model._has_solver_shape``), so mod every p.  For each t in P^2 with first
-nonzero entry 1 the solver lists every solution (u1, u2) of the 2x2 system
-a(t) (u1, u2) + c(t) = 0 of quadrics 4-5.  Where det a(t) != 0 (u3 u5 -
-u4^2 on the fixtures) Cramer's rule gives the one solution.  The planes
-with det a(t) = 0 are solved in array steps: each contributes the p
-points of the line of its first equation with a nonzero coefficient, or
-all p^2 pairs if both equations are constant, and a candidate is kept
-when both equations vanish on it.  Every solution satisfies the first
-equation, so it lies on that line, or anywhere when both rows of a(t)
-are 0; so the kept candidates are all the solutions.  Then u0 comes
-from the first quadric among 1-3 with a nonzero u0 coefficient there; if
-there is none, quadrics 1-3 do not depend on u0, and all p values are
-taken where they vanish and none elsewhere.  The plane t = 0 is checked
-point by point, and a candidate is kept only when all five quadrics
-vanish on it.  Candidates go through these steps in blocks of whole
-planes, a new block every _CANDIDATE_BLOCK candidates, so the memory
-stays bounded where every plane is degenerate: quadrics 4-5 that vanish
-mod p list p^2 pairs on every plane, p^4 candidates in all.
+One coordinate system per fiber.  ``_solver_coordinates`` gives each
+(quadrics, p) invertible E (5 x 5) and g (6 x 6) mod p such that the
+quadrics (E q)(g v) have the solver shape (``model._solver_shaped``):
+quadrics 4-5 are linear in (u1, u2) for fixed t = (u3, u4, u5), and
+quadrics 1-3 are linear in u0.  E = g = I where the Gram array mod p has
+it, as on both fixtures and every ``build_model`` output; other models are
+moved (below).  Enumeration and the minor certificate both work there.  A
+fiber is admitted only if its quadrics are independent mod p
+(``model._quadric_rank``, kept by any change of coordinates), else
+DomainError names p: dependent ones cut out more than a surface.
+
+The solver.  For each t in P^2 with first nonzero entry 1 it lists every
+solution (u1, u2) of the 2x2 system a(t) (u1, u2) + c(t) = 0 of quadrics
+4-5.  Where det a(t) != 0 (u3 u5 - u4^2 on the fixtures) Cramer's rule
+gives the one solution.  The planes with det a(t) = 0 are solved in array
+steps: each contributes the p points of the line of its first equation
+with a nonzero coefficient, or all p^2 pairs if both equations are
+constant, and a candidate is kept when both equations vanish on it.  Every
+solution satisfies the first equation, so it lies on that line, or
+anywhere when both rows of a(t) are 0; so the kept candidates are all the
+solutions.  Then u0 comes from the first quadric among 1-3 with a nonzero
+u0 coefficient there; if there is none, quadrics 1-3 do not depend on u0,
+and all p values are taken where they vanish and none elsewhere.  The
+plane t = 0 is checked point by point, and a candidate is kept only when
+all five quadrics vanish on it.  Candidates go through these steps in
+blocks of whole planes, a new block every _CANDIDATE_BLOCK candidates, so
+the memory stays bounded where every plane is degenerate: quadrics 4-5
+that are 0 on every plane list p^2 pairs there, p^4 candidates in all.
 
 Completeness: scale a fiber point x with t(x) != 0 so that t(x) has first
 nonzero entry 1.  Quadrics 4-5 vanish at x, so (x1, x2) is a listed
@@ -42,7 +48,7 @@ degenerate, as on every del Pezzo fiber (below).  Nothing here
 divides by 2, so p = 2 is no exception.  The proof uses nothing but the
 shape of the Gram array mod p it is given.
 
-Any other model is moved into the solver shape mod p first:
+The move into the solver shape:
 
 1. A smooth point P0, where the Jacobian J has rank exactly 3, is searched
    on P^3 slices of P^5, at most SLICE_BOUND of them, spanned by four
@@ -71,26 +77,13 @@ Any other model is moved into the solver shape mod p first:
    are), so the quadrics E_4 q and E_5 q have sum_k c_k B_k P0 = 0: they
    are singular at P0.
 3. The moved quadrics are (E q)(g v), with Gram matrices g^T (E G)_k g
-   folded to upper-triangular form.  Their zero set is g^{-1} of the fiber,
-   because E and g are invertible mod p.  The shape predicate shared with
-   ``_has_solver_shape`` gates them; the solver runs unchanged, and its
-   points map back by u = g v.  The first rank-3 point of each slice is
-   tried.  Its move is passed over if it fails the gate, or if det a(t) =
-   0 at every t, which would make every plane degenerate: p^3 candidates,
-   or p^4 where a(t) = 0 at every t.  On a del Pezzo fiber det a(t) is a
-   nonzero conic (below); a quadratic form in t is 0 at every t iff it is
-   0 at the e_i and the e_i + e_j, which gives its coefficients, in every
-   characteristic.  So at most SLICE_BOUND moves are tried, and the
-   candidates stay O(p^2) but for planes on which a(t) = 0 (fewer than
-   p + 2 of them, with p^2 candidates each).  If no move passes within
-   SLICE_BOUND slices, DomainError names the prime.  A fiber with no
-   smooth F_p-point (quadrics that all vanish mod p, or a finite set of
-   transversal points) is refused so, and so is one whose quadrics span
-   at most four dimensions mod p: at a rank-3 point one of quadrics 4-5
-   is then 0.
+   folded to upper-triangular form; their zero set is g^{-1} of the fiber.
+   The first rank-3 point of each slice is tried, and its move is accepted
+   when it has the solver shape; if no slice gives one, DomainError names
+   the prime.
 
-Soundness rests only on the gate, since the completeness proof above needs
-nothing else.  Why the gate passes on a del Pezzo fiber: quadrics 1-3 vanish
+Soundness rests only on the shape, since the completeness proof above needs
+nothing else.  Why a move of a del Pezzo fiber has it: quadrics 1-3 vanish
 at P0 = g e0, so they have no v0^2 term.  A quadric q with B P0 = 0 and
 q(P0) = 0 has q(x + s P0) = q(x) + s x^T B P0 + s^2 q(P0) = q(x), a cone with
 vertex P0 in every characteristic, 2 included (there B P0 = 0 alone would
@@ -103,8 +96,8 @@ e2, projects to the line of Y that the blow-up of P0 puts there, so both
 cones contain T, and quadrics 4-5 have no v1^2, v1 v2 or v2^2 term.  On
 the plane spanned by that line and a point t they read lambda a(t) (v1,
 v2) + lambda^2 c(t); a general such plane meets Y in the line and one
-more point, so det a(t) is not 0 at every t.  Nothing in this divides by
-2.
+more point, so det a(t) is not 0 at every t, and the candidates stay
+O(p^2).  Nothing in this divides by 2.
 
 Smooth points, certified by a minor.  The Jacobian row of q_k at x is
 B_k x, whose entry j is the partial derivative of q_k by u_j (the diagonal
@@ -115,7 +108,10 @@ u0^2 term, so their u0 entry is lin_k(x), the coefficient of u0 in q_k, a
 linear form in u1..u5.  The minor on rows (k, 4, 5) and columns (u0, u1,
 u2) is then lin_k * det a(t), in every characteristic.  Where both factors
 are nonzero the Jacobian has rank at least 3 and the point is smooth;
-``singular_points`` row-reduces only the other points.
+``singular_points`` row-reduces only the other points.  It reads the
+minor in solver coordinates, where the Jacobian at v = g^{-1} x is E J(x)
+g, of the rank of J(x), with rows F_k x for F_k = g^T (E B)_k (each B_l is
+symmetric); E and g are folded into F once per (quadrics, p).
 
 Integer safety at p <= ENUMERATION_BOUND = 100: entries are reduced mod p
 before any product, so the largest unreduced sum, a quadric value over 36
@@ -138,8 +134,8 @@ from .errors import (
     FiberInconsistencyError,
 )
 from .model import (
-    _has_solver_shape,
     _quadric_gram,
+    _quadric_rank,
     _solver_shaped,
     _yz_product,
     chart_point,
@@ -163,8 +159,6 @@ _LINE_BLOCK_CELLS = 1 << 20
 # candidates (u1, u2, t) taken through the u0 step and the final check at
 # once, a few hundred bytes of int64 temporaries each
 _CANDIDATE_BLOCK = 1 << 16
-# a quadratic form in t vanishes at every t iff it vanishes at these six
-_CONIC_POINTS = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, 1], [0, 1, 1]])
 
 
 @lru_cache(maxsize=16)
@@ -217,18 +211,14 @@ def _projective_plane(p):
 def enumerate_fiber(model, p):
     """All points of the mod-p fiber, as sorted normalized coordinate tuples.
 
-    Normalization: the first nonzero coordinate is 1.  Models with the
-    solver shape are solved as they stand, all others after a change of
-    coordinates at a smooth point; a fiber without a smooth point that gives
-    the shape raises DomainError (module docstring).
+    Normalization: the first nonzero coordinate is 1.  The fiber is solved
+    in the coordinates of ``_solver_coordinates`` and mapped back; quadrics
+    dependent mod p, and a fiber without a smooth point that gives the
+    solver shape, raise DomainError (module docstring).
     """
     _require_prime(p)
-    gram = _gram_mod_p(model.quadrics, p)
-    if _has_solver_shape(model.quadrics):
-        x = _solve_fiber(gram, p)
-    else:
-        g, moved = _shaped_coordinates(gram, p)
-        x = _solve_fiber(moved, p) @ g.T % p
+    _, g, moved = _solver_coordinates(model.quadrics, p)
+    x = _solve_fiber(moved, p) @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
     x = x * _inverses(p)[lead][:, None] % p
     return sorted(map(tuple, x.tolist()))
@@ -242,10 +232,28 @@ def _require_prime(p):
         raise DomainError(f"{p} is not prime")
 
 
-def _shaped_coordinates(gram, p):
-    """(g, moved): an invertible g mod p and the Gram array of the quadrics
-    (E q)(g v), which has the solver shape (module docstring, steps 1-3)."""
+@lru_cache(maxsize=16)
+def _solver_coordinates(vectors, p):
+    """Read-only (F, g, moved): the Gram array of (E q)(g v), which has the
+    solver shape, and F_k = g^T (E B)_k, whose rows F_k x are its Jacobian
+    at g^-1 x (module docstring).  Dependent quadrics raise DomainError."""
+    rank = _quadric_rank(vectors, p)
+    if rank < 5:
+        raise DomainError(f"model quadrics have rank {rank} mod {p}, expected 5 independent quadrics")
+    gram = _gram_mod_p(vectors, p)
     polar = (gram + gram.transpose(0, 2, 1)) % p
+    if _solver_shaped(gram):
+        e, g, moved = np.eye(5, dtype=np.int64), np.eye(6, dtype=np.int64), gram
+    else:
+        e, g, moved = _shaped_coordinates(gram, polar, p)
+    folded = g.T @ (np.einsum("kl,lab->kab", e, polar) % p) % p
+    for array in (folded, g, moved):
+        array.flags.writeable = False
+    return folded, g, moved
+
+
+def _shaped_coordinates(gram, polar, p):
+    """(E, g, moved) by the slice search (module docstring, steps 1-3)."""
     rng = random.Random(p)
     for _ in range(SLICE_BOUND):
         s = np.array([[rng.randrange(p) for _ in range(6)] for _ in range(4)], dtype=np.int64)
@@ -261,8 +269,8 @@ def _shaped_coordinates(gram, p):
         r = reduced[smooth[0]]
         g = _tangent_basis(x[smooth[0]], r[:3, :6], pivots[smooth[0], :6], p)
         moved = _upper(g.T @ (np.einsum("kl,lab->kab", r[:, 6:], gram) % p) @ g, p)
-        if _solver_shaped(moved) and _pencil(moved, _CONIC_POINTS, p)[1].any():
-            return g, moved
+        if _solver_shaped(moved):
+            return r[:, 6:], g, moved
     raise DomainError(
         f"no smooth point of the fiber mod {p} moves the model into the solver shape "
         f"(searched {SLICE_BOUND} slices of P^3)"
@@ -314,7 +322,8 @@ def _solve_fiber(gram, p):
     planes t in blocks that start every _CANDIDATE_BLOCK candidates: one
     on a plane with det a(t) != 0, p or p^2 on the others."""
     t = _projective_plane(p)
-    a, det = _pencil(gram, t, p)
+    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
+    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
     size = np.where(det != 0, 1, p)
     size[(a[:, 0, 0] | a[:, 0, 1] | a[:, 1, 0] | a[:, 1, 1]) == 0] = p * p
@@ -346,13 +355,6 @@ def _lift_u0(gram, y, p):
         np.column_stack([u0, y[some]]),
         np.column_stack([np.tile(np.arange(p), len(stuck)), np.repeat(stuck, p, axis=0)]),
     ])
-
-
-def _pencil(gram, t, p):
-    """(a, det a) at the rows t: there quadrics 4-5 read a[k] . (u1, u2) +
-    c[k] = 0."""
-    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
-    return a, (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
 
 
 def _plane_solutions(a, c, t, det, p):
@@ -452,23 +454,21 @@ def rank_mod_p(rows, p):
 def singular_points(model, p, fiber=None):
     """Fiber points where the Jacobian drops below rank 3.
 
-    The Jacobians of all points are one product B x.  On a model with the
-    solver shape, a point with det a(t) != 0 and some lin_k != 0 has a
-    nonzero 3x3 minor and is smooth (module docstring); the ranks of the
-    other points come from one stacked row reduction.
+    The Jacobians of all points in solver coordinates are one product F x.
+    A point with det a(t) != 0 and some lin_k != 0 has a nonzero 3x3 minor
+    there and is smooth (module docstring); the others are row-reduced in
+    one stack.
     """
     if fiber is None:
         fiber = enumerate_fiber(model, p)
     if not fiber:
         return []
     x = np.array(fiber, dtype=np.int64)
-    jacobians = (_polar_mod_p(model, p) @ x.T % p).transpose(2, 0, 1)
+    jacobians = (_solver_coordinates(model.quadrics, p)[0] @ x.T % p).transpose(2, 0, 1)
+    a = jacobians[:, 3:, 1:3]
+    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
+    todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
     ranks = np.full(len(x), 3)
-    todo = slice(None)
-    if _has_solver_shape(model.quadrics):
-        a = jacobians[:, 3:, 1:3]
-        det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
-        todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
     ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)
     return [pt for pt, rank in zip(fiber, ranks.tolist()) if rank < 3]
 

@@ -35,7 +35,7 @@ from .errors import (
 from .intlinalg import (
     IntMatrix,
     content,
-    hnf,
+    elementary_divisors,
     primitive_part,
     saturated_kernel,
     solve_in_lattice,
@@ -210,8 +210,7 @@ class DelPezzoModel:
                 raise UnknownModelError(f"model JSON needs {key!r} as integers of shape {shape}")
         # fewer than five independent quadrics cut out more than a surface,
         # whose fibers the solver and the line search would list point by point
-        echelon, _ = hnf(IntMatrix(doc["quadrics"]))
-        rank = sum(1 for row in echelon.entries if any(row))
+        rank = _quadric_rank(tuple(map(tuple, doc["quadrics"])))
         if rank < 5:
             raise UnknownModelError(
                 f"model quadrics have rank {rank} over Q, expected 5 independent quadrics"
@@ -482,11 +481,21 @@ def _solver_shaped(gram):
     return not (g[:3, 0, 0].any() or g[3:, 0].any() or g[3:, 1:3, 1:3].any())
 
 
-@lru_cache(maxsize=16)
 def _has_solver_shape(vectors):
-    """``_solver_shaped`` on the integer coefficients, so it holds mod every p;
-    cached per quadrics, as enumeration asks it at every prime."""
+    """``_solver_shaped`` on the integer coefficients, so it holds mod every p."""
     return _solver_shaped(_quadric_gram(vectors))
+
+
+@lru_cache(maxsize=16)
+def _invariant_factors(vectors):
+    return elementary_divisors(IntMatrix([list(v) for v in vectors]))
+
+
+def _quadric_rank(vectors, p=None):
+    """Rank of the quadrics over Q, or over F_p: the number of invariant
+    factors that p does not divide, as the Smith form is U A V with U and V
+    unimodular, so invertible mod p."""
+    return sum(1 for d in _invariant_factors(vectors) if p is None or d % p)
 
 
 def search_integral_points(model, window=9):

@@ -1220,21 +1220,20 @@ def census_25(model=None, sample_check=0, seed=2026):
 # wholesale path agreement and census invariance
 
 
-def path_agreement_check(model, sample=None, seed=0):
+def path_agreement_check(model):
     """Compare the chart route and the smooth-point route wholesale.
 
-    Recomputes both invariant images for every nonzero form mod 11 (or for
-    a random sample of the given size) with the same data the two public
-    functions use: chart polynomial values on one side, values over the
-    enumerated fiber on the other.  ``checked`` counts the forms covered and
-    ``disagreements`` lists the indices of the forms where the routes
-    differ, which must be none.
+    Recomputes both invariant images for every nonzero form mod 11 with the
+    same data the two public functions use: chart polynomial values on one
+    side, values over the enumerated fiber on the other.  ``checked`` counts
+    the forms covered and ``disagreements`` lists the indices of the forms
+    where the routes differ, which must be none.
 
-    The exhaustive mode compares one form of each projective class only,
-    and reports all ten multiples of a disagreeing one.  By the scaling law
-    in ``_image_masks_11`` both routes map the masks of h to those of lam*h
-    by the same permutation pi_lam, so the routes agree on lam*h exactly
-    when they agree on h.  A class that fires a fixed trigger on both
+    It compares one form of each projective class only, and reports all
+    ten multiples of a disagreeing one.  By the scaling law in
+    ``_image_masks_11`` both routes map the masks of h to those of lam*h by
+    the same permutation pi_lam, so the routes agree on lam*h exactly when
+    they agree on h.  A class that fires a fixed trigger on both
     routes has the full mask 31 on both and cannot disagree, so only the
     classes over the union of the two routes' unfired bases are compared
     (``_unfired_bases_11``; the routes share l1, so a base means the same
@@ -1242,26 +1241,17 @@ def path_agreement_check(model, sample=None, seed=0):
     the disagreeing forms are exactly the multiples of the disagreeing
     classes.
     """
-    if sample is None:
-        chart, smooth = (_route_11(model, route) for route in ("chart", "smooth"))
-        numbers = [_POWERS_11 @ _unfired_bases_11(r) for r in (chart, smooth)]
-        # both start with the zero base, number 0, and so does their union
-        bases = _digit_columns(np.union1d(*numbers), 11, 6)
-        shifts, columns = _orbit_classes_11(bases.shape[1])
-        differ = (_orbit_masks_11(chart, bases) != _orbit_masks_11(smooth, bases))[shifts, columns]
-        forms = bases[:, columns[differ]] + shifts[differ] * chart.l1[:, None]
-        bad = np.sort(_POWERS_11 @ _scalings_11(forms).reshape(6, -1))
-        checked = CENSUS_11_TOTAL
-    else:
-        rng = np.random.default_rng(seed)
-        indices = rng.integers(1, 11 ** 6, size=int(sample), dtype=np.int64)
-        forms = _digit_columns(indices, 11, 6)
-        differ = _image_masks_11(model, forms, "chart") != _image_masks_11(model, forms, "smooth")
-        bad = _POWERS_11 @ forms[:, differ]
-        checked = forms.shape[1]
+    chart, smooth = (_route_11(model, route) for route in ("chart", "smooth"))
+    numbers = [_POWERS_11 @ _unfired_bases_11(r) for r in (chart, smooth)]
+    # both start with the zero base, number 0, and so does their union
+    bases = _digit_columns(np.union1d(*numbers), 11, 6)
+    shifts, columns = _orbit_classes_11(bases.shape[1])
+    differ = (_orbit_masks_11(chart, bases) != _orbit_masks_11(smooth, bases))[shifts, columns]
+    forms = bases[:, columns[differ]] + shifts[differ] * chart.l1[:, None]
+    bad = np.sort(_POWERS_11 @ _scalings_11(forms).reshape(6, -1))
     return {
-        "checked": checked,
-        "mode": "exhaustive" if sample is None else "sampled",
+        "checked": CENSUS_11_TOTAL,
+        "mode": "exhaustive",
         "disagreements": tuple(int(i) for i in bad),
     }
 

@@ -7,9 +7,10 @@ statements disagree with the computations backing them.  Flagged rows never
 fail the run; they document the discrepancy with both internal routes
 spelled out.
 
-`run_claims(fast=True)` trims the heavy cross-checks (exhaustive path
-agreement, census invariance, the prime-23 fibers) while still touching
-every public operation of every module; the full run replays everything.
+`run_claims(fast=True)` trims the heavy cross-checks (census invariance,
+the surjectivity sweep mod 11, the mod-25 samples, the prime-23 fibers)
+while still touching every public operation of every module; the full run
+replays everything.
 """
 
 from __future__ import annotations
@@ -370,17 +371,13 @@ def _census_claims(rec, m11, m25, fast):
         })(obstruction.tangent_surjectivity_check(m25)),
     )
 
-    sample = 100_000 if fast else None
     rec.add(
         "invariant-path-agreement",
-        {
-            "checked": 100_000 if fast else obstruction.CENSUS_11_TOTAL,
-            "disagreements": 0,
-        },
+        {"checked": obstruction.CENSUS_11_TOTAL, "disagreements": 0},
         lambda: (lambda r: {
             "checked": r["checked"],
             "disagreements": len(r["disagreements"]),
-        })(obstruction.path_agreement_check(m11, sample=sample, seed=0)),
+        })(obstruction.path_agreement_check(m11)),
     )
     if not fast:
         rec.add(

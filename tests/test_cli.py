@@ -396,32 +396,48 @@ def test_fiber_of_a_model_file_in_other_coordinates_at_37(capsys, tmp_path, m11)
     assert json.loads(out) == json.loads(expected)
 
 
+def _refusal(capsys, tmp_path, m, p):
+    """The stderr of ``fiber`` on the model file of m at p, which must exit 3
+    without output or traceback."""
+    code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), f"--prime={p}"])
+    assert (code, out) == (3, ""), (m.source, p)
+    assert "Traceback" not in err
+    return err
+
+
+def _dependence_error(rank, p):
+    return f"error: model quadrics have rank {rank} mod {p}, expected 5 independent quadrics\n"
+
+
 def test_fiber_refuses_a_model_file_without_a_smooth_point(capsys, tmp_path, m11):
-    for m in _no_smooth_point_models(m11):
-        code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=7"])
-        assert (code, out) == (3, "")
-        assert "no smooth point of the fiber mod 7" in err
-        assert "Traceback" not in err
+    zero, generic = _no_smooth_point_models(m11)
+    assert _refusal(capsys, tmp_path, zero, 7) == _dependence_error(0, 7)
+    assert "no smooth point of the fiber mod 7" in _refusal(capsys, tmp_path, generic, 7)
+
+
+def test_fiber_refusals_are_the_same_in_both_coordinates(capsys, tmp_path, m11):
+    # a fiber without a smooth point is refused with the same message after
+    # a unimodular change of coordinates
+    _, generic = _no_smooth_point_models(m11)
+    moved = _substituted(generic, _unimodular(random.Random(1)))
+    assert _refusal(capsys, tmp_path, generic, 7) == _refusal(capsys, tmp_path, moved, 7)
 
 
 def test_fiber_refuses_a_model_file_cut_by_fewer_than_five_quadrics(capsys, tmp_path, m11):
-    for m in _rank_deficient_models(m11, 37):
-        code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=37"])
-        assert (code, out) == (3, ""), m.source
-        assert "no smooth point of the fiber mod 37" in err
-        assert "Traceback" not in err
+    # the same refusal moved or as given, with the solver shape
+    for p in (23, 37):
+        for moved in (True, False):
+            for m, rank in zip(_rank_deficient_models(m11, p, moved), (3, 4)):
+                assert _refusal(capsys, tmp_path, m, p) == _dependence_error(rank, p)
 
 
-def test_fiber_answers_a_solver_shaped_model_file_cut_by_fewer_than_five_quadrics(
-    capsys, tmp_path, m11
-):
-    # every plane is degenerate; the fiber is solved exactly, in blocks, and
-    # contradicts the split prediction at 23: bad input, no traceback
-    m = _rank_deficient_models(m11, 23, moved=False)[0]
-    code, out, err = run_cli(capsys, ["fiber", "--model", _model_file(tmp_path, m), "--prime=23"])
-    assert (code, out) == (3, "")
-    assert "contradicts its minimal polynomial: split prediction violated at 23" in err
-    assert "Traceback" not in err
+@pytest.mark.parametrize("p", (7, 97))
+def test_fiber_refuses_a_model_file_whose_quadrics_all_vanish_mod_p(capsys, tmp_path, m11, p):
+    # zeta11plus with every quadric times p loads (rank 5 over Q), but mod p
+    # its fiber would be all of P^5(F_p), too large for the line search
+    for m in (m11, _substituted(m11, _unimodular(random.Random(0)))):
+        vanishing = model.DelPezzoModel("vanishing", m.spec, [[p * c for c in q] for q in m.quadrics], m.l1, m.l2)
+        assert _refusal(capsys, tmp_path, vanishing, p) == _dependence_error(0, p)
 
 
 def test_an_unwritable_output_exits_with_three(capsys, tmp_path):

@@ -6,6 +6,7 @@ containment, Jacobian ranks) are the independent part.
 """
 
 import random
+import re
 from itertools import product
 
 import numpy as np
@@ -37,8 +38,14 @@ from dp5brauer.model import (
     _has_solver_shape,
     _pairs_vector,
     _quadric_gram,
+    _quadric_rank,
+    _solver_shaped,
+    build_model,
 )
+from dp5brauer.numberfield import QuinticFieldSpec
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
+
+from quintics import lehmer_quintic
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -277,6 +284,58 @@ def _image(g, fiber, p):
     return sorted(fibers._normalize_point(v, p) for v in x.tolist())
 
 
+def test_solver_coordinates_are_the_identity_where_the_shape_holds(m11):
+    # the fixture is solved as given; a moved model gets an invertible g and
+    # shaped quadrics, whose polar array is F g; the arrays are shared, so
+    # read-only
+    for p in (2, 11, 97):
+        folded, g, moved = fibers._solver_coordinates(m11.quadrics, p)
+        assert (g == np.eye(6)).all() and (folded == fibers._polar_mod_p(m11, p)).all()
+        assert moved is fibers._gram_mod_p(m11.quadrics, p)
+        folded, g, moved = fibers._solver_coordinates(_substituted(m11, _unimodular(random.Random(0))).quadrics, p)
+        assert rank_mod_p(g.tolist(), p) == 6 and _solver_shaped(moved)
+        assert (folded @ g % p == (moved + moved.transpose(0, 2, 1)) % p).all()
+        assert not any(a.flags.writeable for a in (folded, g, moved))
+
+
+def test_a_move_without_the_solver_shape_is_never_solved(m11, monkeypatch):
+    # with the tangent basis replaced by the identity, no move of a moved
+    # model has the shape; the search refuses rather than hand the solver
+    # an array its completeness proof does not cover
+    gram = fibers._gram_mod_p(_substituted(m11, _unimodular(random.Random(0))).quadrics, 23)
+    polar = (gram + gram.transpose(0, 2, 1)) % 23
+    assert fibers._shaped_coordinates(gram, polar, 23)
+    monkeypatch.setattr(fibers, "_tangent_basis", lambda *args: np.eye(6, dtype=np.int64))
+    with pytest.raises(DomainError, match="no smooth point of the fiber mod 23"):
+        fibers._shaped_coordinates(gram, polar, 23)
+
+
+def test_singular_points_of_a_moved_fiber_are_certified_by_the_minor(m11, monkeypatch):
+    # read in solver coordinates, the minor answers all but a handful of the
+    # 9,410 points of a moved fiber at 97, so few are row-reduced
+    moved = _substituted(m11, _unimodular(random.Random(0)))
+    fiber = enumerate_fiber(moved, 97)
+    sizes, reduce = [], fibers._row_reduce_mod_p
+    monkeypatch.setattr(fibers, "_row_reduce_mod_p", lambda m, p: sizes.append(len(m)) or reduce(m, p))
+    assert singular_points(moved, 97, fiber=fiber) == []
+    assert sum(sizes) * 100 < len(fiber) == 9410
+
+
+def test_quadric_rank_is_read_off_the_invariant_factors(m11, m25):
+    # no fixture or Lehmer model n = -4..5 has dependent quadrics mod a
+    # prime <= 100, so the rank rule changes none of their fibers; the rank
+    # mod p agrees with a row reduction, on rank-deficient models too
+    models = [m11, m25] + [build_model(QuinticFieldSpec(lehmer_quintic(n)[::-1])) for n in range(-4, 6)]
+    primes = [p for p in range(2, 101) if fibers._is_prime(p)]
+    for m in models:
+        assert _quadric_rank(m.quadrics) == 5
+        assert all(_quadric_rank(m.quadrics, p) == 5 for p in primes), m.source
+    for p in (7, 13):
+        for m in [*_rank_deficient_models(m11, p), *_no_smooth_point_models(m11)]:
+            for q in primes[:8] + [p]:
+                assert _quadric_rank(m.quadrics, q) == rank_mod_p(m.quadrics, q), (m.source, q)
+
+
 def test_moved_model_fibers_are_the_coordinate_image_up_to_97(m11):
     # an integer change of coordinates u = g v with det g = 1 destroys the
     # solver shape; at every prime the moved fiber is g^-1 of the fixture's
@@ -294,13 +353,28 @@ def test_moved_model_fibers_are_the_coordinate_image_up_to_97(m11):
     assert [counts[p] for p in (23, 31, 47, 97)] == [645, 962, 2210, 9410]
 
 
-def test_moved_model_keeps_lines_singular_points_and_classification(m11):
-    g = _unimodular(random.Random(1))
-    moved = _substituted(m11, g)
-    assert not _has_solver_shape(moved.quadrics)
-    for p in (2, 7, 11, 23):
-        report, reference = classify_fiber(moved, p), classify_fiber(m11, p)
+def _drawn_unimodular(data, n=6):
+    """An n x n ``_unimodular`` matrix with its entries drawn by hypothesis."""
+    entry = st.integers(-2, 2)
+    lower = [[data.draw(entry) if j < i else int(i == j) for j in range(n)] for i in range(n)]
+    upper = [[data.draw(entry) if j > i else int(i == j) for j in range(n)] for i in range(n)]
+    return (np.array(lower) @ np.array(upper)).tolist()
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(fixture=st.sampled_from(("zeta11plus", "zeta25")), data=st.data())
+def test_moved_model_keeps_lines_singular_points_and_classification(m11, m25, fixture, data):
+    # the quadrics E q(g v) for unimodular E and g cut out g^-1 of the
+    # fixture's fiber at every prime <= 31, singular points and lines
+    # included, whichever coordinates the solver and the minor work in
+    m = m11 if fixture == "zeta11plus" else m25
+    g, e = _drawn_unimodular(data), _drawn_unimodular(data, 5)
+    substituted = _substituted(m, g)
+    moved = DelPezzoModel("moved", m.spec, (np.array(e) @ substituted.quadrics).tolist(), m.l1, m.l2)
+    for p in PRIMES_TO_31:
+        report, reference = classify_fiber(moved, p), classify_fiber(m, p)
         assert report.classification == reference.classification, p
+        assert _image(g, report.points, p) == list(reference.points), p
         assert _image(g, report.singular, p) == list(reference.singular), p
         lines = sorted(_image(g, line.points, p) for line in report.lines)
         assert lines == [list(line.points) for line in reference.lines], p
@@ -357,7 +431,7 @@ def test_slice_zeros_are_the_zeros_of_the_restricted_quadric(p, data):
 def _no_smooth_point_models(m11):
     """Two models without the solver shape whose fiber mod 7 has no point of
     Jacobian rank 3: quadrics that all vanish mod 7, and five random
-    quadrics meeting in finitely many transversal points."""
+    independent quadrics meeting in finitely many transversal points."""
     zero = _substituted(m11, _unimodular(random.Random(0)))
     zero = DelPezzoModel("zero", m11.spec, [[7 * c for c in q] for q in zero.quadrics], m11.l1, m11.l2)
     rng = random.Random(2)
@@ -367,20 +441,29 @@ def _no_smooth_point_models(m11):
     return zero, generic
 
 
+def _dependence_message(rank, p):
+    return re.escape(f"model quadrics have rank {rank} mod {p}, expected 5 independent quadrics")
+
+
 def test_a_fiber_without_a_smooth_point_is_refused(m11):
-    for m in _no_smooth_point_models(m11):
+    # quadrics that all vanish mod 7 are refused by the rank rule before any
+    # search; independent ones after SLICE_BOUND slices without a move
+    zero, generic = _no_smooth_point_models(m11)
+    for m in (zero, generic):
         assert not _has_solver_shape(m.quadrics)
         fiber = scanned(m, 7)
         assert fiber and 3 not in _jacobian_ranks(m, 7, fiber), m.source
-        with pytest.raises(DomainError, match="no smooth point of the fiber mod 7"):
-            enumerate_fiber(m, 7)
+    assert rank_mod_p(zero.quadrics, 7) == 0 and rank_mod_p(generic.quadrics, 7) == 5
+    with pytest.raises(DomainError, match=_dependence_message(0, 7)):
+        enumerate_fiber(zero, 7)
+    with pytest.raises(DomainError, match="no smooth point of the fiber mod 7"):
+        enumerate_fiber(generic, 7)
 
 
 def _rank_deficient_models(m11, p, moved=True):
     """A unimodular change of zeta11plus (or zeta11plus as given, with the
     solver shape) with two quadrics, or one, multiplied by p: mod p its
-    quadrics span three or four dimensions, so at a smooth point one or both
-    of quadrics 4-5 of the move vanish, and det a(t) = 0 at every t."""
+    quadrics span three or four dimensions."""
     q = (_substituted(m11, _unimodular(random.Random(0))) if moved else m11).quadrics
     return [
         DelPezzoModel(
@@ -393,38 +476,38 @@ def _rank_deficient_models(m11, p, moved=True):
 
 @pytest.mark.parametrize("p", (7, 13))
 def test_a_fiber_cut_by_fewer_than_five_quadrics_is_refused(m11, p):
-    # such a fiber has smooth points, but solving after any move would list
-    # p^3 or p^4 candidates
-    for m in _rank_deficient_models(m11, p):
+    # such a fiber has smooth points, but it is more than a surface
+    for m, rank in zip(_rank_deficient_models(m11, p), (3, 4)):
         assert 3 in _jacobian_ranks(m, p, scanned(m, p)), m.source
-        with pytest.raises(DomainError, match=f"no smooth point of the fiber mod {p}"):
+        with pytest.raises(DomainError, match=_dependence_message(rank, p)):
             enumerate_fiber(m, p)
 
 
-def _every_plane_degenerate(m, p):
-    gram = fibers._gram_mod_p(m.quadrics, p)
-    det = fibers._pencil(gram, fibers._projective_plane(p), p)[1]
-    return _has_solver_shape(m.quadrics) and not det.any()
-
-
-@pytest.mark.parametrize("p", (7, 13))
-@pytest.mark.parametrize("block", (1, 500, fibers._CANDIDATE_BLOCK))
-def test_a_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, monkeypatch, p, block):
-    # det a(t) = 0 at every t: the model is solved as given, exactly, with
-    # the candidates in blocks of one plane, of a few planes, or in one block
-    monkeypatch.setattr(fibers, "_CANDIDATE_BLOCK", block)
-    for m in _rank_deficient_models(m11, p, moved=False):
-        assert _every_plane_degenerate(m, p), m.source
-        assert enumerate_fiber(m, p) == scanned(m, p), m.source
+@pytest.mark.parametrize("moved", (False, True), ids=("as-given", "moved"))
+def test_rank_deficient_quadrics_are_refused_in_every_coordinate_system(m11, moved):
+    # the same rule and message whether or not the model has the solver
+    # shape, for enumeration, singular points and classification alike
+    for p in (7, 13):
+        for m, rank in zip(_rank_deficient_models(m11, p, moved), (3, 4)):
+            assert _has_solver_shape(m.quadrics) != moved
+            assert rank_mod_p(m.quadrics, p) == rank
+            for step in (enumerate_fiber, singular_points, classify_fiber):
+                with pytest.raises(DomainError, match=_dependence_message(rank, p)):
+                    step(m, p)
 
 
 def test_degenerate_candidates_come_in_blocks_of_whole_planes(m11, monkeypatch):
-    # quadrics 4-5 times p: every plane lists all p^2 pairs, p^2 (p^2 + p +
-    # 1) candidates, and no block reaches _CANDIDATE_BLOCK + p^2 of them
+    # independent quadrics whose quadrics 4-5 have no (u1, u2) term: a(t) =
+    # 0 on every plane, which lists all p^2 pairs, p^2 (p^2 + p + 1)
+    # candidates, and no block reaches _CANDIDATE_BLOCK + p^2 of them
     p = 23
-    m = _rank_deficient_models(m11, p, moved=False)[0]
-    sizes, lift = [], fibers._lift_u0
-    monkeypatch.setattr(fibers, "_lift_u0", lambda gram, y, p: sizes.append(len(y)) or lift(gram, y, p))
+    m = _degenerate_model(m11, 0)
+    assert rank_mod_p(m.quadrics, p) == 5
+    assert not fibers._gram_mod_p(m.quadrics, p)[3:, 1:3, 3:].any()
+    sizes, solve = [], fibers._plane_solutions
+    monkeypatch.setattr(
+        fibers, "_plane_solutions", lambda a, c, t, *rest: sizes.append(p * p * len(t)) or solve(a, c, t, *rest)
+    )
     fiber = enumerate_fiber(m, p)
     assert sum(sizes) == p * p * (p * p + p + 1)
     assert len(sizes) > 2 and max(sizes) < fibers._CANDIDATE_BLOCK + p * p
@@ -493,8 +576,14 @@ def _random_shaped(m11, data):
 @given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
 def test_solver_equals_scan_on_random_shaped_quadrics(m11, p, data):
     # random quadrics with the solver shape reach every branch: vanishing
-    # determinants of every rank and points where no u0 coefficient survives
+    # determinants of every rank and points where no u0 coefficient survives;
+    # dependent ones are refused
     shaped = _random_shaped(m11, data)
+    rank = rank_mod_p(shaped.quadrics, p)
+    if rank < 5:
+        with pytest.raises(DomainError, match=_dependence_message(rank, p)):
+            enumerate_fiber(shaped, p)
+        return
     assert enumerate_fiber(shaped, p) == scanned(shaped, p)
 
 
@@ -545,6 +634,11 @@ def _full_rank_test(m, p, fiber):
 @given(p=st.sampled_from((2, 3, 5, 7)), data=st.data())
 def test_minor_shortcut_equals_the_full_rank_test_on_random_shaped_quadrics(m11, p, data):
     shaped = _random_shaped(m11, data)
+    rank = rank_mod_p(shaped.quadrics, p)
+    if rank < 5:
+        with pytest.raises(DomainError, match=_dependence_message(rank, p)):
+            singular_points(shaped, p, fiber=scanned(shaped, p))
+        return
     fiber = enumerate_fiber(shaped, p)
     assert singular_points(shaped, p, fiber=fiber) == _full_rank_test(shaped, p, fiber)
 

@@ -142,15 +142,8 @@ def test_smoothpath_matches_chart_on_seeded_forms(m11):
         assert chart.classes == smooth.classes, hbar
 
 
-def test_path_agreement_sample(m11):
-    result = path_agreement_check(m11, sample=20000, seed=5)
-    assert result["mode"] == "sampled"
-    assert result["checked"] == 20000
-    assert result["disagreements"] == ()
-
-
 def test_path_agreement_exhaustive(m11):
-    result = path_agreement_check(m11, sample=None)
+    result = path_agreement_check(m11)
     assert result["mode"] == "exhaustive"
     assert result["checked"] == CENSUS_11_TOTAL
     assert result["disagreements"] == ()
@@ -824,21 +817,24 @@ def _cut_smooth_route(monkeypatch, values=None, triggers=None):
 
 
 def _assert_exhaustive_matches_sampled(m11):
+    # the oracle: both routes' masks of 20,000 seeded forms, form by form
     exhaustive = path_agreement_check(m11)
-    sampled = path_agreement_check(m11, sample=20000, seed=3)
     bad = set(exhaustive["disagreements"])
     assert exhaustive["checked"] == CENSUS_11_TOTAL
     assert 0 < len(bad) < CENSUS_11_TOTAL and len(bad) % 10 == 0
     assert list(exhaustive["disagreements"]) == sorted(bad)
     indices = np.random.default_rng(3).integers(1, 11 ** 6, size=20000, dtype=np.int64)
-    assert [int(i) for i in indices if int(i) in bad] == list(sampled["disagreements"])
-    assert sampled["disagreements"]
+    forms = indices // 11 ** np.arange(6)[:, None] % 11
+    differ = _image_masks_11(m11, forms, "chart") != _image_masks_11(m11, forms, "smooth")
+    sampled = indices[differ].tolist()
+    assert [int(i) for i in indices if int(i) in bad] == sampled
+    assert sampled
     return bad
 
 
 def test_exhaustive_agreement_reports_every_scaling(m11, monkeypatch):
     # a smooth route cut down to 40 value points disagrees with the chart on
-    # some forms; the sampled mode, which scans forms directly, is the oracle
+    # some forms; both routes' masks of single forms are the oracle
     _cut_smooth_route(monkeypatch, values=40)
     _assert_exhaustive_matches_sampled(m11)
 

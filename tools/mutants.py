@@ -1,0 +1,202 @@
+"""Mutation runner: each mutant of the table below must make its tests fail.
+
+A mutant replaces one exact snippet of one source file.  The runner copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, runs
+the named tests once on the unchanged copy (they must pass), then applies
+one mutant at a time, runs only its tests, restores the file, and reports
+the mutant as killed (its tests failed) or survived (they passed).  A
+snippet that does not occur exactly once is an error, so a mutant cannot go
+stale without notice.  Each test run gets an address-space limit, so a
+mutant that sends a solver out of bounds fails with MemoryError instead of
+exhausting the machine.
+
+Run from anywhere, with the interpreter that runs the test suite:
+
+    python tools/mutants.py              # every mutant
+    python tools/mutants.py NAME [...]   # the named mutants
+
+The exit code is 0 when every mutant selected is killed and 1 otherwise.
+Standard library only; pytest does not collect this directory (its
+``testpaths`` is ``tests``).  A survivor is a gap in the tests: add a test
+that kills it, never drop the row.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MEMORY_LIMIT = 3 << 30
+TIMEOUT_S = 600
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+FIBERS = "src/dp5brauer/fibers.py"
+OBSTRUCTION = "src/dp5brauer/obstruction.py"
+
+MUTANTS = (
+    # one coordinate system per fiber
+    Mutant(
+        "no-independence-check",
+        FIBERS,
+        "    if rank < 5:\n        raise DomainError(f\"model quadrics have rank {rank} mod {p}",
+        "    if False:\n        raise DomainError(f\"model quadrics have rank {rank} mod {p}",
+        (
+            "tests/test_fibers.py::test_a_fiber_without_a_smooth_point_is_refused",
+            "tests/test_fibers.py::test_a_fiber_cut_by_fewer_than_five_quadrics_is_refused",
+        ),
+    ),
+    Mutant(
+        "minor-in-model-coordinates",
+        FIBERS,
+        "jacobians = (_solver_coordinates(model.quadrics, p)[0] @ x.T % p)",
+        "jacobians = (_polar_mod_p(model, p) @ x.T % p)",
+        ("tests/test_fibers.py::test_moved_model_keeps_lines_singular_points_and_classification",),
+    ),
+    Mutant(
+        "move-without-shape-gate",
+        FIBERS,
+        "        if _solver_shaped(moved):\n            return r[:, 6:], g, moved",
+        "        if True:\n            return r[:, 6:], g, moved",
+        ("tests/test_fibers.py::test_a_move_without_the_solver_shape_is_never_solved",),
+    ),
+    # the l1-orbit sweeps mod 11
+    Mutant(
+        "wrong-rotation",
+        OBSTRUCTION,
+        "table = masks[(sets << shifts | sets >> (11 - shifts)) & 0x7FF]",
+        "table = masks[(sets >> shifts | sets << (11 - shifts)) & 0x7FF]",
+        ("tests/test_obstruction.py::test_census_11_counts",),
+    ),
+    Mutant(
+        "wrong-pivot",
+        OBSTRUCTION,
+        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0)]",
+        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0) + 1]",
+        ("tests/test_obstruction.py::test_census_11_counts",),
+    ),
+    Mutant(
+        "dropped-l1-class",
+        OBSTRUCTION,
+        "return np.nonzero((np.arange(11)[:, None] == 1) | (np.arange(n) > 0))",
+        "return np.nonzero((np.arange(11)[:, None] == 11) | (np.arange(n) > 0))",
+        ("tests/test_obstruction.py::test_census_11_counts",),
+    ),
+    Mutant(
+        "dropped-trigger-rotation",
+        OBSTRUCTION,
+        "    if len(rotating):\n        # a rotated set holds a unit",
+        "    if False:\n        # a rotated set holds a unit",
+        ("tests/test_obstruction.py::test_orbit_masks_equal_a_direct_evaluation_of_every_translate",),
+    ),
+    # the mod-25 census in array steps
+    Mutant(
+        "shifted-kstar",
+        OBSTRUCTION,
+        "(_KAPPA_MASKS_5[:, None] >> kstar & 1) == 0",
+        "(_KAPPA_MASKS_5[:, None] >> (kstar + 1) % 5 & 1) == 0",
+        ("tests/test_obstruction.py::test_kappa_census_equals_the_per_k_set_loop",),
+    ),
+    Mutant(
+        "wrong-popcount-entry",
+        OBSTRUCTION,
+        '_POPCOUNT_5 = np.array([bin(m).count("1") for m in range(32)], dtype=np.int64)',
+        '_POPCOUNT_5 = np.array([bin(m).count("1") + (m == 7) for m in range(32)], dtype=np.int64)',
+        ("tests/test_obstruction.py::test_kappa_census_equals_the_per_k_set_loop",),
+    ),
+)
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _pytest(tree, tests):
+    """(return code, seconds) of pytest on ``tests`` in ``tree``."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(tree / "src"),
+        PYTHONDONTWRITEBYTECODE="1",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+    )
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    start = time.perf_counter()
+    try:
+        done = subprocess.run(
+            argv, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S, preexec_fn=_limit_memory
+        )
+        code = done.returncode
+    except subprocess.TimeoutExpired:
+        code = "timeout"
+    return code, time.perf_counter() - start
+
+
+def _copy_tree(target):
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, target / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", target / "pyproject.toml")
+
+
+def run(mutants):
+    """Report every mutant; True when all are killed."""
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        originals = {m.path: (tree / m.path).read_text(encoding="utf-8") for m in mutants}
+        for m in mutants:
+            count = originals[m.path].count(m.snippet)
+            if count != 1:
+                raise SystemExit(f"{m.name}: snippet occurs {count} times in {m.path}")
+        tests = sorted({t for m in mutants for t in m.tests})
+        code, seconds = _pytest(tree, tests)
+        if code != 0:
+            raise SystemExit(f"the unmutated tree fails its tests (pytest exit {code})")
+        print(f"{'unmutated':28} pass      {seconds:6.1f} s")
+        killed = 0
+        for m in mutants:
+            source = tree / m.path
+            source.write_text(originals[m.path].replace(m.snippet, m.replacement), encoding="utf-8")
+            try:
+                code, seconds = _pytest(tree, m.tests)
+            finally:
+                source.write_text(originals[m.path], encoding="utf-8")
+            # pytest exits 1 when tests fail; any other code is a broken run
+            status = "killed" if code == 1 else "survived" if code == 0 else f"error ({code})"
+            killed += status == "killed"
+            print(f"{m.name:28} {status:9} {seconds:6.1f} s")
+    print(f"{killed} of {len(mutants)} mutants killed")
+    return killed == len(mutants)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    args = parser.parse_args(argv)
+    by_name = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in by_name]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    return 0 if run([by_name[n] for n in args.names] if args.names else list(MUTANTS)) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
