@@ -431,6 +431,15 @@ def test_fiber_refuses_a_model_file_cut_by_fewer_than_five_quadrics(capsys, tmp_
                 assert _refusal(capsys, tmp_path, m, p) == _dependence_error(rank, p)
 
 
+def test_fiber_answers_a_solver_shaped_model_file_cut_by_fewer_than_five_quadrics(
+    capsys, tmp_path, m11
+):
+    # every plane is degenerate and the model has the solver shape as given;
+    # the answer is the rank refusal, exit 3, no traceback
+    m = _rank_deficient_models(m11, 23, moved=False)[0]
+    assert _refusal(capsys, tmp_path, m, 23) == _dependence_error(3, 23)
+
+
 @pytest.mark.parametrize("p", (7, 97))
 def test_fiber_refuses_a_model_file_whose_quadrics_all_vanish_mod_p(capsys, tmp_path, m11, p):
     # zeta11plus with every quadric times p loads (rank 5 over Q), but mod p

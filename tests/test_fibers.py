@@ -496,6 +496,29 @@ def test_rank_deficient_quadrics_are_refused_in_every_coordinate_system(m11, mov
                     step(m, p)
 
 
+def _every_plane_degenerate(m, p):
+    gram = fibers._gram_mod_p(m.quadrics, p)
+    a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], fibers._projective_plane(p)) % p
+    det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
+    return _has_solver_shape(m.quadrics) and not det.any()
+
+
+@pytest.mark.parametrize("p", (7, 13))
+@pytest.mark.parametrize("block", (1, 500, fibers._CANDIDATE_BLOCK))
+def test_a_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, monkeypatch, p, block):
+    # det a(t) = 0 at every t: the blocked solver still lists the fiber
+    # exactly, with the candidates in blocks of one plane, of a few planes,
+    # or in one block; enumerate_fiber refuses the model by the rank rule
+    # before it reaches the solver
+    monkeypatch.setattr(fibers, "_CANDIDATE_BLOCK", block)
+    for m, rank in zip(_rank_deficient_models(m11, p, moved=False), (3, 4)):
+        assert _every_plane_degenerate(m, p), m.source
+        solved = fibers._solve_fiber(fibers._gram_mod_p(m.quadrics, p), p).tolist()
+        assert sorted(fibers._normalize_point(x, p) for x in solved) == scanned(m, p), m.source
+        with pytest.raises(DomainError, match=_dependence_message(rank, p)):
+            enumerate_fiber(m, p)
+
+
 def test_degenerate_candidates_come_in_blocks_of_whole_planes(m11, monkeypatch):
     # independent quadrics whose quadrics 4-5 have no (u1, u2) term: a(t) =
     # 0 on every plane, which lists all p^2 pairs, p^2 (p^2 + p + 1)
