@@ -664,7 +664,7 @@ def _monomial_text(residue):
     return " + ".join(parts)
 
 
-def verify_chart(model, p=None):
+def verify_chart(model):
     """Certify the affine chart of a fixture at its ramified prime.
 
     Three checks: every quadric vanishes identically on the substitution
@@ -674,12 +674,9 @@ def verify_chart(model, p=None):
     the unique line it covers the fiber exactly.  Any failure raises
     ChartError.
     """
-    if model.ramified_prime is None:
-        raise DomainError("chart verification needs a fixture model")
+    p = model.ramified_prime
     if p is None:
-        p = model.ramified_prime
-    if p != model.ramified_prime:
-        raise DomainError(f"chart lives at {model.ramified_prime}, not {p}")
+        raise DomainError("chart verification needs a fixture model")
     for residue in _on_chart(_gram_mod_p(model.quadrics, p)) % p:
         if residue.any():
             raise ChartError(

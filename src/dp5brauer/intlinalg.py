@@ -2,9 +2,9 @@
 
 Everything here works with arbitrary-precision Python ints, which the
 eliminations hold in numpy object arrays so that one row operation is one
-array step; there is no floating point and no modular shortcut.  The
-normal form conventions are
-fixed once and used by every caller:
+array step; there is no floating point, and no computation modulo a prime
+stands in for an exact one.  The normal form conventions are fixed once
+and used by every caller:
 
   * Hermite form is row-style: ``H = U A`` with ``U`` unimodular, pivots
     positive, entries above each pivot reduced into ``[0, pivot)``, zero

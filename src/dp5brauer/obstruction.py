@@ -189,35 +189,6 @@ def _inverted_value_classes(group, values):
     return _classes_subset(group, {group.class_of(pow(v, -1, q)) for v in values})
 
 
-def inv_image_11(model, hbar):
-    """Invariant image at 11 computed through the affine chart.
-
-    A form with nonzero u5 coefficient restricts to a genuinely cubic chart
-    polynomial whose values cover every coset, so the image is full without
-    evaluation.  Otherwise the values of the reduced form on the chart are
-    exactly the unit values of h/l1, and the image is the coset set of their
-    inverses.
-    """
-    group = fifth_power_classes(11)
-    _require_fixture_chart(model, 11)
-    h = _reduce_form(hbar, 11)
-    if h[5]:
-        return InvariantImage(
-            11, 11, group.classes, None, "u5 coefficient nonzero: chart values cover every coset"
-        )
-    h0, h1, h2, h3, h4 = h[:5]
-    values = set()
-    for y in range(11):
-        row = (h0 + h1 * y + h3 * y * y) % 11
-        step = (h2 + h4 * y) % 11
-        for z in range(11):
-            values.add((row + step * z) % 11)
-    values.discard(0)
-    return InvariantImage(
-        11, 11, _inverted_value_classes(group, values), tuple(sorted(values)), "chart values"
-    )
-
-
 class _BoundedCache(OrderedDict):
     """Mapping that keeps only the ``size`` most recently stored entries."""
 
@@ -241,8 +212,44 @@ def _model_cache_key(model, p):
     return (p, model.quadrics, model.l1)
 
 
-def _ramified_fiber_data(model):
-    """Enumerated mod-p fiber with smoothness flags and l1 values, cached."""
+# ---------------------------------------------------------------------------
+# conductor-11 model: the two routes modulo 11
+
+
+def _read_only(rows):
+    points = np.array(rows, dtype=np.int32).reshape(-1, 6)
+    points.setflags(write=False)
+    return points
+
+
+# the chart route: the 121 points of the chart modulo 11 in (y, z) order,
+# and the trigger e5, whose h-value is the u5 coefficient
+_CHART_POINTS_11 = _read_only([chart_point(y, z, 11) for y, z in product(range(11), repeat=2)])
+_CHART_TRIGGERS_11 = _read_only([(0, 0, 0, 0, 0, 1)])
+
+
+class _Route11(NamedTuple):
+    """One route of ``_image_masks_11``, its points split by l1."""
+
+    l1: np.ndarray  # the six coefficients of l1 mod 11
+    values: np.ndarray  # value points, each with l1(P) = 1
+    fixed: np.ndarray  # trigger points, each with l1(T) = 0, so fixed by translation
+
+
+def _route_points_11(model, route):
+    """(value points, trigger points) of one route, as read-only int32 rows.
+
+    The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``.  The
+    smooth-point route holds the smooth points of the enumerated fiber, in
+    fiber order: those off {l1 = 0}, each scaled by 1/l1, are its value
+    points, and those on {l1 = 0} its triggers; both arrays are cached per
+    model in ``_FIBER_CACHE``.
+    """
+    if route == "chart":
+        _require_fixture_chart(model, 11)
+        return _CHART_POINTS_11, _CHART_TRIGGERS_11
+    if model.modulus != 11:
+        raise DomainError("this invariant computation needs a modulus-11 model")
     p = model.ramified_prime
     if p is None:
         raise DomainError("model carries no ramified-prime metadata")
@@ -250,46 +257,90 @@ def _ramified_fiber_data(model):
     if key not in _FIBER_CACHE:
         points = enumerate_fiber(model, p)
         singular = set(singular_points(model, p, points))
-        smooth = tuple(pt not in singular for pt in points)
-        l1 = np.array([c % p for c in model.l1], dtype=np.int64)
-        l1_values = tuple((np.array(points, dtype=np.int64).reshape(-1, 6) @ l1 % p).tolist())
-        _FIBER_CACHE[key] = (p, points, smooth, l1_values)
+        smooth = _read_only([pt for pt in points if pt not in singular])
+        l1v = smooth @ np.array([c % 11 for c in model.l1], dtype=np.int32) % 11
+        l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)
+        values = _read_only(smooth[l1v != 0] * l1_inv[:, None] % 11)
+        _FIBER_CACHE[key] = (values, _read_only(smooth[l1v == 0]))
     return _FIBER_CACHE[key]
+
+
+def _route_11(model, route):
+    """The points of one route, checked against the translation law.
+
+    A value point P with l1(P) != 1 mod 11, or a trigger point T with
+    l1(T) != 0, raises, naming the point: the masks of the translates would
+    be shifted, or the trigger would fire on some translates of a form and
+    not on others.
+    """
+    values, triggers = _route_points_11(model, route)
+    l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
+    for points, kind, want in ((values, "value", 1), (triggers, "trigger", 0)):
+        off = np.flatnonzero(points @ l1 % 11 != want)
+        if len(off):
+            point = points[off[0]]
+            raise FiberInconsistencyError(
+                f"{kind} point {point.tolist()} of the {route} route has l1 = "
+                f"{int(point @ l1 % 11)}, not {want}, modulo 11"
+            )
+    return _Route11(l1, values, triggers)
+
+
+# the reason of a per-form image: (some trigger fired, the values decided it)
+_REASONS_11 = {
+    "chart": ("u5 coefficient nonzero: chart values cover every coset", "chart values"),
+    "smooth": ("smooth point with l1 = 0 and h a unit", "smooth point values"),
+}
+
+
+def _route_image_11(model, h, route):
+    """The image of the reduced form h along one ``_route_11``, read as
+    ``_image_masks_11`` reads it: full when h is a unit at a trigger point,
+    else the coset set of 1/v over the unit values v = h(P) at the value
+    points.  On the smooth route the first fired trigger, in fiber order, is
+    the certificate; the chart route's one trigger is e5, which its reason
+    names, so it carries none."""
+    group = fifth_power_classes(11)
+    r = _route_11(model, route)
+    column = np.array(h, dtype=np.int32)
+    fired = np.flatnonzero(r.fixed @ column % 11)
+    full_reason, values_reason = _REASONS_11[route]
+    if len(fired):
+        certificate = {"point": r.fixed[fired[0]].tolist()} if route == "smooth" else None
+        return InvariantImage(11, 11, group.classes, None, full_reason, certificate)
+    values = set((r.values @ column % 11).tolist()) - {0}
+    return InvariantImage(
+        11, 11, _inverted_value_classes(group, values), tuple(sorted(values)), values_reason
+    )
+
+
+def inv_image_11(model, hbar):
+    """Invariant image at 11 computed through the affine chart.
+
+    A form with nonzero u5 coefficient restricts to a genuinely cubic chart
+    polynomial whose values cover every coset, so the image is full without
+    evaluation.  Otherwise the values of the reduced form on the chart are
+    exactly the unit values of h/l1, and the image is the coset set of their
+    inverses.
+    """
+    _require_fixture_chart(model, 11)
+    return _route_image_11(model, _reduce_form(hbar, 11), "chart")
 
 
 def inv_image_11_smoothpath(model, hbar):
     """Invariant image at 11 from unit values of l1/h at smooth fiber points.
 
-    Independent of the chart route: the fiber is enumerated projectively and
-    the values are taken pointwise.  A smooth point where l1 vanishes but h
-    does not lifts to local points on which l1/h runs through every residue
-    valuation, so such a point certifies a full image.
+    Independent of the chart: the fiber is enumerated projectively and the
+    values are taken pointwise, so any modulus-11 model will do, in any
+    coordinates.  The image is full as soon as h is a unit at a smooth point
+    of {l1 = 0}, the first such point being the certificate.  That trigger
+    rule defines the route; it is not derived from lifting, and a proof
+    that it gives the invariant image is open.  The route agrees with the
+    chart route on every form (``path_agreement_check``).
     """
-    group = fifth_power_classes(11)
     if model.modulus != 11:
         raise DomainError("this invariant computation needs a modulus-11 model")
-    h = _reduce_form(hbar, 11)
-    p, points, smooth, l1_values = _ramified_fiber_data(model)
-    values = set()
-    for pt, ok, lv in zip(points, smooth, l1_values):
-        if not ok:
-            continue
-        hv = model.hyperplane_value(h, pt) % p
-        if lv == 0:
-            if hv != 0:
-                return InvariantImage(
-                    11,
-                    11,
-                    group.classes,
-                    None,
-                    "smooth point with l1 = 0 and h a unit",
-                    {"point": list(pt)},
-                )
-        elif hv != 0:
-            values.add((hv * pow(lv, -1, p)) % p)
-    return InvariantImage(
-        11, 11, _inverted_value_classes(group, values), tuple(sorted(values)), "smooth point values"
-    )
+    return _route_image_11(model, _reduce_form(hbar, 11), "smooth")
 
 
 # ---------------------------------------------------------------------------
@@ -718,54 +769,6 @@ def _translated_coset_masks_11():
 _TRANSLATED_MASKS_11 = _translated_coset_masks_11()
 
 
-class _Route11(NamedTuple):
-    """One route of ``_image_masks_11``, its points split by l1."""
-
-    l1: np.ndarray  # the six coefficients of l1 mod 11
-    values: np.ndarray  # value points, each with l1(P) = 1
-    fixed: np.ndarray  # trigger points with l1(T) = 0
-    rotating: np.ndarray  # the other trigger points, scaled to l1(T) = 1
-
-
-def _route_points_11(model, route):
-    """(value points scaled to l1 = 1, trigger points) of one route, as rows."""
-    if route == "chart":
-        _require_fixture_chart(model, 11)
-        chart = [chart_point(y, z, 11) for y, z in product(range(11), repeat=2)]
-        return np.array(chart, dtype=np.int32), np.array([[0, 0, 0, 0, 0, 1]], dtype=np.int32)
-    if model.modulus != 11:
-        raise DomainError("this invariant computation needs a modulus-11 model")
-    _, points, smooth, l1_values = _ramified_fiber_data(model)
-    pts = np.array(points, dtype=np.int32)
-    l1v = np.array(l1_values, dtype=np.int32)
-    ok = np.array(smooth, dtype=bool)
-    units = ok & (l1v != 0)
-    l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[units]], dtype=np.int32)
-    return pts[units] * l1_inv[:, None] % 11, pts[ok & (l1v == 0)]
-
-
-def _route_11(model, route):
-    """The points of one route split for the translation law.
-
-    A value point P with l1(P) != 1 mod 11 raises, naming the point: the
-    masks of the translates would be shifted.  A trigger point T is fixed
-    when l1(T) = 0 and is otherwise scaled by 1/l1(T), which keeps the
-    forms that are units at it.
-    """
-    values, triggers = _route_points_11(model, route)
-    l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
-    off = np.flatnonzero(values @ l1 % 11 != 1)
-    if len(off):
-        point = values[off[0]]
-        raise FiberInconsistencyError(
-            f"value point {point.tolist()} of the {route} route has l1 = "
-            f"{int(point @ l1 % 11)}, not 1, modulo 11"
-        )
-    at = triggers @ l1 % 11
-    scale = np.array([pow(int(v), -1, 11) for v in at[at != 0]], dtype=np.int32)
-    return _Route11(l1, values, triggers[at == 0], triggers[at != 0] * scale[:, None] % 11)
-
-
 def _one_hot_tables(points):
     """The (1331, m) uint32 tables ``1 << (t . P mod 11)`` of the two digit halves.
 
@@ -803,15 +806,10 @@ def _value_sets(points, forms):
     return sets
 
 
-def _translated_masks_11(values, rotating, bases):
+def _translated_masks_11(values, bases):
     """(11, n) masks, entry [c, j] that of bases[:, j] + c*l1, for bases
-    that fire no fixed trigger: the value sets rotated by c, full where the
-    rotated set of the ``rotating`` triggers holds a unit."""
-    masks = _TRANSLATED_MASKS_11[:, _value_sets(values, bases)]
-    if len(rotating):
-        # a rotated set holds a unit exactly when its coset mask is nonzero
-        masks[_TRANSLATED_MASKS_11[:, _value_sets(rotating, bases)] != 0] = _FULL_MASK
-    return masks
+    that fire no trigger: the value sets rotated by c."""
+    return _TRANSLATED_MASKS_11[:, _value_sets(values, bases)]
 
 
 def _orbit_masks_11(route, bases):
@@ -820,11 +818,11 @@ def _orbit_masks_11(route, bases):
     masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
     # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
     todo = np.flatnonzero((_value_sets(route.fixed, bases) & 0x7FE) == 0)
-    masks[:, todo] = _translated_masks_11(route.values, route.rotating, bases[:, todo])
+    masks[:, todo] = _translated_masks_11(route.values, bases[:, todo])
     return masks
 
 
-def _image_masks_11(model, forms, route, shortcut=True):
+def _image_masks_11(model, forms, route):
     """Invariant-image bit masks of the columns of ``forms`` along one route.
 
     ``forms`` is a (6, n) array of residues mod 11 and ``route`` is
@@ -836,11 +834,11 @@ def _image_masks_11(model, forms, route, shortcut=True):
     the value points where h(P) is a unit, and it is full as soon as h is a
     unit at a trigger point.  The chart route reads the 121 chart points
     and triggers on e5 = (0, ..., 0, 1), whose h-value is the u5
-    coefficient, exactly as ``inv_image_11`` does.  The smooth-point route
-    reads the smooth fiber points off {l1 = 0}, rescaled by 1/l1, and
-    triggers on the smooth points of {l1 = 0}, exactly as
-    ``inv_image_11_smoothpath`` does.  ``shortcut=False`` drops the
-    triggers and returns the evaluated mask alone.
+    coefficient.  The smooth-point route reads the smooth fiber points off
+    {l1 = 0}, rescaled by 1/l1, and triggers on the smooth points of
+    {l1 = 0}.  ``_route_points_11`` is the one definition of both routes;
+    ``inv_image_11`` and ``inv_image_11_smoothpath`` read the same points
+    form by form (``_route_image_11``).
 
     Evaluation.  Write h(P) = a + b with a = h0*P0 + h1*P1 + h2*P2 and
     b = h3*P3 + h4*P4 + h5*P5, both reduced mod 11.  Each half of a form is
@@ -860,17 +858,15 @@ def _image_masks_11(model, forms, route, shortcut=True):
     1, so (h + c*l1)(P) = h(P) + c: the value set of h + c*l1 is that of h
     with every value moved up by c, the 11-bit set rotated left by c.  At a
     trigger point with l1(T) = 0, (h + c*l1)(T) = h(T), so h + c*l1 fires
-    such a fixed trigger exactly when h does.  On both real routes every
-    trigger is fixed: the chart trigger e5 because l1 = u0 there, and the
-    smooth route's triggers because they are the points of {l1 = 0}; so l1
-    lies in the kernel of their trigger matrices.  A trigger off {l1 = 0}
-    is scaled to l1(T) = 1, which keeps the forms that are units at it, and
-    then (h + c*l1)(T) = h(T) + c rotates with c like a value.  Hence the
-    masks of all eleven translates h + c*l1 come from the value sets of h
-    alone: entry [c, s] of ``_TRANSLATED_MASKS_11`` is the coset mask of s
-    rotated by c, and a translate whose rotated trigger set holds a unit is
-    full (``_translated_masks_11``).  The law needs l1(P) = 1 at every value
-    point; ``_route_11`` raises, naming the point, where one breaks it.
+    such a trigger exactly when h does.  On both routes every trigger has
+    l1(T) = 0: the chart trigger e5 because l1 = u0 there, and the smooth
+    route's triggers because they are the points of {l1 = 0}; so l1 lies in
+    the kernel of their trigger matrices.  Hence the masks of all eleven
+    translates h + c*l1 come from the value sets of h alone: entry [c, s]
+    of ``_TRANSLATED_MASKS_11`` is the coset mask of s rotated by c
+    (``_translated_masks_11``).  The law needs l1(P) = 1 at every value
+    point and l1(T) = 0 at every trigger point; ``_route_11`` raises,
+    naming the point, where one breaks it.
     So the value set of a form h, gathered once, gives the masks of its
     whole orbit h + c*l1 (``_orbit_masks_11``), the mask of h in row 0.
     The exhaustive sweeps split every form as b + c*l1 with b_i = 0 at the
@@ -900,10 +896,7 @@ def _image_masks_11(model, forms, route, shortcut=True):
     the ten multiples of h omit the identity; none does when the image is
     full.
     """
-    r = _route_11(model, route)
-    if not shortcut:
-        r = r._replace(fixed=r.fixed[:0], rotating=r.rotating[:0])
-    return _orbit_masks_11(r, forms)[0]
+    return _orbit_masks_11(_route_11(model, route), forms)[0]
 
 
 def _representatives_11(tops=range(6)):
@@ -980,7 +973,7 @@ def _unfired_class_masks_11(route):
     masks[k]; no fixed trigger pass runs, as none fires."""
     bases = _unfired_bases_11(route)
     shifts, columns = _orbit_classes_11(bases.shape[1])
-    masks = _translated_masks_11(route.values, route.rotating, bases)[shifts, columns]
+    masks = _translated_masks_11(route.values, bases)[shifts, columns]
     return bases, shifts, columns, masks
 
 
@@ -1064,14 +1057,14 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     if validate_surjectivity:
         # l1 = u0 on the chart, so the u5 = 1 forms are b + c*u0 for these bases
         bases = _digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
-        masks = _translated_masks_11(route.values, (), bases)
+        masks = _translated_masks_11(route.values, bases)
         partial = np.flatnonzero(masks != _FULL_MASK)
         if len(partial):
             c, j = divmod(int(partial[0]), bases.shape[1])
             form = tuple(((bases[:, j] + c * route.l1) % 11).tolist())
             raise FiberInconsistencyError(
                 f"the u5-dependent form {form} failed the fullness claim; the "
-                "census shortcut would be unsound"
+                "census's u5 rule would be unsound"
             )
 
     result = {

@@ -16,7 +16,7 @@ import pytest
 
 from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
-from dp5brauer.fibers import jacobian_matrix_mod_p, solve_mod_p
+from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
 from dp5brauer.model import chart_point
 from dp5brauer.obstruction import (
     _POWERS_11,
@@ -40,8 +40,10 @@ from dp5brauer.obstruction import (
 )
 from dp5brauer.obstruction import (
     _image_masks_11,
+    _orbit_masks_11,
     _random_invertible_mod11,
     _representatives_11,
+    _route_11,
     _route_points_11,
     _scalings_11,
     _unfired_representatives_11,
@@ -521,6 +523,39 @@ def test_census_is_coordinate_free(m11):
     assert census_11_smoothpath(moved)["obstructing"] == 228
 
 
+def test_smoothpath_reads_the_fiber_of_a_moved_model(m11):
+    # the chart route refuses a moved model, so its image comes from the
+    # smooth route alone; h/l1 does not depend on the coordinates, so the
+    # classes and values are the fixture's for the pulled-back form
+    rng = random.Random(79)
+    matrix = _random_invertible_mod11(rng)
+    moved = transformed_model_mod11(m11, matrix)
+    with pytest.raises(DomainError, match="chart evaluation needs l1 = u0"):
+        inv_image_11(moved, HEADLINE_H)
+    fiber = enumerate_fiber(moved, 11)
+    smooth = set(fiber) - set(singular_points(moved, 11, fiber))
+    fired = partial = 0
+    for _ in range(200):
+        h = [rng.randrange(11) for _ in range(6)]
+        if rng.random() < 0.5:
+            h[2] = h[4] = h[5] = 0  # z-free forms have partial images
+        if not any(h):
+            continue
+        # the form h reads h * matrix in the moved coordinates
+        pulled = tuple((np.array(h) @ np.array(matrix) % 11).tolist())
+        image = inv_image_11_smoothpath(moved, pulled)
+        expected = inv_image_11_smoothpath(m11, h)
+        assert (image.classes, image.values) == (expected.classes, expected.values), h
+        partial += not image.full
+        if image.certificate is not None:
+            fired += 1
+            point = tuple(image.certificate["point"])
+            assert point in smooth, h
+            assert moved.hyperplane_value(moved.l1, point) % 11 == 0, h
+            assert moved.hyperplane_value(pulled, point) % 11 != 0, h
+    assert fired > 20 and partial > 20
+
+
 def _permuted_mask(group, mask, lam):
     # the coset C goes to lam^-1 * C
     out = 0
@@ -558,11 +593,11 @@ def test_mask_kernel_is_scaling_equivariant(m11):
             assert s == _permuted_mask(group, int(b), lam), (route, h, lam)
 
 
-def _direct_mask(points, triggers, h, shortcut):
+def _direct_mask(points, triggers, h):
     """The image mask of one form, point by point: full when h is a unit at
     a trigger point, else the coset bits of 1/h(P) over the unit values."""
     group = fifth_power_classes(11)
-    if shortcut and any(sum(c * x for c, x in zip(h, t)) % 11 for t in triggers):
+    if any(sum(c * x for c, x in zip(h, t)) % 11 for t in triggers):
         return 31
     mask = 0
     for pt in points:
@@ -615,13 +650,26 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
         cols = np.array(forms, dtype=np.int32).T
         values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
         assert sum(_folds_high(values, h) for h in forms) > 20
-        masks = {}
-        for shortcut in (True, False):
-            masks[shortcut] = _image_masks_11(model, cols, route, shortcut=shortcut).tolist()
-            expected = [_direct_mask(values, triggers, h, shortcut) for h in forms]
-            assert masks[shortcut] == expected, (route, shortcut)
+        r = _route_11(model, route)
+        masks = {
+            True: _image_masks_11(model, cols, route).tolist(),
+            False: _orbit_masks_11(r._replace(fixed=r.fixed[:0]), cols)[0].tolist(),
+        }
+        for with_triggers, got in masks.items():
+            expected = [_direct_mask(values, triggers if with_triggers else [], h) for h in forms]
+            assert got == expected, (route, with_triggers)
             assert 0 < expected.count(31) < len(forms)
         assert (masks[True] != masks[False]) == (len(values) == 12)
+        # the per-form image reads the same route: its classes are the mask,
+        # its values the unit values h(P) unless a trigger fired
+        per_form = inv_image_11 if route == "chart" else inv_image_11_smoothpath
+        group = fifth_power_classes(11)
+        for h, mask in zip(forms, masks[True]):
+            image = per_form(model, h)
+            assert sum(1 << group.classes.index(c) for c in image.classes) == mask, (route, h)
+            if image.values is not None:
+                units = {sum(c * x for c, x in zip(h, pt)) % 11 for pt in values} - {0}
+                assert image.values == tuple(sorted(units)), (route, h)
 
 
 def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypatch):
@@ -638,23 +686,16 @@ def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypat
         if any(h):
             forms.append(h)
     route_points = obstruction._route_points_11
-    off_line = np.array([[3, 1, 4, 1, 5, 9], [2, 7, 1, 8, 2, 8]], dtype=np.int32)
 
     def cut_chart(model, route):
         values, triggers = route_points(model, route)
         return values[:12], triggers
-
-    def extra_triggers(model, route):
-        # two trigger points with l1(T) = 3 and 2, off {l1 = 0}
-        values, triggers = route_points(model, route)
-        return values, np.vstack([triggers, off_line])
 
     cases = (
         (m11, "chart", None),
         (m11, "smooth", None),
         (moved, "smooth", None),
         (m11, "chart", cut_chart),
-        (m11, "chart", extra_triggers),
     )
     for model, route, patch in cases:
         if patch is not None:
@@ -671,7 +712,7 @@ def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypat
         masks = obstruction._orbit_masks_11(obstruction._route_11(model, route), bases)
         translates = [(bases + c * l1[:, None]) % 11 for c in range(11)]
         expected = [
-            [_direct_mask(values, triggers, h, True) for h in t.T.tolist()] for t in translates
+            [_direct_mask(values, triggers, h) for h in t.T.tolist()] for t in translates
         ]
         assert masks.tolist() == expected, (route, patch)
         # the per-form masks read the same rows
@@ -706,6 +747,29 @@ def test_a_value_point_off_l1_equal_one_is_refused(m11, monkeypatch):
         path_agreement_check(m11)
 
 
+def test_a_trigger_point_off_l1_equal_zero_is_refused(m11, monkeypatch):
+    # a trigger off {l1 = 0} would fire on some translates h + c*l1 of a
+    # form and not on others, so the route raises, naming the point
+    route_points = obstruction._route_points_11
+    off_line = np.array([[3, 1, 4, 1, 5, 9], [2, 7, 1, 8, 2, 8]], dtype=np.int32)
+
+    def extra_triggers(model, route):
+        values, triggers = route_points(model, route)
+        return values, np.vstack([triggers, off_line])
+
+    monkeypatch.setattr(obstruction, "_route_points_11", extra_triggers)
+    for route in ("chart", "smooth"):
+        message = rf"trigger point \[3, 1, 4, 1, 5, 9\] of the {route} route has l1 = 3, not 0"
+        with pytest.raises(FiberInconsistencyError, match=message):
+            _image_masks_11(m11, _representatives_11((1,)), route)
+    with pytest.raises(FiberInconsistencyError, match="trigger point"):
+        inv_image_11(m11, HEADLINE_H)
+    with pytest.raises(FiberInconsistencyError, match="trigger point"):
+        inv_image_11_smoothpath(m11, HEADLINE_H)
+    with pytest.raises(FiberInconsistencyError, match="trigger point"):
+        census_11_smoothpath(m11)
+
+
 def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     # on 12 chart points some u5 = 1 form has a partial image; the check
     # over the 14,641 bases and their eleven translates must name one
@@ -722,7 +786,7 @@ def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     form = tuple(int(c) for c in re.search(r"form \(([^)]*)\)", str(err.value)).group(1).split(","))
     assert form[5] == 1
     values = route_points(m11, "chart")[0][:12].tolist()
-    assert _direct_mask(values, [], form, False) != 31
+    assert _direct_mask(values, [], form) != 31
 
 
 @pytest.mark.parametrize("rows", [2, 6])
@@ -760,7 +824,8 @@ def test_triggers_decide_before_values(m11):
         triggers = _route_points_11(model, route)[1]
         fired = (reps.T @ triggers.T % 11 != 0).any(axis=1)
         assert 0 < fired.sum() < reps.shape[1]
-        evaluated = _image_masks_11(model, reps, route, shortcut=False)
+        r = _route_11(model, route)
+        evaluated = _orbit_masks_11(r._replace(fixed=r.fixed[:0]), reps)[0]
         masks = _image_masks_11(model, reps, route)
         assert np.array_equal(masks, np.where(fired, 31, evaluated)), route
 
@@ -879,21 +944,23 @@ def test_unfired_representatives_are_the_trigger_kernel(m11):
 @pytest.mark.parametrize("triggers", ["none", "spanning"])
 def test_smooth_census_scans_the_kernel_at_its_extremes(m11, monkeypatch, triggers):
     # no trigger points leave every representative unfired (the values
-    # alone still give 228); triggers that span F_11^6 fire on every form,
-    # so every weight is 0
+    # alone still give 228); triggers that span {l1 = 0} = {u0 = 0} fire on
+    # every form but the multiples of l1, whose mask is the identity coset,
+    # so eight of the ten multiples obstruct
     route_points = obstruction._route_points_11
-    rows = np.eye(6, dtype=np.int32)[: 0 if triggers == "none" else 6]
+    assert [c % 11 for c in m11.l1] == [1, 0, 0, 0, 0, 0]
+    rows = np.eye(6, dtype=np.int32)[6 if triggers == "none" else 1 :]
 
     def replace_triggers(model, route):
         return route_points(model, route)[0], rows
 
     monkeypatch.setattr(obstruction, "_route_points_11", replace_triggers)
     unfired = _unfired_representatives_11(rows)
-    assert unfired.shape == ((6, 177156) if triggers == "none" else (6, 0))
+    assert unfired.shape == ((6, 177156) if triggers == "none" else (6, 1))
     masks = _image_masks_11(m11, _representatives_11(), "smooth")
     full_scan = int(obstruction._obstructing_scalings(masks).sum())
     assert census_11_smoothpath(m11)["obstructing"] == full_scan
-    assert full_scan == (228 if triggers == "none" else 0)
+    assert full_scan == (228 if triggers == "none" else 8)
 
 
 def test_unramified_invariants(m11):
@@ -914,7 +981,7 @@ def test_caches_stay_bounded_across_invariance_checks(m11):
     rng = random.Random(1234)
     for _ in range(obstruction.CACHE_SIZE):
         moved = transformed_model_mod11(m11, _random_invertible_mod11(rng))
-        obstruction._ramified_fiber_data(moved)
+        _route_points_11(moved, "smooth")
         assert len(obstruction._FIBER_CACHE) <= obstruction.CACHE_SIZE
     for seed in (5, 6):
         report = obstruction.census_invariance_check(m11, transforms=1, seed=seed)
