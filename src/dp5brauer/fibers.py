@@ -218,7 +218,9 @@ def enumerate_fiber(model, p):
     """
     _require_prime(p)
     _, g, moved = _solver_coordinates(model.quadrics, p)
-    x = _solve_fiber(moved, p) @ g.T % p
+    x = _solve_fiber(moved, p)
+    if g is not _IDENTITY_6:
+        x = x @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
     x = x * _inverses(p)[lead][:, None] % p
     return sorted(map(tuple, x.tolist()))
@@ -232,18 +234,24 @@ def _require_prime(p):
         raise DomainError(f"{p} is not prime")
 
 
+# g where the quadrics have the solver shape as given: no map back is needed
+_IDENTITY_6 = np.eye(6, dtype=np.int64)
+_IDENTITY_6.flags.writeable = False
+
+
 @lru_cache(maxsize=16)
 def _solver_coordinates(vectors, p):
     """Read-only (F, g, moved): the Gram array of (E q)(g v), which has the
     solver shape, and F_k = g^T (E B)_k, whose rows F_k x are its Jacobian
-    at g^-1 x (module docstring).  Dependent quadrics raise DomainError."""
+    at g^-1 x (module docstring).  g is ``_IDENTITY_6`` itself where the
+    quadrics have the shape as given.  Dependent quadrics raise DomainError."""
     rank = _quadric_rank(vectors, p)
     if rank < 5:
         raise DomainError(f"model quadrics have rank {rank} mod {p}, expected 5 independent quadrics")
     gram = _gram_mod_p(vectors, p)
     polar = (gram + gram.transpose(0, 2, 1)) % p
     if _solver_shaped(gram):
-        e, g, moved = np.eye(5, dtype=np.int64), np.eye(6, dtype=np.int64), gram
+        e, g, moved = np.eye(5, dtype=np.int64), _IDENTITY_6, gram
     else:
         e, g, moved = _shaped_coordinates(gram, polar, p)
     folded = g.T @ (np.einsum("kl,lab->kab", e, polar) % p) % p

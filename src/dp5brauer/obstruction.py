@@ -21,8 +21,8 @@ import math
 import os
 import random
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from collections import Counter, OrderedDict
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -179,14 +179,10 @@ def _require_fixture_chart(model, modulus):
         raise DomainError(f"chart evaluation needs l1 = u0 modulo {modulus}")
 
 
-def _classes_subset(group, class_set):
-    # keep the group's canonical ordering on any subset
-    return tuple(cls for cls in group.classes if cls in class_set)
-
-
 def _inverted_value_classes(group, values):
-    q = group.modulus
-    return _classes_subset(group, {group.class_of(pow(v, -1, q)) for v in values})
+    # the classes of the inverses, in the group's canonical order
+    inverted = {group.class_of(pow(v, -1, group.modulus)) for v in values}
+    return tuple(cls for cls in group.classes if cls in inverted)
 
 
 class _BoundedCache(OrderedDict):
@@ -229,25 +225,54 @@ _CHART_TRIGGERS_11 = _read_only([(0, 0, 0, 0, 0, 1)])
 
 
 class _Route11(NamedTuple):
-    """One route of ``_image_masks_11``, its points split by l1."""
+    """One checked route of ``_image_masks_11``, its points split by l1."""
 
     l1: np.ndarray  # the six coefficients of l1 mod 11
     values: np.ndarray  # value points, each with l1(P) = 1
     fixed: np.ndarray  # trigger points, each with l1(T) = 0, so fixed by translation
+    value_tables: np.ndarray  # ``_pair_tables`` of both point sets
+    fixed_tables: np.ndarray
+    bases: np.ndarray  # ``_unfired_bases_11``
 
 
-def _route_points_11(model, route):
-    """(value points, trigger points) of one route, as read-only int32 rows.
+def _build_route_11(l1, values, triggers, route):
+    """The ``_Route11`` of these points, checked against the translation law.
 
-    The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``.  The
-    smooth-point route holds the smooth points of the enumerated fiber, in
-    fiber order: those off {l1 = 0}, each scaled by 1/l1, are its value
-    points, and those on {l1 = 0} its triggers; both arrays are cached per
-    model in ``_FIBER_CACHE``.
+    A value point P with l1(P) != 1 mod 11, or a trigger point T with
+    l1(T) != 0, raises, naming the point: the masks of the translates would
+    be shifted, or the trigger would fire on some translates of a form and
+    not on others.
+    """
+    for points, kind, want in ((values, "value", 1), (triggers, "trigger", 0)):
+        off = np.flatnonzero(points @ l1 % 11 != want)
+        if len(off):
+            point = points[off[0]]
+            raise FiberInconsistencyError(
+                f"{kind} point {point.tolist()} of the {route} route has l1 = "
+                f"{int(point @ l1 % 11)}, not {want}, modulo 11"
+            )
+    tables = (_pair_tables(values), _pair_tables(triggers))
+    return _Route11(l1, values, triggers, *tables, _unfired_bases_11(l1, triggers))
+
+
+@lru_cache(maxsize=1)
+def _chart_route_11():
+    l1 = np.array(U0_FORM, dtype=np.int32)
+    return _build_route_11(l1, _CHART_POINTS_11, _CHART_TRIGGERS_11, "chart")
+
+
+def _cached_route_11(model, route):
+    """The checked ``_Route11`` of one route, built once.
+
+    The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``, a
+    constant.  The smooth-point route holds the smooth points of the
+    enumerated fiber, in fiber order: those off {l1 = 0}, each scaled by
+    1/l1, are its value points, and those on {l1 = 0} its triggers; it is
+    cached per model in ``_FIBER_CACHE``.
     """
     if route == "chart":
         _require_fixture_chart(model, 11)
-        return _CHART_POINTS_11, _CHART_TRIGGERS_11
+        return _chart_route_11()
     if model.modulus != 11:
         raise DomainError("this invariant computation needs a modulus-11 model")
     p = model.ramified_prime
@@ -258,32 +283,29 @@ def _route_points_11(model, route):
         points = enumerate_fiber(model, p)
         singular = set(singular_points(model, p, points))
         smooth = _read_only([pt for pt in points if pt not in singular])
-        l1v = smooth @ np.array([c % 11 for c in model.l1], dtype=np.int32) % 11
+        l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
+        l1v = smooth @ l1 % 11
         l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)
         values = _read_only(smooth[l1v != 0] * l1_inv[:, None] % 11)
-        _FIBER_CACHE[key] = (values, _read_only(smooth[l1v == 0]))
+        _FIBER_CACHE[key] = _build_route_11(l1, values, _read_only(smooth[l1v == 0]), "smooth")
     return _FIBER_CACHE[key]
 
 
-def _route_11(model, route):
-    """The points of one route, checked against the translation law.
+def _route_points_11(model, route):
+    """(value points, trigger points) of ``_cached_route_11``."""
+    r = _cached_route_11(model, route)
+    return r.values, r.fixed
 
-    A value point P with l1(P) != 1 mod 11, or a trigger point T with
-    l1(T) != 0, raises, naming the point: the masks of the translates would
-    be shifted, or the trigger would fire on some translates of a form and
-    not on others.
-    """
+
+def _route_11(model, route):
+    """The checked ``_Route11`` of the points of ``_route_points_11``: the
+    cached route for its own arrays, else (a replaced ``_route_points_11``)
+    one built and checked on every call."""
     values, triggers = _route_points_11(model, route)
-    l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
-    for points, kind, want in ((values, "value", 1), (triggers, "trigger", 0)):
-        off = np.flatnonzero(points @ l1 % 11 != want)
-        if len(off):
-            point = points[off[0]]
-            raise FiberInconsistencyError(
-                f"{kind} point {point.tolist()} of the {route} route has l1 = "
-                f"{int(point @ l1 % 11)}, not {want}, modulo 11"
-            )
-    return _Route11(l1, values, triggers)
+    cached = _cached_route_11(model, route)
+    if values is cached.values and triggers is cached.fixed:
+        return cached
+    return _build_route_11(cached.l1, values, triggers, route)
 
 
 # the reason of a per-form image: (some trigger fired, the values decided it)
@@ -557,18 +579,10 @@ class SolubilityCertificate:
 
     def to_json_dict(self):
         doc = {"soluble": self.soluble}
-        if self.failing_place is not None:
-            doc["failing_place"] = self.failing_place
-        if self.forbidden_class is not None:
-            doc["forbidden_class"] = list(self.forbidden_class)
-        if self.mod2_point is not None:
-            doc["mod2_point"] = list(self.mod2_point)
-        if self.odd_gcd is not None:
-            doc["odd_gcd"] = self.odd_gcd
-        if self.point_values is not None:
-            doc["point_values"] = list(self.point_values)
-        if self.real_point is not None:
-            doc["real_point"] = list(self.real_point)
+        for field in fields(self)[1:]:
+            value = getattr(self, field.name)
+            if value is not None:
+                doc[field.name] = value if isinstance(value, int) else list(value)
         return doc
 
 
@@ -611,12 +625,8 @@ def locally_soluble(model, h):
     if mod2_point is None:
         raise FiberInconsistencyError("no mod-2 point off the hyperplane was found")
     values = tuple(model.hyperplane_value(coeffs, pt) for pt in model.integral_points)
-    g = 0
-    for v in values:
-        g = math.gcd(g, v)
-    odd = g
-    while odd % 2 == 0:
-        odd //= 2
+    g = math.gcd(*values)
+    odd = g // (g & -g) if g else 0
     if odd != 1:
         raise FiberInconsistencyError("stored integral points fail the odd-gcd certificate")
     real_point = next(pt for pt, v in zip(model.integral_points, values) if v != 0)
@@ -681,7 +691,9 @@ def verdict(model, h):
     Precedence: a form insoluble somewhere has no adelic points to obstruct;
     a form cutting one of the two split divisors carries a trivial class;
     otherwise the order-5 class obstructs exactly when the invariant image
-    at the ramified prime omits the identity coset.
+    at the ramified prime omits the identity coset.  The image is computed
+    along both routes of the model (chart and smooth point at 11, residue
+    formula and chart lifts at 25), and routes that disagree raise.
     """
     coeffs = _require_primitive(h)
     if model.modulus not in (11, 25):
@@ -693,14 +705,13 @@ def verdict(model, h):
     irreducible = geometrically_irreducible(model, coeffs)
     comparison = None
     if model.modulus == 11:
-        image = inv_image_11(model, coeffs)
-        other = inv_image_11_smoothpath(model, coeffs)
-        if image.classes != other.classes:
-            raise FiberInconsistencyError("chart and smooth-point routes disagree")
-        images = {11: image}
+        routes, names = (inv_image_11, inv_image_11_smoothpath), "chart and smooth-point"
     else:
-        image = inv_image_25(model, coeffs)
-        images = {5: image}
+        routes, names = (inv_image_25, inv_image_25_liftpath), "residue and chart-lift"
+    image, other = (route(model, coeffs) for route in routes)
+    if image.classes != other.classes:
+        raise FiberInconsistencyError(f"{names} routes disagree")
+    images = {image.prime: image}
     if not sol.soluble:
         result = "no_adelic_points"
     elif not irreducible:
@@ -747,10 +758,10 @@ def _digit_columns(indices, base, length):
 
 _FULL_MASK = 0b11111
 _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
-# forms per block of the mask kernel; a block gathers two (block, points) uint32 arrays
+# forms per block of the mask kernel; a block holds two (block, points) uint32 arrays at once
 _CENSUS_CHUNK = 2_048
-# 1 << (s mod 11) for every sum s of three residues mod 11
-_ONE_HOT_33 = np.array([1 << (s % 11) for s in range(33)], dtype=np.uint32)
+# the digits (f, g) of row f + 11*g of a digit-pair table
+_PAIR_DIGITS_11 = np.stack([np.arange(121) % 11, np.arange(121) // 11], axis=1)
 
 
 def _translated_coset_masks_11():
@@ -769,56 +780,42 @@ def _translated_coset_masks_11():
 _TRANSLATED_MASKS_11 = _translated_coset_masks_11()
 
 
-def _one_hot_tables(points):
-    """The (1331, m) uint32 tables ``1 << (t . P mod 11)`` of the two digit halves.
+def _pair_tables(points):
+    """Read-only (3, 121, m) uint32 one-hot tables of the three digit pairs.
 
-    Row t = t0 + 11*t1 + 121*t2 of the first table holds the one-hot value
-    of t0*P0 + t1*P1 + t2*P2 at each row P of ``points``, row t of the
-    second that of t0*P3 + t1*P4 + t2*P5.  Each term c*P_i is reduced mod
-    11 for the eleven digits c on its own, so a sum of three is below 33
-    and indexes ``_ONE_HOT_33``; the three digit axes (t2, t1, t0) of the
-    sums, broadcast against each other, are the rows in that order.
+    Entry [i, f + 11*g, k] is 1 << (f*P_2i + g*P_2i+1 mod 11) at the k-th
+    row P of ``points``: row f + 11*g of table i is read by the forms whose
+    coefficients 2i and 2i + 1 are f and g.
     """
-    digits = (np.arange(11)[:, None, None] * points.T % 11).astype(np.uint8)
-    return tuple(
-        np.take(
-            _ONE_HOT_33,
-            (
-                digits[:, h + 2, None, None] + digits[None, :, h + 1, None] + digits[None, None, :, h]
-            ).reshape(11 ** 3, -1),
-        )
-        for h in (0, 3)
-    )
+    pairs = points.reshape(-1, 3, 2).transpose(1, 2, 0)
+    tables = np.uint32(1) << (_PAIR_DIGITS_11 @ pairs % 11).astype(np.uint32)
+    tables.setflags(write=False)
+    return tables
 
 
-def _value_sets(points, forms):
-    """Bit v is set when h(P) = v mod 11 at some row P of ``points``, for
-    each column h of ``forms``; one block of ``_CENSUS_CHUNK`` forms at a
-    time."""
-    low, high = _one_hot_tables(points)
-    lo = forms[0] + 11 * forms[1] + 121 * forms[2]
-    hi = forms[3] + 11 * forms[4] + 121 * forms[5]
-    sets = np.empty(lo.size, dtype=np.uint16)
-    for start in range(0, lo.size, _CENSUS_CHUNK):
-        block = slice(start, start + _CENSUS_CHUNK)
-        spread = np.bitwise_or.reduce(low[lo[block]] * high[hi[block]], axis=1)
-        sets[block] = (spread | spread >> 11) & 0x7FF
+def _value_sets(tables, forms):
+    """Bit v is set when h(P) = v mod 11 at some point P of the
+    ``_pair_tables``, for each column h of ``forms``; one block of
+    ``_CENSUS_CHUNK`` forms at a time, multiplied in place."""
+    rows = forms[0::2] + 11 * forms[1::2]
+    sets = np.empty(rows.shape[1], dtype=np.uint16)
+    for start in range(0, rows.shape[1], _CENSUS_CHUNK):
+        block = rows[:, start : start + _CENSUS_CHUNK]
+        spread = tables[0][block[0]]
+        spread *= tables[1][block[1]]
+        spread *= tables[2][block[2]]
+        s = np.bitwise_or.reduce(spread, axis=1)
+        sets[start : start + _CENSUS_CHUNK] = (s | s >> 11 | s >> 22) & 0x7FF
     return sets
-
-
-def _translated_masks_11(values, bases):
-    """(11, n) masks, entry [c, j] that of bases[:, j] + c*l1, for bases
-    that fire no trigger: the value sets rotated by c."""
-    return _TRANSLATED_MASKS_11[:, _value_sets(values, bases)]
 
 
 def _orbit_masks_11(route, bases):
     """(11, n) masks along a ``_route_11``: entry [c, j] is the mask of
-    bases[:, j] + c*l1."""
+    bases[:, j] + c*l1, read off the value set of the base rotated by c."""
     masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
     # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
-    todo = np.flatnonzero((_value_sets(route.fixed, bases) & 0x7FE) == 0)
-    masks[:, todo] = _translated_masks_11(route.values, bases[:, todo])
+    todo = np.flatnonzero((_value_sets(route.fixed_tables, bases) & 0x7FE) == 0)
+    masks[:, todo] = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases[:, todo])]
     return masks
 
 
@@ -829,27 +826,24 @@ def _image_masks_11(model, forms, route):
     ``"chart"`` or ``"smooth"``.  Bit i of a uint8 mask is set when the image
     holds the coset ``fifth_power_classes(11).classes[i]``; a full image is 31.
 
-    A route is a list of value points P, each scaled so that l1(P) = 1, and
-    a list of trigger points.  The mask is the set of cosets of 1/h(P) over
-    the value points where h(P) is a unit, and it is full as soon as h is a
-    unit at a trigger point.  The chart route reads the 121 chart points
-    and triggers on e5 = (0, ..., 0, 1), whose h-value is the u5
-    coefficient.  The smooth-point route reads the smooth fiber points off
-    {l1 = 0}, rescaled by 1/l1, and triggers on the smooth points of
-    {l1 = 0}.  ``_route_points_11`` is the one definition of both routes;
-    ``inv_image_11`` and ``inv_image_11_smoothpath`` read the same points
-    form by form (``_route_image_11``).
+    A route (``_cached_route_11``) is a list of value points P, each scaled
+    so that l1(P) = 1, and a list of trigger points.  The mask is the set
+    of cosets of 1/h(P) over the value points where h(P) is a unit, and it
+    is full as soon as h is a unit at a trigger point.  ``inv_image_11``
+    and ``inv_image_11_smoothpath`` read the same points form by form
+    (``_route_image_11``).
 
-    Evaluation.  Write h(P) = a + b with a = h0*P0 + h1*P1 + h2*P2 and
-    b = h3*P3 + h4*P4 + h5*P5, both reduced mod 11.  Each half of a form is
-    one of 11^3 = 1,331 digit triples, so two (1331, m) tables hold the
-    one-hot values 1 << a and 1 << b at every point (``_one_hot_tables``).
-    For a block of forms the kernel gathers one row of each table per form
-    and multiplies: (1 << a) * (1 << b) = 2^(a + b), and a + b <= 20, so
-    the product is exact in uint32 and has the single bit a + b.  OR-ing
-    over the points gives the set of sums a + b, and the fold
-    (s | s >> 11) & 0x7FF moves bit a + b >= 11 down to a + b - 11, so bit
-    v of the folded set says that h(P) = v at some point (``_value_sets``).
+    Evaluation.  Write h(P) = a + b + c with a = h0*P0 + h1*P1,
+    b = h2*P2 + h3*P3 and c = h4*P4 + h5*P5, each reduced mod 11 on its
+    own.  Each part of a form is one of 11^2 = 121 digit pairs, so three
+    (121, m) tables, built with the route, hold the one-hot values 1 << a,
+    1 << b and 1 << c at every point (``_pair_tables``).  For a block of
+    forms the kernel gathers one row of each table per form and multiplies:
+    (1 << a) * (1 << b) * (1 << c) = 2^(a + b + c), and a + b + c <= 30,
+    so the product is exact in uint32 and has the single bit a + b + c.
+    OR-ing over the points gives the set of sums s, and the fold
+    (s | s >> 11 | s >> 22) & 0x7FF moves bit s to bit s mod 11, so bit v
+    of the folded set says that h(P) = v at some point (``_value_sets``).
     Every step is an integer gather, product, OR or shift: a float product,
     as a BLAS matrix product would use, could round a value and so a
     verdict, and no (points, forms) array of values h(P) is ever formed.
@@ -863,10 +857,10 @@ def _image_masks_11(model, forms, route):
     route's triggers because they are the points of {l1 = 0}; so l1 lies in
     the kernel of their trigger matrices.  Hence the masks of all eleven
     translates h + c*l1 come from the value sets of h alone: entry [c, s]
-    of ``_TRANSLATED_MASKS_11`` is the coset mask of s rotated by c
-    (``_translated_masks_11``).  The law needs l1(P) = 1 at every value
-    point and l1(T) = 0 at every trigger point; ``_route_11`` raises,
-    naming the point, where one breaks it.
+    of ``_TRANSLATED_MASKS_11`` is the coset mask of s rotated by c.
+    The law needs l1(P) = 1 at every value
+    point and l1(T) = 0 at every trigger point; building a route
+    (``_build_route_11``) raises, naming the point, where one breaks it.
     So the value set of a form h, gathered once, gives the masks of its
     whole orbit h + c*l1 (``_orbit_masks_11``), the mask of h in row 0.
     The exhaustive sweeps split every form as b + c*l1 with b_i = 0 at the
@@ -948,8 +942,8 @@ def _orbit_classes_11(n):
     return np.nonzero((np.arange(11)[:, None] == 1) | (np.arange(n) > 0))
 
 
-def _unfired_bases_11(route):
-    """The bases of the classes that fire no fixed trigger of a ``_route_11``.
+def _unfired_bases_11(l1, fixed):
+    """The bases of the classes that fire no fixed trigger of a route.
 
     The forms that fire no fixed trigger are the kernel K of the fixed
     trigger matrix, of dimension d, and l1 lies in K.  With i the first
@@ -962,19 +956,20 @@ def _unfired_bases_11(route):
     l1 itself: 11 * (11^(d-1) - 1) / 10 + 1 = (11^d - 1) / 10 classes, each
     once (``_orbit_classes_11``).  The zero base comes first.
     """
-    pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0)]
-    reps = _unfired_representatives_11(np.vstack([route.fixed, pivot_row]))
-    return np.hstack([np.zeros((6, 1), dtype=np.int32), reps])
+    pivot_row = np.eye(6, dtype=np.int32)[np.argmax(l1 != 0)]
+    reps = _unfired_representatives_11(np.vstack([fixed, pivot_row]))
+    bases = np.hstack([np.zeros((6, 1), dtype=np.int32), reps])
+    bases.setflags(write=False)
+    return bases
 
 
 def _unfired_class_masks_11(route):
     """(bases, shifts, columns, masks) of the classes that fire no fixed
     trigger: class k is bases[:, columns[k]] + shifts[k]*l1, with mask
     masks[k]; no fixed trigger pass runs, as none fires."""
-    bases = _unfired_bases_11(route)
-    shifts, columns = _orbit_classes_11(bases.shape[1])
-    masks = _translated_masks_11(route.values, bases)[shifts, columns]
-    return bases, shifts, columns, masks
+    shifts, columns = _orbit_classes_11(route.bases.shape[1])
+    masks = _TRANSLATED_MASKS_11[shifts, _value_sets(route.value_tables, route.bases)[columns]]
+    return route.bases, shifts, columns, masks
 
 
 def _scalings_11(forms):
@@ -1049,15 +1044,13 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     lam, k = np.nonzero(_obstructing_scalings(masks))
     forms = bases[:, columns[k]] + shifts[k] * route.l1[:, None]
     classes = sorted(map(tuple, (forms * (lam + 1) % 11).T.tolist()))
-    breakdown = {"constant": 0, "separable_quadratic": 0}
-    for h in classes:
-        kind = _classify_obstructing_11(h)
-        breakdown[kind] = breakdown.get(kind, 0) + 1
+    kinds = Counter(map(_classify_obstructing_11, classes))
+    breakdown = {"constant": 0, "separable_quadratic": 0, **kinds}
 
     if validate_surjectivity:
         # l1 = u0 on the chart, so the u5 = 1 forms are b + c*u0 for these bases
         bases = _digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
-        masks = _translated_masks_11(route.values, bases)
+        masks = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases)]
         partial = np.flatnonzero(masks != _FULL_MASK)
         if len(partial):
             c, j = divmod(int(partial[0]), bases.shape[1])
@@ -1235,7 +1228,7 @@ def path_agreement_check(model):
     classes.
     """
     chart, smooth = (_route_11(model, route) for route in ("chart", "smooth"))
-    numbers = [_POWERS_11 @ _unfired_bases_11(r) for r in (chart, smooth)]
+    numbers = [_POWERS_11 @ r.bases for r in (chart, smooth)]
     # both start with the zero base, number 0, and so does their union
     bases = _digit_columns(np.union1d(*numbers), 11, 6)
     shifts, columns = _orbit_classes_11(bases.shape[1])
@@ -1353,9 +1346,7 @@ def unramified_invariant_check(model, ell):
             f"splitting pattern {splitting!r} at {ell} should not occur for a cyclic quintic"
         )
     fiber = enumerate_fiber(model, ell)
-    zeros = [
-        pt for pt in fiber if model.hyperplane_value(model.l1, pt) % ell == 0
-    ]
+    zeros = [pt for pt in fiber if model.hyperplane_value(model.l1, pt) % ell == 0]
     return {
         "prime": ell,
         "splitting": "inert",

@@ -22,6 +22,7 @@ from test_fibers import (
     _substituted,
     _unimodular,
 )
+from test_obstruction import _disagreeing_lift_route
 
 # the zeta11plus model file (JSON drops the fixture extras)
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
@@ -291,6 +292,16 @@ def test_internal_contradictions_exit_with_four(capsys, monkeypatch, error):
     assert code == 4
     assert out == ""
     assert "forced contradiction" in err
+    assert "Traceback" not in err
+
+
+def test_a_verdict_whose_routes_disagree_at_25_exits_with_four(capsys, monkeypatch):
+    _disagreeing_lift_route(monkeypatch)
+    argv = ["verdict", "--model", "fixture:zeta25", "--h", "2,-15,0,10,0,0"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert "routes disagree" in err
     assert "Traceback" not in err
 
 

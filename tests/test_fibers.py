@@ -291,6 +291,8 @@ def test_solver_coordinates_are_the_identity_where_the_shape_holds(m11):
     for p in (2, 11, 97):
         folded, g, moved = fibers._solver_coordinates(m11.quadrics, p)
         assert (g == np.eye(6)).all() and (folded == fibers._polar_mod_p(m11, p)).all()
+        # the shared identity, so enumeration skips the map back
+        assert g is fibers._IDENTITY_6
         assert moved is fibers._gram_mod_p(m11.quadrics, p)
         folded, g, moved = fibers._solver_coordinates(_substituted(m11, _unimodular(random.Random(0))).quadrics, p)
         assert rank_mod_p(g.tolist(), p) == 6 and _solver_shaped(moved)

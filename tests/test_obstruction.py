@@ -6,6 +6,7 @@ lifts mod 25); the agreement tests here are the package's strongest
 correctness evidence.
 """
 
+import dataclasses
 import hashlib
 import random
 import re
@@ -17,7 +18,7 @@ import pytest
 from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
-from dp5brauer.model import chart_point
+from dp5brauer.model import DelPezzoModel, chart_point
 from dp5brauer.obstruction import (
     _POWERS_11,
     CENSUS_11_TOTAL,
@@ -177,14 +178,22 @@ def test_imprimitive_form_is_rejected_mod_25(m25):
 
 
 def test_liftpath_agrees_on_proportional_forms(m25):
+    # every other form has k constant in z (k2 = k4 = k5 = 0), where the
+    # image can be partial; a random k almost always gives a full image
     rng = random.Random(2505)
-    for _ in range(40):
+    sizes = set()
+    for i in range(40):
         lam = rng.choice([v for v in range(1, 25) if v % 5])
-        h = (lam,) + tuple(5 * rng.randrange(5) for _ in range(5))
+        k = [rng.randrange(5) for _ in range(5)]
+        if i % 2:
+            k[1] = k[3] = k[4] = 0
+        h = (lam,) + tuple(5 * c for c in k)
         formula = inv_image_25(m25, h)
         lifted = inv_image_25_liftpath(m25, h)
         assert formula.classes == lifted.classes, h
         assert formula.values == lifted.values, h
+        sizes.add(formula.size)
+    assert {1, 3} <= sizes
 
 
 def test_liftpath_agrees_on_full_images(m25):
@@ -427,6 +436,28 @@ def test_verdict_obstruction_mod_25(m25):
     assert "paper_claim_comparison" not in doc
 
 
+def _disagreeing_lift_route(monkeypatch):
+    # the lift route with its first coset dropped
+    lift = obstruction.inv_image_25_liftpath
+
+    def disagreeing(model, h):
+        image = lift(model, h)
+        return dataclasses.replace(image, classes=image.classes[1:])
+
+    monkeypatch.setattr(obstruction, "inv_image_25_liftpath", disagreeing)
+
+
+def test_verdict_cross_checks_the_lift_route_at_25(m25, monkeypatch):
+    # at 25 as at 11 the verdict reads both routes; a disagreement is an
+    # internal contradiction, also on a full image
+    for h in (OBSTRUCTED_25_H, (0, 1, 0, 0, 0, 0)):
+        assert verdict(m25, h).images[5].classes == inv_image_25_liftpath(m25, h).classes
+    _disagreeing_lift_route(monkeypatch)
+    for h in (OBSTRUCTED_25_H, (0, 1, 0, 0, 0, 0)):
+        with pytest.raises(FiberInconsistencyError, match="routes disagree"):
+            verdict(m25, h)
+
+
 def test_verdict_trivial_class(m11):
     assert verdict(m11, m11.l1).verdict == "trivial_brauer_class"
 
@@ -608,13 +639,19 @@ def _direct_mask(points, triggers, h):
 
 
 def _folds_high(points, h):
-    # some unit value of h is reached only through a digit sum a + b >= 11
-    low, high = set(), set()
+    """The folds k in {1, 2} that h needs: some unit value v of h is reached
+    only through digit-pair sums a + b + c = v + 11k, so the kernel loses
+    it without the shift by 11k."""
+    folds = {}
     for pt in points:
-        a = sum(c * x for c, x in zip(h[:3], pt[:3])) % 11
-        b = sum(c * x for c, x in zip(h[3:], pt[3:])) % 11
-        (high if a + b >= 11 else low).add((a + b) % 11)
-    return bool(high - low - {0})
+        s = sum(sum(c * x for c, x in zip(h[i : i + 2], pt[i : i + 2])) % 11 for i in (0, 2, 4))
+        folds.setdefault(s % 11, set()).add(s // 11)
+    return {k for v, ks in folds.items() if v and len(ks) == 1 for k in ks} - {0}
+
+
+def _without_triggers(r):
+    # the route with its value points only, so every form is evaluated
+    return obstruction._build_route_11(r.l1, r.values, r.fixed[:0], "test")
 
 
 def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
@@ -638,6 +675,7 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
         values, triggers = route_points(model, route)
         return values[:12], triggers
 
+    high_folds = 0
     for model, route, forms in (
         (m11, "chart", forms),
         (m11, "smooth", forms),
@@ -649,11 +687,12 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
             monkeypatch.setattr(obstruction, "_route_points_11", cut_chart)
         cols = np.array(forms, dtype=np.int32).T
         values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
-        assert sum(_folds_high(values, h) for h in forms) > 20
-        r = _route_11(model, route)
+        needed = [_folds_high(values, h) for h in forms]
+        assert sum(1 in folds for folds in needed) > 20
+        high_folds += sum(2 in folds for folds in needed)
         masks = {
             True: _image_masks_11(model, cols, route).tolist(),
-            False: _orbit_masks_11(r._replace(fixed=r.fixed[:0]), cols)[0].tolist(),
+            False: _orbit_masks_11(_without_triggers(_route_11(model, route)), cols)[0].tolist(),
         }
         for with_triggers, got in masks.items():
             expected = [_direct_mask(values, triggers if with_triggers else [], h) for h in forms]
@@ -670,6 +709,8 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
             if image.values is not None:
                 units = {sum(c * x for c, x in zip(h, pt)) % 11 for pt in values} - {0}
                 assert image.values == tuple(sorted(units)), (route, h)
+    # a sum a + b + c >= 22 decides some value, most of them on the cut chart
+    assert high_folds > 20
 
 
 def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypatch):
@@ -770,6 +811,40 @@ def test_a_trigger_point_off_l1_equal_zero_is_refused(m11, monkeypatch):
         census_11_smoothpath(m11)
 
 
+def test_the_chart_route_is_checked_when_it_is_built(m11, monkeypatch):
+    # the law check runs once per route, when it is built: the chart route
+    # built from doubled constant points is refused, and nothing is cached
+    monkeypatch.setattr(obstruction, "_CHART_POINTS_11", obstruction._CHART_POINTS_11 * 2 % 11)
+    obstruction._chart_route_11.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(FiberInconsistencyError, match="value point .* chart route has l1 = 2"):
+                inv_image_11(m11, HEADLINE_H)
+    finally:
+        monkeypatch.undo()
+        obstruction._chart_route_11.cache_clear()
+    assert _route_11(m11, "chart") is _route_11(m11, "chart")
+
+
+def test_the_smooth_route_cache_tells_l1_apart(m11):
+    # the same quadrics with l1 doubled have the same fiber but another
+    # smooth route: its value points are scaled by 1/(2 l1)
+    doubled_l1 = [2 * c for c in m11.l1]
+    doubled = DelPezzoModel(
+        "doubled", m11.spec, m11.quadrics, doubled_l1, m11.l2, ramified_prime=11, modulus=11
+    )
+    for first, second in ((m11, doubled), (doubled, m11)):
+        obstruction._FIBER_CACHE.clear()
+        _route_11(first, "smooth")
+        r = _route_11(second, "smooth")
+        assert r is _route_11(second, "smooth")
+        l1 = np.array(second.l1) % 11
+        assert (r.l1 == l1).all()
+        assert (r.values @ l1 % 11 == 1).all() and not (r.fixed @ l1 % 11).any()
+        assert len(r.values) and len(r.fixed)
+    obstruction._FIBER_CACHE.clear()
+
+
 def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     # on 12 chart points some u5 = 1 form has a partial image; the check
     # over the 14,641 bases and their eleven translates must name one
@@ -824,8 +899,7 @@ def test_triggers_decide_before_values(m11):
         triggers = _route_points_11(model, route)[1]
         fired = (reps.T @ triggers.T % 11 != 0).any(axis=1)
         assert 0 < fired.sum() < reps.shape[1]
-        r = _route_11(model, route)
-        evaluated = _orbit_masks_11(r._replace(fixed=r.fixed[:0]), reps)[0]
+        evaluated = _orbit_masks_11(_without_triggers(_route_11(model, route)), reps)[0]
         masks = _image_masks_11(model, reps, route)
         assert np.array_equal(masks, np.where(fired, 31, evaluated)), route
 

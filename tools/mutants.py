@@ -89,8 +89,8 @@ MUTANTS = (
     Mutant(
         "wrong-pivot",
         OBSTRUCTION,
-        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0)]",
-        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(route.l1 != 0) + 1]",
+        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(l1 != 0)]",
+        "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(l1 != 0) + 1]",
         ("tests/test_obstruction.py::test_census_11_counts",),
     ),
     Mutant(
@@ -115,6 +115,41 @@ MUTANTS = (
         'return _route_image_11(model, _reduce_form(hbar, 11), "chart")',
         ("tests/test_obstruction.py::test_smoothpath_reads_the_fiber_of_a_moved_model",),
     ),
+    # three digit-pair tables, one checked route per (model, route)
+    Mutant(
+        "fold-without-22",
+        OBSTRUCTION,
+        "= (s | s >> 11 | s >> 22) & 0x7FF",
+        "= (s | s >> 11) & 0x7FF",
+        ("tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",),
+    ),
+    Mutant(
+        "swapped-pair-digits",
+        OBSTRUCTION,
+        "pairs = points.reshape(-1, 3, 2).transpose(1, 2, 0)",
+        "pairs = points[:, [0, 1, 3, 2, 4, 5]].reshape(-1, 3, 2).transpose(1, 2, 0)",
+        (
+            "tests/test_obstruction.py::test_representative_masks_are_pinned",
+            "tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",
+        ),
+    ),
+    Mutant(
+        "route-key-without-l1",
+        OBSTRUCTION,
+        "    key = _model_cache_key(model, p)\n    if key not in _FIBER_CACHE:",
+        "    key = (p, model.quadrics)\n    if key not in _FIBER_CACHE:",
+        ("tests/test_obstruction.py::test_the_smooth_route_cache_tells_l1_apart",),
+    ),
+    Mutant(
+        "route-built-unchecked",
+        OBSTRUCTION,
+        'for points, kind, want in ((values, "value", 1), (triggers, "trigger", 0)):',
+        "for points, kind, want in ():",
+        (
+            "tests/test_obstruction.py::test_the_chart_route_is_checked_when_it_is_built",
+            "tests/test_obstruction.py::test_a_value_point_off_l1_equal_one_is_refused",
+        ),
+    ),
     # the mod-25 census in array steps
     Mutant(
         "shifted-kstar",
@@ -130,15 +165,15 @@ MUTANTS = (
         '_POPCOUNT_5 = np.array([bin(m).count("1") + (m == 7) for m in range(32)], dtype=np.int64)',
         ("tests/test_obstruction.py::test_kappa_census_equals_the_per_k_set_loop",),
     ),
-    # test_liftpath_agrees_on_proportional_forms does not kill this one: all
-    # 40 of its seeded forms have a full image, which inverting no value
-    # can change
     Mutant(
         "lift-bits-not-inverted",
         OBSTRUCTION,
         "_coset_bits(25, invert=True)[values]",
         "_coset_bits(25, invert=False)[values]",
-        ("tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",),
+        (
+            "tests/test_obstruction.py::test_liftpath_agrees_on_proportional_forms",
+            "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
+        ),
     ),
     # the Picard automorphism search
     Mutant(
