@@ -63,8 +63,8 @@ The move into the solver shape:
    give x = 0, whose Jacobian is 0.
 2. One row reduction of [J(P0) | I_5] gives both changes of basis.  Its
    first six columns are the reduced J(P0), with pivot columns C and free
-   columns F; the kernel vector k_f of a free column f has 1 at f, 0 at
-   the other free columns, and minus the reduced entries at C.  P0 lies in
+   columns F; ``_free_kernels`` gives the kernel vector k_f of each free
+   column f, with 1 at f and 0 at the other free columns.  P0 lies in
    ker J(P0), because P0^T B_k P0 = 2 q_k(P0) = 0, so P0 = sum_f P0[f] k_f
    with some P0[f*] != 0.  The k_f and the unit vectors at C form a basis
    of F_p^6 (with the rows in the order (F, C) their matrix is block
@@ -274,8 +274,8 @@ def _shaped_coordinates(gram, polar, p):
         smooth = np.flatnonzero(pivots[:, :6].sum(axis=1) == 3)
         if not len(smooth):
             continue
-        r = reduced[smooth[0]]
-        g = _tangent_basis(x[smooth[0]], r[:3, :6], pivots[smooth[0], :6], p)
+        r, pivot = reduced[smooth[0]], pivots[smooth[0], :6]
+        g = _tangent_basis(x[smooth[0]], _free_kernels(r[:, :6], pivot, p)[~pivot], pivot)
         moved = _upper(g.T @ (np.einsum("kl,lab->kab", r[:, 6:], gram) % p) @ g, p)
         if _solver_shaped(moved):
             return r[:, 6:], g, moved
@@ -313,16 +313,13 @@ def _slice_zeros(h, p):
     ])
 
 
-def _tangent_basis(point, reduced, pivot, p):
-    """Columns P0, two kernel vectors of the reduced Jacobian (3, 6) that
-    complete P0 to a basis of its kernel, and the unit vectors at its pivot
-    columns (module docstring, step 2)."""
-    free, pivots = np.flatnonzero(~pivot), np.flatnonzero(pivot)
-    kernel = np.zeros((3, 6), dtype=np.int64)
-    kernel[:, free] = np.eye(3, dtype=np.int64)
-    kernel[:, pivots] = -reduced[:, free].T % p
-    keep = np.arange(3) != (point[free] != 0).argmax()
-    return np.concatenate([point[None], kernel[keep], np.eye(6, dtype=np.int64)[pivots]]).T
+def _tangent_basis(point, kernel, pivot):
+    """Columns P0, the two rows of ``kernel`` (3, 6), the kernel basis of
+    the reduced Jacobian (``_free_kernels``), that complete P0 to a basis of
+    its kernel, and the unit vectors at its pivot columns (module docstring,
+    step 2)."""
+    keep = np.arange(3) != (point[~pivot] != 0).argmax()
+    return np.concatenate([point[None], kernel[keep], np.eye(6, dtype=np.int64)[pivot]]).T
 
 
 def _solve_fiber(gram, p):
@@ -431,28 +428,40 @@ def _row_reduce_mod_p(mats, p):
     return m, pivots
 
 
+def _free_kernels(reduced, pivots, p):
+    """Kernel vectors of ``_row_reduce_mod_p`` results: ``reduced`` (..., r, c)
+    and ``pivots`` (..., c) give (..., c, c).
+
+    Row f is the kernel vector of the free column f: 1 at f, 0 at the other
+    free columns, and minus the reduced entries of column f at the pivot
+    columns, the i-th reduced row belonging to the i-th pivot column.  Rows
+    at pivot columns are no kernel vectors; callers take the free ones.
+    Cut to the first c' columns, the free rows among them are a kernel
+    basis of those columns alone, which are reduced as if on their own.
+    """
+    # rows[..., j, :]: the reduced row of pivot column j
+    rows = np.take_along_axis(reduced, (np.cumsum(pivots, axis=-1) - 1).clip(0)[..., None], axis=-2)
+    eye = np.eye(pivots.shape[-1], dtype=np.int64)
+    return np.where(pivots[..., None, :], -rows.swapaxes(-1, -2) % p, eye)
+
+
 def solve_mod_p(rows, p, rhs=None):
     """(rank, particular, kernel) for rows . w = rhs over F_p; rhs defaults to 0.
 
     The particular solution sets every free variable to 0 and is None when
     the system is inconsistent; the kernel basis has one vector per free
-    column, in column order, with a 1 in that column.
+    column, in column order, with a 1 in that column.  Both are read off
+    ``_free_kernels`` of [rows | rhs]: the particular solution is minus the
+    kernel vector of the right-hand column, whose entry -1 there says
+    rows . w - rhs = 0.
     """
     cols = len(rows[0])
     rhs = [0] * len(rows) if rhs is None else rhs
     reduced, pivots = _row_reduce_mod_p([[[*r, b] for r, b in zip(rows, rhs)]], p)
-    reduced, pivots = reduced[0].tolist(), pivots[0].tolist()
-    # pivot column -> its row of the reduced matrix
-    where = {j: i for i, j in enumerate(j for j in range(cols) if pivots[j])}
-    particular = None
-    if not pivots[cols]:
-        particular = tuple(reduced[where[j]][cols] if j in where else 0 for j in range(cols))
-    kernel = tuple(
-        tuple(-reduced[where[j]][f] % p if j in where else int(j == f) for j in range(cols))
-        for f in range(cols)
-        if f not in where
-    )
-    return len(where), particular, kernel
+    kernels, pivots = _free_kernels(reduced[0], pivots[0], p)[:, :cols], pivots[0]
+    particular = None if pivots[cols] else tuple((-kernels[cols] % p).tolist())
+    kernel = tuple(map(tuple, kernels[:cols][~pivots[:cols]].tolist()))
+    return int(pivots[:cols].sum()), particular, kernel
 
 
 def rank_mod_p(rows, p):

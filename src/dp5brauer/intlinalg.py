@@ -3,8 +3,11 @@
 Everything here works with arbitrary-precision Python ints, which the
 eliminations hold in numpy object arrays so that one row operation is one
 array step; there is no floating point, and no computation modulo a prime
-stands in for an exact one.  The normal form conventions are fixed once
-and used by every caller:
+stands in for an exact one.  One elimination, the echelon form of
+``_echelon``, serves the Hermite form, the kernels and the Smith form;
+``det`` keeps its own Bareiss loop, as it needs the sign of the row
+swaps.  The normal form conventions are fixed once and used by every
+caller:
 
   * Hermite form is row-style: ``H = U A`` with ``U`` unimodular, pivots
     positive, entries above each pivot reduced into ``[0, pivot)``, zero
@@ -169,124 +172,57 @@ def snf(matrix):
 
     Returns ``(D, U, V)`` with ``D = U A V``, both transforms unimodular,
     diagonal nonnegative and forming a divisibility chain.
+
+    D starts as A.  A row step replaces D by its echelon form U1 D
+    (``_echelon``), a column step by D V1, the transpose of the echelon form
+    of D^T; U and V take up U1 and V1, so D = U A V with both unimodular.
+    The steps alternate until D is diagonal.
+
+    The alternation terminates.  Unless D = 0, the first pair leaves d11 != 0:
+    the row step leaves row 1 nonzero, and the column step moves its gcd to
+    d11.  After that a row step makes |d11| the gcd of column 1 and a column
+    step the gcd of row 1, so |d11| never grows.  If d11 divides column 1,
+    it is its first smallest entry, which ``_echelon`` keeps in place: the
+    row step keeps row 1 and clears column 1.  Likewise a column step keeps
+    column 1 and clears row 1 if d11 divides row 1.  So each pair lowers
+    |d11| unless row 1 and column 1 are already clear.  Once clear they stay
+    clear, as row 1 is the pivot row of column 1 in every later row step
+    and is never touched again, and likewise column 1.  The later steps act
+    on the rest as on a smaller matrix, and induction on its size ends the
+    alternation.
+
+    The chain.  The last step is a column step, which moves the zero columns
+    last, so the nonzero d_i come first, and where d_i does not divide
+    d_i+1 both are nonzero.  At the first such i, column i+1 is added to
+    column i and D diagonalised again.  The row step leaves ((g, x), (0, l))
+    on rows and columns i, i+1, with |g| = gcd(d_i, d_i+1), g | x (row i is
+    (a d_i + b d_i+1, b d_i+1)) and |g l| = |d_i d_i+1|; the column step
+    clears x by a multiple of column i.  So each repair terminates after one
+    pair, with (|g|, lcm) in place of (d_i, d_i+1), and |g| < |d_i|.  It
+    keeps d_1, ..., d_i-1, so (|d_1|, |d_2|, ...) falls lexicographically,
+    the repairs end, and when none is left the chain holds.  Last, the rows
+    of D and U with d_ii < 0 are negated.
     """
     m, n = matrix.rows, matrix.cols
-    d = [list(r) for r in matrix.entries]
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def row_addmul(dst, src, q):
-        for j in range(n):
-            d[dst][j] += q * d[src][j]
-        for j in range(m):
-            u[dst][j] += q * u[src][j]
-
-    def col_addmul(dst, src, q):
-        for i in range(m):
-            d[i][dst] += q * d[i][src]
-        for i in range(n):
-            v[i][dst] += q * v[i][src]
-
-    def row_swap(a, b):
-        d[a], d[b] = d[b], d[a]
-        u[a], u[b] = u[b], u[a]
-
-    def col_swap(a, b):
-        for i in range(m):
-            d[i][a], d[i][b] = d[i][b], d[i][a]
-        for i in range(n):
-            v[i][a], v[i][b] = v[i][b], v[i][a]
-
-    t = 0
-    while t < min(m, n):
-        # locate smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+    d = np.array(matrix.entries, dtype=object)
+    u, v = np.identity(m, dtype=object), np.identity(n, dtype=object)
+    off_diagonal = ~np.eye(m, n, dtype=bool)
+    while True:
+        t, _ = _echelon(d)
+        d, u = t[:, :n], t[:, n:] @ u
+        t, _ = _echelon(d.T)
+        d, v = t[:, :m].T, v @ t[:, m:].T
+        if d[off_diagonal].any():
+            continue
+        diagonal = d.diagonal()
+        fails = [i for i, (a, b) in enumerate(zip(diagonal, diagonal[1:])) if gcd(a, b) != abs(a)]
+        if not fails:
             break
-        row_swap(t, best[0])
-        col_swap(t, best[1])
-        while True:
-            for i in range(t + 1, m):
-                if d[i][t] != 0:
-                    row_addmul(i, t, -(d[i][t] // d[t][t]))
-            if any(d[i][t] for i in range(t + 1, m)):
-                i = min(
-                    (i for i in range(t, m) if d[i][t] != 0),
-                    key=lambda i: abs(d[i][t]),
-                )
-                row_swap(t, i)
-                continue
-            for j in range(t + 1, n):
-                if d[t][j] != 0:
-                    col_addmul(j, t, -(d[t][j] // d[t][t]))
-            if any(d[t][j] for j in range(t + 1, n)):
-                j = min(
-                    (j for j in range(t, n) if d[t][j] != 0),
-                    key=lambda j: abs(d[t][j]),
-                )
-                col_swap(t, j)
-                continue
-            break
-        t += 1
-
-    k = min(m, n)
-    for i in range(k):
-        if d[i][i] < 0:
-            for j in range(n):
-                d[i][j] = -d[i][j]
-            for j in range(m):
-                u[i][j] = -u[i][j]
-
-    # enforce the divisibility chain with 2x2 fixes
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = d[i][i], d[i + 1][i + 1]
-            if b == 0 or a == 0 or b % a == 0:
-                if a == 0 and b != 0:
-                    row_swap(i, i + 1)
-                    col_swap(i, i + 1)
-                    changed = True
-                continue
-            col_addmul(i, i + 1, 1)
-            g, x, y = _xgcd(a, b)
-            # rows i, i+1 on column i hold (a, b); mix them to (g, 0)
-            ri, rj = d[i], d[i + 1]
-            new_i = [x * p + y * q for p, q in zip(ri, rj)]
-            new_j = [(-b // g) * p + (a // g) * q for p, q in zip(ri, rj)]
-            d[i], d[i + 1] = new_i, new_j
-            ui, uj = u[i], u[i + 1]
-            u[i] = [x * p + y * q for p, q in zip(ui, uj)]
-            u[i + 1] = [(-b // g) * p + (a // g) * q for p, q in zip(ui, uj)]
-            if d[i][i + 1]:
-                col_addmul(i + 1, i, -(d[i][i + 1] // d[i][i]))
-            if d[i + 1][i + 1] < 0:
-                for j in range(n):
-                    d[i + 1][j] = -d[i + 1][j]
-                for j in range(m):
-                    u[i + 1][j] = -u[i + 1][j]
-            changed = True
+        d[:, fails[0]] += d[:, fails[0] + 1]
+        v[:, fails[0]] += v[:, fails[0] + 1]
+    for i in np.flatnonzero(d.diagonal() < 0):
+        d[i], u[i] = -d[i], -u[i]
     return IntMatrix(d), IntMatrix(u), IntMatrix(v)
-
-
-def _xgcd(a, b):
-    """Extended gcd: returns (g, x, y) with g = ax + by, g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def elementary_divisors(matrix):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError, FiberInconsistencyError
 from .fibers import (
+    _free_kernels,
     _gram_mod_p,
     _polar_mod_p,
     _row_reduce_mod_p,
@@ -452,16 +453,13 @@ def _chart_lift_points(model):
     J(x) w = -q(x)/5 mod 5, so the quadric values q(x) mod 25 come from the
     Gram array mod 25, the Jacobians from the polar matrices mod 5, and the
     25 systems [J(x)[:, 1:] | -q(x)/5] from one stacked
-    ``_row_reduce_mod_p``.  Each point's particular solution and kernel
-    basis are read off its reduced rows as ``solve_mod_p`` reads them: the
-    i-th reduced row belongs to the i-th pivot column, free variables are
-    0 in the particular solution, and the kernel vector of a free column f
-    has 1 at f and minus the reduced entries of column f at the pivots.  A
-    point off the fiber mod 5, a system without a solution, a lift space
-    that is not a plane, or a lift that leaves the fiber mod 25 raises, the
-    first point in order deciding.  Every entry is a residue below 25 and
-    is reduced before the next product, so no sum exceeds 6 * 24^2: int64
-    is exact.
+    ``_row_reduce_mod_p``.  Each point's kernel basis and its particular
+    solution, minus the kernel vector of the right-hand column, come from
+    ``_free_kernels``, as in ``solve_mod_p``.  A point off the fiber mod
+    5, a system without a solution, a lift space that is not a plane, or a
+    lift that leaves the fiber mod 25 raises, the first point in order
+    deciding.  Every entry is a residue below 25 and is reduced before the
+    next product, so no sum exceeds 6 * 24^2: int64 is exact.
     """
     key = _model_cache_key(model, 25)
     cached = _LIFT_CACHE.get(key)
@@ -483,18 +481,11 @@ def _chart_lift_points(model):
     bad = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
     if len(bad):
         raise FiberInconsistencyError(next(msg for failed, msg in checks if failed[bad[0]]))
-    # rows[n, j]: the reduced row of pivot column j of point n
-    rows = np.take_along_axis(reduced, (np.cumsum(~free, axis=1) - 1)[:, :, None].clip(0), axis=1)
-    part = np.where(free, 0, rows[:, :, 5])
-    cols = np.nonzero(free)[1].reshape(-1, 1, 2)
-    basis = np.where(
-        free[:, :, None],
-        np.arange(5)[:, None] == cols,
-        -np.take_along_axis(rows, cols, axis=2) % 5,
-    )
+    kernels = _free_kernels(reduced, pivots, 5)[:, :, :5]
+    part, basis = -kernels[:, 5] % 5, kernels[:, :5][free].reshape(25, 2, 5)
     steps = np.array(list(product(range(5), repeat=2)), dtype=np.int64)
     # w[n, s]: the solution part + a*w1 + b*w2 of point n for the s-th (a, b)
-    w = part[:, None] + np.einsum("sa,nja->nsj", steps, basis)
+    w = part[:, None] + np.einsum("sa,naj->nsj", steps, basis)
     lifts = np.ones((25, 25, 6), dtype=np.int64)
     lifts[:, :, 1:] = (x[:, None, 1:] + 5 * w) % 25
     lifts = lifts.reshape(625, 6)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .intlinalg import IntMatrix, hnf, saturated_kernel, snf, solve_in_lattice
+from .intlinalg import IntMatrix, elementary_divisors, hnf, saturated_kernel, solve_in_lattice
 
 RANK = 5
 FORM = (1, -1, -1, -1, -1)
@@ -271,10 +271,7 @@ def h1_cyclic(matrix, order=None):
         if coords is None:
             raise DomainError("image does not land in the norm kernel")
         coeff_rows.append(list(coords))
-    coeff = IntMatrix(coeff_rows)
-    d, _, _ = snf(coeff)
-    k = min(d.rows, d.cols)
-    divisors = [d[i, i] for i in range(k) if d[i, i] != 0]
+    divisors = elementary_divisors(IntMatrix(coeff_rows))
     if len(divisors) < kernel.rows:
         raise DomainError("cohomology is not finite")
     return tuple(x for x in divisors if x > 1)

@@ -704,6 +704,51 @@ def test_solve_mod_p_returns_rank_particular_and_kernel():
     assert rank_mod_p([[1, 1], [1, 0]], 2) == 2
 
 
+def _reader_systems(rng, p, c):
+    """Systems [A | b] mod p with A (4, c): random, all zero, rank-deficient
+    (row 3 repeats row 0) and inconsistent (row 3 repeats row 0 of A with
+    another right-hand side)."""
+    systems = []
+    for kind in ("random", "zero", "deficient", "inconsistent"):
+        a = [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(c + 1)] for _ in range(4)]
+        if kind == "zero":
+            a = [[0] * (c + 1)] * 4
+        elif kind != "random":
+            a[3] = list(a[0])
+            a[3][c] = (a[3][c] + (kind == "inconsistent")) % p
+        systems.append(a)
+    return systems
+
+
+def test_the_kernel_reader_solves_every_system_of_a_stack():
+    # _free_kernels of one row-reduced stack: the free rows span the kernel,
+    # counted against every vector of F_p^c, and minus the row of the
+    # right-hand column solves A x = b exactly when some vector does
+    rng = random.Random(19)
+    consistent = inconsistent = 0
+    for p in (2, 3, 5, 11):
+        for c in range(1, 5 if p == 11 else 7):
+            stack = np.array([s for _ in range(3) for s in _reader_systems(rng, p, c)], dtype=np.int64)
+            reduced, pivots = fibers._row_reduce_mod_p(stack, p)
+            kernels = fibers._free_kernels(reduced, pivots, p)
+            grid = np.array(list(product(range(p), repeat=c)), dtype=np.int64)
+            for system, k, pivot in zip(stack, kernels, pivots):
+                a, b = system[:, :c], system[:, c]
+                free = ~pivot[:c]
+                basis = k[:c, :c][free]
+                assert not (a @ basis.T % p).any()
+                # c - rank of them, independent: the identity on the free columns
+                assert p ** len(basis) == (~(a @ grid.T % p).any(axis=0)).sum()
+                assert (basis[:, free] == np.eye(len(basis))).all()
+                solvable = (~((a @ grid.T - b[:, None]) % p).any(axis=0)).any()
+                assert solvable == (not pivot[c])
+                if solvable:
+                    assert not ((a @ (-k[c, :c] % p) - b) % p).any()
+                consistent += solvable
+                inconsistent += not solvable
+    assert consistent > 100 and inconsistent > 50
+
+
 def test_find_lines_raises_when_a_line_leaves_the_fiber(m11):
     # drop a point of a line off u0 = 0: the line's other points still span it
     fiber = enumerate_fiber(m11, 23)

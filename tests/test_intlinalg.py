@@ -6,6 +6,8 @@ instead of outputs.
 """
 
 import random
+from itertools import combinations
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -108,6 +110,7 @@ def test_snf_laws_on_seeded_matrices():
         a = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
         s, left, right = snf(a)
         assert (left @ a @ right) == s
+        assert abs(det(left)) == abs(det(right)) == 1
         diag = [s[i, i] for i in range(min(s.rows, s.cols))]
         for i in range(s.rows):
             for j in range(s.cols):
@@ -117,6 +120,39 @@ def test_snf_laws_on_seeded_matrices():
             if e:
                 assert d != 0 and e % d == 0
         assert elementary_divisors(a) == elementary_divisors(a.transpose())
+
+
+def _minor_gcds(a):
+    """g_k, the gcd of the k x k minors of a, for k = 1 .. min(rows, cols),
+    each minor a ``det``: shares no code with ``_echelon``."""
+    gcds = []
+    for k in range(1, min(a.rows, a.cols) + 1):
+        g = 0
+        for rows in combinations(range(a.rows), k):
+            for cols in combinations(range(a.cols), k):
+                g = gcd(g, det(IntMatrix([[a[i, j] for j in cols] for i in rows])))
+        gcds.append(g)
+    return gcds
+
+
+def test_smith_diagonal_products_are_the_gcds_of_the_minors():
+    # d_1 ... d_k = g_k, the gcd of the k x k minors, which the unimodular
+    # transforms keep; zero and duplicate rows make the rank fall short
+    rng = random.Random(407)
+    deficient = 0
+    for _ in range(150):
+        rows = [[rng.randint(-30, 30) for _ in range(rng.randint(1, 5))]]
+        rows += [[rng.randint(-30, 30) for _ in rows[0]] for _ in range(rng.randint(0, 3))]
+        if rng.random() < 0.2:
+            rows[rng.randrange(len(rows))] = [0] * len(rows[0])
+        if len(rows) > 1 and rng.random() < 0.3:
+            rows[rng.randrange(len(rows))] = list(rows[rng.randrange(len(rows))])
+        a = IntMatrix(rows)
+        s, _, _ = snf(a)
+        gcds = _minor_gcds(a)
+        assert [prod(s[i, i] for i in range(k)) for k in range(1, len(gcds) + 1)] == gcds
+        deficient += gcds[-1] == 0
+    assert 20 < deficient < 130
 
 
 def test_kernel_laws_on_seeded_matrices():

@@ -49,6 +49,7 @@ class Mutant:
 
 
 FIBERS = "src/dp5brauer/fibers.py"
+INTLINALG = "src/dp5brauer/intlinalg.py"
 OBSTRUCTION = "src/dp5brauer/obstruction.py"
 PICARD = "src/dp5brauer/picard.py"
 
@@ -152,6 +153,13 @@ MUTANTS = (
     ),
     # the mod-25 census in array steps
     Mutant(
+        "swapped-kernel-basis",
+        OBSTRUCTION,
+        "basis = -kernels[:, 5] % 5, kernels[:, :5][free].reshape(25, 2, 5)",
+        "basis = -kernels[:, 5] % 5, kernels[:, :5][free].reshape(25, 2, 5)[:, ::-1]",
+        ("tests/test_obstruction.py::test_chart_lifts_equal_the_per_point_solves",),
+    ),
+    Mutant(
         "shifted-kstar",
         OBSTRUCTION,
         "(_KAPPA_MASKS_5[:, None] >> kstar & 1) == 0",
@@ -174,6 +182,32 @@ MUTANTS = (
             "tests/test_obstruction.py::test_liftpath_agrees_on_proportional_forms",
             "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
         ),
+    ),
+    # one elimination per ring: the Smith form on the echelon form, one
+    # kernel reader of the mod-p row reduction
+    Mutant(
+        "snf-transform-scaled",
+        INTLINALG,
+        "    return IntMatrix(d), IntMatrix(u), IntMatrix(v)",
+        "    u[np.count_nonzero(d, axis=1) == 0] *= 2\n    return IntMatrix(d), IntMatrix(u), IntMatrix(v)",
+        ("tests/test_intlinalg.py::test_snf_laws_on_seeded_matrices",),
+    ),
+    Mutant(
+        "snf-chain-unmended",
+        INTLINALG,
+        "        if not fails:\n            break",
+        "        if True:\n            break",
+        (
+            "tests/test_intlinalg.py::test_snf_of_coprime_diagonal",
+            "tests/test_intlinalg.py::test_smith_diagonal_products_are_the_gcds_of_the_minors",
+        ),
+    ),
+    Mutant(
+        "kernel-sign-dropped",
+        FIBERS,
+        "-rows.swapaxes(-1, -2) % p",
+        "rows.swapaxes(-1, -2) % p",
+        ("tests/test_fibers.py::test_the_kernel_reader_solves_every_system_of_a_stack",),
     ),
     # the Picard automorphism search
     Mutant(
