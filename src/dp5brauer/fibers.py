@@ -113,6 +113,37 @@ minor in solver coordinates, where the Jacobian at v = g^{-1} x is E J(x)
 g, of the rank of J(x), with rows F_k x for F_k = g^T (E B)_k (each B_l is
 symmetric); E and g are folded into F once per (quadrics, p).
 
+Lines.  ``_fiber_array`` holds a fiber as one (n, 6) array of normalized
+points sorted by the base-p code c(x) = sum x_i p^(5 - i), and
+``enumerate_fiber`` is its tuple view.  Code order is tuple order: the
+coordinates are the base-p digits of c(x), most significant first, so if
+x and y first differ at i, with x_i < y_i, then c(y) - c(x) >= p^(5 - i) -
+sum_{j > i} (p - 1) p^(5 - j) = 1.  The codes are exact in int64: c(x) <
+p^6 <= 97^6 < 2^40.  ``find_lines`` then looks points up by
+``np.searchsorted`` among the codes.
+
+Two distinct fiber points P, Q span a line of the surface iff the polar
+values P^T B_k Q vanish for all five quadrics, since q(aP + bQ) = a^2 q(P)
++ b^2 q(Q) + ab P^T B Q, in every characteristic.  A line meets the
+hyperplane u0 = 0 in one point or lies in it, so every line holds such a
+pair with Q on u0 = 0, and only those pairs are tested.  The value of
+quadric 1 is taken on every pair, in blocks of at most _LINE_BLOCK_CELLS,
+and that of quadric k + 1 only on the pairs where quadrics 1..k vanished:
+a pair survives all five steps iff all five values vanish, which is the
+conjunction of the five tests; a step only leaves out pairs that an
+earlier one already refused.
+
+A surviving pair names its line by the line's reduced echelon basis (a,
+b), read off P and Q alone (``_first_points``).  A plane of F_p^6 has
+exactly one reduced echelon basis, so every pair on a line gives the same
+(a, b), and different lines give different ones.  The points of the line
+are b and a + t b, t in F_p, and in tuple order they read b, a, a + b,
+..., a + (p - 1) b: b is 0 at lead(a) where the others are 1, and the
+others differ first at lead(b), where a + t b is t.  So each line named is
+checked once, on all its p + 1 points, and every polar pair lies on a
+line checked: checking one pair per line checks every pair.  The lines
+come out in the order of (b, a), which is the order of their point tuples.
+
 Integer safety at p <= ENUMERATION_BOUND = 100: entries are reduced mod p
 before any product, so the largest unreduced sum, a quadric value over 36
 Gram entries or an entry of g^T G g, stays below 36 * 100^3 < 2^26.
@@ -155,7 +186,7 @@ ENUMERATION_BOUND = 100
 # shape; on 510 coordinate changes of the two fixtures at primes <= 97 the
 # search took 1.6 slices on average and 9 at most
 SLICE_BOUND = 64
-_LINE_BLOCK_CELLS = 1 << 20
+_LINE_BLOCK_CELLS = 1 << 18
 # candidates (u1, u2, t) taken through the u0 step and the final check at
 # once, a few hundred bytes of int64 temporaries each
 _CANDIDATE_BLOCK = 1 << 16
@@ -209,13 +240,20 @@ def _projective_plane(p):
 
 
 def enumerate_fiber(model, p):
-    """All points of the mod-p fiber, as sorted normalized coordinate tuples.
+    """All points of the mod-p fiber, as sorted normalized coordinate tuples:
+    the tuple view of ``_fiber_array``.
 
     Normalization: the first nonzero coordinate is 1.  The fiber is solved
     in the coordinates of ``_solver_coordinates`` and mapped back; quadrics
     dependent mod p, and a fiber without a smooth point that gives the
     solver shape, raise DomainError (module docstring).
     """
+    return list(map(tuple, _fiber_array(model, p).tolist()))
+
+
+def _fiber_array(model, p):
+    """The normalized fiber as one read-only (n, 6) int64 array, its rows in
+    increasing base-p code, which is tuple order (module docstring, Lines)."""
     _require_prime(p)
     _, g, moved = _solver_coordinates(model.quadrics, p)
     x = _solve_fiber(moved, p)
@@ -223,7 +261,14 @@ def enumerate_fiber(model, p):
         x = x @ g.T % p
     lead = x[np.arange(len(x)), (x != 0).argmax(axis=1)]
     x = x * _inverses(p)[lead][:, None] % p
-    return sorted(map(tuple, x.tolist()))
+    x = x[np.argsort(_codes(x, p))]
+    x.flags.writeable = False
+    return x
+
+
+def _codes(x, p):
+    """Base-p codes c(x) = sum x_i p^(5 - i) of the rows of x (..., 6)."""
+    return x @ p ** np.arange(5, -1, -1, dtype=np.int64)
 
 
 def _require_prime(p):
@@ -469,25 +514,29 @@ def rank_mod_p(rows, p):
 
 
 def singular_points(model, p, fiber=None):
-    """Fiber points where the Jacobian drops below rank 3.
+    """Fiber points where the Jacobian drops below rank 3, in fiber order."""
+    x = _fiber_array(model, p) if fiber is None else np.asarray(fiber, dtype=np.int64).reshape(-1, 6)
+    return list(map(tuple, x[_singular_mask(model, p, x)].tolist()))
+
+
+def _singular_mask(model, p, x):
+    """Mask of the rows of x (n, 6), fiber points, where the Jacobian has
+    rank below 3.
 
     The Jacobians of all points in solver coordinates are one product F x.
     A point with det a(t) != 0 and some lin_k != 0 has a nonzero 3x3 minor
     there and is smooth (module docstring); the others are row-reduced in
     one stack.
     """
-    if fiber is None:
-        fiber = enumerate_fiber(model, p)
-    if not fiber:
-        return []
-    x = np.array(fiber, dtype=np.int64)
+    if not len(x):
+        return np.zeros(0, dtype=bool)
     jacobians = (_solver_coordinates(model.quadrics, p)[0] @ x.T % p).transpose(2, 0, 1)
     a = jacobians[:, 3:, 1:3]
     det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
     ranks = np.full(len(x), 3)
     ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)
-    return [pt for pt, rank in zip(fiber, ranks.tolist()) if rank < 3]
+    return ranks < 3
 
 
 @dataclass(frozen=True)
@@ -500,65 +549,68 @@ class LineOnFiber:
 
 
 def find_lines(model, p, fiber=None):
-    """Lines contained in the mod-p fiber (``fiber`` must be all of it).
+    """Lines contained in the mod-p fiber (``fiber``, tuples or an array, must
+    be all of it), each with its points in tuple order, the lines in the
+    order of their points.
 
-    Two fiber points P, Q span a line on the surface iff the polar values
-    P^T B_k Q vanish for all five quadrics, since q(aP + bQ) = a^2 q(P) +
-    b^2 q(Q) + ab P^T B Q; this is characteristic-safe.  A line meets the
-    hyperplane u0 = 0 in one point or lies in it, so every line holds a
-    pair (P, Q) with Q in the fiber's section by u0 = 0, and only those
-    pairs are tested: about p^3 exact int64 polar values instead of p^4,
-    in blocks of at most _LINE_BLOCK_CELLS.  Two points determine one line,
-    so a pair already on a found line is skipped; the line of every other
-    polar pair is listed point by point, and one that leaves ``fiber``
-    raises: the enumeration missed a point of it.
+    Pairs (P, Q) with Q on u0 = 0 are tested on the polar form of quadric 1
+    in blocks of at most _LINE_BLOCK_CELLS pairs, then on quadrics 2-5 one
+    after another; each pair that passes names its line by the line's first
+    two points (``_first_points``), and the p + 1 points of each line named
+    are looked up among the fiber's codes.  A point missing there raises:
+    the enumeration missed a point of the line (module docstring, Lines).
     """
-    if fiber is None:
-        fiber = enumerate_fiber(model, p)
-    if not fiber:
+    x = np.asarray(_fiber_array(model, p) if fiber is None else fiber, dtype=np.int64).reshape(-1, 6)
+    if not len(x):
         return []
-    x = np.array(fiber, dtype=np.int64)
-    section = np.nonzero(x[:, 0] == 0)[0]
-    w, xs = x @ _polar_mod_p(model, p) % p, x[section].T
-    index = {pt: i for i, pt in enumerate(fiber)}
-    on_line = [set() for _ in fiber]
-    lines = []
+    x = x[np.argsort(_codes(x, p), kind="stable")]
+    codes = _codes(x, p)
+    polar = _polar_mod_p(model, p)
+    section = np.flatnonzero(x[:, 0] == 0)
+    w, xs = x @ polar[0] % p, x[section].T
     block = max(1, _LINE_BLOCK_CELLS // max(1, len(section)))
-    for start in range(0, len(x), block):
-        polar = np.ones((len(x[start : start + block]), len(section)), dtype=bool)
-        for wk in w[:, start : start + block]:
-            polar &= wk @ xs % p == 0
-        rows, cols = np.nonzero(polar)
-        for i, j in zip((rows + start).tolist(), section[cols].tolist()):
-            if i == j or j in on_line[i]:
-                continue
-            points = _line_points(fiber[i], fiber[j], p)
-            if not all(pt in index for pt in points):
-                raise FiberInconsistencyError(
-                    "line through two fiber points leaves the fiber"
-                )
-            members = {index[pt] for pt in points}
-            for m in members:
-                on_line[m] |= members
-            ordered = tuple(sorted(points))
-            lines.append(LineOnFiber((ordered[0], ordered[1]), ordered))
-    return sorted(lines, key=lambda line: line.points)
+    named = []
+    for lo in range(0, len(x), block):
+        i, j = np.nonzero(w[lo : lo + block] @ xs % p == 0)
+        i, j = i + lo, section[j]
+        for form in polar[1:]:
+            on = (x[i] @ form * x[j]).sum(axis=1) % p == 0
+            i, j = i[on], j[on]
+        distinct = i != j
+        named.append(_first_points(x[i[distinct]], x[j[distinct]], p))
+    named = np.concatenate(named)
+    if not len(named):
+        return []
+    # each line once, in the order of its first two points (b, a)
+    first = _codes(named, p)
+    order = np.lexsort(first.T[::-1])
+    new = np.r_[True, (np.diff(first[order], axis=0) != 0).any(axis=1)]
+    b, a = named[order[new]].transpose(1, 0, 2)[:, :, None]
+    # the points b, a, a + b, ..., a + (p - 1) b of each line, in tuple order
+    line_codes = _codes(np.concatenate([b, (a + np.arange(p)[:, None] * b) % p], axis=1), p)
+    at = np.searchsorted(codes, line_codes).clip(max=len(codes) - 1)
+    if (codes[at] != line_codes).any():
+        raise FiberInconsistencyError("line through two fiber points leaves the fiber")
+    return [LineOnFiber(tuple(map(tuple, pts[:2])), tuple(map(tuple, pts))) for pts in x[at].tolist()]
 
 
-def _normalize_point(coords, p):
-    coords = [c % p for c in coords]
-    lead = next((i for i, c in enumerate(coords) if c), None)
-    if lead is None:
-        return None
-    inv = pow(coords[lead], -1, p)
-    return tuple(c * inv % p for c in coords)
+def _first_points(u, q, p):
+    """(m, 2, 6): the first two points b, a, in tuple order, of the line
+    through the distinct normalized points u and q of each row.
 
-
-def _line_points(a, b, p):
-    pts = {_normalize_point(b, p)}
-    for t in range(p):
-        pts.add(_normalize_point([x + t * y for x, y in zip(a, b)], p))
-    return pts
+    (a, b) is the reduced echelon basis of the line: both normalized,
+    lead(a) < lead(b) and a[lead(b)] = 0.  With k the index of q's leading
+    1, r = u - u[k] q is not 0 and has r[k] = 0; normalized, its lead is
+    not k.  If it is below k, (a, b) = (r, q); else (a, b) = (q - q[l] r, r)
+    with l = lead(r), where a[k] = 1, a is 0 before k, and a[l] = 0.
+    """
+    rows = np.arange(len(q))
+    k = (q != 0).argmax(axis=1)
+    r = (u - u[rows, k][:, None] * q) % p
+    lead = (r != 0).argmax(axis=1)
+    r = r * _inverses(p)[r[rows, lead]][:, None] % p
+    swap = (lead > k)[:, None]
+    return np.stack([np.where(swap, r, q), np.where(swap, (q - q[rows, lead][:, None] * r) % p, r)], axis=1)
 
 
 def minpoly_splitting_mod_p(spec, p):
@@ -605,8 +657,10 @@ def classify_fiber(model, p):
     _require_prime(p)
     splitting = minpoly_splitting_mod_p(model.spec, p)
     fiber = enumerate_fiber(model, p)
-    lines = find_lines(model, p, fiber=fiber)
-    singular = singular_points(model, p, fiber=fiber)
+    # the points as one array, for the line search and the minor
+    x = np.fromiter(chain.from_iterable(fiber), np.int64, 6 * len(fiber)).reshape(-1, 6)
+    lines = find_lines(model, p, fiber=x)
+    singular = singular_points(model, p, fiber=x)
     count = len(fiber)
     if splitting == "separable-irreducible":
         expected = p * p + 1

@@ -31,15 +31,16 @@ import numpy as np
 
 from .errors import DomainError, FiberInconsistencyError
 from .fibers import (
+    _fiber_array,
     _free_kernels,
     _gram_mod_p,
     _polar_mod_p,
     _row_reduce_mod_p,
+    _singular_mask,
     enumerate_fiber,
     jacobian_matrix_mod_p,
     minpoly_splitting_mod_p,
     rank_mod_p,
-    singular_points,
     solve_mod_p,
 )
 from .model import DelPezzoModel, _form_vectors, _quadric_gram, chart_point, fixture
@@ -267,7 +268,8 @@ def _cached_route_11(model, route):
 
     The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``, a
     constant.  The smooth-point route holds the smooth points of the
-    enumerated fiber, in fiber order: those off {l1 = 0}, each scaled by
+    fiber, in the tuple order of ``fibers._fiber_array``, the rows its
+    singular mask leaves out: those off {l1 = 0}, each scaled by
     1/l1, are its value points, and those on {l1 = 0} its triggers; it is
     cached per model in ``_FIBER_CACHE``.
     """
@@ -281,9 +283,8 @@ def _cached_route_11(model, route):
         raise DomainError("model carries no ramified-prime metadata")
     key = _model_cache_key(model, p)
     if key not in _FIBER_CACHE:
-        points = enumerate_fiber(model, p)
-        singular = set(singular_points(model, p, points))
-        smooth = _read_only([pt for pt in points if pt not in singular])
+        x = _fiber_array(model, p)
+        smooth = _read_only(x[~_singular_mask(model, p, x)])
         l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
         l1v = smooth @ l1 % 11
         l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)

@@ -41,6 +41,7 @@ from dp5brauer.model import (
     _quadric_rank,
     _solver_shaped,
     build_model,
+    fixture,
 )
 from dp5brauer.numberfield import QuinticFieldSpec
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
@@ -278,10 +279,20 @@ def _unimodular(rng):
     return (lower @ upper).tolist()
 
 
+def _normalize_point(coords, p):
+    """The point with these coordinates scaled to first nonzero entry 1."""
+    coords = [c % p for c in coords]
+    lead = next((i for i, c in enumerate(coords) if c), None)
+    if lead is None:
+        return None
+    inv = pow(coords[lead], -1, p)
+    return tuple(c * inv % p for c in coords)
+
+
 def _image(g, fiber, p):
     """The normalized points g v mod p of the points v of ``fiber``."""
     x = np.array(fiber, dtype=np.int64).reshape(-1, 6) @ np.array(g, dtype=np.int64).T % p
-    return sorted(fibers._normalize_point(v, p) for v in x.tolist())
+    return sorted(_normalize_point(v, p) for v in x.tolist())
 
 
 def test_solver_coordinates_are_the_identity_where_the_shape_holds(m11):
@@ -516,7 +527,7 @@ def test_a_solver_shaped_fiber_cut_by_fewer_than_five_quadrics_is_solved(m11, mo
     for m, rank in zip(_rank_deficient_models(m11, p, moved=False), (3, 4)):
         assert _every_plane_degenerate(m, p), m.source
         solved = fibers._solve_fiber(fibers._gram_mod_p(m.quadrics, p), p).tolist()
-        assert sorted(fibers._normalize_point(x, p) for x in solved) == scanned(m, p), m.source
+        assert sorted(_normalize_point(x, p) for x in solved) == scanned(m, p), m.source
         with pytest.raises(DomainError, match=_dependence_message(rank, p)):
             enumerate_fiber(m, p)
 
@@ -747,6 +758,76 @@ def test_the_kernel_reader_solves_every_system_of_a_stack():
                 consistent += solvable
                 inconsistent += not solvable
     assert consistent > 100 and inconsistent > 50
+
+
+def _oracle_lines(m, p):
+    """The lines of the fiber of m mod p by brute force, as a sorted list of
+    sorted point tuples.
+
+    Every pair of fiber points on which the five polar forms of
+    ``m.quadrics`` vanish spans a line of the surface, since q(aP + bQ) =
+    a^2 q(P) + b^2 q(Q) + ab P^T B Q.  The p + 1 points of each pair's line
+    are normalized here, each must be a fiber point, and the lines are
+    deduplicated as point sets.
+    """
+    fiber = enumerate_fiber(m, p)
+    x = np.array(fiber, dtype=np.int64).reshape(-1, 6)
+    polar = np.zeros((5, 6, 6), dtype=np.int64)
+    for b, q in zip(polar, m.quadrics):
+        for (i, j), c in zip(U_QUADRIC_PAIRS, q):
+            b[i, j] += c
+            b[j, i] += c
+    on_lines = np.ones((len(x), len(x)), dtype=bool)
+    for b in polar % p:
+        on_lines &= (x @ b % p) @ x.T % p == 0
+    i, j = np.nonzero(np.triu(on_lines, 1))
+    points = np.concatenate([(x[i, None] + np.arange(p)[:, None] * x[j, None]) % p, x[j, None]], axis=1)
+    lead = np.take_along_axis(points, (points != 0).argmax(axis=2)[..., None], axis=2)
+    inverse = np.array([0] + [pow(v, -1, p) for v in range(1, p)])
+    points = points * inverse[lead] % p
+    # one row of point indices in P^5 per line, its points in any order
+    lines = np.unique(np.sort(np.ravel_multi_index(points.transpose(2, 0, 1), (p,) * 6), axis=1), axis=0)
+    lines = [set(zip(*np.unravel_index(line, (p,) * 6))) for line in lines]
+    members = set(fiber)
+    assert all(line <= members for line in lines), "a line leaves the fiber"
+    return sorted(tuple(sorted(tuple(map(int, pt)) for pt in line)) for line in lines)
+
+
+def _line_models():
+    """Both fixtures, the ten Lehmer models and three unimodular moves of
+    each fixture, by name."""
+    models = {name: fixture(name) for name in ("zeta11plus", "zeta25")}
+    models.update({f"lehmer{n}": build_model(QuinticFieldSpec(lehmer_quintic(n)[::-1])) for n in range(-4, 6)})
+    for name in ("zeta11plus", "zeta25"):
+        rng = random.Random(name)
+        models.update({f"{name}-moved{k}": _substituted(models[name], _unimodular(rng)) for k in range(3)})
+    return models
+
+
+LINE_MODELS = _line_models()
+
+
+@pytest.mark.parametrize("name", LINE_MODELS)
+def test_find_lines_equals_a_brute_force_line_search(name):
+    # every pair of fiber points, not only the pairs with a point on u0 = 0,
+    # on all five polar forms; the fiber passed as an array, as tuples in
+    # any order, or not at all gives the same lines
+    m = LINE_MODELS[name]
+    for p in PRIMES_TO_31:
+        expected = _oracle_lines(m, p)
+        fiber = enumerate_fiber(m, p)
+        for given in (None, fiber[::-1], np.array(fiber, dtype=np.int64)):
+            lines = find_lines(m, p, fiber=given)
+            assert [line.points for line in lines] == expected, (name, p)
+            assert all(line.span == line.points[:2] for line in lines), (name, p)
+
+
+def test_the_fiber_is_in_increasing_tuple_order(m11):
+    # the rows of the fiber array are sorted by base-p code, which is tuple
+    # order; the points are distinct
+    fiber = enumerate_fiber(m11, 97)
+    assert len(fiber) == 9410
+    assert all(a < b for a, b in zip(fiber, fiber[1:]))
 
 
 def test_find_lines_raises_when_a_line_leaves_the_fiber(m11):

@@ -845,6 +845,27 @@ def test_the_smooth_route_cache_tells_l1_apart(m11):
     obstruction._FIBER_CACHE.clear()
 
 
+@pytest.mark.parametrize("moved", [False, True], ids=["zeta11plus", "moved"])
+def test_the_smooth_route_is_the_fiber_tuples_in_order(m11, moved):
+    # the route read off the fiber array and its singular mask is, byte for
+    # byte, the route of the sorted fiber tuples less the singular ones
+    model = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(79))) if moved else m11
+    points = enumerate_fiber(model, 11)
+    singular = set(singular_points(model, 11, points))
+    smooth = np.array([pt for pt in points if pt not in singular], dtype=np.int32)
+    l1 = np.array(model.l1, dtype=np.int32) % 11
+    l1v = smooth @ l1 % 11
+    scale = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)
+    expected = obstruction._build_route_11(l1, smooth[l1v != 0] * scale[:, None] % 11, smooth[l1v == 0], "smooth")
+    obstruction._FIBER_CACHE.clear()
+    route = _route_11(model, "smooth")
+    for name in ("values", "fixed", "bases"):
+        got, want = getattr(route, name), getattr(expected, name)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    assert len(route.values) and len(route.fixed)
+    obstruction._FIBER_CACHE.clear()
+
+
 def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     # on 12 chart points some u5 = 1 form has a partial image; the check
     # over the 14,641 bases and their eleven translates must name one

@@ -79,6 +79,42 @@ MUTANTS = (
         "        if True:\n            return r[:, 6:], g, moved",
         ("tests/test_fibers.py::test_a_move_without_the_solver_shape_is_never_solved",),
     ),
+    # one sorted code array per fiber, one checked pair per line
+    Mutant(
+        "lines-first-quadric-only",
+        FIBERS,
+        "        for form in polar[1:]:",
+        "        for form in polar[:0]:",
+        ("tests/test_fibers.py::test_find_lines_equals_a_brute_force_line_search",),
+    ),
+    Mutant(
+        "line-membership-unchecked",
+        FIBERS,
+        "    if (codes[at] != line_codes).any():",
+        "    if False:",
+        ("tests/test_fibers.py::test_find_lines_raises_when_a_line_leaves_the_fiber",),
+    ),
+    Mutant(
+        "fiber-codes-little-endian",
+        FIBERS,
+        "return x @ p ** np.arange(5, -1, -1, dtype=np.int64)",
+        "return x @ p ** np.arange(6, dtype=np.int64)",
+        ("tests/test_fibers.py::test_the_fiber_is_in_increasing_tuple_order",),
+    ),
+    Mutant(
+        "line-basis-unswapped",
+        FIBERS,
+        "    swap = (lead > k)[:, None]",
+        "    swap = np.zeros((len(q), 1), dtype=bool)",
+        ("tests/test_fibers.py::test_find_lines_equals_a_brute_force_line_search",),
+    ),
+    Mutant(
+        "smooth-route-with-singular",
+        OBSTRUCTION,
+        "smooth = _read_only(x[~_singular_mask(model, p, x)])",
+        "smooth = _read_only(x)",
+        ("tests/test_obstruction.py::test_the_smooth_route_is_the_fiber_tuples_in_order",),
+    ),
     # the l1-orbit sweeps mod 11
     Mutant(
         "wrong-rotation",
