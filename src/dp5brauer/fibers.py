@@ -288,18 +288,19 @@ _IDENTITY_6.flags.writeable = False
 def _solver_coordinates(vectors, p):
     """Read-only (F, g, moved): the Gram array of (E q)(g v), which has the
     solver shape, and F_k = g^T (E B)_k, whose rows F_k x are its Jacobian
-    at g^-1 x (module docstring).  g is ``_IDENTITY_6`` itself where the
-    quadrics have the shape as given.  Dependent quadrics raise DomainError."""
+    at g^-1 x (module docstring).  Where the quadrics have the shape as
+    given, E = I, g is ``_IDENTITY_6`` itself and F the polar array.
+    Dependent quadrics raise DomainError."""
     rank = _quadric_rank(vectors, p)
     if rank < 5:
         raise DomainError(f"model quadrics have rank {rank} mod {p}, expected 5 independent quadrics")
     gram = _gram_mod_p(vectors, p)
     polar = (gram + gram.transpose(0, 2, 1)) % p
     if _solver_shaped(gram):
-        e, g, moved = np.eye(5, dtype=np.int64), _IDENTITY_6, gram
+        folded, g, moved = polar, _IDENTITY_6, gram
     else:
         e, g, moved = _shaped_coordinates(gram, polar, p)
-    folded = g.T @ (np.einsum("kl,lab->kab", e, polar) % p) % p
+        folded = g.T @ (np.einsum("kl,lab->kab", e, polar) % p) % p
     for array in (folded, g, moved):
         array.flags.writeable = False
     return folded, g, moved

@@ -1,12 +1,12 @@
 """Exact linear algebra over the integers.
 
 Everything here works with arbitrary-precision Python ints, which the
-eliminations hold in numpy object arrays so that one row operation is one
-array step; there is no floating point, and no computation modulo a prime
-stands in for an exact one.  One elimination, the echelon form of
-``_echelon``, serves the Hermite form, the kernels and the Smith form;
-``det`` keeps its own Bareiss loop, as it needs the sign of the row
-swaps.  The normal form conventions are fixed once and used by every
+eliminations hold as lists of rows; there is no floating point, and no
+computation modulo a prime stands in for an exact one.  One elimination,
+the echelon form of ``_echelon``, serves the Hermite form, the kernels and
+the Smith form, each transform carried along as extra columns of the rows
+it eliminates; ``det`` keeps its own Bareiss loop, as it needs the sign of
+the row swaps.  The normal form conventions are fixed once and used by every
 caller:
 
   * Hermite form is row-style: ``H = U A`` with ``U`` unimodular, pivots
@@ -22,8 +22,6 @@ lattices always produce identical bases.
 from __future__ import annotations
 
 from math import gcd, prod
-
-import numpy as np
 
 
 class IntMatrix:
@@ -118,37 +116,47 @@ def det(matrix):
     return sign * a[n - 1][n - 1]
 
 
-def _echelon(a):
-    """Row echelon form of an (m, n) object array of Python ints by gcd
-    elimination.
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
-    Returns ``(t, pivots)``: ``t`` is ``[H | U]`` with ``H = U A`` and ``U``
-    unimodular, and row k of ``H`` leads at column ``pivots[k]``; the rows
-    below ``len(pivots)`` are zero.  Pivots may be negative and the entries
-    above them are not reduced; ``hnf`` does both.
+
+def _echelon(t, n):
+    """Row echelon form of the first n columns of the rows ``t``, a list of
+    lists of Python ints, by gcd elimination in place; the columns after n
+    are carried along.
+
+    In each column c the pivot is the first row of smallest nonzero |entry|,
+    swapped up, and every row below with a nonzero entry there subtracts its
+    floor quotient times the pivot row, until the pivot is the column's only
+    nonzero entry below the rows already done.  Every step is a row
+    operation, so ``[A | C]`` becomes ``[W A | W C]`` for one unimodular W,
+    and ``[A | I]`` carries W itself.  A step changes a row only where the
+    pivot row is nonzero, which is at column c or right of it, and only
+    those entries are computed.  Returns the pivot columns: row k leads at
+    column ``pivots[k]``, and the rows below ``len(pivots)`` are zero on the
+    first n columns.  Pivots may be negative and the entries above them are
+    not reduced; ``hnf`` does both.
     """
-    m, n = a.shape
-    t = np.concatenate([a, np.identity(m, dtype=object)], axis=1)
     pivots = []
     for c in range(n):
         r = len(pivots)
-        if r == m:
-            break
-        # gcd elimination below row r in column c
-        while True:
-            col = t[r:, c]
-            nz = np.flatnonzero(col)
-            if not nz.size:
-                break
-            k = r + min(nz, key=lambda i: abs(col[i]))
-            if k != r:
-                t[[r, k]] = t[[k, r]]
-            if nz.size == 1:
-                break
-            t[r + 1 :] -= (t[r + 1 :, c] // t[r, c])[:, None] * t[r]
-        if t[r, c]:
+        nz = [i for i in range(r, len(t)) if t[i][c]]
+        if nz:
             pivots.append(c)
-    return t, pivots
+        while nz:
+            k = min(nz, key=lambda i: abs(t[i][c]))
+            t[r], t[k] = t[k], t[r]
+            pivot = t[r]
+            support = [j for j in range(c, len(pivot)) if pivot[j]]
+            for row in t[r + 1 :]:
+                if row[c]:
+                    q = row[c] // pivot[c]
+                    for j in support:
+                        row[j] -= q * pivot[j]
+            # each remainder below is smaller than the pivot, so the first
+            # smallest entry from row r on lies below it while one is nonzero
+            nz = [i for i in range(r + 1, len(t)) if t[i][c]]
+    return pivots
 
 
 def hnf(matrix):
@@ -156,15 +164,18 @@ def hnf(matrix):
 
     Returns ``(H, U)`` with ``H = U A``, ``U`` unimodular, pivots positive,
     entries above each pivot in ``[0, pivot)``, and zero rows collected at
-    the bottom.
+    the bottom.  ``_echelon`` of ``[A | I]`` gives ``[H | U]`` up to the
+    signs of the pivots and the entries above them.
     """
     n = matrix.cols
-    t, pivots = _echelon(np.array(matrix.entries, dtype=object))
-    for r, c in enumerate(pivots):
-        if t[r, c] < 0:
-            t[r] = -t[r]
-        t[:r] -= (t[:r, c] // t[r, c])[:, None] * t[r]
-    return IntMatrix(t[:, :n]), IntMatrix(t[:, n:])
+    t = [list(row) + e for row, e in zip(matrix.entries, _identity(matrix.rows))]
+    for r, c in enumerate(_echelon(t, n)):
+        if t[r][c] < 0:
+            t[r] = [-x for x in t[r]]
+        for row in t[:r]:
+            q = row[c] // t[r][c]
+            row[:] = [x - q * y for x, y in zip(row, t[r])]
+    return IntMatrix([row[:n] for row in t]), IntMatrix([row[n:] for row in t])
 
 
 def snf(matrix):
@@ -173,10 +184,14 @@ def snf(matrix):
     Returns ``(D, U, V)`` with ``D = U A V``, both transforms unimodular,
     diagonal nonnegative and forming a divisibility chain.
 
-    D starts as A.  A row step replaces D by its echelon form U1 D
-    (``_echelon``), a column step by D V1, the transpose of the echelon form
-    of D^T; U and V take up U1 and V1, so D = U A V with both unimodular.
-    The steps alternate until D is diagonal.
+    D starts as A, U and V as identities.  A row step replaces D by its
+    echelon form U1 D, a column step by D V1, the transpose of the echelon
+    form of D^T.  The transforms ride along as carried columns: the row step
+    is ``_echelon`` of the rows ``[D | U]``, which gives ``[U1 D | U1 U]``,
+    and the column step that of ``[D^T | V^T]``, which gives
+    ``[V1^T D^T | V1^T V^T]``.  So D = U A V with both unimodular, and no
+    transform is ever multiplied out.  The steps alternate until D is
+    diagonal.
 
     The alternation terminates.  Unless D = 0, the first pair leaves d11 != 0:
     the row step leaves row 1 nonzero, and the column step moves its gcd to
@@ -204,25 +219,28 @@ def snf(matrix):
     of D and U with d_ii < 0 are negated.
     """
     m, n = matrix.rows, matrix.cols
-    d = np.array(matrix.entries, dtype=object)
-    u, v = np.identity(m, dtype=object), np.identity(n, dtype=object)
-    off_diagonal = ~np.eye(m, n, dtype=bool)
+    t = [list(row) + e for row, e in zip(matrix.entries, _identity(m))]
+    s = [[0] * m + e for e in _identity(n)]
     while True:
-        t, _ = _echelon(d)
-        d, u = t[:, :n], t[:, n:] @ u
-        t, _ = _echelon(d.T)
-        d, v = t[:, :m].T, v @ t[:, m:].T
-        if d[off_diagonal].any():
+        _echelon(t, n)
+        s = [[row[j] for row in t] + old[m:] for j, old in enumerate(s)]
+        _echelon(s, m)
+        t = [[row[i] for row in s] + old[n:] for i, old in enumerate(t)]
+        if any(x for i, row in enumerate(t) for j, x in enumerate(row[:n]) if i != j):
             continue
-        diagonal = d.diagonal()
-        fails = [i for i, (a, b) in enumerate(zip(diagonal, diagonal[1:])) if gcd(a, b) != abs(a)]
-        if not fails:
+        diagonal = [t[i][i] for i in range(min(m, n))]
+        pairs = enumerate(zip(diagonal, diagonal[1:]))
+        i = next((k for k, (a, b) in pairs if gcd(a, b) != abs(a)), None)
+        if i is None:
             break
-        d[:, fails[0]] += d[:, fails[0] + 1]
-        v[:, fails[0]] += v[:, fails[0] + 1]
-    for i in np.flatnonzero(d.diagonal() < 0):
-        d[i], u[i] = -d[i], -u[i]
-    return IntMatrix(d), IntMatrix(u), IntMatrix(v)
+        for row in t:
+            row[i] += row[i + 1]
+        s[i] = [x + y for x, y in zip(s[i], s[i + 1])]
+    for i in range(min(m, n)):
+        if t[i][i] < 0:
+            t[i] = [-x for x in t[i]]
+    d, u, vt = [row[:n] for row in t], [row[n:] for row in t], [row[m:] for row in s]
+    return IntMatrix(d), IntMatrix(u), IntMatrix(vt).transpose()
 
 
 def elementary_divisors(matrix):
@@ -234,28 +252,28 @@ def elementary_divisors(matrix):
 def saturated_kernel(matrix):
     """Basis of the right kernel lattice {v : A v = 0}, in Hermite form.
 
-    ``matrix`` is an IntMatrix or a 2-D array of Python ints.  The lattice
-    returned is saturated in Z^cols: any integer vector with a rational
-    multiple in the kernel already lies in the row span of the basis.  Rows
-    of the result are primitive.  Returns None when the kernel is trivial.
+    ``matrix`` is an IntMatrix or rows of Python ints, as lists or as an
+    object array.  The lattice returned is saturated in Z^cols: any integer
+    vector with a rational multiple in the kernel already lies in the row
+    span of the basis.  Rows of the result are primitive.  Returns None when
+    the kernel is trivial.
 
-    The kernel is read off any echelon form ``H = U A^T`` (``_echelon``),
-    without reducing above its pivots.  Say H has r nonzero rows, which are
-    independent, and the rest zero.  Rows r.. of U lie in the kernel, as
-    their rows of H are zero.  Conversely, let v be an integer vector with
-    a rational multiple in the kernel, so v A^T = 0.  U is unimodular, so
-    w = v U^-1 is integral, and 0 = v A^T = w H forces w_i = 0 for i < r.
-    So v is an integer combination of rows r.. of U, and these rows are a
-    basis of the saturated kernel for every such U.  ``hnf`` of that basis
-    is the unique Hermite basis of the lattice, so the result does not
-    depend on which echelon form was taken.
+    The kernel is read off any echelon form ``H = U A^T``, here ``_echelon``
+    of ``[A^T | I]``, without reducing above its pivots.  Say H has r
+    nonzero rows, which are independent, and the rest zero.  Rows r.. of U
+    lie in the kernel, as their rows of H are zero.  Conversely, let v be
+    an integer vector with a rational multiple in the kernel, so v A^T = 0.
+    U is unimodular, so w = v U^-1 is integral, and 0 = v A^T = w H forces
+    w_i = 0 for i < r.  So v is an integer combination of rows r.. of U,
+    and these rows are a basis of the saturated kernel for every such U.
+    ``hnf`` of that basis is the unique Hermite basis of the lattice, so the
+    result does not depend on which echelon form was taken.
     """
-    a = np.array(matrix.entries if isinstance(matrix, IntMatrix) else matrix, dtype=object)
-    t, pivots = _echelon(a.T)
-    if len(pivots) == a.shape[1]:
-        return None
-    canonical, _ = hnf(IntMatrix(t[len(pivots) :, a.shape[0] :]))
-    return canonical
+    rows = matrix.entries if isinstance(matrix, IntMatrix) else matrix
+    m, n = len(rows), len(rows[0])
+    t = [[int(x) for x in col] + e for col, e in zip(zip(*rows), _identity(n))]
+    rank = len(_echelon(t, m))
+    return hnf(IntMatrix([row[m:] for row in t[rank:]]))[0] if rank < n else None
 
 
 def lattice_index(vectors):
@@ -301,10 +319,7 @@ def solve_in_lattice(basis, target):
 
 def content(vector):
     """Gcd of the entries, 0 for the zero vector."""
-    g = 0
-    for x in vector:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*(int(x) for x in vector))
 
 
 def primitive_part(vector):
@@ -312,8 +327,6 @@ def primitive_part(vector):
     g = content(vector)
     if g == 0:
         raise ValueError("zero vector has no primitive part")
-    scaled = [int(x) // g for x in vector]
-    lead = next(x for x in scaled if x)
-    if lead < 0:
-        scaled = [-x for x in scaled]
-    return tuple(scaled)
+    if next(x for x in vector if x) < 0:
+        g = -g
+    return tuple(int(x) // g for x in vector)

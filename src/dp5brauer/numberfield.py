@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 from .errors import DomainError, NotCyclicError
 from .intlinalg import IntMatrix, det
@@ -152,10 +153,12 @@ class QuinticFieldSpec:
     as m is monic, so m irreducible mod p has no such factorization, and by
     Gauss's lemma m is irreducible over Q.  In a cyclic quintic field 4/5 of
     the primes are inert, so such a p is found at once; a polynomial without
-    one below 500 is refused.
+    one below 500 is refused.  The prime found is kept as ``inert_prime``,
+    where ``galois_conjugates`` lifts the conjugates; equality and hashing
+    read ``coefficients`` only.
     """
 
-    __slots__ = ("coefficients",)
+    __slots__ = ("coefficients", "inert_prime")
 
     def __init__(self, coefficients):
         coeffs = tuple(int(c) for c in coefficients)
@@ -163,7 +166,7 @@ class QuinticFieldSpec:
             raise DomainError("need 6 coefficients for a quintic")
         if coeffs[0] != 1:
             raise DomainError("minimal polynomial must be monic")
-        _find_inert_prime(list(reversed(coeffs)))
+        object.__setattr__(self, "inert_prime", _find_inert_prime(list(reversed(coeffs))))
         object.__setattr__(self, "coefficients", coeffs)
 
     def __setattr__(self, name, value):
@@ -351,12 +354,22 @@ def _element(spec, num, den):
 
 
 def evaluate_poly(coeffs_asc, element):
-    """Evaluate c0 + c1 x + ... at a field element (or anything with * and +)."""
-    spec = element.spec
-    total = spec.rational(0)
-    for c in reversed(coeffs_asc):
-        total = total * element + c
-    return total
+    """Evaluate c0 + c1 x + ... at a field element x, for rational c_k.
+
+    Horner's rule on integers.  With c_k = a_k / D over the common
+    denominator D and x = num / den, the value after j coefficients is
+    T / (D den^j); the next one multiplies T by num, reduced by the monic
+    minimal polynomial, and adds a_k den^(j+1).  So no step divides, and
+    the value is brought to lowest terms by one gcd at the end.
+    """
+    coeffs = [Fraction(c) for c in coeffs_asc]
+    common = lcm(*(c.denominator for c in coeffs))
+    total, scale = [], 1
+    for c in reversed(coeffs):
+        scale *= element.den
+        total = _poly_divmod(_poly_mul(total, element.num), element.spec.ascending())[1]
+        total = _poly_add(total, [c.numerator * (common // c.denominator) * scale])
+    return _element(element.spec, total + [0] * (DEGREE - len(total)), common * scale)
 
 
 def apply_embedding(element, generator_image):
@@ -439,21 +452,22 @@ def _newton_lift(root_mod_p, m_asc, p, k):
 
     beta is a polynomial expression in the generator; Newton iteration
     doubles the precision each round, carrying the inverse of m'(beta)
-    along so no division is needed.
+    along so no division is needed.  m(beta) and m'(beta) are read as
+    combinations of the powers beta^0 .. beta^5, four products a round.
     """
     e = 1
     beta = [c % p for c in root_mod_p]
     mprime = _poly_deriv(m_asc)
 
-    def eval_mod(poly, elem, modulus):
-        total = []
-        for c in reversed(poly):
-            total = _fpq_mul(total, elem, m_asc, modulus)
-            total = _fp_normalize(_poly_add(total, [c]), modulus)
-        return total
+    def values(modulus):
+        powers = [[1], beta]
+        while len(powers) <= DEGREE:
+            powers.append(_fpq_mul(powers[-1], beta, m_asc, modulus))
+        columns = list(zip(*(power + [0] * (DEGREE - len(power)) for power in powers)))
+        return [_trim([sum(map(mul, f, col)) % modulus for col in columns]) for f in (m_asc, mprime)]
 
     # p is inert, so (Z/p)[s]/(m) is the field F_{p^5}: invert by Fermat
-    d = eval_mod(mprime, beta, p)
+    d = values(p)[1]
     inv = _fpq_pow(d, p ** DEGREE - 2, m_asc, p)
     if _fpq_mul(d, inv, m_asc, p) != [1]:
         raise NotCyclicError("derivative not invertible at the chosen prime")
@@ -461,10 +475,9 @@ def _newton_lift(root_mod_p, m_asc, p, k):
         e = min(2 * e, k)
         modulus = p ** e
         # refresh the derivative inverse first: w <- w (2 - m'(b) w)
-        d = eval_mod(mprime, beta, modulus)
+        value, d = values(modulus)
         two_minus = _fp_normalize(_poly_sub([2], _fpq_mul(d, inv, m_asc, modulus)), modulus)
         inv = _fpq_mul(inv, two_minus, m_asc, modulus)
-        value = eval_mod(m_asc, beta, modulus)
         step = _fpq_mul(value, inv, m_asc, modulus)
         beta = _fp_normalize(_poly_sub(beta, step), modulus)
     return beta
@@ -509,7 +522,7 @@ def galois_conjugates(spec):
         # cyclic implies Galois group inside the alternating group
         raise NotCyclicError("discriminant is not a square")
     m_asc = spec.ascending()
-    p = _find_inert_prime(m_asc)
+    p = spec.inert_prime
     # Frobenius image s^p of the generator in the residue field
     frob = _fpq_pow([0, 1], p, m_asc, p)
 

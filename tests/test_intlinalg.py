@@ -5,6 +5,7 @@ routines over seeded random matrices and checks the defining equations
 instead of outputs.
 """
 
+import hashlib
 import random
 from itertools import combinations
 from math import gcd, prod
@@ -12,6 +13,7 @@ from math import gcd, prod
 import numpy as np
 import pytest
 
+from dp5brauer import model
 from dp5brauer.intlinalg import (
     IntMatrix,
     content,
@@ -24,6 +26,9 @@ from dp5brauer.intlinalg import (
     snf,
     solve_in_lattice,
 )
+from dp5brauer.numberfield import QuinticFieldSpec, zeta11_plus_field
+
+from quintics import lehmer_quintic
 
 
 def test_hnf_collapses_dependent_rows():
@@ -268,3 +273,46 @@ def test_hnf_and_its_transform_equal_the_list_route():
         a = _oracle_matrix(rng)
         h, u = hnf(IntMatrix(a))
         assert (h.to_lists(), u.to_lists()) == _list_hnf(a)
+
+
+def test_build_kernels_equal_the_list_route(monkeypatch):
+    # the matrices a build takes kernels of, as ``build_model`` passes them:
+    # the (15, 21) double-vanishing matrix and the (66, 21) quadric relation
+    # matrix of each member
+    inputs = []
+
+    def recording(matrix):
+        inputs.append(matrix.to_lists() if isinstance(matrix, IntMatrix) else matrix.tolist())
+        return saturated_kernel(matrix)
+
+    monkeypatch.setattr(model, "saturated_kernel", recording)
+    specs = [zeta11_plus_field()] + [QuinticFieldSpec(lehmer_quintic(n)) for n in range(-4, 6)]
+    for spec in specs:
+        model.build_model(spec)
+    shapes = [(len(a), len(a[0])) for a in inputs]
+    assert shapes == [(15, 21), (66, 21)] * len(specs)
+    for a in inputs:
+        assert saturated_kernel(a).to_lists() == _hnf_transform_kernel(a)
+
+
+# SHA-256 of the (D, U, V) of ``snf`` on the matrices of
+# ``_smith_pinned_matrices``, recorded with the object-array elimination that
+# multiplied each step's transform into U and V: every Smith form and both
+# transforms must stay as they were
+SMITH_SHA256 = "ba6452f37610dea323e6f4bbee10c10e4629812a8ccc36b7dc7716f97b53dac2"
+
+
+def _smith_pinned_matrices(models):
+    rng = random.Random(408)
+    matrices = [
+        _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), bound=rng.choice((2, 9, 10 ** 6)))
+        for _ in range(300)
+    ]
+    return matrices + [IntMatrix(m.quadric_vectors()) for m in models]
+
+
+def test_smith_forms_and_transforms_are_pinned(m11, m25, built11):
+    digest = hashlib.sha256()
+    for a in _smith_pinned_matrices((m11, m25, built11)):
+        digest.update(repr([part.to_lists() for part in snf(a)]).encode())
+    assert digest.hexdigest() == SMITH_SHA256

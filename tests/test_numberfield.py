@@ -264,3 +264,24 @@ def test_equal_values_have_one_form():
     assert not zero and zero == 0 and hash(zero) == hash(spec.rational(0))
     assert half.is_rational() and half.rational_value() == Fraction(1, 2)
     assert half * 2 == 1 and (half * 2).rational_value() == 1
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_horner_equals_the_sum_of_the_terms(name):
+    # sum c_k x^k by element arithmetic, each power a product of elements
+    spec = QuinticFieldSpec(ORACLE_FIELDS[name])
+    rng = random.Random(2027)
+    points = [
+        spec.element([Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(5)])
+        for _ in range(10)
+    ]
+    points += [spec.generator(), spec.rational(0), *galois_conjugates(spec)]
+    for x in points:
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(rng.randint(0, 7))]
+            value = evaluate_poly(coeffs, x)
+            _assert_lowest_terms(value)
+            total, power = spec.rational(0), spec.rational(1)
+            for c in coeffs:
+                total, power = total + power * c, power * x
+            assert value == total

@@ -50,6 +50,7 @@ class Mutant:
 
 FIBERS = "src/dp5brauer/fibers.py"
 INTLINALG = "src/dp5brauer/intlinalg.py"
+NUMBERFIELD = "src/dp5brauer/numberfield.py"
 OBSTRUCTION = "src/dp5brauer/obstruction.py"
 PICARD = "src/dp5brauer/picard.py"
 
@@ -224,19 +225,55 @@ MUTANTS = (
     Mutant(
         "snf-transform-scaled",
         INTLINALG,
-        "    return IntMatrix(d), IntMatrix(u), IntMatrix(v)",
-        "    u[np.count_nonzero(d, axis=1) == 0] *= 2\n    return IntMatrix(d), IntMatrix(u), IntMatrix(v)",
+        "    return IntMatrix(d), IntMatrix(u), IntMatrix(vt).transpose()",
+        "    u = [[2 * x for x in r] if not any(e) else r for r, e in zip(u, d)]\n"
+        "    return IntMatrix(d), IntMatrix(u), IntMatrix(vt).transpose()",
         ("tests/test_intlinalg.py::test_snf_laws_on_seeded_matrices",),
     ),
     Mutant(
         "snf-chain-unmended",
         INTLINALG,
-        "        if not fails:\n            break",
+        "        if i is None:\n            break",
         "        if True:\n            break",
         (
             "tests/test_intlinalg.py::test_snf_of_coprime_diagonal",
             "tests/test_intlinalg.py::test_smith_diagonal_products_are_the_gcds_of_the_minors",
         ),
+    ),
+    # one elimination on rows of Python ints, the transforms carried along
+    Mutant(
+        "echelon-carry-dropped",
+        INTLINALG,
+        "support = [j for j in range(c, len(pivot)) if pivot[j]]",
+        "support = [j for j in range(c, n) if pivot[j]]",
+        (
+            "tests/test_intlinalg.py::test_hnf_and_its_transform_equal_the_list_route",
+            "tests/test_intlinalg.py::test_build_kernels_equal_the_list_route",
+        ),
+    ),
+    Mutant(
+        "hnf-one-pivot-unreduced",
+        INTLINALG,
+        "        for row in t[:r]:",
+        "        for row in t[:r] if r != 1 else ():",
+        (
+            "tests/test_intlinalg.py::test_hnf_laws_on_seeded_matrices",
+            "tests/test_intlinalg.py::test_hnf_and_its_transform_equal_the_list_route",
+        ),
+    ),
+    Mutant(
+        "echelon-last-smallest-pivot",
+        INTLINALG,
+        "k = min(nz, key=lambda i: abs(t[i][c]))",
+        "k = min(reversed(nz), key=lambda i: abs(t[i][c]))",
+        ("tests/test_intlinalg.py::test_hnf_and_its_transform_equal_the_list_route",),
+    ),
+    Mutant(
+        "horner-without-denominators",
+        NUMBERFIELD,
+        "[c.numerator * (common // c.denominator) * scale]",
+        "[c.numerator * scale]",
+        ("tests/test_numberfield.py::test_horner_equals_the_sum_of_the_terms",),
     ),
     Mutant(
         "kernel-sign-dropped",
