@@ -171,15 +171,7 @@ from .model import (
     _yz_product,
     chart_point,
 )
-from .numberfield import (
-    _fp_normalize,
-    _fp_poly_gcd,
-    _fpq_pow,
-    _is_irreducible_mod_p,
-    _is_prime,
-    _poly_deriv,
-    _poly_sub,
-)
+from .numberfield import _is_prime, minpoly_splitting_mod_p
 
 ENUMERATION_BOUND = 100
 # P^3 slices searched for a smooth point that moves a model into the solver
@@ -614,19 +606,6 @@ def _first_points(u, q, p):
     return np.stack([np.where(swap, r, q), np.where(swap, (q - q[rows, lead][:, None] * r) % p, r)], axis=1)
 
 
-def minpoly_splitting_mod_p(spec, p):
-    """"separable-irreducible", "separable-split", "separable-partial", or
-    "inseparable" for the quintic mod p."""
-    m = _fp_normalize(spec.ascending(), p)
-    if len(m) != 6:
-        raise DomainError("leading coefficient vanished; not a valid reduction")
-    if len(_fp_poly_gcd(m, _fp_normalize(_poly_deriv(m), p), p)) != 1:
-        return "inseparable"
-    if _fp_normalize(_poly_sub(_fpq_pow([0, 1], p, m, p), [0, 1]), p) == []:
-        return "separable-split"
-    return "separable-irreducible" if _is_irreducible_mod_p(m, p) else "separable-partial"
-
-
 @dataclass(frozen=True)
 class FiberReport:
     prime: int
@@ -647,13 +626,23 @@ class FiberReport:
         }
 
 
+# the smooth fiber each splitting label of the minimal polynomial predicts:
+# (prediction, classification, a, lines) for p^2 + a p + 1 points, that many
+# lines and no singular point
+_PREDICTIONS = {
+    "separable-irreducible": ("inert", "interesting", 0, 0),
+    "separable-split": ("split", "split", 5, 10),
+}
+
+
 def classify_fiber(model, p):
     """Splitting-type prediction checked against enumerated evidence.
 
-    Splitting of the quintic mod p predicts the fiber: inert means a smooth
-    fiber with p^2 + 1 points and no lines, totally split means p^2 + 5p + 1
-    points and ten lines.  A mismatch raises instead of classifying,
-    so a wrong model cannot slip through as an interesting one.
+    How the quintic splits mod p (``numberfield.minpoly_splitting_mod_p``)
+    predicts the fiber (``_PREDICTIONS``): inert means a smooth fiber with
+    p^2 + 1 points and no lines, totally split means p^2 + 5p + 1 points
+    and ten lines.  A mismatch raises instead of classifying, so a wrong
+    model cannot slip through as an interesting one.
     """
     _require_prime(p)
     splitting = minpoly_splitting_mod_p(model.spec, p)
@@ -663,24 +652,15 @@ def classify_fiber(model, p):
     lines = find_lines(model, p, fiber=x)
     singular = singular_points(model, p, fiber=x)
     count = len(fiber)
-    if splitting == "separable-irreducible":
-        expected = p * p + 1
-        if count != expected or lines or singular:
+    if splitting in _PREDICTIONS:
+        prediction, label, a, line_count = _PREDICTIONS[splitting]
+        expected = p * p + a * p + 1
+        if count != expected or len(lines) != line_count or singular:
             raise FiberInconsistencyError(
-                f"inert prediction violated at {p}: {count} points "
+                f"{prediction} prediction violated at {p}: {count} points "
                 f"(expected {expected}), {len(lines)} lines, "
                 f"{len(singular)} singular"
             )
-        label = "interesting"
-    elif splitting == "separable-split":
-        expected = p * p + 5 * p + 1
-        if count != expected or len(lines) != 10 or singular:
-            raise FiberInconsistencyError(
-                f"split prediction violated at {p}: {count} points "
-                f"(expected {expected}), {len(lines)} lines, "
-                f"{len(singular)} singular"
-            )
-        label = "split"
     elif splitting == "separable-partial":
         raise FiberInconsistencyError(
             f"quintic splits partially at {p}; impossible for a cyclic field"

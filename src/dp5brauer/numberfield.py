@@ -14,6 +14,13 @@ monic polynomial over Z, Q or Z/m.  Every divisor here is monic or made so
 (the extended Euclid scales each remainder).  Inverses in F_{p^5} at the
 inert prime p are taken by Fermat, d^(p^5 - 2), and the discriminant of a
 monic f is the norm (-1)^(n(n-1)/2) N(f'(a)), a determinant.
+
+How the minimal polynomial m splits mod p is one routine, ``_frobenius``:
+it forms the Frobenius image F = s^p in (Z/p)[s]/(m) once, reads "split"
+as F = s, and forms s^(p^2) as F(F), since x -> x^p is a ring map fixing
+Z/p.  It labels the fibers (``minpoly_splitting_mod_p``), finds the inert
+prime, refutes a non-cyclic field, and its F seeds the Newton lift of the
+conjugates.
 """
 
 from __future__ import annotations
@@ -407,23 +414,7 @@ def zeta11_plus_field():
 
 
 # ---------------------------------------------------------------------------
-# conjugates of the generator
-
-
-# primes up to this bound are tried for an inert prime and for a refuting
-# Frobenius
-PRIME_BOUND = 500
-
-
-def _find_inert_prime(m_asc):
-    p = 3
-    while p <= PRIME_BOUND:
-        if _is_prime(p):
-            mp = _fp_normalize(m_asc, p)
-            if len(mp) == DEGREE + 1 and _is_irreducible_mod_p(mp, p):
-                return p
-        p += 1 if p == 2 else 2
-    raise DomainError(f"no prime below {PRIME_BOUND} certifies irreducibility")
+# how the minimal polynomial splits mod p
 
 
 def _is_prime(n):
@@ -435,16 +426,60 @@ def _is_prime(n):
     return True
 
 
-def _is_irreducible_mod_p(m_asc, p):
-    # degree 5: irreducible iff gcd(s^(p^i) - s, m) = 1 for i = 1, 2
+def _frobenius(m_asc, p):
+    """(label, F) for the monic quintic m mod the prime p, where F = s^p in
+    (Z/p)[s]/(m) is the Frobenius image of s; the one computation of s^p.
+
+    The label is "inseparable", with F None, when gcd(m, m') != 1 mod p.
+    Else it is "separable-split" when F = s: then m divides s^p - s, the
+    product of the p factors s - r, so m is five distinct linear factors.
+    Else it is "separable-irreducible" when gcd(s^(p^2) - s, m) = 1 and
+    "separable-partial" otherwise.  s^(p^2) - s is the product of the monic
+    irreducibles of degree 1 and 2 mod p, and a reducible quintic has a
+    factor of degree at most 2, so that gcd is 1 iff m is irreducible mod p.
+
+    s^(p^2) is F(F), F evaluated at itself by Horner's rule in four
+    products, not a second power: x -> x^p is a ring map of (Z/p)[s]/(m)
+    that fixes Z/p, so s^(p^2) = F(s)^p = F(s^p) = F(F).
+    """
+    m = _fp_normalize(m_asc, p)
+    if len(_fp_poly_gcd(m, _poly_deriv(m), p)) != 1:
+        return "inseparable", None
     s = [0, 1]
-    for i in (1, 2):
-        frob = _fpq_pow(s, p ** i, m_asc, p)
-        diff = _fp_normalize(_poly_sub(frob, s), p)
-        g = _fp_poly_gcd(m_asc, diff, p)
-        if len(g) != 1:
-            return False
-    return True
+    frob = _fpq_pow(s, p, m, p)
+    if frob == s:
+        return "separable-split", frob
+    frob2 = []
+    for c in reversed(frob):
+        frob2 = _poly_add(_fpq_mul(frob2, frob, m, p), [c])
+    if len(_fp_poly_gcd(m, _poly_sub(frob2, s), p)) == 1:
+        return "separable-irreducible", frob
+    return "separable-partial", frob
+
+
+def minpoly_splitting_mod_p(spec, p):
+    """"separable-irreducible", "separable-split", "separable-partial", or
+    "inseparable" for the quintic mod p, by ``_frobenius``."""
+    m_asc = spec.ascending()
+    if len(_fp_normalize(m_asc, p)) != DEGREE + 1:
+        raise DomainError("leading coefficient vanished; not a valid reduction")
+    return _frobenius(m_asc, p)[0]
+
+
+# ---------------------------------------------------------------------------
+# conjugates of the generator
+
+
+# primes up to this bound are tried for an inert prime and for a refuting
+# Frobenius
+PRIME_BOUND = 500
+
+
+def _find_inert_prime(m_asc):
+    for p in range(3, PRIME_BOUND + 1, 2):
+        if _is_prime(p) and _frobenius(m_asc, p)[0] == "separable-irreducible":
+            return p
+    raise DomainError(f"no prime below {PRIME_BOUND} certifies irreducibility")
 
 
 def _newton_lift(root_mod_p, m_asc, p, k):
@@ -524,7 +559,7 @@ def galois_conjugates(spec):
     m_asc = spec.ascending()
     p = spec.inert_prime
     # Frobenius image s^p of the generator in the residue field
-    frob = _fpq_pow([0, 1], p, m_asc, p)
+    frob = _frobenius(m_asc, p)[1]
 
     k = FIRST_LIFT_EXPONENT
     while k * p.bit_length() <= MAX_LIFT_BITS:
@@ -561,12 +596,10 @@ def _refute_by_frobenius(m_asc, disc):
     small prime; a cyclic field never fails it, so the check can only
     refute, never certify.
     """
-    s = [0, 1]
     for p in range(2, PRIME_BOUND + 1):
         if not _is_prime(p) or disc % p == 0:
             continue
-        mp = _fp_normalize(m_asc, p)
-        if _fpq_pow(s, p, mp, p) == s or _is_irreducible_mod_p(mp, p):
+        if _frobenius(m_asc, p)[0] in ("separable-split", "separable-irreducible"):
             continue
         raise NotCyclicError(
             f"not cyclic: Frobenius at p = {p} is neither the identity nor a 5-cycle"

@@ -39,12 +39,11 @@ from .fibers import (
     _singular_mask,
     enumerate_fiber,
     jacobian_matrix_mod_p,
-    minpoly_splitting_mod_p,
     rank_mod_p,
     solve_mod_p,
 )
 from .model import DelPezzoModel, _form_vectors, _quadric_gram, chart_point, fixture
-from .numberfield import _is_prime
+from .numberfield import _is_prime, minpoly_splitting_mod_p
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
 
@@ -1319,13 +1318,19 @@ def unramified_invariant_check(model, ell):
     unramified degree-5 extension once it is a unit, and it is always a
     unit because the fiber meets {l1 = 0} in no rational point; the check
     verifies that emptiness by enumeration.  At a split prime the class
-    itself dies locally, so nothing needs enumerating.
+    itself dies locally, so nothing needs enumerating.  Where the minimal
+    polynomial m is inseparable mod ell, ell ramifies in K or only divides
+    the index [O_K : Z[a]] (as 7 does for zeta25, where 7 splits), and the
+    check is refused.
     """
     if model.spec is None:
         raise DomainError("unramified checks need the field data on the model")
     splitting = minpoly_splitting_mod_p(model.spec, ell)
     if splitting == "inseparable":
-        raise DomainError(f"{ell} ramifies in the splitting field")
+        raise DomainError(
+            f"the minimal polynomial is inseparable mod {ell}, "
+            f"so {ell} ramifies in K or divides the index [O_K : Z[a]]"
+        )
     if splitting == "separable-split":
         return {
             "prime": ell,

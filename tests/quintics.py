@@ -1,4 +1,9 @@
-"""Quintic polynomials shared by the test modules."""
+"""Quintic polynomials and models shared by the test modules."""
+
+from functools import cache
+
+from dp5brauer.model import build_model
+from dp5brauer.numberfield import QuinticFieldSpec
 
 
 def lehmer_quintic(n):
@@ -12,3 +17,10 @@ def lehmer_quintic(n):
         n ** 3 + 4 * n * n + 10 * n + 10,
         1,
     )
+
+
+@cache
+def lehmer_model(n):
+    """The model built from the reversal of ``lehmer_quintic(n)``, once per
+    test session."""
+    return build_model(QuinticFieldSpec(lehmer_quintic(n)[::-1]))

@@ -26,7 +26,6 @@ from dp5brauer.fibers import (
     enumerate_fiber,
     find_lines,
     jacobian_matrix_mod_p,
-    minpoly_splitting_mod_p,
     rank_mod_p,
     singular_points,
     solve_mod_p,
@@ -40,13 +39,12 @@ from dp5brauer.model import (
     _quadric_gram,
     _quadric_rank,
     _solver_shaped,
-    build_model,
     fixture,
 )
-from dp5brauer.numberfield import QuinticFieldSpec
+from dp5brauer.numberfield import QuinticFieldSpec, minpoly_splitting_mod_p
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
-from quintics import lehmer_quintic
+from quintics import lehmer_model, lehmer_quintic
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -78,6 +76,20 @@ def test_split_fiber_at_23(m11):
     assert report.point_count == 645 == 23 * 23 + 5 * 23 + 1
     assert len(report.lines) == 10
     assert report.singular == ()
+
+
+def test_a_fiber_that_breaks_its_prediction_is_refused(m11):
+    # zeta11plus's quadrics over Lehmer's n = 5 field: 19 splits there but
+    # is inert for zeta11plus, and 11 is inert there but ramified for
+    # zeta11plus
+    swapped = DelPezzoModel("swapped", QuinticFieldSpec(lehmer_quintic(5)), m11.quadrics, m11.l1, m11.l2)
+    assert minpoly_splitting_mod_p(swapped.spec, 19) == "separable-split"
+    for p, message in (
+        (19, "split prediction violated at 19: 362 points (expected 457), 0 lines, 0 singular"),
+        (11, "inert prediction violated at 11: 133 points (expected 122), 1 lines, 1 singular"),
+    ):
+        with pytest.raises(FiberInconsistencyError, match=f"^{re.escape(message)}$"):
+            classify_fiber(swapped, p)
 
 
 def test_singular_fiber_at_the_ramified_prime(m11):
@@ -338,7 +350,7 @@ def test_quadric_rank_is_read_off_the_invariant_factors(m11, m25):
     # no fixture or Lehmer model n = -4..5 has dependent quadrics mod a
     # prime <= 100, so the rank rule changes none of their fibers; the rank
     # mod p agrees with a row reduction, on rank-deficient models too
-    models = [m11, m25] + [build_model(QuinticFieldSpec(lehmer_quintic(n)[::-1])) for n in range(-4, 6)]
+    models = [m11, m25] + [lehmer_model(n) for n in range(-4, 6)]
     primes = [p for p in range(2, 101) if fibers._is_prime(p)]
     for m in models:
         assert _quadric_rank(m.quadrics) == 5
@@ -797,7 +809,7 @@ def _line_models():
     """Both fixtures, the ten Lehmer models and three unimodular moves of
     each fixture, by name."""
     models = {name: fixture(name) for name in ("zeta11plus", "zeta25")}
-    models.update({f"lehmer{n}": build_model(QuinticFieldSpec(lehmer_quintic(n)[::-1])) for n in range(-4, 6)})
+    models.update({f"lehmer{n}": lehmer_model(n) for n in range(-4, 6)})
     for name in ("zeta11plus", "zeta25"):
         rng = random.Random(name)
         models.update({f"{name}-moved{k}": _substituted(models[name], _unimodular(rng)) for k in range(3)})

@@ -1,5 +1,6 @@
 """Quintic field arithmetic and the cyclic-Galois certificate."""
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from dp5brauer.numberfield import (
     discriminant,
     evaluate_poly,
     galois_conjugates,
+    minpoly_splitting_mod_p,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
@@ -285,3 +287,63 @@ def test_horner_equals_the_sum_of_the_terms(name):
             for c in coeffs:
                 total, power = total + power * c, power * x
             assert value == total
+
+
+# both fixtures and Lehmer's quintic n = -10..10 in both coefficient orders
+# (leading first, as the benchmark builds it, and reversed, as the fiber
+# tests do), in this order
+SPLITTING_QUINTICS = [(1, 1, -4, -3, 3, 1), ZETA25_MINPOLY] + [
+    c for n in range(-10, 11) for c in (lehmer_quintic(n), lehmer_quintic(n)[::-1])
+]
+SPLITTING_PRIMES = [p for p in range(2, 98) if all(p % d for d in range(2, p))]
+# SHA-256 of the repr of the 44 x 25 labels of minpoly_splitting_mod_p on
+# SPLITTING_QUINTICS at SPLITTING_PRIMES, and of the inert prime and the
+# conjugates (num, den) of each quintic, recorded from the four separate
+# computations of s^p that ``_frobenius`` replaced
+SPLITTING_SHA256 = "03838af3d8a30cf98d9611c6c88d05642bb8ef7b516fd94729e67ef6dd53c03e"
+CONJUGATES_SHA256 = "5468fd3d3d38282fcada3b5598383e9f02bee0347b4cab0d7001d1e6a3452a6f"
+
+
+def _splitting_labels():
+    specs = [QuinticFieldSpec(c) for c in SPLITTING_QUINTICS]
+    return [[minpoly_splitting_mod_p(spec, p) for p in SPLITTING_PRIMES] for spec in specs]
+
+
+def test_splitting_labels_are_pinned():
+    labels = _splitting_labels()
+    assert sum(map(len, labels)) == 1100
+    assert hashlib.sha256(repr(labels).encode()).hexdigest() == SPLITTING_SHA256
+
+
+def test_inert_primes_and_conjugates_are_pinned():
+    specs = [QuinticFieldSpec(c) for c in SPLITTING_QUINTICS]
+    pinned = [(s.inert_prime, [(x.num, x.den) for x in galois_conjugates(s)]) for s in specs]
+    assert hashlib.sha256(repr(pinned).encode()).hexdigest() == CONJUGATES_SHA256
+
+
+def test_split_and_inert_labels_count_the_roots_mod_p():
+    # the roots r in Z/p of m, by Horner's rule on integers: five at a
+    # split label and none at an inert one; a cyclic quintic never splits
+    # partially
+    for coeffs, labels in zip(SPLITTING_QUINTICS, _splitting_labels()):
+        for p, label in zip(SPLITTING_PRIMES, labels):
+            roots = 0
+            for r in range(p):
+                value = 0
+                for c in coeffs:
+                    value = (value * r + c) % p
+                roots += value == 0
+            assert label != "separable-partial", (coeffs, p)
+            if label == "separable-split":
+                assert roots == 5, (coeffs, p)
+            elif label == "separable-irreducible":
+                assert roots == 0, (coeffs, p)
+
+
+def test_a_quadratic_times_a_cubic_is_partial_not_irreducible():
+    # x^5 - x - 1 (Galois group S_5) has no root mod 2, 7 or 37, where it is
+    # a quadratic times a cubic: only s^(p^2) tells it from an irreducible
+    spec = QuinticFieldSpec((1, 0, 0, 0, -1, -1))
+    for p in (2, 7, 37):
+        assert all((r ** 5 - r - 1) % p for r in range(p))
+        assert minpoly_splitting_mod_p(spec, p) == "separable-partial", p

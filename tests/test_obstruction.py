@@ -19,6 +19,7 @@ from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
 from dp5brauer.model import DelPezzoModel, chart_point
+from dp5brauer.numberfield import discriminant
 from dp5brauer.obstruction import (
     _POWERS_11,
     CENSUS_11_TOTAL,
@@ -1058,7 +1059,7 @@ def test_smooth_census_scans_the_kernel_at_its_extremes(m11, monkeypatch, trigge
     assert full_scan == (228 if triggers == "none" else 8)
 
 
-def test_unramified_invariants(m11):
+def test_unramified_invariants(m11, m25):
     inert = unramified_invariant_check(m11, 7)
     assert inert["splitting"] == "inert"
     assert inert["line_vanishing_points"] == 0
@@ -1068,6 +1069,11 @@ def test_unramified_invariants(m11):
     assert split["invariant_trivial"]
     with pytest.raises(DomainError):
         unramified_invariant_check(m11, 11)
+    # 7 splits completely in the zeta25 field (7^2 = -1 mod 25) but divides
+    # the index of Z[a]: disc m = 5^8 7^6, so m is inseparable mod 7
+    assert discriminant(m25.spec.coefficients) == 5 ** 8 * 7 ** 6
+    with pytest.raises(DomainError, match="inseparable mod 7, so 7 ramifies in K or divides the index"):
+        unramified_invariant_check(m25, 7)
 
 
 def test_caches_stay_bounded_across_invariance_checks(m11):

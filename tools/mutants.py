@@ -275,6 +275,37 @@ MUTANTS = (
         "[c.numerator * scale]",
         ("tests/test_numberfield.py::test_horner_equals_the_sum_of_the_terms",),
     ),
+    # one Frobenius per prime: how the minimal polynomial splits mod p
+    Mutant(
+        "frobenius-gcd-on-f-only",
+        NUMBERFIELD,
+        "_fp_poly_gcd(m, _poly_sub(frob2, s), p)",
+        "_fp_poly_gcd(m, _poly_sub(frob, s), p)",
+        (
+            "tests/test_numberfield.py::test_spec_rejects_bad_polynomials",
+            "tests/test_numberfield.py::test_a_quadratic_times_a_cubic_is_partial_not_irreducible",
+        ),
+    ),
+    Mutant(
+        "frobenius-f-times-f",
+        NUMBERFIELD,
+        "    frob2 = []\n    for c in reversed(frob):\n        frob2 = _poly_add(_fpq_mul(frob2, frob, m, p), [c])\n",
+        "    frob2 = _fpq_mul(frob, frob, m, p)\n",
+        (
+            "tests/test_numberfield.py::test_spec_rejects_bad_polynomials",
+            "tests/test_numberfield.py::test_a_quadratic_times_a_cubic_is_partial_not_irreducible",
+        ),
+    ),
+    Mutant(
+        "frobenius-split-inverted",
+        NUMBERFIELD,
+        "    if frob == s:\n        return \"separable-split\", frob",
+        "    if frob != s:\n        return \"separable-split\", frob",
+        (
+            "tests/test_numberfield.py::test_splitting_labels_are_pinned",
+            "tests/test_numberfield.py::test_split_and_inert_labels_count_the_roots_mod_p",
+        ),
+    ),
     Mutant(
         "kernel-sign-dropped",
         FIBERS,
