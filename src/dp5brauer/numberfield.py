@@ -459,7 +459,11 @@ def _frobenius(m_asc, p):
 
 def minpoly_splitting_mod_p(spec, p):
     """"separable-irreducible", "separable-split", "separable-partial", or
-    "inseparable" for the quintic mod p, by ``_frobenius``."""
+    "inseparable" for the quintic mod the prime p, by ``_frobenius``.  Any
+    other p is refused before the reduction: Z/p is then no field, and
+    ``_fpq_pow`` would never end on a negative p."""
+    if not _is_prime(p):
+        raise DomainError(f"{p} is not prime")
     m_asc = spec.ascending()
     if len(_fp_normalize(m_asc, p)) != DEGREE + 1:
         raise DomainError("leading coefficient vanished; not a valid reduction")

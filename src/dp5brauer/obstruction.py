@@ -162,10 +162,15 @@ class InvariantImage:
         return doc
 
 
-def _reduce_form(h, modulus):
-    if len(h) != 6:
+def _six_coefficients(h):
+    coeffs = tuple(int(c) for c in h)
+    if len(coeffs) != 6:
         raise DomainError("a hyperplane form needs six coefficients")
-    reduced = tuple(int(c) % modulus for c in h)
+    return coeffs
+
+
+def _reduce_form(h, modulus):
+    reduced = tuple(c % modulus for c in _six_coefficients(h))
     if not any(reduced):
         raise DomainError(f"form vanishes identically modulo {modulus}")
     return reduced
@@ -180,10 +185,10 @@ def _require_fixture_chart(model, modulus):
         raise DomainError(f"chart evaluation needs l1 = u0 modulo {modulus}")
 
 
-def _inverted_value_classes(group, values):
-    # the classes of the inverses, in the group's canonical order
-    inverted = {group.class_of(pow(v, -1, group.modulus)) for v in values}
-    return tuple(cls for cls in group.classes if cls in inverted)
+def _mask_classes(group, mask):
+    """The cosets of ``group`` whose bits are set in a ``_coset_bits`` mask,
+    in the group's canonical order."""
+    return tuple(cls for i, cls in enumerate(group.classes) if mask >> i & 1)
 
 
 class _BoundedCache(OrderedDict):
@@ -226,7 +231,8 @@ _CHART_TRIGGERS_11 = _read_only([(0, 0, 0, 0, 0, 1)])
 
 
 class _Route11(NamedTuple):
-    """One checked route of ``_image_masks_11``, its points split by l1."""
+    """One checked route of the mask kernel ``_orbit_masks_11``, its points
+    split by l1; ``_route_11`` looks it up."""
 
     l1: np.ndarray  # the six coefficients of l1 mod 11
     values: np.ndarray  # value points, each with l1(P) = 1
@@ -256,21 +262,25 @@ def _build_route_11(l1, values, triggers, route):
     return _Route11(l1, values, triggers, *tables, _unfired_bases_11(l1, triggers))
 
 
+# a constant, so cached for the process rather than in ``_FIBER_CACHE``,
+# which a caller may empty between requests
 @lru_cache(maxsize=1)
 def _chart_route_11():
     l1 = np.array(U0_FORM, dtype=np.int32)
     return _build_route_11(l1, _CHART_POINTS_11, _CHART_TRIGGERS_11, "chart")
 
 
-def _cached_route_11(model, route):
-    """The checked ``_Route11`` of one route, built once.
+def _route_11(model, route):
+    """The checked ``_Route11`` of one route of a modulus-11 model, built once.
 
     The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``, a
-    constant.  The smooth-point route holds the smooth points of the
-    fiber, in the tuple order of ``fibers._fiber_array``, the rows its
-    singular mask leaves out: those off {l1 = 0}, each scaled by
-    1/l1, are its value points, and those on {l1 = 0} its triggers; it is
-    cached per model in ``_FIBER_CACHE``.
+    constant, and needs the conductor model with l1 = u0 mod 11.  The
+    smooth-point route holds the smooth points of the fiber, in the tuple
+    order of ``fibers._fiber_array``, the rows its singular mask leaves
+    out: those off {l1 = 0}, each scaled by 1/l1, are its value points,
+    and those on {l1 = 0} its triggers; it is cached per model in
+    ``_FIBER_CACHE``.  Every model refusal of a mod-11 entry point is
+    raised here.
     """
     if route == "chart":
         _require_fixture_chart(model, 11)
@@ -292,23 +302,6 @@ def _cached_route_11(model, route):
     return _FIBER_CACHE[key]
 
 
-def _route_points_11(model, route):
-    """(value points, trigger points) of ``_cached_route_11``."""
-    r = _cached_route_11(model, route)
-    return r.values, r.fixed
-
-
-def _route_11(model, route):
-    """The checked ``_Route11`` of the points of ``_route_points_11``: the
-    cached route for its own arrays, else (a replaced ``_route_points_11``)
-    one built and checked on every call."""
-    values, triggers = _route_points_11(model, route)
-    cached = _cached_route_11(model, route)
-    if values is cached.values and triggers is cached.fixed:
-        return cached
-    return _build_route_11(cached.l1, values, triggers, route)
-
-
 # the reason of a per-form image: (some trigger fired, the values decided it)
 _REASONS_11 = {
     "chart": ("u5 coefficient nonzero: chart values cover every coset", "chart values"),
@@ -316,25 +309,26 @@ _REASONS_11 = {
 }
 
 
-def _route_image_11(model, h, route):
-    """The image of the reduced form h along one ``_route_11``, read as
-    ``_image_masks_11`` reads it: full when h is a unit at a trigger point,
-    else the coset set of 1/v over the unit values v = h(P) at the value
-    points.  On the smooth route the first fired trigger, in fiber order, is
-    the certificate; the chart route's one trigger is e5, which its reason
+def _route_image_11(model, hbar, route):
+    """The image of the form hbar mod 11 along one ``_route_11``, the model
+    refused before the form, read as the mask kernel ``_orbit_masks_11``
+    reads it: full when h is a unit at a trigger point, else the coset set
+    of 1/v over the unit values v = h(P) at the value points.  On the
+    smooth route the first fired trigger, in fiber order, is the
+    certificate; the chart route's one trigger is e5, which its reason
     names, so it carries none."""
     group = fifth_power_classes(11)
     r = _route_11(model, route)
-    column = np.array(h, dtype=np.int32)
+    column = np.array(_reduce_form(hbar, 11), dtype=np.int32)
     fired = np.flatnonzero(r.fixed @ column % 11)
     full_reason, values_reason = _REASONS_11[route]
     if len(fired):
         certificate = {"point": r.fixed[fired[0]].tolist()} if route == "smooth" else None
         return InvariantImage(11, 11, group.classes, None, full_reason, certificate)
-    values = set((r.values @ column % 11).tolist()) - {0}
-    return InvariantImage(
-        11, 11, _inverted_value_classes(group, values), tuple(sorted(values)), values_reason
-    )
+    hv = r.values @ column % 11
+    mask = int(np.bitwise_or.reduce(_coset_bits(11, invert=True)[hv]))
+    values = tuple(sorted(set(hv.tolist()) - {0}))
+    return InvariantImage(11, 11, _mask_classes(group, mask), values, values_reason)
 
 
 def inv_image_11(model, hbar):
@@ -346,8 +340,7 @@ def inv_image_11(model, hbar):
     exactly the unit values of h/l1, and the image is the coset set of their
     inverses.
     """
-    _require_fixture_chart(model, 11)
-    return _route_image_11(model, _reduce_form(hbar, 11), "chart")
+    return _route_image_11(model, hbar, "chart")
 
 
 def inv_image_11_smoothpath(model, hbar):
@@ -361,9 +354,7 @@ def inv_image_11_smoothpath(model, hbar):
     that it gives the invariant image is open.  The route agrees with the
     chart route on every form (``path_agreement_check``).
     """
-    if model.modulus != 11:
-        raise DomainError("this invariant computation needs a modulus-11 model")
-    return _route_image_11(model, _reduce_form(hbar, 11), "smooth")
+    return _route_image_11(model, hbar, "smooth")
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +393,16 @@ def _tangent_certificate(h25):
     raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
 
 
+def _reduce_form_25(model, h):
+    """The residues mod 25 of a six-coefficient form h primitive mod 5, on
+    the conductor-25 model with l1 = u0 mod 25; the model is refused first."""
+    _require_fixture_chart(model, 25)
+    h25 = tuple(c % 25 for c in _six_coefficients(h))
+    if all(c % 5 == 0 for c in h25):
+        raise DomainError("form must be primitive modulo 5")
+    return h25
+
+
 def inv_image_25(model, h):
     """Invariant image of the conductor-25 model, computed modulo 25.
 
@@ -414,10 +415,7 @@ def inv_image_25(model, h):
     lam + 5*kappa for kappa in the chart image of k.
     """
     group = fifth_power_classes(25)
-    _require_fixture_chart(model, 25)
-    h25 = tuple(int(c) % 25 for c in h)
-    if all(c % 5 == 0 for c in h25):
-        raise DomainError("form must be primitive modulo 5")
+    h25 = _reduce_form_25(model, h)
     if any(h25[i] % 5 for i in range(1, 6)):
         cert = _tangent_certificate(h25)
         return InvariantImage(
@@ -426,8 +424,9 @@ def inv_image_25(model, h):
     lam = h25[0]
     coeffs = tuple(h25[i] // 5 for i in range(1, 6))
     values = tuple(sorted((lam + 5 * k) % 25 for k in _kappa_image(coeffs)))
+    mask = int(np.bitwise_or.reduce(_coset_bits(25, invert=True)[list(values)]))
     return InvariantImage(
-        5, 25, _inverted_value_classes(group, values), values, "values determined by the residue"
+        5, 25, _mask_classes(group, mask), values, "values determined by the residue"
     )
 
 
@@ -519,15 +518,11 @@ def inv_image_25_liftpath(model, h):
     fullness honestly.
     """
     group = fifth_power_classes(25)
-    _require_fixture_chart(model, 25)
-    h25 = tuple(int(c) % 25 for c in h)
-    if all(c % 5 == 0 for c in h25):
-        raise DomainError("form must be primitive modulo 5")
+    h25 = _reduce_form_25(model, h)
     values, masks = _lift_masks_25(model, np.array(h25, dtype=np.int64)[:, None])
-    hv, mask = values[:, 0], int(masks[0])
+    hv = values[:, 0]
     units = tuple(sorted(set(hv[hv % 5 != 0].tolist())))
-    classes = tuple(cls for i, cls in enumerate(group.classes) if mask >> i & 1)
-    return InvariantImage(5, 25, classes, units, "chart lift values")
+    return InvariantImage(5, 25, _mask_classes(group, int(masks[0])), units, "chart lift values")
 
 
 def tangent_surjectivity_check(model):
@@ -578,9 +573,7 @@ class SolubilityCertificate:
 
 
 def _require_primitive(h):
-    coeffs = tuple(int(c) for c in h)
-    if len(coeffs) != 6:
-        raise DomainError("a hyperplane form needs six coefficients")
+    coeffs = _six_coefficients(h)
     if math.gcd(*coeffs) != 1:
         raise DomainError("form must be primitive")
     return coeffs
@@ -801,23 +794,15 @@ def _value_sets(tables, forms):
 
 
 def _orbit_masks_11(route, bases):
-    """(11, n) masks along a ``_route_11``: entry [c, j] is the mask of
-    bases[:, j] + c*l1, read off the value set of the base rotated by c."""
-    masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
-    # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
-    todo = np.flatnonzero((_value_sets(route.fixed_tables, bases) & 0x7FE) == 0)
-    masks[:, todo] = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases[:, todo])]
-    return masks
+    """(11, n) invariant-image bit masks along a ``_route_11``: entry [c, j]
+    is the mask of bases[:, j] + c*l1, read off the value set of the base
+    rotated by c, so row 0 holds the masks of the columns of ``bases``.
 
+    ``bases`` is a (6, n) array of residues mod 11.  Bit i of a uint8 mask
+    is set when the image holds the coset
+    ``fifth_power_classes(11).classes[i]``; a full image is 31.
 
-def _image_masks_11(model, forms, route):
-    """Invariant-image bit masks of the columns of ``forms`` along one route.
-
-    ``forms`` is a (6, n) array of residues mod 11 and ``route`` is
-    ``"chart"`` or ``"smooth"``.  Bit i of a uint8 mask is set when the image
-    holds the coset ``fifth_power_classes(11).classes[i]``; a full image is 31.
-
-    A route (``_cached_route_11``) is a list of value points P, each scaled
+    A route (``_route_11``) is a list of value points P, each scaled
     so that l1(P) = 1, and a list of trigger points.  The mask is the set
     of cosets of 1/h(P) over the value points where h(P) is a unit, and it
     is full as soon as h is a unit at a trigger point.  ``inv_image_11``
@@ -853,7 +838,7 @@ def _image_masks_11(model, forms, route):
     point and l1(T) = 0 at every trigger point; building a route
     (``_build_route_11``) raises, naming the point, where one breaks it.
     So the value set of a form h, gathered once, gives the masks of its
-    whole orbit h + c*l1 (``_orbit_masks_11``), the mask of h in row 0.
+    whole orbit h + c*l1, the mask of h in row 0.
     The exhaustive sweeps split every form as b + c*l1 with b_i = 0 at the
     first index i where l1_i != 0, and gather one value set per base b
     (``_unfired_bases_11``).
@@ -861,13 +846,13 @@ def _image_masks_11(model, forms, route):
     Triggers first.  The fixed triggers go through their own tables for
     every form, and fire when the folded set has a bit other than bit 0.
     A form with a fired fixed trigger gets the full mask 31, and so does
-    its whole orbit, so no value set of it is ever gathered
-    (``_orbit_masks_11``).  Every mask is therefore the one that
-    evaluating all forms and then overwriting the fired ones gives.  The
-    forms that fire no fixed trigger are the kernel of the fixed trigger
-    matrix mod 11, so the exhaustive sweeps enumerate them as orbits
-    (``_unfired_class_masks_11``) and skip the fixed trigger pass: 1,465
-    bases on the chart route of zeta11plus and 134 on its smooth route.
+    its whole orbit, so no value set of it is ever gathered.  Every mask
+    is therefore the one that evaluating all forms and then overwriting the
+    fired ones gives.  The forms that fire no fixed trigger are the kernel
+    of the fixed trigger matrix mod 11, so the exhaustive sweeps enumerate
+    them as orbits (``_unfired_class_masks_11``) and skip the fixed trigger
+    pass: 1,465 bases on the chart route of zeta11plus and 134 on its
+    smooth route.
 
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
@@ -881,7 +866,11 @@ def _image_masks_11(model, forms, route):
     the ten multiples of h omit the identity; none does when the image is
     full.
     """
-    return _orbit_masks_11(_route_11(model, route), forms)[0]
+    masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
+    # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
+    todo = np.flatnonzero((_value_sets(route.fixed_tables, bases) & 0x7FE) == 0)
+    masks[:, todo] = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases[:, todo])]
+    return masks
 
 
 def _representatives_11(tops=range(6)):
@@ -1011,10 +1000,10 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     counted through the chart masks of their projective classes, read as
     the eleven translates of 1,465 bases (``_unfired_bases_11``): a class
     h stands for the multiples lam*h with the coset of lam missing from its
-    mask (see ``_image_masks_11``).  ``validate_surjectivity`` additionally
-    evaluates the chart values of every form with u5 = 1, which are the
-    translates b + c*u0 of the 14,641 bases b = (0, b1, ..., b4, 1): 14,641
-    value sets read at 11 shifts.  Fullness is invariant under scaling, so
+    mask (the scaling law of ``_orbit_masks_11``).  ``validate_surjectivity``
+    additionally evaluates the chart values of every form with u5 = 1,
+    which are the translates b + c*u0 of the 14,641 bases
+    b = (0, b1, ..., b4, 1): 14,641 value sets read at 11 shifts.  Fullness is invariant under scaling, so
     this verifies the fullness claim for all 11^6 - 11^5 = 1,610,510
     u5-dependent forms, and the first form found partial is named.  The
     obstructing classes are re-derived from the shape classification as an
@@ -1024,12 +1013,11 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     start = time.monotonic()
     if model is None:
         model = fixture("zeta11plus")
-    _require_fixture_chart(model, 11)
+    route = _route_11(model, "chart")
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
 
-    route = _route_11(model, "chart")
     bases, shifts, columns, masks = _unfired_class_masks_11(route)
     # only the flagged multiples lam*h are formed, not all ten of every class h
     lam, k = np.nonzero(_obstructing_scalings(masks))
@@ -1208,7 +1196,7 @@ def path_agreement_check(model):
 
     It compares one form of each projective class only, and reports all
     ten multiples of a disagreeing one.  By the scaling law in
-    ``_image_masks_11`` both routes map the masks of h to those of lam*h by
+    ``_orbit_masks_11`` both routes map the masks of h to those of lam*h by
     the same permutation pi_lam, so the routes agree on lam*h exactly when
     they agree on h.  A class that fires a fixed trigger on both
     routes has the full mask 31 on both and cannot disagree, so only the
@@ -1238,7 +1226,7 @@ def census_11_smoothpath(model):
 
     Works for any modulus-11 model, including coordinate-changed ones, since
     it never assumes the chart shape of l1.  By the scaling law in
-    ``_image_masks_11`` exactly 10 - 2 * |image(r)| of the ten multiples of
+    ``_orbit_masks_11`` exactly 10 - 2 * |image(r)| of the ten multiples of
     a projective representative r omit the identity, and none does when
     its image is full or a point of {l1 = 0} triggers; every nonzero form
     is one multiple of one representative, so these weights sum to the

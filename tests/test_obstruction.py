@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import random
 import re
+import signal
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,7 @@ from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
 from dp5brauer.model import DelPezzoModel, chart_point
-from dp5brauer.numberfield import discriminant
+from dp5brauer.numberfield import discriminant, minpoly_splitting_mod_p
 from dp5brauer.obstruction import (
     _POWERS_11,
     CENSUS_11_TOTAL,
@@ -41,12 +42,9 @@ from dp5brauer.obstruction import (
     verdict,
 )
 from dp5brauer.obstruction import (
-    _image_masks_11,
     _orbit_masks_11,
     _random_invertible_mod11,
     _representatives_11,
-    _route_11,
-    _route_points_11,
     _scalings_11,
     _unfired_representatives_11,
 )
@@ -176,6 +174,24 @@ def test_non_proportional_form_is_full_mod_25(m25):
 def test_imprimitive_form_is_rejected_mod_25(m25):
     with pytest.raises(DomainError):
         inv_image_25(m25, (5, 0, 0, 10, 0, 0))
+    with pytest.raises(DomainError):
+        inv_image_25_liftpath(m25, (5, 0, 0, 10, 0, 0))
+
+
+@pytest.mark.parametrize("length", [0, 1, 5, 7, 12])
+def test_every_image_refuses_a_form_without_six_coefficients(m11, m25, length):
+    # one message for every image, before any array product can misread
+    # the form or, on a form proportional to u0, drop a seventh coefficient
+    images = (
+        (m11, inv_image_11),
+        (m11, inv_image_11_smoothpath),
+        (m25, inv_image_25),
+        (m25, inv_image_25_liftpath),
+    )
+    for model, image in images:
+        for h in ((1,) * length, (OBSTRUCTED_25_H + (0,) * 6)[:length]):
+            with pytest.raises(DomainError, match="^a hyperplane form needs six coefficients$"):
+                image(model, h)
 
 
 def test_liftpath_agrees_on_proportional_forms(m25):
@@ -496,6 +512,128 @@ def test_verdict_needs_a_fixture(m11):
         verdict(stripped, HEADLINE_H)
 
 
+# (entry point, input) -> (exception type, message), None where the call
+# answers; recorded before the mod-11 routes were read as values, when the
+# two mod-25 images met a form of five or seven coefficients with numpy's
+# ValueError, an IndexError or (seven, proportional to u0) no refusal
+_CONDUCTOR_11 = ("DomainError", "this invariant computation needs the conductor model with modulus 11")
+_CONDUCTOR_25 = ("DomainError", "this invariant computation needs the conductor model with modulus 25")
+_MODULUS_11 = ("DomainError", "this invariant computation needs a modulus-11 model")
+_CHART_L1 = ("DomainError", "chart evaluation needs l1 = u0 modulo 11")
+_SIX = ("DomainError", "a hyperplane form needs six coefficients")
+_PRIMITIVE_5 = ("DomainError", "form must be primitive modulo 5")
+_PRIMITIVE = ("DomainError", "form must be primitive")
+REFUSALS = {
+    ("inv_image_11", "stripped"): _CONDUCTOR_11,
+    ("inv_image_11", "moved"): _CHART_L1,
+    ("inv_image_11", "zero"): ("DomainError", "form vanishes identically modulo 11"),
+    ("inv_image_11", "imprimitive-mod-5"): None,
+    ("inv_image_11", "stripped-zero"): _CONDUCTOR_11,
+    ("inv_image_11", "five-coefficients"): _SIX,
+    ("inv_image_11", "seven-coefficients"): _SIX,
+    ("inv_image_11", "five-proportional"): _SIX,
+    ("inv_image_11", "seven-proportional"): _SIX,
+    ("inv_image_11_smoothpath", "stripped"): _MODULUS_11,
+    ("inv_image_11_smoothpath", "moved"): None,
+    ("inv_image_11_smoothpath", "zero"): ("DomainError", "form vanishes identically modulo 11"),
+    ("inv_image_11_smoothpath", "imprimitive-mod-5"): None,
+    ("inv_image_11_smoothpath", "stripped-zero"): _MODULUS_11,
+    ("inv_image_11_smoothpath", "five-coefficients"): _SIX,
+    ("inv_image_11_smoothpath", "seven-coefficients"): _SIX,
+    ("inv_image_11_smoothpath", "five-proportional"): _SIX,
+    ("inv_image_11_smoothpath", "seven-proportional"): _SIX,
+    ("inv_image_25", "stripped"): _CONDUCTOR_25,
+    ("inv_image_25", "moved"): _CONDUCTOR_25,
+    ("inv_image_25", "zero"): _PRIMITIVE_5,
+    ("inv_image_25", "imprimitive-mod-5"): _PRIMITIVE_5,
+    ("inv_image_25", "stripped-zero"): _CONDUCTOR_25,
+    ("inv_image_25", "five-coefficients"): _SIX,
+    ("inv_image_25", "seven-coefficients"): _SIX,
+    ("inv_image_25", "five-proportional"): _SIX,
+    ("inv_image_25", "seven-proportional"): _SIX,
+    ("inv_image_25_liftpath", "stripped"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "moved"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "zero"): _PRIMITIVE_5,
+    ("inv_image_25_liftpath", "imprimitive-mod-5"): _PRIMITIVE_5,
+    ("inv_image_25_liftpath", "stripped-zero"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "five-coefficients"): _SIX,
+    ("inv_image_25_liftpath", "seven-coefficients"): _SIX,
+    ("inv_image_25_liftpath", "five-proportional"): _SIX,
+    ("inv_image_25_liftpath", "seven-proportional"): _SIX,
+    ("verdict", "stripped"): ("DomainError", "verdicts need one of the stored fixtures; for other models only unramified checks are available"),
+    ("verdict", "moved"): ("DomainError", "solubility analysis needs the stored fixture data"),
+    ("verdict", "zero"): _PRIMITIVE,
+    ("verdict", "imprimitive-mod-5"): _PRIMITIVE,
+    # verdict reads the form before the model
+    ("verdict", "stripped-zero"): _PRIMITIVE,
+    ("verdict", "five-coefficients"): _SIX,
+    ("verdict", "seven-coefficients"): _SIX,
+    ("verdict", "five-proportional"): _SIX,
+    ("verdict", "seven-proportional"): _SIX,
+    ("census_11", "stripped"): _CONDUCTOR_11,
+    ("census_11", "moved"): _CHART_L1,
+    ("census_11_smoothpath", "stripped"): _MODULUS_11,
+    ("census_11_smoothpath", "moved"): None,
+    ("path_agreement_check", "stripped"): _CONDUCTOR_11,
+    ("path_agreement_check", "moved"): _CHART_L1,
+    ("census_25", "stripped"): _CONDUCTOR_25,
+    ("census_25", "moved"): _CONDUCTOR_25,
+    ("tangent_surjectivity_check", "stripped"): _CONDUCTOR_25,
+    ("tangent_surjectivity_check", "moved"): _CONDUCTOR_25,
+}
+# the entry points of the table, each with the modulus of its fixture;
+# the first five take a form, the others a model only
+_REFUSAL_MODULI = {
+    "inv_image_11": 11,
+    "inv_image_11_smoothpath": 11,
+    "inv_image_25": 25,
+    "inv_image_25_liftpath": 25,
+    "verdict": 11,
+    "census_11": 11,
+    "census_11_smoothpath": 11,
+    "path_agreement_check": 11,
+    "census_25": 25,
+    "tangent_surjectivity_check": 25,
+}
+_FORM_ENTRIES = tuple(_REFUSAL_MODULI)[:5]
+
+
+def _refusal_arguments(m11, m25, entry, label):
+    q = _REFUSAL_MODULI[entry]
+    fixture = m11 if q == 11 else m25
+    stripped = DelPezzoModel.from_json_dict(fixture.to_json_dict())
+    moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(79)))
+    if entry not in _FORM_ENTRIES:
+        return ({"stripped": stripped, "moved": moved}[label],)
+    form = HEADLINE_H if q == 11 else OBSTRUCTED_25_H
+    zero = (0,) * 6
+    return {
+        "stripped": (stripped, form),
+        "moved": (moved, form),
+        "zero": (fixture, zero),
+        "imprimitive-mod-5": (fixture, (5, 0, 0, 10, 0, 0)),
+        "stripped-zero": (stripped, zero),
+        "five-coefficients": (fixture, (0, 1, 0, 0, 0)),
+        "seven-coefficients": (fixture, (0, 1, 0, 0, 0, 0, 0)),
+        "five-proportional": (fixture, form[:5]),
+        "seven-proportional": (fixture, form + (0,)),
+    }[label]
+
+
+@pytest.mark.parametrize("entry, label", list(REFUSALS), ids=[f"{e}-{i}" for e, i in REFUSALS])
+def test_refusals_are_pinned(m11, m25, entry, label):
+    # every model refusal of an image comes before its form refusal, and
+    # the route lookup refuses what the census entry points refuse
+    args = _refusal_arguments(m11, m25, entry, label)
+    try:
+        getattr(obstruction, entry)(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the pin
+        got = (type(exc).__name__, str(exc))
+    else:
+        got = None
+    assert got == REFUSALS[entry, label]
+
+
 def test_census_11_counts(m11):
     result = census_11(m11, jobs=1)
     assert result["total"] == CENSUS_11_TOTAL == 1771560
@@ -655,6 +793,32 @@ def _without_triggers(r):
     return obstruction._build_route_11(r.l1, r.values, r.fixed[:0], "test")
 
 
+def _image_masks_11(model, forms, route):
+    # the masks of the columns of ``forms``, row 0 of their orbit masks; the
+    # route is looked up at call time, so an injected route is the one read
+    return _orbit_masks_11(obstruction._route_11(model, route), forms)[0]
+
+
+def _inject_route(monkeypatch, edit):
+    """Make ``obstruction._route_11`` return the real route with its points
+    replaced by ``edit(route, values, triggers)``, rebuilt through
+    ``_build_route_11`` on every call, so its l1 checks guard every cut,
+    doubled or extra-trigger route."""
+    real = obstruction._route_11
+
+    def injected(model, route):
+        r = real(model, route)
+        values, triggers = edit(route, r.values, r.fixed)
+        return obstruction._build_route_11(r.l1, values, triggers, route)
+
+    monkeypatch.setattr(obstruction, "_route_11", injected)
+
+
+def _cut_chart(route, values, triggers):
+    # with 12 value points the trigger decides masks that evaluation leaves partial
+    return values[:12], triggers
+
+
 def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
     rng = random.Random(513)
     matrix = _random_invertible_mod11(rng)
@@ -669,13 +833,6 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
     assert sum(h[5] != 0 for h in forms) > 100
     # the form h reads h * matrix in the moved coordinates
     moved_forms = (np.array(forms) @ np.array(matrix) % 11).tolist()
-    route_points = obstruction._route_points_11
-
-    def cut_chart(model, route):
-        # with 12 value points the trigger decides masks that evaluation leaves partial
-        values, triggers = route_points(model, route)
-        return values[:12], triggers
-
     high_folds = 0
     for model, route, forms in (
         (m11, "chart", forms),
@@ -685,15 +842,16 @@ def test_mask_kernel_matches_a_direct_evaluation(m11, monkeypatch):
     ):
         if route == "cut chart":
             route = "chart"
-            monkeypatch.setattr(obstruction, "_route_points_11", cut_chart)
+            _inject_route(monkeypatch, _cut_chart)
         cols = np.array(forms, dtype=np.int32).T
-        values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
+        r = obstruction._route_11(model, route)
+        values, triggers = r.values.tolist(), r.fixed.tolist()
         needed = [_folds_high(values, h) for h in forms]
         assert sum(1 in folds for folds in needed) > 20
         high_folds += sum(2 in folds for folds in needed)
         masks = {
             True: _image_masks_11(model, cols, route).tolist(),
-            False: _orbit_masks_11(_without_triggers(_route_11(model, route)), cols)[0].tolist(),
+            False: _orbit_masks_11(_without_triggers(r), cols)[0].tolist(),
         }
         for with_triggers, got in masks.items():
             expected = [_direct_mask(values, triggers if with_triggers else [], h) for h in forms]
@@ -727,22 +885,17 @@ def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypat
             h[2] = h[4] = h[5] = 0  # z-free forms have partial images
         if any(h):
             forms.append(h)
-    route_points = obstruction._route_points_11
-
-    def cut_chart(model, route):
-        values, triggers = route_points(model, route)
-        return values[:12], triggers
-
     cases = (
         (m11, "chart", None),
         (m11, "smooth", None),
         (moved, "smooth", None),
-        (m11, "chart", cut_chart),
+        (m11, "chart", _cut_chart),
     )
     for model, route, patch in cases:
         if patch is not None:
-            monkeypatch.setattr(obstruction, "_route_points_11", patch)
-        values, triggers = (a.tolist() for a in obstruction._route_points_11(model, route))
+            _inject_route(monkeypatch, patch)
+        r = obstruction._route_11(model, route)
+        values, triggers = r.values.tolist(), r.fixed.tolist()
         l1 = np.array([c % 11 for c in model.l1])
         pivot = int(np.flatnonzero(l1)[0])
         cols = np.array(forms).T
@@ -751,7 +904,7 @@ def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypat
             cols = np.array(matrix).T @ cols % 11
         bases = (cols - cols[pivot] * pow(int(l1[pivot]), -1, 11) * l1[:, None]) % 11
         assert not bases[pivot].any()
-        masks = obstruction._orbit_masks_11(obstruction._route_11(model, route), bases)
+        masks = obstruction._orbit_masks_11(r, bases)
         translates = [(bases + c * l1[:, None]) % 11 for c in range(11)]
         expected = [
             [_direct_mask(values, triggers, h) for h in t.T.tolist()] for t in translates
@@ -769,15 +922,10 @@ def test_orbit_masks_equal_a_direct_evaluation_of_every_translate(m11, monkeypat
 def test_a_value_point_off_l1_equal_one_is_refused(m11, monkeypatch):
     # the translation law needs l1(P) = 1 at every value point: doubled
     # points would shift every translate, so the route raises instead
-    route_points = obstruction._route_points_11
-
-    def doubled(model, route):
-        values, triggers = route_points(model, route)
-        return values * 2 % 11, triggers
-
-    monkeypatch.setattr(obstruction, "_route_points_11", doubled)
+    firsts = {route: obstruction._route_11(m11, route).values[0] for route in ("chart", "smooth")}
+    _inject_route(monkeypatch, lambda route, values, triggers: (values * 2 % 11, triggers))
     for route in ("chart", "smooth"):
-        first = route_points(m11, route)[0][0] * 2 % 11
+        first = firsts[route] * 2 % 11
         message = rf"value point {re.escape(str(first.tolist()))} of the {route} route has l1 = 2"
         with pytest.raises(FiberInconsistencyError, match=message):
             _image_masks_11(m11, _representatives_11((1,)), route)
@@ -792,14 +940,8 @@ def test_a_value_point_off_l1_equal_one_is_refused(m11, monkeypatch):
 def test_a_trigger_point_off_l1_equal_zero_is_refused(m11, monkeypatch):
     # a trigger off {l1 = 0} would fire on some translates h + c*l1 of a
     # form and not on others, so the route raises, naming the point
-    route_points = obstruction._route_points_11
     off_line = np.array([[3, 1, 4, 1, 5, 9], [2, 7, 1, 8, 2, 8]], dtype=np.int32)
-
-    def extra_triggers(model, route):
-        values, triggers = route_points(model, route)
-        return values, np.vstack([triggers, off_line])
-
-    monkeypatch.setattr(obstruction, "_route_points_11", extra_triggers)
+    _inject_route(monkeypatch, lambda route, values, triggers: (values, np.vstack([triggers, off_line])))
     for route in ("chart", "smooth"):
         message = rf"trigger point \[3, 1, 4, 1, 5, 9\] of the {route} route has l1 = 3, not 0"
         with pytest.raises(FiberInconsistencyError, match=message):
@@ -824,7 +966,7 @@ def test_the_chart_route_is_checked_when_it_is_built(m11, monkeypatch):
     finally:
         monkeypatch.undo()
         obstruction._chart_route_11.cache_clear()
-    assert _route_11(m11, "chart") is _route_11(m11, "chart")
+    assert obstruction._route_11(m11, "chart") is obstruction._route_11(m11, "chart")
 
 
 def test_the_smooth_route_cache_tells_l1_apart(m11):
@@ -836,9 +978,9 @@ def test_the_smooth_route_cache_tells_l1_apart(m11):
     )
     for first, second in ((m11, doubled), (doubled, m11)):
         obstruction._FIBER_CACHE.clear()
-        _route_11(first, "smooth")
-        r = _route_11(second, "smooth")
-        assert r is _route_11(second, "smooth")
+        obstruction._route_11(first, "smooth")
+        r = obstruction._route_11(second, "smooth")
+        assert r is obstruction._route_11(second, "smooth")
         l1 = np.array(second.l1) % 11
         assert (r.l1 == l1).all()
         assert (r.values @ l1 % 11 == 1).all() and not (r.fixed @ l1 % 11).any()
@@ -859,7 +1001,7 @@ def test_the_smooth_route_is_the_fiber_tuples_in_order(m11, moved):
     scale = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)
     expected = obstruction._build_route_11(l1, smooth[l1v != 0] * scale[:, None] % 11, smooth[l1v == 0], "smooth")
     obstruction._FIBER_CACHE.clear()
-    route = _route_11(model, "smooth")
+    route = obstruction._route_11(model, "smooth")
     for name in ("values", "fixed", "bases"):
         got, want = getattr(route, name), getattr(expected, name)
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
@@ -870,19 +1012,13 @@ def test_the_smooth_route_is_the_fiber_tuples_in_order(m11, moved):
 def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     # on 12 chart points some u5 = 1 form has a partial image; the check
     # over the 14,641 bases and their eleven translates must name one
-    route_points = obstruction._route_points_11
-
-    def cut_chart(model, route):
-        values, triggers = route_points(model, route)
-        return values[:12], triggers
-
-    monkeypatch.setattr(obstruction, "_route_points_11", cut_chart)
+    values = obstruction._route_11(m11, "chart").values[:12].tolist()
+    _inject_route(monkeypatch, _cut_chart)
     assert census_11(m11)["obstructing"] > 0  # the census itself does not check
     with pytest.raises(FiberInconsistencyError, match="failed the fullness claim") as err:
         census_11(m11, validate_surjectivity=True)
     form = tuple(int(c) for c in re.search(r"form \(([^)]*)\)", str(err.value)).group(1).split(","))
     assert form[5] == 1
-    values = route_points(m11, "chart")[0][:12].tolist()
     assert _direct_mask(values, [], form) != 31
 
 
@@ -918,10 +1054,10 @@ def test_triggers_decide_before_values(m11):
     reps = _representatives_11()
     moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(8)))
     for model, route in ((m11, "chart"), (m11, "smooth"), (moved, "smooth")):
-        triggers = _route_points_11(model, route)[1]
-        fired = (reps.T @ triggers.T % 11 != 0).any(axis=1)
+        r = obstruction._route_11(model, route)
+        fired = (reps.T @ r.fixed.T % 11 != 0).any(axis=1)
         assert 0 < fired.sum() < reps.shape[1]
-        evaluated = _orbit_masks_11(_without_triggers(_route_11(model, route)), reps)[0]
+        evaluated = _orbit_masks_11(_without_triggers(r), reps)[0]
         masks = _image_masks_11(model, reps, route)
         assert np.array_equal(masks, np.where(fired, 31, evaluated)), route
 
@@ -966,15 +1102,13 @@ def test_representative_weights_count_obstructing_scalings(m11):
 def _cut_smooth_route(monkeypatch, values=None, triggers=None):
     """Keep only the first ``values`` value points and ``triggers`` trigger
     points of the smooth route (None keeps them all)."""
-    route_points = obstruction._route_points_11
 
-    def cut(model, route):
-        points = route_points(model, route)
+    def cut(route, points, fixed):
         if route == "smooth":
-            points = (points[0][:values], points[1][:triggers])
-        return points
+            return points[:values], fixed[:triggers]
+        return points, fixed
 
-    monkeypatch.setattr(obstruction, "_route_points_11", cut)
+    _inject_route(monkeypatch, cut)
 
 
 def _assert_exhaustive_matches_sampled(m11):
@@ -1007,7 +1141,7 @@ def test_exhaustive_agreement_covers_both_unfired_sets(m11, monkeypatch):
     # those disagree
     _cut_smooth_route(monkeypatch, values=40, triggers=1)
     chart, smooth = (
-        set(_POWERS_11 @ _unfired_representatives_11(obstruction._route_points_11(m11, r)[1]))
+        set(_POWERS_11 @ _unfired_representatives_11(obstruction._route_11(m11, r).fixed))
         for r in ("chart", "smooth")
     )
     assert len(chart) == len(smooth) == 16105 and chart != smooth
@@ -1027,14 +1161,14 @@ def test_unfired_representatives_are_the_trigger_kernel(m11):
     moved = [transformed_model_mod11(m11, _random_invertible_mod11(rng)) for _ in range(2)]
     cases = [(m11, "chart"), (m11, "smooth")] + [(m, "smooth") for m in moved]
     for model, route in cases:
-        triggers = _route_points_11(model, route)[1]
+        triggers = obstruction._route_11(model, route).fixed
         reps = _unfired_representatives_11(triggers)
         last_nonzero = 5 - np.argmax(reps[::-1] != 0, axis=0)
         assert (reps[last_nonzero, np.arange(reps.shape[1])] == 1).all(), route
         numbers = _POWERS_11 @ reps
         assert len(set(numbers.tolist())) == reps.shape[1]
         assert np.array_equal(np.sort(numbers), np.sort(_kernel_oracle(triggers))), route
-    assert _unfired_representatives_11(_route_points_11(m11, "smooth")[1]).shape == (6, 1464)
+    assert _unfired_representatives_11(obstruction._route_11(m11, "smooth").fixed).shape == (6, 1464)
 
 
 @pytest.mark.parametrize("triggers", ["none", "spanning"])
@@ -1043,14 +1177,9 @@ def test_smooth_census_scans_the_kernel_at_its_extremes(m11, monkeypatch, trigge
     # alone still give 228); triggers that span {l1 = 0} = {u0 = 0} fire on
     # every form but the multiples of l1, whose mask is the identity coset,
     # so eight of the ten multiples obstruct
-    route_points = obstruction._route_points_11
     assert [c % 11 for c in m11.l1] == [1, 0, 0, 0, 0, 0]
     rows = np.eye(6, dtype=np.int32)[6 if triggers == "none" else 1 :]
-
-    def replace_triggers(model, route):
-        return route_points(model, route)[0], rows
-
-    monkeypatch.setattr(obstruction, "_route_points_11", replace_triggers)
+    _inject_route(monkeypatch, lambda route, values, fixed: (values, rows))
     unfired = _unfired_representatives_11(rows)
     assert unfired.shape == ((6, 177156) if triggers == "none" else (6, 1))
     masks = _image_masks_11(m11, _representatives_11(), "smooth")
@@ -1076,13 +1205,42 @@ def test_unramified_invariants(m11, m25):
         unramified_invariant_check(m25, 7)
 
 
+def _within(seconds, call, *args):
+    """call(*args), or TimeoutError when it has not returned after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [-7, -1, 0, 1, 4, 9, 25])
+def test_a_non_prime_is_refused_before_the_reduction(m11, p):
+    # the alarm bounds the call: unchecked, -7 makes ``_fpq_pow`` loop forever
+    for call, arg in ((minpoly_splitting_mod_p, m11.spec), (unramified_invariant_check, m11)):
+        with pytest.raises(DomainError, match=f"^{p} is not prime$"):
+            _within(5, call, arg, p)
+
+
+def test_split_primes_above_the_enumeration_bound_are_answered(m11):
+    # the prime check applies no enumeration bound: a split prime above it
+    # needs no fiber
+    assert unramified_invariant_check(m11, 199)["splitting"] == "split"
+
+
 def test_caches_stay_bounded_across_invariance_checks(m11):
     # fill the fiber cache with coordinate-changed models first, so the two
     # checks below push it past its cap
     rng = random.Random(1234)
     for _ in range(obstruction.CACHE_SIZE):
         moved = transformed_model_mod11(m11, _random_invertible_mod11(rng))
-        _route_points_11(moved, "smooth")
+        obstruction._route_11(moved, "smooth")
         assert len(obstruction._FIBER_CACHE) <= obstruction.CACHE_SIZE
     for seed in (5, 6):
         report = obstruction.census_invariance_check(m11, transforms=1, seed=seed)

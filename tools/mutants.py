@@ -149,9 +149,49 @@ MUTANTS = (
     Mutant(
         "smooth-image-reads-chart",
         OBSTRUCTION,
-        'return _route_image_11(model, _reduce_form(hbar, 11), "smooth")',
-        'return _route_image_11(model, _reduce_form(hbar, 11), "chart")',
+        'return _route_image_11(model, hbar, "smooth")',
+        'return _route_image_11(model, hbar, "chart")',
         ("tests/test_obstruction.py::test_smoothpath_reads_the_fiber_of_a_moved_model",),
+    ),
+    # one route lookup, one coset table behind every invariant image
+    Mutant(
+        "chart-route-unguarded",
+        OBSTRUCTION,
+        "        _require_fixture_chart(model, 11)\n        return _chart_route_11()",
+        "        return _chart_route_11()",
+        ("tests/test_obstruction.py::test_smoothpath_reads_the_fiber_of_a_moved_model",),
+    ),
+    Mutant(
+        "route-image-bits-uninverted",
+        OBSTRUCTION,
+        "_coset_bits(11, invert=True)[hv]",
+        "_coset_bits(11, invert=False)[hv]",
+        ("tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",),
+    ),
+    Mutant(
+        "mask-classes-shifted",
+        OBSTRUCTION,
+        "if mask >> i & 1)",
+        "if mask >> i + 1 & 1)",
+        (
+            "tests/test_obstruction.py::test_obstructed_image_mod_25",
+            "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
+            "tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",
+        ),
+    ),
+    Mutant(
+        "mod-25-prelude-imprimitive",
+        OBSTRUCTION,
+        "    if all(c % 5 == 0 for c in h25):",
+        "    if False:",
+        ("tests/test_obstruction.py::test_imprimitive_form_is_rejected_mod_25",),
+    ),
+    Mutant(
+        "splitting-of-a-non-prime",
+        NUMBERFIELD,
+        "    if not _is_prime(p):\n        raise DomainError(f\"{p} is not prime\")\n    m_asc",
+        "    m_asc",
+        ("tests/test_obstruction.py::test_a_non_prime_is_refused_before_the_reduction",),
     ),
     # three digit-pair tables, one checked route per (model, route)
     Mutant(
