@@ -615,16 +615,6 @@ class FiberReport:
     singular: tuple
     lines: tuple = field(default_factory=tuple)
 
-    def to_json_dict(self):
-        return {
-            "prime": self.prime,
-            "classification": self.classification,
-            "point_count": self.point_count,
-            "singular_points": [list(p) for p in self.singular],
-            "line_count": len(self.lines),
-            "lines": [l.to_json_dict() for l in self.lines],
-        }
-
 
 # the smooth fiber each splitting label of the minimal polynomial predicts:
 # (prediction, classification, a, lines) for p^2 + a p + 1 points, that many
@@ -678,16 +668,6 @@ class ChartCertificate:
     chart_size: int
     off_chart_points: tuple
     line_points: tuple
-
-    def to_json_dict(self):
-        return {
-            "prime": self.prime,
-            "identity_ok": self.identity_ok,
-            "injective": self.injective,
-            "chart_size": self.chart_size,
-            "off_chart_points": [list(p) for p in self.off_chart_points],
-            "line_point_count": len(self.line_points),
-        }
 
 
 # the chart (1, y, z, y^2, y z, y^3 + z^2) of ``chart_point``: the

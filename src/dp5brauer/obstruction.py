@@ -377,20 +377,34 @@ _TANGENT_ROWS_5 = np.array(
 ) % 5
 
 
-def _tangent_pairings_5(forms):
-    """(50, n) pairings mod 5 of the columns h of ``forms`` (6, n), residues
-    below 25, with ``_TANGENT_ROWS_5``; the image of h is full when some
-    pairing is nonzero (``inv_image_25``).  A sum is at most 6 * 4 * 24 =
-    576, so int16 is exact."""
-    return _TANGENT_ROWS_5 @ forms.astype(np.int16) % 5
+def _fullness_witnesses_25(forms):
+    """(pairings, witnesses) of the columns h of ``forms`` (6, n), residues
+    below 25: the premise of the fullness theorem of ``inv_image_25``.
+
+    ``pairings`` (25, 2, n) holds h paired mod 5 with the two chart tangents
+    of ``_TANGENT_ROWS_5`` at each point x of ``_CHART_POINTS_5``.
+    ``witnesses`` (5, 25, n) is True at (c, i, n) when the i-th point
+    witnesses the fullness of h + c*u0: h(x) + c is a unit mod 5 and some
+    pairing is nonzero.  The tangents have no u0 entry, so the shift by c
+    moves h(x) and changes no pairing.  Both products have six terms of at
+    most 4 * 24 = 96, so int16 is exact.
+    """
+    forms = forms.astype(np.int16)
+    pairings = (_TANGENT_ROWS_5 @ forms % 5).reshape(-1, 2, forms.shape[1])
+    values = np.array(_CHART_POINTS_5, dtype=np.int16) @ forms
+    shifted = (values + np.arange(5, dtype=np.int16)[:, None, None]) % 5
+    return pairings, (shifted != 0) & pairings.any(axis=1)
 
 
 def _tangent_certificate(h25):
-    pairings = _tangent_pairings_5(np.array(h25)[:, None]).reshape(25, 2)
-    for point, (gy, gz) in zip(_CHART_POINTS_5, pairings):
-        if gy or gz:
-            return {"point": list(point), "tangent_pairing": [int(gy), int(gz)]}
-    raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
+    """The first chart point in (y, z) order that witnesses the fullness of
+    h25 (``_fullness_witnesses_25``), with its two tangent pairings."""
+    pairings, witnesses = _fullness_witnesses_25(np.array(h25)[:, None])
+    found = np.flatnonzero(witnesses[0, :, 0])
+    if not len(found):
+        raise FiberInconsistencyError("no chart point witnesses the fullness of the image")
+    i = found[0]
+    return {"point": list(_CHART_POINTS_5[i]), "tangent_pairing": pairings[i, :, 0].tolist()}
 
 
 def _reduce_form_25(model, h):
@@ -406,10 +420,18 @@ def _reduce_form_25(model, h):
 def inv_image_25(model, h):
     """Invariant image of the conductor-25 model, computed modulo 25.
 
-    When h mod 5 is not proportional to u0 the image is full: some chart
-    point pairs non-trivially with h on its two-dimensional tangent space,
-    so the 25 lifts of that point already realize every value in one unit
-    residue class mod 5, one from each coset.  Otherwise h = lam*u0 + 5*k
+    When h mod 5 is not proportional to u0 the image is full, and the
+    certificate names a witness: the first chart point x where h(x) is a
+    unit mod 5 and h pairs non-trivially with one of the chart tangents t1,
+    t2 (``_fullness_witnesses_25``; ``tangent_surjectivity_check`` finds
+    one for every such h).  ``_chart_lift_points`` checks that t1 and t2
+    span the lift plane at x, so the lifts of x to the fiber mod 25 with
+    u0 = 1 are x + 5(w0 + a*t1 + b*t2), a, b in F5, and h takes the values
+    h(x) + 5(h.w0 + a*g1 + b*g2) mod 25 on them, g1, g2 the pairings.  As
+    one g is nonzero, these are the five units congruent to h(x) mod 5.
+    That residue class meets each coset of the fifth powers once, since
+    reduction mod 5 maps the fifth powers {1, 7, 18, 24} onto the units mod
+    5; so do the inverses, and the image is full.  Otherwise h = lam*u0 + 5*k
     with k linear over F5, the value of h/l1 at a local point depends only
     on its residue, and the image is the coset set of the inverses of
     lam + 5*kappa for kappa in the chart image of k.
@@ -455,10 +477,14 @@ def _chart_lift_points(model):
     ``_row_reduce_mod_p``.  Each point's kernel basis and its particular
     solution, minus the kernel vector of the right-hand column, come from
     ``_free_kernels``, as in ``solve_mod_p``.  A point off the fiber mod
-    5, a system without a solution, a lift space that is not a plane, or a
-    lift that leaves the fiber mod 25 raises, the first point in order
-    deciding.  Every entry is a residue below 25 and is reduced before the
-    next product, so no sum exceeds 6 * 24^2: int64 is exact.
+    5, a system without a solution, a lift space that is not a plane, a
+    chart tangent of ``_TANGENT_ROWS_5`` outside it, or a lift that leaves
+    the fiber mod 25 raises, the first point in order deciding.  The two
+    tangents are independent (their entries at u1, u2 are (1, 0) and
+    (0, 1)), so the tangent check makes them span the plane: the premise of
+    the fullness theorem of ``inv_image_25``.  Every entry is a residue
+    below 25 and is reduced before the next product, so no sum exceeds
+    6 * 24^2: int64 is exact.
     """
     key = _model_cache_key(model, 25)
     cached = _LIFT_CACHE.get(key)
@@ -472,10 +498,15 @@ def _chart_lift_points(model):
         np.concatenate([jac[:, :, 1:], (-(values // 5) % 5)[:, :, None]], axis=2), 5
     )
     free = ~pivots[:, :5]
+    tangents = _TANGENT_ROWS_5.reshape(25, 2, 6)[:, :, 1:]
     checks = (
         ((values % 5).any(axis=1), "chart point leaves the fiber mod 5"),
         (pivots[:, 5], "chart point admits no lift mod 25"),
         (free.sum(axis=1) != 2, "lift space at a smooth chart point must be a plane"),
+        (
+            (np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents) % 5).any(axis=(1, 2)),
+            "chart tangent leaves the lift plane mod 5",
+        ),
     )
     bad = np.flatnonzero(np.any([failed for failed, _ in checks], axis=0))
     if len(bad):
@@ -514,8 +545,9 @@ def inv_image_25_liftpath(model, h):
     mod-5 chart and collects the unit values of h there (l1 = u0 = 1 on the
     chart), with their cosets, through ``_lift_masks_25``.  For forms
     proportional to u0 modulo 5 every unit point lives above the chart, so
-    this reproduces the image exactly; otherwise it still certifies
-    fullness honestly.
+    this reproduces the image exactly.  Otherwise it is full too: the 25
+    lifts above the witness point of ``inv_image_25`` already give one
+    value in each coset, by the theorem stated there.
     """
     group = fifth_power_classes(25)
     h25 = _reduce_form_25(model, h)
@@ -526,26 +558,29 @@ def inv_image_25_liftpath(model, h):
 
 
 def tangent_surjectivity_check(model):
-    """Verify the fullness criterion against every non-u0 direction mod 5.
+    """Verify the premise of the fullness theorem for every non-u0 direction mod 5.
 
-    For each of the 5^6 - 5 directions h mod 5 not proportional to u0,
-    some chart point must pair non-trivially with h on the tangent plane.
-    Vectorized exhaustive check; returns the counts and any failures.
+    Each of the 5^6 - 5 directions h mod 5 not proportional to u0 must
+    have a chart point x where h(x) is a unit mod 5 and a tangent pairing
+    is nonzero (``_fullness_witnesses_25``, whose first witness is the
+    certificate of ``inv_image_25``).  The other premise, that the chart
+    tangents span the lift plane at every chart point, is checked by
+    ``_chart_lift_points`` whenever it builds the lifts.  Returns the
+    counts and any failures.
 
-    The u0 column of ``_TANGENT_ROWS_5`` is zero, so the pairings of h do
-    not depend on h0: the 3,124 nonzero tails (h1, ..., h5) are paired
-    once each and every result counts for the five h0.  The failures are
-    listed in the base-5 order of h with h0 the lowest digit.
+    The 3,124 nonzero tails (h1, ..., h5) are paired once each: adding
+    h0*u0 shifts h(x) by h0 and changes no pairing, and the witnesses are
+    read for the five h0 at once.  The failures are listed in the base-5
+    order of h with h0 the lowest digit.
     """
     _require_fixture_chart(model, 25)
     tails = _digit_columns(np.arange(1, 5 ** 5), 5, 5)
-    hit = _tangent_pairings_5(np.vstack([np.zeros_like(tails[:1]), tails])).any(axis=0)
+    witnessed = _fullness_witnesses_25(np.vstack([np.zeros_like(tails[:1]), tails]))[1]
+    missed = ~witnessed.any(axis=1).T
     return {
         "directions": 5 * tails.shape[1],
-        "surjective": 5 * int(hit.sum()),
-        "failures": tuple(
-            (h0, *map(int, tails[:, j])) for j in np.flatnonzero(~hit) for h0 in range(5)
-        ),
+        "surjective": int(missed.size - missed.sum()),
+        "failures": tuple((h0, *map(int, tails[:, j])) for j, h0 in zip(*np.nonzero(missed))),
     }
 
 
@@ -1090,43 +1125,35 @@ def _kappa_misses_25():
 
     ``sizes`` (3,125,) holds the kappa image sizes, read off a popcount
     table.  ``misses`` (3,125, 20) is True at (k, j) when the pair (lam, k)
-    obstructs, lam the j-th unit mod 25 in ascending order: the unique
-    fifth power lam + 5*k* in lam's residue class mod 5 is not attained by
-    lam + 5*kappa, that is, bit k* of the mask of k is clear.
+    obstructs, lam the j-th unit mod 25 in ascending order: no value
+    lam + 5*kappa is a fifth power.  The identity bit of
+    ``_coset_bits(25, invert=True)``, the table both mod-25 images read,
+    marks the fifth powers; ``fifth`` (20,) sets bit v when lam + 5v is
+    one, and a pair obstructs when the mask of k shares no bit with it.
     """
-    group = fifth_power_classes(25)
-    kstar = np.array(
-        [next(k for k in range(5) if group.is_fifth_power(lam + 5 * k)) for lam in group.units],
-        dtype=np.uint8,
-    )
-    return _POPCOUNT_5[_KAPPA_MASKS_5], (_KAPPA_MASKS_5[:, None] >> kstar & 1) == 0
+    units = np.array(fifth_power_classes(25).units)
+    identity = _coset_bits(25, invert=True)[(units[:, None] + 5 * np.arange(5)) % 25] & 1
+    fifth = (identity << np.arange(5, dtype=np.uint8)).sum(axis=1, dtype=np.uint8)
+    return _POPCOUNT_5[_KAPPA_MASKS_5], (_KAPPA_MASKS_5[:, None] & fifth) == 0
 
 
-def census_25(model=None, sample_check=0, seed=2026):
+def census_25(model=None):
     """Count the residues h mod 25, primitive mod 5, whose image omits the identity.
 
-    Only forms proportional to u0 modulo 5 can fail fullness, and those
-    correspond bijectively to pairs (lam, k) with lam a unit mod 25 and k a
-    linear form over F5 in u1..u5; each pair is one residue class mod 25.
-    A pair obstructs exactly when the unique fifth power in lam's mod-5
-    residue class is missed by the attained values lam + 5*kappa.
+    Only forms proportional to u0 modulo 5 can fail fullness (the theorem
+    of ``inv_image_25``, whose premises ``tangent_surjectivity_check``
+    checks for every direction and ``_chart_lift_points`` wherever lifts
+    are built), and those correspond bijectively to pairs (lam, k) with lam
+    a unit mod 25 and k a linear form over F5 in u1..u5; each pair is one
+    residue class mod 25.  A pair obstructs exactly when the unique fifth
+    power in lam's mod-5 residue class is missed by the attained values
+    lam + 5*kappa.
 
     All 3,125 k are counted at once from their kappa images as 5-bit masks
     (``_kappa_misses_25``).  Two self-checks run as array predicates, and
     the first failing k in ``product`` order raises: every image has 1, 3
     or 5 values, and only forms constant in z (k2 = k4 = k5 = 0, image not
     full) obstruct, mirroring the breakdown.
-
-    With ``sample_check > 0`` that many random non-proportional forms,
-    drawn from ``random.Random(seed)``, are verified to have full image
-    along both routes, each one integer product over the (6, n) array H of
-    all of them, through the helpers ``inv_image_25`` and
-    ``inv_image_25_liftpath`` use; the first failing sample in draw order
-    raises.  Tangent route: some pairing in ``_tangent_pairings_5(H)`` is
-    nonzero.  Lift route: the coset mask of ``_lift_masks_25(model, H)``
-    is the full mask 31.  Every entry of H is a residue below 25, so both
-    products are exact: no sum exceeds 6 * 4 * 24 in the tangent product
-    (int16) or 6 * 24^2 in the lift product (int64).
     """
     start = time.monotonic()
     if model is None:
@@ -1144,27 +1171,6 @@ def census_25(model=None, sample_check=0, seed=2026):
             )
         raise FiberInconsistencyError(f"obstructing k not constant in z: {coeffs}")
     per_k = misses.sum(axis=1)
-
-    samples = []
-    if sample_check:
-        rng = random.Random(seed)
-        while len(samples) < sample_check:
-            h = tuple(rng.randrange(25) for _ in range(6))
-            # skip forms proportional to u0 mod 5, the imprimitive ones included
-            if any(c % 5 for c in h[1:]):
-                samples.append(h)
-    if samples:
-        forms = np.array(samples, dtype=np.int64).T
-        tangent = _tangent_pairings_5(forms).any(axis=0)
-        lifted = _lift_masks_25(model, forms)[1] == _FULL_MASK
-        failed = np.flatnonzero(~(tangent & lifted))
-        if len(failed):
-            if not tangent[failed[0]]:
-                raise FiberInconsistencyError("no chart point certifies tangent surjectivity")
-            raise FiberInconsistencyError(
-                f"sampled form {samples[failed[0]]} breaks the fullness agreement"
-            )
-
     return {
         "model": model.name,
         "modulus": 25,
@@ -1175,7 +1181,6 @@ def census_25(model=None, sample_check=0, seed=2026):
             "image_size_3": int(per_k[sizes == 3].sum()),
         },
         "kappa_image_sizes": {size: int((sizes == size).sum()) for size in (1, 3, 5)},
-        "sampled_full_agreement": len(samples),
         "wall_time_ms": int((time.monotonic() - start) * 1000),
         "workers": 1,
     }
@@ -1216,7 +1221,6 @@ def path_agreement_check(model):
     bad = np.sort(_POWERS_11 @ _scalings_11(forms).reshape(6, -1))
     return {
         "checked": CENSUS_11_TOTAL,
-        "mode": "exhaustive",
         "disagreements": tuple(int(i) for i in bad),
     }
 

@@ -343,9 +343,7 @@ def _census_claims(rec, m11, m25, fast):
     census25_result = {}
 
     def census25():
-        result = obstruction.census_25(
-            m25, sample_check=0 if fast else 200, seed=2026
-        )
+        result = obstruction.census_25(m25)
         census25_result.update(result)
         return {
             "total": result["total"],

@@ -146,9 +146,7 @@ def test_smoothpath_matches_chart_on_seeded_forms(m11):
 
 def test_path_agreement_exhaustive(m11):
     result = path_agreement_check(m11)
-    assert result["mode"] == "exhaustive"
-    assert result["checked"] == CENSUS_11_TOTAL
-    assert result["disagreements"] == ()
+    assert result == {"checked": CENSUS_11_TOTAL, "disagreements": ()}
 
 
 def test_obstructed_image_mod_25(m25):
@@ -270,24 +268,76 @@ def test_kappa_image_matches_a_python_sum():
         assert obstruction._kappa_image(coeffs) == expected, coeffs
 
 
+def _direct_witnesses(h, points=None):
+    """The chart points x, in (y, z) order, where h(x) is a unit mod 5 and h
+    pairs non-trivially with d/dy or d/dz of (1, y, z, y^2, y z, y^3 + z^2),
+    each with its two pairings."""
+    found = []
+    for y, z in points or product(range(5), repeat=2):
+        pairing = (
+            (h[1] + 2 * y * h[3] + z * h[4] + 3 * y * y * h[5]) % 5,
+            (h[2] + y * h[4] + 2 * z * h[5]) % 5,
+        )
+        x = chart_point(y, z, 5)
+        if sum(c * v for c, v in zip(h, x)) % 5 and any(pairing):
+            found.append((list(x), list(pairing)))
+    return found
+
+
 def test_tangent_pairings_are_the_chart_derivatives(m25):
-    # h paired with d/dy and d/dz of (1, y, z, y^2, y z, y^3 + z^2) at every
-    # chart point mod 5; the certificate names the first nonzero pair
+    # the helper's pairings are the chart derivatives of h at every chart
+    # point mod 5, its witnesses the points where h(x) + c is also a unit;
+    # the certificate names the first witness
     rng = random.Random(14)
     forms = [tuple(rng.randrange(25) for _ in range(6)) for _ in range(40)]
-    got = obstruction._tangent_pairings_5(np.array(forms).T)
+    pairings, witnesses = obstruction._fullness_witnesses_25(np.array(forms).T)
+    assert pairings.shape == (25, 2, 40) and witnesses.shape == (5, 25, 40)
     for n, h in enumerate(forms):
         expected = [
             ((h[1] + 2 * y * h[3] + z * h[4] + 3 * y * y * h[5]) % 5, (h[2] + y * h[4] + 2 * z * h[5]) % 5)
             for y, z in product(range(5), repeat=2)
         ]
-        assert got[:, n].reshape(25, 2).tolist() == [list(pair) for pair in expected], h
+        assert pairings[:, :, n].tolist() == [list(pair) for pair in expected], h
+        for c in range(5):
+            shifted = (h[0] + c,) + h[1:]
+            points = [x for x, _ in _direct_witnesses(shifted)]
+            assert [list(x) for x, w in zip(obstruction._CHART_POINTS_5, witnesses[c, :, n]) if w] == points
         if any(c % 5 for c in h[1:]):
-            i = next(i for i, pair in enumerate(expected) if any(pair))
+            point, pairing = _direct_witnesses(h)[0]
             certificate = inv_image_25(m25, h).certificate
-            assert certificate == {
-                "point": list(obstruction._CHART_POINTS_5[i]), "tangent_pairing": list(expected[i])
-            }, h
+            assert certificate == {"point": point, "tangent_pairing": pairing}, h
+
+
+def test_every_certificate_mod_25_is_a_witness(m25):
+    # for every direction h mod 5 not proportional to u0, the certificate
+    # point x has h(x) a unit mod 5 and a nonzero tangent pairing, and the
+    # 25 lifts above x take exactly the five units congruent to h(x) mod 5
+    lifts = obstruction._chart_lift_points(m25)
+    checked = 0
+    for h in product(range(5), repeat=6):
+        if not any(h[1:]):
+            continue
+        certificate = inv_image_25(m25, h).certificate
+        x = tuple(certificate["point"])
+        value = sum(c * v for c, v in zip(h, x)) % 5
+        assert value and any(certificate["tangent_pairing"]), h
+        i = obstruction._CHART_POINTS_5.index(x)
+        lifted = {int(v) for v in lifts[25 * i : 25 * i + 25] @ np.array(h) % 25}
+        assert lifted == {value + 5 * k for k in range(5)}, h
+        checked += 1
+    assert checked == 15620
+
+
+def test_a_tangent_off_the_lift_plane_is_refused(m25, monkeypatch):
+    # the fullness theorem needs the chart tangents to span the lift plane;
+    # a tangent row bent out of it must stop the lifts from being built
+    rows = obstruction._TANGENT_ROWS_5.copy()
+    rows[14, 3] = (rows[14, 3] + 1) % 5
+    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", rows)
+    obstruction._LIFT_CACHE.clear()
+    with pytest.raises(FiberInconsistencyError, match="chart tangent leaves the lift plane"):
+        obstruction._chart_lift_points(m25)
+    assert not obstruction._LIFT_CACHE
 
 
 def _kappa_census_oracle():
@@ -341,29 +391,6 @@ def _solved_lift_points(model):
 def test_chart_lifts_equal_the_per_point_solves(m25):
     obstruction._LIFT_CACHE.clear()
     assert obstruction._chart_lift_points(m25).tolist() == _solved_lift_points(m25)
-
-
-def test_a_sample_that_is_not_full_is_named(m25, monkeypatch):
-    # only the 25 lifts above the chart point (y, z) = (0, 0), repeated: a
-    # form is full there only when h0 is a unit and (h1, h2) != 0 mod 5
-    lifts = np.tile(obstruction._chart_lift_points(m25)[:25], (25, 1))
-    monkeypatch.setattr(obstruction, "_chart_lift_points", lambda model: lifts)
-    group = fifth_power_classes(25)
-    rng = random.Random(9)
-    drawn = 0
-    while True:
-        h = tuple(rng.randrange(25) for _ in range(6))
-        if not any(c % 5 for c in h[1:]):
-            continue
-        drawn += 1
-        values = {int(pt @ h) % 25 for pt in lifts[:25]} - {0, 5, 10, 15, 20}
-        if len({group.class_of(pow(v, -1, 25)) for v in values}) != 5:
-            break
-    assert drawn > 1
-    assert census_25(m25, sample_check=drawn - 1, seed=9)["sampled_full_agreement"] == drawn - 1
-    message = re.escape(f"sampled form {h} breaks the fullness agreement")
-    with pytest.raises(FiberInconsistencyError, match=message):
-        census_25(m25, sample_check=drawn + 20, seed=9)
 
 
 def test_image_size_law_mod_25(m25):
@@ -661,21 +688,19 @@ def test_census_25_counts(m25):
 
 
 def test_census_25_sampled_brute_force_agrees(m25):
-    # (200, 2026) is the claim table's call; the documents were recorded
-    # before the lift values became one array product
-    for sample, seed in ((50, 9), (200, 2026)):
-        result = census_25(m25, sample_check=sample, seed=seed)
-        del result["wall_time_ms"]
-        assert result == {
-            "model": "zeta25",
-            "modulus": 25,
-            "total": 244125000,
-            "obstructing": 176,
-            "breakdown": {"constant": 16, "image_size_3": 160},
-            "kappa_image_sizes": {1: 1, 3: 20, 5: 3104},
-            "sampled_full_agreement": sample,
-            "workers": 1,
-        }
+    # the one census document, also the claim table's; the fullness it
+    # relies on is checked for every direction, not sampled
+    result = census_25(m25)
+    del result["wall_time_ms"]
+    assert result == {
+        "model": "zeta25",
+        "modulus": 25,
+        "total": 244125000,
+        "obstructing": 176,
+        "breakdown": {"constant": 16, "image_size_3": 160},
+        "kappa_image_sizes": {1: 1, 3: 20, 5: 3104},
+        "workers": 1,
+    }
 
 
 def test_tangent_surjectivity(m25):
@@ -1024,11 +1049,13 @@ def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
 
 @pytest.mark.parametrize("rows", [2, 6])
 def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
-    # with the tangent rows of one or three chart points some directions
-    # fail; the check over the 3,124 tails must give the counts and the
-    # failures, in index order, of the pairing of all 15,625 forms
-    tangent_rows = obstruction._TANGENT_ROWS_5[:rows]
-    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", tangent_rows)
+    # with a chart cut down to its first one or three points some directions
+    # have no witness; the check over the 3,124 tails, shifted by h0, must
+    # give the counts and the failures, in index order, of a direct witness
+    # search over all 15,625 forms
+    points = obstruction._CHART_POINTS_5[: rows // 2]
+    monkeypatch.setattr(obstruction, "_CHART_POINTS_5", points)
+    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", obstruction._TANGENT_ROWS_5[:rows])
     directions = surjective = 0
     failures = []
     for j in range(5 ** 6):
@@ -1036,11 +1063,11 @@ def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
         if not any(h[1:]):
             continue
         directions += 1
-        if any(sum(int(a) * b for a, b in zip(row, h)) % 5 for row in tangent_rows):
+        if _direct_witnesses(h, [x[1:3] for x in points]):
             surjective += 1
         else:
             failures.append(h)
-    assert failures
+    assert failures and any(h[0] for h in failures)
     assert tangent_surjectivity_check(m25) == {
         "directions": directions,
         "surjective": surjective,

@@ -1,0 +1,185 @@
+"""A pinned transcript of the command line: one SHA-256 per invocation.
+
+Each entry of ``CORPUS`` is an argv list run through ``cli.main`` in
+process.  Its digest covers the exit code, the standard error and the
+standard output with every ``wall_time_ms`` key dropped, so a change to any
+document, message or exit code shows up as a changed entry here.
+``python tools/transcript.py`` lists the entries that differ from
+``TRANSCRIPT_SHA256``, and ``--record`` prints the table afresh.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+
+import pytest
+
+from dp5brauer.cli import main
+
+HEADLINE = "0,1,0,-6,0,0"
+OBSTRUCTED_25 = "2,-15,0,10,0,0"
+U4 = "0,0,0,0,1,0"
+U5 = "0,0,0,0,0,1"
+FIXTURES = ("fixture:zeta11plus", "fixture:zeta25")
+
+CORPUS = (
+    ("construct", "--minpoly", "1,1,-4,-3,3,1"),
+    ("construct", "--minpoly", "1,-20,100,-125,50,-5"),
+    *(
+        ("fiber", "--model", m, "--prime", str(p), "--lines", "--singular")
+        for m in FIXTURES
+        for p in (2, 5, 11, 23)
+    ),
+    *(("solubility", "--model", m, "--h", HEADLINE) for m in FIXTURES),
+    ("solubility", "--model", "fixture:zeta25", "--h", OBSTRUCTED_25),
+    ("invariants", "--model", "fixture:zeta11plus", "--h", HEADLINE),
+    ("verdict", "--model", "fixture:zeta11plus", "--h", HEADLINE),
+    *(
+        (command, "--model", "fixture:zeta25", "--h", h)
+        for command in ("invariants", "verdict")
+        for h in (HEADLINE, U4, U5, OBSTRUCTED_25)
+    ),
+    ("census", "--modulus", "11", "--jobs", "1"),
+    ("census", "--modulus", "25", "--jobs", "1"),
+    ("census", "--model", "fixture:zeta11plus", "--modulus", "25", "--jobs", "1"),
+    ("cohomology",),
+    ("verify-paper", "--fast"),
+    ("verify-paper",),
+    # refusals
+    ("construct", "--minpoly", "1,0,0,0,0,-2"),
+    ("construct", "--minpoly", "1,2,3"),
+    ("fiber", "--model", "fixture:zeta99", "--prime", "7"),
+    ("fiber", "--model", "fixture:zeta11plus", "--prime", "4"),
+    ("fiber", "--model", "fixture:zeta11plus", "--prime", "211"),
+    ("solubility", "--model", "fixture:zeta11plus", "--h", "1,2,3"),
+    ("solubility", "--model", "fixture:zeta11plus", "--h", "a,b,c,d,e,f"),
+    ("invariants", "--model", "fixture:zeta11plus", "--h", "0,0,0,0,0,0"),
+    ("invariants", "--model", "fixture:zeta25", "--h", "5,10,0,0,0,0"),
+    ("invariants", "--model", "fixture:zeta25", "--h", HEADLINE, "--modulus", "11"),
+    ("verdict", "--model", "fixture:zeta25", "--h", "5,10,0,0,0,0"),
+    ("verdict", "--model", "no-such-model.json", "--h", HEADLINE),
+    ("fiber", "--model", "fixture:zeta11plus"),
+)
+
+TRANSCRIPT_SHA256 = {
+    "construct --minpoly 1,1,-4,-3,3,1":
+        "0f049666e965d2470c998fb868093da9c51e1d13d1279a9f9c457a9343856557",
+    "construct --minpoly 1,-20,100,-125,50,-5":
+        "8d4a82018adf8e6079d1187ad07ca9a54628028f26642aec0e81c7aa5354d9c3",
+    "fiber --model fixture:zeta11plus --prime 2 --lines --singular":
+        "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
+    "fiber --model fixture:zeta11plus --prime 5 --lines --singular":
+        "81a92ce87e4b97473e962335a59fdd7dcfb0ec9722a7ab521a6ced9939d5726c",
+    "fiber --model fixture:zeta11plus --prime 11 --lines --singular":
+        "c0a4bcb83fec2201dd3d754f158f9afeba85fd269b51622b2bae03f6ea635aca",
+    "fiber --model fixture:zeta11plus --prime 23 --lines --singular":
+        "2605b5653a55064f6d3205a22336ce54e88344edec514aea86ba619b744eed9e",
+    "fiber --model fixture:zeta25 --prime 2 --lines --singular":
+        "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
+    "fiber --model fixture:zeta25 --prime 5 --lines --singular":
+        "281f982b1806114194ffb2949d2203317e330c8834882ff001f7a373f233438b",
+    "fiber --model fixture:zeta25 --prime 11 --lines --singular":
+        "78d415dba51726c85c22220e65a8c944bb114c8aec0e0331c5dce5cd43b59b99",
+    "fiber --model fixture:zeta25 --prime 23 --lines --singular":
+        "b12bf04f05c21286bb4197b3cbafbeac00cf0a59e0180835c2a7ced0eee12282",
+    "solubility --model fixture:zeta11plus --h 0,1,0,-6,0,0":
+        "0cabbf471973257682bbd1d00a41c63de206f8dc6d32584e4ae17e76633ff7f6",
+    "solubility --model fixture:zeta25 --h 0,1,0,-6,0,0":
+        "6d1784186b46335dbb097912a2b5fe86cc57849012db9711bc1d555340e6b934",
+    "solubility --model fixture:zeta25 --h 2,-15,0,10,0,0":
+        "fbac0ef6db3f1684df74a045f0a7e16701262e6b74c19b744b72c6fb416b8bc4",
+    "invariants --model fixture:zeta11plus --h 0,1,0,-6,0,0":
+        "f67214041dbc4baae8e38d84afdf5e2e635b19310cb88fd2a92a257dbb6b65e4",
+    "verdict --model fixture:zeta11plus --h 0,1,0,-6,0,0":
+        "71632351a8f53fdfc8dc70fd7e699cf8e6a45f1fd0b8f25949e94edc31fae5a4",
+    "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0":
+        "b93fae5defacc149d0e56f305a8d90a512d7340d41dbbbff4f77aecb24c570ec",
+    "invariants --model fixture:zeta25 --h 0,0,0,0,1,0":
+        "2cc9c3e234cd21dfd163e73ea106ed501df56b6963ba9d10bd3eabf3e57c254c",
+    "invariants --model fixture:zeta25 --h 0,0,0,0,0,1":
+        "e15d504e911ba89a2930be2b0bd35bae31398734c586d04f285c7ec66d7c4dea",
+    "invariants --model fixture:zeta25 --h 2,-15,0,10,0,0":
+        "cc385143c206038d6368d4702c600f865ad2bea05ce25aec15900d08c412233c",
+    "verdict --model fixture:zeta25 --h 0,1,0,-6,0,0":
+        "4ecd2899549d473952eb220ead4b74a08477cbe270349198a6822ddefe5ffbeb",
+    "verdict --model fixture:zeta25 --h 0,0,0,0,1,0":
+        "fa91a69a8ded72e816ee4cc49be5965bb574ff2d2118b65c23f0b9b25acbd4ff",
+    "verdict --model fixture:zeta25 --h 0,0,0,0,0,1":
+        "0da5201f5e0e131e05b7de0da2fb220529be52e2b1b3c631de43b1baabf6c674",
+    "verdict --model fixture:zeta25 --h 2,-15,0,10,0,0":
+        "43d04812022317e85cf5b676a18bad5b0fc710abcfb7c05f0242e027bde5b79f",
+    "census --modulus 11 --jobs 1":
+        "1e93353a6efbc9c8e3154e747a7c66e64e97f7c443c9147500395d4edc1b2fe2",
+    "census --modulus 25 --jobs 1":
+        "09a031c18bd568d0d014a31162e2458c6bf0782a065e6f5da1c3314fb6755858",
+    "census --model fixture:zeta11plus --modulus 25 --jobs 1":
+        "4386d27e434040738e54596a8c06fdb00436f864e650b3fb68fafcc56a6df82b",
+    "cohomology":
+        "0941285182c1e4f381628152f0bfefec676ed8990e2e71e5b36163c892050eda",
+    "verify-paper --fast":
+        "890a0f37bc2a2f1aeca56ae282d7fc2e9ec489f5d0727719af669aa058212978",
+    "verify-paper":
+        "fc0e32fb9aa48f7e98c2cccb362f7d94132c76174e1c520d68d5d58d5503e507",
+    "construct --minpoly 1,0,0,0,0,-2":
+        "a709c9383948bbe1898958695441bf06162402d25b563a4b09d9646d1f5ae099",
+    "construct --minpoly 1,2,3":
+        "7519bf4c6f97eab35fee5d1fbde19aa88eaf414d61925944e8126a668c96c4d5",
+    "fiber --model fixture:zeta99 --prime 7":
+        "607e77108bd1e7600dfc85877cb6b1c80e58a40f164847de530de358d3355eb1",
+    "fiber --model fixture:zeta11plus --prime 4":
+        "5c2f9d40810e27770598a81b96cea440686fd45075369e887b01332dcfb981c6",
+    "fiber --model fixture:zeta11plus --prime 211":
+        "c3606ecd02905dcfefaacaa8c937c602d148242c3c6a154012df35b89c737341",
+    "solubility --model fixture:zeta11plus --h 1,2,3":
+        "36d2a7b5a9c2336ef31eac46c83b38d79e84602d034d3f281721f5bf192505f0",
+    "solubility --model fixture:zeta11plus --h a,b,c,d,e,f":
+        "5c8bffc32877a31523eba2976e182c35c9401a7d6100ddbe0f41324c3a75b340",
+    "invariants --model fixture:zeta11plus --h 0,0,0,0,0,0":
+        "abac2924560e7fcd4cb45553216f9ebebeb91c5e500695489aabdde0d2958904",
+    "invariants --model fixture:zeta25 --h 5,10,0,0,0,0":
+        "764fd0f6ae9f10c0c35c1193e3a500db84bca09268c8b31dc0791f28647aa5c7",
+    "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0 --modulus 11":
+        "386d9049819201a6fa2e5d810987c34f0bcd454e08cb691567a89dd3e39c0f44",
+    "verdict --model fixture:zeta25 --h 5,10,0,0,0,0":
+        "c817547ba9060ba4435b1ffcd7bc9b5e34b33129d0790b60ed53e0d20cc99937",
+    "verdict --model no-such-model.json --h 0,1,0,-6,0,0":
+        "c1a72482a2da31ac808282030f55801aed91c46ea282e104792a6e777c9f7981",
+    "fiber --model fixture:zeta11plus":
+        "3fe3468068b2ba869b674a580e3b970d04c0484b40cc9efedd2cff9b1dc9519f",
+}
+
+
+def _without_wall_time(doc):
+    if isinstance(doc, dict):
+        return {k: _without_wall_time(v) for k, v in doc.items() if k != "wall_time_ms"}
+    if isinstance(doc, list):
+        return [_without_wall_time(v) for v in doc]
+    return doc
+
+
+def transcript(argv):
+    """(exit code, stderr, stdout without ``wall_time_ms``) of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    if text:
+        text = json.dumps(_without_wall_time(json.loads(text)), indent=2, sort_keys=True)
+    return code, err.getvalue(), text
+
+
+def digest(argv):
+    return hashlib.sha256(json.dumps(transcript(argv)).encode()).hexdigest()
+
+
+def test_the_corpus_has_no_duplicate_entry():
+    assert len(set(CORPUS)) == len(CORPUS)
+
+
+@pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+def test_transcript_is_pinned(argv):
+    assert digest(argv) == TRANSCRIPT_SHA256[" ".join(argv)]

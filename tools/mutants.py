@@ -239,8 +239,8 @@ MUTANTS = (
     Mutant(
         "shifted-kstar",
         OBSTRUCTION,
-        "(_KAPPA_MASKS_5[:, None] >> kstar & 1) == 0",
-        "(_KAPPA_MASKS_5[:, None] >> (kstar + 1) % 5 & 1) == 0",
+        "(_KAPPA_MASKS_5[:, None] & fifth) == 0",
+        "(_KAPPA_MASKS_5[:, None] & (fifth << 1 | fifth >> 4) & 31) == 0",
         ("tests/test_obstruction.py::test_kappa_census_equals_the_per_k_set_loop",),
     ),
     Mutant(
@@ -259,6 +259,31 @@ MUTANTS = (
             "tests/test_obstruction.py::test_liftpath_agrees_on_proportional_forms",
             "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
         ),
+    ),
+    # one fullness witness mod 25
+    Mutant(
+        "witness-ignores-value",
+        OBSTRUCTION,
+        "return pairings, (shifted != 0) & pairings.any(axis=1)",
+        "return pairings, (shifted >= 0) & pairings.any(axis=1)",
+        (
+            "tests/test_obstruction.py::test_every_certificate_mod_25_is_a_witness",
+            "tests/test_obstruction.py::test_tangent_pairings_are_the_chart_derivatives",
+        ),
+    ),
+    Mutant(
+        "lift-plane-unchecked",
+        OBSTRUCTION,
+        '(np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents) % 5).any(axis=(1, 2))',
+        "np.zeros(25, dtype=bool)",
+        ("tests/test_obstruction.py::test_a_tangent_off_the_lift_plane_is_refused",),
+    ),
+    Mutant(
+        "tangent-check-h0-unshifted",
+        OBSTRUCTION,
+        "missed = ~witnessed.any(axis=1).T",
+        "missed = ~witnessed[[0] * 5].any(axis=1).T",
+        ("tests/test_obstruction.py::test_tangent_check_pairs_each_tail_once",),
     ),
     # one elimination per ring: the Smith form on the echelon form, one
     # kernel reader of the mod-p row reduction
