@@ -165,11 +165,12 @@ from .errors import (
     FiberInconsistencyError,
 )
 from .model import (
+    _CHART_TERMS,
+    _chart_tables,
     _quadric_gram,
     _quadric_rank,
     _solver_shaped,
     _yz_product,
-    chart_point,
 )
 from .numberfield import _is_prime, minpoly_splitting_mod_p
 
@@ -670,14 +671,10 @@ class ChartCertificate:
     line_points: tuple
 
 
-# the chart (1, y, z, y^2, y z, y^3 + z^2) of ``chart_point``: the
-# exponents (b, c) of the monomials y^b z^c of each coordinate
-_CHART_TERMS = (((0, 0),), ((1, 0),), ((0, 1),), ((2, 0),), ((1, 1),), ((3, 0), (0, 2)))
-
-
 def _on_chart(gram):
-    """The quadrics q_k = x^T G_k x restricted to the chart, as (5, 7, 5)
-    arrays of (y, z) coefficients (exact for integer Gram arrays)."""
+    """The quadrics q_k = x^T G_k x restricted to the chart of
+    ``_CHART_TERMS``, as (5, 7, 5) arrays of (y, z) coefficients (exact for
+    integer Gram arrays)."""
     chart = np.zeros((6, 4, 3), dtype=np.int64)
     for coord, terms in zip(chart, _CHART_TERMS):
         for b, c in terms:
@@ -703,7 +700,9 @@ def verify_chart(model):
     (as polynomials in y, z mod p; at p = 5 the restriction has degree 6 >= p,
     so vanishing at the p^2 points of the chart would not prove it), the
     chart map is injective on affine space, and together with the points of
-    the unique line it covers the fiber exactly.  Any failure raises
+    the unique line it covers the fiber exactly.  The chart points are the
+    rows of ``_chart_tables(p)``, the table the invariant images read, so
+    the certificate covers the points they evaluate.  Any failure raises
     ChartError.
     """
     p = model.ramified_prime
@@ -714,21 +713,17 @@ def verify_chart(model):
             raise ChartError(
                 f"chart identity fails mod {p}: residue {_monomial_text(residue)}"
             )
-    chart_points = {}
-    for y in range(p):
-        for z in range(p):
-            pt = chart_point(y, z, p)
-            if pt in chart_points:
-                raise ChartError("chart map collides")
-            chart_points[pt] = (y, z)
+    chart_points = set(map(tuple, _chart_tables(p)[0].tolist()))
+    if len(chart_points) != p * p:
+        raise ChartError("chart map collides")
     points = enumerate_fiber(model, p)
     fiber = set(points)
-    if not set(chart_points) <= fiber:
+    if not chart_points <= fiber:
         raise ChartError("chart image leaves the fiber")
     lines = find_lines(model, p, fiber=points)
     if len(lines) != 1:
         raise ChartError(f"expected a unique line mod {p}, found {len(lines)}")
-    off = fiber - set(chart_points)
+    off = fiber - chart_points
     if off != set(lines[0].points):
         raise ChartError("chart image plus the line does not cover the fiber")
     return ChartCertificate(

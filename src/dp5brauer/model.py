@@ -332,8 +332,37 @@ def find_line_products(spec, system, conjugates=None):
 
 
 def chart_point(y, z, p):
-    """The point of the chart above over (y, z), coordinates reduced mod p."""
+    """The point of the chart (1, y, z, y^2, y z, y^3 + z^2) over (y, z),
+    coordinates reduced mod p."""
     return (1, y % p, z % p, y * y % p, y * z % p, (y ** 3 + z * z) % p)
+
+
+# the chart of ``chart_point``: the exponents (b, c) of the monomials
+# y^b z^c of each coordinate
+_CHART_TERMS = (((0, 0),), ((1, 0),), ((0, 1),), ((2, 0),), ((1, 1),), ((3, 0), (0, 2)))
+
+
+@lru_cache(maxsize=8)
+def _chart_tables(p):
+    """(points, tangents) of the chart mod p, read off ``_CHART_TERMS``: one
+    row per (y, z) in ``product`` order, ``points`` (p^2, 6) the chart points
+    and ``tangents`` (p^2, 2, 6) their derivatives d/dy and d/dz, the term
+    y^b z^c giving b y^(b-1) z^c and c y^b z^(c-1).  Read-only int64 views
+    of one array, shared; for p < 2^20 no power y^3 overflows."""
+    y, z = np.divmod(np.arange(p * p, dtype=np.int64), p)
+
+    def monomial(b, c):
+        # an exponent -1 comes only with the factor 0 of its derivative
+        return y ** max(b, 0) * z ** max(c, 0)
+
+    # table[:, i]: the i-th coordinate and its d/dy and d/dz
+    table = np.zeros((3, 6, p * p), dtype=np.int64)
+    for i, terms in enumerate(_CHART_TERMS):
+        for b, c in terms:
+            table[:, i] += monomial(b, c), b * monomial(b - 1, c), c * monomial(b, c - 1)
+    table = table.transpose(2, 0, 1) % p
+    table.flags.writeable = False
+    return table[:, 0], table[:, 1:]
 
 
 def _pairs_vector(pairs):

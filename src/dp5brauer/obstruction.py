@@ -34,6 +34,7 @@ from .fibers import (
     _fiber_array,
     _free_kernels,
     _gram_mod_p,
+    _inverses,
     _polar_mod_p,
     _row_reduce_mod_p,
     _singular_mask,
@@ -42,7 +43,7 @@ from .fibers import (
     rank_mod_p,
     solve_mod_p,
 )
-from .model import DelPezzoModel, _form_vectors, _quadric_gram, chart_point, fixture
+from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram, fixture
 from .numberfield import _is_prime, minpoly_splitting_mod_p
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
@@ -72,9 +73,6 @@ class ResidueClassGroup:
 
     def class_index(self, value):
         return self.classes.index(self.class_of(value))
-
-    def is_fifth_power(self, value):
-        return value % self.modulus in self.fifth_powers
 
 
 def fifth_power_classes(q):
@@ -224,9 +222,7 @@ def _read_only(rows):
     return points
 
 
-# the chart route: the 121 points of the chart modulo 11 in (y, z) order,
-# and the trigger e5, whose h-value is the u5 coefficient
-_CHART_POINTS_11 = _read_only([chart_point(y, z, 11) for y, z in product(range(11), repeat=2)])
+# the trigger of the chart route: e5, whose h-value is the u5 coefficient
 _CHART_TRIGGERS_11 = _read_only([(0, 0, 0, 0, 0, 1)])
 
 
@@ -267,20 +263,20 @@ def _build_route_11(l1, values, triggers, route):
 @lru_cache(maxsize=1)
 def _chart_route_11():
     l1 = np.array(U0_FORM, dtype=np.int32)
-    return _build_route_11(l1, _CHART_POINTS_11, _CHART_TRIGGERS_11, "chart")
+    return _build_route_11(l1, _read_only(_chart_tables(11)[0]), _CHART_TRIGGERS_11, "chart")
 
 
 def _route_11(model, route):
     """The checked ``_Route11`` of one route of a modulus-11 model, built once.
 
-    The chart route is ``_CHART_POINTS_11`` and ``_CHART_TRIGGERS_11``, a
-    constant, and needs the conductor model with l1 = u0 mod 11.  The
-    smooth-point route holds the smooth points of the fiber, in the tuple
-    order of ``fibers._fiber_array``, the rows its singular mask leaves
-    out: those off {l1 = 0}, each scaled by 1/l1, are its value points,
-    and those on {l1 = 0} its triggers; it is cached per model in
-    ``_FIBER_CACHE``.  Every model refusal of a mod-11 entry point is
-    raised here.
+    The chart route is the 121 points of ``_chart_tables(11)`` and
+    ``_CHART_TRIGGERS_11``, a constant, and needs the conductor model with
+    l1 = u0 mod 11.  The smooth-point route holds the smooth points of the
+    fiber, in the tuple order of ``fibers._fiber_array``, the rows its
+    singular mask leaves out: those off {l1 = 0}, each scaled by 1/l1 from
+    ``fibers._inverses``, are its value points, and those on {l1 = 0} its
+    triggers; it is cached per model in ``_FIBER_CACHE``.  Every model
+    refusal of a mod-11 entry point is raised here.
     """
     if route == "chart":
         _require_fixture_chart(model, 11)
@@ -296,8 +292,7 @@ def _route_11(model, route):
         smooth = _read_only(x[~_singular_mask(model, p, x)])
         l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
         l1v = smooth @ l1 % 11
-        l1_inv = np.array([pow(int(v), -1, 11) for v in l1v[l1v != 0]], dtype=np.int32)
-        values = _read_only(smooth[l1v != 0] * l1_inv[:, None] % 11)
+        values = _read_only(smooth[l1v != 0] * _inverses(11)[l1v[l1v != 0], None] % 11)
         _FIBER_CACHE[key] = _build_route_11(l1, values, _read_only(smooth[l1v == 0]), "smooth")
     return _FIBER_CACHE[key]
 
@@ -361,37 +356,22 @@ def inv_image_11_smoothpath(model, hbar):
 # conductor-25 model: invariants modulo 25
 
 
-# the 25 points of the chart modulo 5, in (y, z) order
-_CHART_POINTS_5 = tuple(chart_point(y, z, 5) for y, z in product(range(5), repeat=2))
-
-# the two chart tangent directions d/dy, d/dz at each point above, so that
-# their pairings with h are h1 + 2y h3 + z h4 + 3y^2 h5 and h2 + y h4 + 2z h5;
-# rows 2i and 2i + 1 belong to the i-th point
-_TANGENT_ROWS_5 = np.array(
-    [
-        row
-        for y, z in product(range(5), repeat=2)
-        for row in ((0, 1, 0, 2 * y, z, 3 * y * y), (0, 0, 1, 0, y, 2 * z))
-    ],
-    dtype=np.int16,
-) % 5
-
-
 def _fullness_witnesses_25(forms):
     """(pairings, witnesses) of the columns h of ``forms`` (6, n), residues
     below 25: the premise of the fullness theorem of ``inv_image_25``.
 
     ``pairings`` (25, 2, n) holds h paired mod 5 with the two chart tangents
-    of ``_TANGENT_ROWS_5`` at each point x of ``_CHART_POINTS_5``.
+    d/dy, d/dz at each chart point x of ``_chart_tables(5)``.
     ``witnesses`` (5, 25, n) is True at (c, i, n) when the i-th point
     witnesses the fullness of h + c*u0: h(x) + c is a unit mod 5 and some
     pairing is nonzero.  The tangents have no u0 entry, so the shift by c
     moves h(x) and changes no pairing.  Both products have six terms of at
     most 4 * 24 = 96, so int16 is exact.
     """
+    points, tangents = (table.astype(np.int16) for table in _chart_tables(5))
     forms = forms.astype(np.int16)
-    pairings = (_TANGENT_ROWS_5 @ forms % 5).reshape(-1, 2, forms.shape[1])
-    values = np.array(_CHART_POINTS_5, dtype=np.int16) @ forms
+    pairings = tangents @ forms % 5
+    values = points @ forms
     shifted = (values + np.arange(5, dtype=np.int16)[:, None, None]) % 5
     return pairings, (shifted != 0) & pairings.any(axis=1)
 
@@ -404,7 +384,8 @@ def _tangent_certificate(h25):
     if not len(found):
         raise FiberInconsistencyError("no chart point witnesses the fullness of the image")
     i = found[0]
-    return {"point": list(_CHART_POINTS_5[i]), "tangent_pairing": pairings[i, :, 0].tolist()}
+    point = _chart_tables(5)[0][i].tolist()
+    return {"point": point, "tangent_pairing": pairings[i, :, 0].tolist()}
 
 
 def _reduce_form_25(model, h):
@@ -465,8 +446,8 @@ def _quadric_values_25(gram, x):
 def _chart_lift_points(model):
     """All points of the model over Z/25 lying above the mod-5 chart, u0 = 1.
 
-    A read-only (625, 6) int64 array: the 25 lifts of each point of
-    ``_CHART_POINTS_5`` in turn, the lift along a*w1 + b*w2 for the kernel
+    A read-only (625, 6) int64 array: the 25 lifts of each chart point of
+    ``_chart_tables(5)`` in turn, the lift along a*w1 + b*w2 for the kernel
     basis (w1, w2) with (a, b) in ``product`` order.
 
     All 25 chart points x go through each step at once.  The lift x + 5w
@@ -478,7 +459,7 @@ def _chart_lift_points(model):
     solution, minus the kernel vector of the right-hand column, come from
     ``_free_kernels``, as in ``solve_mod_p``.  A point off the fiber mod
     5, a system without a solution, a lift space that is not a plane, a
-    chart tangent of ``_TANGENT_ROWS_5`` outside it, or a lift that leaves
+    chart tangent of ``_chart_tables(5)`` outside it, or a lift that leaves
     the fiber mod 25 raises, the first point in order deciding.  The two
     tangents are independent (their entries at u1, u2 are (1, 0) and
     (0, 1)), so the tangent check makes them span the plane: the premise of
@@ -490,7 +471,7 @@ def _chart_lift_points(model):
     cached = _LIFT_CACHE.get(key)
     if cached is not None:
         return cached
-    x = np.array(_CHART_POINTS_5, dtype=np.int64)
+    x, tangents = _chart_tables(5)
     gram = _gram_mod_p(model.quadrics, 25)
     values = _quadric_values_25(gram, x)
     jac = (_polar_mod_p(model, 5) @ x.T % 5).transpose(2, 0, 1)
@@ -498,13 +479,12 @@ def _chart_lift_points(model):
         np.concatenate([jac[:, :, 1:], (-(values // 5) % 5)[:, :, None]], axis=2), 5
     )
     free = ~pivots[:, :5]
-    tangents = _TANGENT_ROWS_5.reshape(25, 2, 6)[:, :, 1:]
     checks = (
         ((values % 5).any(axis=1), "chart point leaves the fiber mod 5"),
         (pivots[:, 5], "chart point admits no lift mod 25"),
         (free.sum(axis=1) != 2, "lift space at a smooth chart point must be a plane"),
         (
-            (np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents) % 5).any(axis=(1, 2)),
+            (np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents[:, :, 1:]) % 5).any(axis=(1, 2)),
             "chart tangent leaves the lift plane mod 5",
         ),
     )
@@ -1103,7 +1083,7 @@ _KAPPA_COEFFS_5 = _digit_columns(np.arange(5 ** 5), 5, 5)[::-1].T.astype(np.uint
 # the 25 chart points, as a 5-bit mask with bit v set when v is a value; a
 # value is a sum of five products of residues mod 5, at most 80, so uint8
 _KAPPA_MASKS_5 = np.bitwise_or.reduce(
-    np.uint8(1) << _KAPPA_COEFFS_5 @ np.array(_CHART_POINTS_5, dtype=np.uint8)[:, 1:].T % 5,
+    np.uint8(1) << _KAPPA_COEFFS_5 @ _chart_tables(5)[0][:, 1:].T.astype(np.uint8) % 5,
     axis=1,
 )
 _KAPPA_MASKS_5.setflags(write=False)

@@ -8,9 +8,8 @@ fail the run; they document the discrepancy with both internal routes
 spelled out.
 
 `run_claims(fast=True)` trims the heavy cross-checks (census invariance,
-the surjectivity sweep mod 11, the mod-25 samples, the prime-23 fibers)
-while still touching every public operation of every module; the full run
-replays everything.
+the surjectivity sweep mod 11, the prime-23 fibers) while still touching
+every public operation of every module; the full run replays everything.
 """
 
 from __future__ import annotations

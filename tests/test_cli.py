@@ -270,6 +270,22 @@ def test_verify_paper_records_a_raising_claim_as_failed(monkeypatch, target, fai
     assert verify.has_failures(report)
 
 
+def test_verify_paper_exits_one_on_a_claim_that_computes_another_value(capsys, monkeypatch):
+    # a claim that returns a value other than the published one is a failed
+    # row, not an ok one, and the run exits 1
+    def one_failure(model):
+        return {"directions": 15620, "surjective": 15619, "failures": ((0, 1, 0, 0, 0, 0),)}
+
+    monkeypatch.setattr(obstruction, "tangent_surjectivity_check", one_failure)
+    code, out, _ = run_cli(capsys, ["verify-paper", "--fast"])
+    assert code == 1
+    doc = json.loads(out)
+    row = next(row for row in doc["claims"] if row["id"] == "tangent-surjectivity")
+    assert row["computed"] == {"directions": 15620, "failures": 1}
+    assert row["status"] == "fail"
+    assert doc["counts"]["fail"] == 1
+
+
 def test_json_output_is_sorted_and_stable(capsys):
     _, first, _ = run_cli(
         capsys, ["invariants", "--model", "fixture:zeta11plus", "--h", "0,0,1,0,0,0"]

@@ -28,9 +28,11 @@ from dp5brauer.model import (
     U_QUADRIC_PAIRS,
     DelPezzoModel,
     QuinticSystem,
+    _chart_tables,
     _exponents,
     _yz_product,
     build_model,
+    chart_point,
     double_vanishing_matrix,
     find_line_products,
     fixture,
@@ -119,6 +121,22 @@ def _random_yz(rng, shape):
 
 def _yz_value(f, y, z):
     return sum(v * y ** b * z ** c for (b, c), v in np.ndenumerate(f))
+
+
+@pytest.mark.parametrize("p", [5, 11])
+def test_chart_tables_are_the_chart_and_its_derivatives(p):
+    # rows in (y, z) product order: the scalar chart formula, and the hand
+    # derivatives of (1, y, z, y^2, y z, y^3 + z^2) in y and in z
+    points, tangents = _chart_tables(p)
+    assert points.shape == (p * p, 6) and tangents.shape == (p * p, 2, 6)
+    assert not points.flags.writeable and not tangents.flags.writeable
+    assert _chart_tables(p)[0] is points
+    grid = [(y, z) for y in range(p) for z in range(p)]
+    assert points.tolist() == [list(chart_point(y, z, p)) for y, z in grid]
+    assert tangents.tolist() == [
+        [[c % p for c in (0, 1, 0, 2 * y, z, 3 * y * y)], [c % p for c in (0, 0, 1, 0, y, 2 * z)]]
+        for y, z in grid
+    ]
 
 
 def test_dense_products_follow_the_ring_laws():

@@ -19,7 +19,7 @@ import pytest
 from dp5brauer import obstruction
 from dp5brauer.errors import DomainError, FiberInconsistencyError
 from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
-from dp5brauer.model import DelPezzoModel, chart_point
+from dp5brauer.model import U_QUADRIC_PAIRS, DelPezzoModel, chart_point
 from dp5brauer.numberfield import discriminant, minpoly_splitting_mod_p
 from dp5brauer.obstruction import (
     _POWERS_11,
@@ -55,6 +55,8 @@ HEADLINE_H = (0, 1, 0, -6, 0, 0)
 # int32 product; the two routes agree, so both hashes are this one
 REPRESENTATIVE_MASKS_SHA256 = "dd0e55f3e8df662473ff90bde0f53e250ecba02b700d43e3689fe29a95fca569"
 OBSTRUCTED_25_H = (2, -15, 0, 10, 0, 0)
+# the 25 chart points mod 5 in (y, z) order, from the scalar formula
+CHART_5 = [chart_point(y, z, 5) for y, z in product(range(5), repeat=2)]
 
 
 def test_fifth_power_classes_mod_11():
@@ -63,8 +65,6 @@ def test_fifth_power_classes_mod_11():
     assert group.fifth_powers == (1, 10)
     assert len(group.classes) == 5
     assert group.class_of(1) == (1, 10)
-    assert group.is_fifth_power(10)
-    assert not group.is_fifth_power(2)
     union = sorted(v for cls in group.classes for v in cls)
     assert union == list(range(1, 11))
 
@@ -242,7 +242,7 @@ def test_lift_array_values_match_a_python_sum(m25):
     points = [tuple(int(c) for c in pt) for pt in lifts]
     assert len(set(points)) == 625
     for k, pt in enumerate(points):
-        assert tuple(c % 5 for c in pt) == obstruction._CHART_POINTS_5[k // 25]
+        assert tuple(c % 5 for c in pt) == CHART_5[k // 25]
         assert not any(v % 25 for v in m25.evaluate_quadrics(pt))
     group = fifth_power_classes(25)
     rng = random.Random(300)
@@ -262,9 +262,7 @@ def test_lift_array_values_match_a_python_sum(m25):
 
 def test_kappa_image_matches_a_python_sum():
     for coeffs in product(range(5), repeat=5):
-        expected = {
-            sum(c * x for c, x in zip(coeffs, pt[1:])) % 5 for pt in obstruction._CHART_POINTS_5
-        }
+        expected = {sum(c * x for c, x in zip(coeffs, pt[1:])) % 5 for pt in CHART_5}
         assert obstruction._kappa_image(coeffs) == expected, coeffs
 
 
@@ -301,7 +299,7 @@ def test_tangent_pairings_are_the_chart_derivatives(m25):
         for c in range(5):
             shifted = (h[0] + c,) + h[1:]
             points = [x for x, _ in _direct_witnesses(shifted)]
-            assert [list(x) for x, w in zip(obstruction._CHART_POINTS_5, witnesses[c, :, n]) if w] == points
+            assert [list(x) for x, w in zip(CHART_5, witnesses[c, :, n]) if w] == points
         if any(c % 5 for c in h[1:]):
             point, pairing = _direct_witnesses(h)[0]
             certificate = inv_image_25(m25, h).certificate
@@ -321,7 +319,7 @@ def test_every_certificate_mod_25_is_a_witness(m25):
         x = tuple(certificate["point"])
         value = sum(c * v for c, v in zip(h, x)) % 5
         assert value and any(certificate["tangent_pairing"]), h
-        i = obstruction._CHART_POINTS_5.index(x)
+        i = CHART_5.index(x)
         lifted = {int(v) for v in lifts[25 * i : 25 * i + 25] @ np.array(h) % 25}
         assert lifted == {value + 5 * k for k in range(5)}, h
         checked += 1
@@ -331,9 +329,10 @@ def test_every_certificate_mod_25_is_a_witness(m25):
 def test_a_tangent_off_the_lift_plane_is_refused(m25, monkeypatch):
     # the fullness theorem needs the chart tangents to span the lift plane;
     # a tangent row bent out of it must stop the lifts from being built
-    rows = obstruction._TANGENT_ROWS_5.copy()
-    rows[14, 3] = (rows[14, 3] + 1) % 5
-    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", rows)
+    points, tangents = obstruction._chart_tables(5)
+    bent = tangents.copy()
+    bent[7, 0, 3] = (bent[7, 0, 3] + 1) % 5
+    monkeypatch.setattr(obstruction, "_chart_tables", lambda p: (points, bent))
     obstruction._LIFT_CACHE.clear()
     with pytest.raises(FiberInconsistencyError, match="chart tangent leaves the lift plane"):
         obstruction._chart_lift_points(m25)
@@ -391,6 +390,20 @@ def _solved_lift_points(model):
 def test_chart_lifts_equal_the_per_point_solves(m25):
     obstruction._LIFT_CACHE.clear()
     assert obstruction._chart_lift_points(m25).tolist() == _solved_lift_points(m25)
+
+
+def test_chart_lifts_equal_a_brute_force_search(m25):
+    # every step x + 5w (w0 = 0) of every chart point x, kept when all five
+    # quadrics vanish mod 25 on it: the lifts above x, as a set
+    coeffs = np.array(m25.quadrics, dtype=np.int64).T % 25
+    i, j = np.array(U_QUADRIC_PAIRS).T
+    steps = 5 * np.array(list(product(range(5), repeat=5)))
+    lifts = obstruction._chart_lift_points(m25).reshape(25, 25, 6)
+    for x, above in zip(CHART_5, lifts):
+        candidates = np.hstack([np.ones((len(steps), 1), dtype=np.int64), x[1:] + steps])
+        on_fiber = ~((candidates[:, i] * candidates[:, j]) @ coeffs % 25).any(axis=1)
+        found = set(map(tuple, candidates[on_fiber].tolist()))
+        assert set(map(tuple, above.tolist())) == found, x
 
 
 def test_image_size_law_mod_25(m25):
@@ -981,8 +994,9 @@ def test_a_trigger_point_off_l1_equal_zero_is_refused(m11, monkeypatch):
 
 def test_the_chart_route_is_checked_when_it_is_built(m11, monkeypatch):
     # the law check runs once per route, when it is built: the chart route
-    # built from doubled constant points is refused, and nothing is cached
-    monkeypatch.setattr(obstruction, "_CHART_POINTS_11", obstruction._CHART_POINTS_11 * 2 % 11)
+    # built from doubled chart points is refused, and nothing is cached
+    points, tangents = obstruction._chart_tables(11)
+    monkeypatch.setattr(obstruction, "_chart_tables", lambda p: (points * 2 % 11, tangents))
     obstruction._chart_route_11.cache_clear()
     try:
         for _ in range(2):
@@ -1053,9 +1067,8 @@ def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
     # have no witness; the check over the 3,124 tails, shifted by h0, must
     # give the counts and the failures, in index order, of a direct witness
     # search over all 15,625 forms
-    points = obstruction._CHART_POINTS_5[: rows // 2]
-    monkeypatch.setattr(obstruction, "_CHART_POINTS_5", points)
-    monkeypatch.setattr(obstruction, "_TANGENT_ROWS_5", obstruction._TANGENT_ROWS_5[:rows])
+    points, tangents = (table[: rows // 2] for table in obstruction._chart_tables(5))
+    monkeypatch.setattr(obstruction, "_chart_tables", lambda p: (points, tangents))
     directions = surjective = 0
     failures = []
     for j in range(5 ** 6):
@@ -1063,7 +1076,7 @@ def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
         if not any(h[1:]):
             continue
         directions += 1
-        if _direct_witnesses(h, [x[1:3] for x in points]):
+        if _direct_witnesses(h, points[:, 1:3].tolist()):
             surjective += 1
         else:
             failures.append(h)

@@ -19,6 +19,7 @@ from dp5brauer.cli import main
 
 HEADLINE = "0,1,0,-6,0,0"
 OBSTRUCTED_25 = "2,-15,0,10,0,0"
+OBSTRUCTED_11 = "0,1,0,-7,0,0"
 U4 = "0,0,0,0,1,0"
 U5 = "0,0,0,0,0,1"
 FIXTURES = ("fixture:zeta11plus", "fixture:zeta25")
@@ -35,6 +36,11 @@ CORPUS = (
     ("solubility", "--model", "fixture:zeta25", "--h", OBSTRUCTED_25),
     ("invariants", "--model", "fixture:zeta11plus", "--h", HEADLINE),
     ("verdict", "--model", "fixture:zeta11plus", "--h", HEADLINE),
+    *(
+        (command, "--model", "fixture:zeta11plus", "--h", h)
+        for command in ("invariants", "verdict")
+        for h in (U4, U5, OBSTRUCTED_11)
+    ),
     *(
         (command, "--model", "fixture:zeta25", "--h", h)
         for command in ("invariants", "verdict")
@@ -93,6 +99,18 @@ TRANSCRIPT_SHA256 = {
         "f67214041dbc4baae8e38d84afdf5e2e635b19310cb88fd2a92a257dbb6b65e4",
     "verdict --model fixture:zeta11plus --h 0,1,0,-6,0,0":
         "71632351a8f53fdfc8dc70fd7e699cf8e6a45f1fd0b8f25949e94edc31fae5a4",
+    "invariants --model fixture:zeta11plus --h 0,0,0,0,1,0":
+        "47176642ecb539c24aabad51b34e820e9e8a4de0dc989bdddd6510fa215577d1",
+    "invariants --model fixture:zeta11plus --h 0,0,0,0,0,1":
+        "534bbed9f88daac972e401310d1fb9a47f9697721545c02e2a6daa74217b3624",
+    "invariants --model fixture:zeta11plus --h 0,1,0,-7,0,0":
+        "bf8bf6b2af39299ebbc661eb4aded3ed23f4794ba8b5656ac815d495162a354d",
+    "verdict --model fixture:zeta11plus --h 0,0,0,0,1,0":
+        "0422b083715126d4ec4377c926320c473814421de996165b6a27c9ab3291e3ee",
+    "verdict --model fixture:zeta11plus --h 0,0,0,0,0,1":
+        "0276a96859e5904f8580dd06c26e05b9995fc7e0eaa1b9d8fc17c90f366cb9cb",
+    "verdict --model fixture:zeta11plus --h 0,1,0,-7,0,0":
+        "33c0faeac5c3edacee1ce605188a8df01b25aa1c9c335c364970d26296b9970d",
     "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0":
         "b93fae5defacc149d0e56f305a8d90a512d7340d41dbbbff4f77aecb24c570ec",
     "invariants --model fixture:zeta25 --h 0,0,0,0,1,0":

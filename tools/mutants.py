@@ -48,11 +48,14 @@ class Mutant:
     tests: tuple
 
 
+CLI = "src/dp5brauer/cli.py"
 FIBERS = "src/dp5brauer/fibers.py"
 INTLINALG = "src/dp5brauer/intlinalg.py"
+MODEL = "src/dp5brauer/model.py"
 NUMBERFIELD = "src/dp5brauer/numberfield.py"
 OBSTRUCTION = "src/dp5brauer/obstruction.py"
 PICARD = "src/dp5brauer/picard.py"
+VERIFY = "src/dp5brauer/verify.py"
 
 MUTANTS = (
     # one coordinate system per fiber
@@ -274,7 +277,7 @@ MUTANTS = (
     Mutant(
         "lift-plane-unchecked",
         OBSTRUCTION,
-        '(np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents) % 5).any(axis=(1, 2))',
+        '(np.einsum("nqj,ntj->nqt", jac[:, :, 1:], tangents[:, :, 1:]) % 5).any(axis=(1, 2))',
         "np.zeros(25, dtype=bool)",
         ("tests/test_obstruction.py::test_a_tangent_off_the_lift_plane_is_refused",),
     ),
@@ -377,6 +380,39 @@ MUTANTS = (
         "-rows.swapaxes(-1, -2) % p",
         "rows.swapaxes(-1, -2) % p",
         ("tests/test_fibers.py::test_the_kernel_reader_solves_every_system_of_a_stack",),
+    ),
+    # one chart table per prime
+    Mutant(
+        "tangent-coefficient-dropped",
+        MODEL,
+        "c * monomial(b, c - 1)",
+        "min(c, 1) * monomial(b, c - 1)",
+        (
+            "tests/test_model.py::test_chart_tables_are_the_chart_and_its_derivatives",
+            "tests/test_obstruction.py::test_every_certificate_mod_25_is_a_witness",
+        ),
+    ),
+    # the model file, the claim table and the exit-code contract
+    Mutant(
+        "model-rank-rule-off-by-one",
+        MODEL,
+        "        if rank < 5:\n            raise UnknownModelError(",
+        "        if rank < 4:\n            raise UnknownModelError(",
+        ("tests/test_cli.py::test_dependent_quadrics_are_refused",),
+    ),
+    Mutant(
+        "claim-mismatch-ok",
+        VERIFY,
+        'row_status = "ok" if computed == expected else "fail"',
+        'row_status = "ok"',
+        ("tests/test_cli.py::test_verify_paper_exits_one_on_a_claim_that_computes_another_value",),
+    ),
+    Mutant(
+        "contradiction-exits-three",
+        CLI,
+        "return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3",
+        "return 3",
+        ("tests/test_cli.py::test_internal_contradictions_exit_with_four",),
     ),
     # the Picard automorphism search
     Mutant(
