@@ -112,23 +112,16 @@ def _cmd_invariants(args):
             f"model {m.name or args.model} carries modulus {m.modulus}, "
             f"not {modulus}"
         )
-    doc = {"model": m.name or args.model, "h": list(h), "modulus": modulus}
-    if modulus == 11:
-        hbar = tuple(c % 11 for c in h)
-        chart = obstruction.inv_image_11(m, hbar)
-        smooth = obstruction.inv_image_11_smoothpath(m, hbar)
-        doc["chart_image"] = chart.to_json_dict()
-        doc["smooth_image"] = smooth.to_json_dict()
-        doc["routes_agree"] = chart.classes == smooth.classes
-    elif modulus == 25:
-        image = obstruction.inv_image_25(m, h)
-        lifted = obstruction.inv_image_25_liftpath(m, h)
-        doc["image"] = image.to_json_dict()
-        doc["lift_image"] = lifted.to_json_dict()
-        doc["routes_agree"] = image.classes == lifted.classes
-    else:
-        raise DomainError(f"unsupported modulus {modulus}; expected 11 or 25")
-    return doc
+    first, second = obstruction.two_route_images(m, h, modulus)
+    keys = ("chart_image", "smooth_image") if modulus == 11 else ("image", "lift_image")
+    return {
+        "model": m.name or args.model,
+        "h": list(h),
+        "modulus": modulus,
+        keys[0]: first.to_json_dict(),
+        keys[1]: second.to_json_dict(),
+        "routes_agree": first.classes == second.classes,
+    }
 
 
 def _cmd_verdict(args):

@@ -136,7 +136,6 @@ class DelPezzoModel:
         "system",
         "name",
         "ramified_prime",
-        "modulus",
         "integral_points",
         "insolubility_class",
     )
@@ -151,7 +150,6 @@ class DelPezzoModel:
         system=None,
         name=None,
         ramified_prime=None,
-        modulus=None,
         integral_points=None,
         insolubility_class=None,
     ):
@@ -165,7 +163,6 @@ class DelPezzoModel:
         self.system = system
         self.name = name
         self.ramified_prime = ramified_prime
-        self.modulus = modulus
         self.integral_points = (
             tuple(tuple(int(c) for c in p) for p in integral_points)
             if integral_points is not None
@@ -176,6 +173,14 @@ class DelPezzoModel:
             if insolubility_class is not None
             else None
         )
+
+    @property
+    def modulus(self):
+        """The p-part of the conductor at the ramified prime p, the modulus of
+        the invariant images: p for a tame p, 25 at the wild prime 5, and
+        None on a model without a ramified prime."""
+        p = self.ramified_prime
+        return None if p is None else 25 if p == 5 else p
 
     def quadric_vectors(self):
         return [list(q) for q in self.quadrics]
@@ -466,7 +471,6 @@ def fixture(name):
             _ZETA11PLUS_L2,
             name="zeta11plus",
             ramified_prime=11,
-            modulus=11,
             integral_points=_ZETA11PLUS_POINTS,
             insolubility_class=_ZETA11PLUS_MOD2_CLASS,
         )
@@ -479,7 +483,6 @@ def fixture(name):
             _ZETA25_L2,
             name="zeta25",
             ramified_prime=5,
-            modulus=25,
             integral_points=_ZETA25_POINTS,
             insolubility_class=_ZETA25_MOD2_CLASS,
         )

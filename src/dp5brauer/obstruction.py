@@ -9,10 +9,12 @@ fixture.  There the residue of a local point determines the invariant, and
 the image of the invariant map becomes a finite, exact computation over the
 chart of the singular fiber.
 
-Two independent routes are kept for the conductor-11 model: the chart route
-evaluates the reduced form as a polynomial on the affine plane, while the
-smooth-point route works directly from the enumerated fiber.  They must
-agree everywhere; ``path_agreement_check`` verifies this wholesale.
+Two independent routes are kept at each modulus (``two_route_images``).
+At 11 the chart route evaluates the reduced form as a polynomial on the
+affine plane, while the smooth-point route works directly from the
+enumerated fiber; ``path_agreement_check`` verifies wholesale that they
+agree.  At 25 the residue formula of ``inv_image_25`` is checked against
+the values at the chart lifts mod 25.
 """
 
 from __future__ import annotations
@@ -39,11 +41,10 @@ from .fibers import (
     _row_reduce_mod_p,
     _singular_mask,
     enumerate_fiber,
-    jacobian_matrix_mod_p,
     rank_mod_p,
     solve_mod_p,
 )
-from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram, fixture
+from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram
 from .numberfield import _is_prime, minpoly_splitting_mod_p
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
@@ -189,6 +190,15 @@ def _mask_classes(group, mask):
     return tuple(cls for i, cls in enumerate(group.classes) if mask >> i & 1)
 
 
+def _values_image(prime, q, hv, reason):
+    """The partial image read off an integer array hv of values of h/l1 mod
+    q: the cosets of 1/v over its units v (the OR of their
+    ``_coset_bits``, 0 at a non-unit), with the sorted units as ``values``."""
+    mask = int(np.bitwise_or.reduce(_coset_bits(q, invert=True)[hv]))
+    units = tuple(sorted(set(hv[hv % prime != 0].tolist())))
+    return InvariantImage(prime, q, _mask_classes(fifth_power_classes(q), mask), units, reason)
+
+
 class _BoundedCache(OrderedDict):
     """Mapping that keeps only the ``size`` most recently stored entries."""
 
@@ -283,13 +293,10 @@ def _route_11(model, route):
         return _chart_route_11()
     if model.modulus != 11:
         raise DomainError("this invariant computation needs a modulus-11 model")
-    p = model.ramified_prime
-    if p is None:
-        raise DomainError("model carries no ramified-prime metadata")
-    key = _model_cache_key(model, p)
+    key = _model_cache_key(model, 11)
     if key not in _FIBER_CACHE:
-        x = _fiber_array(model, p)
-        smooth = _read_only(x[~_singular_mask(model, p, x)])
+        x = _fiber_array(model, 11)
+        smooth = _read_only(x[~_singular_mask(model, 11, x)])
         l1 = np.array([c % 11 for c in model.l1], dtype=np.int32)
         l1v = smooth @ l1 % 11
         values = _read_only(smooth[l1v != 0] * _inverses(11)[l1v[l1v != 0], None] % 11)
@@ -312,18 +319,15 @@ def _route_image_11(model, hbar, route):
     smooth route the first fired trigger, in fiber order, is the
     certificate; the chart route's one trigger is e5, which its reason
     names, so it carries none."""
-    group = fifth_power_classes(11)
     r = _route_11(model, route)
     column = np.array(_reduce_form(hbar, 11), dtype=np.int32)
     fired = np.flatnonzero(r.fixed @ column % 11)
     full_reason, values_reason = _REASONS_11[route]
     if len(fired):
         certificate = {"point": r.fixed[fired[0]].tolist()} if route == "smooth" else None
-        return InvariantImage(11, 11, group.classes, None, full_reason, certificate)
-    hv = r.values @ column % 11
-    mask = int(np.bitwise_or.reduce(_coset_bits(11, invert=True)[hv]))
-    values = tuple(sorted(set(hv.tolist()) - {0}))
-    return InvariantImage(11, 11, _mask_classes(group, mask), values, values_reason)
+        full = fifth_power_classes(11).classes
+        return InvariantImage(11, 11, full, None, full_reason, certificate)
+    return _values_image(11, 11, r.values @ column % 11, values_reason)
 
 
 def inv_image_11(model, hbar):
@@ -417,20 +421,14 @@ def inv_image_25(model, h):
     on its residue, and the image is the coset set of the inverses of
     lam + 5*kappa for kappa in the chart image of k.
     """
-    group = fifth_power_classes(25)
     h25 = _reduce_form_25(model, h)
     if any(h25[i] % 5 for i in range(1, 6)):
-        cert = _tangent_certificate(h25)
-        return InvariantImage(
-            5, 25, group.classes, None, "tangent pairing nonzero at a chart point", cert
-        )
+        reason, cert = "tangent pairing nonzero at a chart point", _tangent_certificate(h25)
+        return InvariantImage(5, 25, fifth_power_classes(25).classes, None, reason, cert)
     lam = h25[0]
     coeffs = tuple(h25[i] // 5 for i in range(1, 6))
-    values = tuple(sorted((lam + 5 * k) % 25 for k in _kappa_image(coeffs)))
-    mask = int(np.bitwise_or.reduce(_coset_bits(25, invert=True)[list(values)]))
-    return InvariantImage(
-        5, 25, _mask_classes(group, mask), values, "values determined by the residue"
-    )
+    values = np.array([(lam + 5 * k) % 25 for k in _kappa_image(coeffs)])
+    return _values_image(5, 25, values, "values determined by the residue")
 
 
 _LIFT_CACHE = _BoundedCache(CACHE_SIZE)
@@ -506,35 +504,21 @@ def _chart_lift_points(model):
     return lifts
 
 
-def _lift_masks_25(model, forms):
-    """(values, masks) of the columns h of ``forms`` (6, n) along the lift
-    route: ``values`` (625, n) holds h(P) mod 25 at the points P of
-    ``_chart_lift_points`` (l1 = u0 = 1 there), and ``masks`` (n,) the OR
-    over P of the coset bit of 1/h(P) (``_coset_bits``, 0 at a non-unit),
-    so bit i is set when the i-th coset is attained and 31 means full.
-    Entries of both factors are residues below 25, so no sum exceeds
-    6 * 24^2 and int64 is exact."""
-    values = _chart_lift_points(model) @ forms % 25
-    return values, np.bitwise_or.reduce(_coset_bits(25, invert=True)[values], axis=0)
-
-
 def inv_image_25_liftpath(model, h):
     """Brute-force cross-check: values of h/l1 over all chart lifts mod 25.
 
     Enumerates the 625 points of the model over Z/25 sitting above the
     mod-5 chart and collects the unit values of h there (l1 = u0 = 1 on the
-    chart), with their cosets, through ``_lift_masks_25``.  For forms
-    proportional to u0 modulo 5 every unit point lives above the chart, so
-    this reproduces the image exactly.  Otherwise it is full too: the 25
-    lifts above the witness point of ``inv_image_25`` already give one
-    value in each coset, by the theorem stated there.
+    chart), with their cosets (``_values_image``).  For forms proportional
+    to u0 modulo 5 every unit point lives above the chart, so this
+    reproduces the image exactly.  Otherwise it is full too: the 25 lifts
+    above the witness point of ``inv_image_25`` already give one value in
+    each coset, by the theorem stated there.  Both factors hold residues
+    below 25, so no sum exceeds 6 * 24^2 and int64 is exact.
     """
-    group = fifth_power_classes(25)
     h25 = _reduce_form_25(model, h)
-    values, masks = _lift_masks_25(model, np.array(h25, dtype=np.int64)[:, None])
-    hv = values[:, 0]
-    units = tuple(sorted(set(hv[hv % 5 != 0].tolist())))
-    return InvariantImage(5, 25, _mask_classes(group, int(masks[0])), units, "chart lift values")
+    hv = _chart_lift_points(model) @ np.array(h25, dtype=np.int64) % 25
+    return _values_image(5, 25, hv, "chart lift values")
 
 
 def tangent_surjectivity_check(model):
@@ -605,6 +589,8 @@ def locally_soluble(model, h):
     points span a sublattice of odd index in the saturation of their span,
     so their h-values have odd part coprime in particular to every odd
     prime; any stored point off {h = 0} is a real point of the complement.
+    The mod-2 witness is the first fiber point, in ``fibers._fiber_array``
+    order, off {h = 0}, and ``fibers._singular_mask`` certifies it smooth.
     """
     coeffs = _require_primitive(h)
     if model.insolubility_class is None or model.integral_points is None:
@@ -614,15 +600,13 @@ def locally_soluble(model, h):
         return SolubilityCertificate(
             False, failing_place=2, forbidden_class=model.insolubility_class
         )
-    mod2_point = None
-    for pt in enumerate_fiber(model, 2):
-        if model.hyperplane_value(mod2, pt) % 2:
-            if rank_mod_p(jacobian_matrix_mod_p(model, 2, pt), 2) != 3:
-                raise FiberInconsistencyError("mod-2 witness point is not smooth")
-            mod2_point = pt
-            break
-    if mod2_point is None:
+    x = _fiber_array(model, 2)
+    witness = x[np.flatnonzero(x @ mod2 % 2)[:1]]
+    if not len(witness):
         raise FiberInconsistencyError("no mod-2 point off the hyperplane was found")
+    if _singular_mask(model, 2, witness)[0]:
+        raise FiberInconsistencyError("mod-2 witness point is not smooth")
+    mod2_point = tuple(witness[0].tolist())
     values = tuple(model.hyperplane_value(coeffs, pt) for pt in model.integral_points)
     g = math.gcd(*values)
     odd = g // (g & -g) if g else 0
@@ -684,6 +668,19 @@ class ObstructionReport:
         return doc
 
 
+def two_route_images(model, h, modulus):
+    """The invariant images of h at ``modulus``, 11 or 25, along its two
+    routes: (chart, smooth point) at 11 and (residue formula, chart lifts)
+    at 25.  The route functions are read from the module at each call, so
+    a rebinding of one of them is seen."""
+    first, second = (
+        (inv_image_11, inv_image_11_smoothpath)
+        if modulus == 11
+        else (inv_image_25, inv_image_25_liftpath)
+    )
+    return first(model, h), second(model, h)
+
+
 def verdict(model, h):
     """Full obstruction verdict for a primitive integral form on a fixture.
 
@@ -692,7 +689,8 @@ def verdict(model, h):
     otherwise the order-5 class obstructs exactly when the invariant image
     at the ramified prime omits the identity coset.  The image is computed
     along both routes of the model (chart and smooth point at 11, residue
-    formula and chart lifts at 25), and routes that disagree raise.
+    formula and chart lifts at 25, ``two_route_images``), and routes that
+    disagree raise.
     """
     coeffs = _require_primitive(h)
     if model.modulus not in (11, 25):
@@ -703,12 +701,9 @@ def verdict(model, h):
     sol = locally_soluble(model, coeffs)
     irreducible = geometrically_irreducible(model, coeffs)
     comparison = None
-    if model.modulus == 11:
-        routes, names = (inv_image_11, inv_image_11_smoothpath), "chart and smooth-point"
-    else:
-        routes, names = (inv_image_25, inv_image_25_liftpath), "residue and chart-lift"
-    image, other = (route(model, coeffs) for route in routes)
+    image, other = two_route_images(model, coeffs, model.modulus)
     if image.classes != other.classes:
+        names = "chart and smooth-point" if model.modulus == 11 else "residue and chart-lift"
         raise FiberInconsistencyError(f"{names} routes disagree")
     images = {image.prime: image}
     if not sol.soluble:
@@ -1007,7 +1002,7 @@ def _census_11_formula():
     return {"constant": constant, "separable_quadratic": pairs * 11}
 
 
-def census_11(model=None, jobs=1, validate_surjectivity=False):
+def census_11(model, jobs=1, validate_surjectivity=False):
     """Count the residues h mod 11 whose invariant image omits the identity.
 
     Forms with nonzero u5 coefficient have full image and never obstruct.
@@ -1026,8 +1021,6 @@ def census_11(model=None, jobs=1, validate_surjectivity=False):
     count runs in-process, since it takes less time than starting a worker.
     """
     start = time.monotonic()
-    if model is None:
-        model = fixture("zeta11plus")
     route = _route_11(model, "chart")
     if jobs is None:
         jobs = os.cpu_count() or 1
@@ -1117,7 +1110,7 @@ def _kappa_misses_25():
     return _POPCOUNT_5[_KAPPA_MASKS_5], (_KAPPA_MASKS_5[:, None] & fifth) == 0
 
 
-def census_25(model=None):
+def census_25(model):
     """Count the residues h mod 25, primitive mod 5, whose image omits the identity.
 
     Only forms proportional to u0 modulo 5 can fail fullness (the theorem
@@ -1136,8 +1129,6 @@ def census_25(model=None):
     full) obstruct, mirroring the breakdown.
     """
     start = time.monotonic()
-    if model is None:
-        model = fixture("zeta25")
     _require_fixture_chart(model, 25)
     sizes, misses = _kappa_misses_25()
     shape_broken = misses.any(axis=1) & ((sizes == 5) | _KAPPA_COEFFS_5[:, [1, 3, 4]].any(axis=1))
@@ -1252,19 +1243,16 @@ def transformed_model_mod11(model, matrix):
         l2,
         name=f"{model.name}+gl6",
         ramified_prime=model.ramified_prime,
-        modulus=model.modulus,
     )
 
 
-def census_invariance_check(model=None, transforms=3, seed=11):
+def census_invariance_check(model, transforms=3, seed=11):
     """The obstruction count must survive random changes of coordinates.
 
     Applies invertible mod-11 substitutions to the quadrics and both split
     forms simultaneously and recounts with the smooth-point census, which
     never looks at the chart.  All counts must agree with the base count.
     """
-    if model is None:
-        model = fixture("zeta11plus")
     base = census_11_smoothpath(model)["obstructing"]
     rng = random.Random(seed)
     counts = []

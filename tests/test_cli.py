@@ -1,6 +1,7 @@
 """Command line behavior, exercised in process through main()."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import random
@@ -319,6 +320,29 @@ def test_a_verdict_whose_routes_disagree_at_25_exits_with_four(capsys, monkeypat
     assert out == ""
     assert "routes disagree" in err
     assert "Traceback" not in err
+
+
+def test_both_commands_read_the_routes_at_call_time(capsys, monkeypatch):
+    # a route rebound in the module, as a test or a trace rebinds it, is the
+    # one that verdict and invariants read: with a coset dropped from the
+    # smooth route, verdict at 11 is a contradiction and invariants reports it
+    smooth = obstruction.inv_image_11_smoothpath
+
+    def disagreeing(model, h):
+        image = smooth(model, h)
+        return dataclasses.replace(image, classes=image.classes[1:])
+
+    monkeypatch.setattr(obstruction, "inv_image_11_smoothpath", disagreeing)
+    zeta11 = ["--model", "fixture:zeta11plus", "--h", "0,1,0,-6,0,0"]
+    code, out, err = run_cli(capsys, ["verdict", *zeta11])
+    assert (code, out) == (4, "")
+    assert "chart and smooth-point routes disagree" in err
+    code, out, _ = run_cli(capsys, ["invariants", *zeta11])
+    assert code == 0 and json.loads(out)["routes_agree"] is False
+    _disagreeing_lift_route(monkeypatch)
+    argv = ["invariants", "--model", "fixture:zeta25", "--h", "2,-15,0,10,0,0"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and json.loads(out)["routes_agree"] is False
 
 
 def test_census_self_check_is_a_contradiction_not_an_assert(capsys, monkeypatch, m25):

@@ -188,7 +188,7 @@ def test_chart_identity_is_a_polynomial_identity(m25):
     for pair, c in (((3, 5), 1), ((4, 4), -1), ((0, 1), -1)):
         quadrics[0][U_QUADRIC_PAIRS.index(pair)] += c
     perturbed = DelPezzoModel(
-        m25.source, m25.spec, quadrics, m25.l1, m25.l2, ramified_prime=5, modulus=25
+        m25.source, m25.spec, quadrics, m25.l1, m25.l2, ramified_prime=5
     )
     assert _has_solver_shape(perturbed.quadrics)
     with pytest.raises(ChartError, match="chart identity") as excinfo:

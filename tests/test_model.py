@@ -43,6 +43,7 @@ from dp5brauer.numberfield import (
     galois_conjugates,
     zeta11_plus_field,
 )
+from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
 from quintics import lehmer_quintic
 
@@ -73,6 +74,20 @@ def test_zeta25_fixture_data(m25):
     assert m25.modulus == 25
     assert m25.insolubility_class == (0, 0, 1, 1, 0, 0)
     assert tuple(c % 25 for c in m25.l1) == (1, 0, 0, 0, 0, 0)
+
+
+def test_the_modulus_is_read_off_the_ramified_prime(m11, m25):
+    # the p-part of the conductor: p at a tame p, 25 at the wild prime 5
+    moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(79)))
+    assert m11.modulus == moved.modulus == 11
+    assert m25.modulus == 25
+    assert DelPezzoModel.from_json_dict(m11.to_json_dict()).modulus is None
+    tame = DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, ramified_prime=31)
+    assert tame.modulus == 31
+    with pytest.raises(TypeError, match="modulus"):
+        DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, modulus=11)
+    with pytest.raises(AttributeError):
+        m11.modulus = 25
 
 
 def test_stored_points_lie_on_every_quadric(m11, m25):

@@ -474,6 +474,23 @@ def test_solubility_rejects_imprimitive_forms(m11):
         locally_soluble(m11, (2, 2, 2, 2, 2, 2))
 
 
+def test_the_odd_gcd_drops_the_two_part(m11):
+    # the stored points doubled are the same projective points, and every
+    # h-value doubles: the certificate reads the odd part of the gcd alone
+    doubled = DelPezzoModel(
+        m11.source,
+        m11.spec,
+        m11.quadrics,
+        m11.l1,
+        m11.l2,
+        integral_points=[[2 * c for c in pt] for pt in m11.integral_points],
+        insolubility_class=m11.insolubility_class,
+    )
+    cert = locally_soluble(doubled, HEADLINE_H)
+    assert cert.soluble and cert.odd_gcd == 1
+    assert cert.point_values == tuple(2 * v for v in locally_soluble(m11, HEADLINE_H).point_values)
+
+
 def test_geometric_irreducibility(m11, m25):
     assert not geometrically_irreducible(m11, m11.l1)
     assert not geometrically_irreducible(m11, tuple(-4 * c for c in m11.l2))
@@ -1013,7 +1030,7 @@ def test_the_smooth_route_cache_tells_l1_apart(m11):
     # smooth route: its value points are scaled by 1/(2 l1)
     doubled_l1 = [2 * c for c in m11.l1]
     doubled = DelPezzoModel(
-        "doubled", m11.spec, m11.quadrics, doubled_l1, m11.l2, ramified_prime=11, modulus=11
+        "doubled", m11.spec, m11.quadrics, doubled_l1, m11.l2, ramified_prime=11
     )
     for first, second in ((m11, doubled), (doubled, m11)):
         obstruction._FIBER_CACHE.clear()

@@ -23,6 +23,9 @@ OBSTRUCTED_11 = "0,1,0,-7,0,0"
 U4 = "0,0,0,0,1,0"
 U5 = "0,0,0,0,0,1"
 FIXTURES = ("fixture:zeta11plus", "fixture:zeta25")
+# each fixture's mod-2 insolubility class and its form l1
+INSOLUBLE = {"fixture:zeta11plus": "0,0,1,0,0,1", "fixture:zeta25": "0,0,1,1,0,0"}
+L1 = {"fixture:zeta11plus": "1,22,-363,165,-1859,484", "fixture:zeta25": "1,25,-700,200,-3425,575"}
 
 CORPUS = (
     ("construct", "--minpoly", "1,1,-4,-3,3,1"),
@@ -46,6 +49,15 @@ CORPUS = (
         for command in ("invariants", "verdict")
         for h in (HEADLINE, U4, U5, OBSTRUCTED_25)
     ),
+    *(
+        (command, "--model", m, "--h", INSOLUBLE[m])
+        for m in FIXTURES
+        for command in ("verdict", "solubility")
+    ),
+    *(("verdict", "--model", m, "--h", L1[m]) for m in FIXTURES),
+    ("invariants", "--model", "fixture:zeta11plus", "--h", "5,0,0,10,0,0"),
+    ("invariants", "--model", "fixture:zeta11plus", "--h", HEADLINE, "--modulus", "11"),
+    ("invariants", "--model", "fixture:zeta25", "--h", HEADLINE, "--modulus", "25"),
     ("census", "--modulus", "11", "--jobs", "1"),
     ("census", "--modulus", "25", "--jobs", "1"),
     ("census", "--model", "fixture:zeta11plus", "--modulus", "25", "--jobs", "1"),
@@ -127,6 +139,24 @@ TRANSCRIPT_SHA256 = {
         "0da5201f5e0e131e05b7de0da2fb220529be52e2b1b3c631de43b1baabf6c674",
     "verdict --model fixture:zeta25 --h 2,-15,0,10,0,0":
         "43d04812022317e85cf5b676a18bad5b0fc710abcfb7c05f0242e027bde5b79f",
+    "verdict --model fixture:zeta11plus --h 0,0,1,0,0,1":
+        "35cbe8fa9de0a8f9a1657a71084902fca482b0e863095eb9edc86c1112cdcdad",
+    "solubility --model fixture:zeta11plus --h 0,0,1,0,0,1":
+        "59ed93b64bd1631889f2111b264d4e0fe4ef6f1e4ffdf4eacbe1e1a7dd31345c",
+    "verdict --model fixture:zeta25 --h 0,0,1,1,0,0":
+        "7f8388fb4ae2dc4ae921b137db2bf711568aa6051ec96193b3a1320e3348b188",
+    "solubility --model fixture:zeta25 --h 0,0,1,1,0,0":
+        "528d03b8a772477031924e73ff9d73156446192823bac924b7ad658ebfcc5c0c",
+    "verdict --model fixture:zeta11plus --h 1,22,-363,165,-1859,484":
+        "9dad7f7e734264fb99ce344bb490d9953574fa8c62c7465e9def3d76b0ab8850",
+    "verdict --model fixture:zeta25 --h 1,25,-700,200,-3425,575":
+        "0ce3b0c3dfb2b840fabf4a405f5e7a59a602a7fd8ec4cb2eb19f9ebd5c4cf930",
+    "invariants --model fixture:zeta11plus --h 5,0,0,10,0,0":
+        "7b1d7985190b925bb890d8104591b7236924d7287f5ad9fcbc1dd9e9ee8e0306",
+    "invariants --model fixture:zeta11plus --h 0,1,0,-6,0,0 --modulus 11":
+        "f67214041dbc4baae8e38d84afdf5e2e635b19310cb88fd2a92a257dbb6b65e4",
+    "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0 --modulus 25":
+        "b93fae5defacc149d0e56f305a8d90a512d7340d41dbbbff4f77aecb24c570ec",
     "census --modulus 11 --jobs 1":
         "1e93353a6efbc9c8e3154e747a7c66e64e97f7c443c9147500395d4edc1b2fe2",
     "census --modulus 25 --jobs 1":

@@ -115,7 +115,7 @@ MUTANTS = (
     Mutant(
         "smooth-route-with-singular",
         OBSTRUCTION,
-        "smooth = _read_only(x[~_singular_mask(model, p, x)])",
+        "smooth = _read_only(x[~_singular_mask(model, 11, x)])",
         "smooth = _read_only(x)",
         ("tests/test_obstruction.py::test_the_smooth_route_is_the_fiber_tuples_in_order",),
     ),
@@ -167,8 +167,8 @@ MUTANTS = (
     Mutant(
         "route-image-bits-uninverted",
         OBSTRUCTION,
-        "_coset_bits(11, invert=True)[hv]",
-        "_coset_bits(11, invert=False)[hv]",
+        "_coset_bits(q, invert=True)[hv]",
+        "_coset_bits(q, invert=q == 25)[hv]",
         ("tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",),
     ),
     Mutant(
@@ -217,8 +217,8 @@ MUTANTS = (
     Mutant(
         "route-key-without-l1",
         OBSTRUCTION,
-        "    key = _model_cache_key(model, p)\n    if key not in _FIBER_CACHE:",
-        "    key = (p, model.quadrics)\n    if key not in _FIBER_CACHE:",
+        "    key = _model_cache_key(model, 11)\n    if key not in _FIBER_CACHE:",
+        "    key = (11, model.quadrics)\n    if key not in _FIBER_CACHE:",
         ("tests/test_obstruction.py::test_the_smooth_route_cache_tells_l1_apart",),
     ),
     Mutant(
@@ -256,12 +256,9 @@ MUTANTS = (
     Mutant(
         "lift-bits-not-inverted",
         OBSTRUCTION,
-        "_coset_bits(25, invert=True)[values]",
-        "_coset_bits(25, invert=False)[values]",
-        (
-            "tests/test_obstruction.py::test_liftpath_agrees_on_proportional_forms",
-            "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
-        ),
+        "_coset_bits(q, invert=True)[hv]",
+        "_coset_bits(q, invert=q == 11)[hv]",
+        ("tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",),
     ),
     # one fullness witness mod 25
     Mutant(
@@ -413,6 +410,59 @@ MUTANTS = (
         "return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3",
         "return 3",
         ("tests/test_cli.py::test_internal_contradictions_exit_with_four",),
+    ),
+    # the verdict path: one two-route lookup, its precedence, the modulus
+    # read off the ramified prime, one smoothness test, one model build
+    Mutant(
+        "two-routes-first-twice",
+        OBSTRUCTION,
+        "return first(model, h), second(model, h)",
+        "return first(model, h), first(model, h)",
+        (
+            "tests/test_cli.py::test_both_commands_read_the_routes_at_call_time",
+            "tests/test_cli.py::test_a_verdict_whose_routes_disagree_at_25_exits_with_four",
+        ),
+    ),
+    Mutant(
+        "verdict-image-before-irreducibility",
+        OBSTRUCTION,
+        '    elif not irreducible:\n        result = "trivial_brauer_class"\n'
+        '    elif image.contains_zero:\n        result = "no_obstruction"\n',
+        '    elif image.contains_zero:\n        result = "no_obstruction"\n'
+        '    elif not irreducible:\n        result = "trivial_brauer_class"\n',
+        (
+            "tests/test_obstruction.py::test_verdict_trivial_class",
+            "tests/test_transcript.py::test_transcript_is_pinned"
+            "[verdict --model fixture:zeta25 --h 1,25,-700,200,-3425,575]",
+        ),
+    ),
+    Mutant(
+        "wild-modulus-read-as-five",
+        MODEL,
+        "return None if p is None else 25 if p == 5 else p",
+        "return None if p is None else p",
+        ("tests/test_model.py::test_the_modulus_is_read_off_the_ramified_prime",),
+    ),
+    Mutant(
+        "solubility-witness-smoothness-inverted",
+        OBSTRUCTION,
+        "    if _singular_mask(model, 2, witness)[0]:",
+        "    if not _singular_mask(model, 2, witness)[0]:",
+        ("tests/test_obstruction.py::test_local_solubility",),
+    ),
+    Mutant(
+        "solubility-gcd-two-part-kept",
+        OBSTRUCTION,
+        "odd = g // (g & -g) if g else 0",
+        "odd = g",
+        ("tests/test_obstruction.py::test_the_odd_gcd_drops_the_two_part",),
+    ),
+    Mutant(
+        "build-rank-guard-off-by-one",
+        MODEL,
+        "quad_basis.rows != 5:",
+        "quad_basis.rows != 4:",
+        ("tests/test_model.py::test_build_model_reproduces_the_quintic_system",),
     ),
     # the Picard automorphism search
     Mutant(
