@@ -23,7 +23,7 @@ import math
 import os
 import random
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import product
@@ -33,6 +33,9 @@ import numpy as np
 
 from .errors import DomainError, FiberInconsistencyError
 from .fibers import (
+    _FIBER_CACHE,
+    CACHE_SIZE,
+    _BoundedCache,
     _fiber_array,
     _free_kernels,
     _gram_mod_p,
@@ -199,22 +202,8 @@ def _values_image(prime, q, hv, reason):
     return InvariantImage(prime, q, _mask_classes(fifth_power_classes(q), mask), units, reason)
 
 
-class _BoundedCache(OrderedDict):
-    """Mapping that keeps only the ``size`` most recently stored entries."""
-
-    def __init__(self, size):
-        super().__init__()
-        self.size = size
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        if len(self) > self.size:
-            self.popitem(last=False)
-
-
-# each coordinate-changed model or modulus adds one key, so the caches are bounded
-CACHE_SIZE = 8
-_FIBER_CACHE = _BoundedCache(CACHE_SIZE)
+# one entry per modulus; the smooth routes at 11 are stored in
+# ``fibers._FIBER_CACHE``, beside the fibers they are read off
 _GROUP_CACHE = _BoundedCache(CACHE_SIZE)
 
 
@@ -367,17 +356,21 @@ def _fullness_witnesses_25(forms):
     ``pairings`` (25, 2, n) holds h paired mod 5 with the two chart tangents
     d/dy, d/dz at each chart point x of ``_chart_tables(5)``.
     ``witnesses`` (5, 25, n) is True at (c, i, n) when the i-th point
-    witnesses the fullness of h + c*u0: h(x) + c is a unit mod 5 and some
-    pairing is nonzero.  The tangents have no u0 entry, so the shift by c
-    moves h(x) and changes no pairing.  Both products have six terms of at
-    most 4 * 24 = 96, so int16 is exact.
+    witnesses the fullness of h + c*u0: h(x) + c is a unit mod 5, that is
+    h(x) mod 5 is not -c, and some pairing is nonzero.  The tangents have
+    no u0 entry, so the shift by c moves h(x) and changes no pairing, and
+    the values are reduced once for all five c.  Only h mod 5 enters, so
+    the forms are reduced first, and both products have six terms of at
+    most 4 * 4 = 16: uint8 is exact.  ``pairings`` is returned as int16.
     """
-    points, tangents = (table.astype(np.int16) for table in _chart_tables(5))
-    forms = forms.astype(np.int16)
-    pairings = tangents @ forms % 5
-    values = points @ forms
-    shifted = (values + np.arange(5, dtype=np.int16)[:, None, None]) % 5
-    return pairings, (shifted != 0) & pairings.any(axis=1)
+    points, tangents = (table.astype(np.uint8) for table in _chart_tables(5))
+    forms = (forms % 5).astype(np.uint8)
+    pairings = np.einsum("xtj,jn->xtn", tangents, forms) % 5
+    values = np.einsum("xj,jn->xn", points, forms) % 5
+    minus_c = (5 - np.arange(5, dtype=np.uint8))[:, None, None] % 5
+    witnesses = values != minus_c
+    witnesses &= pairings.any(axis=1)
+    return pairings.astype(np.int16), witnesses
 
 
 def _tangent_certificate(h25):
@@ -756,6 +749,9 @@ _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
 _CENSUS_CHUNK = 2_048
 # the digits (f, g) of row f + 11*g of a digit-pair table
 _PAIR_DIGITS_11 = np.stack([np.arange(121) % 11, np.arange(121) // 11], axis=1)
+# entry [f + 11*g, a + 11*b]: the one-hot value 1 << (f*a + g*b mod 11)
+_PAIR_ONE_HOT_11 = np.uint32(1) << (_PAIR_DIGITS_11 @ _PAIR_DIGITS_11.T % 11).astype(np.uint32)
+_PAIR_ONE_HOT_11.setflags(write=False)
 
 
 def _translated_coset_masks_11():
@@ -779,10 +775,12 @@ def _pair_tables(points):
 
     Entry [i, f + 11*g, k] is 1 << (f*P_2i + g*P_2i+1 mod 11) at the k-th
     row P of ``points``: row f + 11*g of table i is read by the forms whose
-    coefficients 2i and 2i + 1 are f and g.
+    coefficients 2i and 2i + 1 are f and g.  That is column P_2i + 11*P_2i+1
+    of ``_PAIR_ONE_HOT_11``, which is symmetric, as f*a + g*b is under
+    (f, g) <-> (a, b), so the tables are one gather of its rows.
     """
-    pairs = points.reshape(-1, 3, 2).transpose(1, 2, 0)
-    tables = np.uint32(1) << (_PAIR_DIGITS_11 @ pairs % 11).astype(np.uint32)
+    pairs = points[:, 0::2] + 11 * points[:, 1::2]
+    tables = _PAIR_ONE_HOT_11[pairs.T].transpose(0, 2, 1).copy()
     tables.setflags(write=False)
     return tables
 
@@ -1010,15 +1008,33 @@ def census_11(model, jobs=1, validate_surjectivity=False):
     counted through the chart masks of their projective classes, read as
     the eleven translates of 1,465 bases (``_unfired_bases_11``): a class
     h stands for the multiples lam*h with the coset of lam missing from its
-    mask (the scaling law of ``_orbit_masks_11``).  ``validate_surjectivity``
-    additionally evaluates the chart values of every form with u5 = 1,
-    which are the translates b + c*u0 of the 14,641 bases
-    b = (0, b1, ..., b4, 1): 14,641 value sets read at 11 shifts.  Fullness is invariant under scaling, so
-    this verifies the fullness claim for all 11^6 - 11^5 = 1,610,510
-    u5-dependent forms, and the first form found partial is named.  The
-    obstructing classes are re-derived from the shape classification as an
-    independent check.  ``jobs`` is accepted and echoed as ``workers``; the
-    count runs in-process, since it takes less time than starting a worker.
+    mask (the scaling law of ``_orbit_masks_11``).  The obstructing
+    classes are re-derived from the shape classification as an independent
+    check.  ``jobs`` is accepted and echoed as ``workers``; the count runs
+    in-process, since it takes less time than starting a worker.
+
+    ``validate_surjectivity`` additionally verifies the fullness claim for
+    all 11^6 - 11^5 = 1,610,510 u5-dependent forms, and names the first
+    form found partial.  Fullness is invariant under scaling, so the forms
+    with u5 = 1 suffice: the translates b + c*u0 of the 14,641 bases b =
+    (0, b1, ..., b4, 1).  They fall into 1,331 orbits of the y-translations,
+    and the sweep reads the chart values of one base per orbit, (0, b1, b2,
+    0, b4, 1) (``_u5_representatives_11``), at the 11 shifts c:
+
+    - y -> y + s permutes the chart points, and the matrix T_s with
+      T_s P(y, z) = P(y + s, z) carries it out, so h and T_s^T h, whose
+      value at P is h(T_s P), have the same value set on the chart route.
+    - T_s^T fixes u0 (T_s^T e0 = e0) and keeps the u5 coefficient.  It
+      moves the u3 coefficient of a u5 = 1 form from b3 to b3 + 3s, the 3s
+      coming from (y + s)^3.
+    - So T_s^T sends the eleven translates of a base b to the eleven
+      translates of the base b' with b'3 = b3 + 3s, with the same masks:
+      the u0 coefficient it changes is absorbed by the translates c*u0.
+    - 3 is a unit mod 11, so each orbit holds exactly one base with b3 = 0.
+
+    ``_check_y_translations_11`` checks these properties of every T_s on
+    the route, after the representatives are swept, so that a partial
+    representative is still named first.
     """
     start = time.monotonic()
     route = _route_11(model, "chart")
@@ -1036,7 +1052,7 @@ def census_11(model, jobs=1, validate_surjectivity=False):
 
     if validate_surjectivity:
         # l1 = u0 on the chart, so the u5 = 1 forms are b + c*u0 for these bases
-        bases = _digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
+        bases = _u5_representatives_11()
         masks = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases)]
         partial = np.flatnonzero(masks != _FULL_MASK)
         if len(partial):
@@ -1046,6 +1062,7 @@ def census_11(model, jobs=1, validate_surjectivity=False):
                 f"the u5-dependent form {form} failed the fullness claim; the "
                 "census's u5 rule would be unsound"
             )
+        _check_y_translations_11(route)
 
     result = {
         "model": model.name,
@@ -1059,8 +1076,48 @@ def census_11(model, jobs=1, validate_surjectivity=False):
         "workers": jobs,
     }
     if validate_surjectivity:
-        result["surjectivity_checked"] = 10 * masks.size
+        # each representative's orbit holds 11 bases, each with 10 multiples
+        result["surjectivity_checked"] = 10 * 11 * masks.size
     return result
+
+
+def _u5_representatives_11():
+    """The 1,331 bases (0, b1, b2, 0, b4, 1) as columns, b1 the lowest
+    digit: one per y-translation orbit of the u5 = 1 bases (``census_11``)."""
+    reps = np.zeros((6, 11 ** 3), dtype=np.int32)
+    reps[[1, 2, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)
+    reps[5] = 1
+    return reps
+
+
+def _check_y_translations_11(route):
+    """Refuse the orbit sweep of ``census_11`` unless the T_s act on the
+    chart route as its proof needs: T_s permutes the route's value points,
+    and T_s^T fixes u0, keeps the u5 coefficient and adds 3s times it to
+    the u3 coefficient.
+
+    T_1 P(y, z) = P(y + 1, z) is solved on the 121 points of
+    ``_chart_tables(11)``, whose rows run over (y, z) in ``product`` order,
+    so rolled back by 11 rows they read P(y + 1, z): one row reduction of
+    [P | P rolled] gives the six rows of T_1 as particular solutions, read
+    off ``_free_kernels`` as in ``solve_mod_p``.  The points span F_11^6,
+    so T_1 is the only solution, and T_s = T_1^s.  Checking T_1 checks
+    every T_s: powers of a permutation of the value points permute them,
+    T_s^T e0 = e0 and T_s e5 = e5 follow from s = 1, and T_s e3 =
+    T_(s-1) (e3 + 3 e5) = e3 + 3s e5 by induction, the entries of column 3
+    of T_s being the u3 coefficients of T_s^T e_k.
+    """
+    points = _chart_tables(11)[0]
+    reduced, pivots = _row_reduce_mod_p(np.hstack([points, np.roll(points, -11, axis=0)])[None], 11)
+    t = -_free_kernels(reduced[0], pivots[0], 11)[6:, :6] % 11
+    eye = np.eye(6, dtype=np.int64)
+    codes = [np.sort(rows @ _POWERS_11) for rows in (route.values, route.values @ t.T % 11)]
+    permuted = np.array_equal(*codes)
+    columns = (t[:, 5] == eye[5]).all() and (t[:, 3] == eye[3] + 3 * eye[5]).all()
+    if pivots[0, 6:].any() or not (permuted and columns and (t[0] == eye[0]).all()):
+        raise FiberInconsistencyError(
+            "the translation y -> y + 1 does not act on the chart route as the u5 fullness sweep needs"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dp5brauer import fibers
+from dp5brauer import fibers, obstruction, verify
 from dp5brauer.errors import (
     ChartError,
     DomainError,
@@ -556,10 +556,13 @@ def test_degenerate_candidates_come_in_blocks_of_whole_planes(m11, monkeypatch):
     monkeypatch.setattr(
         fibers, "_plane_solutions", lambda a, c, t, *rest: sizes.append(p * p * len(t)) or solve(a, c, t, *rest)
     )
+    # each enumeration below solves afresh, not from the request cache
+    fibers._FIBER_CACHE.clear()
     fiber = enumerate_fiber(m, p)
     assert sum(sizes) == p * p * (p * p + p + 1)
     assert len(sizes) > 2 and max(sizes) < fibers._CANDIDATE_BLOCK + p * p
     monkeypatch.setattr(fibers, "_CANDIDATE_BLOCK", 1)
+    fibers._FIBER_CACHE.clear()
     assert enumerate_fiber(m, p) == fiber
 
 
@@ -858,3 +861,11 @@ def test_transformed_model_matches_the_substitution(m11, seed):
     moved = transformed_model_mod11(m11, g)
     reference = _substituted(m11, g)
     assert moved.quadrics == tuple(tuple(c % 11 for c in q) for q in reference.quadrics)
+
+
+def test_one_claim_table_solves_each_fiber_once(fiber_solves):
+    # the fibers and the smooth routes share one request cache, so one
+    # clear() starts a claim table cold, and it solves each (quadrics, p) once
+    assert obstruction._FIBER_CACHE is fibers._FIBER_CACHE
+    assert verify.run_claims(fast=False)["counts"] == {"ok": 32, "flagged": 2, "fail": 0}
+    assert len(fiber_solves) == 14 and set(fiber_solves.values()) == {1}

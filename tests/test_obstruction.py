@@ -1078,6 +1078,108 @@ def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
     assert _direct_mask(values, [], form) != 31
 
 
+def _y_translate(h, s):
+    """T_s^T h mod 11, the form whose value at P(y, z) is h(P(y + s, z)),
+    from the binomial expansion of the chart terms (1, y, z, y^2, yz,
+    y^3 + z^2)."""
+    h0, h1, h2, h3, h4, h5 = h
+    return (
+        (h0 + s * h1 + s * s * h3 + s ** 3 * h5) % 11,
+        (h1 + 2 * s * h3 + 3 * s * s * h5) % 11,
+        (h2 + s * h4) % 11,
+        (h3 + 3 * s * h5) % 11,
+        h4 % 11,
+        h5 % 11,
+    )
+
+
+def test_u5_bases_have_the_masks_of_their_representative(m11):
+    # the old sweep: the eleven translated masks of all 14,641 bases
+    # (0, b1, ..., b4, 1); each equals its b3 = 0 representative's, rotated
+    # by the u0 coefficient that y -> y + s adds, and the representatives
+    # are exactly one base per orbit
+    route = obstruction._route_11(m11, "chart")
+
+    def masks_of(bases):
+        return obstruction._TRANSLATED_MASKS_11[:, obstruction._value_sets(route.value_tables, bases)]
+
+    bases = obstruction._digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
+    masks = masks_of(bases)
+    reps = obstruction._u5_representatives_11()
+    rep_masks = masks_of(reps)
+    index = {col: k for k, col in enumerate(map(tuple, reps.T.tolist()))}
+    assert len(index) == reps.shape[1] == 1331
+    seen = set()
+    for j, b in enumerate(bases.T.tolist()):
+        moved = _y_translate(b, -b[3] * pow(3, -1, 11) % 11)
+        rep = (0, *moved[1:])
+        assert rep[3] == 0 and rep[5] == 1
+        seen.add(rep)
+        assert masks[:, j].tolist() == np.roll(rep_masks[:, index[rep]], -moved[0]).tolist()
+    assert seen == set(index)
+    # the law behind it holds for every form, partial images included:
+    # h and T_s^T h have the same value set on the chart route
+    rng = random.Random(31)
+    forms = [[rng.randrange(11) for _ in range(6)] for _ in range(300)]
+    for h in forms[1::2]:
+        h[2] = h[4] = h[5] = 0  # z-free forms have partial images
+    sets = obstruction._value_sets(route.value_tables, np.array(forms, dtype=np.int32).T)
+    assert (obstruction._TRANSLATED_MASKS_11[0, sets] != 31).sum() > 50
+    for s in range(1, 11):
+        moved = np.array([_y_translate(h, s) for h in forms], dtype=np.int32).T
+        assert (obstruction._value_sets(route.value_tables, moved) == sets).all()
+
+
+def test_a_route_not_closed_under_y_translation_is_refused(m11, monkeypatch):
+    # an extra value point off the chart keeps every u5 = 1 representative
+    # full, but y -> y + 1 no longer permutes the value points
+    extra = np.array([[1, 0, 0, 0, 0, 1]], dtype=np.int32)
+    _inject_route(monkeypatch, lambda route, values, triggers: (np.vstack([values, extra]), triggers))
+    route = obstruction._route_11(m11, "chart")
+    sets = obstruction._value_sets(route.value_tables, obstruction._u5_representatives_11())
+    assert (obstruction._TRANSLATED_MASKS_11[:, sets] == 31).all()
+    assert census_11(m11)["obstructing"] == 228
+    with pytest.raises(FiberInconsistencyError, match=r"translation y -> y \+ 1 does not act"):
+        census_11(m11, validate_surjectivity=True)
+
+
+def test_pair_tables_are_the_direct_formula(m11):
+    # entry [i, f + 11g, k] is 1 << (f P_2i + g P_2i+1 mod 11) at the k-th
+    # point, on both routes and on random points
+    rng = random.Random(121)
+    point_sets = [obstruction._route_11(m11, route).values for route in ("chart", "smooth")]
+    point_sets.append(np.array([[rng.randrange(11) for _ in range(6)] for _ in range(40)], dtype=np.int32))
+    digits = list(product(range(11), repeat=2))  # (g, f) of row f + 11g
+    for points in point_sets:
+        tables = obstruction._pair_tables(points)
+        expected = [
+            [[1 << (f * pt[2 * i] + g * pt[2 * i + 1]) % 11 for pt in points.tolist()] for g, f in digits]
+            for i in range(3)
+        ]
+        assert tables.dtype == np.uint32 and not tables.flags.writeable
+        assert tables.tolist() == expected
+
+
+def test_fullness_witnesses_are_the_shifted_values(m25):
+    # h(x) + c is a unit mod 5 where h(x) mod 5 is not -c: byte for byte
+    # the test on the shifted values, over random forms mod 25
+    rng = random.Random(25)
+    forms = np.array([[rng.randrange(25) for _ in range(400)] for _ in range(6)])
+    pairings, witnesses = obstruction._fullness_witnesses_25(forms)
+    values = np.array(CHART_5) @ forms
+    expected = np.array([(values + c) % 5 != 0 for c in range(5)]) & pairings.any(axis=1)
+    assert witnesses.shape == expected.shape == (5, 25, 400)
+    assert witnesses.tobytes() == expected.tobytes()
+    assert 0 < witnesses.sum() < witnesses.size
+
+
+def test_two_verdicts_solve_the_mod_2_fiber_once(m11, fiber_solves):
+    # the mod-2 witness of locally_soluble reads the cached fiber
+    for h in (HEADLINE_H, (0, 1, 0, -7, 0, 0)):
+        assert verdict(m11, h).solubility.soluble
+    assert fiber_solves[m11.quadrics, 2] == 1 and set(fiber_solves.values()) == {1}
+
+
 @pytest.mark.parametrize("rows", [2, 6])
 def test_tangent_check_pairs_each_tail_once(m25, monkeypatch, rows):
     # with a chart cut down to its first one or three points some directions

@@ -207,8 +207,8 @@ MUTANTS = (
     Mutant(
         "swapped-pair-digits",
         OBSTRUCTION,
-        "pairs = points.reshape(-1, 3, 2).transpose(1, 2, 0)",
-        "pairs = points[:, [0, 1, 3, 2, 4, 5]].reshape(-1, 3, 2).transpose(1, 2, 0)",
+        "pairs = points[:, 0::2] + 11 * points[:, 1::2]",
+        "pairs = points[:, [0, 1, 3, 2, 4, 5]][:, 0::2] + 11 * points[:, [0, 1, 3, 2, 4, 5]][:, 1::2]",
         (
             "tests/test_obstruction.py::test_representative_masks_are_pinned",
             "tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",
@@ -264,8 +264,8 @@ MUTANTS = (
     Mutant(
         "witness-ignores-value",
         OBSTRUCTION,
-        "return pairings, (shifted != 0) & pairings.any(axis=1)",
-        "return pairings, (shifted >= 0) & pairings.any(axis=1)",
+        "witnesses = values != minus_c\n",
+        "witnesses = values != minus_c + 5\n",
         (
             "tests/test_obstruction.py::test_every_certificate_mod_25_is_a_witness",
             "tests/test_obstruction.py::test_tangent_pairings_are_the_chart_derivatives",
@@ -471,6 +471,42 @@ MUTANTS = (
         "ok = (m @ v.T == w.transpose(0, 2, 1)).all(axis=(1, 2))",
         "ok = np.ones(len(m), dtype=bool)",
         ("tests/test_picard.py::test_a_class_permutation_that_is_not_linear_does_not_extend",),
+    ),
+    # one request cache, the u5 sweep over y-translation orbits, the cheaper
+    # witness and digit-pair kernels
+    Mutant(
+        "fiber-key-without-p",
+        FIBERS,
+        'key = ("fiber", p, model.quadrics)',
+        'key = ("fiber", model.quadrics)',
+        ("tests/test_fibers.py::test_one_claim_table_solves_each_fiber_once",),
+    ),
+    Mutant(
+        "u5-representatives-b1-zero",
+        OBSTRUCTION,
+        "reps[[1, 2, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)",
+        "reps[[2, 3, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)",
+        ("tests/test_obstruction.py::test_u5_bases_have_the_masks_of_their_representative",),
+    ),
+    Mutant(
+        "witnesses-plus-c",
+        OBSTRUCTION,
+        "minus_c = (5 - np.arange(5, dtype=np.uint8))[:, None, None] % 5",
+        "minus_c = (5 + np.arange(5, dtype=np.uint8))[:, None, None] % 5",
+        (
+            "tests/test_obstruction.py::test_fullness_witnesses_are_the_shifted_values",
+            "tests/test_obstruction.py::test_tangent_pairings_are_the_chart_derivatives",
+        ),
+    ),
+    Mutant(
+        "one-hot-digits-swapped",
+        OBSTRUCTION,
+        "pairs = points[:, 0::2] + 11 * points[:, 1::2]",
+        "pairs = 11 * points[:, 0::2] + points[:, 1::2]",
+        (
+            "tests/test_obstruction.py::test_pair_tables_are_the_direct_formula",
+            "tests/test_obstruction.py::test_representative_masks_are_pinned",
+        ),
     ),
 )
 
