@@ -239,7 +239,11 @@ def _upper(s, p):
     return (np.triu(s + s.transpose(0, 2, 1), 1) + s * np.eye(n, dtype=np.int64)) % p
 
 
-@lru_cache(maxsize=8)
+# one entry per prime up to ENUMERATION_BOUND, for the per-p tables below
+_PRIMES_IN_BOUND = sum(map(_is_prime, range(ENUMERATION_BOUND + 1)))
+
+
+@lru_cache(maxsize=_PRIMES_IN_BOUND)
 def _inverses(p):
     """Inverse of every residue mod p, with 0 at 0."""
     return np.array([0] + [pow(a, -1, p) for a in range(1, p)], dtype=np.int64)
@@ -253,7 +257,7 @@ def _on_fiber(gram, x, p):
     return ~(np.einsum("nkj,nj->nk", xg, x) % p).any(axis=1)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_PRIMES_IN_BOUND)
 def _projective_plane(p):
     """The p^2 + p + 1 points of P^2(F_p) with first nonzero entry 1, as rows
     (read-only, shared)."""
@@ -712,16 +716,25 @@ class ChartCertificate:
     line_points: tuple
 
 
-def _on_chart(gram):
-    """The quadrics q_k = x^T G_k x restricted to the chart of
-    ``_CHART_TERMS``, as (5, 7, 5) arrays of (y, z) coefficients (exact for
-    integer Gram arrays)."""
+@lru_cache(maxsize=1)
+def _chart_products():
+    """(6, 6, 7, 5) table of the products of the chart coordinates of
+    ``_CHART_TERMS``, entry [i, j] the (y, z) coefficients of x_i x_j;
+    built once and shared, so it is read-only."""
     chart = np.zeros((6, 4, 3), dtype=np.int64)
     for coord, terms in zip(chart, _CHART_TERMS):
         for b, c in terms:
             coord[b, c] = 1
     products = np.array([[_yz_product(a, b) for b in chart] for a in chart], dtype=np.int64)
-    return np.einsum("kij,ijbc->kbc", gram, products)
+    products.flags.writeable = False
+    return products
+
+
+def _on_chart(gram):
+    """The quadrics q_k = x^T G_k x restricted to the chart of
+    ``_CHART_TERMS``, as (5, 7, 5) arrays of (y, z) coefficients (exact for
+    integer Gram arrays)."""
+    return np.einsum("kij,ijbc->kbc", gram, _chart_products())
 
 
 def _monomial_text(residue):

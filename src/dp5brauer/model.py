@@ -5,8 +5,10 @@ the two distinguished hyperplane forms l1, l2 that arise as rational
 products of conjugate lines.  A quadric is stored as the tuple of its 21
 integer coefficients along ``U_QUADRIC_PAIRS``, which is also the model
 file format; ``_quadric_gram`` turns them into Gram matrices and
-``_form_vectors`` back.  Models come from two sources: constructed
-from a cyclic quintic field spec, or one of the two stored fixtures.
+``_form_vectors`` back.  Models are built from a cyclic quintic field
+spec (``build_model``) or read from a model file; the two conductor
+fixtures are ``build_model`` on an Eisenstein generator plus stored
+metadata (``fixture``).
 
 Construction pipeline: quintics through the conjugate point orbit with
 double vanishing (a rank-6 kernel), the quadric relations among them (a
@@ -42,7 +44,10 @@ from .intlinalg import (
 )
 from .numberfield import (
     QuinticFieldSpec,
+    _poly_add,
+    _poly_mul,
     galois_conjugates,
+    real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
 
@@ -370,38 +375,6 @@ def _chart_tables(p):
     return table[:, 0], table[:, 1:]
 
 
-def _pairs_vector(pairs):
-    return [pairs.get(pair, 0) for pair in U_QUADRIC_PAIRS]
-
-
-_ZETA11PLUS_QUADRICS = (
-    {
-        (0, 3): 1, (0, 4): 22, (0, 5): 121, (1, 1): -1, (1, 3): -121,
-        (1, 4): 2662, (2, 4): -36355, (2, 5): -9306, (3, 4): 10494,
-        (3, 5): -242, (4, 4): -215501, (4, 5): 68123, (5, 5): -13794,
-    },
-    {
-        (0, 4): 1, (0, 5): 11, (1, 2): -1, (1, 3): -11, (1, 4): 242,
-        (2, 4): -3223, (2, 5): -847, (3, 4): 902, (3, 5): -11,
-        (4, 4): -19272, (4, 5): 6413, (5, 5): -1331,
-    },
-    {
-        (0, 5): 1, (1, 3): -1, (1, 4): 22, (2, 2): -1, (2, 4): -286,
-        (2, 5): -77, (3, 4): 77, (4, 4): -1694, (4, 5): 572, (5, 5): -121,
-    },
-    {
-        (1, 4): 1, (2, 3): -1, (2, 4): -11, (4, 4): -77, (4, 5): 55,
-        (5, 5): -11,
-    },
-    {
-        (1, 5): 1, (2, 4): -1, (2, 5): -11, (3, 3): -1, (3, 4): 11,
-        (4, 4): -44,
-    },
-)
-
-_ZETA11PLUS_L1 = (1, 22, -363, 165, -1859, 484)
-_ZETA11PLUS_L2 = (1, 22, -352, 143, -1595, 363)
-
 _ZETA11PLUS_POINTS = (
     (1, 0, 0, 0, 0, 0),
     (-693, -88, -11, 0, 1, 1),
@@ -416,34 +389,6 @@ _ZETA11PLUS_POINTS = (
 _ZETA11PLUS_MOD2_CLASS = (0, 0, 1, 0, 0, 1)
 
 _ZETA25_MINPOLY = (1, -20, 100, -125, 50, -5)
-
-_ZETA25_QUADRICS = (
-    {
-        (0, 3): 1, (0, 4): 40, (0, 5): 400, (1, 1): -1, (1, 3): -400,
-        (1, 4): 16000, (2, 4): -365050, (2, 5): -49995, (3, 4): 51985,
-        (3, 5): -200, (4, 4): -2029975, (4, 5): 392250, (5, 5): -39375,
-    },
-    {
-        (0, 4): 1, (0, 5): 20, (1, 2): -1, (1, 3): -20, (1, 4): 800,
-        (2, 4): -18125, (2, 5): -2500, (3, 4): 2550, (3, 5): -5,
-        (4, 4): -101015, (4, 5): 19800, (5, 5): -2000,
-    },
-    {
-        (0, 5): 1, (1, 3): -1, (1, 4): 40, (2, 2): -1, (2, 4): -900,
-        (2, 5): -125, (3, 4): 125, (4, 4): -5000, (4, 5): 985, (5, 5): -100,
-    },
-    {
-        (1, 4): 1, (2, 3): -1, (2, 4): -20, (4, 4): -125, (4, 5): 50,
-        (5, 5): -5,
-    },
-    {
-        (1, 5): 1, (2, 4): -1, (2, 5): -20, (3, 3): -1, (3, 4): 20,
-        (4, 4): -100,
-    },
-)
-
-_ZETA25_L1 = (1, 25, -700, 200, -3425, 575)
-_ZETA25_L2 = (1, 75, -1675, 375, -5175, 575)
 
 # output of search_integral_points on this fixture, thinned to a rank-6
 # set of index 2, matching the shape of the stored zeta11plus set
@@ -460,33 +405,60 @@ _ZETA25_POINTS = (
 _ZETA25_MOD2_CLASS = (0, 0, 1, 1, 0, 0)
 
 
+def _zeta11plus_generator():
+    """x^5 - 11x^4 + 44x^3 - 77x^2 + 55x - 11, the minimal polynomial of
+    2 - (t + 1/t) for t a primitive 11th root of unity: -f(2 - x) for
+    f = ``real_cyclotomic_minpoly(11)``, by Horner's rule.  Eisenstein at 11."""
+    value = []
+    for c in real_cyclotomic_minpoly(11):
+        value = _poly_add(_poly_mul(value, [2, -1]), [c])
+    return tuple(-c for c in reversed(value))
+
+
+@lru_cache(maxsize=2)
+def _built(generator):
+    """``build_model`` on a fixture's generator, once per process."""
+    return build_model(QuinticFieldSpec(generator))
+
+
 def fixture(name):
-    """The two stored models: "zeta11plus" and "zeta25"."""
+    """The two conductor models, "zeta11plus" and "zeta25": ``build_model``
+    on an Eisenstein generator of the field, plus stored metadata, namely
+    the ramified prime, integral points and the mod-2 insolubility class.
+
+    zeta25 is built from ``_ZETA25_MINPOLY``, Eisenstein at 5, and keeps its
+    spec, l1 and l2.  zeta11plus is built from ``_zeta11plus_generator()``,
+    Eisenstein at 11, and keeps ``zeta11_plus_field()`` as its spec, the
+    same field.  Its l1 is the pentagon product of the walk by
+    sigma: t -> t^2, with t a primitive 11th root of unity.  ``build_model``
+    walks the Frobenius at the generator's inert prime 3, t -> t^3, and
+    3 = 2^8 mod 11, so that Frobenius is sigma^8, which is sigma^3 on the
+    real subfield since sigma^5: t -> 1/t fixes it.  An edge {k, k + 1} of
+    the sigma^3 walk joins points 3 apart in the sigma walk, and 3 = -2
+    mod 5, so the built pentagon is the pentagram of sigma: the built l1
+    and l2 are the fixture's l2 and l1.
+    """
     if name == "zeta11plus":
-        return DelPezzoModel(
-            "fixture:zeta11plus",
-            zeta11_plus_field(),
-            [_pairs_vector(p) for p in _ZETA11PLUS_QUADRICS],
-            _ZETA11PLUS_L1,
-            _ZETA11PLUS_L2,
-            name="zeta11plus",
-            ramified_prime=11,
-            integral_points=_ZETA11PLUS_POINTS,
-            insolubility_class=_ZETA11PLUS_MOD2_CLASS,
-        )
-    if name == "zeta25":
-        return DelPezzoModel(
-            "fixture:zeta25",
-            QuinticFieldSpec(_ZETA25_MINPOLY),
-            [_pairs_vector(p) for p in _ZETA25_QUADRICS],
-            _ZETA25_L1,
-            _ZETA25_L2,
-            name="zeta25",
-            ramified_prime=5,
-            integral_points=_ZETA25_POINTS,
-            insolubility_class=_ZETA25_MOD2_CLASS,
-        )
-    raise UnknownModelError(f"unknown fixture {name!r}")
+        built = _built(_zeta11plus_generator())
+        spec, l1, l2 = zeta11_plus_field(), built.l2, built.l1
+        prime, points, mod2_class = 11, _ZETA11PLUS_POINTS, _ZETA11PLUS_MOD2_CLASS
+    elif name == "zeta25":
+        built = _built(_ZETA25_MINPOLY)
+        spec, l1, l2 = built.spec, built.l1, built.l2
+        prime, points, mod2_class = 5, _ZETA25_POINTS, _ZETA25_MOD2_CLASS
+    else:
+        raise UnknownModelError(f"unknown fixture {name!r}")
+    return DelPezzoModel(
+        f"fixture:{name}",
+        spec,
+        built.quadrics,
+        l1,
+        l2,
+        name=name,
+        ramified_prime=prime,
+        integral_points=points,
+        insolubility_class=mod2_class,
+    )
 
 
 def _quadric_gram(vectors):

@@ -17,18 +17,21 @@ from dp5brauer.errors import (
 )
 from dp5brauer.intlinalg import (
     IntMatrix,
+    hnf,
     lattice_index,
     primitive_part,
     saturated_kernel,
     solve_in_lattice,
 )
 from dp5brauer.model import (
+    _ZETA25_MINPOLY,
     DEG5_MONOMIALS,
     DEG10_MONOMIALS,
     U_QUADRIC_PAIRS,
     DelPezzoModel,
     QuinticSystem,
     _chart_tables,
+    _zeta11plus_generator,
     _exponents,
     _yz_product,
     build_model,
@@ -41,6 +44,7 @@ from dp5brauer.model import (
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
     galois_conjugates,
+    real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
@@ -106,6 +110,50 @@ def test_known_points_are_stored(m11):
 def test_line_products_share_a_reduction_at_the_ramified_prime(m11):
     assert tuple(c % 11 for c in m11.l1) == (1, 0, 0, 0, 0, 0)
     assert tuple(c % 11 for c in m11.l2) == (1, 0, 0, 0, 0, 0)
+
+
+# SHA-256 over the Hermite form of each fixture's quadric rows with its l1
+# and l2, recorded on the hand-copied tables the built fixtures replaced
+FIXTURE_TABLES_SHA256 = "dc0246e4143705893ff6d9cc9c772100665ed117f9d6ba72a3dc15c16c49e91c"
+
+
+def test_fixture_tables_are_pinned(m11, m25):
+    digest = hashlib.sha256()
+    for m in (m11, m25):
+        rows = hnf(IntMatrix(m.quadric_vectors()))[0]
+        digest.update(repr((m.name, rows.to_lists(), list(m.l1), list(m.l2))).encode())
+    assert digest.hexdigest() == FIXTURE_TABLES_SHA256
+
+
+def _is_eisenstein(coeffs, p):
+    return coeffs[0] == 1 and all(c % p == 0 for c in coeffs[1:]) and coeffs[-1] % (p * p)
+
+
+def _value(coeffs, x):
+    return sum(c * x ** k for k, c in enumerate(reversed(coeffs)))
+
+
+def test_fixture_generators_are_eisenstein():
+    g, f = _zeta11plus_generator(), real_cyclotomic_minpoly(11)
+    assert len(g) == 6
+    # two polynomials of degree 5 that agree at six points are equal
+    assert all(_value(g, x) == -_value(f, 2 - x) for x in range(6))
+    assert _is_eisenstein(g, 11)
+    assert _is_eisenstein(_ZETA25_MINPOLY, 5)
+    assert not _is_eisenstein(zeta11_plus_field().coefficients, 11)
+
+
+def test_the_sigma_walk_names_the_zeta11plus_labels(m11):
+    # sigma: t -> t^2 sends alpha = 2 - (t + 1/t) to 4 alpha - alpha^2; the
+    # built walk s is the Frobenius at 3, and s^2 = sigma makes s = sigma^3
+    spec = QuinticFieldSpec(_zeta11plus_generator())
+    built = build_model(spec)
+    assert spec.inert_prime == 3 and pow(2, 8, 11) == 3
+    a, c = spec.generator(), galois_conjugates(spec)
+    assert c[1] == 4 * a - a * a
+    sigma_walk = (c[1], c[3], c[0], c[2])
+    assert find_line_products(spec, built.system, sigma_walk) == (m11.l1, m11.l2)
+    assert (built.l1, built.l2) == (m11.l2, m11.l1)
 
 
 def test_double_vanishing_kernel_has_rank_six(m11):

@@ -389,6 +389,27 @@ MUTANTS = (
             "tests/test_obstruction.py::test_every_certificate_mod_25_is_a_witness",
         ),
     ),
+    # the fixtures built from an Eisenstein generator, with stored labels
+    Mutant(
+        "fixture-l1-l2-unswapped",
+        MODEL,
+        "spec, l1, l2 = zeta11_plus_field(), built.l2, built.l1",
+        "spec, l1, l2 = zeta11_plus_field(), built.l1, built.l2",
+        (
+            "tests/test_model.py::test_fixture_tables_are_pinned",
+            "tests/test_model.py::test_the_sigma_walk_names_the_zeta11plus_labels",
+        ),
+    ),
+    Mutant(
+        "fixture-built-from-alpha",
+        MODEL,
+        "built = _built(_zeta11plus_generator())",
+        "built = _built(zeta11_plus_field().coefficients)",
+        (
+            "tests/test_model.py::test_fixture_tables_are_pinned",
+            "tests/test_model.py::test_zeta11plus_fixture_data",
+        ),
+    ),
     # the model file, the claim table and the exit-code contract
     Mutant(
         "model-rank-rule-off-by-one",
