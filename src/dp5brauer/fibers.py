@@ -152,12 +152,13 @@ The request cache.  ``_FIBER_CACHE`` is the one store of per-request
 results, a ``_BoundedCache`` of CACHE_SIZE entries that drops the oldest
 stored first.  ``_fiber_array`` keeps each solved fiber there under
 ("fiber", p, quadrics), the only data the fiber depends on, and
-``obstruction`` keeps its smooth routes at 11 in the same object, so one
-``clear()`` empties both, and a caller that must start cold calls it.  One
-claim table of ``verify.run_claims`` stores 18 entries, 14 fibers and 4
-smooth routes, so at 24 entries it solves each (quadrics, p) once; the
-fiber benchmark's pass stores 45 fibers, so no pass finds one an earlier
-pass solved.
+``obstruction`` keeps its smooth routes at 11 and its chart lifts at 25 in
+the same object, under (11, quadrics, l1) and (25, quadrics, l1), so one
+``clear()`` empties all three, and a caller that must start cold calls it.
+One claim table of ``verify.run_claims`` stores 19 entries, 14 fibers, 4
+smooth routes and 1 lift table, so at 24 entries it solves each
+(quadrics, p) once; the fiber benchmark's pass stores 45 fibers, so no
+pass finds one an earlier pass solved.
 """
 
 from __future__ import annotations
@@ -211,8 +212,9 @@ class _BoundedCache(OrderedDict):
 
 
 CACHE_SIZE = 24
-# solved fibers and the smooth routes of ``obstruction``, per request: a
-# caller that must start cold empties it (module docstring, request cache)
+# solved fibers, and the smooth routes and chart lifts of ``obstruction``,
+# per request: a caller that must start cold empties it (module docstring,
+# request cache)
 _FIBER_CACHE = _BoundedCache(CACHE_SIZE)
 
 

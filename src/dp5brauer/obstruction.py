@@ -202,8 +202,8 @@ def _values_image(prime, q, hv, reason):
     return InvariantImage(prime, q, _mask_classes(fifth_power_classes(q), mask), units, reason)
 
 
-# one entry per modulus; the smooth routes at 11 are stored in
-# ``fibers._FIBER_CACHE``, beside the fibers they are read off
+# one entry per modulus; the smooth routes at 11 and the chart lifts at 25
+# are stored in ``fibers._FIBER_CACHE``, beside the fibers
 _GROUP_CACHE = _BoundedCache(CACHE_SIZE)
 
 
@@ -424,9 +424,6 @@ def inv_image_25(model, h):
     return _values_image(5, 25, values, "values determined by the residue")
 
 
-_LIFT_CACHE = _BoundedCache(CACHE_SIZE)
-
-
 def _quadric_values_25(gram, x):
     """(n, 5) values mod 25 of the quadrics at the rows of x (n, 6), entries
     of both below 25: each sum has six terms of at most 24^2 before its
@@ -459,7 +456,7 @@ def _chart_lift_points(model):
     6 * 24^2: int64 is exact.
     """
     key = _model_cache_key(model, 25)
-    cached = _LIFT_CACHE.get(key)
+    cached = _FIBER_CACHE.get(key)
     if cached is not None:
         return cached
     x, tangents = _chart_tables(5)
@@ -493,7 +490,7 @@ def _chart_lift_points(model):
     if _quadric_values_25(gram, lifts).any():
         raise FiberInconsistencyError("constructed lift leaves the fiber mod 25")
     lifts.setflags(write=False)
-    _LIFT_CACHE[key] = lifts
+    _FIBER_CACHE[key] = lifts
     return lifts
 
 
@@ -574,14 +571,17 @@ def _require_primitive(h):
 def locally_soluble(model, h):
     """Everywhere-local solubility of the complement of {h = 0}.
 
-    The answer depends only on h mod 2: the five points of the fiber at 2
-    are smooth and lie on a single hyperplane, so solubility fails exactly
-    when h cuts that hyperplane.  The certificate for the soluble case
-    covers every completion at once: a mod-2 fiber point off {h = 0} with
-    full Jacobian rank handles 2-adic lifting, and the stored integral
-    points span a sublattice of odd index in the saturation of their span,
-    so their h-values have odd part coprime in particular to every odd
-    prime; any stored point off {h = 0} is a real point of the complement.
+    It reads stored fixture data, and a model without it is refused.  For
+    the stored fixtures, and not as a rule for every model, the answer
+    depends only on h mod 2: their five points of the fiber at 2 are smooth
+    and lie on the one hyperplane stored as ``insolubility_class``, so
+    solubility fails exactly when h cuts that hyperplane.  The certificate
+    for the soluble case covers every completion at once: a mod-2 fiber
+    point off {h = 0} with full Jacobian rank handles 2-adic lifting, and
+    the stored integral points span a sublattice of odd index in the
+    saturation of their span, so their h-values have odd part coprime in
+    particular to every odd prime; any stored point off {h = 0} is a real
+    point of the complement.
     The mod-2 witness is the first fiber point, in ``fibers._fiber_array``
     order, off {h = 0}, and ``fibers._singular_mask`` certifies it smooth.
     """
@@ -620,7 +620,22 @@ def _proportional_over_q(a, b):
 
 
 def geometrically_irreducible(model, h):
-    """False exactly when h is a rational multiple of l1 or l2."""
+    """False exactly when h is a rational multiple of l1 or l2.
+
+    D = {h = 0} is a hyperplane section, of class H = -K and degree 5.  The
+    Galois group permutes the components of D over Q-bar, and acts on
+    Pic X-bar through sigma (``picard.interesting_sigma``), which fixes no
+    class but the multiples of K: it fixes K and has order 5, so on the
+    rank-4 complement of K its eigenvalues are the primitive fifth roots of
+    unity.  A component C whose class is fixed is then -mK, of degree 5m,
+    so m = 1 and C = D: D is irreducible.  A component whose class is not
+    fixed has five conjugates with five distinct classes, of equal degree
+    and summing to at most 5, so each has degree 1: D is five lines, one
+    sigma-orbit.  There are two orbits, the pentagon and the pentagram of
+    ``model.find_line_products``, whose sections are {l1 = 0} and
+    {l2 = 0}, and a section fixes its form up to a scalar.  So D is
+    geometrically reducible exactly when h is a multiple of l1 or l2.
+    """
     coeffs = tuple(int(c) for c in h)
     if len(coeffs) != 6 or not any(coeffs):
         raise DomainError("need a nonzero six-coefficient form")

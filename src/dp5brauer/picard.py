@@ -2,13 +2,17 @@
 cohomology of a cyclic action.
 
 The lattice is Z^5 with pairing diag(1, -1, -1, -1, -1) and canonical class
-K = (-3, 1, 1, 1, 1).  Everything downstream (the ten classes, the Petersen
-graph, the distinguished order-5 action and its H^1) is computed from that
-data, not written down by hand.
+K = (-3, 1, 1, 1, 1).  Everything downstream is computed from that data, not
+written down by hand: the ten (-1)-classes and the five conic classes come
+from one search, each (-1)-class is labelled by the two conic classes it
+meets, the Petersen graph is the disjointness of the labels, and the
+order-5 Galois action sigma is the walk of the conjugate points
+g_0..g_4 on the conic classes, carried to the labels, with its H^1.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -27,35 +31,48 @@ def pairing(u, v):
     return sum(s * a * b for s, a, b in zip(FORM, u, v))
 
 
-def minus_one_classes(bound=3):
-    """All classes D with D.D = D.K = -1 and coordinates in [-bound, bound].
+def _classes(square, degree, bound=3):
+    """All classes D with D.D = square, D.K = degree and coordinates in
+    [-bound, bound], sorted.
 
-    The default window is known to be exhaustive; widening it is a test,
-    not a runtime need.  D.K is affine in the last coordinate e, with slope
-    FORM[-1] * K[-1], so D.K = -1 fixes e from the first four coordinates
-    and only those are searched, as one integer array in lexicographic
-    order, so the list comes out sorted.
+    D.K is affine in the last coordinate e, with slope FORM[-1] * K[-1], so
+    D.K = degree fixes e from the first four coordinates and only those are
+    searched, as one integer array in lexicographic order, so the list
+    comes out sorted.
     """
     form, canonical = np.array(FORM), np.array(CANONICAL_CLASS)
     side = 2 * bound + 1
     head = np.indices((side,) * (RANK - 1)).reshape(RANK - 1, -1).T - bound
-    e, rest = np.divmod(-1 - head @ (form * canonical)[:-1], form[-1] * canonical[-1])
+    e, rest = np.divmod(degree - head @ (form * canonical)[:-1], form[-1] * canonical[-1])
     vectors = np.column_stack([head, e])
-    keep = (rest == 0) & (abs(e) <= bound) & ((vectors * vectors) @ form == -1)
+    keep = (rest == 0) & (abs(e) <= bound) & ((vectors * vectors) @ form == square)
     return [tuple(v) for v in vectors[keep].tolist()]
 
 
-def class_label(vector):
-    """Human name: e-classes are L1..L4, conic classes are L0-Li-Lj."""
-    if vector[0] == 0:
-        idx = [i for i in range(1, RANK) if vector[i]]
-        if len(idx) == 1 and vector[idx[0]] == 1:
-            return f"L{idx[0]}"
-    if vector[0] == 1:
-        idx = [i for i in range(1, RANK) if vector[i] == -1]
-        if len(idx) == 2 and sum(map(abs, vector)) == 3:
-            return f"L0-L{idx[0]}-L{idx[1]}"
-    raise DomainError(f"not a recognized (-1)-class: {vector}")
+def minus_one_classes(bound=3):
+    """All classes D with D.D = D.K = -1 and coordinates in [-bound, bound].
+
+    The default window is known to be exhaustive; widening it is a test,
+    not a runtime need.
+    """
+    return _classes(-1, -1, bound)
+
+
+@lru_cache(maxsize=1)
+def _conic_classes():
+    """The five conic classes, D.D = 0 and D.K = -2, numbered 1..5 in
+    sorted order: L0 - L1, ..., L0 - L4 and 2L0 - L1 - L2 - L3 - L4."""
+    return _classes(0, -2)
+
+
+def _labels(classes):
+    """The label of each class: the set of conic classes it meets (pairing
+    1), by their numbers.  Li meets L0 - Li and 2L0 - L1 - ... - L4, so its
+    label is {i, 5}; L0 - Li - Lj meets L0 - Lk exactly for k not in {i, j}
+    and pairs to 0 with 2L0 - L1 - ... - L4, so its label is {1..4} - {i, j}.
+    """
+    meets = np.array(classes) @ np.diag(FORM) @ np.array(_conic_classes()).T == 1
+    return [frozenset((np.flatnonzero(row) + 1).tolist()) for row in meets]
 
 
 class PetersenReport(NamedTuple):
@@ -70,44 +87,28 @@ def petersen_graph(classes=None):
     """Incidence graph of the ten (-1)-classes, with its symmetries.
 
     Two classes are adjacent when they meet (pairing 1).  The report
-    carries a 2-subset labeling exhibiting the Kneser structure (adjacent
-    iff labels disjoint), the automorphism count, and the result of
-    extending every graph automorphism to a pairing-preserving lattice map
-    fixing K.
+    carries the labels of ``_labels``, which exhibit the Kneser structure:
+    two classes are adjacent exactly when their labels are disjoint.  It
+    also carries the automorphism count and the result of extending every
+    graph automorphism to a pairing-preserving lattice map fixing K.
     """
     if classes is None:
         classes = minus_one_classes()
-    n = len(classes)
-    adjacency = [
-        frozenset(j for j in range(n) if j != i and pairing(classes[i], classes[j]) == 1)
-        for i in range(n)
-    ]
-    edges = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if j in adjacency[i]
-    )
+    v = np.array(classes)
+    meets = v @ np.diag(FORM) @ v.T == 1
+    adjacency = [frozenset(np.flatnonzero(row).tolist()) for row in meets]
+    edges = tuple(zip(*(t.tolist() for t in np.nonzero(np.triu(meets)))))
     if any(len(a) != 3 for a in adjacency) or len(edges) != 15:
         raise DomainError("classes do not form the expected 3-regular graph")
-
-    labels = {}
-    for i, v in enumerate(classes):
-        name = class_label(v)
-        if name.startswith("L0"):
-            parts = {int(name[4]), int(name[7])}
-            labels[i] = frozenset({1, 2, 3, 4} - parts)
-        else:
-            labels[i] = frozenset({int(name[1]), 5})
-    for i, j in edges:
-        if labels[i] & labels[j]:
-            raise DomainError("labeling fails disjointness on an edge")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if (j not in adjacency[i]) and not (labels[i] & labels[j]):
-                raise DomainError("labeling fails disjointness off an edge")
+    labels = _labels(classes)
+    disjoint = np.array([[not (a & b) for b in labels] for a in labels])
+    if (meets != disjoint).any():
+        raise DomainError("adjacency is not the disjointness of the labels")
 
     autos = _graph_automorphisms(adjacency)
-    images = np.array(classes)[np.array(autos)]
+    images = v[np.array(autos)]
     extensions_ok = bool(_lattice_map(classes, images)[1].all())
-    return PetersenReport(tuple(classes), edges, len(autos), labels, extensions_ok)
+    return PetersenReport(tuple(classes), edges, len(autos), dict(enumerate(labels)), extensions_ok)
 
 
 def _graph_automorphisms(adjacency):
@@ -136,15 +137,15 @@ def _lattice_map(classes, images):
     says that it does, preserving the pairing and K.
 
     The e-classes L1..L4 are the unit vectors e1..e4, so their images are
-    columns 1..4; one conic class e0 - Li - Lj then determines column 0.
+    columns 1..4; one class e0 - Li - Lj then determines column 0.
     The columns and the three checks M v = image, M^T G M = G and M K = K
     are one integer array step over the whole stack.
     """
     v, w = np.array(classes), np.array(images)
     units = [classes.index(tuple(int(t == k) for t in range(RANK))) for k in range(1, RANK)]
-    conic = next(i for i, c in enumerate(classes) if c[0] == 1)
+    l0_class = next(i for i, c in enumerate(classes) if c[0] == 1)
     cols = w[:, units]
-    col0 = w[:, conic] - np.einsum("k,mkt->mt", v[conic, 1:], cols)
+    col0 = w[:, l0_class] - np.einsum("k,mkt->mt", v[l0_class, 1:], cols)
     m = np.concatenate([col0[:, None], cols], axis=1).transpose(0, 2, 1)
     gram, canonical = np.diag(FORM), np.array(CANONICAL_CLASS)
     ok = (m @ v.T == w.transpose(0, 2, 1)).all(axis=(1, 2))
@@ -163,29 +164,38 @@ class GaloisAction(NamedTuple):
     order: int
 
 
-# orbit of the distinguished fixed-point-free symmetry on labeled classes:
-# two 5-cycles, one through L1 and one through L3
-_SIGMA_ORBITS = (
-    ("L1", "L0-L1-L2", "L2", "L0-L2-L3", "L0-L1-L4"),
-    ("L3", "L4", "L0-L1-L3", "L0-L3-L4", "L0-L2-L4"),
-)
+# the conic classes by their numbers, in the order of the conjugate points
+# g_0..g_4 of ``model.find_line_products``
+_WALK = (1, 3, 5, 4, 2)
 
 
 def interesting_sigma():
-    """The order-5 symmetry acting on the ten classes in two 5-cycles.
+    """The order-5 Galois action: the walk g_k -> g_{k+1} on the conic
+    classes, carried to the ten (-1)-classes through their labels.
 
-    Built from its class orbits and verified to preserve the pairing, fix
-    K, and have exact order 5.
+    sigma keeps the pairing and K, so it permutes the conic classes, the
+    classes with D.D = 0 and D.K = -2.  A (-1)-class is fixed by its label,
+    the two conic classes it meets, so a permutation of the conic classes
+    fixes the image of every class, and by ``_lattice_map`` the matrix.
+    Here it is the 5-cycle along ``_WALK``: the class labelled {a, b} goes
+    to the one labelled {next(a), next(b)}.  ``model.find_line_products``
+    proves that the Galois generator s maps L(g_i, g_j) to
+    L(g_{i+1}, g_{j+1}): the same rule, once each conic class stands for
+    the point of its place in the walk.  Of the 24 cyclic orders of the
+    five conic classes, only this one gives the matrix that the claim rows
+    and the ``cohomology`` document pin: the order 1..5 sends L0 to
+    (2, 0, -1, -1, -1), and the order 5..1 keeps the image of L0 and the
+    image lattice of 1 - sigma but not the matrix.  The result is verified
+    to preserve the pairing, fix K, and have exact order 5.
     """
     classes = minus_one_classes()
-    by_label = {class_label(v): v for v in classes}
-    perm = {}
-    for orbit in _SIGMA_ORBITS:
-        for a, b in zip(orbit, orbit[1:] + orbit[:1]):
-            perm[by_label[a]] = by_label[b]
-    (m,), (ok,) = _lattice_map(classes, [[perm[v] for v in classes]])
+    labels = _labels(classes)
+    step = dict(zip(_WALK, _WALK[1:] + _WALK[:1]))
+    by_label = dict(zip(labels, classes))
+    images = [by_label[frozenset(step[a] for a in label)] for label in labels]
+    (m,), (ok,) = _lattice_map(classes, [images])
     if not ok:
-        raise DomainError("orbit data is not a lattice map preserving the pairing and K")
+        raise DomainError("the walk is not a lattice map preserving the pairing and K")
     m = IntMatrix(m.tolist())
     if matrix_order(m) != 5:
         raise DomainError("symmetry must have order 5")

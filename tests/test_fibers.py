@@ -862,8 +862,10 @@ def test_transformed_model_matches_the_substitution(m11, seed):
 
 
 def test_one_claim_table_solves_each_fiber_once(fiber_solves):
-    # the fibers and the smooth routes share one request cache, so one
-    # clear() starts a claim table cold, and it solves each (quadrics, p) once
+    # the fibers, the smooth routes and the chart lifts share one request
+    # cache, so one clear() starts a claim table cold, and it solves each
+    # (quadrics, p) once: 14 fibers, 4 routes and 1 lift table stay inside it
     assert obstruction._FIBER_CACHE is fibers._FIBER_CACHE
     assert verify.run_claims(fast=False)["counts"] == {"ok": 32, "flagged": 2, "fail": 0}
     assert len(fiber_solves) == 14 and set(fiber_solves.values()) == {1}
+    assert len(fibers._FIBER_CACHE) == 19 <= fibers.CACHE_SIZE

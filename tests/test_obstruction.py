@@ -333,10 +333,10 @@ def test_a_tangent_off_the_lift_plane_is_refused(m25, monkeypatch):
     bent = tangents.copy()
     bent[7, 0, 3] = (bent[7, 0, 3] + 1) % 5
     monkeypatch.setattr(obstruction, "_chart_tables", lambda p: (points, bent))
-    obstruction._LIFT_CACHE.clear()
+    obstruction._FIBER_CACHE.clear()
     with pytest.raises(FiberInconsistencyError, match="chart tangent leaves the lift plane"):
         obstruction._chart_lift_points(m25)
-    assert not obstruction._LIFT_CACHE
+    assert obstruction._model_cache_key(m25, 25) not in obstruction._FIBER_CACHE
 
 
 def _kappa_census_oracle():
@@ -388,7 +388,7 @@ def _solved_lift_points(model):
 
 
 def test_chart_lifts_equal_the_per_point_solves(m25):
-    obstruction._LIFT_CACHE.clear()
+    obstruction._FIBER_CACHE.clear()
     assert obstruction._chart_lift_points(m25).tolist() == _solved_lift_points(m25)
 
 
@@ -1406,6 +1406,5 @@ def test_caches_stay_bounded_across_invariance_checks(m11):
         assert report["base_count"] == 228
         assert report["transform_counts"] == (228,)
         assert len(obstruction._FIBER_CACHE) == obstruction.CACHE_SIZE
-    obstruction._LIFT_CACHE.clear()
     obstruction._FIBER_CACHE.clear()
     assert len(obstruction._FIBER_CACHE) == 0

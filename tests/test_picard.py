@@ -1,17 +1,22 @@
 """The lattice side: ten classes, their graph, the order-5 action, H^1."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
+import numpy as np
 import pytest
 
 from dp5brauer.errors import DomainError
+from dp5brauer.fibers import find_lines
 from dp5brauer.intlinalg import IntMatrix
+from dp5brauer.model import fixture
 from dp5brauer.picard import (
     CANONICAL_CLASS,
+    _WALK,
+    _classes,
+    _conic_classes,
     _graph_automorphisms,
     _lattice_map,
-    class_label,
     h1_cyclic,
     image_lattice_hnf,
     interesting_sigma,
@@ -50,11 +55,23 @@ def test_minus_one_classes_match_a_search_of_the_whole_box():
         assert minus_one_classes(bound) == expected
 
 
-def test_class_labels():
-    assert class_label((0, 1, 0, 0, 0)) == "L1"
-    assert class_label((1, -1, -1, 0, 0)) == "L0-L1-L2"
-    with pytest.raises(DomainError):
-        class_label((0, 2, 0, 0, 0))
+def test_labels_are_the_conic_classes_met():
+    # conic classes L0 - L1, ..., L0 - L4, 2L0 - L1 - L2 - L3 - L4, numbered
+    # 1..5; Li meets L0 - Li and the last, L0 - Li - Lj the L0 - Lk, k not i, j
+    assert _conic_classes() == [
+        (1, -1, 0, 0, 0),
+        (1, 0, -1, 0, 0),
+        (1, 0, 0, -1, 0),
+        (1, 0, 0, 0, -1),
+        (2, -1, -1, -1, -1),
+    ]
+    assert _classes(0, -2, bound=5) == _conic_classes()
+    expected = {tuple(int(k == i) for k in range(5)): {i, 5} for i in range(1, 5)}
+    for i, j in combinations(range(1, 5), 2):
+        conic = tuple(1 if k == 0 else -(k in (i, j)) for k in range(5))
+        expected[conic] = {1, 2, 3, 4} - {i, j}
+    report = petersen_graph()
+    assert {v: set(report.pair_labels[n]) for n, v in enumerate(report.vertices)} == expected
 
 
 def test_petersen_graph_structure():
@@ -125,6 +142,47 @@ def test_sigma_is_an_order_five_lattice_symmetry():
     assert preserves_pairing(action.matrix)
     assert action.matrix.apply(CANONICAL_CLASS) == CANONICAL_CLASS
     assert action.matrix.apply((1, 0, 0, 0, 0)) == (2, -1, -1, -1, 0)
+
+
+def test_the_sigma_orbits_are_the_pentagon_and_the_pentagram():
+    # the orbit of the labels {g_k, g_k+1} meets two steps apart, that of the
+    # labels {g_k, g_k+2} one step apart, as the lines of find_line_products
+    matrix, report = interesting_sigma().matrix, petersen_graph()
+    label = dict(zip(report.vertices, report.pair_labels.values()))
+    steps = {}
+    for v in report.vertices:
+        orbit = [v]
+        for _ in range(4):
+            orbit.append(matrix.apply(orbit[-1]))
+        assert matrix.apply(orbit[-1]) == v
+        meets = frozenset(k for k in range(1, 5) if pairing(v, orbit[k]) == 1)
+        steps.setdefault(meets, set()).add(label[v])
+    walk = _WALK + _WALK[:2]
+    assert steps == {
+        frozenset({2, 3}): {frozenset(walk[k : k + 2]) for k in range(5)},
+        frozenset({1, 4}): {frozenset(walk[k : k + 3 : 2]) for k in range(5)},
+    }
+
+
+@pytest.mark.parametrize("name, p", [("zeta11plus", 23), ("zeta11plus", 43), ("zeta25", 43)])
+def test_the_lines_of_a_split_fiber_meet_as_the_classes(name, p):
+    # at a split prime the ten lines are F_p-lines; two meet when they share
+    # a point, and each of {l1 = 0}, {l2 = 0} holds five of them in a 5-cycle
+    model = fixture(name)
+    points = [set(line.points) for line in find_lines(model, p)]
+    assert len(points) == 10
+    adjacency = [
+        frozenset(j for j, b in enumerate(points) if j != i and a & b) for i, a in enumerate(points)
+    ]
+    assert {len(a) for a in adjacency} == {3} and sum(map(len, adjacency)) == 2 * 15
+    assert len(_graph_automorphisms(adjacency)) == 120
+    sections = []
+    for form in (model.l1, model.l2):
+        inside = {i for i, pts in enumerate(points) if not (np.array(list(pts)) @ form % p).any()}
+        # five vertices, each adjacent to two of the others: a 5-cycle
+        assert len(inside) == 5 and all(len(adjacency[i] & inside) == 2 for i in inside)
+        sections.append(inside)
+    assert sections[0] | sections[1] == set(range(10))
 
 
 def test_sigma_splits_the_classes_into_two_five_orbits():

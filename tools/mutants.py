@@ -493,6 +493,27 @@ MUTANTS = (
         "ok = np.ones(len(m), dtype=bool)",
         ("tests/test_picard.py::test_a_class_permutation_that_is_not_linear_does_not_extend",),
     ),
+    # the labels and sigma computed from the conic classes
+    Mutant(
+        "sigma-walk-reversed",
+        PICARD,
+        "_WALK = (1, 3, 5, 4, 2)",
+        "_WALK = (2, 4, 5, 3, 1)",
+        (
+            "tests/test_picard.py::test_sigma_is_an_order_five_lattice_symmetry",
+            "tests/test_transcript.py::test_transcript_is_pinned[cohomology]",
+        ),
+    ),
+    Mutant(
+        "labels-read-at-pairing-zero",
+        PICARD,
+        "meets = np.array(classes) @ np.diag(FORM) @ np.array(_conic_classes()).T == 1",
+        "meets = np.array(classes) @ np.diag(FORM) @ np.array(_conic_classes()).T == 0",
+        (
+            "tests/test_picard.py::test_petersen_graph_structure",
+            "tests/test_picard.py::test_labels_are_the_conic_classes_met",
+        ),
+    ),
     # one request cache, the u5 sweep over y-translation orbits, the cheaper
     # witness and digit-pair kernels
     Mutant(
