@@ -7,8 +7,9 @@ integer coefficients along ``U_QUADRIC_PAIRS``, which is also the model
 file format; ``_quadric_gram`` turns them into Gram matrices and
 ``_form_vectors`` back.  Models are built from a cyclic quintic field
 spec (``build_model``) or read from a model file; the two conductor
-fixtures are ``build_model`` on an Eisenstein generator plus stored
-metadata (``fixture``).
+fixtures are ``build_model`` on an Eisenstein generator plus their
+ramified prime (``fixture``).  Integral points and the mod-2 insolubility
+class are not stored: they are read off the quadrics.
 
 Construction pipeline: quintics through the conjugate point orbit with
 double vanishing (a rank-6 kernel), the quadric relations among them (a
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import lcm
 from typing import NamedTuple
 
@@ -129,35 +130,13 @@ class QuinticSystem(NamedTuple):
 
 
 class DelPezzoModel:
-    """Five integral quadrics plus the forms l1, l2; optionally the fixture
-    data needed for solubility and invariant work."""
+    """Five integral quadrics plus the forms l1, l2, and on a fixture its
+    ramified prime; the integral points and the mod-2 insolubility class
+    are computed from the quadrics."""
 
-    __slots__ = (
-        "source",
-        "spec",
-        "quadrics",
-        "l1",
-        "l2",
-        "system",
-        "name",
-        "ramified_prime",
-        "integral_points",
-        "insolubility_class",
-    )
+    __slots__ = ("source", "spec", "quadrics", "l1", "l2", "system", "name", "ramified_prime")
 
-    def __init__(
-        self,
-        source,
-        spec,
-        quadrics,
-        l1,
-        l2,
-        system=None,
-        name=None,
-        ramified_prime=None,
-        integral_points=None,
-        insolubility_class=None,
-    ):
+    def __init__(self, source, spec, quadrics, l1, l2, system=None, name=None, ramified_prime=None):
         self.source = source
         self.spec = spec
         self.quadrics = tuple(tuple(int(c) for c in q) for q in quadrics)
@@ -168,16 +147,24 @@ class DelPezzoModel:
         self.system = system
         self.name = name
         self.ramified_prime = ramified_prime
-        self.integral_points = (
-            tuple(tuple(int(c) for c in p) for p in integral_points)
-            if integral_points is not None
-            else None
-        )
-        self.insolubility_class = (
-            tuple(int(c) for c in insolubility_class)
-            if insolubility_class is not None
-            else None
-        )
+
+    @property
+    def integral_points(self):
+        """``search_integral_points`` in the window 1, every point checked on
+        all five quadrics; searched once per quadric tuple per process."""
+        return _searched_points(self.quadrics, 1)
+
+    @property
+    def insolubility_class(self):
+        """The one nonzero class mod 2, a 0/1 form, that vanishes at every
+        point of the fiber mod 2, or None when none or several do."""
+        # fibers imports this module, so its fiber solver is imported here
+        from .fibers import _fiber_array
+
+        x = _fiber_array(self, 2)
+        forms = np.arange(1, 64)[:, None] >> np.arange(5, -1, -1) & 1
+        hits = forms[~(x @ forms.T % 2).any(axis=0)]
+        return tuple(hits[0].tolist()) if len(hits) == 1 else None
 
     @property
     def modulus(self):
@@ -191,8 +178,7 @@ class DelPezzoModel:
         return [list(q) for q in self.quadrics]
 
     def evaluate_quadrics(self, point):
-        products = [point[i] * point[j] for i, j in U_QUADRIC_PAIRS]
-        return tuple(sum(c * x for c, x in zip(q, products)) for q in self.quadrics)
+        return _quadric_values(self.quadrics, point)
 
     def check_point(self, point):
         return not any(self.evaluate_quadrics(point))
@@ -227,6 +213,11 @@ class DelPezzoModel:
             )
         spec = QuinticFieldSpec(doc["minpoly"])
         return cls(doc["source"], spec, doc["quadrics"], doc["l1"], doc["l2"])
+
+
+def _quadric_values(quadrics, point):
+    products = [point[i] * point[j] for i, j in U_QUADRIC_PAIRS]
+    return tuple(sum(c * x for c, x in zip(q, products)) for q in quadrics)
 
 
 def _is_int_array(value, shape):
@@ -375,34 +366,7 @@ def _chart_tables(p):
     return table[:, 0], table[:, 1:]
 
 
-_ZETA11PLUS_POINTS = (
-    (1, 0, 0, 0, 0, 0),
-    (-693, -88, -11, 0, 1, 1),
-    (-725, -120, -11, 1, 0, 1),
-    (967, 122, 11, -1, 0, 1),
-    (-3345, -328, -46, -4, 4, 4),
-    (-3497, -331, -34, 1, 1, 0),
-    (-6138, -407, -44, 0, 1, 0),
-)
-
-# the unique mod-2 hyperplane class through every point of the mod-2 fiber
-_ZETA11PLUS_MOD2_CLASS = (0, 0, 1, 0, 0, 1)
-
 _ZETA25_MINPOLY = (1, -20, 100, -125, 50, -5)
-
-# output of search_integral_points on this fixture, thinned to a rank-6
-# set of index 2, matching the shape of the stored zeta11plus set
-_ZETA25_POINTS = (
-    (1, 0, 0, 0, 0, 0),
-    (1, 5, -1, 5, 0, 1),
-    (1, 45, 1, -5, 0, 1),
-    (226, 94, -1, 11, 1, 0),
-    (257, -13, 4, -8, -1, 0),
-    (265, 0, 0, 10, 1, 5),
-    (324, 96, -1, 9, 1, 0),
-)
-
-_ZETA25_MOD2_CLASS = (0, 0, 1, 1, 0, 0)
 
 
 def _zeta11plus_generator():
@@ -423,8 +387,8 @@ def _built(generator):
 
 def fixture(name):
     """The two conductor models, "zeta11plus" and "zeta25": ``build_model``
-    on an Eisenstein generator of the field, plus stored metadata, namely
-    the ramified prime, integral points and the mod-2 insolubility class.
+    on an Eisenstein generator of the field, plus the one stored datum, the
+    ramified prime (11 and 5).
 
     zeta25 is built from ``_ZETA25_MINPOLY``, Eisenstein at 5, and keeps its
     spec, l1 and l2.  zeta11plus is built from ``_zeta11plus_generator()``,
@@ -441,23 +405,15 @@ def fixture(name):
     if name == "zeta11plus":
         built = _built(_zeta11plus_generator())
         spec, l1, l2 = zeta11_plus_field(), built.l2, built.l1
-        prime, points, mod2_class = 11, _ZETA11PLUS_POINTS, _ZETA11PLUS_MOD2_CLASS
+        prime = 11
     elif name == "zeta25":
         built = _built(_ZETA25_MINPOLY)
         spec, l1, l2 = built.spec, built.l1, built.l2
-        prime, points, mod2_class = 5, _ZETA25_POINTS, _ZETA25_MOD2_CLASS
+        prime = 5
     else:
         raise UnknownModelError(f"unknown fixture {name!r}")
     return DelPezzoModel(
-        f"fixture:{name}",
-        spec,
-        built.quadrics,
-        l1,
-        l2,
-        name=name,
-        ramified_prime=prime,
-        integral_points=points,
-        insolubility_class=mod2_class,
+        f"fixture:{name}", spec, built.quadrics, l1, l2, name=name, ramified_prime=prime
     )
 
 
@@ -510,18 +466,22 @@ def search_integral_points(model, window=9):
     determinant u3 u5 - u4^2 on the fixtures, and the first three are
     linear in u0; solving over Q where the determinant and some u0
     coefficient are nonzero and clearing denominators yields rational
-    points that are kept when all five quadrics vanish exactly.  Returns
-    distinct primitive points sorted by size.
+    points.  These and the point (1, 0, 0, 0, 0, 0) are kept when all five
+    quadrics vanish there exactly.  Returns distinct primitive points
+    sorted by size, searched once per (quadrics, window) per process.
     """
-    found = {tuple(1 if i == 0 else 0 for i in range(6))}
-    if _has_solver_shape(model.quadrics):
-        gram = _quadric_gram(model.quadrics)
+    return list(_searched_points(model.quadrics, window))
+
+
+@lru_cache(maxsize=32)
+def _searched_points(quadrics, window):
+    points = [(1, 0, 0, 0, 0, 0)]
+    if _has_solver_shape(quadrics):
+        gram = _quadric_gram(quadrics)
         span = range(-window, window + 1)
-        for t in ((a, b, c) for a in span for b in span for c in span):
-            point = _backsolve(gram, t)
-            if point is not None and model.check_point(point):
-                found.add(point)
-    return sorted(found, key=lambda p: (max(abs(x) for x in p), p))
+        points += [_backsolve(gram, t) for t in product(span, repeat=3)]
+    found = {pt for pt in points if pt is not None and not any(_quadric_values(quadrics, pt))}
+    return tuple(sorted(found, key=lambda p: (max(abs(x) for x in p), p)))
 
 
 def _backsolve(gram, t):

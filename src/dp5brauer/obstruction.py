@@ -569,46 +569,53 @@ def _require_primitive(h):
 
 
 def locally_soluble(model, h):
-    """Everywhere-local solubility of the complement of {h = 0}.
+    """Everywhere-local solubility of U_h, the complement of {h = 0}, worked
+    out from the model one place at a time.
 
-    It reads stored fixture data, and a model without it is refused.  For
-    the stored fixtures, and not as a rule for every model, the answer
-    depends only on h mod 2: their five points of the fiber at 2 are smooth
-    and lie on the one hyperplane stored as ``insolubility_class``, so
-    solubility fails exactly when h cuts that hyperplane.  The certificate
-    for the soluble case covers every completion at once: a mod-2 fiber
-    point off {h = 0} with full Jacobian rank handles 2-adic lifting, and
-    the stored integral points span a sublattice of odd index in the
-    saturation of their span, so their h-values have odd part coprime in
-    particular to every odd prime; any stored point off {h = 0} is a real
-    point of the complement.
-    The mod-2 witness is the first fiber point, in ``fibers._fiber_array``
-    order, off {h = 0}, and ``fibers._singular_mask`` certifies it smooth.
+    - At 2: a Z_2-point of U_h reduces to a point of the fiber mod 2 where
+      h is nonzero.  When every row of ``fibers._fiber_array(model, 2)``
+      lies on {h = 0 mod 2}, U_h is insoluble at 2, and h mod 2 is the
+      forbidden class.  Otherwise the witness is the first of those rows
+      off {h = 0} that ``fibers._singular_mask`` calls smooth: Hensel's
+      lemma lifts it to a Z_2-point of X, where h stays odd.  When all of
+      them are singular, the place is undecided and refused.
+    - At an odd prime q: a primitive integral point P of X with h(P) prime
+      to q is a Z_q-point of U_h.  The points are the searched
+      ``model.integral_points``, and when the gcd of their h-values has odd
+      part 1, every odd q misses some h(P).  Any other odd part is refused.
+    - At the real place: the first searched point with h(P) != 0.
+
+    On both fixtures, on ``build_model(zeta11_plus_field())`` and on the ten
+    models of Lehmer's quintics for n = -4..5 (measured), the searched
+    points span a lattice L with elementary divisors (1, 1, 1, 1, 1, 2).
+    Its index 2 is a power of 2, so L contains 2Z^6 and h(L) contains 2Z
+    for every primitive h: the odd part is 1 for every primitive h.  The
+    fiber mod 2 of these models is five smooth points on one hyperplane,
+    so U_h is insoluble exactly when h is ``model.insolubility_class`` mod 2.
     """
     coeffs = _require_primitive(h)
-    if model.insolubility_class is None or model.integral_points is None:
-        raise DomainError("solubility analysis needs the stored fixture data")
     mod2 = tuple(c % 2 for c in coeffs)
-    if mod2 == tuple(c % 2 for c in model.insolubility_class):
-        return SolubilityCertificate(
-            False, failing_place=2, forbidden_class=model.insolubility_class
-        )
     x = _fiber_array(model, 2)
-    witness = x[np.flatnonzero(x @ mod2 % 2)[:1]]
-    if not len(witness):
-        raise FiberInconsistencyError("no mod-2 point off the hyperplane was found")
-    if _singular_mask(model, 2, witness)[0]:
-        raise FiberInconsistencyError("mod-2 witness point is not smooth")
-    mod2_point = tuple(witness[0].tolist())
-    values = tuple(model.hyperplane_value(coeffs, pt) for pt in model.integral_points)
+    on_h = x @ mod2 % 2 == 0
+    if on_h.all():
+        return SolubilityCertificate(False, failing_place=2, forbidden_class=mod2)
+    off = x[~on_h]
+    smooth = off[~_singular_mask(model, 2, off)]
+    if not len(smooth):
+        raise DomainError("solubility at 2 is undecided: every mod-2 point off {h = 0} is singular")
+    points = model.integral_points
+    values = tuple(model.hyperplane_value(coeffs, pt) for pt in points)
     g = math.gcd(*values)
     odd = g // (g & -g) if g else 0
     if odd != 1:
-        raise FiberInconsistencyError("stored integral points fail the odd-gcd certificate")
-    real_point = next(pt for pt, v in zip(model.integral_points, values) if v != 0)
+        raise DomainError(
+            "solubility at the odd places is undecided: the h-values of the searched "
+            f"integral points have gcd with odd part {odd}"
+        )
+    real_point = next(pt for pt, v in zip(points, values) if v != 0)
     return SolubilityCertificate(
         True,
-        mod2_point=mod2_point,
+        mod2_point=tuple(smooth[0].tolist()),
         odd_gcd=odd,
         point_values=values,
         real_point=real_point,
@@ -690,7 +697,8 @@ def two_route_images(model, h, modulus):
 
 
 def verdict(model, h):
-    """Full obstruction verdict for a primitive integral form on a fixture.
+    """Full obstruction verdict for a primitive integral form on a model
+    ramified at 11 or 5.
 
     Precedence: a form insoluble somewhere has no adelic points to obstruct;
     a form cutting one of the two split divisors carries a trivial class;
@@ -703,8 +711,8 @@ def verdict(model, h):
     coeffs = _require_primitive(h)
     if model.modulus not in (11, 25):
         raise DomainError(
-            "verdicts need one of the stored fixtures; for other models only "
-            "unramified checks are available"
+            "verdicts need a ramified prime of 11 or 5; fibers, solubility and "
+            "unramified checks serve any model"
         )
     sol = locally_soluble(model, coeffs)
     irreducible = geometrically_irreducible(model, coeffs)

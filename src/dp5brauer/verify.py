@@ -168,9 +168,9 @@ def _construction_claims(rec, m11, fast):
 
 def _fixture_geometry_claims(rec, m11, m25, fast):
     def f2_report(m):
-        fiber = fibers.enumerate_fiber(m, 2)
-        on_class = all(
-            m.hyperplane_value(m.insolubility_class, pt) % 2 == 0 for pt in fiber
+        fiber, forbidden = fibers.enumerate_fiber(m, 2), m.insolubility_class
+        on_class = forbidden is not None and all(
+            m.hyperplane_value(forbidden, pt) % 2 == 0 for pt in fiber
         )
         return {"points": len(fiber), "all_on_insolubility_class": on_class}
 

@@ -184,6 +184,13 @@ def test_construct_roundtrips_through_a_file(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["point_count"] == 50
 
+    # nothing is stored: the fiber mod 2 and the searched points decide
+    code, out, err = run_cli(capsys, ["solubility", "--model", str(path), "--h", "0,1,0,-6,0,0"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["soluble"] is True
+    assert doc["odd_gcd"] == 1
+
 
 def test_construct_rejects_non_cyclic_input(capsys):
     code, _, err = run_cli(capsys, ["construct", "--minpoly", "1,0,0,0,0,-2"])

@@ -95,16 +95,31 @@ def test_the_modulus_is_read_off_the_ramified_prime(m11, m25):
 
 
 def test_stored_points_lie_on_every_quadric(m11, m25):
+    # the points are searched, not stored: window 1 finds ten on each fixture
     for m in (m11, m25):
-        assert len(m.integral_points) == 7
+        assert len(m.integral_points) == 10
         for point in m.integral_points:
             assert m.check_point(point)
         assert lattice_index(m.integral_points) == 2
 
 
 def test_known_points_are_stored(m11):
+    # searched points are primitive with a positive first nonzero entry, so
+    # the point +-(693, 88, 11, 0, -1, -1) is listed with this sign
     assert (1, 0, 0, 0, 0, 0) in m11.integral_points
-    assert (-693, -88, -11, 0, 1, 1) in m11.integral_points
+    assert (693, 88, 11, 0, -1, -1) in m11.integral_points
+
+
+def test_points_and_class_are_read_only_and_not_keywords(m11):
+    for name in ("integral_points", "insolubility_class"):
+        with pytest.raises(AttributeError):
+            setattr(m11, name, None)
+        with pytest.raises(TypeError, match=name):
+            DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, **{name: None})
+    # computed from the quadrics alone, so a model file has them too
+    clone = DelPezzoModel.from_json_dict(m11.to_json_dict())
+    assert clone.integral_points == m11.integral_points
+    assert clone.insolubility_class == m11.insolubility_class
 
 
 def test_line_products_share_a_reduction_at_the_ramified_prime(m11):
@@ -371,3 +386,14 @@ def test_point_search_stays_on_the_surface(m11):
     assert found
     for point in found:
         assert m11.check_point(point)
+
+
+def test_every_searched_point_is_checked(m11, m25):
+    # the moved model lacks the solver shape, and (1, 0, 0, 0, 0, 0) is not
+    # on it: its quadric values there are (3, 9, 6, 3, 6)
+    moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(11)))
+    assert moved.evaluate_quadrics((1, 0, 0, 0, 0, 0)) == (3, 9, 6, 3, 6)
+    assert search_integral_points(moved, window=1) == []
+    for m in (moved, m11, m25):
+        for window in (1, 2):
+            assert all(m.check_point(point) for point in search_integral_points(m, window))

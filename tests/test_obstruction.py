@@ -49,6 +49,8 @@ from dp5brauer.obstruction import (
     _unfired_representatives_11,
 )
 
+from quintics import lehmer_model
+
 HEADLINE_H = (0, 1, 0, -6, 0, 0)
 # SHA-256 of the uint8 masks of the 177,156 projective representatives on
 # zeta11plus, recorded from the kernel that formed every value h(P) as an
@@ -474,21 +476,48 @@ def test_solubility_rejects_imprimitive_forms(m11):
         locally_soluble(m11, (2, 2, 2, 2, 2, 2))
 
 
-def test_the_odd_gcd_drops_the_two_part(m11):
-    # the stored points doubled are the same projective points, and every
-    # h-value doubles: the certificate reads the odd part of the gcd alone
-    doubled = DelPezzoModel(
-        m11.source,
-        m11.spec,
-        m11.quadrics,
-        m11.l1,
-        m11.l2,
-        integral_points=[[2 * c for c in pt] for pt in m11.integral_points],
-        insolubility_class=m11.insolubility_class,
-    )
-    cert = locally_soluble(doubled, HEADLINE_H)
+def _scaled_points(monkeypatch, m, factor):
+    # the searched points times ``factor``: the same projective points, and
+    # every h-value times ``factor``
+    scaled = tuple(tuple(factor * c for c in pt) for pt in m.integral_points)
+    monkeypatch.setattr(DelPezzoModel, "integral_points", property(lambda self: scaled))
+
+
+def test_the_odd_gcd_drops_the_two_part(m11, monkeypatch):
+    # the certificate reads the odd part of the gcd alone
+    values = locally_soluble(m11, HEADLINE_H).point_values
+    _scaled_points(monkeypatch, m11, 2)
+    cert = locally_soluble(m11, HEADLINE_H)
     assert cert.soluble and cert.odd_gcd == 1
-    assert cert.point_values == tuple(2 * v for v in locally_soluble(m11, HEADLINE_H).point_values)
+    assert cert.point_values == tuple(2 * v for v in values)
+
+
+def test_undecided_places_are_domain_errors(m11, monkeypatch):
+    # an undecided place is a refusal (exit 3), not a contradiction (exit 4)
+    with monkeypatch.context() as patch:
+        patch.setattr(obstruction, "_singular_mask", lambda model, p, x: np.ones(len(x), bool))
+        with pytest.raises(DomainError, match="undecided") as info:
+            locally_soluble(m11, HEADLINE_H)
+        assert type(info.value) is DomainError
+        # a form that every point of the fiber mod 2 lies on is decided
+        assert not locally_soluble(m11, m11.insolubility_class).soluble
+    _scaled_points(monkeypatch, m11, 3)
+    with pytest.raises(DomainError, match="odd part 3") as info:
+        locally_soluble(m11, HEADLINE_H)
+    assert type(info.value) is DomainError
+
+
+@pytest.mark.parametrize("n", [*range(-4, 6), None], ids=[*map(str, range(-4, 6)), "built11"])
+def test_solubility_for_every_built_model(built11, n):
+    # exactly one of the 63 nonzero 0/1 forms is insoluble, at 2, and it is
+    # the model's insolubility class; the others are soluble with odd gcd 1
+    m = built11 if n is None else lehmer_model(n)
+    forms = [tuple(k >> (5 - i) & 1 for i in range(6)) for k in range(1, 64)]
+    certs = {h: locally_soluble(m, h) for h in forms}
+    insoluble = [h for h, cert in certs.items() if not cert.soluble]
+    assert insoluble == [m.insolubility_class]
+    assert certs[m.insolubility_class].failing_place == 2
+    assert all(cert.odd_gcd == 1 for cert in certs.values() if cert.soluble)
 
 
 def test_geometric_irreducibility(m11, m25):
@@ -617,8 +646,11 @@ REFUSALS = {
     ("inv_image_25_liftpath", "seven-coefficients"): _SIX,
     ("inv_image_25_liftpath", "five-proportional"): _SIX,
     ("inv_image_25_liftpath", "seven-proportional"): _SIX,
-    ("verdict", "stripped"): ("DomainError", "verdicts need one of the stored fixtures; for other models only unramified checks are available"),
-    ("verdict", "moved"): ("DomainError", "solubility analysis needs the stored fixture data"),
+    # a model file has no ramified prime, which a verdict needs
+    ("verdict", "stripped"): ("DomainError", "verdicts need a ramified prime of 11 or 5; fibers, solubility and unramified checks serve any model"),
+    # solubility is computed, and the moved model's fiber mod 2 has no
+    # smooth point that gives the solver shape
+    ("verdict", "moved"): ("DomainError", "no smooth point of the fiber mod 2 moves the model into the solver shape (searched 64 slices of P^3)"),
     ("verdict", "zero"): _PRIMITIVE,
     ("verdict", "imprimitive-mod-5"): _PRIMITIVE,
     # verdict reads the form before the model

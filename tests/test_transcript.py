@@ -102,15 +102,15 @@ TRANSCRIPT_SHA256 = {
     "fiber --model fixture:zeta25 --prime 23 --lines --singular":
         "b12bf04f05c21286bb4197b3cbafbeac00cf0a59e0180835c2a7ced0eee12282",
     "solubility --model fixture:zeta11plus --h 0,1,0,-6,0,0":
-        "0cabbf471973257682bbd1d00a41c63de206f8dc6d32584e4ae17e76633ff7f6",
+        "f088495f0873641b0af031087a3b3d5b75be1ca164babc3ccb388157cfa7311c",
     "solubility --model fixture:zeta25 --h 0,1,0,-6,0,0":
-        "6d1784186b46335dbb097912a2b5fe86cc57849012db9711bc1d555340e6b934",
+        "778b8c0bdc4e9537448eb1fc13f67a1d585ab2dc874aac3e3685bbbdcd4e544f",
     "solubility --model fixture:zeta25 --h 2,-15,0,10,0,0":
-        "fbac0ef6db3f1684df74a045f0a7e16701262e6b74c19b744b72c6fb416b8bc4",
+        "4956d5670698db430c797c204ca56bccc1203ac07ff8df4770ad3c208133b3a5",
     "invariants --model fixture:zeta11plus --h 0,1,0,-6,0,0":
         "f67214041dbc4baae8e38d84afdf5e2e635b19310cb88fd2a92a257dbb6b65e4",
     "verdict --model fixture:zeta11plus --h 0,1,0,-6,0,0":
-        "71632351a8f53fdfc8dc70fd7e699cf8e6a45f1fd0b8f25949e94edc31fae5a4",
+        "480317653eee222c4652af4e5ad5f6fa30f5bb1dedfc0c70934a6c64f63e2808",
     "invariants --model fixture:zeta11plus --h 0,0,0,0,1,0":
         "47176642ecb539c24aabad51b34e820e9e8a4de0dc989bdddd6510fa215577d1",
     "invariants --model fixture:zeta11plus --h 0,0,0,0,0,1":
@@ -118,11 +118,11 @@ TRANSCRIPT_SHA256 = {
     "invariants --model fixture:zeta11plus --h 0,1,0,-7,0,0":
         "bf8bf6b2af39299ebbc661eb4aded3ed23f4794ba8b5656ac815d495162a354d",
     "verdict --model fixture:zeta11plus --h 0,0,0,0,1,0":
-        "0422b083715126d4ec4377c926320c473814421de996165b6a27c9ab3291e3ee",
+        "6f2230b537d1d8752d0a060143f915f858f9924a5353bdb9977c38eed626c303",
     "verdict --model fixture:zeta11plus --h 0,0,0,0,0,1":
-        "0276a96859e5904f8580dd06c26e05b9995fc7e0eaa1b9d8fc17c90f366cb9cb",
+        "d17cb718e2952b85f67d50b52dd02a993f1679cfda57997597093d30aa9f5d98",
     "verdict --model fixture:zeta11plus --h 0,1,0,-7,0,0":
-        "33c0faeac5c3edacee1ce605188a8df01b25aa1c9c335c364970d26296b9970d",
+        "9ac3e3591e81d42299920f5fc59b9de4f35c6173e6717bfce56f6ee1a5abde53",
     "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0":
         "b93fae5defacc149d0e56f305a8d90a512d7340d41dbbbff4f77aecb24c570ec",
     "invariants --model fixture:zeta25 --h 0,0,0,0,1,0":
@@ -132,13 +132,13 @@ TRANSCRIPT_SHA256 = {
     "invariants --model fixture:zeta25 --h 2,-15,0,10,0,0":
         "cc385143c206038d6368d4702c600f865ad2bea05ce25aec15900d08c412233c",
     "verdict --model fixture:zeta25 --h 0,1,0,-6,0,0":
-        "4ecd2899549d473952eb220ead4b74a08477cbe270349198a6822ddefe5ffbeb",
+        "a6a791e1cc8cb2ed6be431bbed5527d6f830b9a38f081318f3aaf8b707e38169",
     "verdict --model fixture:zeta25 --h 0,0,0,0,1,0":
-        "fa91a69a8ded72e816ee4cc49be5965bb574ff2d2118b65c23f0b9b25acbd4ff",
+        "b7ff2db034b000d239f8e04b2afa990f98a98bd4f9d2782c26d39dbed2ae21a8",
     "verdict --model fixture:zeta25 --h 0,0,0,0,0,1":
-        "0da5201f5e0e131e05b7de0da2fb220529be52e2b1b3c631de43b1baabf6c674",
+        "e322f803b7d44d18ad341b3ae47f021a0e2c95e78d1cb0cbfbfcde77635e1929",
     "verdict --model fixture:zeta25 --h 2,-15,0,10,0,0":
-        "43d04812022317e85cf5b676a18bad5b0fc710abcfb7c05f0242e027bde5b79f",
+        "b6b24089cd567b4cc4b41eb0c1bfd2b87ae91dc160dbc342956cefa7f4a18927",
     "verdict --model fixture:zeta11plus --h 0,0,1,0,0,1":
         "35cbe8fa9de0a8f9a1657a71084902fca482b0e863095eb9edc86c1112cdcdad",
     "solubility --model fixture:zeta11plus --h 0,0,1,0,0,1":
@@ -148,9 +148,9 @@ TRANSCRIPT_SHA256 = {
     "solubility --model fixture:zeta25 --h 0,0,1,1,0,0":
         "528d03b8a772477031924e73ff9d73156446192823bac924b7ad658ebfcc5c0c",
     "verdict --model fixture:zeta11plus --h 1,22,-363,165,-1859,484":
-        "9dad7f7e734264fb99ce344bb490d9953574fa8c62c7465e9def3d76b0ab8850",
+        "6e259f790f8de01296cd938a4cf7f58a4bbd106ec3a7241f6b92586ddc67122f",
     "verdict --model fixture:zeta25 --h 1,25,-700,200,-3425,575":
-        "0ce3b0c3dfb2b840fabf4a405f5e7a59a602a7fd8ec4cb2eb19f9ebd5c4cf930",
+        "fc32aef1aa676b5f87f1eb4d7c85fa803862cd9222052f3f6e68b1c2ee39ae20",
     "invariants --model fixture:zeta11plus --h 5,0,0,10,0,0":
         "7b1d7985190b925bb890d8104591b7236924d7287f5ad9fcbc1dd9e9ee8e0306",
     "invariants --model fixture:zeta11plus --h 0,1,0,-6,0,0 --modulus 11":

@@ -464,11 +464,12 @@ MUTANTS = (
         "return None if p is None else p",
         ("tests/test_model.py::test_the_modulus_is_read_off_the_ramified_prime",),
     ),
+    # local solubility computed from the model
     Mutant(
         "solubility-witness-smoothness-inverted",
         OBSTRUCTION,
-        "    if _singular_mask(model, 2, witness)[0]:",
-        "    if not _singular_mask(model, 2, witness)[0]:",
+        "smooth = off[~_singular_mask(model, 2, off)]",
+        "smooth = off[_singular_mask(model, 2, off)]",
         ("tests/test_obstruction.py::test_local_solubility",),
     ),
     Mutant(
@@ -477,6 +478,30 @@ MUTANTS = (
         "odd = g // (g & -g) if g else 0",
         "odd = g",
         ("tests/test_obstruction.py::test_the_odd_gcd_drops_the_two_part",),
+    ),
+    Mutant(
+        "insoluble-when-one-point-on-h",
+        OBSTRUCTION,
+        "    if on_h.all():",
+        "    if on_h.any():",
+        (
+            "tests/test_obstruction.py::test_local_solubility",
+            "tests/test_obstruction.py::test_solubility_for_every_built_model",
+        ),
+    ),
+    Mutant(
+        "search-keeps-unchecked-origin",
+        MODEL,
+        "found = {pt for pt in points if pt",
+        "found = {points[0]} | {pt for pt in points if pt",
+        ("tests/test_model.py::test_every_searched_point_is_checked",),
+    ),
+    Mutant(
+        "undecided-solubility-exits-four",
+        OBSTRUCTION,
+        'raise DomainError("solubility at 2 is undecided',
+        'raise FiberInconsistencyError("solubility at 2 is undecided',
+        ("tests/test_obstruction.py::test_undecided_places_are_domain_errors",),
     ),
     Mutant(
         "build-rank-guard-off-by-one",
