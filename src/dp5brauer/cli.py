@@ -102,22 +102,12 @@ def _cmd_solubility(args):
 def _cmd_invariants(args):
     m = _load_model(args.model)
     h = _parse_int_list(args.h, 6, "--h")
-    modulus = args.modulus if args.modulus else m.modulus
-    if modulus is None:
-        raise DomainError(
-            "invariant images need a fixture model or an explicit --modulus"
-        )
-    if m.modulus is not None and modulus != m.modulus:
-        raise DomainError(
-            f"model {m.name or args.model} carries modulus {m.modulus}, "
-            f"not {modulus}"
-        )
-    first, second = obstruction.two_route_images(m, h, modulus)
-    keys = ("chart_image", "smooth_image") if modulus == 11 else ("image", "lift_image")
+    first, second = obstruction.two_route_images(m, h)
+    keys = ("chart_image", "smooth_image") if m.modulus == 11 else ("image", "lift_image")
     return {
         "model": m.name or args.model,
         "h": list(h),
-        "modulus": modulus,
+        "modulus": m.modulus,
         keys[0]: first.to_json_dict(),
         keys[1]: second.to_json_dict(),
         "routes_agree": first.classes == second.classes,
@@ -227,7 +217,6 @@ def build_parser():
         help="invariant-map image at the ramified prime, both routes",
     )
     p.add_argument("--h", required=True, help="six comma-separated integers")
-    p.add_argument("--modulus", type=int, choices=(11, 25))
     p.set_defaults(func=_cmd_invariants)
 
     p = sub.add_parser(

@@ -614,18 +614,18 @@ def _verify_conjugates(spec, candidates):
     """The candidates as a tuple if they certify the Galois orbit, else None.
 
     ``candidates`` are sigma(alpha) .. sigma^4(alpha), formed by composition
-    with ``apply_embedding`` from the first.  Checks: every candidate is a
-    root of m; the candidates and alpha are distinct; and sigma^5(alpha),
-    the image of the last under sigma, is alpha.  A root sigma(alpha) of m
-    makes alpha -> sigma(alpha) a field map of K = Q[s]/(m) into itself,
-    onto as it is Q-linear and injective, so the candidates are the images
-    of alpha under the powers of one automorphism sigma; five distinct ones
-    and sigma^5 = 1 make sigma of order 5 = [K : Q], so K is cyclic with
-    Galois group generated by sigma.
+    with ``apply_embedding`` from the first.  Checks: the first, sigma(alpha),
+    is a root of m; the candidates and alpha are distinct; and
+    sigma^5(alpha), the image of the last under sigma, is alpha.  A root
+    sigma(alpha) of m makes alpha -> sigma(alpha) a field map of
+    K = Q[s]/(m) into itself, onto as it is Q-linear and injective, so the
+    candidates are the images of alpha under the powers of one automorphism
+    sigma, and roots of m as images of the root alpha; so m is evaluated
+    at the first only.  Five distinct ones and sigma^5 = 1 make sigma of
+    order 5 = [K : Q], so K is cyclic with Galois group generated by sigma.
     """
-    m_asc = spec.ascending()
     alpha = spec.generator()
-    if any(evaluate_poly(m_asc, beta) for beta in candidates):
+    if evaluate_poly(spec.ascending(), candidates[0]):
         return None
     if len({alpha, *candidates}) != DEGREE:
         return None

@@ -232,8 +232,7 @@ class _Route11(NamedTuple):
     l1: np.ndarray  # the six coefficients of l1 mod 11
     values: np.ndarray  # value points, each with l1(P) = 1
     fixed: np.ndarray  # trigger points, each with l1(T) = 0, so fixed by translation
-    value_tables: np.ndarray  # ``_pair_tables`` of both point sets
-    fixed_tables: np.ndarray
+    value_tables: np.ndarray  # ``_pair_tables`` of the value points
     bases: np.ndarray  # ``_unfired_bases_11``
 
 
@@ -253,8 +252,7 @@ def _build_route_11(l1, values, triggers, route):
                 f"{kind} point {point.tolist()} of the {route} route has l1 = "
                 f"{int(point @ l1 % 11)}, not {want}, modulo 11"
             )
-    tables = (_pair_tables(values), _pair_tables(triggers))
-    return _Route11(l1, values, triggers, *tables, _unfired_bases_11(l1, triggers))
+    return _Route11(l1, values, triggers, _pair_tables(values), _unfired_bases_11(l1, triggers))
 
 
 # a constant, so cached for the process rather than in ``_FIBER_CACHE``,
@@ -275,13 +273,14 @@ def _route_11(model, route):
     singular mask leaves out: those off {l1 = 0}, each scaled by 1/l1 from
     ``fibers._inverses``, are its value points, and those on {l1 = 0} its
     triggers; it is cached per model in ``_FIBER_CACHE``.  Every model
-    refusal of a mod-11 entry point is raised here.
+    refusal of a mod-11 entry point is raised here: a model of another
+    modulus by the first test of ``_require_fixture_chart``, whichever the
+    route, and l1 != u0 mod 11 on the chart route only.
     """
-    if route == "chart":
+    if route == "chart" or model.modulus != 11:
         _require_fixture_chart(model, 11)
+    if route == "chart":
         return _chart_route_11()
-    if model.modulus != 11:
-        raise DomainError("this invariant computation needs a modulus-11 model")
     key = _model_cache_key(model, 11)
     if key not in _FIBER_CACHE:
         x = _fiber_array(model, 11)
@@ -683,16 +682,25 @@ class ObstructionReport:
         return doc
 
 
-def two_route_images(model, h, modulus):
-    """The invariant images of h at ``modulus``, 11 or 25, along its two
-    routes: (chart, smooth point) at 11 and (residue formula, chart lifts)
-    at 25.  The route functions are read from the module at each call, so
-    a rebinding of one of them is seen."""
-    first, second = (
-        (inv_image_11, inv_image_11_smoothpath)
-        if modulus == 11
-        else (inv_image_25, inv_image_25_liftpath)
+def _routes(model):
+    """The two route functions of the model's modulus: (chart, smooth
+    point) at 11 and (residue formula, chart lifts) at 25, read from the
+    module at each call, so a rebinding of one of them is seen.  Any other
+    modulus, None on a model file, is refused."""
+    if model.modulus == 11:
+        return inv_image_11, inv_image_11_smoothpath
+    if model.modulus == 25:
+        return inv_image_25, inv_image_25_liftpath
+    raise DomainError(
+        "invariant images and verdicts need a ramified prime of 11 or 5; fibers, "
+        "solubility and unramified checks serve any model"
     )
+
+
+def two_route_images(model, h):
+    """The invariant images of h at the model's modulus along its two
+    routes (``_routes``)."""
+    first, second = _routes(model)
     return first(model, h), second(model, h)
 
 
@@ -709,15 +717,12 @@ def verdict(model, h):
     disagree raise.
     """
     coeffs = _require_primitive(h)
-    if model.modulus not in (11, 25):
-        raise DomainError(
-            "verdicts need a ramified prime of 11 or 5; fibers, solubility and "
-            "unramified checks serve any model"
-        )
+    # the model is refused before its solubility is worked out
+    _routes(model)
     sol = locally_soluble(model, coeffs)
     irreducible = geometrically_irreducible(model, coeffs)
     comparison = None
-    image, other = two_route_images(model, coeffs, model.modulus)
+    image, other = two_route_images(model, coeffs)
     if image.classes != other.classes:
         names = "chart and smooth-point" if model.modulus == 11 else "residue and chart-lift"
         raise FiberInconsistencyError(f"{names} routes disagree")
@@ -874,16 +879,17 @@ def _orbit_masks_11(route, bases):
     first index i where l1_i != 0, and gather one value set per base b
     (``_unfired_bases_11``).
 
-    Triggers first.  The fixed triggers go through their own tables for
-    every form, and fire when the folded set has a bit other than bit 0.
-    A form with a fired fixed trigger gets the full mask 31, and so does
-    its whole orbit, so no value set of it is ever gathered.  Every mask
-    is therefore the one that evaluating all forms and then overwriting the
-    fired ones gives.  The forms that fire no fixed trigger are the kernel
-    of the fixed trigger matrix mod 11, so the exhaustive sweeps enumerate
-    them as orbits (``_unfired_class_masks_11``) and skip the fixed trigger
-    pass: 1,465 bases on the chart route of zeta11plus and 134 on its
-    smooth route.
+    Triggers first.  A form h fires a fixed trigger T when h(T) != 0 mod
+    11, read off the integer product ``route.fixed @ bases % 11``, the one
+    ``_route_image_11`` reads form by form; no sum exceeds 6 * 10 * 10, so
+    int32 is exact.  A form with a fired fixed trigger gets the full mask
+    31, and so does its whole orbit, so no value set of it is ever
+    gathered.  Every mask is therefore the one that evaluating all forms
+    and then overwriting the fired ones gives.  The forms that fire no
+    fixed trigger are the kernel of the fixed trigger matrix mod 11, so the
+    exhaustive sweeps enumerate them as orbits
+    (``_unfired_class_masks_11``) and skip the fixed trigger pass: 1,465
+    bases on the chart route of zeta11plus and 134 on its smooth route.
 
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
@@ -898,8 +904,8 @@ def _orbit_masks_11(route, bases):
     full.
     """
     masks = np.full((11, bases.shape[1]), _FULL_MASK, dtype=np.uint8)
-    # a fixed trigger sees one value on a whole orbit; bits 1..10 are the units
-    todo = np.flatnonzero((_value_sets(route.fixed_tables, bases) & 0x7FE) == 0)
+    # a fixed trigger sees one value on a whole orbit
+    todo = np.flatnonzero(~(route.fixed @ bases % 11).any(axis=0))
     masks[:, todo] = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases[:, todo])]
     return masks
 

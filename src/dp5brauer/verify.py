@@ -33,10 +33,6 @@ RESOLVED_CONDITION_25 = (
 )
 
 
-def _matrix_rows(m):
-    return [list(m.row(i)) for i in range(m.rows)]
-
-
 class _Recorder:
     def __init__(self):
         self.rows = []
@@ -96,7 +92,7 @@ def _lattice_claims(rec):
     rec.add(
         "one-minus-sigma-image-hnf",
         [[1, 0, 0, 2], [0, 1, 0, 4], [0, 0, 1, 4], [0, 0, 0, 5]],
-        lambda: _matrix_rows(picard.image_lattice_hnf(quotient)),
+        lambda: picard.image_lattice_hnf(quotient).to_lists(),
     )
 
 

@@ -112,23 +112,12 @@ def test_invariants_mod_25(capsys):
             "fixture:zeta25",
             "--h",
             "2,-15,0,10,0,0",
-            "--modulus",
-            "25",
         ],
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["image"]["values"] == [2, 12, 22]
     assert doc["routes_agree"] is True
-
-
-def test_invariants_modulus_must_match_model(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["invariants", "--model", "fixture:zeta25", "--h", "1,0,0,0,0,0", "--modulus", "11"],
-    )
-    assert code == 3
-    assert "modulus" in err
 
 
 def test_solubility_failure_certificate(capsys):

@@ -604,7 +604,6 @@ def test_verdict_needs_a_fixture(m11):
 # ValueError, an IndexError or (seven, proportional to u0) no refusal
 _CONDUCTOR_11 = ("DomainError", "this invariant computation needs the conductor model with modulus 11")
 _CONDUCTOR_25 = ("DomainError", "this invariant computation needs the conductor model with modulus 25")
-_MODULUS_11 = ("DomainError", "this invariant computation needs a modulus-11 model")
 _CHART_L1 = ("DomainError", "chart evaluation needs l1 = u0 modulo 11")
 _SIX = ("DomainError", "a hyperplane form needs six coefficients")
 _PRIMITIVE_5 = ("DomainError", "form must be primitive modulo 5")
@@ -619,11 +618,11 @@ REFUSALS = {
     ("inv_image_11", "seven-coefficients"): _SIX,
     ("inv_image_11", "five-proportional"): _SIX,
     ("inv_image_11", "seven-proportional"): _SIX,
-    ("inv_image_11_smoothpath", "stripped"): _MODULUS_11,
+    ("inv_image_11_smoothpath", "stripped"): _CONDUCTOR_11,
     ("inv_image_11_smoothpath", "moved"): None,
     ("inv_image_11_smoothpath", "zero"): ("DomainError", "form vanishes identically modulo 11"),
     ("inv_image_11_smoothpath", "imprimitive-mod-5"): None,
-    ("inv_image_11_smoothpath", "stripped-zero"): _MODULUS_11,
+    ("inv_image_11_smoothpath", "stripped-zero"): _CONDUCTOR_11,
     ("inv_image_11_smoothpath", "five-coefficients"): _SIX,
     ("inv_image_11_smoothpath", "seven-coefficients"): _SIX,
     ("inv_image_11_smoothpath", "five-proportional"): _SIX,
@@ -647,7 +646,7 @@ REFUSALS = {
     ("inv_image_25_liftpath", "five-proportional"): _SIX,
     ("inv_image_25_liftpath", "seven-proportional"): _SIX,
     # a model file has no ramified prime, which a verdict needs
-    ("verdict", "stripped"): ("DomainError", "verdicts need a ramified prime of 11 or 5; fibers, solubility and unramified checks serve any model"),
+    ("verdict", "stripped"): ("DomainError", "invariant images and verdicts need a ramified prime of 11 or 5; fibers, solubility and unramified checks serve any model"),
     # solubility is computed, and the moved model's fiber mod 2 has no
     # smooth point that gives the solver shape
     ("verdict", "moved"): ("DomainError", "no smooth point of the fiber mod 2 moves the model into the solver shape (searched 64 slices of P^3)"),
@@ -661,7 +660,7 @@ REFUSALS = {
     ("verdict", "seven-proportional"): _SIX,
     ("census_11", "stripped"): _CONDUCTOR_11,
     ("census_11", "moved"): _CHART_L1,
-    ("census_11_smoothpath", "stripped"): _MODULUS_11,
+    ("census_11_smoothpath", "stripped"): _CONDUCTOR_11,
     ("census_11_smoothpath", "moved"): None,
     ("path_agreement_check", "stripped"): _CONDUCTOR_11,
     ("path_agreement_check", "moved"): _CHART_L1,

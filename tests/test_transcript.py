@@ -33,7 +33,7 @@ CORPUS = (
     *(
         ("fiber", "--model", m, "--prime", str(p), "--lines", "--singular")
         for m in FIXTURES
-        for p in (2, 5, 11, 23)
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
     ),
     *(("solubility", "--model", m, "--h", HEADLINE) for m in FIXTURES),
     ("solubility", "--model", "fixture:zeta25", "--h", OBSTRUCTED_25),
@@ -56,8 +56,6 @@ CORPUS = (
     ),
     *(("verdict", "--model", m, "--h", L1[m]) for m in FIXTURES),
     ("invariants", "--model", "fixture:zeta11plus", "--h", "5,0,0,10,0,0"),
-    ("invariants", "--model", "fixture:zeta11plus", "--h", HEADLINE, "--modulus", "11"),
-    ("invariants", "--model", "fixture:zeta25", "--h", HEADLINE, "--modulus", "25"),
     ("census", "--modulus", "11", "--jobs", "1"),
     ("census", "--modulus", "25", "--jobs", "1"),
     ("census", "--model", "fixture:zeta11plus", "--modulus", "25", "--jobs", "1"),
@@ -74,6 +72,7 @@ CORPUS = (
     ("solubility", "--model", "fixture:zeta11plus", "--h", "a,b,c,d,e,f"),
     ("invariants", "--model", "fixture:zeta11plus", "--h", "0,0,0,0,0,0"),
     ("invariants", "--model", "fixture:zeta25", "--h", "5,10,0,0,0,0"),
+    # the option was removed; argparse refuses it as a usage error
     ("invariants", "--model", "fixture:zeta25", "--h", HEADLINE, "--modulus", "11"),
     ("verdict", "--model", "fixture:zeta25", "--h", "5,10,0,0,0,0"),
     ("verdict", "--model", "no-such-model.json", "--h", HEADLINE),
@@ -87,20 +86,48 @@ TRANSCRIPT_SHA256 = {
         "8d4a82018adf8e6079d1187ad07ca9a54628028f26642aec0e81c7aa5354d9c3",
     "fiber --model fixture:zeta11plus --prime 2 --lines --singular":
         "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
+    "fiber --model fixture:zeta11plus --prime 3 --lines --singular":
+        "5ea443df5dc840c38cbfe8f0d1dab313d47364b385bc0d59e92ff811fd28f5d8",
     "fiber --model fixture:zeta11plus --prime 5 --lines --singular":
         "81a92ce87e4b97473e962335a59fdd7dcfb0ec9722a7ab521a6ced9939d5726c",
+    "fiber --model fixture:zeta11plus --prime 7 --lines --singular":
+        "256ac06841fadb81c1010c52b96c7efa0c42a7341dc3665738a4368101339c68",
     "fiber --model fixture:zeta11plus --prime 11 --lines --singular":
         "c0a4bcb83fec2201dd3d754f158f9afeba85fd269b51622b2bae03f6ea635aca",
+    "fiber --model fixture:zeta11plus --prime 13 --lines --singular":
+        "992d038bb7bc0e767edb639690ad81c5d2922f97328f39b25edf942f110614a6",
+    "fiber --model fixture:zeta11plus --prime 17 --lines --singular":
+        "99d11363b5cf525da45ea7b8f624aa46192bfd469bfaa923b4fc039016883279",
+    "fiber --model fixture:zeta11plus --prime 19 --lines --singular":
+        "5215dd96ee8f117640acc609a7bae1320de9738735834be45d7ebc3e6a9cc89a",
     "fiber --model fixture:zeta11plus --prime 23 --lines --singular":
         "2605b5653a55064f6d3205a22336ce54e88344edec514aea86ba619b744eed9e",
+    "fiber --model fixture:zeta11plus --prime 29 --lines --singular":
+        "fbacf8b338a48468455daa80ad25bf34be666e5d38153de0021759b4f085189b",
+    "fiber --model fixture:zeta11plus --prime 31 --lines --singular":
+        "172246069950341e4040daf7631cedba474674d1e2db38892e7b3edaafe130f9",
     "fiber --model fixture:zeta25 --prime 2 --lines --singular":
         "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
+    "fiber --model fixture:zeta25 --prime 3 --lines --singular":
+        "5ea443df5dc840c38cbfe8f0d1dab313d47364b385bc0d59e92ff811fd28f5d8",
     "fiber --model fixture:zeta25 --prime 5 --lines --singular":
         "281f982b1806114194ffb2949d2203317e330c8834882ff001f7a373f233438b",
+    "fiber --model fixture:zeta25 --prime 7 --lines --singular":
+        "b4b329c4eb563c9f9e49edfc3209c7432e3a442f351c774528710d298977eb62",
     "fiber --model fixture:zeta25 --prime 11 --lines --singular":
         "78d415dba51726c85c22220e65a8c944bb114c8aec0e0331c5dce5cd43b59b99",
+    "fiber --model fixture:zeta25 --prime 13 --lines --singular":
+        "992d038bb7bc0e767edb639690ad81c5d2922f97328f39b25edf942f110614a6",
+    "fiber --model fixture:zeta25 --prime 17 --lines --singular":
+        "99d11363b5cf525da45ea7b8f624aa46192bfd469bfaa923b4fc039016883279",
+    "fiber --model fixture:zeta25 --prime 19 --lines --singular":
+        "5215dd96ee8f117640acc609a7bae1320de9738735834be45d7ebc3e6a9cc89a",
     "fiber --model fixture:zeta25 --prime 23 --lines --singular":
         "b12bf04f05c21286bb4197b3cbafbeac00cf0a59e0180835c2a7ced0eee12282",
+    "fiber --model fixture:zeta25 --prime 29 --lines --singular":
+        "fbacf8b338a48468455daa80ad25bf34be666e5d38153de0021759b4f085189b",
+    "fiber --model fixture:zeta25 --prime 31 --lines --singular":
+        "172246069950341e4040daf7631cedba474674d1e2db38892e7b3edaafe130f9",
     "solubility --model fixture:zeta11plus --h 0,1,0,-6,0,0":
         "f088495f0873641b0af031087a3b3d5b75be1ca164babc3ccb388157cfa7311c",
     "solubility --model fixture:zeta25 --h 0,1,0,-6,0,0":
@@ -153,10 +180,6 @@ TRANSCRIPT_SHA256 = {
         "fc32aef1aa676b5f87f1eb4d7c85fa803862cd9222052f3f6e68b1c2ee39ae20",
     "invariants --model fixture:zeta11plus --h 5,0,0,10,0,0":
         "7b1d7985190b925bb890d8104591b7236924d7287f5ad9fcbc1dd9e9ee8e0306",
-    "invariants --model fixture:zeta11plus --h 0,1,0,-6,0,0 --modulus 11":
-        "f67214041dbc4baae8e38d84afdf5e2e635b19310cb88fd2a92a257dbb6b65e4",
-    "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0 --modulus 25":
-        "b93fae5defacc149d0e56f305a8d90a512d7340d41dbbbff4f77aecb24c570ec",
     "census --modulus 11 --jobs 1":
         "1e93353a6efbc9c8e3154e747a7c66e64e97f7c443c9147500395d4edc1b2fe2",
     "census --modulus 25 --jobs 1":
@@ -188,7 +211,7 @@ TRANSCRIPT_SHA256 = {
     "invariants --model fixture:zeta25 --h 5,10,0,0,0,0":
         "764fd0f6ae9f10c0c35c1193e3a500db84bca09268c8b31dc0791f28647aa5c7",
     "invariants --model fixture:zeta25 --h 0,1,0,-6,0,0 --modulus 11":
-        "386d9049819201a6fa2e5d810987c34f0bcd454e08cb691567a89dd3e39c0f44",
+        "d899fa602bc759c8a11043cd7bd9d2b1f995202f7eb829430f4fdc9e2999a90a",
     "verdict --model fixture:zeta25 --h 5,10,0,0,0,0":
         "c817547ba9060ba4435b1ffcd7bc9b5e34b33129d0790b60ed53e0d20cc99937",
     "verdict --model no-such-model.json --h 0,1,0,-6,0,0":

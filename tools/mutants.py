@@ -160,9 +160,18 @@ MUTANTS = (
     Mutant(
         "chart-route-unguarded",
         OBSTRUCTION,
-        "        _require_fixture_chart(model, 11)\n        return _chart_route_11()",
-        "        return _chart_route_11()",
+        'if route == "chart" or model.modulus != 11:',
+        "if model.modulus != 11:",
         ("tests/test_obstruction.py::test_smoothpath_reads_the_fiber_of_a_moved_model",),
+    ),
+    Mutant(
+        "smooth-route-unguarded",
+        OBSTRUCTION,
+        'if route == "chart" or model.modulus != 11:',
+        'if route == "chart":',
+        (
+            "tests/test_obstruction.py::test_refusals_are_pinned[inv_image_11_smoothpath-stripped]",
+        ),
     ),
     Mutant(
         "route-image-bits-uninverted",
@@ -458,6 +467,13 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "routes-at-11-read-mod-25",
+        OBSTRUCTION,
+        "        return inv_image_11, inv_image_11_smoothpath\n",
+        "        return inv_image_25, inv_image_25_liftpath\n",
+        ("tests/test_obstruction.py::test_headline_verdict_is_computed_not_copied",),
+    ),
+    Mutant(
         "wild-modulus-read-as-five",
         MODEL,
         "return None if p is None else 25 if p == 5 else p",
@@ -574,6 +590,21 @@ MUTANTS = (
             "tests/test_obstruction.py::test_pair_tables_are_the_direct_formula",
             "tests/test_obstruction.py::test_representative_masks_are_pinned",
         ),
+    ),
+    # the model's modulus picks its routes, one integer product fires a trigger
+    Mutant(
+        "trigger-product-reads-values",
+        OBSTRUCTION,
+        "(route.fixed @ bases % 11)",
+        "(route.values @ bases % 11)",
+        ("tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",),
+    ),
+    Mutant(
+        "conjugates-without-root-check",
+        NUMBERFIELD,
+        "    if evaluate_poly(spec.ascending(), candidates[0]):\n        return None\n",
+        "",
+        ("tests/test_numberfield.py::test_verify_conjugates_refuses_each_broken_premise",),
     ),
 )
 
