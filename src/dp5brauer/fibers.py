@@ -19,34 +19,43 @@ fiber is admitted only if its quadrics are independent mod p
 (``model._quadric_rank``, kept by any change of coordinates), else
 DomainError names p: dependent ones cut out more than a surface.
 
-The solver.  For each t in P^2 with first nonzero entry 1 it lists every
-solution (u1, u2) of the 2x2 system a(t) (u1, u2) + c(t) = 0 of quadrics
-4-5.  Where det a(t) != 0 (u3 u5 - u4^2 on the fixtures) Cramer's rule
-gives the one solution.  The planes with det a(t) = 0 are solved in array
-steps: each contributes the p points of the line of its first equation
-with a nonzero coefficient, or all p^2 pairs if both equations are
-constant, and a candidate is kept when both equations vanish on it.  Every
-solution satisfies the first equation, so it lies on that line, or
-anywhere when both rows of a(t) are 0; so the kept candidates are all the
-solutions.  Then u0 comes from the first quadric among 1-3 with a nonzero
-u0 coefficient there; if there is none, quadrics 1-3 do not depend on u0,
-and all p values are taken where they vanish and none elsewhere.  The
-plane t = 0 is checked point by point, and a candidate is kept only when
-all five quadrics vanish on it.  Candidates go through these steps in
-blocks of whole planes, a new block every _CANDIDATE_BLOCK candidates, so
-the memory stays bounded where every plane is degenerate: quadrics 4-5
-that are 0 on every plane list p^2 pairs there, p^4 candidates in all.
+The solver.  Each point x is listed once, under its plane t(x) = (u3, u4,
+u5), by one rule for every plane.  For each t in P^2 with first nonzero
+entry 1 it lists every solution (u1, u2) of the 2x2 system a(t) (u1, u2) +
+c(t) = 0 of quadrics 4-5.  Where det a(t) != 0 (u3 u5 - u4^2 on the
+fixtures) Cramer's rule gives the one solution.  The planes with det a(t)
+= 0 are solved in array steps: each contributes the p points of the line
+of its first equation with a nonzero coefficient, or all p^2 pairs if
+both equations are constant, and a candidate is kept when both equations
+vanish on it.  Every solution satisfies the first equation, so it lies on
+that line, or anywhere when both rows of a(t) are 0; so the kept
+candidates are all the solutions.  The plane t = 0 takes the same step
+with (u1, u2) scaled instead of t: every term of quadrics 4-5 has a
+factor u3, u4 or u5, so a(0) = c(0) = 0 and every (u1, u2) solves it.
+Its rows are the p + 1 points (u1, u2) of P^1 with first nonzero entry
+1, which join the first block, and (u1, u2) = 0 leaves the one point e0 =
+(1, 0, 0, 0, 0, 0).  Then u0 comes from the first quadric among 1-3 with
+a nonzero u0 coefficient there; if there is none, quadrics 1-3 do not
+depend on u0, and all p values are taken where they vanish and none
+elsewhere.  Every candidate, e0 among them, is kept only when all five
+quadrics vanish on it.  Candidates go through these steps in blocks of
+whole planes, a new block every _CANDIDATE_BLOCK candidates, so the
+memory stays bounded where every plane is degenerate: quadrics 4-5 that
+are 0 on every plane list p^2 pairs there, p^4 candidates in all.
 
-Completeness: scale a fiber point x with t(x) != 0 so that t(x) has first
-nonzero entry 1.  Quadrics 4-5 vanish at x, so (x1, x2) is a listed
-solution for t(x); quadrics 1-3 vanish at x, so x0 is the root of the
-chosen one or a taken value.  So x is a candidate, and it passes the final
-check; a fiber point with t(x) = 0 lies in the checked plane.  Distinct
-candidates are distinct projective points, so the result is exactly the
-fiber, from O(p^2) candidates instead of O(p^5) cells when few planes are
-degenerate, as on every del Pezzo fiber (below).  Nothing here
-divides by 2, so p = 2 is no exception.  The proof uses nothing but the
-shape of the Gram array mod p it is given.
+Completeness: scale a fiber point x so that t(x), or (x1, x2) where t(x)
+= 0, has first nonzero entry 1; where both are 0, x is e0, a candidate.
+Else quadrics 4-5 vanish at x, so (x1, x2) is a listed solution for t(x),
+a listed row of P^1 where t(x) = 0; quadrics 1-3 vanish at x, so x0 is
+the root of the chosen one or a taken value.  So x is a candidate, and
+it passes the final check.  Distinct candidates are distinct projective
+points (their t differ, or on t = 0 their (u1, u2), or one is e0), so
+the result is exactly the fiber, from O(p^2) candidates instead of O(p^5)
+cells when few planes are degenerate, as on every del Pezzo fiber
+(below).  Nothing here divides by 2, so p = 2 is no exception.  The proof
+uses nothing but the shape of the Gram array mod p it is given.  (e0 lies
+on every fiber of the shape, as no quadric has a u0^2 term; the final
+check keeps it like any other candidate.)
 
 The move into the solver shape:
 
@@ -167,7 +176,6 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -413,22 +421,27 @@ def _tangent_basis(point, kernel, pivot):
 def _solve_fiber(gram, p):
     """Fiber points, unnormalized, by back-solving (module docstring), the
     planes t in blocks that start every _CANDIDATE_BLOCK candidates: one
-    on a plane with det a(t) != 0, p or p^2 on the others."""
+    on a plane with det a(t) != 0, p or p^2 on the others.  The plane t = 0
+    takes the u0 step like the others, its p + 1 rows (u1, u2, 0) over P^1
+    in the first block, and e0 passes the final check with that block."""
     t = _projective_plane(p)
     a = np.einsum("kvj,nj->nkv", gram[3:, 1:3, 3:], t) % p
     det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     c = ((t @ gram[3:, 3:, 3:]) * t).sum(axis=-1).T % p
-    size = np.where(det != 0, 1, p)
-    size[(a[:, 0, 0] | a[:, 0, 1] | a[:, 1, 0] | a[:, 1, 1]) == 0] = p * p
+    size = np.where(det != 0, 1, np.where(a.any(axis=(1, 2)), p, p * p))
     block = (np.cumsum(size) - size) // _CANDIDATE_BLOCK
     edges = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), len(t)]
-    blocks = (
-        _lift_u0(gram, _plane_solutions(a[lo:hi], c[lo:hi], t[lo:hi], det[lo:hi], p), p)
-        for lo, hi in zip(edges[:-1], edges[1:])
-    )
-    # the plane t = 0 is checked point by point, with the first block
-    first = np.concatenate([np.column_stack([t, np.zeros_like(t)]), next(blocks)])
-    return np.concatenate([x[_on_fiber(gram, x, p)] for x in chain([first], blocks)])
+    # the plane t = 0, where quadrics 4-5 vanish: its rows (u1, u2, 0) over
+    # P^1 join the first block before the u0 step and e0 after it; the
+    # later blocks take neither
+    e0, y0 = np.eye(1, 6, dtype=np.int64), np.column_stack([t[-p - 1:, 1:], np.zeros_like(t[-p - 1:])])
+    fiber = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        y = np.concatenate([y0, _plane_solutions(a[lo:hi], c[lo:hi], t[lo:hi], det[lo:hi], p)])
+        x = np.concatenate([e0, _lift_u0(gram, y, p)])
+        fiber.append(x[_on_fiber(gram, x, p)])
+        e0, y0 = e0[:0], y0[:0]
+    return np.concatenate(fiber)
 
 
 def _lift_u0(gram, y, p):
@@ -763,7 +776,7 @@ def verify_chart(model):
     """
     p = model.ramified_prime
     if p is None:
-        raise DomainError("chart verification needs a fixture model")
+        raise DomainError("chart verification needs a ramified prime, which built models and model files lack")
     for residue in _on_chart(_gram_mod_p(model.quadrics, p)) % p:
         if residue.any():
             raise ChartError(

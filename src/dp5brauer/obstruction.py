@@ -773,8 +773,10 @@ def _digit_columns(indices, base, length):
 
 _FULL_MASK = 0b11111
 _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
-# forms per block of the mask kernel; a block holds two (block, points) uint32 arrays at once
-_CENSUS_CHUNK = 2_048
+# forms per block of the mask kernel; a block holds two (block, points) uint32
+# arrays at once, 128 x 133 x 4 bytes at most, below glibc's 128 KiB mmap
+# threshold, so the blocks reuse heap memory instead of mapping fresh pages
+_CENSUS_CHUNK = 128
 # the digits (f, g) of row f + 11*g of a digit-pair table
 _PAIR_DIGITS_11 = np.stack([np.arange(121) % 11, np.arange(121) // 11], axis=1)
 # entry [f + 11*g, a + 11*b]: the one-hot value 1 << (f*a + g*b mod 11)

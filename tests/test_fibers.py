@@ -227,7 +227,7 @@ def test_chart_needs_a_fixture(m11):
     from dp5brauer.model import DelPezzoModel
 
     stripped = DelPezzoModel.from_json_dict(doc)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="chart verification needs a ramified prime, which built models and model files lack"):
         verify_chart(stripped)
 
 
@@ -415,6 +415,21 @@ def test_transformed_models_mod_11_are_solved(m11):
     assert fiber == scanned(moved, 11)
     assert len(fiber) == 133
     assert _image(g, fiber, 11) == enumerate_fiber(m11, 11)
+
+
+@pytest.mark.parametrize("seed", (3, 30, 31, 37))
+def test_moves_that_put_the_line_m_on_the_plane_t0_are_solved(m11, seed):
+    # these moves mod 11 put the line M = {l1 = 0} of the fiber at 11
+    # through the solver's base point e0, into the plane t = 0: its other
+    # eleven points come from the one P^1 row of its direction, where
+    # quadrics 1-3 have no u0 coefficient and all eleven u0 are taken
+    moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(seed)))
+    _, g, gram = fibers._solver_coordinates(moved.quadrics, 11)
+    solved = fibers._solve_fiber(gram, 11)
+    plane = _image(g, solved[~solved[:, 3:].any(axis=1)].tolist(), 11)
+    fiber = enumerate_fiber(moved, 11)
+    assert fiber == scanned(moved, 11)
+    assert plane == [x for x in fiber if np.dot(x, moved.l1) % 11 == 0] and len(plane) == 12
 
 
 def _invertible(data, p):

@@ -26,6 +26,8 @@ FIXTURES = ("fixture:zeta11plus", "fixture:zeta25")
 # each fixture's mod-2 insolubility class and its form l1
 INSOLUBLE = {"fixture:zeta11plus": "0,0,1,0,0,1", "fixture:zeta25": "0,0,1,1,0,0"}
 L1 = {"fixture:zeta11plus": "1,22,-363,165,-1859,484", "fixture:zeta25": "1,25,-700,200,-3425,575"}
+# every prime up to 97; the large ones pin the fibers where the solver's plane t = 0 is largest
+FIBER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 CORPUS = (
     ("construct", "--minpoly", "1,1,-4,-3,3,1"),
@@ -33,7 +35,7 @@ CORPUS = (
     *(
         ("fiber", "--model", m, "--prime", str(p), "--lines", "--singular")
         for m in FIXTURES
-        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        for p in FIBER_PRIMES
     ),
     *(("solubility", "--model", m, "--h", HEADLINE) for m in FIXTURES),
     ("solubility", "--model", "fixture:zeta25", "--h", OBSTRUCTED_25),
@@ -106,6 +108,34 @@ TRANSCRIPT_SHA256 = {
         "fbacf8b338a48468455daa80ad25bf34be666e5d38153de0021759b4f085189b",
     "fiber --model fixture:zeta11plus --prime 31 --lines --singular":
         "172246069950341e4040daf7631cedba474674d1e2db38892e7b3edaafe130f9",
+    "fiber --model fixture:zeta11plus --prime 37 --lines --singular":
+        "c41259e4d7473e88050a77b285023a33e82c54a35a45a76815cc22ddaa103781",
+    "fiber --model fixture:zeta11plus --prime 41 --lines --singular":
+        "56eb668811b87b8447279420f80c9c5f4e916aae46e06b3723a8a9de9641cfe6",
+    "fiber --model fixture:zeta11plus --prime 43 --lines --singular":
+        "880c57410e32990e0fe8296b6a48554b471753fcafe12f9c8846ae956b1551e9",
+    "fiber --model fixture:zeta11plus --prime 47 --lines --singular":
+        "6c8b3b5e6baffea2d8ed132d2ca6898efa2ffa1eeaa84b7b4ac33ba554fb13f1",
+    "fiber --model fixture:zeta11plus --prime 53 --lines --singular":
+        "4c6fc707c291791a76c8e2660e645aee625b6a9bcffc736faa2ea8d5f6da4f92",
+    "fiber --model fixture:zeta11plus --prime 59 --lines --singular":
+        "61f413406bf88ca1de8c229abcf6c6d803199294c5458dbceb0198dd065aad86",
+    "fiber --model fixture:zeta11plus --prime 61 --lines --singular":
+        "c62059bccd0842620b22cf7a8bcafc8bb4981676d604a65c4ed10d2f844f2189",
+    "fiber --model fixture:zeta11plus --prime 67 --lines --singular":
+        "a54c322d0a20912ed90034fed4798789e4548f89968b261d55828e5389cc51d8",
+    "fiber --model fixture:zeta11plus --prime 71 --lines --singular":
+        "77a51e614146e159add711a9664630d58f99fc05983b6088b8745e2d93c038d1",
+    "fiber --model fixture:zeta11plus --prime 73 --lines --singular":
+        "afe8bbc12da7b43bb0062ef56b6fb4243dfe598da2f4f40ef1bf6854618ce797",
+    "fiber --model fixture:zeta11plus --prime 79 --lines --singular":
+        "69f15fd9b98d13dc2f4fee784b293d69ce6569e4c1f8a7ef363c2e8cdb76078a",
+    "fiber --model fixture:zeta11plus --prime 83 --lines --singular":
+        "9764934102e1332a3b8146e4fc9a2bbe810c815a758c65412b852fd141638450",
+    "fiber --model fixture:zeta11plus --prime 89 --lines --singular":
+        "dcf35e45d62a426b7fc348dbab3910f9869a29782afad5e524bf92ba9b2ab641",
+    "fiber --model fixture:zeta11plus --prime 97 --lines --singular":
+        "f1feb062b55b831764a578fe30f139bc6e1c0ff23c0cd12b647a076d71ce9fee",
     "fiber --model fixture:zeta25 --prime 2 --lines --singular":
         "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
     "fiber --model fixture:zeta25 --prime 3 --lines --singular":
@@ -128,6 +158,34 @@ TRANSCRIPT_SHA256 = {
         "fbacf8b338a48468455daa80ad25bf34be666e5d38153de0021759b4f085189b",
     "fiber --model fixture:zeta25 --prime 31 --lines --singular":
         "172246069950341e4040daf7631cedba474674d1e2db38892e7b3edaafe130f9",
+    "fiber --model fixture:zeta25 --prime 37 --lines --singular":
+        "c41259e4d7473e88050a77b285023a33e82c54a35a45a76815cc22ddaa103781",
+    "fiber --model fixture:zeta25 --prime 41 --lines --singular":
+        "56eb668811b87b8447279420f80c9c5f4e916aae46e06b3723a8a9de9641cfe6",
+    "fiber --model fixture:zeta25 --prime 43 --lines --singular":
+        "fb183e0fbbf5194b3a49f4f8939b740cff621ad513a38e6b9778bcf1c956662b",
+    "fiber --model fixture:zeta25 --prime 47 --lines --singular":
+        "6c8b3b5e6baffea2d8ed132d2ca6898efa2ffa1eeaa84b7b4ac33ba554fb13f1",
+    "fiber --model fixture:zeta25 --prime 53 --lines --singular":
+        "4c6fc707c291791a76c8e2660e645aee625b6a9bcffc736faa2ea8d5f6da4f92",
+    "fiber --model fixture:zeta25 --prime 59 --lines --singular":
+        "61f413406bf88ca1de8c229abcf6c6d803199294c5458dbceb0198dd065aad86",
+    "fiber --model fixture:zeta25 --prime 61 --lines --singular":
+        "c62059bccd0842620b22cf7a8bcafc8bb4981676d604a65c4ed10d2f844f2189",
+    "fiber --model fixture:zeta25 --prime 67 --lines --singular":
+        "2f431dc683e452ca720f41f0e52e95ee5f4f6d2e26bef8bb84762d9bda1d419b",
+    "fiber --model fixture:zeta25 --prime 71 --lines --singular":
+        "77a51e614146e159add711a9664630d58f99fc05983b6088b8745e2d93c038d1",
+    "fiber --model fixture:zeta25 --prime 73 --lines --singular":
+        "afe8bbc12da7b43bb0062ef56b6fb4243dfe598da2f4f40ef1bf6854618ce797",
+    "fiber --model fixture:zeta25 --prime 79 --lines --singular":
+        "69f15fd9b98d13dc2f4fee784b293d69ce6569e4c1f8a7ef363c2e8cdb76078a",
+    "fiber --model fixture:zeta25 --prime 83 --lines --singular":
+        "9764934102e1332a3b8146e4fc9a2bbe810c815a758c65412b852fd141638450",
+    "fiber --model fixture:zeta25 --prime 89 --lines --singular":
+        "c47c3134b6a71e2360c7f332ac4b7b4e0660edcb30e808ca37de0372d3873143",
+    "fiber --model fixture:zeta25 --prime 97 --lines --singular":
+        "f1feb062b55b831764a578fe30f139bc6e1c0ff23c0cd12b647a076d71ce9fee",
     "solubility --model fixture:zeta11plus --h 0,1,0,-6,0,0":
         "f088495f0873641b0af031087a3b3d5b75be1ca164babc3ccb388157cfa7311c",
     "solubility --model fixture:zeta25 --h 0,1,0,-6,0,0":

@@ -83,6 +83,49 @@ MUTANTS = (
         "        if True:\n            return r[:, 6:], g, moved",
         ("tests/test_fibers.py::test_a_move_without_the_solver_shape_is_never_solved",),
     ),
+    # the fiber solver: every plane by one rule, the candidates in blocks
+    Mutant(
+        "plane-t0-rows-dropped",
+        FIBERS,
+        "y = np.concatenate([y0, _plane_solutions(",
+        "y = np.concatenate([y0[:0], _plane_solutions(",
+        ("tests/test_fibers.py::test_moved_model_fibers_are_the_coordinate_image_up_to_97",),
+    ),
+    Mutant(
+        "e0-dropped",
+        FIBERS,
+        "x = np.concatenate([e0, _lift_u0(gram, y, p)])",
+        "x = np.concatenate([e0[:0], _lift_u0(gram, y, p)])",
+        ("tests/test_fibers.py::test_solver_equals_scan_up_to_31",),
+    ),
+    Mutant(
+        "plane-t0-one-row-dropped",
+        FIBERS,
+        "np.column_stack([t[-p - 1:, 1:], np.zeros_like(t[-p - 1:])])",
+        "np.column_stack([t[-p:, 1:], np.zeros_like(t[-p:])])",
+        ("tests/test_fibers.py::test_moves_that_put_the_line_m_on_the_plane_t0_are_solved",),
+    ),
+    Mutant(
+        "flat-planes-dropped",
+        FIBERS,
+        "    flat = np.nonzero(~lined)[0]\n",
+        "    flat = np.nonzero(~lined)[0][:0]\n",
+        ("tests/test_fibers.py::test_solver_equals_scan_when_every_plane_is_degenerate",),
+    ),
+    Mutant(
+        "last-block-dropped",
+        FIBERS,
+        "    for lo, hi in zip(edges[:-1], edges[1:]):\n        y = ",
+        "    for lo, hi in zip(edges[:-2], edges[1:-1]):\n        y = ",
+        ("tests/test_fibers.py::test_degenerate_candidates_come_in_blocks_of_whole_planes",),
+    ),
+    Mutant(
+        "u0-free-filter-inverted",
+        FIBERS,
+        "stuck = y[~some & ~rest.any(axis=1)]",
+        "stuck = y[~some & rest.any(axis=1)]",
+        ("tests/test_fibers.py::test_solver_equals_scan_on_random_shaped_quadrics",),
+    ),
     # one sorted code array per fiber, one checked pair per line
     Mutant(
         "lines-first-quadric-only",
