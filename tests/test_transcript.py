@@ -17,6 +17,8 @@ import pytest
 
 from dp5brauer.cli import main
 
+from quintics import lehmer_quintic
+
 HEADLINE = "0,1,0,-6,0,0"
 OBSTRUCTED_25 = "2,-15,0,10,0,0"
 OBSTRUCTED_11 = "0,1,0,-7,0,0"
@@ -32,6 +34,9 @@ FIBER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 
 CORPUS = (
     ("construct", "--minpoly", "1,1,-4,-3,3,1"),
     ("construct", "--minpoly", "1,-20,100,-125,50,-5"),
+    # Lehmer's quintics n = -4..5, reversed as ``lehmer_model`` builds them:
+    # the conjugate walk behind l1 and l2 and both kernels on ten more generators
+    *(("construct", "--minpoly", ",".join(map(str, lehmer_quintic(n)[::-1]))) for n in range(-4, 6)),
     *(
         ("fiber", "--model", m, "--prime", str(p), "--lines", "--singular")
         for m in FIXTURES
@@ -86,6 +91,26 @@ TRANSCRIPT_SHA256 = {
         "0f049666e965d2470c998fb868093da9c51e1d13d1279a9f9c457a9343856557",
     "construct --minpoly 1,-20,100,-125,50,-5":
         "8d4a82018adf8e6079d1187ad07ca9a54628028f26642aec0e81c7aa5354d9c3",
+    "construct --minpoly 1,-30,57,62,16,1":
+        "2b28a41031886fb0d85e77694e507b91d2631b306134392a5a394788d2edc8ac",
+    "construct --minpoly 1,-11,5,20,9,1":
+        "d3a9e30b04856e745807f00ff6bc0481f30f8224b850c624150e109d53fb9e86",
+    "construct --minpoly 1,-2,-5,2,4,1":
+        "2885efb49695d48446ec3c6ea6764dc56919729fc197f6a50d71fcd28b4ead02",
+    "construct --minpoly 1,3,-3,-4,1,1":
+        "d20b1d9c559a933c1cb12064f8e25dc93011a1d4978c9be20c237aa08f1f4fe5",
+    "construct --minpoly 1,10,5,-10,0,1":
+        "28ee075a70c6748b89a1a30955dd4175855a7c9970b61b78d569f985d95748da",
+    "construct --minpoly 1,25,37,-28,1,1":
+        "c5a35191b789bcd993ac8c851631e5b6ae0d543a66194f807b60f714cd38942c",
+    "construct --minpoly 1,54,135,-70,4,1":
+        "76c8d0297400a78a971f528dbbd3bea2a18f05da259b45122542150961d2f043",
+    "construct --minpoly 1,103,365,-148,9,1":
+        "19220de465b53d0dc308726d837ef8baa1c76ad4ae1cd83e5cadc9643e851333",
+    "construct --minpoly 1,178,817,-274,16,1":
+        "924ab987a36317f0056da2b5e119cf88660bfcb729f0bd2052c5afb50c19d398",
+    "construct --minpoly 1,285,1605,-460,25,1":
+        "8a39fb38cdd49f184f5c58eb62ad7017b9bc3519054688dd649a44c5bbc372a9",
     "fiber --model fixture:zeta11plus --prime 2 --lines --singular":
         "b358e877a8744f0280918b886921bf6c28604dbad9eac190e42fbebf9f6cc668",
     "fiber --model fixture:zeta11plus --prime 3 --lines --singular":

@@ -388,8 +388,8 @@ MUTANTS = (
     Mutant(
         "horner-without-denominators",
         NUMBERFIELD,
-        "[c.numerator * (common // c.denominator) * scale]",
-        "[c.numerator * scale]",
+        "[c.numerator * (common // c.denominator) for c in coeffs]",
+        "[c.numerator for c in coeffs]",
         ("tests/test_numberfield.py::test_horner_equals_the_sum_of_the_terms",),
     ),
     # one Frobenius per prime: how the minimal polynomial splits mod p
@@ -648,6 +648,41 @@ MUTANTS = (
         "    if evaluate_poly(spec.ascending(), candidates[0]):\n        return None\n",
         "",
         ("tests/test_numberfield.py::test_verify_conjugates_refuses_each_broken_premise",),
+    ),
+    # exact arithmetic on integer numerators over one denominator
+    Mutant(
+        "embedding-drops-denominator",
+        NUMBERFIELD,
+        "return _element(element.spec, total, scale * element.den)",
+        "return _element(element.spec, total, scale)",
+        ("tests/test_numberfield.py::test_embedding_keeps_the_denominator[zeta11plus]",),
+    ),
+    Mutant(
+        "reconstruct-pair-swapped",
+        NUMBERFIELD,
+        "    return r1, t1\n",
+        "    return t1, r1\n",
+        ("tests/test_numberfield.py::test_conjugates_of_the_cyclotomic_quintic",),
+    ),
+    Mutant(
+        "backsolve-without-lin-scale",
+        MODEL,
+        "*(lin * x for x in u[1:])",
+        "*u[1:]",
+        (
+            "tests/test_model.py::test_stored_points_lie_on_every_quadric",
+            "tests/test_model.py::test_searched_points_are_pinned",
+        ),
+    ),
+    Mutant(
+        "backsolve-det-unscaled",
+        MODEL,
+        "*(det * x for x in t)",
+        "*t",
+        (
+            "tests/test_model.py::test_stored_points_lie_on_every_quadric",
+            "tests/test_model.py::test_searched_points_are_pinned",
+        ),
     ),
 )
 
