@@ -108,7 +108,7 @@ v2) + lambda^2 c(t); a general such plane meets Y in the line and one
 more point, so det a(t) is not 0 at every t, and the candidates stay
 O(p^2).  Nothing in this divides by 2.
 
-Smooth points, certified by a minor.  The Jacobian row of q_k at x is
+Smooth points, certified by minors.  The Jacobian row of q_k at x is
 B_k x, whose entry j is the partial derivative of q_k by u_j (the diagonal
 2 G_k[j, j] vanishes at p = 2, as the derivative of u_j^2 does).  On the
 solver shape, quadrics 4-5 have no u0, u1^2, u1 u2 or u2^2 term, so their
@@ -116,11 +116,18 @@ rows read (0, a(t)) on the columns (u0, u1, u2), and quadrics 1-3 have no
 u0^2 term, so their u0 entry is lin_k(x), the coefficient of u0 in q_k, a
 linear form in u1..u5.  The minor on rows (k, 4, 5) and columns (u0, u1,
 u2) is then lin_k * det a(t), in every characteristic.  Where both factors
-are nonzero the Jacobian has rank at least 3 and the point is smooth;
-``singular_points`` row-reduces only the other points.  It reads the
-minor in solver coordinates, where the Jacobian at v = g^{-1} x is E J(x)
-g, of the rank of J(x), with rows F_k x for F_k = g^T (E B)_k (each B_l is
-symmetric); E and g are folded into F once per (quadrics, p).
+are nonzero the Jacobian has rank at least 3 and the point is smooth.  The
+points this leaves are tried next on the ten minors of rows 1-3 on three
+of the columns u1..u5, and a nonzero one again gives rank at least 3.
+These decide e0, which the first minor never does, as det a(0) = 0: at e0
+rows 4-5 vanish, as quadrics 4-5 have no u0 term, and rows 1-3 read (0,
+lin_k) with lin_k the coefficient vector of u0 in q_k, so J(e0) has rank
+3 exactly when one of the ten minors is nonzero.  ``singular_points``
+row-reduces only the points that both tests leave, and nothing when none
+are left.  It reads the minors in solver coordinates, where the Jacobian
+at v = g^{-1} x is E J(x) g, of the rank of J(x), with rows F_k x for F_k
+= g^T (E B)_k (each B_l is symmetric); E and g are folded into F once per
+(quadrics, p).
 
 Lines.  ``_fiber_array`` holds a fiber as one (n, 6) array of normalized
 points sorted by the base-p code c(x) = sum x_i p^(5 - i), and
@@ -176,6 +183,7 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations, product
 
 import numpy as np
 
@@ -191,7 +199,6 @@ from .model import (
     _quadric_gram,
     _quadric_rank,
     _solver_shaped,
-    _yz_product,
 )
 from .numberfield import _is_prime, minpoly_splitting_mod_p
 
@@ -580,9 +587,10 @@ def _singular_mask(model, p, x):
     rank below 3.
 
     The Jacobians of all points in solver coordinates are one product F x.
-    A point with det a(t) != 0 and some lin_k != 0 has a nonzero 3x3 minor
-    there and is smooth (module docstring); the others are row-reduced in
-    one stack.
+    A point with det a(t) != 0 and some lin_k != 0, or with a nonzero minor
+    of rows 1-3 on three of the columns u1..u5, has a nonzero 3x3 minor
+    there and is smooth (module docstring); the others, if any, are
+    row-reduced in one stack.
     """
     if not len(x):
         return np.zeros(0, dtype=bool)
@@ -590,8 +598,12 @@ def _singular_mask(model, p, x):
     a = jacobians[:, 3:, 1:3]
     det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
+    # the minors of rows 1-3 on three of the columns u1..u5, as r0 . (r1 x r2)
+    r = jacobians[todo, :3, 1:][..., list(combinations(range(5), 3))]
+    todo = todo[~((r[:, 0] * np.cross(r[:, 1], r[:, 2])).sum(axis=-1) % p).any(axis=1)]
     ranks = np.full(len(x), 3)
-    ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)
+    if len(todo):
+        ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)
     return ranks < 3
 
 
@@ -731,25 +743,16 @@ class ChartCertificate:
     line_points: tuple
 
 
-@lru_cache(maxsize=1)
-def _chart_products():
-    """(6, 6, 7, 5) table of the products of the chart coordinates of
-    ``_CHART_TERMS``, entry [i, j] the (y, z) coefficients of x_i x_j;
-    built once and shared, so it is read-only."""
-    chart = np.zeros((6, 4, 3), dtype=np.int64)
-    for coord, terms in zip(chart, _CHART_TERMS):
-        for b, c in terms:
-            coord[b, c] = 1
-    products = np.array([[_yz_product(a, b) for b in chart] for a in chart], dtype=np.int64)
-    products.flags.writeable = False
-    return products
-
-
 def _on_chart(gram):
     """The quadrics q_k = x^T G_k x restricted to the chart of
-    ``_CHART_TERMS``, as (5, 7, 5) arrays of (y, z) coefficients (exact for
-    integer Gram arrays)."""
-    return np.einsum("kij,ijbc->kbc", gram, _chart_products())
+    ``_CHART_TERMS``, as (5, 7, 5) arrays of (y, z) coefficients: each term
+    y^b z^c of x_i and y^d z^e of x_j adds G_k[i, j] at (b + d, c + e), the
+    exponents of their product (exact for integer Gram arrays)."""
+    out = np.zeros((len(gram), 7, 5), dtype=gram.dtype)
+    for (i, left), (j, right) in product(enumerate(_CHART_TERMS), repeat=2):
+        for (b, c), (d, e) in product(left, right):
+            out[:, b + d, c + e] += gram[:, i, j]
+    return out
 
 
 def _monomial_text(residue):

@@ -67,25 +67,19 @@ DEG10_MONOMIALS = _exponents(3, 10)
 U_QUADRIC_PAIRS = tuple(combinations_with_replacement(range(6), 2))
 
 
-def _yz_array(vec, monomials):
-    """A form in x, y, z listed along ``monomials`` as a dense array over the
-    (y, z) exponents: entry [b, c] is the coefficient of x^a y^b z^c."""
-    degree = sum(monomials[0])
-    arr = np.zeros((degree + 1, degree + 1), dtype=object)
-    for (_, b, c), v in zip(monomials, vec):
-        arr[b, c] = v
-    return arr
-
-
-def _yz_product(f, g):
-    """Products of forms stored as dense (y, z) arrays, over any leading axes
-    that f and g share; exact on object arrays of Python ints.  One slice
-    step per (y, z) position at which some form of f is nonzero."""
-    (bf, cf), (bg, cg) = f.shape[-2:], g.shape[-2:]
-    out = np.zeros((*f.shape[:-2], bf + bg - 1, cf + cg - 1), dtype=object)
-    for b, c in zip(*np.nonzero((f != 0).reshape(-1, bf, cf).any(axis=0))):
-        out[..., b : b + bg, c : c + cg] += f[..., b, c, None, None] * g
-    return out
+@lru_cache(maxsize=8)
+def _product_slots(d, e):
+    """Read-only int64 array (len(``_exponents(3, d)``), len(``_exponents(3,
+    e)``)): entry [i, j] is the position in ``_exponents(3, d + e)`` of the
+    i-th degree-d monomial times the j-th degree-e monomial, whose exponents
+    add.  For a fixed j the positions are distinct, as multiplying by one
+    monomial is injective."""
+    position = {m: k for k, m in enumerate(_exponents(3, d + e))}
+    slots = np.array(
+        [[position[tuple(map(sum, zip(m, n)))] for n in _exponents(3, e)] for m in _exponents(3, d)]
+    )
+    slots.flags.writeable = False
+    return slots
 
 
 def double_vanishing_matrix(spec):
@@ -239,12 +233,16 @@ def build_model(spec):
             f"{0 if quintic_basis is None else quintic_basis.rows}, expected 6"
         )
     system = QuinticSystem(spec, quintic_basis)
-    quintics = np.array([_yz_array(row, DEG5_MONOMIALS) for row in quintic_basis.entries])
-    first, second = (quintics[list(k)] for k in zip(*U_QUADRIC_PAIRS))
     # the (66, 21) relation matrix: column (i, j) holds the degree-10
-    # coefficients of quintic_i * quintic_j
-    _, b, c = zip(*DEG10_MONOMIALS)
-    quad_basis = saturated_kernel(_yz_product(first, second)[:, b, c].T)
+    # coefficients of quintic_i * quintic_j, along DEG10_MONOMIALS, summed
+    # over the pairs of their nonzero terms (a, f) and (b, g)
+    slots = _product_slots(5, 5).tolist()
+    terms = [[(a, f) for a, f in enumerate(row) if f] for row in quintic_basis.entries]
+    relation = [[0] * len(U_QUADRIC_PAIRS) for _ in DEG10_MONOMIALS]
+    for col, (i, j) in enumerate(U_QUADRIC_PAIRS):
+        for (a, f), (b, g) in product(terms[i], terms[j]):
+            relation[slots[a][b]][col] += f * g
+    quad_basis = saturated_kernel(relation)
     if quad_basis is None or quad_basis.rows != 5:
         raise DegenerateOrbitError(
             "degenerate orbit: quadric relation space has rank "
@@ -272,18 +270,20 @@ def find_line_products(spec, system, conjugates=None):
     - the shift has two edge orbits, {k, k+1} and {k, k+2}: the pentagon,
       whose product is l1, and the pentagram, whose product is l2.
 
-    The product is a dense (y, z) grid of field elements, each stored as
-    five integer numerators over one denominator shared by the whole grid.
-    Multiplication by an element with numerators n is the integer matrix
-    sum_i n_i C^i, C the companion matrix of the minimal polynomial, whose
-    column j of C^i is the coordinate vector of a^(i+j) in
-    ``generator_power_table(8)``.  With e = den(a) den(b), the line
-    e L(a, b) = e x + s y + t z has s = -e (a + b) and t = e ab with integer
-    coordinates, so each factor multiplies the numerators by e, by the
-    matrix of s (shifted in y) and by that of t (shifted in z), and the
-    denominator by e.  Denominators stay positive, so a rational product is
-    its constant numerators over a positive integer and has the same
-    primitive part.
+    The product of k lines is a form of degree k with one field element per
+    monomial of ``_exponents(3, k)``, each stored as five integer numerators
+    over one denominator shared by the whole form.  Multiplication by an
+    element with numerators n is the integer matrix sum_i n_i C^i, C the
+    companion matrix of the minimal polynomial, whose column j of C^i is the
+    coordinate vector of a^(i+j) in ``generator_power_table(8)``.  With e =
+    den(a) den(b), the line e L(a, b) = e x + s y + t z has s = -e (a + b)
+    and t = e ab with integer coordinates.  So each factor adds e times the
+    numerators at their x slots of ``_product_slots(k, 1)``, the numerators
+    times the matrix of s at their y slots and times that of t at their z
+    slots, and multiplies the denominator by e.  Denominators stay
+    positive, so a rational product is its constant numerators over a
+    positive integer and has the same primitive part; after five factors
+    the rows follow DEG5_MONOMIALS.
     Both products are returned as primitive coordinate vectors in the
     quintic basis.  ``conjugates`` out of walk order break the first premise
     and end in a RationalityFailureError.
@@ -303,21 +303,24 @@ def find_line_products(spec, system, conjugates=None):
         return np.dot(np.array(num, dtype=object), powers).reshape(5, 5)
 
     def orbit_product(step):
-        grid = np.zeros((6, 6, 5), dtype=object)
-        grid[0, 0, 0] = 1
+        # row i: the numerators of the coefficient of the i-th monomial of
+        # degree k, the product of the first k lines
+        form = np.array([[1, 0, 0, 0, 0]], dtype=object)
         for k in range(5):
             a, b = g[k], g[(k + step) % 5]
             s = [-(x * b.den + y * a.den) for x, y in zip(a.num, b.num)]
             t = matrix_of(a.num) @ np.array(b.num, dtype=object)
-            grown = grid * (a.den * b.den)
-            grown[1:] += grid[:-1] @ matrix_of(s).T
-            grown[:, 1:] += grid[:, :-1] @ matrix_of(t).T
-            grid = grown
-        if grid[..., 1:].any():
+            x, y, z = _product_slots(k, 1).T
+            grown = np.zeros((len(_exponents(3, k + 1)), 5), dtype=object)
+            grown[x] = form * (a.den * b.den)
+            grown[y] += form @ matrix_of(s).T
+            grown[z] += form @ matrix_of(t).T
+            form = grown
+        if form[:, 1:].any():
             raise RationalityFailureError(
                 "rationality failure: a shift-stable line product is not rational"
             )
-        vec = primitive_part([grid[b, c, 0] for _, b, c in DEG5_MONOMIALS])
+        vec = primitive_part(form[:, 0])
         coords = solve_in_lattice(system.basis, vec)
         if coords is None:
             raise DegenerateOrbitError(

@@ -346,6 +346,27 @@ def test_singular_points_of_a_moved_fiber_are_certified_by_the_minor(m11, monkey
     assert sum(sizes) * 100 < len(fiber) == 9410
 
 
+def test_inert_fibers_run_no_elimination(m11, m25, monkeypatch):
+    # the two families of minors decide every point of an inert fixture
+    # fiber, e0 included, so none is row-reduced; the one singular point at
+    # each ramified prime still is
+    sizes, reduce = [], fibers._row_reduce_mod_p
+    monkeypatch.setattr(fibers, "_row_reduce_mod_p", lambda m, p: sizes.append(len(m)) or reduce(m, p))
+    inert = [
+        (m, p)
+        for m in (m11, m25)
+        for p in (2, 3, 7, 13)
+        if minpoly_splitting_mod_p(m.spec, p) == "separable-irreducible"
+    ]
+    assert len(inert) == 7
+    for m, p in inert:
+        assert classify_fiber(m, p).classification == "interesting"
+    assert sizes == []
+    assert singular_points(m11, 11) == [(0, 0, 0, 0, 0, 1)]
+    assert len(singular_points(m25, 5)) == 1
+    assert sizes == [1, 1]
+
+
 def test_quadric_rank_is_read_off_the_invariant_factors(m11, m25):
     # no fixture or Lehmer model n = -4..5 has dependent quadrics mod a
     # prime <= 100, so the rank rule changes none of their fibers; the rank

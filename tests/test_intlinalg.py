@@ -275,24 +275,40 @@ def test_hnf_and_its_transform_equal_the_list_route():
         assert (h.to_lists(), u.to_lists()) == _list_hnf(a)
 
 
-def test_build_kernels_equal_the_list_route(monkeypatch):
-    # the matrices a build takes kernels of, as ``build_model`` passes them:
-    # the (15, 21) double-vanishing matrix and the (66, 21) quadric relation
-    # matrix of each member
+def _build_kernel_inputs(monkeypatch):
+    """The matrices a build takes kernels of, as ``build_model`` passes them,
+    read as lists of int rows: the (15, 21) double-vanishing matrix and the
+    (66, 21) quadric relation matrix of each of zeta11plus and the Lehmer
+    quintics n = -4..5."""
     inputs = []
 
     def recording(matrix):
-        inputs.append(matrix.to_lists() if isinstance(matrix, IntMatrix) else matrix.tolist())
+        rows = matrix.to_lists() if isinstance(matrix, IntMatrix) else matrix
+        inputs.append([[int(x) for x in row] for row in rows])
         return saturated_kernel(matrix)
 
     monkeypatch.setattr(model, "saturated_kernel", recording)
-    specs = [zeta11_plus_field()] + [QuinticFieldSpec(lehmer_quintic(n)) for n in range(-4, 6)]
-    for spec in specs:
+    for spec in [zeta11_plus_field()] + [QuinticFieldSpec(lehmer_quintic(n)) for n in range(-4, 6)]:
         model.build_model(spec)
-    shapes = [(len(a), len(a[0])) for a in inputs]
-    assert shapes == [(15, 21), (66, 21)] * len(specs)
+    return inputs
+
+
+def test_build_kernels_equal_the_list_route(monkeypatch):
+    inputs = _build_kernel_inputs(monkeypatch)
+    assert [(len(a), len(a[0])) for a in inputs] == [(15, 21), (66, 21)] * 11
     for a in inputs:
         assert saturated_kernel(a).to_lists() == _hnf_transform_kernel(a)
+
+
+# SHA-256 of the eleven (66, 21) relation matrices of ``_build_kernel_inputs``,
+# recorded when the quintic products were taken on dense (y, z) grids: the
+# products by exponent slots must fill the same matrices
+RELATION_SHA256 = "f4c5abfdc1d5f2bc4876407363b9694b8bbe383fc525a99b0922b49d9be1f002"
+
+
+def test_relation_matrices_are_pinned(monkeypatch):
+    relations = _build_kernel_inputs(monkeypatch)[1::2]
+    assert hashlib.sha256(repr(relations).encode()).hexdigest() == RELATION_SHA256
 
 
 # SHA-256 of the (D, U, V) of ``snf`` on the matrices of

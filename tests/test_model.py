@@ -4,7 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ from dp5brauer.model import (
     _chart_tables,
     _zeta11plus_generator,
     _exponents,
-    _yz_product,
+    _product_slots,
     build_model,
     chart_point,
     double_vanishing_matrix,
@@ -191,14 +191,18 @@ def test_monomial_orders_are_pinned():
     assert _exponents(1, 0) == ((0,),)
 
 
-def _random_yz(rng, shape):
-    return np.array(
-        [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])], dtype=object
-    )
+def _times(f, d, g, e):
+    """The product of the plane forms f of degree d and g of degree e, given
+    as coefficient vectors along ``_exponents(3, d)`` and ``_exponents(3,
+    e)``, by ``_product_slots(d, e)``."""
+    out = [0] * len(_exponents(3, d + e))
+    for (i, j), slot in np.ndenumerate(_product_slots(d, e)):
+        out[slot] += f[i] * g[j]
+    return out
 
 
-def _yz_value(f, y, z):
-    return sum(v * y ** b * z ** c for (b, c), v in np.ndenumerate(f))
+def _form_value(f, d, point):
+    return sum(c * prod(v ** k for v, k in zip(point, m)) for c, m in zip(f, _exponents(3, d)))
 
 
 @pytest.mark.parametrize("p", [5, 11])
@@ -217,17 +221,22 @@ def test_chart_tables_are_the_chart_and_its_derivatives(p):
     ]
 
 
-def test_dense_products_follow_the_ring_laws():
+def test_product_slots_follow_the_ring_laws():
     rng = random.Random(11)
     for _ in range(30):
-        a, b = (_random_yz(rng, (rng.randint(1, 4), rng.randint(1, 4))) for _ in range(2))
-        c = _random_yz(rng, b.shape)
-        assert (_yz_product(a, b) == _yz_product(b, a)).all()
-        assert (_yz_product(a, b + c) == _yz_product(a, b) + _yz_product(a, c)).all()
-        stacked = _yz_product(np.array([a, a]), np.array([b, c]))
-        assert (stacked == np.array([_yz_product(a, b), _yz_product(a, c)])).all()
-        y, z = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert _yz_value(_yz_product(a, b), y, z) == _yz_value(a, y, z) * _yz_value(b, y, z)
+        d, e = rng.randint(0, 5), rng.randint(0, 5)
+        f, g, h = ([rng.randint(-9, 9) for _ in _exponents(3, k)] for k in (d, e, e))
+        assert _times(f, d, g, e) == _times(g, e, f, d)
+        g_plus_3h = [u + 3 * v for u, v in zip(g, h)]
+        assert _times(f, d, g_plus_3h, e) == [
+            u + 3 * v for u, v in zip(_times(f, d, g, e), _times(f, d, h, e))
+        ]
+        point = [rng.randint(-5, 5) for _ in range(3)]
+        product_value = _form_value(_times(f, d, g, e), d + e, point)
+        assert product_value == _form_value(f, d, point) * _form_value(g, e, point)
+        # one monomial times all of the others lands on distinct slots
+        slots = _product_slots(d, e)
+        assert all(len(set(column)) == len(column) for column in slots.T.tolist())
 
 
 def test_double_vanishing_rejects_a_quintic_off_the_orbit(built11):

@@ -674,6 +674,37 @@ MUTANTS = (
             "tests/test_model.py::test_searched_points_are_pinned",
         ),
     ),
+    # products of plane forms by exponent slots, and the rows-1-3 minors
+    Mutant(
+        "line-slots-y-z-swapped",
+        MODEL,
+        "x, y, z = _product_slots(k, 1).T",
+        "x, z, y = _product_slots(k, 1).T",
+        (
+            "tests/test_model.py::test_built_line_products_are_pinned",
+            "tests/test_model.py::test_construction_is_pinned",
+        ),
+    ),
+    Mutant(
+        "chart-exponents-not-added",
+        FIBERS,
+        "out[:, b + d, c + e] += gram[:, i, j]",
+        "out[:, b, c] += gram[:, i, j]",
+        (
+            "tests/test_fibers.py::test_chart_restriction_kills_a_quadric_combination",
+            "tests/test_fibers.py::test_chart_restriction_commutes_with_evaluation",
+        ),
+    ),
+    Mutant(
+        "rows-1-3-minor-sign-flipped",
+        FIBERS,
+        "np.cross(r[:, 1], r[:, 2])",
+        "np.cross(r[:, 1], r[:, 2]) * (1, -1, 1)",
+        (
+            "tests/test_fibers.py::test_minor_shortcut_equals_the_full_rank_test_up_to_31",
+            "tests/test_fibers.py::test_minor_shortcut_equals_the_full_rank_test_on_random_shaped_quadrics",
+        ),
+    ),
     Mutant(
         "backsolve-det-unscaled",
         MODEL,
