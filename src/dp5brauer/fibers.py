@@ -461,13 +461,14 @@ def _lift_u0(gram, y, p):
     has = lin != 0
     some = has.any(axis=1)
     k = has.argmax(axis=1)[some]
-    rows = np.nonzero(some)[0]
-    u0 = -rest[rows, k] * _inverses(p)[lin[rows, k]] % p
+    u0 = -rest[some, k] * _inverses(p)[lin[some, k]] % p
     stuck = y[~some & ~rest.any(axis=1)]
-    return np.concatenate([
-        np.column_stack([u0, y[some]]),
-        np.column_stack([np.tile(np.arange(p), len(stuck)), np.repeat(stuck, p, axis=0)]),
-    ])
+    x = np.empty((len(u0) + p * len(stuck), 6), dtype=np.int64)
+    x[: len(u0), 0], x[: len(u0), 1:] = u0, y[some]
+    # each stuck row once with every u0, in u0 order
+    spread = x[len(u0) :].reshape(len(stuck), p, 6)
+    spread[..., 0], spread[..., 1:] = np.arange(p), stuck[:, None]
+    return x
 
 
 def _plane_solutions(a, c, t, det, p):
@@ -582,6 +583,23 @@ def singular_points(model, p, fiber=None):
     return list(map(tuple, x[_singular_mask(model, p, x)].tolist()))
 
 
+# the column triples (i, j, k) of the ten 3x3 minors of Jacobian rows 1-3 on
+# three of the columns u1..u5, shifted cyclically: entry [a, n] is position a
+# of the n-th shift, (a + n) mod 3, so the shift table is symmetric and [0],
+# [1] and [2] read (i, j, k), (j, k, i) and (k, i, j) over the three shifts
+_MINOR_COLUMNS = np.array(list(combinations(range(1, 6), 3)))[:, [[0, 1, 2], [1, 2, 0], [2, 0, 1]]].T
+
+
+def _row_1_3_minors(jacobians):
+    """(n, 10) minors of rows 1-3 of the Jacobians (n, 5, 6) on the column
+    triples of ``_MINOR_COLUMNS``, unreduced: the cofactor expansion along
+    row 1, r_i (s_j t_k - s_k t_j) summed over the three cyclic shifts of
+    (i, j, k).  With entries below p <= 100 every sum stays below 3 * 100^3."""
+    # r, s, t: rows 1, 2, 3 at each (position, shift, triple) of the table
+    r, s, t = jacobians[:, :3, _MINOR_COLUMNS].swapaxes(0, 1)
+    return (r[:, 0] * (s[:, 1] * t[:, 2] - s[:, 2] * t[:, 1])).sum(axis=1)
+
+
 def _singular_mask(model, p, x):
     """Mask of the rows of x (n, 6), fiber points, where the Jacobian has
     rank below 3.
@@ -598,9 +616,7 @@ def _singular_mask(model, p, x):
     a = jacobians[:, 3:, 1:3]
     det = (a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]) % p
     todo = np.flatnonzero((det == 0) | ~jacobians[:, :3, 0].any(axis=1))
-    # the minors of rows 1-3 on three of the columns u1..u5, as r0 . (r1 x r2)
-    r = jacobians[todo, :3, 1:][..., list(combinations(range(5), 3))]
-    todo = todo[~((r[:, 0] * np.cross(r[:, 1], r[:, 2])).sum(axis=-1) % p).any(axis=1)]
+    todo = todo[~(_row_1_3_minors(jacobians[todo]) % p).any(axis=1)]
     ranks = np.full(len(x), 3)
     if len(todo):
         ranks[todo] = _row_reduce_mod_p(jacobians[todo], p)[1].sum(axis=1)

@@ -51,9 +51,11 @@ from .numberfield import (
 )
 
 
+@lru_cache(maxsize=16)
 def _exponents(count, degree):
     """Exponent tuples of the degree-d monomials in ``count`` variables, in
-    descending lexicographic order: x^5, x^4 y, x^4 z, x^3 y^2, ..."""
+    descending lexicographic order: x^5, x^4 y, x^4 z, x^3 y^2, ...; built
+    once per (count, degree)."""
     return tuple(
         tuple(combo.count(v) for v in range(count))
         for combo in combinations_with_replacement(range(count), degree)

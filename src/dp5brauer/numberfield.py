@@ -168,11 +168,12 @@ class QuinticFieldSpec:
     Gauss's lemma m is irreducible over Q.  In a cyclic quintic field 4/5 of
     the primes are inert, so such a p is found at once; a polynomial without
     one below 500 is refused.  The prime found is kept as ``inert_prime``,
-    where ``galois_conjugates`` lifts the conjugates; equality and hashing
-    read ``coefficients`` only.
+    where ``galois_conjugates`` lifts the conjugates, and the conjugates it
+    certifies are kept in the slot ``_conjugates``, unset until then, so one
+    spec is lifted once; equality and hashing read ``coefficients`` only.
     """
 
-    __slots__ = ("coefficients", "inert_prime")
+    __slots__ = ("coefficients", "inert_prime", "_conjugates")
 
     def __init__(self, coefficients):
         coeffs = tuple(int(c) for c in coefficients)
@@ -537,8 +538,11 @@ def galois_conjugates(spec):
     ``_verify_conjugates`` certifies all four.  Raises NotCyclicError
     when the field cannot be cyclic (non-square discriminant, or a Frobenius
     outside C_5 once the first precision fails to certify) or when no
-    conjugate survives exact verification below the precision cap.
+    conjugate survives exact verification below the precision cap.  The
+    certified tuple is kept on the spec and returned by later calls.
     """
+    if hasattr(spec, "_conjugates"):
+        return spec._conjugates
     disc = discriminant(list(spec.coefficients))
     if not _is_square(disc):
         # cyclic implies Galois group inside the alternating group
@@ -560,6 +564,7 @@ def galois_conjugates(spec):
                 candidates.append(apply_embedding(candidates[-1], candidates[0]))
             verified = _verify_conjugates(spec, candidates)
             if verified is not None:
+                object.__setattr__(spec, "_conjugates", verified)
                 return verified
         if k == FIRST_LIFT_EXPONENT:
             # every cyclic field tried (zeta25, Lehmer n = -10..10) certifies

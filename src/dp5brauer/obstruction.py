@@ -15,6 +15,13 @@ affine plane, while the smooth-point route works directly from the
 enumerated fiber; ``path_agreement_check`` verifies wholesale that they
 agree.  At 25 the residue formula of ``inv_image_25`` is checked against
 the values at the chart lifts mod 25.
+
+An image is a 5-bit mask over the cosets of the fifth powers: bit i is the
+coset ``fifth_power_classes(q).classes[i]``, so the identity coset is bit
+0.  That group is the one coset table of a modulus, the coset index and
+the bits of every residue and of its inverse, and the per-form images
+(``InvariantImage.mask``) and the census kernels read the same bits; the
+coset tuples of a document are read off the mask.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -55,28 +62,36 @@ U0_FORM = (1, 0, 0, 0, 0, 0)
 
 @dataclass(frozen=True)
 class ResidueClassGroup:
-    """Units modulo q, the subgroup of fifth powers, and its cosets.
+    """Units modulo q, the subgroup of fifth powers, and its cosets: the one
+    coset table of a modulus.
 
     The cosets are listed with the identity class first, the rest ordered by
     their least element; every class is an ascending tuple of residues.
+    ``index`` (q,) holds the position in ``classes`` of the coset of every
+    residue, -1 at a non-unit, and the uint8 tables ``bits`` and
+    ``inverse_bits`` (q,) hold 1 << index[u] and 1 << index[1/u] at a unit
+    u, 0 at a non-unit: bit i of a coset mask is ``classes[i]``, the bit
+    layout of ``InvariantImage.mask`` and of the census kernels.  The three
+    arrays are read-only and follow from the other fields, so equality,
+    hashing and the repr read only those.
     """
 
     modulus: int
     units: tuple
     fifth_powers: tuple
     classes: tuple
-
-    def class_of(self, value):
-        r = value % self.modulus
-        if math.gcd(r, self.modulus) != 1:
-            raise DomainError(f"{value} is not a unit modulo {self.modulus}")
-        for cls in self.classes:
-            if r in cls:
-                return cls
-        raise FiberInconsistencyError("unit missed every coset")
+    index: np.ndarray = field(compare=False, repr=False)
+    bits: np.ndarray = field(compare=False, repr=False)
+    inverse_bits: np.ndarray = field(compare=False, repr=False)
 
     def class_index(self, value):
-        return self.classes.index(self.class_of(value))
+        i = int(self.index[value % self.modulus])
+        if i < 0:
+            raise DomainError(f"{value} is not a unit modulo {self.modulus}")
+        return i
+
+    def class_of(self, value):
+        return self.classes[self.class_index(value)]
 
 
 def fifth_power_classes(q):
@@ -85,43 +100,37 @@ def fifth_power_classes(q):
     The group is immutable, so one is built per modulus and shared by every
     caller; an unsupported modulus is never stored and raises on every call.
     """
-    cached = _GROUP_CACHE.get(q)
-    if cached is not None:
-        return cached
+    if q in _GROUP_CACHE:
+        return _GROUP_CACHE[q]
     if q != 25 and not _is_prime(q):
         raise DomainError(f"unsupported modulus {q}: need a prime or 25")
     units = tuple(a for a in range(1, q) if math.gcd(a, q) == 1)
     fifth = tuple(sorted({pow(a, 5, q) for a in units}))
-    fifth_set = set(fifth)
-    seen = set()
-    classes = []
-    for u in units:
-        if u in seen:
-            continue
-        cls = tuple(sorted((u * f) % q for f in fifth_set))
-        seen.update(cls)
-        classes.append(cls)
-    classes.sort(key=lambda cls: (1 not in cls, cls[0]))
-    _GROUP_CACHE[q] = ResidueClassGroup(q, units, fifth, tuple(classes))
+    # the identity coset comes first, as its least element is 1
+    classes = sorted({tuple(sorted(u * f % q for f in fifth)) for u in units})
+    index = np.full(q, -1, dtype=np.int64)
+    index[np.array(classes)] = np.arange(len(classes))[:, None]
+    # row 0: 1 << index[u]; row 1: 1 << index[1/u]
+    bits = np.zeros((2, q), dtype=np.uint8)
+    bits[:, units] = 1 << index[np.array([units, [pow(u, -1, q) for u in units]])]
+    index.flags.writeable = bits.flags.writeable = False
+    _GROUP_CACHE[q] = ResidueClassGroup(q, units, fifth, tuple(classes), index, *bits)
     return _GROUP_CACHE[q]
 
 
-@lru_cache(maxsize=4)
-def _coset_bits(q, invert):
-    """Read-only uint8 table over the residues mod q: bit ``1 << i`` for the
-    coset i of u (of 1/u if ``invert``) at a unit u, 0 at a non-unit."""
-    group = fifth_power_classes(q)
-    bits = np.zeros(q, dtype=np.uint8)
-    for u in group.units:
-        bits[u] = 1 << group.class_index(pow(u, -1, q) if invert else u)
-    bits.setflags(write=False)
-    return bits
+# the mask of a full image: all five cosets
+_FULL_MASK = 0b11111
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class InvariantImage:
     """Subset of the fifth-power cosets attained by the invariant map.
 
+    ``mask`` sets bit i when the image holds the coset
+    ``fifth_power_classes(modulus).classes[i]``, 31 when the image is full;
+    ``classes`` lists those cosets in the group's canonical order, and the
+    identity coset is bit 0.  ``classes`` is also accepted in place of
+    ``mask`` (as ``dataclasses.replace(image, classes=...)`` passes it).
     ``values`` records the attained unit values of h/l1 when the image was
     computed by evaluation; a full image certified without evaluation keeps
     ``values = None``.  ``certificate`` optionally carries the witness for a
@@ -130,22 +139,34 @@ class InvariantImage:
 
     prime: int
     modulus: int
-    classes: tuple
+    mask: int
     values: tuple = None
     reason: str = ""
     certificate: dict = None
 
+    def __init__(self, prime, modulus, mask=0, values=None, reason="", certificate=None, classes=None):
+        if classes is not None:
+            mask = sum(1 << fifth_power_classes(modulus).class_index(cls[0]) for cls in classes)
+        # frozen: the fields go straight into the instance dictionary
+        vars(self).update(prime=prime, modulus=modulus, mask=int(mask), values=values)
+        vars(self).update(reason=reason, certificate=certificate)
+
+    @property
+    def classes(self):
+        group = fifth_power_classes(self.modulus)
+        return tuple(cls for i, cls in enumerate(group.classes) if self.mask >> i & 1)
+
     @property
     def size(self):
-        return len(self.classes)
+        return self.mask.bit_count()
 
     @property
     def full(self):
-        return len(self.classes) == 5
+        return self.mask == _FULL_MASK
 
     @property
     def contains_zero(self):
-        return any(1 in cls for cls in self.classes)
+        return bool(self.mask & 1)
 
     def to_json_dict(self):
         doc = {
@@ -187,19 +208,13 @@ def _require_fixture_chart(model, modulus):
         raise DomainError(f"chart evaluation needs l1 = u0 modulo {modulus}")
 
 
-def _mask_classes(group, mask):
-    """The cosets of ``group`` whose bits are set in a ``_coset_bits`` mask,
-    in the group's canonical order."""
-    return tuple(cls for i, cls in enumerate(group.classes) if mask >> i & 1)
-
-
 def _values_image(prime, q, hv, reason):
     """The partial image read off an integer array hv of values of h/l1 mod
-    q: the cosets of 1/v over its units v (the OR of their
-    ``_coset_bits``, 0 at a non-unit), with the sorted units as ``values``."""
-    mask = int(np.bitwise_or.reduce(_coset_bits(q, invert=True)[hv]))
+    q: the cosets of 1/v over its units v (the OR of their ``inverse_bits``,
+    0 at a non-unit), with the sorted units as ``values``."""
+    mask = np.bitwise_or.reduce(fifth_power_classes(q).inverse_bits[hv])
     units = tuple(sorted(set(hv[hv % prime != 0].tolist())))
-    return InvariantImage(prime, q, _mask_classes(fifth_power_classes(q), mask), units, reason)
+    return InvariantImage(prime, q, mask, units, reason)
 
 
 # one entry per modulus; the smooth routes at 11 and the chart lifts at 25
@@ -313,8 +328,7 @@ def _route_image_11(model, hbar, route):
     full_reason, values_reason = _REASONS_11[route]
     if len(fired):
         certificate = {"point": r.fixed[fired[0]].tolist()} if route == "smooth" else None
-        full = fifth_power_classes(11).classes
-        return InvariantImage(11, 11, full, None, full_reason, certificate)
+        return InvariantImage(11, 11, _FULL_MASK, None, full_reason, certificate)
     return _values_image(11, 11, r.values @ column % 11, values_reason)
 
 
@@ -416,7 +430,7 @@ def inv_image_25(model, h):
     h25 = _reduce_form_25(model, h)
     if any(h25[i] % 5 for i in range(1, 6)):
         reason, cert = "tangent pairing nonzero at a chart point", _tangent_certificate(h25)
-        return InvariantImage(5, 25, fifth_power_classes(25).classes, None, reason, cert)
+        return InvariantImage(5, 25, _FULL_MASK, None, reason, cert)
     lam = h25[0]
     coeffs = tuple(h25[i] // 5 for i in range(1, 6))
     values = np.array([(lam + 5 * k) % 25 for k in _kappa_image(coeffs)])
@@ -553,10 +567,10 @@ class SolubilityCertificate:
 
     def to_json_dict(self):
         doc = {"soluble": self.soluble}
-        for field in fields(self)[1:]:
-            value = getattr(self, field.name)
+        for slot in fields(self)[1:]:
+            value = getattr(self, slot.name)
             if value is not None:
-                doc[field.name] = value if isinstance(value, int) else list(value)
+                doc[slot.name] = value if isinstance(value, int) else list(value)
         return doc
 
 
@@ -723,7 +737,7 @@ def verdict(model, h):
     irreducible = geometrically_irreducible(model, coeffs)
     comparison = None
     image, other = two_route_images(model, coeffs)
-    if image.classes != other.classes:
+    if image.mask != other.mask:
         names = "chart and smooth-point" if model.modulus == 11 else "residue and chart-lift"
         raise FiberInconsistencyError(f"{names} routes disagree")
     images = {image.prime: image}
@@ -771,7 +785,6 @@ def _digit_columns(indices, base, length):
     return cols
 
 
-_FULL_MASK = 0b11111
 _POWERS_11 = 11 ** np.arange(6, dtype=np.int64)
 # forms per block of the mask kernel; a block holds two (block, points) uint32
 # arrays at once, 128 x 133 x 4 bytes at most, below glibc's 128 KiB mmap
@@ -790,7 +803,7 @@ def _translated_coset_masks_11():
     is the OR of the coset bits of 1/u over its units u."""
     sets = np.arange(1 << 11)
     members = sets[:, None] >> np.arange(11) & 1
-    masks = np.bitwise_or.reduce(np.where(members, _coset_bits(11, invert=True), 0), axis=1)
+    masks = np.bitwise_or.reduce(np.where(members, fifth_power_classes(11).inverse_bits, 0), axis=1)
     shifts = np.arange(11)[:, None]
     table = masks[(sets << shifts | sets >> (11 - shifts)) & 0x7FF]
     table.setflags(write=False)
@@ -999,7 +1012,7 @@ def _scalings_11(forms):
 def _obstructing_scalings(masks):
     """(10, n) flags: row lam - 1 marks the columns h where lam*h omits the
     identity, i.e. where the coset of lam is missing from the mask of h."""
-    return (masks & _coset_bits(11, invert=False)[1:, None]) == 0
+    return (masks & fifth_power_classes(11).bits[1:, None]) == 0
 
 
 def _classify_obstructing_11(h):
@@ -1187,13 +1200,13 @@ def _kappa_misses_25():
     ``sizes`` (3,125,) holds the kappa image sizes, read off a popcount
     table.  ``misses`` (3,125, 20) is True at (k, j) when the pair (lam, k)
     obstructs, lam the j-th unit mod 25 in ascending order: no value
-    lam + 5*kappa is a fifth power.  The identity bit of
-    ``_coset_bits(25, invert=True)``, the table both mod-25 images read,
-    marks the fifth powers; ``fifth`` (20,) sets bit v when lam + 5v is
-    one, and a pair obstructs when the mask of k shares no bit with it.
+    lam + 5*kappa is a fifth power.  The fifth powers are the identity
+    coset, index 0 in the group's ``index``; ``fifth`` (20,) sets bit v
+    when lam + 5v is one, and a pair obstructs when the mask of k shares no
+    bit with it.
     """
-    units = np.array(fifth_power_classes(25).units)
-    identity = _coset_bits(25, invert=True)[(units[:, None] + 5 * np.arange(5)) % 25] & 1
+    group = fifth_power_classes(25)
+    identity = group.index[(np.array(group.units)[:, None] + 5 * np.arange(5)) % 25] == 0
     fifth = (identity << np.arange(5, dtype=np.uint8)).sum(axis=1, dtype=np.uint8)
     return _POPCOUNT_5[_KAPPA_MASKS_5], (_KAPPA_MASKS_5[:, None] & fifth) == 0
 

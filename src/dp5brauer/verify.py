@@ -97,10 +97,11 @@ def _lattice_claims(rec):
 
 
 def _galois_claims(rec, m11, m25):
+    # m11.spec is the spec the construct-kernel-ranks build reads, so the
+    # two share one lift of its conjugates, which the spec keeps
     def sigma_is_alpha_squared_minus_2():
-        spec = m11.spec
-        alpha = spec.generator()
-        return alpha * alpha - 2 in numberfield.galois_conjugates(spec)
+        alpha = m11.spec.generator()
+        return alpha * alpha - 2 in numberfield.galois_conjugates(m11.spec)
 
     rec.add(
         "zeta11plus-conjugate-alpha-squared-minus-2",

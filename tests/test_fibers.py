@@ -7,7 +7,7 @@ containment, Jacobian ranks) are the independent part.
 
 import random
 import re
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -739,6 +739,18 @@ def test_minor_shortcut_equals_the_full_rank_test_up_to_31(m11, m25, built11):
             assert singular_points(m, p, fiber=fiber) == expected, (m.source, p)
             singular += len(expected)
     assert singular >= 4
+
+
+def test_cofactor_minors_equal_the_cross_product_minors():
+    # the ten minors of rows 1-3 on three of u1..u5, read as r0 . (r1 x r2)
+    rng = np.random.default_rng(7)
+    columns = list(combinations(range(5), 3))
+    for p in PRIMES_TO_31:
+        jacobians = rng.integers(0, p, size=(200, 5, 6))
+        r = jacobians[:, :3, 1:][..., columns]
+        crossed = (r[:, 0] * np.cross(r[:, 1], r[:, 2])).sum(axis=-1) % p
+        assert (fibers._row_1_3_minors(jacobians) % p == crossed).all(), p
+        assert crossed.any() and not crossed.all(), p
 
 
 def test_weil_counts_at_89_and_97(m11):

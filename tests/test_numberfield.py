@@ -8,6 +8,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from dp5brauer import model, numberfield, verify
 from dp5brauer.errors import DomainError, NotCyclicError
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
@@ -99,6 +100,26 @@ def test_conjugates_of_the_cyclotomic_quintic():
     asc = spec.ascending()
     for image in conjugates:
         assert evaluate_poly(asc, image) == 0
+
+
+def test_a_spec_is_lifted_once(monkeypatch):
+    # the certified conjugates are kept on the spec, so a cold claim table
+    # lifts once per distinct spec: the zeta11plus field (shared by the
+    # alpha^2 - 2 claim and the construct build), the zeta11plus Eisenstein
+    # generator and the zeta25 polynomial
+    lifted, lift = [], numberfield._newton_lift
+
+    def counting(root, m_asc, p, k):
+        lifted.append(tuple(m_asc))
+        return lift(root, m_asc, p, k)
+
+    monkeypatch.setattr(numberfield, "_newton_lift", counting)
+    model._built.cache_clear()
+    assert verify.run_claims()["counts"] == {"ok": 32, "flagged": 2, "fail": 0}
+    assert len(lifted) == len(set(lifted)) == 3
+    spec = zeta11_plus_field()
+    assert galois_conjugates(spec) is galois_conjugates(spec)
+    assert len(lifted) == 4
 
 
 def test_conjugation_by_alpha_squared_minus_two_has_order_five():

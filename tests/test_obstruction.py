@@ -8,6 +8,8 @@ correctness evidence.
 
 import dataclasses
 import hashlib
+import json
+import math
 import random
 import re
 import signal
@@ -25,6 +27,7 @@ from dp5brauer.obstruction import (
     _POWERS_11,
     CENSUS_11_TOTAL,
     CENSUS_25_TOTAL,
+    InvariantImage,
     census_11,
     census_25,
     census_11_smoothpath,
@@ -95,6 +98,84 @@ def test_fifth_power_classes_are_built_once_per_modulus():
     for _ in range(2):
         with pytest.raises(DomainError, match="unsupported modulus 10"):
             fifth_power_classes(10)
+
+
+def _brute_force_cosets(q):
+    """The cosets u*F of the fifth powers F among the units mod q, the
+    identity coset first and the others by least element."""
+    units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+    fifth = {pow(u, 5, q) for u in units}
+    cosets = []
+    for u in units:
+        coset = sorted(u * f % q for f in fifth)
+        if coset not in cosets:
+            cosets.append(coset)
+    return [cosets[0], *sorted(cosets[1:])]
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 11, 25, 31, 41])
+def test_the_coset_tables_equal_a_brute_force_assignment(q):
+    group = fifth_power_classes(q)
+    cosets = _brute_force_cosets(q)
+    assert group.classes == tuple(map(tuple, cosets))
+    index = [-1] * q
+    for i, coset in enumerate(cosets):
+        for u in coset:
+            index[u] = i
+    assert group.index.tolist() == index
+    assert group.bits.tolist() == [0 if i < 0 else 1 << i for i in index]
+    inverse = [0 if i < 0 else 1 << index[pow(u, -1, q)] for u, i in enumerate(index)]
+    assert group.inverse_bits.tolist() == inverse
+    for table in (group.index, group.bits, group.inverse_bits):
+        assert not table.flags.writeable
+    # equality and hashing read the tuples, which determine the tables
+    assert dataclasses.replace(group) == group and hash(dataclasses.replace(group)) == hash(group)
+    for u in range(q):
+        if index[u] >= 0:
+            assert group.class_index(u + q) == index[u]
+            assert group.class_of(u) == tuple(cosets[index[u]])
+
+
+def test_class_of_refuses_a_non_unit():
+    for q, value in ((11, 0), (11, 22), (25, 5), (25, -10), (2, 4)):
+        group = fifth_power_classes(q)
+        with pytest.raises(DomainError, match=f"{value} is not a unit modulo {q}"):
+            group.class_of(value)
+        with pytest.raises(DomainError, match="is not a unit"):
+            group.class_index(value)
+
+
+@pytest.mark.parametrize("prime, q", [(11, 11), (5, 25)])
+def test_an_image_reads_its_mask_as_the_coset_tuples(prime, q):
+    # the coset tuples an image stored before its mask, and the document
+    # they gave, for every one of the 32 masks
+    cosets = _brute_force_cosets(q)
+    for mask in range(32):
+        stored = tuple(tuple(c) for i, c in enumerate(cosets) if mask >> i & 1)
+        for values, certificate in ((None, None), ((1, 3), {"point": [1, 0, 0, 0, 0, 0]})):
+            image = InvariantImage(prime, q, mask, values, "reason", certificate)
+            assert image.classes == stored
+            assert image.contains_zero == any(1 in cls for cls in stored)
+            assert image.size == len(stored)
+            assert image.full == (len(stored) == 5)
+            doc = {
+                "prime": prime,
+                "modulus": q,
+                "classes": [list(cls) for cls in stored],
+                "contains_zero": any(1 in cls for cls in stored),
+                "size": len(stored),
+                "full": len(stored) == 5,
+                "reason": "reason",
+            }
+            if values is not None:
+                doc["values"] = list(values)
+                doc["certificate"] = certificate
+            assert json.dumps(image.to_json_dict()) == json.dumps(doc)
+            # the tuples are still accepted in place of the mask
+            assert InvariantImage(prime, q, classes=stored, reason="reason") == dataclasses.replace(
+                image, values=None, certificate=None
+            )
+            assert dataclasses.replace(image, classes=stored[1:]).mask == mask & (mask - 1)
 
 
 def test_constant_images_mod_11(m11):

@@ -219,19 +219,40 @@ MUTANTS = (
     Mutant(
         "route-image-bits-uninverted",
         OBSTRUCTION,
-        "_coset_bits(q, invert=True)[hv]",
-        "_coset_bits(q, invert=q == 25)[hv]",
+        "fifth_power_classes(q).inverse_bits[hv]",
+        "(fifth_power_classes(q).inverse_bits if q == 25 else fifth_power_classes(q).bits)[hv]",
         ("tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",),
     ),
     Mutant(
         "mask-classes-shifted",
         OBSTRUCTION,
-        "if mask >> i & 1)",
-        "if mask >> i + 1 & 1)",
+        "if self.mask >> i & 1)",
+        "if self.mask >> i + 1 & 1)",
         (
             "tests/test_obstruction.py::test_obstructed_image_mod_25",
             "tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",
             "tests/test_obstruction.py::test_mask_kernel_matches_a_direct_evaluation",
+        ),
+    ),
+    Mutant(
+        "identity-coset-read-as-bit-1",
+        OBSTRUCTION,
+        "return bool(self.mask & 1)",
+        "return bool(self.mask & 2)",
+        (
+            "tests/test_obstruction.py::test_an_image_reads_its_mask_as_the_coset_tuples",
+            "tests/test_obstruction.py::test_verdict_obstruction_mod_25",
+            "tests/test_obstruction.py::test_verdict_simple_obstruction_mod_11",
+        ),
+    ),
+    Mutant(
+        "index-built-from-the-inverse",
+        OBSTRUCTION,
+        "index[np.array(classes)] =",
+        "index[np.array([[pow(u, -1, q) for u in cls] for cls in classes])] =",
+        (
+            "tests/test_obstruction.py::test_the_coset_tables_equal_a_brute_force_assignment",
+            "tests/test_obstruction.py::test_representative_masks_are_pinned",
         ),
     ),
     Mutant(
@@ -308,8 +329,8 @@ MUTANTS = (
     Mutant(
         "lift-bits-not-inverted",
         OBSTRUCTION,
-        "_coset_bits(q, invert=True)[hv]",
-        "_coset_bits(q, invert=q == 11)[hv]",
+        "fifth_power_classes(q).inverse_bits[hv]",
+        "(fifth_power_classes(q).inverse_bits if q == 11 else fifth_power_classes(q).bits)[hv]",
         ("tests/test_obstruction.py::test_lift_array_values_match_a_python_sum",),
     ),
     # one fullness witness mod 25
@@ -698,9 +719,10 @@ MUTANTS = (
     Mutant(
         "rows-1-3-minor-sign-flipped",
         FIBERS,
-        "np.cross(r[:, 1], r[:, 2])",
-        "np.cross(r[:, 1], r[:, 2]) * (1, -1, 1)",
+        "t[:, 1])).sum(axis=1)",
+        "t[:, 1]) * np.array([1, -1, 1])[:, None]).sum(axis=1)",
         (
+            "tests/test_fibers.py::test_cofactor_minors_equal_the_cross_product_minors",
             "tests/test_fibers.py::test_minor_shortcut_equals_the_full_rank_test_up_to_31",
             "tests/test_fibers.py::test_minor_shortcut_equals_the_full_rank_test_on_random_shaped_quadrics",
         ),
