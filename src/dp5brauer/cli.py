@@ -3,9 +3,10 @@
 Every subcommand emits one JSON document, sorted keys, either to standard
 output or to --output.  Exit codes: 0 success, 1 verify-paper found a real
 mismatch, 2 usage error (argparse), 3 domain error (bad model, bad prime,
-degenerate construction, a model file whose fibers contradict its minimal
-polynomial, an unwritable --output), 4 internal contradiction (the
-package's own results disagree: FiberInconsistencyError or ChartError).
+degenerate construction, an unwritable --output, and a model file that
+contradicts itself: its fibers, its chart or its lifts mod 25 disagree
+with its minimal polynomial), 4 internal contradiction (the package's own
+results disagree on a fixture: FiberInconsistencyError or ChartError).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import sys
 
 from . import fibers, model, obstruction, picard, verify
-from .errors import ChartError, DomainError, FiberInconsistencyError, UnknownModelError
+from .errors import ChartError, DomainError, FiberInconsistencyError
 from .numberfield import QuinticFieldSpec
 
 FIXTURE_PREFIX = "fixture:"
@@ -68,17 +69,7 @@ def _cmd_construct(args):
 
 
 def _cmd_fiber(args):
-    m = _load_model(args.model)
-    try:
-        report = fibers.classify_fiber(m, args.prime)
-    except FiberInconsistencyError as exc:
-        if args.model.startswith(FIXTURE_PREFIX):
-            raise
-        # a file's minimal polynomial and quadrics are both input, so a
-        # fiber contradicting the prediction is bad input, not a package fault
-        raise UnknownModelError(
-            f"model file {args.model!r} contradicts its minimal polynomial: {exc}"
-        ) from exc
+    report = fibers.classify_fiber(_load_model(args.model), args.prime)
     doc = {
         "prime": report.prime,
         "classification": report.classification,
@@ -270,8 +261,15 @@ def main(argv=None):
         doc = args.func(args)
         _emit(doc, args.output)
     except DomainError as exc:
+        # no model, as for construct and verify-paper, is the package's own
+        selector = getattr(args, "model", None) or FIXTURE_PREFIX
+        internal = isinstance(exc, (FiberInconsistencyError, ChartError))
+        if internal and not selector.startswith(FIXTURE_PREFIX):
+            # a file's minimal polynomial and quadrics are both input, so a
+            # contradiction between them is bad input, not a package fault
+            internal, exc = False, f"model file {selector!r} contradicts itself: {exc}"
         print(f"error: {exc}", file=sys.stderr)
-        return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3
+        return 4 if internal else 3
     if args.command == "verify-paper" and verify.has_failures(doc):
         return 1
     return 0

@@ -168,13 +168,14 @@ The request cache.  ``_FIBER_CACHE`` is the one store of per-request
 results, a ``_BoundedCache`` of CACHE_SIZE entries that drops the oldest
 stored first.  ``_fiber_array`` keeps each solved fiber there under
 ("fiber", p, quadrics), the only data the fiber depends on, and
+``verify_chart`` each chart certificate under ("chart", p, quadrics);
 ``obstruction`` keeps its smooth routes at 11 and its chart lifts at 25 in
 the same object, under (11, quadrics, l1) and (25, quadrics, l1), so one
-``clear()`` empties all three, and a caller that must start cold calls it.
-One claim table of ``verify.run_claims`` stores 19 entries, 14 fibers, 4
-smooth routes and 1 lift table, so at 24 entries it solves each
-(quadrics, p) once; the fiber benchmark's pass stores 45 fibers, so no
-pass finds one an earlier pass solved.
+``clear()`` empties all four, and a caller that must start cold calls it.
+One claim table of ``verify.run_claims`` stores 21 entries, 14 fibers, 2
+chart certificates, 4 smooth routes and 1 lift table, so at 24 entries it
+solves each (quadrics, p) once; the fiber benchmark's pass stores 45
+fibers, so no pass finds one an earlier pass solved.
 """
 
 from __future__ import annotations
@@ -782,7 +783,8 @@ def _monomial_text(residue):
 
 
 def verify_chart(model):
-    """Certify the affine chart of a fixture at its ramified prime.
+    """Certify the affine chart of a model at the prime p of its modulus,
+    the one prime that ramifies in its field (``model.modulus``).
 
     Three checks: every quadric vanishes identically on the substitution
     (as polynomials in y, z mod p; at p = 5 the restriction has degree 6 >= p,
@@ -791,11 +793,20 @@ def verify_chart(model):
     the unique line it covers the fiber exactly.  The chart points are the
     rows of ``_chart_tables(p)``, the table the invariant images read, so
     the certificate covers the points they evaluate.  Any failure raises
-    ChartError.
+    ChartError.  The certificate is kept in ``_FIBER_CACHE`` under
+    ("chart", p, quadrics), the data it depends on, so it is computed once
+    per request for every route that reads it.
     """
-    p = model.ramified_prime
-    if p is None:
-        raise DomainError("chart verification needs a ramified prime, which built models and model files lack")
+    modulus = model.modulus
+    p = 5 if modulus == 25 else modulus
+    key = ("chart", p, model.quadrics)
+    if key not in _FIBER_CACHE:
+        _FIBER_CACHE[key] = _certified_chart(model, p)
+    return _FIBER_CACHE[key]
+
+
+def _certified_chart(model, p):
+    """The ``verify_chart`` certificate at p, computed afresh."""
     for residue in _on_chart(_gram_mod_p(model.quadrics, p)) % p:
         if residue.any():
             raise ChartError(

@@ -7,9 +7,11 @@ integer coefficients along ``U_QUADRIC_PAIRS``, which is also the model
 file format; ``_quadric_gram`` turns them into Gram matrices and
 ``_form_vectors`` back.  Models are built from a cyclic quintic field
 spec (``build_model``) or read from a model file; the two conductor
-fixtures are ``build_model`` on an Eisenstein generator plus their
-ramified prime (``fixture``).  Integral points and the mod-2 insolubility
-class are not stored: they are read off the quadrics.
+fixtures are ``build_model`` on an Eisenstein generator (``fixture``).
+A model stores only its field, quadrics, l1 and l2, all in the model
+file: the ramified prime and the modulus are read off the field
+(``numberfield.ramified_primes``), the integral points and the mod-2
+insolubility class off the quadrics.
 
 Construction pipeline: quintics through the conjugate point orbit with
 double vanishing (a rank-6 kernel), the quadric relations among them (a
@@ -46,6 +48,7 @@ from .numberfield import (
     _poly_add,
     _poly_mul,
     galois_conjugates,
+    ramified_primes,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
@@ -124,13 +127,13 @@ class QuinticSystem(NamedTuple):
 
 
 class DelPezzoModel:
-    """Five integral quadrics plus the forms l1, l2, and on a fixture its
-    ramified prime; the integral points and the mod-2 insolubility class
-    are computed from the quadrics."""
+    """Five integral quadrics plus the forms l1, l2 over the field of
+    ``spec``; the modulus is read off the field, and the integral points and
+    the mod-2 insolubility class are computed from the quadrics."""
 
-    __slots__ = ("source", "spec", "quadrics", "l1", "l2", "system", "name", "ramified_prime")
+    __slots__ = ("source", "spec", "quadrics", "l1", "l2", "system", "name")
 
-    def __init__(self, source, spec, quadrics, l1, l2, system=None, name=None, ramified_prime=None):
+    def __init__(self, source, spec, quadrics, l1, l2, system=None, name=None):
         self.source = source
         self.spec = spec
         self.quadrics = tuple(tuple(int(c) for c in q) for q in quadrics)
@@ -140,7 +143,6 @@ class DelPezzoModel:
         self.l2 = tuple(int(c) for c in l2)
         self.system = system
         self.name = name
-        self.ramified_prime = ramified_prime
 
     @property
     def integral_points(self):
@@ -162,11 +164,17 @@ class DelPezzoModel:
 
     @property
     def modulus(self):
-        """The p-part of the conductor at the ramified prime p, the modulus of
-        the invariant images: p for a tame p, 25 at the wild prime 5, and
-        None on a model without a ramified prime."""
-        p = self.ramified_prime
-        return None if p is None else 25 if p == 5 else p
+        """The p-part of the conductor at the one prime p that ramifies in
+        the field (``numberfield.ramified_primes``), the modulus of the
+        invariant images: p for a tame p, 25 at the wild prime 5.  A field
+        ramified at several primes is refused, naming them."""
+        primes = [p for p, _ in ramified_primes(self.spec)]
+        if len(primes) != 1:
+            raise DomainError(
+                f"the field ramifies at {' and '.join(map(str, primes))}; invariant images, "
+                "verdicts and the chart need one ramified prime"
+            )
+        return 25 if primes[0] == 5 else primes[0]
 
     def quadric_vectors(self):
         return [list(q) for q in self.quadrics]
@@ -390,8 +398,9 @@ def _built(generator):
 
 def fixture(name):
     """The two conductor models, "zeta11plus" and "zeta25": ``build_model``
-    on an Eisenstein generator of the field, plus the one stored datum, the
-    ramified prime (11 and 5).
+    on an Eisenstein generator of the field, which ramifies at 11 and at 5
+    (``numberfield.ramified_primes`` reads it off the field), so their
+    moduli are 11 and 25.
 
     zeta25 is built from ``_ZETA25_MINPOLY``, Eisenstein at 5, and keeps its
     spec, l1 and l2.  zeta11plus is built from ``_zeta11plus_generator()``,
@@ -408,16 +417,12 @@ def fixture(name):
     if name == "zeta11plus":
         built = _built(_zeta11plus_generator())
         spec, l1, l2 = zeta11_plus_field(), built.l2, built.l1
-        prime = 11
     elif name == "zeta25":
         built = _built(_ZETA25_MINPOLY)
         spec, l1, l2 = built.spec, built.l1, built.l2
-        prime = 5
     else:
         raise UnknownModelError(f"unknown fixture {name!r}")
-    return DelPezzoModel(
-        f"fixture:{name}", spec, built.quadrics, l1, l2, name=name, ramified_prime=prime
-    )
+    return DelPezzoModel(f"fixture:{name}", spec, built.quadrics, l1, l2, name=name)
 
 
 def _quadric_gram(vectors):

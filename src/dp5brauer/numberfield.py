@@ -168,12 +168,14 @@ class QuinticFieldSpec:
     Gauss's lemma m is irreducible over Q.  In a cyclic quintic field 4/5 of
     the primes are inert, so such a p is found at once; a polynomial without
     one below 500 is refused.  The prime found is kept as ``inert_prime``,
-    where ``galois_conjugates`` lifts the conjugates, and the conjugates it
-    certifies are kept in the slot ``_conjugates``, unset until then, so one
-    spec is lifted once; equality and hashing read ``coefficients`` only.
+    where ``galois_conjugates`` lifts the conjugates.  The conjugates it
+    certifies are kept in the slot ``_conjugates`` and the result of
+    ``ramified_primes`` in ``_ramified``, each unset until first asked for,
+    so one spec is lifted and factored once; equality and hashing read
+    ``coefficients`` only.
     """
 
-    __slots__ = ("coefficients", "inert_prime", "_conjugates")
+    __slots__ = ("coefficients", "inert_prime", "_conjugates", "_ramified")
 
     def __init__(self, coefficients):
         coeffs = tuple(int(c) for c in coefficients)
@@ -594,6 +596,89 @@ def _refute_by_frobenius(m_asc, disc):
         raise NotCyclicError(
             f"not cyclic: Frobenius at p = {p} is neither the identity nor a 5-cycle"
         )
+
+
+# G of ``ramified_primes`` is factored by trial division below this bound, so
+# a cofactor below its square is certified prime
+TRIAL_DIVISION_BOUND = 1 << 16
+
+
+def _prime_factors(n):
+    """The primes dividing the integer n != 0, in increasing order.
+
+    Trial division by d < TRIAL_DIVISION_BOUND, while d^2 <= n, leaves a
+    cofactor with no prime factor below min(d, TRIAL_DIVISION_BOUND): it is
+    1 or a prime when below TRIAL_DIVISION_BOUND^2, and is refused above.
+    """
+    n, primes, d = abs(n), [], 2
+    while d * d <= n and d < TRIAL_DIVISION_BOUND:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n >= TRIAL_DIVISION_BOUND ** 2:
+        raise DomainError(
+            f"the cofactor {n} has no prime factor below {TRIAL_DIVISION_BOUND} "
+            "and is too large to certify as prime"
+        )
+    return primes + [n] * (n > 1)
+
+
+def ramified_primes(spec):
+    """The primes that ramify in the cyclic quintic field K of ``spec``, each
+    with its shift: a sorted tuple of pairs (p, c), 0 <= c < p, with f(x + c)
+    Eisenstein at p, f = x^5 + a4 x^4 + a3 x^3 + a2 x^2 + a1 x + a0 the
+    minimal polynomial.
+
+    The candidates are the primes p != 5 dividing G = gcd(5 a3 - 2 a4^2,
+    25 a2 - 2 a4^3, 125 a1 - a4^4, 3125 a0 - a4^5), with c = -a4/5 mod p,
+    and 5 with c = -a0 mod 5 when a4, a3, a2 and a1 vanish mod 5.  For
+    p != 5, p divides G exactly when f = (x - c)^5 mod p: with c = -a4/5
+    the coefficients 10 c^2, -10 c^3, 5 c^4, -c^5 of (x - c)^5 are
+    2 a4^2/5, 2 a4^3/25, a4^4/125 and a4^5/3125, and 5 is a unit mod p.
+    For p = 5, (x - c)^5 = x^5 - c^5 = x^5 - c mod 5.  G != 0, as G = 0
+    would make f = (x + a4/5)^5, which is reducible.  G is factored by
+    ``_prime_factors``, which refuses a cofactor it cannot certify.
+
+    No ramified prime is missed.  K is cyclic of prime degree 5, so a
+    ramified p is totally ramified, p O_K = P^5 with residue field F_p.
+    P is the one prime above p, so the Galois group fixes it and acts on
+    O_K/P = F_p trivially: every conjugate s(a) of the root a is a mod P.
+    So the five roots of f share one residue c in Z, and f = (x - c)^5
+    mod P, hence mod p, f having integer coefficients; comparing the x^4
+    coefficients, a4 = -5c mod p.  So p is a candidate, with this c.
+
+    Every candidate kept ramifies.  On a candidate, f(x + c) = x^5 mod p,
+    so all its coefficients but the leading one are divisible by p, and
+    its constant term is f(c).  When p^2 does not divide f(c), f(x + c) is
+    Eisenstein at p, and p is totally ramified in Q(a - c) = K.  f(c) mod
+    p^2 does not depend on the lift of c, as f'(c) = 5 (c - c)^4 = 0 mod p.
+    A candidate with p^2 | f(c) is refused, naming p: Eisenstein's
+    criterion does not decide it.
+
+    That no ramified prime is missed needs K cyclic, so
+    ``galois_conjugates`` certifies it, raising NotCyclicError otherwise,
+    before a result is returned.  The
+    result is kept on the spec, as its conjugates are.
+    """
+    if hasattr(spec, "_ramified"):
+        return spec._ramified
+    f = spec.ascending()
+    a0, a1, a2, a3, a4 = f[:5]
+    g = gcd(5 * a3 - 2 * a4 ** 2, 25 * a2 - 2 * a4 ** 3, 125 * a1 - a4 ** 4, 3125 * a0 - a4 ** 5)
+    candidates = [(p, -a4 * pow(5, -1, p) % p) for p in _prime_factors(g) if p != 5]
+    if not (a4 % 5 or a3 % 5 or a2 % 5 or a1 % 5):
+        candidates.append((5, -a0 % 5))
+    for p, c in candidates:
+        if sum(a * c ** i for i, a in enumerate(f)) % (p * p) == 0:
+            raise DomainError(
+                f"f = (x - {c})^5 mod {p}, but {p}^2 divides f({c}), so f(x + {c}) is not "
+                f"Eisenstein at {p} and whether {p} ramifies is undecided"
+            )
+    galois_conjugates(spec)
+    object.__setattr__(spec, "_ramified", tuple(sorted(candidates)))
+    return spec._ramified
 
 
 def _verify_conjugates(spec, candidates):

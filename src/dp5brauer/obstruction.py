@@ -4,10 +4,10 @@ The affine surfaces of interest are complements U_h = X minus {h = 0} for a
 primitive integral linear form h.  The order-5 class on U_h evaluates at a
 local point through the fifth-power residue class of the unit l1/h, so at
 every prime where the splitting field is unramified the invariant vanishes
-and the whole computation concentrates at the single ramified prime of each
-fixture.  There the residue of a local point determines the invariant, and
-the image of the invariant map becomes a finite, exact computation over the
-chart of the singular fiber.
+and the whole computation concentrates at the single ramified prime of the
+model's field (``numberfield.ramified_primes``).  There the residue of a
+local point determines the invariant, and the image of the invariant map
+becomes a finite, exact computation over the chart of the singular fiber.
 
 Two independent routes are kept at each modulus (``two_route_images``).
 At 11 the chart route evaluates the reduced form as a polynomial on the
@@ -53,9 +53,10 @@ from .fibers import (
     enumerate_fiber,
     rank_mod_p,
     solve_mod_p,
+    verify_chart,
 )
 from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram
-from .numberfield import _is_prime, minpoly_splitting_mod_p
+from .numberfield import _is_prime, minpoly_splitting_mod_p, ramified_primes
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
 
@@ -200,12 +201,18 @@ def _reduce_form(h, modulus):
 
 
 def _require_fixture_chart(model, modulus):
+    """Refuse a model that the chart routes at ``modulus`` cannot read: one
+    of another modulus, one with l1 != u0 mod ``modulus``, and one whose
+    fiber is not the chart plus one line (``fibers.verify_chart``, whose
+    ChartError names the failed check; the certificate is cached per
+    request)."""
     if model.modulus != modulus:
         raise DomainError(
             f"this invariant computation needs the conductor model with modulus {modulus}"
         )
     if tuple(c % modulus for c in model.l1) != U0_FORM:
         raise DomainError(f"chart evaluation needs l1 = u0 modulo {modulus}")
+    verify_chart(model)
 
 
 def _values_image(prime, q, hv, reason):
@@ -290,7 +297,8 @@ def _route_11(model, route):
     triggers; it is cached per model in ``_FIBER_CACHE``.  Every model
     refusal of a mod-11 entry point is raised here: a model of another
     modulus by the first test of ``_require_fixture_chart``, whichever the
-    route, and l1 != u0 mod 11 on the chart route only.
+    route, and l1 != u0 mod 11 or a failed chart certificate on the chart
+    route only.
     """
     if route == "chart" or model.modulus != 11:
         _require_fixture_chart(model, 11)
@@ -699,16 +707,20 @@ class ObstructionReport:
 def _routes(model):
     """The two route functions of the model's modulus: (chart, smooth
     point) at 11 and (residue formula, chart lifts) at 25, read from the
-    module at each call, so a rebinding of one of them is seen.  Any other
-    modulus, None on a model file, is refused."""
-    if model.modulus == 11:
+    module at each call, so a rebinding of one of them is seen.  The model
+    is refused first: a field ramified at another prime, or at several
+    (``model.modulus``), by name, and a model off its chart by
+    ``_require_fixture_chart``, whose premise both routes share."""
+    modulus = model.modulus
+    if modulus not in (11, 25):
+        raise DomainError(
+            f"invariant images and verdicts need a ramified prime of 11 or 5, and the field "
+            f"ramifies at {modulus}; fibers, solubility and unramified checks serve any model"
+        )
+    _require_fixture_chart(model, modulus)
+    if modulus == 11:
         return inv_image_11, inv_image_11_smoothpath
-    if model.modulus == 25:
-        return inv_image_25, inv_image_25_liftpath
-    raise DomainError(
-        "invariant images and verdicts need a ramified prime of 11 or 5; fibers, "
-        "solubility and unramified checks serve any model"
-    )
+    return inv_image_25, inv_image_25_liftpath
 
 
 def two_route_images(model, h):
@@ -728,10 +740,11 @@ def verdict(model, h):
     at the ramified prime omits the identity coset.  The image is computed
     along both routes of the model (chart and smooth point at 11, residue
     formula and chart lifts at 25, ``two_route_images``), and routes that
-    disagree raise.
+    disagree raise.  The model is refused before its solubility is worked
+    out (``_routes``): a field with another ramified prime, and a model off
+    its chart, get no verdict on any form.
     """
     coeffs = _require_primitive(h)
-    # the model is refused before its solubility is worked out
     _routes(model)
     sol = locally_soluble(model, coeffs)
     irreducible = geometrically_irreducible(model, coeffs)
@@ -1336,15 +1349,7 @@ def transformed_model_mod11(model, matrix):
         tuple(sum(matrix[i][j] * form[i] for i in range(6)) % 11 for j in range(6))
         for form in (model.l1, model.l2)
     )
-    return DelPezzoModel(
-        "transformed",
-        model.spec,
-        quadrics,
-        l1,
-        l2,
-        name=f"{model.name}+gl6",
-        ramified_prime=model.ramified_prime,
-    )
+    return DelPezzoModel("transformed", model.spec, quadrics, l1, l2, name=f"{model.name}+gl6")
 
 
 def census_invariance_check(model, transforms=3, seed=11):
@@ -1380,18 +1385,19 @@ def unramified_invariant_check(model, ell):
     unit because the fiber meets {l1 = 0} in no rational point; the check
     verifies that emptiness by enumeration.  At a split prime the class
     itself dies locally, so nothing needs enumerating.  Where the minimal
-    polynomial m is inseparable mod ell, ell ramifies in K or only divides
-    the index [O_K : Z[a]] (as 7 does for zeta25, where 7 splits), and the
-    check is refused.
+    polynomial m is inseparable mod ell, ell divides disc(m) = [O_K :
+    Z[a]]^2 disc(K), and the check is refused, naming the case that
+    ``numberfield.ramified_primes`` decides: ell ramifies in K, or it is
+    unramified and divides the index (as 7 does for zeta25, where 7
+    splits; how it splits is not read off m).
     """
     if model.spec is None:
         raise DomainError("unramified checks need the field data on the model")
     splitting = minpoly_splitting_mod_p(model.spec, ell)
     if splitting == "inseparable":
-        raise DomainError(
-            f"the minimal polynomial is inseparable mod {ell}, "
-            f"so {ell} ramifies in K or divides the index [O_K : Z[a]]"
-        )
+        if ell in dict(ramified_primes(model.spec)):
+            raise DomainError(f"{ell} ramifies in K, so its invariant is not checked here")
+        raise DomainError(f"{ell} is unramified in K but divides the index [O_K : Z[a]]")
     if splitting == "separable-split":
         return {
             "prime": ell,

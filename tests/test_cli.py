@@ -25,7 +25,7 @@ from test_fibers import (
 )
 from test_obstruction import _disagreeing_lift_route
 
-# the zeta11plus model file (JSON drops the fixture extras)
+# the zeta11plus model file
 FUZZ_BASE = model.fixture("zeta11plus").to_json_dict()
 
 
@@ -432,6 +432,47 @@ def _model_file(tmp_path, m):
     return str(path)
 
 
+@pytest.mark.parametrize("name", ["zeta11plus", "zeta25"])
+def test_a_fixture_written_to_json_answers_as_the_fixture(capsys, tmp_path, name):
+    # nothing of a fixture is lost in its file: the documents differ only in
+    # the model field (and census's wall time)
+    path = _model_file(tmp_path, model.fixture(name))
+    h, modulus = {"zeta11plus": ("0,1,0,-7,0,0", "11"), "zeta25": ("2,-15,0,10,0,0", "25")}[name]
+    for command, *rest in (
+        ("invariants", "--h", h),
+        ("verdict", "--h", h),
+        ("census", "--modulus", modulus, "--jobs", "1"),
+    ):
+        docs = []
+        for selector in (f"fixture:{name}", path):
+            code, out, err = run_cli(capsys, [command, "--model", selector, *rest])
+            assert (code, err) == (0, "")
+            docs.append({k: v for k, v in json.loads(out).items() if k not in ("model", "wall_time_ms")})
+        assert docs[0] == docs[1]
+
+
+def _perturbed_file(tmp_path, m, k, pair, step):
+    doc = m.to_json_dict()
+    doc["quadrics"][k][model.U_QUADRIC_PAIRS.index(pair)] += step
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_a_model_file_off_its_chart_or_its_lifts_exits_with_three(capsys, tmp_path, m11, m25):
+    # a file whose chart fails mod 11, or whose chart holds mod 5 but whose
+    # chart points do not lift mod 25, contradicts itself: bad input, exit 3
+    # (the transcript pins verdict and invariants on the first)
+    off_chart = _perturbed_file(tmp_path, m11, 0, (0, 5), 1)
+    code, out, err = run_cli(capsys, ["census", "--model", off_chart, "--modulus", "11"])
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: model file {off_chart!r} contradicts itself: chart identity fails mod 11")
+    off_lifts = _perturbed_file(tmp_path, m25, 0, (0, 5), 5)
+    code, out, err = run_cli(capsys, ["verdict", "--model", off_lifts, "--h", "2,-15,0,10,0,0"])
+    assert (code, out) == (3, "")
+    assert err == f"error: model file {off_lifts!r} contradicts itself: chart point admits no lift mod 25\n"
+
+
 def test_fiber_of_a_model_file_in_other_coordinates_at_37(capsys, tmp_path, m11):
     # once refused above the chart scan's bound, now solved after a change
     # of coordinates: the document is the fixture's
@@ -554,10 +595,13 @@ H_TEXTS = st.one_of(
 def test_verdict_and_invariants_keep_the_exit_code_contract(
     tmp_path_factory, command, h, modulus, data
 ):
-    argv = [command, "--model", _fuzzed_model(tmp_path_factory, data), f"--h={h}"]
+    selector = _fuzzed_model(tmp_path_factory, data)
+    argv = [command, "--model", selector, f"--h={h}"]
     if command == "invariants" and modulus is not None:
         argv.append(f"--modulus={modulus}")
-    _assert_exit_code_contract(argv)
+    code = _assert_exit_code_contract(argv)
+    # a model file that contradicts itself is bad input, never a package fault
+    assert code != 4 or selector.startswith("fixture:")
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -567,10 +611,12 @@ def test_verdict_and_invariants_keep_the_exit_code_contract(
     data=st.data(),
 )
 def test_census_keeps_the_exit_code_contract(tmp_path_factory, modulus, jobs, data):
-    argv = ["census", "--model", _fuzzed_model(tmp_path_factory, data), f"--modulus={modulus}"]
+    selector = _fuzzed_model(tmp_path_factory, data)
+    argv = ["census", "--model", selector, f"--modulus={modulus}"]
     if jobs is not None:
         argv.append(f"--jobs={jobs}")
-    _assert_exit_code_contract(argv)
+    code = _assert_exit_code_contract(argv)
+    assert code != 4 or selector.startswith("fixture:")
 
 
 @pytest.mark.parametrize("kind", ["zero", "repeat"])

@@ -38,6 +38,7 @@ from dp5brauer.model import (
     _quadric_gram,
     _quadric_rank,
     _solver_shaped,
+    build_model,
     fixture,
 )
 from dp5brauer.numberfield import QuinticFieldSpec, minpoly_splitting_mod_p
@@ -186,9 +187,7 @@ def test_chart_identity_is_a_polynomial_identity(m25):
     quadrics = [list(q) for q in m25.quadrics]
     for pair, c in (((3, 5), 1), ((4, 4), -1), ((0, 1), -1)):
         quadrics[0][U_QUADRIC_PAIRS.index(pair)] += c
-    perturbed = DelPezzoModel(
-        m25.source, m25.spec, quadrics, m25.l1, m25.l2, ramified_prime=5
-    )
+    perturbed = DelPezzoModel(m25.source, m25.spec, quadrics, m25.l1, m25.l2)
     assert _has_solver_shape(perturbed.quadrics)
     with pytest.raises(ChartError, match="chart identity") as excinfo:
         verify_chart(perturbed)
@@ -222,13 +221,17 @@ def test_chart_restriction_commutes_with_evaluation(m11):
         assert values == m.evaluate_quadrics(point)
 
 
-def test_chart_needs_a_fixture(m11):
-    doc = m11.to_json_dict()
-    from dp5brauer.model import DelPezzoModel
-
-    stripped = DelPezzoModel.from_json_dict(doc)
-    with pytest.raises(DomainError, match="chart verification needs a ramified prime, which built models and model files lack"):
-        verify_chart(stripped)
+def test_a_stripped_fixture_certifies_its_chart_and_a_construct_output_is_refused(m11, m25):
+    # the prime is read off the field, so a fixture written to JSON keeps it
+    for m in (m11, m25):
+        stripped = DelPezzoModel.from_json_dict(m.to_json_dict())
+        assert verify_chart(stripped) == verify_chart(m)
+    # the model construct writes for the zeta11plus polynomial is not on the
+    # chart at 11; one for a field ramified at two primes has no one prime
+    with pytest.raises(ChartError, match="^chart identity fails mod 11: residue "):
+        verify_chart(build_model(m11.spec))
+    with pytest.raises(DomainError, match="^the field ramifies at 11 and 41; "):
+        verify_chart(lehmer_model(3))
 
 
 def test_enumeration_bound_is_enforced(m11):
@@ -912,10 +915,12 @@ def test_transformed_model_matches_the_substitution(m11, seed):
 
 
 def test_one_claim_table_solves_each_fiber_once(fiber_solves):
-    # the fibers, the smooth routes and the chart lifts share one request
-    # cache, so one clear() starts a claim table cold, and it solves each
-    # (quadrics, p) once: 14 fibers, 4 routes and 1 lift table stay inside it
+    # the fibers, the smooth routes, the chart certificates and the chart
+    # lifts share one request cache, so one clear() starts a claim table
+    # cold, and it solves each (quadrics, p) once: 14 fibers, 4 routes, 2
+    # certificates and 1 lift table stay inside it
     assert obstruction._FIBER_CACHE is fibers._FIBER_CACHE
     assert verify.run_claims(fast=False)["counts"] == {"ok": 32, "flagged": 2, "fail": 0}
     assert len(fiber_solves) == 14 and set(fiber_solves.values()) == {1}
-    assert len(fibers._FIBER_CACHE) == 19 <= fibers.CACHE_SIZE
+    assert len(fibers._FIBER_CACHE) == 21 <= fibers.CACHE_SIZE
+    assert sum(key[0] == "chart" for key in fibers._FIBER_CACHE) == 2

@@ -44,6 +44,7 @@ from dp5brauer.model import (
 from dp5brauer.numberfield import (
     QuinticFieldSpec,
     galois_conjugates,
+    ramified_primes,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
@@ -64,7 +65,7 @@ def test_fixture_registry():
 
 def test_zeta11plus_fixture_data(m11):
     assert m11.spec.coefficients == (1, 1, -4, -3, 3, 1)
-    assert m11.ramified_prime == 11
+    assert ramified_primes(m11.spec) == ((11, 2),)
     assert m11.modulus == 11
     assert m11.l1 == L1_STORED
     assert m11.l2 == L2_STORED
@@ -74,22 +75,31 @@ def test_zeta11plus_fixture_data(m11):
 
 def test_zeta25_fixture_data(m25):
     assert m25.spec.coefficients == (1, -20, 100, -125, 50, -5)
-    assert m25.ramified_prime == 5
+    assert ramified_primes(m25.spec) == ((5, 0),)
     assert m25.modulus == 25
     assert m25.insolubility_class == (0, 0, 1, 1, 0, 0)
     assert tuple(c % 25 for c in m25.l1) == (1, 0, 0, 0, 0, 0)
 
 
 def test_the_modulus_is_read_off_the_ramified_prime(m11, m25):
-    # the p-part of the conductor: p at a tame p, 25 at the wild prime 5
+    # the p-part of the conductor at the one prime that ramifies in the
+    # field: p at a tame p, 25 at the wild prime 5; a model file keeps it
     moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(79)))
     assert m11.modulus == moved.modulus == 11
     assert m25.modulus == 25
-    assert DelPezzoModel.from_json_dict(m11.to_json_dict()).modulus is None
-    tame = DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, ramified_prime=31)
+    assert DelPezzoModel.from_json_dict(m11.to_json_dict()).modulus == 11
+    # Lehmer's n = -3 field ramifies at 31 only, with the shift c = 23
+    tame_spec = QuinticFieldSpec(lehmer_quintic(-3))
+    assert ramified_primes(tame_spec) == ((31, 23),)
+    tame = DelPezzoModel(m11.source, tame_spec, m11.quadrics, m11.l1, m11.l2)
     assert tame.modulus == 31
-    with pytest.raises(TypeError, match="modulus"):
-        DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, modulus=11)
+    # n = 3 ramifies at 11 and 41, and a modulus needs one prime
+    with pytest.raises(DomainError, match="^the field ramifies at 11 and 41; "):
+        lehmer_model(3).modulus
+    # neither the modulus nor the prime is stored
+    for keyword in ("modulus", "ramified_prime"):
+        with pytest.raises(TypeError, match=keyword):
+            DelPezzoModel(m11.source, m11.spec, m11.quadrics, m11.l1, m11.l2, **{keyword: 11})
     with pytest.raises(AttributeError):
         m11.modulus = 25
 
@@ -382,7 +392,7 @@ def test_serialization_roundtrip(m11):
     assert clone.quadric_vectors() == m11.quadric_vectors()
     assert clone.l1 == m11.l1
     assert clone.l2 == m11.l2
-    assert clone.modulus is None  # fixture extras do not survive JSON
+    assert clone.modulus == 11  # read off the field, so it survives JSON
 
 
 def test_model_requires_five_quadrics(m11):

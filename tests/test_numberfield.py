@@ -18,7 +18,9 @@ from dp5brauer.numberfield import (
     discriminant,
     evaluate_poly,
     galois_conjugates,
+    _prime_factors,
     minpoly_splitting_mod_p,
+    ramified_primes,
     real_cyclotomic_minpoly,
     zeta11_plus_field,
 )
@@ -100,6 +102,74 @@ def test_conjugates_of_the_cyclotomic_quintic():
     asc = spec.ascending()
     for image in conjugates:
         assert evaluate_poly(asc, image) == 0
+
+
+# the ramified primes of twelve fields, each with its shift c, f(x + c)
+# Eisenstein at p: the zeta11plus and zeta25 polynomials, then Lehmer's
+# quintics n = -4..5, whose conductor is n^4 + 5n^3 + 15n^2 + 25n + 25
+RAMIFIED_PRIMES = {
+    "zeta11plus": ((11, 2),),
+    "zeta25": ((5, 0),),
+    "lehmer-4": ((101, 17),),
+    "lehmer-3": ((31, 23),),
+    "lehmer-2": ((11, 8),),
+    "lehmer-1": ((11, 2),),
+    "lehmer0": ((5, 4),),
+    "lehmer1": ((71, 14),),
+    "lehmer2": ((191, 152),),
+    "lehmer3": ((11, 7), (41, 31)),
+    "lehmer4": ((941, 185),),
+    "lehmer5": ((5, 4), (71, 66)),
+}
+
+
+def _shifted(f, c):
+    """Ascending coefficients of f(x + c), f ascending, by Horner's rule."""
+    out = []
+    for a in reversed(f):
+        out = [x + c * y for x, y in zip([0] + out, out + [0])]
+        out[0] += a
+    return out
+
+
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@pytest.mark.parametrize("name", list(RAMIFIED_PRIMES))
+def test_ramified_primes_are_pinned(name):
+    coefficients = {"zeta11plus": zeta11_plus_field().coefficients, **CYCLIC_QUINTICS}[name]
+    spec = QuinticFieldSpec(coefficients)
+    found = ramified_primes(spec)
+    assert found == RAMIFIED_PRIMES[name]
+    assert ramified_primes(spec) is found
+    for p, c in found:
+        g = _shifted(spec.ascending(), c)
+        assert g[5] == 1 and all(a % p == 0 for a in g[:5]) and g[0] % (p * p)
+    if name.startswith("lehmer"):
+        n = int(name[len("lehmer"):])
+        conductor = n ** 4 + 5 * n ** 3 + 15 * n ** 2 + 25 * n + 25
+        primes = [p for p in range(2, conductor + 1) if conductor % p == 0 and _is_prime(p)]
+        assert [p for p, _ in found] == primes
+
+
+def test_a_candidate_that_is_not_eisenstein_is_refused():
+    # x^5 + 121 x + 121 = x^5 mod 11, but 11^2 divides f(0); the spec is
+    # accepted (7 is inert), and whether 11 ramifies is left undecided
+    spec = QuinticFieldSpec((1, 0, 0, 0, 121, 121))
+    assert spec.inert_prime == 7
+    with pytest.raises(DomainError, match=r"^f = \(x - 0\)\^5 mod 11, but 11\^2 divides f\(0\)"):
+        ramified_primes(spec)
+
+
+def test_trial_division_refuses_a_cofactor_it_cannot_certify():
+    # a cofactor below TRIAL_DIVISION_BOUND^2 = 2^32 is certified prime, and
+    # 2^61 - 1, prime but above it, is refused
+    assert _prime_factors(-2 * 3 ** 4 * 65537) == [2, 3, 65537]
+    assert _prime_factors(2 ** 31 - 1) == [2 ** 31 - 1]
+    assert _prime_factors(1) == []
+    with pytest.raises(DomainError, match="^the cofactor 2305843009213693951 has no prime factor below"):
+        _prime_factors(3 * (2 ** 61 - 1))
 
 
 def test_a_spec_is_lifted_once(monkeypatch):

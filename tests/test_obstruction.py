@@ -18,9 +18,15 @@ from itertools import product
 import numpy as np
 import pytest
 
-from dp5brauer import obstruction
-from dp5brauer.errors import DomainError, FiberInconsistencyError
-from dp5brauer.fibers import enumerate_fiber, jacobian_matrix_mod_p, singular_points, solve_mod_p
+from dp5brauer import fibers, obstruction
+from dp5brauer.errors import ChartError, DomainError, FiberInconsistencyError
+from dp5brauer.fibers import (
+    enumerate_fiber,
+    jacobian_matrix_mod_p,
+    singular_points,
+    solve_mod_p,
+    verify_chart,
+)
 from dp5brauer.model import U_QUADRIC_PAIRS, DelPezzoModel, chart_point
 from dp5brauer.numberfield import discriminant, minpoly_splitting_mod_p
 from dp5brauer.obstruction import (
@@ -41,6 +47,7 @@ from dp5brauer.obstruction import (
     path_agreement_check,
     tangent_surjectivity_check,
     transformed_model_mod11,
+    two_route_images,
     unramified_invariant_check,
     verdict,
 )
@@ -671,12 +678,88 @@ def test_headline_verdict_is_computed_not_copied(m11):
     assert doc["paper_claim_comparison"]["status"] == "flagged"
 
 
-def test_verdict_needs_a_fixture(m11):
-    from dp5brauer.model import DelPezzoModel
+def _without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
 
-    stripped = DelPezzoModel.from_json_dict(m11.to_json_dict())
-    with pytest.raises(DomainError):
-        verdict(stripped, HEADLINE_H)
+
+@pytest.mark.parametrize("name", ["zeta11plus", "zeta25"])
+def test_a_stripped_fixture_answers_as_the_fixture(m11, m25, name):
+    # a fixture written to JSON keeps its field, so its ramified prime: the
+    # images, verdicts and census are the fixture's, apart from the model
+    # name, and the published verdict is compared on the named fixture only
+    fixture, census, forms = {
+        "zeta11plus": (m11, census_11, (HEADLINE_H, (0, 1, 0, -7, 0, 0), (0, 0, 0, 0, 1, 0))),
+        "zeta25": (m25, census_25, (OBSTRUCTED_25_H, HEADLINE_H, (0, 0, 0, 0, 0, 1))),
+    }[name]
+    stripped = DelPezzoModel.from_json_dict(fixture.to_json_dict())
+    assert stripped.name is None and stripped.modulus == fixture.modulus
+    for h in forms:
+        assert two_route_images(stripped, h) == two_route_images(fixture, h)
+        want = verdict(fixture, h).to_json_dict()
+        got = verdict(stripped, h).to_json_dict()
+        assert "paper_claim_comparison" not in got
+        assert _without(got, "model") == _without(want, "model", "paper_claim_comparison")
+    assert _without(census(stripped), "model", "wall_time_ms") == _without(census(fixture), "model", "wall_time_ms")
+
+
+def _perturbed_zeta11plus(m11):
+    """zeta11plus with quadric 1's u0*u5 coefficient raised by 1: off its
+    chart mod 11, though l1 = u0 mod 11 still holds."""
+    quadrics = [list(q) for q in m11.quadrics]
+    quadrics[0][U_QUADRIC_PAIRS.index((0, 5))] += 1
+    return DelPezzoModel("perturbed", m11.spec, quadrics, m11.l1, m11.l2)
+
+
+_CHART_FAILS_11 = r"^chart identity fails mod 11: residue \(1\)\*y\^3 \+ \(1\)\*z\^2$"
+
+
+def test_a_model_off_its_chart_is_refused_by_every_chart_route(m11):
+    # read off the chart, this form would obstruct on the perturbed quadrics;
+    # every chart route now holds the model's own chart certificate first
+    perturbed = _perturbed_zeta11plus(m11)
+    assert perturbed.modulus == 11
+    with pytest.raises(ChartError, match=_CHART_FAILS_11):
+        verify_chart(perturbed)
+    for call, args in (
+        (inv_image_11, (perturbed, (-13, -11, 0, 0, 0, 22))),
+        (verdict, (perturbed, (-13, -11, 0, 0, 0, 22))),
+        (census_11, (perturbed,)),
+        (path_agreement_check, (perturbed,)),
+    ):
+        with pytest.raises(ChartError, match=_CHART_FAILS_11):
+            call(*args)
+    # the verdict checks the premise before solubility, so no form answers
+    rng = random.Random(41)
+    for _ in range(20):
+        h = tuple(rng.randint(-30, 30) for _ in range(6))
+        if math.gcd(*h) == 1:
+            with pytest.raises(ChartError, match=_CHART_FAILS_11):
+                verdict(perturbed, h)
+    # the smooth route never reads the chart, so it still answers
+    assert inv_image_11_smoothpath(perturbed, HEADLINE_H).modulus == 11
+
+
+def test_the_chart_certificate_is_cached_per_request(m11, monkeypatch):
+    certified = []
+    certify = fibers._certified_chart
+
+    def counting(model, p):
+        certified.append(p)
+        return certify(model, p)
+
+    monkeypatch.setattr(fibers, "_certified_chart", counting)
+    obstruction._FIBER_CACHE.clear()
+    try:
+        for _ in range(2):
+            inv_image_11(m11, HEADLINE_H)
+            verdict(m11, HEADLINE_H)
+        assert verify_chart(m11) is verify_chart(m11)
+        assert certified == [11]
+        obstruction._FIBER_CACHE.clear()
+        inv_image_11(m11, HEADLINE_H)
+        assert certified == [11, 11]
+    finally:
+        obstruction._FIBER_CACHE.clear()
 
 
 # (entry point, input) -> (exception type, message), None where the call
@@ -690,47 +773,55 @@ _SIX = ("DomainError", "a hyperplane form needs six coefficients")
 _PRIMITIVE_5 = ("DomainError", "form must be primitive modulo 5")
 _PRIMITIVE = ("DomainError", "form must be primitive")
 REFUSALS = {
-    ("inv_image_11", "stripped"): _CONDUCTOR_11,
+    # a fixture written to JSON keeps its field, so the "stripped" rows
+    # answer as the fixture does
+    ("inv_image_11", "stripped"): None,
     ("inv_image_11", "moved"): _CHART_L1,
+    ("inv_image_11", "other-fixture"): _CONDUCTOR_11,
     ("inv_image_11", "zero"): ("DomainError", "form vanishes identically modulo 11"),
     ("inv_image_11", "imprimitive-mod-5"): None,
-    ("inv_image_11", "stripped-zero"): _CONDUCTOR_11,
+    ("inv_image_11", "stripped-zero"): ("DomainError", "form vanishes identically modulo 11"),
     ("inv_image_11", "five-coefficients"): _SIX,
     ("inv_image_11", "seven-coefficients"): _SIX,
     ("inv_image_11", "five-proportional"): _SIX,
     ("inv_image_11", "seven-proportional"): _SIX,
-    ("inv_image_11_smoothpath", "stripped"): _CONDUCTOR_11,
+    ("inv_image_11_smoothpath", "stripped"): None,
     ("inv_image_11_smoothpath", "moved"): None,
+    ("inv_image_11_smoothpath", "other-fixture"): _CONDUCTOR_11,
     ("inv_image_11_smoothpath", "zero"): ("DomainError", "form vanishes identically modulo 11"),
     ("inv_image_11_smoothpath", "imprimitive-mod-5"): None,
-    ("inv_image_11_smoothpath", "stripped-zero"): _CONDUCTOR_11,
+    ("inv_image_11_smoothpath", "stripped-zero"): ("DomainError", "form vanishes identically modulo 11"),
     ("inv_image_11_smoothpath", "five-coefficients"): _SIX,
     ("inv_image_11_smoothpath", "seven-coefficients"): _SIX,
     ("inv_image_11_smoothpath", "five-proportional"): _SIX,
     ("inv_image_11_smoothpath", "seven-proportional"): _SIX,
-    ("inv_image_25", "stripped"): _CONDUCTOR_25,
+    ("inv_image_25", "stripped"): None,
     ("inv_image_25", "moved"): _CONDUCTOR_25,
+    ("inv_image_25", "other-fixture"): _CONDUCTOR_25,
     ("inv_image_25", "zero"): _PRIMITIVE_5,
     ("inv_image_25", "imprimitive-mod-5"): _PRIMITIVE_5,
-    ("inv_image_25", "stripped-zero"): _CONDUCTOR_25,
+    ("inv_image_25", "stripped-zero"): _PRIMITIVE_5,
     ("inv_image_25", "five-coefficients"): _SIX,
     ("inv_image_25", "seven-coefficients"): _SIX,
     ("inv_image_25", "five-proportional"): _SIX,
     ("inv_image_25", "seven-proportional"): _SIX,
-    ("inv_image_25_liftpath", "stripped"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "stripped"): None,
     ("inv_image_25_liftpath", "moved"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "other-fixture"): _CONDUCTOR_25,
     ("inv_image_25_liftpath", "zero"): _PRIMITIVE_5,
     ("inv_image_25_liftpath", "imprimitive-mod-5"): _PRIMITIVE_5,
-    ("inv_image_25_liftpath", "stripped-zero"): _CONDUCTOR_25,
+    ("inv_image_25_liftpath", "stripped-zero"): _PRIMITIVE_5,
     ("inv_image_25_liftpath", "five-coefficients"): _SIX,
     ("inv_image_25_liftpath", "seven-coefficients"): _SIX,
     ("inv_image_25_liftpath", "five-proportional"): _SIX,
     ("inv_image_25_liftpath", "seven-proportional"): _SIX,
-    # a model file has no ramified prime, which a verdict needs
-    ("verdict", "stripped"): ("DomainError", "invariant images and verdicts need a ramified prime of 11 or 5; fibers, solubility and unramified checks serve any model"),
-    # solubility is computed, and the moved model's fiber mod 2 has no
-    # smooth point that gives the solver shape
-    ("verdict", "moved"): ("DomainError", "no smooth point of the fiber mod 2 moves the model into the solver shape (searched 64 slices of P^3)"),
+    ("verdict", "stripped"): None,
+    # the chart premise of both routes is checked before solubility, which
+    # would refuse the moved model: its fiber mod 2 has no smooth point
+    # that gives the solver shape
+    ("verdict", "moved"): _CHART_L1,
+    # verdict reads the routes off the model's own modulus
+    ("verdict", "other-fixture"): None,
     ("verdict", "zero"): _PRIMITIVE,
     ("verdict", "imprimitive-mod-5"): _PRIMITIVE,
     # verdict reads the form before the model
@@ -739,16 +830,21 @@ REFUSALS = {
     ("verdict", "seven-coefficients"): _SIX,
     ("verdict", "five-proportional"): _SIX,
     ("verdict", "seven-proportional"): _SIX,
-    ("census_11", "stripped"): _CONDUCTOR_11,
+    ("census_11", "stripped"): None,
     ("census_11", "moved"): _CHART_L1,
-    ("census_11_smoothpath", "stripped"): _CONDUCTOR_11,
+    ("census_11", "other-fixture"): _CONDUCTOR_11,
+    ("census_11_smoothpath", "stripped"): None,
     ("census_11_smoothpath", "moved"): None,
-    ("path_agreement_check", "stripped"): _CONDUCTOR_11,
+    ("census_11_smoothpath", "other-fixture"): _CONDUCTOR_11,
+    ("path_agreement_check", "stripped"): None,
     ("path_agreement_check", "moved"): _CHART_L1,
-    ("census_25", "stripped"): _CONDUCTOR_25,
+    ("path_agreement_check", "other-fixture"): _CONDUCTOR_11,
+    ("census_25", "stripped"): None,
     ("census_25", "moved"): _CONDUCTOR_25,
-    ("tangent_surjectivity_check", "stripped"): _CONDUCTOR_25,
+    ("census_25", "other-fixture"): _CONDUCTOR_25,
+    ("tangent_surjectivity_check", "stripped"): None,
     ("tangent_surjectivity_check", "moved"): _CONDUCTOR_25,
+    ("tangent_surjectivity_check", "other-fixture"): _CONDUCTOR_25,
 }
 # the entry points of the table, each with the modulus of its fixture;
 # the first five take a form, the others a model only
@@ -769,16 +865,17 @@ _FORM_ENTRIES = tuple(_REFUSAL_MODULI)[:5]
 
 def _refusal_arguments(m11, m25, entry, label):
     q = _REFUSAL_MODULI[entry]
-    fixture = m11 if q == 11 else m25
+    fixture, other = (m11, m25) if q == 11 else (m25, m11)
     stripped = DelPezzoModel.from_json_dict(fixture.to_json_dict())
     moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(79)))
     if entry not in _FORM_ENTRIES:
-        return ({"stripped": stripped, "moved": moved}[label],)
+        return ({"stripped": stripped, "moved": moved, "other-fixture": other}[label],)
     form = HEADLINE_H if q == 11 else OBSTRUCTED_25_H
     zero = (0,) * 6
     return {
         "stripped": (stripped, form),
         "moved": (moved, form),
+        "other-fixture": (other, form),
         "zero": (fixture, zero),
         "imprimitive-mod-5": (fixture, (5, 0, 0, 10, 0, 0)),
         "stripped-zero": (stripped, zero),
@@ -1141,9 +1238,7 @@ def test_the_smooth_route_cache_tells_l1_apart(m11):
     # the same quadrics with l1 doubled have the same fiber but another
     # smooth route: its value points are scaled by 1/(2 l1)
     doubled_l1 = [2 * c for c in m11.l1]
-    doubled = DelPezzoModel(
-        "doubled", m11.spec, m11.quadrics, doubled_l1, m11.l2, ramified_prime=11
-    )
+    doubled = DelPezzoModel("doubled", m11.spec, m11.quadrics, doubled_l1, m11.l2)
     for first, second in ((m11, doubled), (doubled, m11)):
         obstruction._FIBER_CACHE.clear()
         obstruction._route_11(first, "smooth")
@@ -1467,12 +1562,13 @@ def test_unramified_invariants(m11, m25):
     split = unramified_invariant_check(m11, 23)
     assert split["splitting"] == "split"
     assert split["invariant_trivial"]
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^11 ramifies in K, so its invariant is not checked here$"):
         unramified_invariant_check(m11, 11)
     # 7 splits completely in the zeta25 field (7^2 = -1 mod 25) but divides
-    # the index of Z[a]: disc m = 5^8 7^6, so m is inseparable mod 7
+    # the index of Z[a]: disc m = 5^8 7^6, so m is inseparable mod 7, and 7
+    # is not among the ramified primes
     assert discriminant(m25.spec.coefficients) == 5 ** 8 * 7 ** 6
-    with pytest.raises(DomainError, match="inseparable mod 7, so 7 ramifies in K or divides the index"):
+    with pytest.raises(DomainError, match=r"^7 is unramified in K but divides the index \[O_K : Z\[a\]\]$"):
         unramified_invariant_check(m25, 7)
 
 

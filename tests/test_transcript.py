@@ -3,7 +3,9 @@
 Each entry of ``CORPUS`` is an argv list run through ``cli.main`` in
 process.  Its digest covers the exit code, the standard error and the
 standard output with every ``wall_time_ms`` key dropped, so a change to any
-document, message or exit code shows up as a changed entry here.
+document, message or exit code shows up as a changed entry here.  Every
+entry runs in this directory, so a model file of ``models/`` is named by
+the same relative path wherever the suite is run from.
 ``python tools/transcript.py`` lists the entries that differ from
 ``TRANSCRIPT_SHA256``, and ``--record`` prints the table afresh.
 """
@@ -12,10 +14,13 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 
 import pytest
 
 from dp5brauer.cli import main
+from dp5brauer.model import U_QUADRIC_PAIRS, build_model, fixture
+from dp5brauer.numberfield import QuinticFieldSpec
 
 from quintics import lehmer_quintic
 
@@ -28,6 +33,14 @@ FIXTURES = ("fixture:zeta11plus", "fixture:zeta25")
 # each fixture's mod-2 insolubility class and its form l1
 INSOLUBLE = {"fixture:zeta11plus": "0,0,1,0,0,1", "fixture:zeta25": "0,0,1,1,0,0"}
 L1 = {"fixture:zeta11plus": "1,22,-363,165,-1859,484", "fixture:zeta25": "1,25,-700,200,-3425,575"}
+# model files: the ``construct`` outputs of Lehmer's n = -1 and n = 3 (one
+# ramified prime, 11, and two, 11 and 41) and zeta11plus with quadric 1's
+# u0*u5 coefficient raised by 1, off its chart mod 11
+# (``test_the_model_files_are_rebuilt_exactly``)
+MODEL_FILES = ("models/lehmer-1.json", "models/lehmer3.json", "models/zeta11plus-perturbed.json")
+# a form whose verdict on the perturbed quadrics, read off the chart, would be
+# obstruction_order_5
+PERTURBED_H = "-13,-11,0,0,0,22"
 # every prime up to 97; the large ones pin the fibers where the solver's plane t = 0 is largest
 FIBER_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
@@ -66,6 +79,11 @@ CORPUS = (
     ("census", "--modulus", "11", "--jobs", "1"),
     ("census", "--modulus", "25", "--jobs", "1"),
     ("census", "--model", "fixture:zeta11plus", "--modulus", "25", "--jobs", "1"),
+    *(
+        (command, "--model", m, "--h=" + (PERTURBED_H if "perturbed" in m else HEADLINE))
+        for m in MODEL_FILES
+        for command in ("invariants", "verdict")
+    ),
     ("cohomology",),
     ("verify-paper", "--fast"),
     ("verify-paper",),
@@ -269,6 +287,18 @@ TRANSCRIPT_SHA256 = {
         "09a031c18bd568d0d014a31162e2458c6bf0782a065e6f5da1c3314fb6755858",
     "census --model fixture:zeta11plus --modulus 25 --jobs 1":
         "4386d27e434040738e54596a8c06fdb00436f864e650b3fb68fafcc56a6df82b",
+    "invariants --model models/lehmer-1.json --h=0,1,0,-6,0,0":
+        "52f0f65350fa15b321040b7fb3a8bc9d00480ebddd7e0a60162d6434a3c4a25e",
+    "verdict --model models/lehmer-1.json --h=0,1,0,-6,0,0":
+        "52f0f65350fa15b321040b7fb3a8bc9d00480ebddd7e0a60162d6434a3c4a25e",
+    "invariants --model models/lehmer3.json --h=0,1,0,-6,0,0":
+        "6dbd800709adc468134128b7fab16d8012e539a8dbed45672a96a6828c751f60",
+    "verdict --model models/lehmer3.json --h=0,1,0,-6,0,0":
+        "6dbd800709adc468134128b7fab16d8012e539a8dbed45672a96a6828c751f60",
+    "invariants --model models/zeta11plus-perturbed.json --h=-13,-11,0,0,0,22":
+        "cdbc551432d885c5afe10bd65bc68fcba86840228276a500b278258ca412a0d7",
+    "verdict --model models/zeta11plus-perturbed.json --h=-13,-11,0,0,0,22":
+        "cdbc551432d885c5afe10bd65bc68fcba86840228276a500b278258ca412a0d7",
     "cohomology":
         "0941285182c1e4f381628152f0bfefec676ed8990e2e71e5b36163c892050eda",
     "verify-paper --fast":
@@ -315,11 +345,15 @@ def _without_wall_time(doc):
 def transcript(argv):
     """(exit code, stderr, stdout without ``wall_time_ms``) of one run."""
     out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(os.path.dirname(os.path.abspath(__file__)))
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(list(argv))
         except SystemExit as exc:
             code = exc.code
+        finally:
+            os.chdir(cwd)
     text = out.getvalue()
     if text:
         text = json.dumps(_without_wall_time(json.loads(text)), indent=2, sort_keys=True)
@@ -337,3 +371,20 @@ def test_the_corpus_has_no_duplicate_entry():
 @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
 def test_transcript_is_pinned(argv):
     assert digest(argv) == TRANSCRIPT_SHA256[" ".join(argv)]
+
+
+def test_the_model_files_are_rebuilt_exactly():
+    # the files are what ``construct --output`` writes today, and the
+    # fixture with one coefficient raised, so no entry reads a stale model
+    here = os.path.dirname(os.path.abspath(__file__))
+
+    def read(name):
+        with open(os.path.join(here, name), encoding="utf-8") as fh:
+            return json.load(fh)
+
+    for name, n in zip(MODEL_FILES, (-1, 3)):
+        assert read(name) == build_model(QuinticFieldSpec(lehmer_quintic(n))).to_json_dict()
+    perturbed = fixture("zeta11plus").to_json_dict()
+    perturbed["quadrics"][0][U_QUADRIC_PAIRS.index((0, 5))] += 1
+    perturbed["source"] = "zeta11plus with quadric 1's u0*u5 coefficient raised by 1"
+    assert read(MODEL_FILES[2]) == perturbed

@@ -213,7 +213,8 @@ MUTANTS = (
         'if route == "chart" or model.modulus != 11:',
         'if route == "chart":',
         (
-            "tests/test_obstruction.py::test_refusals_are_pinned[inv_image_11_smoothpath-stripped]",
+            "tests/test_obstruction.py::test_refusals_are_pinned[inv_image_11_smoothpath-other-fixture]",
+            "tests/test_obstruction.py::test_refusals_are_pinned[census_11_smoothpath-other-fixture]",
         ),
     ),
     Mutant(
@@ -501,7 +502,7 @@ MUTANTS = (
     Mutant(
         "contradiction-exits-three",
         CLI,
-        "return 4 if isinstance(exc, (FiberInconsistencyError, ChartError)) else 3",
+        "return 4 if internal else 3",
         "return 3",
         ("tests/test_cli.py::test_internal_contradictions_exit_with_four",),
     ),
@@ -540,9 +541,38 @@ MUTANTS = (
     Mutant(
         "wild-modulus-read-as-five",
         MODEL,
-        "return None if p is None else 25 if p == 5 else p",
-        "return None if p is None else p",
+        "return 25 if primes[0] == 5 else primes[0]",
+        "return primes[0]",
         ("tests/test_model.py::test_the_modulus_is_read_off_the_ramified_prime",),
+    ),
+    # the ramified primes read off the field, and the chart premise checked
+    # on every chart route
+    Mutant(
+        "eisenstein-test-read-mod-p",
+        NUMBERFIELD,
+        "if sum(a * c ** i for i, a in enumerate(f)) % (p * p) == 0:",
+        "if sum(a * c ** i for i, a in enumerate(f)) % p == 0:",
+        ("tests/test_numberfield.py::test_ramified_primes_are_pinned",),
+    ),
+    Mutant(
+        "wild-prime-test-dropped",
+        NUMBERFIELD,
+        "    if not (a4 % 5 or a3 % 5 or a2 % 5 or a1 % 5):\n        candidates.append((5, -a0 % 5))\n",
+        "",
+        (
+            "tests/test_numberfield.py::test_ramified_primes_are_pinned",
+            "tests/test_model.py::test_zeta25_fixture_data",
+        ),
+    ),
+    Mutant(
+        "chart-certificate-skipped",
+        OBSTRUCTION,
+        "        raise DomainError(f\"chart evaluation needs l1 = u0 modulo {modulus}\")\n    verify_chart(model)\n",
+        "        raise DomainError(f\"chart evaluation needs l1 = u0 modulo {modulus}\")\n",
+        (
+            "tests/test_obstruction.py::test_a_model_off_its_chart_is_refused_by_every_chart_route",
+            "tests/test_cli.py::test_a_model_file_off_its_chart_or_its_lifts_exits_with_three",
+        ),
     ),
     # local solubility computed from the model
     Mutant(
