@@ -506,12 +506,6 @@ def _plane_solutions(a, c, t, det, p):
     return np.concatenate([solved, np.column_stack([u[keep], t[plane[keep]]])])
 
 
-def jacobian_matrix_mod_p(model, p, point):
-    """5x6 matrix of quadric partials at a point, entries mod p."""
-    x = np.array([int(c) % p for c in point], dtype=np.int64)
-    return (_polar_mod_p(model, p) @ x % p).tolist()
-
-
 def _row_reduce_mod_p(mats, p):
     """Gauss-Jordan elimination mod p of a stack of matrices, shape (n, r, c).
 

@@ -120,11 +120,6 @@ class QuinticSystem(NamedTuple):
     spec: QuinticFieldSpec
     basis: IntMatrix
 
-    def double_vanishing_holds(self):
-        """Every basis row lies in the kernel of ``double_vanishing_matrix``."""
-        product = double_vanishing_matrix(self.spec) @ self.basis.transpose()
-        return not any(any(row) for row in product.entries)
-
 
 class DelPezzoModel:
     """Five integral quadrics plus the forms l1, l2 over the field of
@@ -178,12 +173,6 @@ class DelPezzoModel:
 
     def quadric_vectors(self):
         return [list(q) for q in self.quadrics]
-
-    def evaluate_quadrics(self, point):
-        return _quadric_values(self.quadrics, point)
-
-    def check_point(self, point):
-        return not any(self.evaluate_quadrics(point))
 
     def hyperplane_value(self, form, point):
         return sum(int(c) * int(x) for c, x in zip(form, point))

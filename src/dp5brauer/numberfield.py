@@ -6,9 +6,9 @@ numerators over one positive common denominator, in lowest terms
 Fractions enter only where a caller hands rationals in (the constructor,
 so ``spec.element`` and ``spec.rational``, a rational operand through
 ``_coerce``, and ``evaluate_poly``'s coefficients) and leave only where a
-caller asks for them (``coords``, ``rational_value``).  Between the two,
-the conjugate lift, products, embeddings and Horner's rule carry integer
-numerators over one denominator, and no path divides in the field.
+caller asks for them (``coords``).  Between the two, the conjugate lift,
+products, embeddings and Horner's rule carry integer numerators over one
+denominator, and no path divides in the field.
 
 Conjugates of the generator are certified, not assumed: they are found by
 Frobenius lifting at an inert prime, reconstructed over Q, and then verified
@@ -238,7 +238,7 @@ class NumberFieldElement:
     polynomial, which keeps them integral; each result is brought to lowest
     terms by one gcd.  Fractions enter here only as the constructor's
     coordinates and as a rational operand (``_coerce``), and leave only as
-    ``coords``, the same element as five Fractions, and ``rational_value``.
+    ``coords``, the same element as five Fractions.
     """
 
     __slots__ = ("spec", "num", "den")
@@ -302,14 +302,6 @@ class NumberFieldElement:
 
     def __bool__(self):
         return any(self.num)
-
-    def is_rational(self):
-        return not any(self.num[1:])
-
-    def rational_value(self):
-        if not self.is_rational():
-            raise DomainError("element is not rational")
-        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"NumberFieldElement({[str(c) for c in self.coords]})"

@@ -16,11 +16,18 @@ enumerated fiber; ``path_agreement_check`` verifies wholesale that they
 agree.  At 25 the residue formula of ``inv_image_25`` is checked against
 the values at the chart lifts mod 25.
 
+Both censuses are theorems on the shape of a form on the chart:
+``census_11`` reads the z-free forms at 11 table rows and checks its u5
+rule on 121 depressed cubics, and ``census_25`` reads 3,125 kappa forms.
+The sweeps of the mask kernel over every form mod 11
+(``census_11_smoothpath``, ``path_agreement_check``) are the oracles of
+the count at 11.
+
 An image is a 5-bit mask over the cosets of the fifth powers: bit i is the
 coset ``fifth_power_classes(q).classes[i]``, so the identity coset is bit
 0.  That group is the one coset table of a modulus, the coset index and
 the bits of every residue and of its inverse, and the per-form images
-(``InvariantImage.mask``) and the census kernels read the same bits; the
+(``InvariantImage.mask``) and the mask kernel read the same bits; the
 coset tuples of a document are read off the mask.
 """
 
@@ -30,7 +37,6 @@ import math
 import os
 import random
 import time
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from itertools import product
@@ -55,7 +61,7 @@ from .fibers import (
     solve_mod_p,
     verify_chart,
 )
-from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram
+from .model import DelPezzoModel, _chart_tables, _form_vectors, _quadric_gram, fixture
 from .numberfield import _is_prime, minpoly_splitting_mod_p, ramified_primes
 
 U0_FORM = (1, 0, 0, 0, 0, 0)
@@ -672,9 +678,29 @@ def geometrically_irreducible(model, h):
     )
 
 
+# the verdicts the paper states, by fixture and form
 _PUBLISHED_VERDICTS = {
     ("zeta11plus", (0, 1, 0, -6, 0, 0)): "obstruction_order_5",
 }
+
+
+@lru_cache(maxsize=None)
+def _fixture_data(name):
+    """The quadrics, l1, l2 and minimal polynomial of a fixture, built once
+    per process: a fixture is a constant."""
+    m = fixture(name)
+    return m.quadrics, m.l1, m.l2, m.spec
+
+
+def _published_verdict(model, coeffs):
+    """The paper's verdict on the form when the model's data are those of
+    the fixture it names (``_fixture_data``), so that a fixture written to
+    a file is compared as the fixture is."""
+    data = (model.quadrics, model.l1, model.l2, model.spec)
+    for (name, h), published in _PUBLISHED_VERDICTS.items():
+        if h == coeffs and data == _fixture_data(name):
+            return published
+    return None
 
 
 @dataclass(frozen=True)
@@ -762,7 +788,7 @@ def verdict(model, h):
         result = "no_obstruction"
     else:
         result = "obstruction_order_5"
-    published = _PUBLISHED_VERDICTS.get((model.name, coeffs))
+    published = _published_verdict(model, coeffs)
     if published is not None:
         comparison = {
             "published_verdict": published,
@@ -915,9 +941,12 @@ def _orbit_masks_11(route, bases):
     gathered.  Every mask is therefore the one that evaluating all forms
     and then overwriting the fired ones gives.  The forms that fire no
     fixed trigger are the kernel of the fixed trigger matrix mod 11, so the
-    exhaustive sweeps enumerate them as orbits
-    (``_unfired_class_masks_11``) and skip the fixed trigger pass: 1,465
-    bases on the chart route of zeta11plus and 134 on its smooth route.
+    exhaustive sweeps (``census_11_smoothpath``, ``path_agreement_check``)
+    enumerate them as orbits of ``_unfired_bases_11`` and skip the fixed
+    trigger pass: 1,465 bases on the chart route of zeta11plus and 134 on
+    its smooth route.  ``census_11`` reads none of this: on the chart every
+    image is the value set of an explicit polynomial, and the sweeps are
+    the oracles of its count.
 
     Scaling law, for both routes at once.  Let lam be a unit mod 11.  Then
     (lam*h)(P) = lam*h(P) at every point, so lam*h is a unit at the same
@@ -1008,15 +1037,6 @@ def _unfired_bases_11(l1, fixed):
     return bases
 
 
-def _unfired_class_masks_11(route):
-    """(bases, shifts, columns, masks) of the classes that fire no fixed
-    trigger: class k is bases[:, columns[k]] + shifts[k]*l1, with mask
-    masks[k]; no fixed trigger pass runs, as none fires."""
-    shifts, columns = _orbit_classes_11(route.bases.shape[1])
-    masks = _TRANSLATED_MASKS_11[shifts, _value_sets(route.value_tables, route.bases)[columns]]
-    return route.bases, shifts, columns, masks
-
-
 def _scalings_11(forms):
     """(6, 10, n) array whose entry [:, lam - 1, j] is lam times column j, mod 11."""
     return forms[:, None, :] * np.arange(1, 11, dtype=np.int32)[:, None] % 11
@@ -1026,17 +1046,6 @@ def _obstructing_scalings(masks):
     """(10, n) flags: row lam - 1 marks the columns h where lam*h omits the
     identity, i.e. where the coset of lam is missing from the mask of h."""
     return (masks & fifth_power_classes(11).bits[1:, None]) == 0
-
-
-def _classify_obstructing_11(h):
-    h0, h1, h2, h3, h4, _ = h
-    if h2 or h4:
-        return "other"
-    if h1 == 0 and h3 == 0:
-        return "constant"
-    if h3 != 0 and (h1 * h1 - 4 * h0 * h3) % 11 != 0:
-        return "separable_quadratic"
-    return "other"
 
 
 def _census_11_formula():
@@ -1060,121 +1069,104 @@ def _census_11_formula():
 def census_11(model, jobs=1, validate_surjectivity=False):
     """Count the residues h mod 11 whose invariant image omits the identity.
 
-    Forms with nonzero u5 coefficient have full image and never obstruct.
-    The u5-free forms, the forms that fire no chart trigger e5, are
-    counted through the chart masks of their projective classes, read as
-    the eleven translates of 1,465 bases (``_unfired_bases_11``): a class
-    h stands for the multiples lam*h with the coset of lam missing from its
-    mask (the scaling law of ``_orbit_masks_11``).  The obstructing
-    classes are re-derived from the shape classification as an independent
-    check.  ``jobs`` is accepted and echoed as ``workers``; the count runs
-    in-process, since it takes less time than starting a worker.
+    On the chart (``_chart_tables(11)``, where l1 = u0) the value of h/l1 at
+    the point over (y, z) is
 
-    ``validate_surjectivity`` additionally verifies the fullness claim for
-    all 11^6 - 11^5 = 1,610,510 u5-dependent forms, and names the first
-    form found partial.  Fullness is invariant under scaling, so the forms
-    with u5 = 1 suffice: the translates b + c*u0 of the 14,641 bases b =
-    (0, b1, ..., b4, 1).  They fall into 1,331 orbits of the y-translations,
-    and the sweep reads the chart values of one base per orbit, (0, b1, b2,
-    0, b4, 1) (``_u5_representatives_11``), at the 11 shifts c:
+        h0 + h1*y + h2*z + h3*y^2 + h4*y*z + h5*(y^3 + z^2),
 
-    - y -> y + s permutes the chart points, and the matrix T_s with
-      T_s P(y, z) = P(y + s, z) carries it out, so h and T_s^T h, whose
-      value at P is h(T_s P), have the same value set on the chart route.
-    - T_s^T fixes u0 (T_s^T e0 = e0) and keeps the u5 coefficient.  It
-      moves the u3 coefficient of a u5 = 1 form from b3 to b3 + 3s, the 3s
-      coming from (y + s)^3.
-    - So T_s^T sends the eleven translates of a base b to the eleven
-      translates of the base b' with b'3 = b3 + 3s, with the same masks:
-      the u0 coefficient it changes is absorbed by the translates c*u0.
-    - 3 is a unit mod 11, so each orbit holds exactly one base with b3 = 0.
+    and the image holds the identity coset, the fifth powers {1, 10}, when
+    h takes the value 1 or 10 (the coset is closed under inverses).  Three
+    cases cover every form:
 
-    ``_check_y_translations_11`` checks these properties of every T_s on
-    the route, after the representatives are swept, so that a partial
-    representative is still named first.
+    - h5 != 0: the image is full (the chart route's u5 rule, which
+      ``validate_surjectivity`` checks), so h never obstructs.
+    - h5 = 0 and h2 or h4 != 0: at a y with h2 + h4*y != 0 the value is
+      affine in z with a nonzero slope, so it takes the value 1, and the
+      identity coset is attained.  h never obstructs.
+    - The 1,330 z-free forms h0 + h1*y + h3*y^2: their values are those at
+      the 11 table rows with z = 0, and they obstruct when none is 1 or 10.
+
+    Each obstructing form must be a constant (h1 = h3 = 0) or a separable
+    quadratic (h3 != 0 and h1^2 - 4*h0*h3 != 0), the two counts of the
+    breakdown; a form of another shape raises, as ``census_25`` does.
+    ``formula_breakdown`` derives both counts again from the shapes alone
+    (``_census_11_formula``), and the sweeps of the mask kernel over every
+    form (``census_11_smoothpath``, ``path_agreement_check``) are the
+    oracles of the count.  ``jobs`` is accepted and echoed as ``workers``;
+    the count runs in-process, since it takes less time than starting a
+    worker.
+
+    ``validate_surjectivity`` first checks the u5 rule: the 121 depressed
+    cubics (d, b, 0, 0, 0, 1), of value y^3 + b*y + d + z^2, must have full
+    images at the 121 table rows, and the first partial one, d the lowest
+    digit, is named.  These cover all 11^6 - 11^5 = 1,610,510 forms with
+    h5 != 0, as three moves keep the image of such a form h:
+
+    - scaling by the unit 1/h5 permutes the cosets of the image (the scaling
+      law of ``_orbit_masks_11``), so a full image stays full, and h5 = 1;
+    - 2 is a unit mod 11, so for each y the shift z -> z - (h2 + h4*y)/2
+      permutes the chart points over y and completes the square: it turns
+      z^2 + (h2 + h4*y)*z into z^2 - (h2 + h4*y)^2/4, leaving a value
+      y^3 + a*y^2 + b'*y + d' + z^2;
+    - 3 is a unit, so the shift y -> y - a/3 permutes the chart points too,
+      and it removes the y^2 term, leaving y^3 + b*y + d + z^2.
+
+    The value set, so the image, is that of the cubic (d, b).  For each
+    (h2, h3, h4) the map (h0, h1) -> (d, b) is a translation, so each cubic
+    stands for 11^3 forms with h5 = 1, and each of those for its ten
+    multiples.
     """
     start = time.monotonic()
-    route = _route_11(model, "chart")
+    _require_fixture_chart(model, 11)
     if jobs is None:
         jobs = os.cpu_count() or 1
     jobs = max(1, int(jobs))
-
-    bases, shifts, columns, masks = _unfired_class_masks_11(route)
-    # only the flagged multiples lam*h are formed, not all ten of every class h
-    lam, k = np.nonzero(_obstructing_scalings(masks))
-    forms = bases[:, columns[k]] + shifts[k] * route.l1[:, None]
-    classes = sorted(map(tuple, (forms * (lam + 1) % 11).T.tolist()))
-    kinds = Counter(map(_classify_obstructing_11, classes))
-    breakdown = {"constant": 0, "separable_quadratic": 0, **kinds}
+    points = _chart_tables(11)[0]
+    group = fifth_power_classes(11)
 
     if validate_surjectivity:
-        # l1 = u0 on the chart, so the u5 = 1 forms are b + c*u0 for these bases
-        bases = _u5_representatives_11()
-        masks = _TRANSLATED_MASKS_11[:, _value_sets(route.value_tables, bases)]
+        cubics = np.zeros((6, 11 ** 2), dtype=np.int64)
+        cubics[[0, 1]] = _digit_columns(np.arange(11 ** 2), 11, 2)
+        cubics[5] = 1
+        masks = np.bitwise_or.reduce(group.inverse_bits[points @ cubics % 11], axis=0)
         partial = np.flatnonzero(masks != _FULL_MASK)
         if len(partial):
-            c, j = divmod(int(partial[0]), bases.shape[1])
-            form = tuple(((bases[:, j] + c * route.l1) % 11).tolist())
+            form = tuple(cubics[:, partial[0]].tolist())
             raise FiberInconsistencyError(
                 f"the u5-dependent form {form} failed the fullness claim; the "
                 "census's u5 rule would be unsound"
             )
-        _check_y_translations_11(route)
+
+    # the z-free forms, h0 the lowest digit, read at the rows with z = 0
+    forms = np.zeros((6, 11 ** 3 - 1), dtype=np.int64)
+    forms[[0, 1, 3]] = _digit_columns(np.arange(1, 11 ** 3), 11, 3)
+    hits = group.index[points[points[:, 2] == 0] @ forms % 11] == 0
+    obstructing = forms[:, ~hits.any(axis=0)]
+    h0, h1, _, h3, _, _ = obstructing
+    constant = (h1 == 0) & (h3 == 0)
+    separable = (h3 != 0) & ((h1 * h1 - 4 * h0 * h3) % 11 != 0)
+    other = np.flatnonzero(~(constant | separable))
+    if len(other):
+        form = tuple(obstructing[:, other[0]].tolist())
+        raise FiberInconsistencyError(
+            f"the obstructing form {form} is neither a constant nor a separable quadratic"
+        )
+    classes = sorted(map(tuple, obstructing.T.tolist()))
 
     result = {
         "model": model.name,
         "modulus": 11,
         "total": CENSUS_11_TOTAL,
         "obstructing": len(classes),
-        "breakdown": breakdown,
+        "breakdown": {"constant": int(constant.sum()), "separable_quadratic": int(separable.sum())},
         "formula_breakdown": _census_11_formula(),
         "obstructing_classes": tuple(classes),
         "wall_time_ms": int((time.monotonic() - start) * 1000),
         "workers": jobs,
     }
     if validate_surjectivity:
-        # each representative's orbit holds 11 bases, each with 10 multiples
-        result["surjectivity_checked"] = 10 * 11 * masks.size
+        result["surjectivity_checked"] = 10 * 11 ** 3 * cubics.shape[1]
     return result
-
-
-def _u5_representatives_11():
-    """The 1,331 bases (0, b1, b2, 0, b4, 1) as columns, b1 the lowest
-    digit: one per y-translation orbit of the u5 = 1 bases (``census_11``)."""
-    reps = np.zeros((6, 11 ** 3), dtype=np.int32)
-    reps[[1, 2, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)
-    reps[5] = 1
-    return reps
-
-
-def _check_y_translations_11(route):
-    """Refuse the orbit sweep of ``census_11`` unless the T_s act on the
-    chart route as its proof needs: T_s permutes the route's value points,
-    and T_s^T fixes u0, keeps the u5 coefficient and adds 3s times it to
-    the u3 coefficient.
-
-    T_1 P(y, z) = P(y + 1, z) is solved on the 121 points of
-    ``_chart_tables(11)``, whose rows run over (y, z) in ``product`` order,
-    so rolled back by 11 rows they read P(y + 1, z): one row reduction of
-    [P | P rolled] gives the six rows of T_1 as particular solutions, read
-    off ``_free_kernels`` as in ``solve_mod_p``.  The points span F_11^6,
-    so T_1 is the only solution, and T_s = T_1^s.  Checking T_1 checks
-    every T_s: powers of a permutation of the value points permute them,
-    T_s^T e0 = e0 and T_s e5 = e5 follow from s = 1, and T_s e3 =
-    T_(s-1) (e3 + 3 e5) = e3 + 3s e5 by induction, the entries of column 3
-    of T_s being the u3 coefficients of T_s^T e_k.
-    """
-    points = _chart_tables(11)[0]
-    reduced, pivots = _row_reduce_mod_p(np.hstack([points, np.roll(points, -11, axis=0)])[None], 11)
-    t = -_free_kernels(reduced[0], pivots[0], 11)[6:, :6] % 11
-    eye = np.eye(6, dtype=np.int64)
-    codes = [np.sort(rows @ _POWERS_11) for rows in (route.values, route.values @ t.T % 11)]
-    permuted = np.array_equal(*codes)
-    columns = (t[:, 5] == eye[5]).all() and (t[:, 3] == eye[3] + 3 * eye[5]).all()
-    if pivots[0, 6:].any() or not (permuted and columns and (t[0] == eye[0]).all()):
-        raise FiberInconsistencyError(
-            "the translation y -> y + 1 does not act on the chart route as the u5 fullness sweep needs"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -1322,9 +1314,13 @@ def census_11_smoothpath(model):
     count over all 11^6 - 1 forms.  The classes that fire no fixed trigger
     are the kernel of the fixed trigger matrix mod 11, and only they are
     scanned, as the eleven translates of each of 134 bases on zeta11plus
-    (``_unfired_bases_11``); every other class has weight 0.
+    (``_unfired_bases_11``), with no fixed trigger pass, as none fires;
+    every other class has weight 0.
     """
-    flags = _obstructing_scalings(_unfired_class_masks_11(_route_11(model, "smooth"))[3])
+    route = _route_11(model, "smooth")
+    shifts, columns = _orbit_classes_11(route.bases.shape[1])
+    masks = _TRANSLATED_MASKS_11[shifts, _value_sets(route.value_tables, route.bases)[columns]]
+    flags = _obstructing_scalings(masks)
     return {"model": model.name, "total": CENSUS_11_TOTAL, "obstructing": int(flags.sum())}
 
 

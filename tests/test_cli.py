@@ -435,20 +435,24 @@ def _model_file(tmp_path, m):
 @pytest.mark.parametrize("name", ["zeta11plus", "zeta25"])
 def test_a_fixture_written_to_json_answers_as_the_fixture(capsys, tmp_path, name):
     # nothing of a fixture is lost in its file: the documents differ only in
-    # the model field (and census's wall time)
+    # the model field (and census's wall time); the headline verdict on the
+    # file of zeta11plus carries the published comparison, as on the fixture
     path = _model_file(tmp_path, model.fixture(name))
     h, modulus = {"zeta11plus": ("0,1,0,-7,0,0", "11"), "zeta25": ("2,-15,0,10,0,0", "25")}[name]
-    for command, *rest in (
+    headline = [("verdict", "--h", "0,1,0,-6,0,0")] if name == "zeta11plus" else []
+    for command, *rest in [
         ("invariants", "--h", h),
         ("verdict", "--h", h),
         ("census", "--modulus", modulus, "--jobs", "1"),
-    ):
+        *headline,
+    ]:
         docs = []
         for selector in (f"fixture:{name}", path):
             code, out, err = run_cli(capsys, [command, "--model", selector, *rest])
             assert (code, err) == (0, "")
             docs.append({k: v for k, v in json.loads(out).items() if k not in ("model", "wall_time_ms")})
         assert docs[0] == docs[1]
+        assert ("paper_claim_comparison" in docs[1]) == (rest[-1] == "0,1,0,-6,0,0")
 
 
 def _perturbed_file(tmp_path, m, k, pair, step):

@@ -25,7 +25,6 @@ from dp5brauer.fibers import (
     classify_fiber,
     enumerate_fiber,
     find_lines,
-    jacobian_matrix_mod_p,
     rank_mod_p,
     singular_points,
     solve_mod_p,
@@ -44,7 +43,7 @@ from dp5brauer.model import (
 from dp5brauer.numberfield import QuinticFieldSpec, minpoly_splitting_mod_p
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
-from quintics import lehmer_model, lehmer_quintic
+from quintics import evaluate_quadrics, jacobian_matrix_mod_p, lehmer_model, lehmer_quintic
 
 PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
@@ -218,7 +217,7 @@ def test_chart_restriction_commutes_with_evaluation(m11):
             sum(int(r[b, c]) * y ** b * z ** c for (b, c), _ in np.ndenumerate(r))
             for r in restricted
         )
-        assert values == m.evaluate_quadrics(point)
+        assert values == evaluate_quadrics(m, point)
 
 
 def test_a_stripped_fixture_certifies_its_chart_and_a_construct_output_is_refused(m11, m25):
@@ -628,11 +627,11 @@ def _substituted(m, g):
 
     Polarization holds in every characteristic: the coefficient of v_i^2 is
     q(g e_i) and that of v_i v_j is q(g (e_i + e_j)) - q(g e_i) - q(g e_j).
-    The values come from ``evaluate_quadrics`` of m, not from a Gram array.
+    The values come from ``evaluate_quadrics`` on m, not from a Gram array.
     """
 
     def q(*cols):
-        return m.evaluate_quadrics([sum(g[r][c] for c in cols) for r in range(6)])
+        return evaluate_quadrics(m, [sum(g[r][c] for c in cols) for r in range(6)])
 
     coeffs = [
         q(i) if i == j else [a - b - c for a, b, c in zip(q(i, j), q(i), q(j))]

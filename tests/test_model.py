@@ -50,7 +50,15 @@ from dp5brauer.numberfield import (
 )
 from dp5brauer.obstruction import _random_invertible_mod11, transformed_model_mod11
 
-from quintics import lehmer_model, lehmer_quintic
+from quintics import (
+    check_point,
+    double_vanishing_holds,
+    evaluate_quadrics,
+    is_rational,
+    lehmer_model,
+    lehmer_quintic,
+    rational_value,
+)
 
 L1_STORED = (1, 22, -363, 165, -1859, 484)
 L2_STORED = (1, 22, -352, 143, -1595, 363)
@@ -109,7 +117,7 @@ def test_stored_points_lie_on_every_quadric(m11, m25):
     for m in (m11, m25):
         assert len(m.integral_points) == 10
         for point in m.integral_points:
-            assert m.check_point(point)
+            assert check_point(m, point)
         assert lattice_index(m.integral_points) == 2
 
 
@@ -253,7 +261,7 @@ def test_double_vanishing_rejects_a_quintic_off_the_orbit(built11):
     rows = [list(r) for r in built11.system.basis.entries]
     rows[0][DEG5_MONOMIALS.index((5, 0, 0))] += 1
     moved = QuinticSystem(built11.spec, IntMatrix(rows))
-    assert not moved.double_vanishing_holds()
+    assert not double_vanishing_holds(moved)
 
 
 def test_build_model_reproduces_the_quintic_system(built11):
@@ -261,7 +269,7 @@ def test_build_model_reproduces_the_quintic_system(built11):
     assert len(built11.quadrics) == 5
     assert built11.system is not None
     assert built11.system.basis.rows == 6
-    assert built11.system.double_vanishing_holds()
+    assert double_vanishing_holds(built11.system)
 
 
 def test_built_line_products_are_distinct_but_congruent(built11):
@@ -341,8 +349,8 @@ def _field_orbit_product(spec, system, g, step):
                 grown[key] = grown.get(key, spec.rational(0)) + w
         product = grown
     coeffs = [product[b, c] for _, b, c in DEG5_MONOMIALS]
-    assert all(c.is_rational() for c in coeffs)
-    fractions = [Fraction(c.rational_value()) for c in coeffs]
+    assert all(is_rational(c) for c in coeffs)
+    fractions = [rational_value(c) for c in coeffs]
     scale = lcm(*(f.denominator for f in fractions))
     vec = primitive_part([int(f * scale) for f in fractions])
     return primitive_part(solve_in_lattice(system.basis, vec))
@@ -404,7 +412,7 @@ def test_point_search_stays_on_the_surface(m11):
     found = search_integral_points(m11, window=3)
     assert found
     for point in found:
-        assert m11.check_point(point)
+        assert check_point(m11, point)
 
 
 # SHA-256 of the repr of search_integral_points(m, w) on both fixtures, the
@@ -423,8 +431,8 @@ def test_every_searched_point_is_checked(m11, m25):
     # the moved model lacks the solver shape, and (1, 0, 0, 0, 0, 0) is not
     # on it: its quadric values there are (3, 9, 6, 3, 6)
     moved = transformed_model_mod11(m11, _random_invertible_mod11(random.Random(11)))
-    assert moved.evaluate_quadrics((1, 0, 0, 0, 0, 0)) == (3, 9, 6, 3, 6)
+    assert evaluate_quadrics(moved, (1, 0, 0, 0, 0, 0)) == (3, 9, 6, 3, 6)
     assert search_integral_points(moved, window=1) == []
     for m in (moved, m11, m25):
         for window in (1, 2):
-            assert all(m.check_point(point) for point in search_integral_points(m, window))
+            assert all(check_point(m, point) for point in search_integral_points(m, window))

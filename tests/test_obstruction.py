@@ -22,7 +22,6 @@ from dp5brauer import fibers, obstruction
 from dp5brauer.errors import ChartError, DomainError, FiberInconsistencyError
 from dp5brauer.fibers import (
     enumerate_fiber,
-    jacobian_matrix_mod_p,
     singular_points,
     solve_mod_p,
     verify_chart,
@@ -59,13 +58,17 @@ from dp5brauer.obstruction import (
     _unfired_representatives_11,
 )
 
-from quintics import lehmer_model
+from quintics import evaluate_quadrics, jacobian_matrix_mod_p, lehmer_model
 
 HEADLINE_H = (0, 1, 0, -6, 0, 0)
 # SHA-256 of the uint8 masks of the 177,156 projective representatives on
 # zeta11plus, recorded from the kernel that formed every value h(P) as an
 # int32 product; the two routes agree, so both hashes are this one
 REPRESENTATIVE_MASKS_SHA256 = "dd0e55f3e8df662473ff90bde0f53e250ecba02b700d43e3689fe29a95fca569"
+# SHA-256 of the 228 obstructing classes of ``census_11`` on zeta11plus,
+# sorted, as a (228, 6) uint8 array; recorded from the orbit sweep of the
+# chart route that counted them before the census read the chart table
+CENSUS_11_CLASSES_SHA256 = "f047d61e4f36ba243a3784f1add37a294404346dac38c2625f618101f75ac08b"
 OBSTRUCTED_25_H = (2, -15, 0, 10, 0, 0)
 # the 25 chart points mod 5 in (y, z) order, from the scalar formula
 CHART_5 = [chart_point(y, z, 5) for y, z in product(range(5), repeat=2)]
@@ -333,7 +336,7 @@ def test_lift_array_values_match_a_python_sum(m25):
     assert len(set(points)) == 625
     for k, pt in enumerate(points):
         assert tuple(c % 5 for c in pt) == CHART_5[k // 25]
-        assert not any(v % 25 for v in m25.evaluate_quadrics(pt))
+        assert not any(v % 25 for v in evaluate_quadrics(m25, pt))
     group = fifth_power_classes(25)
     rng = random.Random(300)
     checked = 0
@@ -466,7 +469,7 @@ def _solved_lift_points(model):
     lifts = []
     for y, z in product(range(5), repeat=2):
         x = chart_point(y, z, 5)
-        qv = model.evaluate_quadrics(x)
+        qv = evaluate_quadrics(model, x)
         assert not any(q % 5 for q in qv)
         rhs = [(-(q % 25) // 5) % 5 for q in qv]
         jac = [row[1:] for row in jacobian_matrix_mod_p(model, 5, x)]
@@ -678,6 +681,16 @@ def test_headline_verdict_is_computed_not_copied(m11):
     assert doc["paper_claim_comparison"]["status"] == "flagged"
 
 
+def test_the_published_verdict_is_matched_by_the_model_data(m11):
+    # the name alone carries no comparison: a model named zeta11plus with
+    # another l2 is another model, though its verdict on the form is the same
+    l2 = [2 * c for c in m11.l2]
+    renamed = DelPezzoModel("renamed", m11.spec, m11.quadrics, m11.l1, l2, name="zeta11plus")
+    report = verdict(renamed, HEADLINE_H)
+    assert report.verdict == verdict(m11, HEADLINE_H).verdict
+    assert report.claim_comparison is None
+
+
 def _without(doc, *keys):
     return {k: v for k, v in doc.items() if k not in keys}
 
@@ -686,7 +699,8 @@ def _without(doc, *keys):
 def test_a_stripped_fixture_answers_as_the_fixture(m11, m25, name):
     # a fixture written to JSON keeps its field, so its ramified prime: the
     # images, verdicts and census are the fixture's, apart from the model
-    # name, and the published verdict is compared on the named fixture only
+    # name; the published verdict is matched by the model's data, so the
+    # file of zeta11plus carries the headline comparison too
     fixture, census, forms = {
         "zeta11plus": (m11, census_11, (HEADLINE_H, (0, 1, 0, -7, 0, 0), (0, 0, 0, 0, 1, 0))),
         "zeta25": (m25, census_25, (OBSTRUCTED_25_H, HEADLINE_H, (0, 0, 0, 0, 0, 1))),
@@ -697,8 +711,8 @@ def test_a_stripped_fixture_answers_as_the_fixture(m11, m25, name):
         assert two_route_images(stripped, h) == two_route_images(fixture, h)
         want = verdict(fixture, h).to_json_dict()
         got = verdict(stripped, h).to_json_dict()
-        assert "paper_claim_comparison" not in got
-        assert _without(got, "model") == _without(want, "model", "paper_claim_comparison")
+        assert ("paper_claim_comparison" in got) == (name == "zeta11plus" and h == HEADLINE_H)
+        assert _without(got, "model") == _without(want, "model")
     assert _without(census(stripped), "model", "wall_time_ms") == _without(census(fixture), "model", "wall_time_ms")
 
 
@@ -908,6 +922,18 @@ def test_census_11_counts(m11):
     assert result["formula_breakdown"] == result["breakdown"]
     assert len(result["obstructing_classes"]) == 228
     assert all(h[5] == 0 for h in result["obstructing_classes"])
+
+
+def test_census_classes_are_the_forms_the_chart_kernel_says_obstruct(m11):
+    # the oracle: the multiples lam*r of the 177,156 representatives that
+    # omit the identity on the chart route's mask kernel
+    reps = _representatives_11()
+    lam, j = np.nonzero(obstruction._obstructing_scalings(_image_masks_11(m11, reps, "chart")))
+    swept = sorted(map(tuple, (reps[:, j] * (lam + 1) % 11).T.tolist()))
+    classes = census_11(m11)["obstructing_classes"]
+    assert list(classes) == swept
+    digest = hashlib.sha256(np.array(classes, dtype=np.uint8).tobytes()).hexdigest()
+    assert digest == CENSUS_11_CLASSES_SHA256
 
 
 def test_census_11_is_worker_independent(m11):
@@ -1193,8 +1219,8 @@ def test_a_value_point_off_l1_equal_one_is_refused(m11, monkeypatch):
         message = rf"value point {re.escape(str(first.tolist()))} of the {route} route has l1 = 2"
         with pytest.raises(FiberInconsistencyError, match=message):
             _image_masks_11(m11, _representatives_11((1,)), route)
-    with pytest.raises(FiberInconsistencyError, match="value point"):
-        census_11(m11)
+    # the census reads the chart table, not a route
+    assert census_11(m11)["obstructing"] == 228
     with pytest.raises(FiberInconsistencyError, match="value point"):
         census_11_smoothpath(m11)
     with pytest.raises(FiberInconsistencyError, match="value point"):
@@ -1272,17 +1298,43 @@ def test_the_smooth_route_is_the_fiber_tuples_in_order(m11, moved):
     obstruction._FIBER_CACHE.clear()
 
 
+def _cut_chart_table(monkeypatch, cut):
+    """Make ``census_11`` read the rows ``cut(points)`` of the chart table;
+    the chart certificate of ``fibers.verify_chart`` reads its own table.
+    Returns the rows and the first depressed cubic (d, b, 0, 0, 0, 1), in
+    the order d + 11b, whose image on them is partial."""
+    points, tangents = obstruction._chart_tables(11)
+    rows = cut(points)
+    monkeypatch.setattr(obstruction, "_chart_tables", lambda p: (rows, tangents))
+    cubics = [(d, b, 0, 0, 0, 1) for b in range(11) for d in range(11)]
+    return rows, next(h for h in cubics if _direct_mask(rows.tolist(), [], h) != 31)
+
+
 def test_a_partial_u5_form_fails_the_fullness_check(m11, monkeypatch):
-    # on 12 chart points some u5 = 1 form has a partial image; the check
-    # over the 14,641 bases and their eleven translates must name one
-    values = obstruction._route_11(m11, "chart").values[:12].tolist()
-    _inject_route(monkeypatch, _cut_chart)
-    assert census_11(m11)["obstructing"] > 0  # the census itself does not check
-    with pytest.raises(FiberInconsistencyError, match="failed the fullness claim") as err:
+    # on the first 12 rows of the table some depressed cubic has a partial
+    # image; the check, which runs before the count, names the first one
+    rows, first = _cut_chart_table(monkeypatch, lambda points: points[:12])
+    with pytest.raises(FiberInconsistencyError, match=rf"form {re.escape(str(first))} failed the fullness claim"):
         census_11(m11, validate_surjectivity=True)
+    # on the two rows with z = 0 a linear form can miss 1 and 10: the shape
+    # check refuses it, naming the first such form
+    with pytest.raises(FiberInconsistencyError, match="is neither a constant nor") as err:
+        census_11(m11)
     form = tuple(int(c) for c in re.search(r"form \(([^)]*)\)", str(err.value)).group(1).split(","))
-    assert form[5] == 1
-    assert _direct_mask(values, [], form) != 31
+    h0, h1, h2, h3, h4, h5 = form
+    assert h2 == h4 == h5 == 0 and (h1, h3) != (0, 0)
+    assert h3 == 0 or (h1 * h1 - 4 * h0 * h3) % 11 == 0
+    assert not {sum(c * x for c, x in zip(form, pt)) % 11 for pt in rows.tolist() if pt[2] == 0} & {1, 10}
+
+
+def test_the_census_reads_the_z_free_forms_at_the_rows_with_z_zero(m11, monkeypatch):
+    # the count reads only the 11 rows with z = 0, so it is unchanged on
+    # them; the u5 check reads every row, and there some cubic is partial
+    classes = census_11(m11)["obstructing_classes"]
+    _, first = _cut_chart_table(monkeypatch, lambda points: points[points[:, 2] == 0])
+    assert census_11(m11)["obstructing_classes"] == classes
+    with pytest.raises(FiberInconsistencyError, match=rf"form {re.escape(str(first))} failed the fullness claim"):
+        census_11(m11, validate_surjectivity=True)
 
 
 def _y_translate(h, s):
@@ -1300,32 +1352,45 @@ def _y_translate(h, s):
     )
 
 
-def test_u5_bases_have_the_masks_of_their_representative(m11):
-    # the old sweep: the eleven translated masks of all 14,641 bases
-    # (0, b1, ..., b4, 1); each equals its b3 = 0 representative's, rotated
-    # by the u0 coefficient that y -> y + s adds, and the representatives
-    # are exactly one base per orbit
-    route = obstruction._route_11(m11, "chart")
+def _depressed_cubics(forms):
+    """(d, b) of the depressed cubic y^3 + b*y + d + z^2 of each column of
+    ``forms`` with u5 = 1, as ``census_11`` reduces it: z -> z - (h2 +
+    h4*y)/2 leaves y^3 + a*y^2 + b'*y + d' + z^2, and y -> y - a/3 with
+    t = a/3 leaves b = b' - 3t^2 and d = d' - b't + 2t^3."""
+    h0, h1, h2, h3, h4, _ = forms.astype(np.int64)
+    quarter, third = pow(4, -1, 11), pow(3, -1, 11)
+    a = (h3 - h4 * h4 * quarter) % 11
+    b1 = (h1 - 2 * h2 * h4 * quarter) % 11
+    d1 = (h0 - h2 * h2 * quarter) % 11
+    t = a * third % 11
+    return (d1 - b1 * t + 2 * t ** 3) % 11, (b1 - 3 * t * t) % 11
 
-    def masks_of(bases):
-        return obstruction._TRANSLATED_MASKS_11[:, obstruction._value_sets(route.value_tables, bases)]
 
-    bases = obstruction._digit_columns(11 ** 5 + 11 * np.arange(11 ** 4), 11, 6)
-    masks = masks_of(bases)
-    reps = obstruction._u5_representatives_11()
-    rep_masks = masks_of(reps)
-    index = {col: k for k, col in enumerate(map(tuple, reps.T.tolist()))}
-    assert len(index) == reps.shape[1] == 1331
-    seen = set()
-    for j, b in enumerate(bases.T.tolist()):
-        moved = _y_translate(b, -b[3] * pow(3, -1, 11) % 11)
-        rep = (0, *moved[1:])
-        assert rep[3] == 0 and rep[5] == 1
-        seen.add(rep)
-        assert masks[:, j].tolist() == np.roll(rep_masks[:, index[rep]], -moved[0]).tolist()
-    assert seen == set(index)
-    # the law behind it holds for every form, partial images included:
+def test_u5_forms_have_the_image_of_their_depressed_cubic(m11):
+    # the oracle of the reduction that lets census_11 check its u5 rule on
+    # 121 cubics: each of the 161,051 forms with u5 = 1 has the mask of its
+    # depressed cubic on the mask kernel of the chart route, read without
+    # the trigger so that every form is evaluated (on the chart all are
+    # full); the two moves permute the chart points, so the 121 values of
+    # the form are those of its cubic, counted with multiplicity
+    # six products of residues below 11 per value: int16 is exact
+    points = obstruction._chart_tables(11)[0].astype(np.int16)
+    r = _without_triggers(obstruction._route_11(m11, "chart"))
+    cubics = np.zeros((6, 121), dtype=np.int32)
+    cubics[[0, 1]] = obstruction._digit_columns(np.arange(121), 11, 2)
+    cubics[5] = 1
+    cubic_values = np.sort(points @ cubics.astype(np.int16) % 11, axis=0)
+    cubic_masks = _orbit_masks_11(r, cubics)[0]
+    assert (cubic_masks == 31).all()
+    forms = obstruction._digit_columns(11 ** 5 + np.arange(11 ** 5), 11, 6)
+    d, b = _depressed_cubics(forms)
+    assert np.array_equal(_orbit_masks_11(r, forms)[0], cubic_masks[d + 11 * b])
+    for chunk in np.array_split(np.arange(forms.shape[1]), 11):
+        values = np.sort(points @ forms[:, chunk].astype(np.int16) % 11, axis=0)
+        assert np.array_equal(values, cubic_values[:, d[chunk] + 11 * b[chunk]])
+    # the y-translation law holds for every form, partial images included:
     # h and T_s^T h have the same value set on the chart route
+    route = obstruction._route_11(m11, "chart")
     rng = random.Random(31)
     forms = [[rng.randrange(11) for _ in range(6)] for _ in range(300)]
     for h in forms[1::2]:
@@ -1335,19 +1400,6 @@ def test_u5_bases_have_the_masks_of_their_representative(m11):
     for s in range(1, 11):
         moved = np.array([_y_translate(h, s) for h in forms], dtype=np.int32).T
         assert (obstruction._value_sets(route.value_tables, moved) == sets).all()
-
-
-def test_a_route_not_closed_under_y_translation_is_refused(m11, monkeypatch):
-    # an extra value point off the chart keeps every u5 = 1 representative
-    # full, but y -> y + 1 no longer permutes the value points
-    extra = np.array([[1, 0, 0, 0, 0, 1]], dtype=np.int32)
-    _inject_route(monkeypatch, lambda route, values, triggers: (np.vstack([values, extra]), triggers))
-    route = obstruction._route_11(m11, "chart")
-    sets = obstruction._value_sets(route.value_tables, obstruction._u5_representatives_11())
-    assert (obstruction._TRANSLATED_MASKS_11[:, sets] == 31).all()
-    assert census_11(m11)["obstructing"] == 228
-    with pytest.raises(FiberInconsistencyError, match=r"translation y -> y \+ 1 does not act"):
-        census_11(m11, validate_surjectivity=True)
 
 
 def test_pair_tables_are_the_direct_formula(m11):

@@ -168,21 +168,27 @@ MUTANTS = (
         OBSTRUCTION,
         "table = masks[(sets << shifts | sets >> (11 - shifts)) & 0x7FF]",
         "table = masks[(sets >> shifts | sets << (11 - shifts)) & 0x7FF]",
-        ("tests/test_obstruction.py::test_census_11_counts",),
+        (
+            "tests/test_obstruction.py::test_orbit_masks_equal_a_direct_evaluation_of_every_translate",
+            "tests/test_obstruction.py::test_census_is_coordinate_free",
+        ),
     ),
     Mutant(
         "wrong-pivot",
         OBSTRUCTION,
         "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(l1 != 0)]",
         "pivot_row = np.eye(6, dtype=np.int32)[np.argmax(l1 != 0) + 1]",
-        ("tests/test_obstruction.py::test_census_11_counts",),
+        (
+            "tests/test_obstruction.py::test_exhaustive_agreement_reports_every_scaling",
+            "tests/test_obstruction.py::test_census_is_coordinate_free",
+        ),
     ),
     Mutant(
         "dropped-l1-class",
         OBSTRUCTION,
         "return np.nonzero((np.arange(11)[:, None] == 1) | (np.arange(n) > 0))",
         "return np.nonzero((np.arange(11)[:, None] == 11) | (np.arange(n) > 0))",
-        ("tests/test_obstruction.py::test_census_11_counts",),
+        ("tests/test_obstruction.py::test_smooth_census_scans_the_kernel_at_its_extremes",),
     ),
     Mutant(
         "trigger-off-l1-accepted",
@@ -649,7 +655,7 @@ MUTANTS = (
             "tests/test_picard.py::test_labels_are_the_conic_classes_met",
         ),
     ),
-    # one request cache, the u5 sweep over y-translation orbits, the cheaper
+    # one request cache, the census read off the chart table, the cheaper
     # witness and digit-pair kernels
     Mutant(
         "fiber-key-without-p",
@@ -659,11 +665,38 @@ MUTANTS = (
         ("tests/test_fibers.py::test_one_claim_table_solves_each_fiber_once",),
     ),
     Mutant(
-        "u5-representatives-b1-zero",
+        "u5-cubics-at-u0-u2",
         OBSTRUCTION,
-        "reps[[1, 2, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)",
-        "reps[[2, 3, 4]] = _digit_columns(np.arange(11 ** 3), 11, 3)",
-        ("tests/test_obstruction.py::test_u5_bases_have_the_masks_of_their_representative",),
+        "cubics[[0, 1]] = _digit_columns(np.arange(11 ** 2), 11, 2)",
+        "cubics[[0, 2]] = _digit_columns(np.arange(11 ** 2), 11, 2)",
+        ("tests/test_obstruction.py::test_the_census_reads_the_z_free_forms_at_the_rows_with_z_zero",),
+    ),
+    Mutant(
+        "z-free-forms-read-h2",
+        OBSTRUCTION,
+        "forms[[0, 1, 3]] = _digit_columns(np.arange(1, 11 ** 3), 11, 3)",
+        "forms[[0, 1, 2]] = _digit_columns(np.arange(1, 11 ** 3), 11, 3)",
+        (
+            "tests/test_obstruction.py::test_census_11_counts",
+            "tests/test_obstruction.py::test_census_classes_are_the_forms_the_chart_kernel_says_obstruct",
+        ),
+    ),
+    Mutant(
+        "census-shape-check-dropped",
+        OBSTRUCTION,
+        "    other = np.flatnonzero(~(constant | separable))",
+        "    other = np.flatnonzero(constant & separable)",
+        ("tests/test_obstruction.py::test_a_partial_u5_form_fails_the_fullness_check",),
+    ),
+    Mutant(
+        "published-verdict-keyed-by-name",
+        OBSTRUCTION,
+        "if h == coeffs and data == _fixture_data(name):",
+        "if h == coeffs and model.name == name:",
+        (
+            "tests/test_obstruction.py::test_the_published_verdict_is_matched_by_the_model_data",
+            "tests/test_obstruction.py::test_a_stripped_fixture_answers_as_the_fixture",
+        ),
     ),
     Mutant(
         "witnesses-plus-c",
